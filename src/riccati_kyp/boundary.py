@@ -119,7 +119,6 @@ class UniquenessVerdict(Enum):
 class UniquenessReason(Enum):
     INNER_FR0 = "inner_fr0"
     COINNER_FL0 = "coinner_fl0"
-    SCALAR_MODULUS_ONE = "scalar_modulus_one"
     NONE = "none"
 
 
@@ -150,11 +149,11 @@ def uniqueness_certificate(
     trivial-defect reason applies.
 
     Routes, in order: an inner transfer function (right defect vanishes on
-    the grid), a co-inner one (left defect vanishes), or a scalar transfer
-    function of unimodular boundary values (for rational scalar functions
-    this coincides with the inner case, so the branch is a documented
-    fallback). Anything else returns Unknown; deciding uniqueness in general
-    needs spectral-factorization machinery that is out of scope here.
+    the grid) or a co-inner one (left defect vanishes). For a scalar
+    transfer function both defects equal ``|1 - |theta|^2|``, so unimodular
+    boundary values are the inner case and need no route of their own.
+    Anything else returns Unknown; deciding uniqueness in general needs
+    spectral-factorization machinery that is out of scope here.
     """
     if not is_minimal(sigma):
         raise NotMinimal("uniqueness certificates require a minimal system")
@@ -179,13 +178,6 @@ def uniqueness_certificate(
             reason=UniquenessReason.COINNER_FL0,
             delta_at_solution=delta_norm,
         )
-    if sigma.input_dim == 1 and sigma.output_dim == 1:
-        moduli = np.abs(profile.values[:, 0, 0])
-        if float(np.abs(1.0 - moduli).max()) <= tol:
-            return UniquenessCertificate(
-                verdict=UniquenessVerdict.UNIQUE_SINGLETON,
-                reason=UniquenessReason.SCALAR_MODULUS_ONE,
-            )
     return UniquenessCertificate(
         verdict=UniquenessVerdict.UNKNOWN, reason=UniquenessReason.NONE
     )

@@ -34,12 +34,7 @@ from .boundary import circle_profile, is_coinner, is_inner, uniqueness_certifica
 from .linops import Loewner
 from .riccati import membership
 from .solver import (
-    SolverConfig,
-    duality_check,
-    maximal_solution,
-    minimal_solution,
-    solve_re,
-    solve_re_scalar,
+    SolverConfig, duality_check, maximal_solution, minimal_solution, solve_re,
 )
 from .systems import (
     SystemRealization,
@@ -272,23 +267,14 @@ def _solution_set_payload(solution_set) -> dict:
         "minimal_index": solution_set.minimal_index,
         "maximal_index": solution_set.maximal_index,
         "provenance": solution_set.provenance,
+        "route": solution_set.route,
     }
 
 
-def _solve_re_payload(sigma, config) -> dict:
-    scalar = (
-        sigma.state_dim == 1 and sigma.input_dim == 1 and sigma.output_dim == 1
-    )
-    solution_set = solve_re_scalar(sigma) if scalar else solve_re(sigma, config)
-    payload = _solution_set_payload(solution_set)
-    payload["route"] = "scalar-closed-form" if scalar else "newton-multistart"
-    return payload
-
-
-def _extremes_payload(sigma, config) -> dict:
-    h_min = minimal_solution(sigma, config)
-    h_max = maximal_solution(sigma, config)
-    duality = duality_check(sigma, config)
+def _extremes_payload(sigma, config, solved: list) -> dict:
+    h_min = minimal_solution(sigma, config, solved)
+    h_max = maximal_solution(sigma, config, solved)
+    duality = duality_check(sigma, config, (h_min, h_max), solved)
     return {
         "minimal": _encode_matrix(h_min.matrix),
         "maximal": _encode_matrix(h_max.matrix),
@@ -397,9 +383,13 @@ def run(command: str, doc: SystemDocument, args) -> dict:
             },
         )
     elif command == "solve-re":
-        report["solve_re"] = timed("solve_re", lambda: _solve_re_payload(sigma, config))
+        report["solve_re"] = _solution_set_payload(
+            timed("solve_re", lambda: solve_re(sigma, config))
+        )
     elif command == "extremes":
-        report["extremes"] = timed("extremes", lambda: _extremes_payload(sigma, config))
+        report["extremes"] = timed(
+            "extremes", lambda: _extremes_payload(sigma, config, [])
+        )
     elif command == "simulate":
         report["simulate"] = timed(
             "simulate", lambda: _simulate_payload(sigma, doc, args)
@@ -408,8 +398,12 @@ def run(command: str, doc: SystemDocument, args) -> dict:
         report["analyze"] = timed(
             "analyze", lambda: _analyze_payload(sigma, args.tol, args.grid, config)
         )
-        report["solve_re"] = timed("solve_re", lambda: _solve_re_payload(sigma, config))
-        report["extremes"] = timed("extremes", lambda: _extremes_payload(sigma, config))
+        # the extremes payload reuses this equality set instead of solving again
+        re_set = timed("solve_re", lambda: solve_re(sigma, config))
+        report["solve_re"] = _solution_set_payload(re_set)
+        report["extremes"] = timed(
+            "extremes", lambda: _extremes_payload(sigma, config, [(sigma, re_set)])
+        )
         if doc.candidates:
             report["check"] = timed(
                 "check",

@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 EPS = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).tiny)
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -94,32 +95,49 @@ def default_rank_tol(a: np.ndarray) -> float:
     return a.shape[0] * EPS
 
 
-def _psd_spectral(
-    a: np.ndarray, rank_tol: float | None, herm_tol: float = 1e-12
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Eigendecomposition of a PSD Hermitian matrix with rank decisions.
+def _eigh_kept(
+    a: np.ndarray, rank_tol: float, magnitude: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unvalidated ``(w, v, kept)`` of a Hermitian matrix: ``kept`` marks the
+    eigenvalues above ``rank_tol`` times the largest one clamped at zero, or
+    with ``magnitude`` (indefinite input) the moduli above ``rank_tol`` times
+    the largest modulus. An eigenvalue at or below the smallest normal float
+    is never kept, so inverting the kept ones cannot overflow."""
+    w, v = np.linalg.eigh(a)
+    size = np.abs(w) if magnitude else w
+    return w, v, size > max(rank_tol * float(size.max(initial=0.0)), TINY)
 
-    Returns ``(w, v, kept, lam_max)`` where ``w`` has negatives clamped to
-    zero, ``kept`` marks eigenvalues above ``rank_tol * lam_max``, and raises
-    NotPSD when an eigenvalue lies below ``-rank_tol * max(norm, 1)``.
+
+def _pinv_kept(w: np.ndarray, v: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """``v diag(1/w) v*`` over the kept eigenvalues, zero elsewhere."""
+    inv_w = np.where(kept, 1.0 / np.where(kept, w, 1.0), 0.0)
+    return hermitian_part((v * inv_w) @ v.conj().T)
+
+
+def _projector_kept(v: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Orthogonal projector onto the span of the kept eigenvectors."""
+    vk = v[:, kept]
+    return hermitian_part(vk @ vk.conj().T)
+
+
+def _psd_spectral(a: np.ndarray, rank_tol: float | None):
+    """Validated eigendecomposition of a PSD Hermitian matrix.
+
+    Returns ``(w, v, kept)`` from :func:`_eigh_kept` with negatives in ``w``
+    clamped to zero, and raises NotPSD when an eigenvalue lies below
+    ``-rank_tol * max(norm, 1)``.
     """
-    a = ensure_hermitian(a, tol=herm_tol)
+    a = ensure_hermitian(a)
     if rank_tol is None:
         rank_tol = default_rank_tol(a)
-    w, v = np.linalg.eigh(a)
-    if w.size == 0:
-        return w, v, np.zeros(0, dtype=bool), 0.0
-    norm_a = float(np.abs(w).max())
-    floor = rank_tol * max(norm_a, 1.0)
-    if float(w[0]) < -floor:
+    w, v, kept = _eigh_kept(a, rank_tol)
+    floor = rank_tol * max(float(np.abs(w).max(initial=0.0)), 1.0)
+    if w.size and float(w[0]) < -floor:
         raise NotPSD(
             f"smallest eigenvalue {float(w[0]):.3e} below the admissible floor "
             f"{-floor:.3e}"
         )
-    lam_max = float(max(w[-1], 0.0))
-    w = np.clip(w, 0.0, None)
-    kept = w > rank_tol * lam_max
-    return w, v, kept, lam_max
+    return np.clip(w, 0.0, None), v, kept
 
 
 def psd_sqrt(a: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
@@ -131,7 +149,7 @@ def psd_sqrt(a: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
     decisions stay aligned with :func:`psd_pseudo_inverse` (the truncation
     changes the squared reconstruction by at most the cut itself).
     """
-    w, v, kept, _ = _psd_spectral(a, rank_tol)
+    w, v, kept = _psd_spectral(a, rank_tol)
     return hermitian_part((v * np.where(kept, np.sqrt(w), 0.0)) @ v.conj().T)
 
 
@@ -143,22 +161,19 @@ def psd_pseudo_inverse(a: np.ndarray, rank_tol: float | None = None) -> np.ndarr
     ``a @ psd_pseudo_inverse(a)`` is the orthogonal projection onto the range
     of ``a``.
     """
-    w, v, kept, _ = _psd_spectral(a, rank_tol)
-    inv_w = np.where(kept, 1.0 / np.where(kept, w, 1.0), 0.0)
-    return hermitian_part((v * inv_w) @ v.conj().T)
+    return _pinv_kept(*_psd_spectral(a, rank_tol))
 
 
 def psd_rank(a: np.ndarray, rank_tol: float | None = None) -> int:
     """Numerical rank of a PSD Hermitian matrix."""
-    _, _, kept, _ = _psd_spectral(a, rank_tol)
+    _, _, kept = _psd_spectral(a, rank_tol)
     return int(np.count_nonzero(kept))
 
 
 def range_projector(a: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
     """Orthogonal projector onto the range of a PSD Hermitian matrix."""
-    _, v, kept, _ = _psd_spectral(a, rank_tol)
-    vk = v[:, kept]
-    return hermitian_part(vk @ vk.conj().T)
+    _, v, kept = _psd_spectral(a, rank_tol)
+    return _projector_kept(v, kept)
 
 
 def sqrt_pinv_commute_check(a: np.ndarray, rank_tol: float | None = None) -> float:
@@ -293,21 +308,15 @@ def minimal_contraction(
 
     # Spectral data of the diagonal blocks; negatives (certified tiny by the
     # check above) are treated as zero.
-    def _block_spectral(a: np.ndarray):
-        w, v = np.linalg.eigh(a)
-        w = np.clip(w, 0.0, None)
-        lam_max = float(w[-1]) if w.size else 0.0
-        kept = w > rank_tol * lam_max
-        sqrt_w = np.where(kept, np.sqrt(w), 0.0)  # rank cut as in psd_sqrt
+    factors = []
+    for part in (block.alpha, block.delta):
+        w, v, kept = _eigh_kept(part, rank_tol)
+        sqrt_w = np.where(kept, np.sqrt(np.clip(w, 0.0, None)), 0.0)
         sqrt_m = hermitian_part((v * sqrt_w) @ v.conj().T)
-        inv_sqrt = np.where(kept, 1.0 / np.where(kept, sqrt_w, 1.0), 0.0)
-        pinv_sqrt = hermitian_part((v * inv_sqrt) @ v.conj().T)
-        vk = v[:, kept]
-        proj = hermitian_part(vk @ vk.conj().T)
-        return sqrt_m, pinv_sqrt, proj, int(np.count_nonzero(kept))
-
-    sqrt_a, pinv_sqrt_a, proj_a, rank_a = _block_spectral(block.alpha)
-    sqrt_d, pinv_sqrt_d, proj_d, rank_d = _block_spectral(block.delta)
+        pinv_m = _pinv_kept(sqrt_w, v, kept)
+        factors.append((sqrt_m, pinv_m, _projector_kept(v, kept), int(kept.sum())))
+    sqrt_a, pinv_sqrt_a, proj_a, rank_a = factors[0]
+    sqrt_d, pinv_sqrt_d, proj_d, rank_d = factors[1]
 
     beta_star = block.beta.conj().T
     gamma = proj_d @ (pinv_sqrt_d @ beta_star @ pinv_sqrt_a) @ proj_a

@@ -32,6 +32,9 @@ from .errors import (
 )
 from .linops import (
     BlockNonneg,
+    _eigh_kept,
+    _pinv_kept,
+    _projector_kept,
     ensure_hermitian,
     hermitian_part,
     minimal_contraction,
@@ -114,29 +117,6 @@ class RiccatiData:
     range_inclusion_residual: float
 
 
-def _range_projector_tolerant(a: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Projector onto the span of eigenvectors with |eigenvalue| above the
-    rank cut; tolerates indefinite input (needed for diagnostics)."""
-    w, v = np.linalg.eigh(a)
-    if w.size == 0:
-        return a.copy()
-    cut = rank_tol * float(np.abs(w).max())
-    vk = v[:, np.abs(w) > cut]
-    return hermitian_part(vk @ vk.conj().T)
-
-
-def _pinv_psd_part(a: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Pseudo-inverse of the PSD part of a Hermitian matrix (negative
-    eigenvalues dropped); callers certify near-PSD-ness separately."""
-    w, v = np.linalg.eigh(a)
-    if w.size == 0:
-        return a.copy()
-    cut = rank_tol * max(float(w[-1]), 0.0)
-    kept = w > cut
-    inv_w = np.where(kept, 1.0 / np.where(kept, w, 1.0), 0.0)
-    return hermitian_part((v * inv_w) @ v.conj().T)
-
-
 def _check_dims(sigma: SystemRealization, storage: StorageOperator) -> None:
     if storage.dim != sigma.state_dim:
         raise DimensionMismatch(
@@ -145,20 +125,28 @@ def _check_dims(sigma: SystemRealization, storage: StorageOperator) -> None:
         )
 
 
+def _residual_ops(sigma: SystemRealization, h: np.ndarray):
+    """alpha(H), beta(H) and delta(H) for any Hermitian weight ``h``; the
+    solver walks through indefinite weights, so positivity is not required."""
+    a, b, c, d = sigma.a, sigma.b, sigma.c, sigma.d
+    alpha = hermitian_part(h - a.conj().T @ h @ a - c.conj().T @ c)
+    beta = d.conj().T @ c + b.conj().T @ h @ a
+    delta = hermitian_part(
+        np.eye(sigma.input_dim) - d.conj().T @ d - b.conj().T @ h @ b
+    )
+    return alpha, beta, delta
+
+
 def riccati_data(
     sigma: SystemRealization, h, rank_tol: float = 1e-12
 ) -> RiccatiData:
     """Assemble alpha(H), beta(H), delta(H) and the range-inclusion residual."""
     storage = as_storage(h)
     _check_dims(sigma, storage)
-    a, b, c, d = sigma.a, sigma.b, sigma.c, sigma.d
-    hm = storage.matrix
-    alpha = hermitian_part(hm - a.conj().T @ hm @ a - c.conj().T @ c)
-    beta = d.conj().T @ c + b.conj().T @ hm @ a
-    delta = hermitian_part(
-        np.eye(sigma.input_dim) - d.conj().T @ d - b.conj().T @ hm @ b
-    )
-    proj = _range_projector_tolerant(delta, rank_tol)
+    alpha, beta, delta = _residual_ops(sigma, storage.matrix)
+    # delta may be indefinite here, so the range is cut on |eigenvalue|
+    _, v, kept = _eigh_kept(delta, rank_tol, magnitude=True)
+    proj = _projector_kept(v, kept)
     residual = spectral_norm((np.eye(sigma.input_dim) - proj) @ beta)
     return RiccatiData(
         alpha_op=alpha,
@@ -169,7 +157,7 @@ def riccati_data(
 
 
 def _surplus_from_data(data: RiccatiData, rank_tol: float) -> np.ndarray:
-    pinv_delta = _pinv_psd_part(data.delta_op, rank_tol)
+    pinv_delta = _pinv_kept(*_eigh_kept(data.delta_op, rank_tol))
     return hermitian_part(
         data.alpha_op - data.beta_op.conj().T @ pinv_delta @ data.beta_op
     )
@@ -237,11 +225,7 @@ def kyp_form(sigma: SystemRealization, h, x: np.ndarray, u: np.ndarray) -> float
     )
 
 
-def kyp_lmi(sigma: SystemRealization, h) -> np.ndarray:
-    """The LMI matrix ``[[alpha, -beta*], [-beta, delta]]`` on the combined
-    state-input space; H satisfies the KYP inequality iff it is PSD."""
-    storage = as_storage(h)
-    data = riccati_data(sigma, storage)
+def _lmi_from_data(data: RiccatiData) -> np.ndarray:
     return hermitian_part(
         np.block(
             [
@@ -250,6 +234,12 @@ def kyp_lmi(sigma: SystemRealization, h) -> np.ndarray:
             ]
         )
     )
+
+
+def kyp_lmi(sigma: SystemRealization, h) -> np.ndarray:
+    """The LMI matrix ``[[alpha, -beta*], [-beta, delta]]`` on the combined
+    state-input space; H satisfies the KYP inequality iff it is PSD."""
+    return _lmi_from_data(riccati_data(sigma, as_storage(h)))
 
 
 @dataclass
@@ -299,14 +289,7 @@ def membership(
     storage = as_storage(h)
     data = riccati_data(sigma, storage, rank_tol=rank_tol)
 
-    lmi = hermitian_part(
-        np.block(
-            [
-                [data.alpha_op, -data.beta_op.conj().T],
-                [-data.beta_op, data.delta_op],
-            ]
-        )
-    )
+    lmi = _lmi_from_data(data)
     lmi_min = float(np.linalg.eigvalsh(lmi)[0])
     scale = max(1.0, spectral_norm(lmi))
     threshold = tol * scale

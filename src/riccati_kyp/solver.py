@@ -1,8 +1,10 @@
 """Solution-set computation for the Riccati equality, extremal storage
 operators, and the adjoint-inversion duality.
 
-The equality is solved through the augmented feedback form: H satisfies the
-equality conditions exactly when there is a K with
+:func:`solve_re` is the one dispatch point. A system with n = m = p = 1 goes
+to the closed form of :func:`solve_re_scalar`; any other system goes to
+multi-start Newton on the augmented feedback form: H satisfies the equality
+conditions exactly when there is a K with
 
     beta(H) = delta(H) K      and      alpha(H) = K* delta(H) K,
 
@@ -11,12 +13,15 @@ polynomial in (H, K), so Newton iteration on it stays smooth across rank
 changes of delta and reaches boundary solutions (delta singular) that a
 pseudo-inverse formulation would make non-differentiable. Converged points
 are validated through the membership test, deduplicated, and ordered
-deterministically.
+deterministically. Each returned set records its ``route``.
 
 The minimal storage operator is computed by the monotone fixed-point
 iteration H <- A* H A + C* C + beta(H)* pinv(delta(H)) beta(H) started from
 zero, Newton-polished, and certified against rejection-sampled inequality
 members. The maximal one is the inverse of the adjoint system's minimal one.
+:func:`duality_check` runs the inversion checks on samples anchored at the
+extremal pair and on both equality sets. The three take an optional
+``solved`` list of equality sets, so that one caller solves each set once.
 """
 
 from __future__ import annotations
@@ -35,13 +40,15 @@ from .errors import (
     NotScalar,
     SingularResolvent,
 )
-from .linops import Loewner, hermitian_part, loewner_compare, spectral_norm
-from .riccati import (
-    StorageOperator,
-    _pinv_psd_part,
-    as_storage,
-    membership,
+from .linops import (
+    Loewner,
+    _eigh_kept,
+    _pinv_kept,
+    hermitian_part,
+    loewner_compare,
+    spectral_norm,
 )
+from .riccati import StorageOperator, _residual_ops, as_storage, membership
 from .systems import SystemRealization, adjoint, is_minimal, schur_class_margin
 
 __all__ = [
@@ -59,27 +66,31 @@ __all__ = [
 ]
 
 
+# Solver parameters that no caller varies.
+MAX_DIM = 6  # largest state dimension solve_re accepts
+STARTS = 30  # seeded random Newton starts besides the anchors and identities
+ITER_TOL = 1e-12  # fixed point: relative drift that ends the iteration
+FP_MAX_ITER = 10000
+FP_DIVERGENCE_BOUND = 1e9
+NEWTON_TOL = 1e-12  # augmented Newton: relative residual that converges
+MAX_ITER = 60
+RANK_TOL = 1e-12  # relative rank cut when inverting delta(H)
+DEDUP_TOL = 1e-7  # relative distance at which two Newton solutions are one
+EQUALITY_TOL = 1e-8  # equality tolerance of membership tests on solver output
+CERTIFICATE_SAMPLES = 40  # sampled inequality members per extremal certificate
+CERTIFICATE_RE_DIM_CAP = 3  # up to this n, certificates also use the equality set
+SCHUR_RADIUS = 0.95  # disc radius and grid of the early transfer-norm check
+SCHUR_GRID = 24
+
+
 @dataclass
 class SolverConfig:
-    """Knobs for the equality solver and the extremal-solution routines."""
+    """The solver settings callers vary: the RNG seed, the membership
+    tolerance, and the number of duality samples."""
 
-    max_dim: int = 6
-    starts: int = 30
-    iter_tol: float = 1e-12
-    dedup_tol: float = 1e-7
     seed: int = 0
-    max_iter: int = 60
-    fp_max_iter: int = 10000
-    newton_tol: float = 1e-12
     membership_tol: float = 1e-9
-    equality_tol: float = 1e-8
-    certificate_samples: int = 40
     duality_samples: int = 50
-    validate_against_re: bool = True
-    certificate_re_dim_cap: int = 3
-    check_schur: bool = True
-    schur_radius: float = 0.95
-    schur_grid: int = 24
 
 
 @dataclass
@@ -89,7 +100,8 @@ class SolutionSet:
     ``comparisons`` maps index pairs (i, j), i < j, to Loewner verdicts.
     ``minimal_index``/``maximal_index`` are set when one member is below /
     above every other member. ``provenance`` records, per member, the solver
-    route, the final residual norm, and the iteration count.
+    route, the final residual norm, and the iteration count. ``route`` is the
+    :func:`solve_re` route: ``scalar-closed-form`` or ``newton-multistart``.
     """
 
     members: list[StorageOperator] = field(default_factory=list)
@@ -97,24 +109,13 @@ class SolutionSet:
     minimal_index: int | None = None
     maximal_index: int | None = None
     provenance: list[dict] = field(default_factory=list)
+    route: str | None = None
 
     def __len__(self) -> int:
         return len(self.members)
 
 
-def _residual_ops(sigma: SystemRealization, h: np.ndarray):
-    """alpha, beta, delta for an arbitrary Hermitian weight (no positivity
-    requirement; the solver walks through indefinite territory)."""
-    a, b, c, d = sigma.a, sigma.b, sigma.c, sigma.d
-    alpha = hermitian_part(h - a.conj().T @ h @ a - c.conj().T @ c)
-    beta = d.conj().T @ c + b.conj().T @ h @ a
-    delta = hermitian_part(
-        np.eye(sigma.input_dim) - d.conj().T @ d - b.conj().T @ h @ b
-    )
-    return alpha, beta, delta
-
-
-def re_residual_norm(sigma: SystemRealization, h, rank_tol: float = 1e-12) -> float:
+def re_residual_norm(sigma: SystemRealization, h, rank_tol: float = RANK_TOL) -> float:
     """Norm of ``alpha - beta* pinv(delta) beta`` at ``h``; zero at equality
     solutions. Accepts any Hermitian weight, definite or not."""
     if isinstance(h, StorageOperator):
@@ -122,7 +123,7 @@ def re_residual_norm(sigma: SystemRealization, h, rank_tol: float = 1e-12) -> fl
     else:
         hm = hermitian_part(np.atleast_2d(np.asarray(h, dtype=complex)))
     alpha, beta, delta = _residual_ops(sigma, hm)
-    pinv = _pinv_psd_part(delta, rank_tol)
+    pinv = _pinv_kept(*_eigh_kept(delta, rank_tol))
     return spectral_norm(alpha - beta.conj().T @ pinv @ beta)
 
 
@@ -213,7 +214,7 @@ def _newton_equality(
     a_mat, b_mat = sigma.a, sigma.b
     h = hermitian_part(h0)
     _, beta0, delta0 = _residual_ops(sigma, h)
-    k = _pinv_psd_part(delta0, 1e-12) @ beta0
+    k = _pinv_kept(*_eigh_kept(delta0, RANK_TOL)) @ beta0
 
     h_dirs = _herm_directions(n)
     k_dirs = _k_directions(m, n)
@@ -272,13 +273,7 @@ def _newton_equality(
 # -- fixed-point iteration ----------------------------------------------------
 
 
-def _fixed_point_solve(
-    sigma: SystemRealization,
-    max_iter: int,
-    tol: float,
-    rank_tol: float = 1e-12,
-    divergence_bound: float = 1e9,
-):
+def _fixed_point_solve(sigma: SystemRealization):
     """Iterate H <- A* H A + C* C + beta* pinv(delta) beta from zero.
 
     The iterates increase monotonically toward the least inequality member
@@ -288,9 +283,9 @@ def _fixed_point_solve(
     n = sigma.state_dim
     a_mat, c_mat = sigma.a, sigma.c
     h = np.zeros((n, n), dtype=complex)
-    for it in range(1, max_iter + 1):
+    for _ in range(FP_MAX_ITER):
         _, beta, delta = _residual_ops(sigma, h)
-        pinv = _pinv_psd_part(delta, rank_tol)
+        pinv = _pinv_kept(*_eigh_kept(delta, RANK_TOL))
         h_next = hermitian_part(
             a_mat.conj().T @ h @ a_mat
             + c_mat.conj().T @ c_mat
@@ -298,14 +293,14 @@ def _fixed_point_solve(
         )
         drift = spectral_norm(h_next - h)
         h = h_next
-        if spectral_norm(h) > divergence_bound:
+        if spectral_norm(h) > FP_DIVERGENCE_BOUND:
             raise IterationDiverged(
-                f"fixed-point iterates exceeded {divergence_bound:.1e} in norm"
+                f"fixed-point iterates exceeded {FP_DIVERGENCE_BOUND:.1e} in norm"
             )
-        if drift <= tol * (1.0 + spectral_norm(h)):
-            return h, it
+        if drift <= ITER_TOL * (1.0 + spectral_norm(h)):
+            return h
     raise IterationDiverged(
-        f"fixed-point iteration did not settle within {max_iter} steps"
+        f"fixed-point iteration did not settle within {FP_MAX_ITER} steps"
     )
 
 
@@ -324,7 +319,6 @@ def sample_ri_members(
     anchors: list[np.ndarray],
     tol: float = 1e-9,
     require_margin: float | None = None,
-    max_tries: int | None = None,
 ) -> list[np.ndarray]:
     """Rejection-sample inequality members around known ones.
 
@@ -333,7 +327,8 @@ def sample_ri_members(
     inequality in H), so combinations of members stay inside and hit rates
     remain workable. The perturbation scale shrinks on rejection streaks,
     which keeps the sampler effective even when the member set is a single
-    point. Anchors that pass the test are included in the output.
+    point. Anchors that pass the test are included in the output. Sampling
+    stops after ``400 * count`` candidates.
     """
     n = sigma.state_dim
     good_anchors = []
@@ -352,11 +347,9 @@ def sample_ri_members(
         max(spectral_norm(x - y) for x in good_anchors for y in good_anchors),
         0.25 * max(spectral_norm(x) for x in good_anchors),
     )
-    if max_tries is None:
-        max_tries = 400 * count
     misses = 0
     tries = 0
-    while len(samples) < count and tries < max_tries:
+    while len(samples) < count and tries < 400 * count:
         tries += 1
         if len(good_anchors) >= 2:
             i, j = rng.integers(0, len(good_anchors), size=2)
@@ -388,25 +381,43 @@ def sample_ri_members(
     return samples[:count]
 
 
+def _solve_re_once(
+    sigma: SystemRealization, config: SolverConfig, solved: list | None
+) -> SolutionSet:
+    """``solve_re(sigma, config)``, looked up first in ``solved``, the caller's
+    list of (realization, equality set) pairs, and added to it."""
+    for known, re_set in solved or ():
+        if all(np.array_equal(getattr(known, x), getattr(sigma, x)) for x in "abcd"):
+            return re_set
+    re_set = solve_re(sigma, config)
+    if solved is not None:
+        solved.append((sigma, re_set))
+    return re_set
+
+
 def _certify_extremal(
     sigma: SystemRealization,
     candidate: np.ndarray,
     side: str,
     config: SolverConfig,
-    extra_members: list[np.ndarray] | None = None,
+    solved: list | None,
 ) -> None:
-    """Check the candidate against sampled inequality members (and optional
-    explicitly known members); raise CertificateFailed on any violation."""
+    """Check the candidate against sampled inequality members and, up to the
+    dimension cap, the equality set (see :func:`_solve_re_once`); raise
+    CertificateFailed on any violation."""
+    with_re = sigma.state_dim <= CERTIFICATE_RE_DIM_CAP
+    if with_re:
+        re_set = _solve_re_once(sigma, config, solved)
     rng = np.random.default_rng(config.seed + (1 if side == "minimal" else 2))
     samples = sample_ri_members(
         sigma,
-        config.certificate_samples,
+        CERTIFICATE_SAMPLES,
         rng,
         anchors=[candidate],
         tol=config.membership_tol,
     )
-    if extra_members:
-        samples = samples + [np.asarray(m, dtype=complex) for m in extra_members]
+    if with_re:
+        samples = samples + [m.matrix for m in re_set.members]
     cmp_tol = 100.0 * config.membership_tol * max(1.0, spectral_norm(candidate))
     wanted = (
         (Loewner.LESS_EQUAL, Loewner.EQUAL)
@@ -430,9 +441,10 @@ def solve_re_scalar(sigma: SystemRealization, tol: float = 1e-9) -> SolutionSet:
 
     On the region where delta(h) > 0, clearing the denominator of
     ``alpha(h) = |beta(h)|^2 / delta(h)`` leaves a real polynomial of degree
-    at most two; its positive roots are screened through the membership test.
-    The boundary point where delta vanishes is examined separately since the
-    cleared polynomial does not decide it.
+    at most two; its positive roots are screened through the membership test
+    at ``tol`` and ``EQUALITY_TOL``. The boundary point where delta vanishes is
+    examined separately since the cleared polynomial does not decide it.
+    :func:`solve_re` takes this route for every scalar system.
     """
     if not (sigma.state_dim == 1 and sigma.input_dim == 1 and sigma.output_dim == 1):
         raise NotScalar(
@@ -480,7 +492,7 @@ def solve_re_scalar(sigma: SystemRealization, tol: float = 1e-9) -> SolutionSet:
         if any(abs(h - float(s.matrix[0, 0].real)) <= 1e-7 * (1.0 + h) for s in members):
             continue
         try:
-            verdict = membership(sigma, h, tol=tol)
+            verdict = membership(sigma, h, tol=tol, eq_tol=EQUALITY_TOL)
         except NotPD:
             continue
         if verdict.in_re:
@@ -493,7 +505,9 @@ def solve_re_scalar(sigma: SystemRealization, tol: float = 1e-9) -> SolutionSet:
                     "iterations": 0,
                 }
             )
-    return order_solutions(SolutionSet(members=members, provenance=provenance))
+    return order_solutions(
+        SolutionSet(members=members, provenance=provenance, route="scalar-closed-form")
+    )
 
 
 def _solution_sort_key(h: np.ndarray):
@@ -507,23 +521,24 @@ def _solution_sort_key(h: np.ndarray):
 def solve_re(
     sigma: SystemRealization, config: SolverConfig | None = None
 ) -> SolutionSet:
-    """Find equality solutions by multi-start Newton on the augmented system.
+    """Find equality solutions; the one dispatch between solver routes.
 
-    Starts combine the fixed-point limit (the minimal candidate), the inverse
-    of the adjoint's fixed-point limit (the maximal candidate), scaled
-    identities, and seeded random Hermitian perturbations between the two
-    extremal candidates. Converged points are membership-validated,
-    deduplicated at ``dedup_tol * (1 + |trace|)``, and sorted by trace and
-    then lexicographically by entries, so output order is independent of
-    scheduling. The returned set is what was found; completeness is not
-    claimed beyond the scalar closed form.
+    A scalar system (n = m = p = 1) is solved in closed form by
+    :func:`solve_re_scalar`, which returns the complete set. Any other
+    system goes to multi-start Newton on the augmented system. Its starts
+    combine the fixed-point limit (the minimal candidate), the inverse of the
+    adjoint's fixed-point limit (the maximal candidate), scaled identities,
+    and seeded random Hermitian perturbations between the two extremal
+    candidates. Converged points are membership-validated, deduplicated at
+    ``DEDUP_TOL * (1 + |trace|)``, and sorted by trace and then
+    lexicographically by entries, so output order is independent of
+    scheduling; the set is what was found, not claimed complete. Both routes
+    validate at ``config.membership_tol`` and ``EQUALITY_TOL``.
     """
     cfg = config or SolverConfig()
     n = sigma.state_dim
-    if n > cfg.max_dim:
-        raise ValueError(
-            f"state dimension {n} exceeds the solver cap {cfg.max_dim}"
-        )
+    if n > MAX_DIM:
+        raise ValueError(f"state dimension {n} exceeds the solver cap {MAX_DIM}")
     if not is_minimal(sigma):
         warnings.warn(
             "equality solving on a non-minimal system; solution structure "
@@ -531,16 +546,23 @@ def solve_re(
             RuntimeWarning,
             stacklevel=2,
         )
+    if n == sigma.input_dim == sigma.output_dim == 1:
+        return solve_re_scalar(sigma, tol=cfg.membership_tol)
+    return _newton_multistart(sigma, cfg)
+
+
+def _newton_multistart(sigma: SystemRealization, cfg: SolverConfig) -> SolutionSet:
+    """The Newton route of :func:`solve_re`, for any dimensions."""
+    n = sigma.state_dim
     rng = np.random.default_rng(cfg.seed)
 
     anchors: list[np.ndarray] = []
     try:
-        h_lo, _ = _fixed_point_solve(sigma, cfg.fp_max_iter, cfg.iter_tol)
-        anchors.append(h_lo)
+        anchors.append(_fixed_point_solve(sigma))
     except IterationDiverged:
         pass
     try:
-        h_adj, _ = _fixed_point_solve(adjoint(sigma), cfg.fp_max_iter, cfg.iter_tol)
+        h_adj = _fixed_point_solve(adjoint(sigma))
         w = np.linalg.eigvalsh(h_adj)
         if float(w[0]) > 1e-12 * max(float(np.abs(w).max()), 1.0):
             anchors.append(hermitian_part(np.linalg.inv(h_adj)))
@@ -557,7 +579,7 @@ def solve_re(
     else:
         spread = 1.0
         base_lo = base_hi = anchors[0] if anchors else eye
-    for _ in range(cfg.starts):
+    for _ in range(STARTS):
         lam = rng.uniform()
         base = lam * base_lo + (1.0 - lam) * base_hi
         starts.append(
@@ -571,7 +593,7 @@ def solve_re(
     any_converged = False
     for idx, h0 in enumerate(starts):
         h, res, iters, ok = _newton_equality(
-            sigma, h0, tol=cfg.newton_tol, max_iter=cfg.max_iter
+            sigma, h0, tol=NEWTON_TOL, max_iter=MAX_ITER
         )
         best_res = min(best_res, res)
         if not ok:
@@ -589,7 +611,7 @@ def solve_re(
     for h, res, iters, route in sorted(candidates, key=lambda t: t[1]):
         try:
             verdict = membership(
-                sigma, h, tol=cfg.membership_tol, eq_tol=cfg.equality_tol
+                sigma, h, tol=cfg.membership_tol, eq_tol=EQUALITY_TOL
             )
         except NotPD:
             continue
@@ -597,7 +619,7 @@ def solve_re(
             continue
         dup = any(
             spectral_norm(h - u[0])
-            <= cfg.dedup_tol * (1.0 + abs(float(np.real(np.trace(u[0])))))
+            <= DEDUP_TOL * (1.0 + abs(float(np.real(np.trace(u[0])))))
             for u in validated
         )
         if not dup:
@@ -609,13 +631,15 @@ def solve_re(
         {"route": route, "residual": res, "iterations": iters}
         for _, res, iters, route in validated
     ]
-    return order_solutions(SolutionSet(members=members, provenance=provenance))
+    return order_solutions(
+        SolutionSet(members=members, provenance=provenance, route="newton-multistart")
+    )
 
 
-def _require_schur(sigma: SystemRealization, cfg: SolverConfig) -> None:
+def _require_schur(sigma: SystemRealization) -> None:
     try:
         margin = schur_class_margin(
-            sigma, grid_steps=cfg.schur_grid, radius=cfg.schur_radius
+            sigma, grid_steps=SCHUR_GRID, radius=SCHUR_RADIUS
         )
     except SingularResolvent as exc:
         raise IterationDiverged(
@@ -630,7 +654,9 @@ def _require_schur(sigma: SystemRealization, cfg: SolverConfig) -> None:
 
 
 def minimal_solution(
-    sigma: SystemRealization, config: SolverConfig | None = None
+    sigma: SystemRealization,
+    config: SolverConfig | None = None,
+    solved: list | None = None,
 ) -> StorageOperator:
     """The least storage operator among the inequality members.
 
@@ -641,19 +667,21 @@ def minimal_solution(
     set. The iteration's convergence to the least member is an empirical
     claim validated by these certificates; CertificateFailed means a genuine
     violation was observed, not a tolerance hiccup.
+
+    ``solved`` is an optional list of (realization, :func:`solve_re` set)
+    pairs solved with the same config. The certificate takes its equality set
+    from it, or solves the set and adds it, so that a caller computing
+    several extremal objects of one system solves each set once.
     """
     cfg = config or SolverConfig()
     if not is_minimal(sigma):
         raise NotMinimal("extremal solutions require a minimal system")
-    if cfg.check_schur:
-        _require_schur(sigma, cfg)
+    _require_schur(sigma)
 
-    h_fp, fp_iters = _fixed_point_solve(sigma, cfg.fp_max_iter, cfg.iter_tol)
-    h, res, _, ok = _newton_equality(
-        sigma, h_fp, tol=cfg.newton_tol, max_iter=cfg.max_iter
-    )
+    h_fp = _fixed_point_solve(sigma)
+    h, _, _, ok = _newton_equality(sigma, h_fp, tol=NEWTON_TOL, max_iter=MAX_ITER)
     if not ok:
-        h, res = h_fp, re_residual_norm(sigma, h_fp)
+        h = h_fp
 
     try:
         storage = as_storage(h)
@@ -662,40 +690,33 @@ def minimal_solution(
             "fixed-point limit is not positive definite"
         ) from exc
     verdict = membership(
-        sigma, storage, tol=cfg.membership_tol, eq_tol=cfg.equality_tol
+        sigma, storage, tol=cfg.membership_tol, eq_tol=EQUALITY_TOL
     )
     if not verdict.in_re:
         raise CertificateFailed(
             f"fixed-point limit is not an equality solution "
             f"(equality residual {verdict.diagnostics.equality_residual:.3e})"
         )
-
-    extra = None
-    if cfg.validate_against_re and sigma.state_dim <= cfg.certificate_re_dim_cap:
-        re_cfg = replace(cfg, validate_against_re=False, check_schur=False)
-        extra = [m.matrix for m in solve_re(sigma, re_cfg).members]
-    _certify_extremal(sigma, storage.matrix, "minimal", cfg, extra_members=extra)
+    _certify_extremal(sigma, storage.matrix, "minimal", cfg, solved)
     return storage
 
 
 def maximal_solution(
-    sigma: SystemRealization, config: SolverConfig | None = None
+    sigma: SystemRealization,
+    config: SolverConfig | None = None,
+    solved: list | None = None,
 ) -> StorageOperator:
     """The greatest storage operator among the inequality members.
 
     By the adjoint-inversion duality this is the inverse of the adjoint
     system's minimal solution; the result is certified from above against
-    sampled inequality members of the original system.
+    sampled inequality members of the original system. ``solved`` is as in
+    :func:`minimal_solution` and serves both the system and its adjoint.
     """
     cfg = config or SolverConfig()
-    minimal_adj = minimal_solution(adjoint(sigma), cfg)
-    h_max = hermitian_part(minimal_adj.inv_sqrt @ minimal_adj.inv_sqrt)
-    storage = as_storage(h_max)
-    extra = None
-    if cfg.validate_against_re and sigma.state_dim <= cfg.certificate_re_dim_cap:
-        re_cfg = replace(cfg, validate_against_re=False, check_schur=False)
-        extra = [m.matrix for m in solve_re(sigma, re_cfg).members]
-    _certify_extremal(sigma, storage.matrix, "maximal", cfg, extra_members=extra)
+    minimal_adj = minimal_solution(adjoint(sigma), cfg, solved)
+    storage = as_storage(hermitian_part(minimal_adj.inv_sqrt @ minimal_adj.inv_sqrt))
+    _certify_extremal(sigma, storage.matrix, "maximal", cfg, solved)
     return storage
 
 
@@ -736,22 +757,30 @@ def _sets_match(
 
 
 def duality_check(
-    sigma: SystemRealization, config: SolverConfig | None = None
+    sigma: SystemRealization,
+    config: SolverConfig | None = None,
+    extremes: tuple[StorageOperator, StorageOperator] | None = None,
+    solved: list | None = None,
 ) -> DualityReport:
     """Verify inversion duality on samples and compare the equality sets.
 
     For sampled inequality members H of the system, checks that H^{-1} is an
     inequality member of the adjoint system with a minimal associated system.
     Also computes both equality sets and reports whether inversion maps one
-    onto the other (it need not).
+    onto the other (it need not). The samples are anchored at the extremal
+    pair: ``extremes`` is (minimal, maximal) if the caller has it, and is
+    computed here otherwise. ``solved`` is as in :func:`minimal_solution`;
+    each equality set is solved at most once per call.
     """
     cfg = config or SolverConfig()
     if not is_minimal(sigma):
         raise NotMinimal("the duality statements assume a minimal system")
     adj = adjoint(sigma)
-
-    h_min = minimal_solution(sigma, replace(cfg, validate_against_re=False))
-    h_max = maximal_solution(sigma, replace(cfg, validate_against_re=False))
+    solved = [] if solved is None else solved
+    h_min, h_max = extremes or (
+        minimal_solution(sigma, cfg, solved),
+        maximal_solution(sigma, cfg, solved),
+    )
     rng = np.random.default_rng(cfg.seed + 7)
     samples = sample_ri_members(
         sigma,
@@ -772,16 +801,8 @@ def duality_check(
         except NotPD:
             samples_ok.append(False)
 
-    scalar = sigma.state_dim == 1 and sigma.input_dim == 1 and sigma.output_dim == 1
-    if scalar:
-        re_set = solve_re_scalar(sigma)
-        re_adj = solve_re_scalar(adj)
-    else:
-        re_cfg = replace(cfg, validate_against_re=False, check_schur=False)
-        re_set = solve_re(sigma, re_cfg)
-        re_adj = solve_re(adj, re_cfg)
-    re_members = [m.matrix for m in re_set.members]
-    re_adjoint_members = [m.matrix for m in re_adj.members]
+    re_members = [m.matrix for m in _solve_re_once(sigma, cfg, solved).members]
+    re_adjoint_members = [m.matrix for m in _solve_re_once(adj, cfg, solved).members]
     inverted = []
     for h in re_members:
         w, v = np.linalg.eigh(h)
@@ -846,10 +867,9 @@ def order_solutions(solution_set: SolutionSet, tol: float = 1e-9) -> SolutionSet
     if len(members) == 1:
         minimal_index = maximal_index = 0
 
-    return SolutionSet(
-        members=members,
+    return replace(
+        solution_set,
         comparisons=comparisons,
         minimal_index=minimal_index,
         maximal_index=maximal_index,
-        provenance=solution_set.provenance,
     )

@@ -116,10 +116,17 @@ class TestUniquenessCertificate:
         assert spectral_norm(delta) > 0.5
 
     def test_interval_example_unknown(self, scalar_interval_system):
-        cert = uniqueness_certificate(scalar_interval_system, grid_steps=256)
-        assert cert.verdict is UniquenessVerdict.UNKNOWN
-        assert cert.reason is UniquenessReason.NONE
-        assert cert.delta_at_solution is None
+        # the second system has |theta| = 1 - 5e-9 on the circle: its right
+        # defect, about 1.00000006e-8, sits just above the tolerance, so it
+        # is not inner and nothing certifies a singleton
+        r, s = np.sqrt(0.91), 1.0 - 5e-9
+        near_allpass = SystemRealization([[0.3]], [[r]], [[r * s]], [[-0.3 * s]])
+        assert not is_inner(circle_profile(near_allpass, grid_steps=256))
+        for sigma in (scalar_interval_system, near_allpass):
+            cert = uniqueness_certificate(sigma, grid_steps=256)
+            assert cert.verdict is UniquenessVerdict.UNKNOWN
+            assert cert.reason is UniquenessReason.NONE
+            assert cert.delta_at_solution is None
 
     def test_requires_minimal_system(self):
         sigma = SystemRealization(

@@ -1,0 +1,64 @@
+"""Golden CLI reports: ``report`` on the four worked examples, ``solve-re``,
+``extremes`` and ``check`` on seeded small systems, and error payloads of
+systems that fail different checks first (non-passive, non-minimal, nearly
+non-passive, a failing maximal certificate), which pin the order of the
+checks. All run with ``--seed 301 --no-timings`` and are compared with the
+reports stored under ``tests/golden``.
+
+Strings, booleans, integers and nulls must match exactly. Floats must match
+to a relative 1e-12, with an absolute floor of 1e-14 so that roundoff-level
+quantities (residuals, eigenvalues at zero) do not tie the test to one BLAS
+or platform.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from riccati_kyp.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+SEED = 301
+REL_TOL = 1e-12
+ABS_TOL = 1e-14
+
+with open(GOLDEN / "manifest.json", encoding="utf-8") as _fh:
+    CASES = json.load(_fh)
+
+
+def _assert_matches(got, want, where: str) -> None:
+    assert type(got) is type(want), f"{where}: {got!r} is not like {want!r}"
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), f"{where}: keys {sorted(got)}"
+        for key in want:
+            _assert_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), f"{where}: length {len(got)} != {len(want)}"
+        for idx, (g, w) in enumerate(zip(got, want)):
+            _assert_matches(g, w, f"{where}[{idx}]")
+    elif isinstance(want, float):
+        if math.isnan(want):
+            assert math.isnan(got), f"{where}: {got!r} is not NaN"
+        else:
+            assert math.isclose(got, want, rel_tol=REL_TOL, abs_tol=ABS_TOL), (
+                f"{where}: {got!r} != {want!r}"
+            )
+    else:
+        assert got == want, f"{where}: {got!r} != {want!r}"
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["report"][:-5] for c in CASES])
+def test_report_matches_golden(case, tmp_path):
+    out = tmp_path / "report.json"
+    argv = [case["command"], "--system", str(GOLDEN / "docs" / case["doc"])]
+    if case["candidate"]:
+        argv += ["--candidate", case["candidate"]]
+    code = main(argv + ["--seed", str(SEED), "--no-timings", "--out", str(out)])
+    with open(out, encoding="utf-8") as fh:
+        got = json.load(fh)
+    with open(GOLDEN / case["report"], encoding="utf-8") as fh:
+        want = json.load(fh)
+    assert code == want.get("error", {}).get("exit_code", 0)
+    _assert_matches(got, want, "$")

@@ -3,7 +3,7 @@ factorization against its brute-force infimum oracle, and the Loewner order."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riccati_kyp import (
@@ -313,6 +313,7 @@ def psd_matrices(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(psd_matrices())
+@example(np.array([[1e-310 + 0j]]))
 def test_psd_identities_property(a):
     s = psd_sqrt(a)
     scale = 1.0 + spectral_norm(a)

@@ -26,6 +26,8 @@ from riccati_kyp import (
     spectral_norm,
     system_matrix,
 )
+from riccati_kyp import solver as solver_module
+from riccati_kyp.solver import EQUALITY_TOL, _newton_multistart
 from conftest import two_state_re_solutions
 
 
@@ -78,9 +80,37 @@ class TestSolveRe:
             assert spectral_norm(member.matrix - target) <= 1e-8
 
     def test_scalar_through_newton_matches_closed_form(self, scalar_interval_system):
-        solution_set = solve_re(scalar_interval_system)
+        # solve_re sends scalar systems to the closed form, so the Newton
+        # route is called directly
+        solution_set = _newton_multistart(scalar_interval_system, SolverConfig())
+        assert solution_set.route == "newton-multistart"
         assert len(solution_set) == 1
         assert abs(solution_set.members[0].matrix[0, 0] - 3.0 / 64.0) <= 1e-10
+
+    def test_scalar_dispatch_forwards_tolerances(
+        self, scalar_interval_system, monkeypatch
+    ):
+        seen = []
+
+        def spy(sigma, h, **kwargs):
+            seen.append((kwargs.get("tol"), kwargs.get("eq_tol")))
+            return membership(sigma, h, **kwargs)
+
+        monkeypatch.setattr(solver_module, "membership", spy)
+        solution_set = solve_re(
+            scalar_interval_system, SolverConfig(membership_tol=1e-7)
+        )
+        assert solution_set.route == "scalar-closed-form"
+        assert seen
+        assert all(tols == (1e-7, EQUALITY_TOL) for tols in seen)
+        assert abs(solution_set.members[0].matrix[0, 0] - 3.0 / 64.0) <= 1e-12
+
+    def test_non_minimal_scalar_warns_on_closed_form_route(self):
+        # B = 0 makes the scalar system uncontrollable
+        sigma = SystemRealization(0.5, 0.0, 0.5, 0.3)
+        with pytest.warns(RuntimeWarning, match="non-minimal"):
+            solution_set = solve_re(sigma)
+        assert solution_set.route == "scalar-closed-form"
 
     def test_unitary_block_matrix_yields_identity_member(self):
         rng = np.random.default_rng(40)
@@ -202,6 +232,20 @@ class TestDuality:
         assert not report.re_inversion_equal
         assert abs(report.re_members[0][0, 0] - 3.0 / 64.0) <= 1e-10
         assert abs(report.re_adjoint_members[0][0, 0] - 4.0 / 3.0) <= 1e-10
+
+    def test_each_equality_set_solved_once(self, scalar_interval_system, monkeypatch):
+        # the extremal certificates and the duality check share one list of
+        # solved sets: one solve for the system, one for its adjoint
+        solved_systems = []
+        real_solve_re = solver_module.solve_re
+
+        def spy(sigma, config=None):
+            solved_systems.append(sigma)
+            return real_solve_re(sigma, config)
+
+        monkeypatch.setattr(solver_module, "solve_re", spy)
+        duality_check(scalar_interval_system)
+        assert len(solved_systems) == 2
 
     def test_identity_weight_survives_inversion_for_passive_minimal(
         self, two_state_system
