@@ -144,6 +144,7 @@ def uniqueness_certificate(
     tol: float = 1e-8,
     grid_steps: int = 4096,
     config: SolverConfig | None = None,
+    solved: list | None = None,
 ) -> UniquenessCertificate:
     """Certify that the inequality member set is a singleton, when a
     trivial-defect reason applies.
@@ -153,7 +154,8 @@ def uniqueness_certificate(
     transfer function both defects equal ``|1 - |theta|^2|``, so unimodular
     boundary values are the inner case and need no route of their own.
     Anything else returns Unknown; deciding uniqueness in general needs
-    spectral-factorization machinery that is out of scope here.
+    spectral-factorization machinery that is out of scope here. ``solved`` is
+    as in :func:`~riccati_kyp.solver.minimal_solution`.
     """
     if not is_minimal(sigma):
         raise NotMinimal("uniqueness certificates require a minimal system")
@@ -162,7 +164,7 @@ def uniqueness_certificate(
     cfg = config or SolverConfig()
 
     if is_inner(profile, tol):
-        h_min = minimal_solution(sigma, cfg)
+        h_min = minimal_solution(sigma, cfg, solved)
         delta_norm = spectral_norm(riccati_data(sigma, h_min).delta_op)
         return UniquenessCertificate(
             verdict=UniquenessVerdict.UNIQUE_SINGLETON,
@@ -171,7 +173,7 @@ def uniqueness_certificate(
         )
     if is_coinner(profile, tol):
         adj = adjoint(sigma)
-        h_min_adj = minimal_solution(adj, cfg)
+        h_min_adj = minimal_solution(adj, cfg, solved)
         delta_norm = spectral_norm(riccati_data(adj, h_min_adj).delta_op)
         return UniquenessCertificate(
             verdict=UniquenessVerdict.UNIQUE_SINGLETON,

@@ -34,7 +34,8 @@ from .boundary import circle_profile, is_coinner, is_inner, uniqueness_certifica
 from .linops import Loewner
 from .riccati import membership
 from .solver import (
-    SolverConfig, duality_check, maximal_solution, minimal_solution, solve_re,
+    SolverConfig, _solve_re_once, duality_check, maximal_solution,
+    minimal_solution, solve_re,
 )
 from .systems import (
     SystemRealization,
@@ -213,7 +214,7 @@ def _membership_payload(sigma, h, tol) -> dict:
     }
 
 
-def _analyze_payload(sigma, tol, grid, config) -> dict:
+def _analyze_payload(sigma, tol, grid, config, solved: list | None = None) -> dict:
     minimality = is_minimal(sigma)
     passivity = is_passive(sigma, tol=tol)
     margin = schur_class_margin(sigma, grid_steps=48, radius=0.999)
@@ -246,7 +247,9 @@ def _analyze_payload(sigma, tol, grid, config) -> dict:
         "coinner": is_coinner(profile, inner_tol),
     }
     if minimality.minimal:
-        cert = uniqueness_certificate(sigma, profile, tol=inner_tol, config=config)
+        cert = uniqueness_certificate(
+            sigma, profile, tol=inner_tol, config=config, solved=solved
+        )
         out["uniqueness"] = {
             "verdict": cert.verdict.value,
             "reason": cert.reason.value,
@@ -395,14 +398,16 @@ def run(command: str, doc: SystemDocument, args) -> dict:
             "simulate", lambda: _simulate_payload(sigma, doc, args)
         )
     elif command == "report":
+        # one list of equality sets, so that no section solves a set twice
+        solved: list = []
         report["analyze"] = timed(
-            "analyze", lambda: _analyze_payload(sigma, args.tol, args.grid, config)
+            "analyze",
+            lambda: _analyze_payload(sigma, args.tol, args.grid, config, solved),
         )
-        # the extremes payload reuses this equality set instead of solving again
-        re_set = timed("solve_re", lambda: solve_re(sigma, config))
+        re_set = timed("solve_re", lambda: _solve_re_once(sigma, config, solved))
         report["solve_re"] = _solution_set_payload(re_set)
         report["extremes"] = timed(
-            "extremes", lambda: _extremes_payload(sigma, config, [(sigma, re_set)])
+            "extremes", lambda: _extremes_payload(sigma, config, solved)
         )
         if doc.candidates:
             report["check"] = timed(

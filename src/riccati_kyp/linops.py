@@ -43,9 +43,9 @@ TINY = float(np.finfo(float).tiny)
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """Return (a + a*) / 2 as a complex array."""
+    """Return (a + a*) / 2 as a complex array, per matrix on a stack."""
     a = np.asarray(a, dtype=complex)
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def spectral_norm(a: np.ndarray) -> float:
@@ -180,8 +180,8 @@ def sqrt_pinv_commute_check(a: np.ndarray, rank_tol: float | None = None) -> flo
     """Norm of ``pinv(sqrt(a)) - sqrt(pinv(a))``.
 
     Both sides agree exactly in real arithmetic; the returned value measures
-    the floating-point discrepancy and stays below ``1e-8 * (1 + ||a||)`` for
-    spectra that are well separated from the rank cut.
+    the floating-point discrepancy, of order ``eps * sqrt(kappa / lam)`` with
+    ``lam`` the least kept eigenvalue and ``kappa`` the kept condition number.
     """
     left = psd_pseudo_inverse(psd_sqrt(a, rank_tol), rank_tol)
     right = psd_sqrt(psd_pseudo_inverse(a, rank_tol), rank_tol)

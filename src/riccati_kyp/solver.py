@@ -13,7 +13,9 @@ polynomial in (H, K), so Newton iteration on it stays smooth across rank
 changes of delta and reaches boundary solutions (delta singular) that a
 pseudo-inverse formulation would make non-differentiable. Converged points
 are validated through the membership test, deduplicated, and ordered
-deterministically. Each returned set records its ``route``.
+deterministically. Each returned set records its ``route``. The Newton
+Jacobian is linear in the direction (E, F), so it is one batched map over
+the stacks of unit H and K directions, not a loop over them.
 
 The minimal storage operator is computed by the monotone fixed-point
 iteration H <- A* H A + C* C + beta(H)* pinv(delta(H)) beta(H) started from
@@ -26,6 +28,7 @@ extremal pair and on both equality sets. The three take an optional
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -130,72 +133,85 @@ def re_residual_norm(sigma: SystemRealization, h, rank_tol: float = RANK_TOL) ->
 # -- augmented Newton ---------------------------------------------------------
 
 
+@functools.cache
+def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row-major indices (i, j), i < j, of the upper triangle."""
+    iu, ju = np.triu_indices(n, 1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
 def _herm_pack(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    out = np.empty(n * n)
-    out[:n] = np.real(np.diag(m))
-    idx = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[idx] = m[i, j].real
-            out[idx + 1] = m[i, j].imag
-            idx += 2
+    """Real coordinates of a Hermitian matrix, or of each on a stack: the
+    diagonal, then (re, im) of the upper triangle row by row."""
+    n = m.shape[-1]
+    iu, ju = _upper(n)
+    upper = m[..., iu, ju]
+    out = np.empty(m.shape[:-2] + (n * n,))
+    out[..., :n] = np.diagonal(m, axis1=-2, axis2=-1).real
+    out[..., n::2] = upper.real
+    out[..., n + 1::2] = upper.imag
     return out
 
 
 def _herm_unpack(vec: np.ndarray, n: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=complex)
-    np.fill_diagonal(m, vec[:n])
-    idx = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[i, j] = vec[idx] + 1j * vec[idx + 1]
-            m[j, i] = vec[idx] - 1j * vec[idx + 1]
-            idx += 2
+    """Inverse of :func:`_herm_pack`."""
+    iu, ju = _upper(n)
+    re, im = vec[..., n::2], vec[..., n + 1::2]
+    m = np.zeros(vec.shape[:-1] + (n, n), dtype=complex)
+    m[..., range(n), range(n)] = vec[..., :n]
+    m[..., iu, ju] = re + 1j * im
+    m[..., ju, iu] = re - 1j * im
     return m
 
 
-def _herm_directions(n: int) -> list[np.ndarray]:
-    dirs = []
-    for i in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[i, i] = 1.0
-        dirs.append(e)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1.0
-            e[j, i] = 1.0
-            dirs.append(e)
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1.0j
-            e[j, i] = -1.0j
-            dirs.append(e)
-    return dirs
+def _pack_residual(phi1: np.ndarray, phi2: np.ndarray) -> np.ndarray:
+    """Real coordinates of a Hermitian n x n and a complex m x n matrix, or of
+    stacks of them; the unknowns (H, K) are packed the same way."""
+    rect = phi2.reshape(*phi2.shape[:-2], -1)
+    return np.concatenate([_herm_pack(phi1), rect.real, rect.imag], axis=-1)
 
 
-def _k_directions(m: int, n: int) -> list[np.ndarray]:
-    dirs = []
-    for unit in (1.0, 1.0j):
-        for i in range(m):
-            for j in range(n):
-                f = np.zeros((m, n), dtype=complex)
-                f[i, j] = unit
-                dirs.append(f)
-    return dirs
+def _unpack(vec: np.ndarray, n: int, m: int):
+    """Inverse of :func:`_pack_residual` on (H, K) coordinates, or a stack."""
+    hv, kv = vec[..., : n * n], vec[..., n * n:]
+    k = kv[..., : m * n] + 1j * kv[..., m * n:]
+    return _herm_unpack(hv, n), k.reshape(vec.shape[:-1] + (m, n))
 
 
 def _aug_residual(sigma: SystemRealization, h: np.ndarray, k: np.ndarray):
+    """The packed residual of the augmented system at (H, K), and delta(H)."""
     alpha, beta, delta = _residual_ops(sigma, h)
     phi1 = hermitian_part(alpha - k.conj().T @ delta @ k)
-    phi2 = beta - delta @ k
-    return phi1, phi2, delta
+    return _pack_residual(phi1, beta - delta @ k), delta
 
 
-def _pack_residual(phi1: np.ndarray, phi2: np.ndarray) -> np.ndarray:
-    return np.concatenate(
-        [_herm_pack(phi1), phi2.real.ravel(), phi2.imag.ravel()]
+@functools.cache
+def _unit_directions(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only stacks of the unit H and of the unit K directions, in
+    packed order: the rows of the identity, unpacked."""
+    e, f = _unpack(np.eye(n * n + 2 * m * n), n, m)
+    e.flags.writeable = f.flags.writeable = False
+    return e[: n * n], f[n * n:]
+
+
+def _aug_jacobian(
+    sigma: SystemRealization, k: np.ndarray, delta: np.ndarray
+) -> np.ndarray:
+    """Jacobian of :func:`_aug_residual` at (H, K), where
+    ``delta = delta(H)``: its columns are the derivatives along the unit
+    directions, mapped as one stack of H and one of K directions."""
+    a_mat, b_mat = sigma.a, sigma.b
+    e, f = _unit_directions(sigma.state_dim, sigma.input_dim)
+    betab = b_mat.conj().T @ e @ b_mat
+    d_phi1 = hermitian_part(e - a_mat.conj().T @ e @ a_mat + k.conj().T @ betab @ k)
+    d_phi2 = b_mat.conj().T @ e @ a_mat + betab @ k
+    jac_h = _pack_residual(d_phi1, d_phi2)
+    d_phi1 = hermitian_part(
+        -f.conj().swapaxes(-1, -2) @ delta @ k - k.conj().T @ delta @ f
     )
+    jac_k = _pack_residual(d_phi1, -delta @ f)
+    return np.concatenate([jac_h, jac_k]).T
 
 
 def _newton_equality(
@@ -210,53 +226,26 @@ def _newton_equality(
     Jacobians (delta singular at the solution) are handled by least-squares
     steps.
     """
-    n, m = sigma.state_dim, sigma.input_dim
-    a_mat, b_mat = sigma.a, sigma.b
     h = hermitian_part(h0)
     _, beta0, delta0 = _residual_ops(sigma, h)
     k = _pinv_kept(*_eigh_kept(delta0, RANK_TOL)) @ beta0
 
-    h_dirs = _herm_directions(n)
-    k_dirs = _k_directions(m, n)
-    dim = len(h_dirs) + len(k_dirs)
-
-    phi1, phi2, delta = _aug_residual(sigma, h, k)
-    res = _pack_residual(phi1, phi2)
+    res, delta = _aug_residual(sigma, h, k)
     res_norm = float(np.linalg.norm(res))
     iters = 0
     for iters in range(1, max_iter + 1):
         scale = 1.0 + float(np.linalg.norm(h))
         if res_norm <= tol * scale:
             return h, res_norm, iters - 1, True
-        jac = np.empty((res.size, dim))
-        col = 0
-        for e in h_dirs:
-            betab = b_mat.conj().T @ e @ b_mat
-            d_phi1 = hermitian_part(
-                e - a_mat.conj().T @ e @ a_mat + k.conj().T @ betab @ k
-            )
-            d_phi2 = b_mat.conj().T @ e @ a_mat + betab @ k
-            jac[:, col] = _pack_residual(d_phi1, d_phi2)
-            col += 1
-        for f in k_dirs:
-            d_phi1 = hermitian_part(
-                -f.conj().T @ delta @ k - k.conj().T @ delta @ f
-            )
-            d_phi2 = -delta @ f
-            jac[:, col] = _pack_residual(d_phi1, d_phi2)
-            col += 1
-        step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-        step_h = _herm_unpack(step[: n * n], n)
-        sk = step[n * n:]
-        step_k = (sk[: m * n] + 1j * sk[m * n:]).reshape(m, n)
+        step, *_ = np.linalg.lstsq(_aug_jacobian(sigma, k, delta), -res, rcond=None)
+        step_h, step_k = _unpack(step, sigma.state_dim, sigma.input_dim)
 
         damping = 1.0
         improved = False
         for _ in range(12):
             h_new = hermitian_part(h + damping * step_h)
             k_new = k + damping * step_k
-            phi1, phi2, delta_new = _aug_residual(sigma, h_new, k_new)
-            res_new = _pack_residual(phi1, phi2)
+            res_new, delta_new = _aug_residual(sigma, h_new, k_new)
             new_norm = float(np.linalg.norm(res_new))
             if new_norm < res_norm:
                 h, k, delta = h_new, k_new, delta_new
@@ -489,7 +478,8 @@ def solve_re_scalar(sigma: SystemRealization, tol: float = 1e-9) -> SolutionSet:
     members: list[StorageOperator] = []
     provenance: list[dict] = []
     for h in sorted(candidates):
-        if any(abs(h - float(s.matrix[0, 0].real)) <= 1e-7 * (1.0 + h) for s in members):
+        if any(abs(h - float(s.matrix[0, 0].real)) <= DEDUP_TOL * (1.0 + h)
+               for s in members):
             continue
         try:
             verdict = membership(sigma, h, tol=tol, eq_tol=EQUALITY_TOL)
@@ -791,22 +781,21 @@ def duality_check(
         require_margin=0.0,
     )
 
+    def inverse(h: np.ndarray) -> np.ndarray:
+        w, v = np.linalg.eigh(h)
+        return hermitian_part((v / w) @ v.conj().T)
+
     samples_ok: list[bool] = []
     for h in samples:
-        w, v = np.linalg.eigh(h)
-        inv = hermitian_part((v / w) @ v.conj().T)
         try:
-            verdict = membership(adj, inv, tol=cfg.membership_tol)
+            verdict = membership(adj, inverse(h), tol=cfg.membership_tol)
             samples_ok.append(bool(verdict.in_ri_circ))
         except NotPD:
             samples_ok.append(False)
 
     re_members = [m.matrix for m in _solve_re_once(sigma, cfg, solved).members]
     re_adjoint_members = [m.matrix for m in _solve_re_once(adj, cfg, solved).members]
-    inverted = []
-    for h in re_members:
-        w, v = np.linalg.eigh(h)
-        inverted.append(hermitian_part((v / w) @ v.conj().T))
+    inverted = [inverse(h) for h in re_members]
     equal = _sets_match(inverted, re_adjoint_members, tol=1e-6)
 
     return DualityReport(

@@ -27,8 +27,17 @@ from riccati_kyp import (
     system_matrix,
 )
 from riccati_kyp import solver as solver_module
-from riccati_kyp.solver import EQUALITY_TOL, _newton_multistart
-from conftest import two_state_re_solutions
+from riccati_kyp.solver import (
+    EQUALITY_TOL,
+    _aug_jacobian,
+    _aug_residual,
+    _herm_pack,
+    _herm_unpack,
+    _newton_multistart,
+    _pack_residual,
+    _unpack,
+)
+from conftest import random_hermitian, random_realization, two_state_re_solutions
 
 
 class TestScalarClosedForm:
@@ -158,6 +167,49 @@ class TestSolveRe:
         except NoConvergence:
             return
         assert len(solution_set) == 0
+
+
+def _residual_derivative(sigma, k, delta, e, f):
+    """The packed derivative of the augmented residual along (E, F), one
+    direction at a time, with the matmuls in the solver's order."""
+    a_mat, b_mat = sigma.a, sigma.b
+    betab = b_mat.conj().T @ e @ b_mat
+    d_phi1 = (
+        e - a_mat.conj().T @ e @ a_mat + k.conj().T @ betab @ k
+        - f.conj().T @ delta @ k - k.conj().T @ delta @ f
+    )
+    d_phi2 = b_mat.conj().T @ e @ a_mat + betab @ k - delta @ f
+    return _pack_residual(0.5 * (d_phi1 + d_phi1.conj().T), d_phi2)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_aug_jacobian_matches_central_differences(n, m):
+    """Each column of the batched Jacobian equals the derivative along its
+    unit direction taken alone (the same arithmetic, so exactly) and its
+    central difference."""
+    rng = np.random.default_rng(100 * n + m)
+    sigma = random_realization(rng, n, m, 2)
+    h = random_hermitian(rng, n)
+    k = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+    stack = np.stack([random_hermitian(rng, n) for _ in range(5)])
+    packed = _herm_pack(stack)
+    assert packed.shape == (5, n * n)
+    assert np.array_equal(packed[3], _herm_pack(stack[3]))
+    assert np.array_equal(_herm_unpack(packed, n), stack)
+
+    delta = _aug_residual(sigma, h, k)[1]
+    jac = _aug_jacobian(sigma, k, delta)
+    dim = n * n + 2 * m * n
+    assert jac.shape == (dim, dim)
+    step = 1e-5
+    for col, (e, f) in enumerate(zip(*_unpack(np.eye(dim), n, m))):
+        assert np.array_equal(jac[:, col], _residual_derivative(sigma, k, delta, e, f))
+        plus = _aug_residual(sigma, h + step * e, k + step * f)[0]
+        minus = _aug_residual(sigma, h - step * e, k - step * f)[0]
+        central = (plus - minus) / (2.0 * step)
+        assert np.allclose(jac[:, col], central, rtol=0.0, atol=1e-8), col
 
 
 class TestExtremalSolutions:
