@@ -19,7 +19,7 @@ from .errors import NotMinimal, PoleOnCircle
 from .linops import spectral_norm
 from .riccati import riccati_data
 from .solver import SolverConfig, minimal_solution
-from .systems import SystemRealization, adjoint, is_minimal
+from .systems import SINGULAR_TOL, SystemRealization, adjoint, is_minimal
 
 __all__ = [
     "CircleProfile",
@@ -31,6 +31,8 @@ __all__ = [
     "UniquenessCertificate",
     "uniqueness_certificate",
 ]
+
+POLE_TOL = 1e-8  # distance |1/|pole| - 1| at which a pole is on the circle
 
 
 @dataclass
@@ -56,16 +58,11 @@ class CircleProfile:
         return float(self.left_defects.max())
 
 
-def circle_profile(
-    sigma: SystemRealization,
-    grid_steps: int = 4096,
-    pole_tol: float = 1e-8,
-    singular_tol: float = 1e-12,
-) -> CircleProfile:
+def circle_profile(sigma: SystemRealization, grid_steps: int = 4096) -> CircleProfile:
     """Sample the transfer function on a uniform angle grid of the circle.
 
     Raises PoleOnCircle (with the offending angle) when a realization pole
-    lies within ``pole_tol`` of the circle or a grid resolvent is numerically
+    lies within ``POLE_TOL`` of the circle or a grid resolvent is numerically
     singular.
     """
     if grid_steps < 1:
@@ -73,7 +70,7 @@ def circle_profile(
     eigs = np.linalg.eigvals(sigma.a)
     for lam in eigs:
         mag = abs(lam)
-        if mag > 0.0 and abs(1.0 / mag - 1.0) < pole_tol:
+        if mag > 0.0 and abs(1.0 / mag - 1.0) < POLE_TOL:
             raise PoleOnCircle(float(-np.angle(lam)))
 
     angles = 2.0 * np.pi * np.arange(grid_steps) / grid_steps
@@ -81,7 +78,7 @@ def circle_profile(
     n, m, p = sigma.state_dim, sigma.input_dim, sigma.output_dim
     resolvents = np.eye(n)[None, :, :] - zeta[:, None, None] * sigma.a[None, :, :]
     svals = np.linalg.svd(resolvents, compute_uv=False)
-    bad = svals[:, -1] <= singular_tol * svals[:, 0]
+    bad = svals[:, -1] <= SINGULAR_TOL * svals[:, 0]
     if np.any(bad):
         raise PoleOnCircle(float(angles[int(np.argmax(bad))]))
     rhs = np.broadcast_to(sigma.b, (grid_steps, n, m))
@@ -155,7 +152,9 @@ def uniqueness_certificate(
     boundary values are the inner case and need no route of their own.
     Anything else returns Unknown; deciding uniqueness in general needs
     spectral-factorization machinery that is out of scope here. ``solved`` is
-    as in :func:`~riccati_kyp.solver.minimal_solution`.
+    as in :func:`~riccati_kyp.solver.minimal_solution`, which shares the
+    minimal solution of the system (inner) or its adjoint (co-inner) with a
+    caller that also computes the extremal pair.
     """
     if not is_minimal(sigma):
         raise NotMinimal("uniqueness certificates require a minimal system")
@@ -164,22 +163,16 @@ def uniqueness_certificate(
     cfg = config or SolverConfig()
 
     if is_inner(profile, tol):
-        h_min = minimal_solution(sigma, cfg, solved)
-        delta_norm = spectral_norm(riccati_data(sigma, h_min).delta_op)
+        system, reason = sigma, UniquenessReason.INNER_FR0
+    elif is_coinner(profile, tol):
+        system, reason = adjoint(sigma), UniquenessReason.COINNER_FL0
+    else:
         return UniquenessCertificate(
-            verdict=UniquenessVerdict.UNIQUE_SINGLETON,
-            reason=UniquenessReason.INNER_FR0,
-            delta_at_solution=delta_norm,
+            verdict=UniquenessVerdict.UNKNOWN, reason=UniquenessReason.NONE
         )
-    if is_coinner(profile, tol):
-        adj = adjoint(sigma)
-        h_min_adj = minimal_solution(adj, cfg, solved)
-        delta_norm = spectral_norm(riccati_data(adj, h_min_adj).delta_op)
-        return UniquenessCertificate(
-            verdict=UniquenessVerdict.UNIQUE_SINGLETON,
-            reason=UniquenessReason.COINNER_FL0,
-            delta_at_solution=delta_norm,
-        )
+    h_min = minimal_solution(system, cfg, solved)
     return UniquenessCertificate(
-        verdict=UniquenessVerdict.UNKNOWN, reason=UniquenessReason.NONE
+        verdict=UniquenessVerdict.UNIQUE_SINGLETON,
+        reason=reason,
+        delta_at_solution=spectral_norm(riccati_data(system, h_min).delta_op),
     )

@@ -34,7 +34,7 @@ from .boundary import circle_profile, is_coinner, is_inner, uniqueness_certifica
 from .linops import Loewner
 from .riccati import membership
 from .solver import (
-    SolverConfig, _solve_re_once, duality_check, maximal_solution,
+    SolverConfig, _once, duality_check, maximal_solution,
     minimal_solution, solve_re,
 )
 from .systems import (
@@ -404,7 +404,7 @@ def run(command: str, doc: SystemDocument, args) -> dict:
             "analyze",
             lambda: _analyze_payload(sigma, args.tol, args.grid, config, solved),
         )
-        re_set = timed("solve_re", lambda: _solve_re_once(sigma, config, solved))
+        re_set = timed("solve_re", lambda: _once(solved, "solve_re", sigma, config))
         report["solve_re"] = _solution_set_payload(re_set)
         report["extremes"] = timed(
             "extremes", lambda: _extremes_payload(sigma, config, solved)

@@ -40,6 +40,7 @@ __all__ = [
 
 EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).tiny)
+RESIDUAL_TOL = 1e-8  # minimal_contraction: admissible factorization residual
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -278,9 +279,7 @@ class SchurFactorization:
 
 
 def minimal_contraction(
-    block: BlockNonneg,
-    rank_tol: float | None = None,
-    residual_tol: float = 1e-8,
+    block: BlockNonneg, rank_tol: float | None = None
 ) -> SchurFactorization:
     """Factor a nonnegative block operator through its minimal contraction.
 
@@ -322,7 +321,7 @@ def minimal_contraction(
     gamma = proj_d @ (pinv_sqrt_d @ beta_star @ pinv_sqrt_a) @ proj_a
 
     residual = spectral_norm(beta_star - sqrt_d @ gamma @ sqrt_a)
-    if residual > residual_tol * (1.0 + norm_t):
+    if residual > RESIDUAL_TOL * (1.0 + norm_t):
         raise RangeViolation(
             f"off-diagonal block does not factor (residual {residual:.3e}); "
             f"the operator is not PSD to working precision"

@@ -14,6 +14,10 @@ beta(H) lies inside the range of delta(H), and the surplus
 surplus to vanish. The same set is cut out by the linear matrix inequality
 ``L(H) = [[alpha, -beta*], [-beta, delta]] >= 0``; membership verdicts are
 always computed through both routes and must agree.
+
+RI° is the set of inequality members whose associated system
+(S A S^{-1}, S B, C S^{-1}, D), S = H^{1/2}, is minimal. That system is
+similar to (A, B, C, D), so ``in_ri_circ = in_ri and is_minimal(sigma)``.
 """
 
 from __future__ import annotations
@@ -59,6 +63,14 @@ __all__ = [
     "equality_gap",
 ]
 
+# Tolerances that no caller varies.
+PD_TOL = 1e-12  # relative eigenvalue floor of a storage operator
+RANK_TOL = 1e-12  # relative rank cut of delta(H)
+PSD_TOL = 1e-9  # relative PSD floor of delta(H) in inequality_surplus
+BOUNDARY_BAND = 100.0  # membership: route splits within this many tol are boundary
+GAP_RANK_TOL = 1e-8  # rank cut of the minimal contraction in equality_gap
+CROSS_CHECK_TOL = 1e-6  # equality_gap: admissible gap-surplus mismatch
+
 
 class StorageOperator:
     """Hermitian positive-definite state weight with cached square roots.
@@ -66,14 +78,14 @@ class StorageOperator:
     The eigendecomposition is computed once at construction; the value is
     immutable afterwards and safe to share across threads.
 
-    Raises NotPD unless every eigenvalue exceeds ``pd_tol`` times the norm.
+    Raises NotPD unless every eigenvalue exceeds ``PD_TOL`` times the norm.
     """
 
-    def __init__(self, matrix: np.ndarray, pd_tol: float = 1e-12):
+    def __init__(self, matrix: np.ndarray):
         h = ensure_hermitian(np.atleast_2d(np.asarray(matrix, dtype=complex)))
         w, v = np.linalg.eigh(h)
         norm = float(np.abs(w).max()) if w.size else 0.0
-        if w.size == 0 or float(w[0]) <= pd_tol * max(norm, 1.0):
+        if w.size == 0 or float(w[0]) <= PD_TOL * max(norm, 1.0):
             raise NotPD(
                 f"storage operator must be positive definite "
                 f"(smallest eigenvalue {float(w[0]) if w.size else float('nan'):.3e})"
@@ -95,11 +107,11 @@ class StorageOperator:
         return f"StorageOperator(dim={self.dim}, min_eig={self.min_eigenvalue:.3e})"
 
 
-def as_storage(h, pd_tol: float = 1e-12) -> StorageOperator:
+def as_storage(h) -> StorageOperator:
     """Coerce a matrix (or scalar) into a StorageOperator."""
     if isinstance(h, StorageOperator):
         return h
-    return StorageOperator(h, pd_tol=pd_tol)
+    return StorageOperator(h)
 
 
 @dataclass
@@ -137,15 +149,13 @@ def _residual_ops(sigma: SystemRealization, h: np.ndarray):
     return alpha, beta, delta
 
 
-def riccati_data(
-    sigma: SystemRealization, h, rank_tol: float = 1e-12
-) -> RiccatiData:
+def riccati_data(sigma: SystemRealization, h) -> RiccatiData:
     """Assemble alpha(H), beta(H), delta(H) and the range-inclusion residual."""
     storage = as_storage(h)
     _check_dims(sigma, storage)
     alpha, beta, delta = _residual_ops(sigma, storage.matrix)
     # delta may be indefinite here, so the range is cut on |eigenvalue|
-    _, v, kept = _eigh_kept(delta, rank_tol, magnitude=True)
+    _, v, kept = _eigh_kept(delta, RANK_TOL, magnitude=True)
     proj = _projector_kept(v, kept)
     residual = spectral_norm((np.eye(sigma.input_dim) - proj) @ beta)
     return RiccatiData(
@@ -156,36 +166,29 @@ def riccati_data(
     )
 
 
-def _surplus_from_data(data: RiccatiData, rank_tol: float) -> np.ndarray:
-    pinv_delta = _pinv_kept(*_eigh_kept(data.delta_op, rank_tol))
+def _surplus_from_data(data: RiccatiData) -> np.ndarray:
+    pinv_delta = _pinv_kept(*_eigh_kept(data.delta_op, RANK_TOL))
     return hermitian_part(
         data.alpha_op - data.beta_op.conj().T @ pinv_delta @ data.beta_op
     )
 
 
-def inequality_surplus(
-    sigma: SystemRealization,
-    h,
-    psd_tol: float = 1e-9,
-    c3_tol: float = 1e-8,
-    rank_tol: float = 1e-12,
-) -> np.ndarray:
+def inequality_surplus(sigma: SystemRealization, h, c3_tol: float = 1e-8) -> np.ndarray:
     """The surplus ``alpha - beta* pinv(delta) beta``.
 
     H satisfies the inequality conditions exactly when this matrix is PSD,
-    provided the preconditions hold: delta(H) PSD within ``psd_tol`` (else
+    provided the preconditions hold: delta(H) PSD within ``PSD_TOL`` (else
     DeltaNotPSD) and the range-inclusion residual within ``c3_tol`` (else
     C3Violation). A zero operator delta is legitimate and handled through the
     pseudo-inverse.
     """
-    storage = as_storage(h)
-    data = riccati_data(sigma, storage, rank_tol=rank_tol)
+    data = riccati_data(sigma, h)
     w = np.linalg.eigvalsh(data.delta_op)
     scale = max(1.0, float(np.abs(w).max()) if w.size else 0.0)
-    if w.size and float(w[0]) < -psd_tol * scale:
+    if w.size and float(w[0]) < -PSD_TOL * scale:
         raise DeltaNotPSD(
             f"input-side residual has eigenvalue {float(w[0]):.3e} below "
-            f"-{psd_tol * scale:.3e}"
+            f"-{PSD_TOL * scale:.3e}"
         )
     beta_scale = max(1.0, spectral_norm(data.beta_op))
     if data.range_inclusion_residual > c3_tol * beta_scale:
@@ -193,7 +196,7 @@ def inequality_surplus(
             f"cross term leaves the range of the input-side residual "
             f"(residual {data.range_inclusion_residual:.3e})"
         )
-    return _surplus_from_data(data, rank_tol)
+    return _surplus_from_data(data)
 
 
 def kyp_form(sigma: SystemRealization, h, x: np.ndarray, u: np.ndarray) -> float:
@@ -273,21 +276,19 @@ def membership(
     tol: float = 1e-9,
     eq_tol: float = 1e-8,
     c3_tol: float = 1e-8,
-    rank_tol: float = 1e-12,
-    boundary_band: float = 100.0,
 ) -> MembershipVerdict:
     """Decide inequality/equality membership through two independent routes.
 
     Route one checks delta PSD, the range inclusion, and PSD-ness of the
     surplus; route two checks PSD-ness of the LMI matrix. The routes agree in
     exact arithmetic; a disagreement outside the boundary band (``tol`` times
-    ``boundary_band``) raises InconsistentRoutes since it signals a
+    ``BOUNDARY_BAND``) raises InconsistentRoutes since it signals a
     tolerance or rank-decision bug rather than a mathematical fact. Within
     the band the LMI route decides and the verdict is flagged as a boundary
-    case.
+    case. ``in_ri_circ`` is ``in_ri`` and minimality of ``sigma``, which is
+    minimality of the associated system (see the module docstring).
     """
-    storage = as_storage(h)
-    data = riccati_data(sigma, storage, rank_tol=rank_tol)
+    data = riccati_data(sigma, h)
 
     lmi = _lmi_from_data(data)
     lmi_min = float(np.linalg.eigvalsh(lmi)[0])
@@ -303,7 +304,7 @@ def membership(
     c3_ok = c3_res <= c3_threshold
 
     if delta_ok and c3_ok:
-        surplus = _surplus_from_data(data, rank_tol)
+        surplus = _surplus_from_data(data)
         surplus_min = float(np.linalg.eigvalsh(surplus)[0])
         equality_residual = spectral_norm(surplus)
         route_one = surplus_min >= -threshold
@@ -316,7 +317,7 @@ def membership(
 
     boundary = False
     if route_one != route_two:
-        band = boundary_band * threshold
+        band = BOUNDARY_BAND * threshold
         margins = [abs(lmi_min + threshold), abs(delta_min + threshold),
                    abs(c3_res - c3_threshold)]
         if not np.isnan(surplus_min):
@@ -337,8 +338,9 @@ def membership(
         and equality_residual <= eq_tol * scale
     )
 
-    sigma_h = associated_system(sigma, storage).system
-    sigma_h_minimal = bool(is_minimal(sigma_h))
+    # Sigma_H is similar to sigma through S = H^{1/2}, which maps the
+    # controllable and unobservable subspaces of sigma onto those of Sigma_H
+    sigma_h_minimal = bool(is_minimal(sigma))
     in_ri_circ = bool(in_ri and sigma_h_minimal)
 
     return MembershipVerdict(
@@ -393,8 +395,6 @@ def equality_gap(
     sigma: SystemRealization,
     h,
     tol: float = 1e-9,
-    rank_tol: float = 1e-8,
-    cross_check_tol: float = 1e-6,
 ) -> float:
     """Norm of the Schur complement measuring the distance from equality.
 
@@ -420,13 +420,13 @@ def equality_gap(
     n = sigma.state_dim
     r = hermitian_part(np.eye(m.shape[1]) - m.conj().T @ m)
     block = BlockNonneg(alpha=r[:n, :n], beta=r[:n, n:], delta=r[n:, n:])
-    fact = minimal_contraction(block, rank_tol=rank_tol)
+    fact = minimal_contraction(block, rank_tol=GAP_RANK_TOL)
     gap = spectral_norm(fact.complement)
 
-    surplus = _surplus_from_data(riccati_data(sigma, storage), rank_tol=1e-12)
+    surplus = _surplus_from_data(riccati_data(sigma, storage))
     congruent = storage.sqrt @ fact.complement @ storage.sqrt
     mismatch = spectral_norm(surplus - congruent)
-    if mismatch > cross_check_tol * (1.0 + spectral_norm(surplus)):
+    if mismatch > CROSS_CHECK_TOL * (1.0 + spectral_norm(surplus)):
         raise InconsistentRoutes(
             f"Schur-complement gap and surplus disagree under the congruence "
             f"(mismatch {mismatch:.3e})"

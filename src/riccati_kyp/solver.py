@@ -22,8 +22,8 @@ iteration H <- A* H A + C* C + beta(H)* pinv(delta(H)) beta(H) started from
 zero, Newton-polished, and certified against rejection-sampled inequality
 members. The maximal one is the inverse of the adjoint system's minimal one.
 :func:`duality_check` runs the inversion checks on samples anchored at the
-extremal pair and on both equality sets. The three take an optional
-``solved`` list of equality sets, so that one caller solves each set once.
+extremal pair and on both equality sets. The three share a caller's optional
+``solved`` list, so each equality set and each minimal solution is computed once.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .linops import (
     loewner_compare,
     spectral_norm,
 )
-from .riccati import StorageOperator, _residual_ops, as_storage, membership
+from .riccati import RANK_TOL, StorageOperator, _residual_ops, as_storage, membership
 from .systems import SystemRealization, adjoint, is_minimal, schur_class_margin
 
 __all__ = [
@@ -77,7 +77,6 @@ FP_MAX_ITER = 10000
 FP_DIVERGENCE_BOUND = 1e9
 NEWTON_TOL = 1e-12  # augmented Newton: relative residual that converges
 MAX_ITER = 60
-RANK_TOL = 1e-12  # relative rank cut when inverting delta(H)
 DEDUP_TOL = 1e-7  # relative distance at which two Newton solutions are one
 EQUALITY_TOL = 1e-8  # equality tolerance of membership tests on solver output
 CERTIFICATE_SAMPLES = 40  # sampled inequality members per extremal certificate
@@ -118,7 +117,7 @@ class SolutionSet:
         return len(self.members)
 
 
-def re_residual_norm(sigma: SystemRealization, h, rank_tol: float = RANK_TOL) -> float:
+def re_residual_norm(sigma: SystemRealization, h) -> float:
     """Norm of ``alpha - beta* pinv(delta) beta`` at ``h``; zero at equality
     solutions. Accepts any Hermitian weight, definite or not."""
     if isinstance(h, StorageOperator):
@@ -126,7 +125,7 @@ def re_residual_norm(sigma: SystemRealization, h, rank_tol: float = RANK_TOL) ->
     else:
         hm = hermitian_part(np.atleast_2d(np.asarray(h, dtype=complex)))
     alpha, beta, delta = _residual_ops(sigma, hm)
-    pinv = _pinv_kept(*_eigh_kept(delta, rank_tol))
+    pinv = _pinv_kept(*_eigh_kept(delta, RANK_TOL))
     return spectral_norm(alpha - beta.conj().T @ pinv @ beta)
 
 
@@ -370,18 +369,22 @@ def sample_ri_members(
     return samples[:count]
 
 
-def _solve_re_once(
-    sigma: SystemRealization, config: SolverConfig, solved: list | None
-) -> SolutionSet:
-    """``solve_re(sigma, config)``, looked up first in ``solved``, the caller's
-    list of (realization, equality set) pairs, and added to it."""
-    for known, re_set in solved or ():
-        if all(np.array_equal(getattr(known, x), getattr(sigma, x)) for x in "abcd"):
-            return re_set
-    re_set = solve_re(sigma, config)
+def _once(solved: list | None, kind: str, sigma: SystemRealization, config: SolverConfig):
+    """``solve_re(sigma, config)`` for ``kind`` ``"solve_re"``, the certified
+    minimal solution for ``"minimal"``; looked up first in ``solved``, the
+    caller's list of (kind, realization, result) triples, and added to it."""
+    for known_kind, known, result in solved or ():
+        if known_kind == kind and all(
+            np.array_equal(getattr(known, x), getattr(sigma, x)) for x in "abcd"
+        ):
+            return result
+    if kind == "solve_re":
+        result = solve_re(sigma, config)
+    else:
+        result = _certified_minimal(sigma, config, solved)
     if solved is not None:
-        solved.append((sigma, re_set))
-    return re_set
+        solved.append((kind, sigma, result))
+    return result
 
 
 def _certify_extremal(
@@ -392,11 +395,11 @@ def _certify_extremal(
     solved: list | None,
 ) -> None:
     """Check the candidate against sampled inequality members and, up to the
-    dimension cap, the equality set (see :func:`_solve_re_once`); raise
+    dimension cap, the equality set (see :func:`_once`); raise
     CertificateFailed on any violation."""
     with_re = sigma.state_dim <= CERTIFICATE_RE_DIM_CAP
     if with_re:
-        re_set = _solve_re_once(sigma, config, solved)
+        re_set = _once(solved, "solve_re", sigma, config)
     rng = np.random.default_rng(config.seed + (1 if side == "minimal" else 2))
     samples = sample_ri_members(
         sigma,
@@ -658,12 +661,19 @@ def minimal_solution(
     claim validated by these certificates; CertificateFailed means a genuine
     violation was observed, not a tolerance hiccup.
 
-    ``solved`` is an optional list of (realization, :func:`solve_re` set)
-    pairs solved with the same config. The certificate takes its equality set
-    from it, or solves the set and adds it, so that a caller computing
-    several extremal objects of one system solves each set once.
+    ``solved`` is an optional list of equality sets and certified minimal
+    solutions computed with the same config (see :func:`_once`). The result
+    is taken from it, or computed and added, and so is the certificate's
+    equality set: a caller computing several extremal objects of one system
+    solves each set and certifies each minimal solution once.
     """
-    cfg = config or SolverConfig()
+    return _once(solved, "minimal", sigma, config or SolverConfig())
+
+
+def _certified_minimal(
+    sigma: SystemRealization, cfg: SolverConfig, solved: list | None
+) -> StorageOperator:
+    """The computation behind :func:`minimal_solution`, without the lookup."""
     if not is_minimal(sigma):
         raise NotMinimal("extremal solutions require a minimal system")
     _require_schur(sigma)
@@ -793,8 +803,8 @@ def duality_check(
         except NotPD:
             samples_ok.append(False)
 
-    re_members = [m.matrix for m in _solve_re_once(sigma, cfg, solved).members]
-    re_adjoint_members = [m.matrix for m in _solve_re_once(adj, cfg, solved).members]
+    re_members = [m.matrix for m in _once(solved, "solve_re", sigma, cfg).members]
+    re_adjoint_members = [m.matrix for m in _once(solved, "solve_re", adj, cfg).members]
     inverted = [inverse(h) for h in re_members]
     equal = _sets_match(inverted, re_adjoint_members, tol=1e-6)
 

@@ -39,6 +39,8 @@ __all__ = [
     "dissipation_check",
 ]
 
+SINGULAR_TOL = 1e-12  # relative smallest singular value of a singular resolvent
+
 
 @dataclass
 class SystemRealization:
@@ -106,20 +108,18 @@ class TransferSample:
     norm: float
 
 
-def transfer_eval(
-    sigma: SystemRealization, lam: complex, singular_tol: float = 1e-12
-) -> TransferSample:
+def transfer_eval(sigma: SystemRealization, lam: complex) -> TransferSample:
     """Evaluate the transfer function at ``lam``.
 
     Raises SingularResolvent when I - lam A is singular to within
-    ``singular_tol`` (relative smallest singular value), i.e. ``lam`` sits at
+    ``SINGULAR_TOL`` (relative smallest singular value), i.e. ``lam`` sits at
     or too close to a pole of the realization.
     """
     lam = complex(lam)
     n = sigma.state_dim
     resolvent = np.eye(n) - lam * sigma.a
     svals = np.linalg.svd(resolvent, compute_uv=False)
-    if svals.size and float(svals[-1]) <= singular_tol * float(svals[0]):
+    if svals.size and float(svals[-1]) <= SINGULAR_TOL * float(svals[0]):
         raise SingularResolvent(lam)
     value = sigma.d + lam * (sigma.c @ np.linalg.solve(resolvent, sigma.b))
     return TransferSample(lam=lam, value=value, norm=spectral_norm(value))
@@ -223,10 +223,7 @@ def is_passive(sigma: SystemRealization, tol: float = 1e-10) -> PassivityReport:
 
 
 def schur_class_margin(
-    sigma: SystemRealization,
-    grid_steps: int = 48,
-    radius: float = 0.999,
-    singular_tol: float = 1e-12,
+    sigma: SystemRealization, grid_steps: int = 48, radius: float = 0.999
 ) -> float:
     """Largest transfer-function norm over a polar grid of the disc
     ``|lam| <= radius``.
@@ -249,7 +246,7 @@ def schur_class_margin(
     n = sigma.state_dim
     resolvents = np.eye(n)[None, :, :] - lams[:, None, None] * sigma.a[None, :, :]
     svals = np.linalg.svd(resolvents, compute_uv=False)
-    bad = svals[:, -1] <= singular_tol * svals[:, 0]
+    bad = svals[:, -1] <= SINGULAR_TOL * svals[:, 0]
     if np.any(bad):
         raise SingularResolvent(complex(lams[int(np.argmax(bad))]))
     rhs = np.broadcast_to(sigma.b, (lams.size, n, sigma.input_dim))

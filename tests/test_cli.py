@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from riccati_kyp import DimensionMismatch, ParseError
+from riccati_kyp import solver as solver_module
 from riccati_kyp.cli import (
     EXIT_CODES,
     SystemDocument,
@@ -53,6 +54,16 @@ def coisometry_doc() -> dict:
         "B": [[[1.0, 0.0], [0.0, 0.0]]],
         "C": [[[1.0, 0.0]]],
         "D": [[[0.0, 0.0], [0.0, 0.0]]],
+    }
+
+
+def delay_doc() -> dict:
+    return {
+        "name": "delay",
+        "A": [[[0.0, 0.0]]],
+        "B": [[[1.0, 0.0]]],
+        "C": [[[1.0, 0.0]]],
+        "D": [[[0.0, 0.0]]],
     }
 
 
@@ -240,6 +251,48 @@ class TestCommands:
             "eq_tol": 1e-7,
             "c3_tol": 1e-7,
         }
+
+
+class TestSharedWork:
+    @pytest.mark.parametrize(
+        "doc, reason, realizations",
+        [
+            (coisometry_doc(), "coinner_fl0", 2),
+            # the unit delay is inner and its own adjoint realization
+            (delay_doc(), "inner_fr0", 1),
+        ],
+        ids=["coinner", "inner"],
+    )
+    def test_report_certifies_each_minimal_solution_once(
+        self, doc, reason, realizations, tmp_path, monkeypatch
+    ):
+        # the uniqueness certificate and the extremes section share one
+        # certified minimal solution per realization (system and adjoint)
+        sampler_calls = []
+        certified = []
+        real_sampler = solver_module.sample_ri_members
+        real_certify = solver_module._certify_extremal
+
+        def sampler(*args, **kwargs):
+            sampler_calls.append(args[0])
+            return real_sampler(*args, **kwargs)
+
+        def certify(sigma, candidate, side, config, solved):
+            if side == "minimal":
+                certified.append(repr([getattr(sigma, x).tolist() for x in "abcd"]))
+            return real_certify(sigma, candidate, side, config, solved)
+
+        monkeypatch.setattr(solver_module, "sample_ri_members", sampler)
+        monkeypatch.setattr(solver_module, "_certify_extremal", certify)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        code = main(["report", "--system", str(path), "--no-timings", "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["analyze"]["uniqueness"]["reason"] == reason
+        # the minimal certificates, the maximal one and the duality samples
+        assert len(sampler_calls) == realizations + 2
+        assert len(certified) == len(set(certified)) == realizations
 
 
 class TestExitCodes:

@@ -4,6 +4,8 @@ system, and the equality gap cross-checked against the infimum oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from riccati_kyp import (
     BlockNonneg,
@@ -12,11 +14,14 @@ from riccati_kyp import (
     NotInRI,
     NotPD,
     StorageOperator,
+    SystemRealization,
+    adjoint,
     associated_system,
     brute_force_infimum,
     equality_gap,
     h_passivity_check,
     inequality_surplus,
+    is_minimal,
     kyp_form,
     kyp_lmi,
     membership,
@@ -247,6 +252,81 @@ class TestAssociatedSystem:
                 direct = transfer_eval(sigma, lam).value
                 transformed = transfer_eval(assoc.system, lam).value
                 assert spectral_norm(direct - transformed) <= 1e-10
+
+
+def _random_unitary(rng, n):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(g)
+    return q
+
+
+def _rank_decisions_clear(sigma, slack):
+    """Whether every relative singular value of the controllability and
+    observability blocks lies a factor ``slack`` away from the rank cut of
+    :func:`is_minimal` (1e-10), so a congruence of condition number up to
+    ``slack`` cannot move it across."""
+    blocks = [sigma.b, sigma.c]
+    for _ in range(sigma.state_dim - 1):
+        blocks = [sigma.a @ blocks[0], blocks[1] @ sigma.a] + blocks
+    for k in (np.hstack(blocks[0::2]), np.vstack(blocks[1::2])):
+        s = np.linalg.svd(k, compute_uv=False)
+        rel = s / s[0] if s[0] > 0.0 else np.zeros_like(s)
+        if np.any((rel > 1e-10 / slack) & (rel < 1e-10 * slack)):
+            return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=4),
+    m=st.integers(min_value=1, max_value=2),
+    p=st.integers(min_value=1, max_value=2),
+    defect=st.sampled_from(["none", "uncontrollable", "unobservable"]),
+    log_cond=st.floats(min_value=0.0, max_value=6.0),
+)
+def test_associated_system_minimal_iff_system_minimal(seed, n, m, p, defect, log_cond):
+    """Sigma_H = (S A S^-1, S B, C S^-1, D) with S = H^{1/2} is similar to
+    sigma, so the two are minimal together; membership relies on this to
+    decide in_ri_circ from sigma alone. The systems are random, or carry a
+    hidden uncontrollable or unobservable part, and cond(H) <= 1e6."""
+    rng = np.random.default_rng(seed)
+    if defect == "unobservable":
+        m, p = p, m  # built as an uncontrollable system, then adjoined
+    sigma = random_realization(rng, n, m, p)
+    if defect != "none":
+        r = int(rng.integers(0, n))  # dimension of the controllable part
+        a, b = sigma.a.copy(), sigma.b.copy()
+        a[r:, :r] = 0.0
+        b[r:] = 0.0
+        q = _random_unitary(rng, n)
+        sigma = SystemRealization(
+            q @ a @ q.conj().T, q @ b, sigma.c @ q.conj().T, sigma.d
+        )
+        if defect == "unobservable":
+            sigma = adjoint(sigma)
+    # cond(S) = sqrt(cond(H)) <= 1e3 bounds how far the congruence moves
+    # a relative singular value
+    assume(_rank_decisions_clear(sigma, 1e4))
+    exponents = rng.uniform(0.0, log_cond, size=n)
+    exponents[0] = log_cond
+    q = _random_unitary(rng, n)
+    h = (q * 10.0 ** exponents) @ q.conj().T
+    transformed = associated_system(sigma, h).system
+    assert is_minimal(transformed) == is_minimal(sigma)
+
+
+def test_uncontrollable_system_has_inequality_members_outside_ri_circ():
+    # the second state is neither reached by the input nor coupled back
+    sigma = SystemRealization(
+        np.diag([0.5, 0.3]), [[0.5], [0.0]], [[0.3, 0.3]], [[0.0]]
+    )
+    assert not is_minimal(sigma)
+    for h in (np.eye(2), np.array([[1.0, 0.2], [0.2, 1.5]])):
+        verdict = membership(sigma, h)
+        assert verdict.in_ri
+        assert not verdict.in_ri_circ
+        assert not verdict.diagnostics.sigma_h_minimal
 
 
 class TestHPassivity:
