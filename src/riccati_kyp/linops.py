@@ -57,6 +57,12 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def _spectral_norms(a: np.ndarray) -> np.ndarray:
+    """:func:`spectral_norm` of each matrix on a nonempty stack: the largest
+    of the same singular values."""
+    return np.linalg.svd(a, compute_uv=False)[..., 0]
+
+
 def ensure_hermitian(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Validate Hermitian symmetry and return the symmetrized matrix.
 
@@ -96,29 +102,50 @@ def default_rank_tol(a: np.ndarray) -> float:
     return a.shape[0] * EPS
 
 
+def _kept(w: np.ndarray, rank_tol: float, magnitude: bool = False) -> np.ndarray:
+    """Mask of the eigenvalues (ascending, last axis) above ``rank_tol``
+    times the largest one clamped at zero, or with ``magnitude`` (indefinite
+    input) of the moduli above ``rank_tol`` times the largest modulus. An
+    eigenvalue at or below the smallest normal float is never kept, so
+    inverting the kept ones cannot overflow."""
+    size = np.abs(w) if magnitude else w
+    cut = rank_tol * size.max(axis=-1, initial=0.0, keepdims=True)
+    return size > np.maximum(cut, TINY)
+
+
 def _eigh_kept(
     a: np.ndarray, rank_tol: float, magnitude: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unvalidated ``(w, v, kept)`` of a Hermitian matrix: ``kept`` marks the
-    eigenvalues above ``rank_tol`` times the largest one clamped at zero, or
-    with ``magnitude`` (indefinite input) the moduli above ``rank_tol`` times
-    the largest modulus. An eigenvalue at or below the smallest normal float
-    is never kept, so inverting the kept ones cannot overflow."""
+    """Unvalidated ``(w, v, kept)`` of a Hermitian matrix, or of each on a
+    stack, with ``kept`` from :func:`_kept`."""
     w, v = np.linalg.eigh(a)
-    size = np.abs(w) if magnitude else w
-    return w, v, size > max(rank_tol * float(size.max(initial=0.0)), TINY)
+    return w, v, _kept(w, rank_tol, magnitude)
 
 
 def _pinv_kept(w: np.ndarray, v: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """``v diag(1/w) v*`` over the kept eigenvalues, zero elsewhere."""
+    """``v diag(1/w) v*`` over the kept eigenvalues, zero elsewhere, per
+    matrix on a stack."""
     inv_w = np.where(kept, 1.0 / np.where(kept, w, 1.0), 0.0)
-    return hermitian_part((v * inv_w) @ v.conj().T)
+    return hermitian_part((v * inv_w[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def _projector_kept(v: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the span of the kept eigenvectors."""
-    vk = v[:, kept]
-    return hermitian_part(vk @ vk.conj().T)
+    """Orthogonal projector onto the span of the kept eigenvectors, per
+    matrix on a stack. Each product runs over the kept columns only, one
+    batch per distinct mask, so a stacked projector equals the single one."""
+    if kept.all():
+        return hermitian_part(v @ v.conj().swapaxes(-1, -2))
+    flat_v = v.reshape(-1, *v.shape[-2:])
+    flat_kept = kept.reshape(-1, kept.shape[-1])
+    out = np.empty(flat_v.shape, dtype=complex)
+    todo = np.ones(flat_kept.shape[0], dtype=bool)
+    while todo.any():
+        mask = flat_kept[todo.argmax()]
+        rows = todo & (flat_kept == mask).all(axis=-1)
+        vk = flat_v[rows][..., mask]
+        out[rows] = hermitian_part(vk @ vk.conj().swapaxes(-1, -2))
+        todo &= ~rows
+    return out.reshape(v.shape)
 
 
 def _psd_spectral(a: np.ndarray, rank_tol: float | None):
@@ -208,15 +235,26 @@ def loewner_compare(h1: np.ndarray, h2: np.ndarray, tol: float = 1e-10) -> Loewn
     h2 = ensure_hermitian(h2)
     if h1.shape != h2.shape:
         raise DimensionMismatch(f"shapes {h1.shape} and {h2.shape} differ")
+    return _loewner_stack(h1, h2[None], tol)[0]
+
+
+def _loewner_stack(h1: np.ndarray, h2: np.ndarray, tol: float) -> list[Loewner]:
+    """:func:`loewner_compare` of ``h1`` with each matrix on the nonempty
+    Hermitian stack ``h2``, in stack order."""
     diff = h2 - h1
-    if spectral_norm(diff) <= tol:
-        return Loewner.EQUAL
+    norms = _spectral_norms(diff).tolist()
     w = np.linalg.eigvalsh(diff)
-    if float(w[0]) >= -tol:
-        return Loewner.LESS_EQUAL
-    if float(w[-1]) <= tol:
-        return Loewner.GREATER_EQUAL
-    return Loewner.INCOMPARABLE
+    verdicts = []
+    for norm, low, high in zip(norms, w[:, 0].tolist(), w[:, -1].tolist()):
+        if norm <= tol:
+            verdicts.append(Loewner.EQUAL)
+        elif low >= -tol:
+            verdicts.append(Loewner.LESS_EQUAL)
+        elif high <= tol:
+            verdicts.append(Loewner.GREATER_EQUAL)
+        else:
+            verdicts.append(Loewner.INCOMPARABLE)
+    return verdicts
 
 
 @dataclass

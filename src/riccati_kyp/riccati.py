@@ -15,6 +15,11 @@ surplus to vanish. The same set is cut out by the linear matrix inequality
 ``L(H) = [[alpha, -beta*], [-beta, delta]] >= 0``; membership verdicts are
 always computed through both routes and must agree.
 
+One kernel decides membership for a stack of candidates, with one batched
+LAPACK call per step; :func:`membership` is its one-candidate view, and the
+solver's loops over candidates (rejection sampling, Newton validation, the
+duality inverses) call the kernel once per batch.
+
 RI° is the set of inequality members whose associated system
 (S A S^{-1}, S B, C S^{-1}, D), S = H^{1/2}, is minimal. That system is
 similar to (A, B, C, D), so ``in_ri_circ = in_ri and is_minimal(sigma)``.
@@ -36,9 +41,10 @@ from .errors import (
 )
 from .linops import (
     BlockNonneg,
-    _eigh_kept,
+    _kept,
     _pinv_kept,
     _projector_kept,
+    _spectral_norms,
     ensure_hermitian,
     hermitian_part,
     minimal_contraction,
@@ -84,12 +90,9 @@ class StorageOperator:
     def __init__(self, matrix: np.ndarray):
         h = ensure_hermitian(np.atleast_2d(np.asarray(matrix, dtype=complex)))
         w, v = np.linalg.eigh(h)
-        norm = float(np.abs(w).max()) if w.size else 0.0
-        if w.size == 0 or float(w[0]) <= PD_TOL * max(norm, 1.0):
-            raise NotPD(
-                f"storage operator must be positive definite "
-                f"(smallest eigenvalue {float(w[0]) if w.size else float('nan'):.3e})"
-            )
+        failure = _pd_failures(w[None])[0]
+        if failure is not None:
+            raise failure
         self.matrix = hermitian_part(h)
         self.sqrt = hermitian_part((v * np.sqrt(w)) @ v.conj().T)
         self.inv_sqrt = hermitian_part((v / np.sqrt(w)) @ v.conj().T)
@@ -105,6 +108,26 @@ class StorageOperator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StorageOperator(dim={self.dim}, min_eig={self.min_eigenvalue:.3e})"
+
+
+def _pd_failures(w: np.ndarray) -> list[NotPD | None]:
+    """Per row of ascending eigenvalues ``w`` (from ``eigh``) of a stack of
+    weights: the NotPD of that weight, or None when every eigenvalue exceeds
+    ``PD_TOL`` times the norm."""
+    if w.shape[-1] == 0:
+        return [NotPD("storage operator must be positive definite "
+                      "(smallest eigenvalue nan)")] * len(w)
+    low = w[:, 0]
+    failed = low <= PD_TOL * np.maximum(np.abs(w).max(axis=-1), 1.0)
+    return [
+        NotPD(
+            f"storage operator must be positive definite "
+            f"(smallest eigenvalue {value:.3e})"
+        )
+        if fail
+        else None
+        for value, fail in zip(low.tolist(), failed.tolist())
+    ]
 
 
 def as_storage(h) -> StorageOperator:
@@ -129,10 +152,10 @@ class RiccatiData:
     range_inclusion_residual: float
 
 
-def _check_dims(sigma: SystemRealization, storage: StorageOperator) -> None:
-    if storage.dim != sigma.state_dim:
+def _check_dims(sigma: SystemRealization, dim: int) -> None:
+    if dim != sigma.state_dim:
         raise DimensionMismatch(
-            f"storage dimension {storage.dim} does not match state dimension "
+            f"storage dimension {dim} does not match state dimension "
             f"{sigma.state_dim}"
         )
 
@@ -149,28 +172,39 @@ def _residual_ops(sigma: SystemRealization, h: np.ndarray):
     return alpha, beta, delta
 
 
+def _riccati_stack(sigma: SystemRealization, h: np.ndarray):
+    """alpha, beta and delta of each weight on a stack, the eigendecomposition
+    ``(w, v)`` of each delta, and the range-inclusion residuals."""
+    alpha, beta, delta = _residual_ops(sigma, h)
+    w, v = np.linalg.eigh(delta)
+    # delta may be indefinite here, so the range is cut on |eigenvalue|
+    proj = _projector_kept(v, _kept(w, RANK_TOL, magnitude=True))
+    residual = _spectral_norms((np.eye(sigma.input_dim) - proj) @ beta)
+    return alpha, beta, delta, w, v, residual
+
+
 def riccati_data(sigma: SystemRealization, h) -> RiccatiData:
     """Assemble alpha(H), beta(H), delta(H) and the range-inclusion residual."""
     storage = as_storage(h)
-    _check_dims(sigma, storage)
-    alpha, beta, delta = _residual_ops(sigma, storage.matrix)
-    # delta may be indefinite here, so the range is cut on |eigenvalue|
-    _, v, kept = _eigh_kept(delta, RANK_TOL, magnitude=True)
-    proj = _projector_kept(v, kept)
-    residual = spectral_norm((np.eye(sigma.input_dim) - proj) @ beta)
+    _check_dims(sigma, storage.dim)
+    alpha, beta, delta, _, _, residual = _riccati_stack(sigma, storage.matrix[None])
     return RiccatiData(
-        alpha_op=alpha,
-        beta_op=beta,
-        delta_op=delta,
-        range_inclusion_residual=residual,
+        alpha_op=alpha[0],
+        beta_op=beta[0],
+        delta_op=delta[0],
+        range_inclusion_residual=float(residual[0]),
     )
+
+
+def _surplus(alpha, beta, w, v) -> np.ndarray:
+    """``alpha - beta* pinv(delta) beta`` per matrix on a stack, from the
+    eigendecomposition ``(w, v)`` of delta."""
+    pinv_delta = _pinv_kept(w, v, _kept(w, RANK_TOL))
+    return hermitian_part(alpha - beta.conj().swapaxes(-1, -2) @ pinv_delta @ beta)
 
 
 def _surplus_from_data(data: RiccatiData) -> np.ndarray:
-    pinv_delta = _pinv_kept(*_eigh_kept(data.delta_op, RANK_TOL))
-    return hermitian_part(
-        data.alpha_op - data.beta_op.conj().T @ pinv_delta @ data.beta_op
-    )
+    return _surplus(data.alpha_op, data.beta_op, *np.linalg.eigh(data.delta_op))
 
 
 def inequality_surplus(sigma: SystemRealization, h, c3_tol: float = 1e-8) -> np.ndarray:
@@ -206,7 +240,7 @@ def kyp_form(sigma: SystemRealization, h, x: np.ndarray, u: np.ndarray) -> float
     ||Cx + Du||^2`` and coincides with the quadratic form of the LMI matrix.
     """
     storage = as_storage(h)
-    _check_dims(sigma, storage)
+    _check_dims(sigma, storage.dim)
     x = np.asarray(x, dtype=complex).reshape(-1)
     u = np.asarray(u, dtype=complex).reshape(-1)
     if x.shape[0] != sigma.state_dim or u.shape[0] != sigma.input_dim:
@@ -228,21 +262,18 @@ def kyp_form(sigma: SystemRealization, h, x: np.ndarray, u: np.ndarray) -> float
     )
 
 
-def _lmi_from_data(data: RiccatiData) -> np.ndarray:
-    return hermitian_part(
-        np.block(
-            [
-                [data.alpha_op, -data.beta_op.conj().T],
-                [-data.beta_op, data.delta_op],
-            ]
-        )
-    )
+def _lmi(alpha, beta, delta) -> np.ndarray:
+    """``[[alpha, -beta*], [-beta, delta]]``, per matrix on a stack."""
+    top = np.concatenate([alpha, -beta.conj().swapaxes(-1, -2)], axis=-1)
+    bottom = np.concatenate([-beta, delta], axis=-1)
+    return hermitian_part(np.concatenate([top, bottom], axis=-2))
 
 
 def kyp_lmi(sigma: SystemRealization, h) -> np.ndarray:
     """The LMI matrix ``[[alpha, -beta*], [-beta, delta]]`` on the combined
     state-input space; H satisfies the KYP inequality iff it is PSD."""
-    return _lmi_from_data(riccati_data(sigma, as_storage(h)))
+    data = riccati_data(sigma, as_storage(h))
+    return _lmi(data.alpha_op, data.beta_op, data.delta_op)
 
 
 @dataclass
@@ -287,76 +318,125 @@ def membership(
     the band the LMI route decides and the verdict is flagged as a boundary
     case. ``in_ri_circ`` is ``in_ri`` and minimality of ``sigma``, which is
     minimality of the associated system (see the module docstring).
+
+    This is the one-candidate view of the stacked membership kernel
+    (``_membership_stack``): the verdict, its diagnostics and its errors are
+    those the kernel gives ``h`` on any stack.
     """
-    data = riccati_data(sigma, h)
-
-    lmi = _lmi_from_data(data)
-    lmi_min = float(np.linalg.eigvalsh(lmi)[0])
-    scale = max(1.0, spectral_norm(lmi))
-    threshold = tol * scale
-
-    w_delta = np.linalg.eigvalsh(data.delta_op)
-    delta_min = float(w_delta[0]) if w_delta.size else 0.0
-    c3_res = data.range_inclusion_residual
-    c3_threshold = c3_tol * max(1.0, spectral_norm(data.beta_op))
-
-    delta_ok = delta_min >= -threshold
-    c3_ok = c3_res <= c3_threshold
-
-    if delta_ok and c3_ok:
-        surplus = _surplus_from_data(data)
-        surplus_min = float(np.linalg.eigvalsh(surplus)[0])
-        equality_residual = spectral_norm(surplus)
-        route_one = surplus_min >= -threshold
-    else:
-        surplus_min = float("nan")
-        equality_residual = float("nan")
-        route_one = False
-
-    route_two = lmi_min >= -threshold
-
-    boundary = False
-    if route_one != route_two:
-        band = BOUNDARY_BAND * threshold
-        margins = [abs(lmi_min + threshold), abs(delta_min + threshold),
-                   abs(c3_res - c3_threshold)]
-        if not np.isnan(surplus_min):
-            margins.append(abs(surplus_min + threshold))
-        if min(margins) <= band:
-            boundary = True
-        else:
-            raise InconsistentRoutes(
-                f"surplus route says {route_one}, LMI route says {route_two} "
-                f"(delta_min={delta_min:.3e}, surplus_min={surplus_min:.3e}, "
-                f"lmi_min={lmi_min:.3e}, c3={c3_res:.3e})"
-            )
-    in_ri = route_two if boundary else route_one
-
-    in_re = bool(
-        in_ri
-        and not np.isnan(equality_residual)
-        and equality_residual <= eq_tol * scale
+    matrix = (
+        h.matrix
+        if isinstance(h, StorageOperator)
+        else ensure_hermitian(np.atleast_2d(np.asarray(h, dtype=complex)))
     )
+    result = _membership_stack(sigma, matrix[None], tol, eq_tol, c3_tol)[0]
+    if isinstance(result, MembershipVerdict):
+        return result
+    raise result
+
+
+def _membership_stack(
+    sigma: SystemRealization,
+    h: np.ndarray,
+    tol: float = 1e-9,
+    eq_tol: float = 1e-8,
+    c3_tol: float = 1e-8,
+) -> list[MembershipVerdict | NotPD | InconsistentRoutes]:
+    """The membership kernel: for each candidate on the (k, n, n) stack
+    ``h`` of Hermitian matrices (as :func:`hermitian_part` returns them), in
+    order, its MembershipVerdict, or the NotPD or InconsistentRoutes that
+    :func:`membership` raises for it.
+
+    Every step is one batched call of the LAPACK routine the single-candidate
+    computation uses (``eigh`` for the positivity test and for delta,
+    ``eigvalsh`` for the least eigenvalues, SVD for the 2-norms), so each
+    result is bit for bit the one-candidate result; minimality of ``sigma``
+    is decided once per stack. A DimensionMismatch concerns the whole stack
+    and is raised.
+    """
+    h = np.asarray(h, dtype=complex)
+    results: list = _pd_failures(np.linalg.eigh(h)[0])
+    live = [i for i, failure in enumerate(results) if failure is None]
+    if not live:
+        return results
+    _check_dims(sigma, h.shape[-1])
+    alpha, beta, delta, w, v, c3 = _riccati_stack(sigma, h[live])
+
+    lmi = _lmi(alpha, beta, delta)
+    lmi_min = np.linalg.eigvalsh(lmi)[:, 0].tolist()
+    lmi_norm = _spectral_norms(lmi).tolist()
+    delta_min = np.linalg.eigvalsh(delta)[:, 0].tolist()
+    beta_norm = _spectral_norms(beta).tolist()
+    c3 = c3.tolist()
+
+    thresholds = [tol * max(1.0, norm) for norm in lmi_norm]
+    c3_thresholds = [c3_tol * max(1.0, norm) for norm in beta_norm]
+    # route one needs delta PSD and the range inclusion to form the surplus
+    with_surplus = [
+        low >= -threshold and res <= c3_threshold
+        for low, threshold, res, c3_threshold in zip(
+            delta_min, thresholds, c3, c3_thresholds
+        )
+    ]
+    surplus_min = [float("nan")] * len(live)
+    equality_residual = [float("nan")] * len(live)
+    if any(with_surplus):
+        surplus = _surplus(
+            alpha[with_surplus], beta[with_surplus], w[with_surplus], v[with_surplus]
+        )
+        formed = np.flatnonzero(with_surplus).tolist()
+        for slot, low, norm in zip(
+            formed,
+            np.linalg.eigvalsh(surplus)[:, 0].tolist(),
+            _spectral_norms(surplus).tolist(),
+        ):
+            surplus_min[slot], equality_residual[slot] = low, norm
 
     # Sigma_H is similar to sigma through S = H^{1/2}, which maps the
     # controllable and unobservable subspaces of sigma onto those of Sigma_H
     sigma_h_minimal = bool(is_minimal(sigma))
-    in_ri_circ = bool(in_ri and sigma_h_minimal)
-
-    return MembershipVerdict(
-        in_ri=bool(in_ri),
-        in_re=in_re,
-        in_ri_circ=in_ri_circ,
-        diagnostics=MembershipDiagnostics(
-            delta_min_eig=delta_min,
-            surplus_min_eig=surplus_min,
-            equality_residual=equality_residual,
-            lmi_min_eig=lmi_min,
-            c3_residual=c3_res,
-            sigma_h_minimal=sigma_h_minimal,
-            boundary_case=boundary,
-        ),
-    )
+    for slot, index in enumerate(live):
+        threshold = thresholds[slot]
+        route_one = with_surplus[slot] and surplus_min[slot] >= -threshold
+        route_two = lmi_min[slot] >= -threshold
+        boundary = False
+        if route_one != route_two:
+            band = BOUNDARY_BAND * threshold
+            margins = [abs(lmi_min[slot] + threshold),
+                       abs(delta_min[slot] + threshold),
+                       abs(c3[slot] - c3_thresholds[slot])]
+            if not np.isnan(surplus_min[slot]):
+                margins.append(abs(surplus_min[slot] + threshold))
+            if min(margins) <= band:
+                boundary = True
+            else:
+                results[index] = InconsistentRoutes(
+                    f"surplus route says {route_one}, LMI route says {route_two} "
+                    f"(delta_min={delta_min[slot]:.3e}, "
+                    f"surplus_min={surplus_min[slot]:.3e}, "
+                    f"lmi_min={lmi_min[slot]:.3e}, c3={c3[slot]:.3e})"
+                )
+                continue
+        in_ri = route_two if boundary else route_one
+        in_re = bool(
+            in_ri
+            and not np.isnan(equality_residual[slot])
+            and equality_residual[slot] <= eq_tol * max(1.0, lmi_norm[slot])
+        )
+        results[index] = MembershipVerdict(
+            in_ri=bool(in_ri),
+            in_re=in_re,
+            in_ri_circ=bool(in_ri and sigma_h_minimal),
+            diagnostics=MembershipDiagnostics(
+                delta_min_eig=delta_min[slot],
+                surplus_min_eig=surplus_min[slot],
+                equality_residual=equality_residual[slot],
+                lmi_min_eig=lmi_min[slot],
+                c3_residual=c3[slot],
+                sigma_h_minimal=sigma_h_minimal,
+                boundary_case=boundary,
+            ),
+        )
+    return results
 
 
 @dataclass
@@ -371,7 +451,7 @@ class AssociatedSystem:
 def associated_system(sigma: SystemRealization, h) -> AssociatedSystem:
     """Transform (A, B, C, D) by S = H^{1/2}: (S A S^{-1}, S B, C S^{-1}, D)."""
     storage = as_storage(h)
-    _check_dims(sigma, storage)
+    _check_dims(sigma, storage.dim)
     s, s_inv = storage.sqrt, storage.inv_sqrt
     transformed = SystemRealization(
         a=s @ sigma.a @ s_inv,

@@ -17,6 +17,13 @@ deterministically. Each returned set records its ``route``. The Newton
 Jacobian is linear in the direction (E, F), so it is one batched map over
 the stacks of unit H and K directions, not a loop over them.
 
+Loops over candidates go through the stacked membership kernel of
+:mod:`riccati_kyp.riccati` with one call per batch: the converged Newton
+points, the inverses of the duality samples, and the rejection sampler's
+tries, which it draws and tests in blocks that end where a miss streak can
+halve its spread (see :func:`sample_ri_members`). The certificates compare
+against all their samples in one batched Loewner comparison.
+
 The minimal storage operator is computed by the monotone fixed-point
 iteration H <- A* H A + C* C + beta(H)* pinv(delta(H)) beta(H) started from
 zero, Newton-polished, and certified against rejection-sampled inequality
@@ -36,6 +43,7 @@ import numpy as np
 
 from .errors import (
     CertificateFailed,
+    InconsistentRoutes,
     IterationDiverged,
     NoConvergence,
     NotMinimal,
@@ -46,12 +54,22 @@ from .errors import (
 from .linops import (
     Loewner,
     _eigh_kept,
+    _loewner_stack,
     _pinv_kept,
+    ensure_hermitian,
     hermitian_part,
     loewner_compare,
     spectral_norm,
 )
-from .riccati import RANK_TOL, StorageOperator, _residual_ops, as_storage, membership
+from .riccati import (
+    RANK_TOL,
+    MembershipVerdict,
+    StorageOperator,
+    _membership_stack,
+    _residual_ops,
+    as_storage,
+    membership,
+)
 from .systems import SystemRealization, adjoint, is_minimal, schur_class_margin
 
 __all__ = [
@@ -83,6 +101,7 @@ CERTIFICATE_SAMPLES = 40  # sampled inequality members per extremal certificate
 CERTIFICATE_RE_DIM_CAP = 3  # up to this n, certificates also use the equality set
 SCHUR_RADIUS = 0.95  # disc radius and grid of the early transfer-norm check
 SCHUR_GRID = 24
+MISS_STREAK = 25  # sampler: consecutive rejections that halve the spread
 
 
 @dataclass
@@ -300,6 +319,22 @@ def _random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     return hermitian_part(g / np.sqrt(2.0))
 
 
+def _draw_candidate(
+    rng: np.random.Generator, anchors: list[np.ndarray], spread: float, n: int
+) -> np.ndarray:
+    """One sampler candidate: a Hermitian perturbation of a random convex
+    combination of two anchors, or of the one anchor."""
+    if len(anchors) >= 2:
+        i, j = rng.integers(0, len(anchors), size=2)
+        lam = rng.uniform()
+        base = lam * anchors[i] + (1.0 - lam) * anchors[j]
+    else:
+        base = anchors[0]
+    return hermitian_part(
+        base + rng.uniform(0.0, 1.0) * spread * _random_hermitian(rng, n)
+    )
+
+
 def sample_ri_members(
     sigma: SystemRealization,
     count: int,
@@ -313,10 +348,21 @@ def sample_ri_members(
     Candidates are Hermitian perturbations of convex combinations of the
     anchors; the feasible set is convex (it is cut out by a linear matrix
     inequality in H), so combinations of members stay inside and hit rates
-    remain workable. The perturbation scale shrinks on rejection streaks,
-    which keeps the sampler effective even when the member set is a single
-    point. Anchors that pass the test are included in the output. Sampling
-    stops after ``400 * count`` candidates.
+    remain workable. The perturbation scale halves after ``MISS_STREAK``
+    consecutive rejections (a not-PD candidate is one), which keeps the
+    sampler effective even when the member set is a single point. Anchors
+    that pass the test are included in the output. Sampling stops after
+    ``400 * count`` candidates.
+
+    A candidate's random draws do not depend on earlier verdicts, and the
+    scale can change only at the end of a streak, so the candidates are
+    tested in blocks of ``MISS_STREAK - misses`` tries (at most the tries
+    left), one membership-kernel call per block, and the verdicts are then
+    walked in order. The samples, and the first InconsistentRoutes raised,
+    are those of testing one try at a time. When the walk stops inside a
+    block (the count is filled, or an error is raised), the generator is
+    rewound and only the consumed tries are drawn again, so ``rng`` ends in
+    the state that one try at a time leaves.
     """
     n = sigma.state_dim
     good_anchors = []
@@ -337,35 +383,43 @@ def sample_ri_members(
     )
     misses = 0
     tries = 0
-    while len(samples) < count and tries < 400 * count:
-        tries += 1
-        if len(good_anchors) >= 2:
-            i, j = rng.integers(0, len(good_anchors), size=2)
-            lam = rng.uniform()
-            base = lam * good_anchors[i] + (1.0 - lam) * good_anchors[j]
-        else:
-            base = good_anchors[0]
-        cand = hermitian_part(
-            base + rng.uniform(0.0, 1.0) * spread * _random_hermitian(rng, n)
-        )
-        try:
-            verdict = membership(sigma, cand, tol=tol)
-        except NotPD:
-            verdict = None
-        accept = False
-        if verdict is not None:
-            if require_margin is None:
-                accept = verdict.in_ri
-            else:
-                accept = verdict.diagnostics.lmi_min_eig >= require_margin
-        if accept:
-            samples.append(cand)
-            misses = 0
-        else:
-            misses += 1
-            if misses >= 25:
-                spread *= 0.5
+    max_tries = 400 * count
+    while len(samples) < count and tries < max_tries:
+        size = min(MISS_STREAK - misses, max_tries - tries)
+        state = rng.bit_generator.state
+        block = [_draw_candidate(rng, good_anchors, spread, n) for _ in range(size)]
+        results = _membership_stack(sigma, np.array(block), tol=tol)
+        used = 0
+        error = None
+        for cand, result in zip(block, results):
+            used += 1
+            if isinstance(result, InconsistentRoutes):
+                error = result
+                break
+            accept = False
+            if isinstance(result, MembershipVerdict):
+                if require_margin is None:
+                    accept = result.in_ri
+                else:
+                    accept = result.diagnostics.lmi_min_eig >= require_margin
+            if accept:
+                samples.append(cand)
                 misses = 0
+            else:
+                misses += 1
+            if len(samples) >= count:
+                break
+        tries += used
+        if used < size:
+            rng.bit_generator.state = state
+            for _ in range(used):
+                _draw_candidate(rng, good_anchors, spread, n)
+        if error is not None:
+            raise error
+        # a block ends where a streak can first complete
+        if misses >= MISS_STREAK:
+            spread *= 0.5
+            misses = 0
     return samples[:count]
 
 
@@ -410,14 +464,20 @@ def _certify_extremal(
     )
     if with_re:
         samples = samples + [m.matrix for m in re_set.members]
+    if not samples:
+        return
     cmp_tol = 100.0 * config.membership_tol * max(1.0, spectral_norm(candidate))
     wanted = (
         (Loewner.LESS_EQUAL, Loewner.EQUAL)
         if side == "minimal"
         else (Loewner.GREATER_EQUAL, Loewner.EQUAL)
     )
-    for idx, sample in enumerate(samples):
-        verdict = loewner_compare(candidate, sample, tol=cmp_tol)
+    verdicts = _loewner_stack(
+        ensure_hermitian(candidate),
+        np.array([ensure_hermitian(sample) for sample in samples]),
+        cmp_tol,
+    )
+    for idx, verdict in enumerate(verdicts):
         if verdict not in wanted:
             raise CertificateFailed(
                 f"sampled inequality member {idx} is not on the "
@@ -600,15 +660,18 @@ def _newton_multistart(sigma: SystemRealization, cfg: SolverConfig) -> SolutionS
     if not any_converged:
         raise NoConvergence(best_res)
 
+    candidates.sort(key=lambda t: t[1])
+    verdicts = _membership_stack(
+        sigma,
+        np.array([t[0] for t in candidates]),
+        tol=cfg.membership_tol,
+        eq_tol=EQUALITY_TOL,
+    )
     validated: list[tuple[np.ndarray, float, int, str]] = []
-    for h, res, iters, route in sorted(candidates, key=lambda t: t[1]):
-        try:
-            verdict = membership(
-                sigma, h, tol=cfg.membership_tol, eq_tol=EQUALITY_TOL
-            )
-        except NotPD:
-            continue
-        if not verdict.in_re:
+    for (h, res, iters, route), verdict in zip(candidates, verdicts):
+        if isinstance(verdict, InconsistentRoutes):
+            raise verdict
+        if isinstance(verdict, NotPD) or not verdict.in_re:
             continue
         dup = any(
             spectral_norm(h - u[0])
@@ -793,15 +856,16 @@ def duality_check(
 
     def inverse(h: np.ndarray) -> np.ndarray:
         w, v = np.linalg.eigh(h)
-        return hermitian_part((v / w) @ v.conj().T)
+        return hermitian_part((v / w[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
     samples_ok: list[bool] = []
-    for h in samples:
-        try:
-            verdict = membership(adj, inverse(h), tol=cfg.membership_tol)
-            samples_ok.append(bool(verdict.in_ri_circ))
-        except NotPD:
-            samples_ok.append(False)
+    if samples:
+        for verdict in _membership_stack(
+            adj, inverse(np.array(samples)), tol=cfg.membership_tol
+        ):
+            if isinstance(verdict, InconsistentRoutes):
+                raise verdict
+            samples_ok.append(not isinstance(verdict, NotPD) and verdict.in_ri_circ)
 
     re_members = [m.matrix for m in _once(solved, "solve_re", sigma, cfg).members]
     re_adjoint_members = [m.matrix for m in _once(solved, "solve_re", adj, cfg).members]

@@ -11,6 +11,9 @@ from riccati_kyp import (
     BlockNonneg,
     C3Violation,
     DeltaNotPSD,
+    InconsistentRoutes,
+    MembershipDiagnostics,
+    MembershipVerdict,
     NotInRI,
     NotPD,
     StorageOperator,
@@ -33,7 +36,10 @@ from riccati_kyp import (
     system_matrix,
     transfer_eval,
 )
-from conftest import random_pd, random_realization
+from riccati_kyp.linops import TINY
+from riccati_kyp.riccati import BOUNDARY_BAND, RANK_TOL, _membership_stack
+from riccati_kyp.solver import _fixed_point_solve
+from conftest import random_hermitian, random_pd, random_realization
 
 
 def scalar_closed_forms(h):
@@ -416,3 +422,162 @@ class TestDissipationOfMembers:
             )
             margins = dissipation_check(traj, [[h]])
             assert margins.min() >= -1e-10
+
+
+# -- the stacked membership kernel ---------------------------------------------
+
+
+def _reference_membership(sigma, h, tol=1e-9, eq_tol=1e-8, c3_tol=1e-8):
+    """Membership of one candidate computed on its own, step by step, as it
+    was before the stacked kernel: the reference the kernel must match."""
+
+    def herm(x):
+        return 0.5 * (x + x.conj().T)
+
+    def norm2(x):
+        return float(np.linalg.norm(x, 2))
+
+    hm = StorageOperator(h).matrix
+    a, b, c, d = sigma.a, sigma.b, sigma.c, sigma.d
+    alpha = herm(hm - a.conj().T @ hm @ a - c.conj().T @ c)
+    beta = d.conj().T @ c + b.conj().T @ hm @ a
+    delta = herm(np.eye(sigma.input_dim) - d.conj().T @ d - b.conj().T @ hm @ b)
+    w, v = np.linalg.eigh(delta)
+    kept = np.abs(w) > max(RANK_TOL * float(np.abs(w).max(initial=0.0)), TINY)
+    vk = v[:, kept]
+    c3_res = norm2((np.eye(sigma.input_dim) - herm(vk @ vk.conj().T)) @ beta)
+
+    lmi = herm(np.block([[alpha, -beta.conj().T], [-beta, delta]]))
+    lmi_min = float(np.linalg.eigvalsh(lmi)[0])
+    scale = max(1.0, norm2(lmi))
+    threshold = tol * scale
+    delta_min = float(np.linalg.eigvalsh(delta)[0])
+    c3_threshold = c3_tol * max(1.0, norm2(beta))
+    if delta_min >= -threshold and c3_res <= c3_threshold:
+        w, v = np.linalg.eigh(delta)
+        kept = w > max(RANK_TOL * float(w.max(initial=0.0)), TINY)
+        inv_w = np.where(kept, 1.0 / np.where(kept, w, 1.0), 0.0)
+        pinv = herm((v * inv_w) @ v.conj().T)
+        surplus = herm(alpha - beta.conj().T @ pinv @ beta)
+        surplus_min = float(np.linalg.eigvalsh(surplus)[0])
+        equality_residual = norm2(surplus)
+        route_one = surplus_min >= -threshold
+    else:
+        surplus_min = equality_residual = float("nan")
+        route_one = False
+    route_two = lmi_min >= -threshold
+    boundary = False
+    if route_one != route_two:
+        margins = [abs(lmi_min + threshold), abs(delta_min + threshold),
+                   abs(c3_res - c3_threshold)]
+        if not np.isnan(surplus_min):
+            margins.append(abs(surplus_min + threshold))
+        if min(margins) <= BOUNDARY_BAND * threshold:
+            boundary = True
+        else:
+            raise InconsistentRoutes(
+                f"surplus route says {route_one}, LMI route says {route_two} "
+                f"(delta_min={delta_min:.3e}, surplus_min={surplus_min:.3e}, "
+                f"lmi_min={lmi_min:.3e}, c3={c3_res:.3e})"
+            )
+    in_ri = route_two if boundary else route_one
+    in_re = bool(in_ri and not np.isnan(equality_residual)
+                 and equality_residual <= eq_tol * scale)
+    minimal = bool(is_minimal(sigma))
+    return MembershipVerdict(
+        in_ri=bool(in_ri),
+        in_re=in_re,
+        in_ri_circ=bool(in_ri and minimal),
+        diagnostics=MembershipDiagnostics(
+            delta_min_eig=delta_min,
+            surplus_min_eig=surplus_min,
+            equality_residual=equality_residual,
+            lmi_min_eig=lmi_min,
+            c3_residual=c3_res,
+            sigma_h_minimal=minimal,
+            boundary_case=boundary,
+        ),
+    )
+
+
+def _outcome(result):
+    """A verdict as flags and the bytes of its diagnostics, or an error as
+    its type and message, so equal outcomes are equal bit for bit."""
+    if isinstance(result, Exception):
+        return type(result).__name__, str(result)
+    diag = vars(result.diagnostics)
+    return (
+        result.in_ri,
+        result.in_re,
+        result.in_ri_circ,
+        tuple(np.float64(x).tobytes() if isinstance(x, float) else x
+              for x in diag.values()),
+    )
+
+
+def _outcome_of(call):
+    try:
+        return _outcome(call())
+    except Exception as exc:  # the outcome under test includes the error
+        return _outcome(exc)
+
+
+def _mixed_candidates(rng, sigma):
+    """Interior, equality-perturbed, not-PD, singular-delta and outside
+    candidates for a passive system, shuffled."""
+    n, m = sigma.state_dim, sigma.input_dim
+
+    def bump(h, size):
+        return 0.5 * (h + h.conj().T) + size * random_hermitian(rng, n)
+
+    h_min = _fixed_point_solve(sigma)
+    r = np.eye(m) - sigma.d.conj().T @ sigma.d
+    li = np.linalg.inv(np.linalg.cholesky(r))
+    pencil = li @ sigma.b.conj().T @ sigma.b @ li.conj().T
+    # delta(c I) = I - D*D - c B*B is singular for this c
+    singular = np.eye(n) / float(np.linalg.eigvalsh(pencil)[-1])
+    candidates = [
+        bump(0.5 * (h_min + np.eye(n)), 0.01),
+        np.eye(n),
+        h_min,
+        bump(h_min, 1e-9),
+        bump(h_min, 1e-6),
+        singular,
+        bump(singular, 1e-10),
+        -np.eye(n),
+        bump(np.zeros((n, n)), 1.0),
+        np.diag(np.r_[np.ones(n - 1), 0.0]),
+        30.0 * np.eye(n) + bump(np.zeros((n, n)), 1.0),
+        1e-3 * np.eye(n),
+    ]
+    order = rng.permutation(len(candidates))
+    return [0.5 * (candidates[i] + candidates[i].conj().T) for i in order]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=4),
+    m=st.integers(min_value=1, max_value=2),
+    p=st.integers(min_value=1, max_value=2),
+    norm=st.sampled_from([0.5, 0.9, 0.99, 1.0]),
+    tol=st.sampled_from([1e-9, 1e-6, 1e-3]),
+)
+def test_membership_kernel_matches_one_candidate_at_a_time(seed, n, m, p, norm, tol):
+    """Every verdict, diagnostic and error of one kernel call on a mixed
+    stack equals, bit for bit, what membership gives each candidate alone
+    and what the step-by-step reference gives, at the CLI's tolerance
+    ratios."""
+    tols = {"tol": tol, "eq_tol": 10.0 * tol, "c3_tol": 10.0 * tol}
+    rng = np.random.default_rng(seed)
+    sigma = random_realization(rng, n, m, p, passive_norm=norm)
+    assume(np.linalg.eigvalsh(np.eye(m) - sigma.d.conj().T @ sigma.d)[0] > 1e-6)
+    assume(spectral_norm(sigma.b) > 1e-6)
+    candidates = _mixed_candidates(rng, sigma)
+    stacked = _membership_stack(sigma, np.array(candidates), **tols)
+    assert len(stacked) == len(candidates)
+    for h, result in zip(candidates, stacked):
+        expected = _outcome_of(lambda: _reference_membership(sigma, h, **tols))
+        assert _outcome(result) == expected
+        assert _outcome_of(lambda: membership(sigma, h, **tols)) == expected
+

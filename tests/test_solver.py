@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from riccati_kyp import (
+    InconsistentRoutes,
     IterationDiverged,
     Loewner,
     NotMinimal,
+    NotPD,
     NotScalar,
     SolverConfig,
     SystemRealization,
@@ -35,6 +37,7 @@ from riccati_kyp.solver import (
     _herm_unpack,
     _newton_multistart,
     _pack_residual,
+    _random_hermitian,
     _unpack,
 )
 from conftest import random_hermitian, random_realization, two_state_re_solutions
@@ -341,3 +344,165 @@ class TestOrderSolutions:
         )
         assert ordered.minimal_index is None
         assert ordered.maximal_index is None
+
+
+# -- the block sampler ----------------------------------------------------------
+
+
+def _one_try_at_a_time(sigma, count, rng, anchors, tol=1e-9, require_margin=None,
+                       flag_at=None):
+    """sample_ri_members as it was before the blocks: one membership test per
+    try. ``flag_at`` makes that try (0-based) raise InconsistentRoutes.
+    Returns the samples, the number of tries and the number of halvings of
+    the spread."""
+    n = sigma.state_dim
+    good_anchors = []
+    for anc in anchors:
+        try:
+            verdict = membership(sigma, anc, tol=tol)
+        except NotPD:
+            continue
+        if verdict.in_ri:
+            good_anchors.append(0.5 * (np.asarray(anc, dtype=complex)
+                                       + np.asarray(anc, dtype=complex).conj().T))
+    if not good_anchors:
+        return [], 0, 0
+    samples = [anc.copy() for anc in good_anchors[: max(count, 1)]]
+    spread = max(
+        max(spectral_norm(x - y) for x in good_anchors for y in good_anchors),
+        0.25 * max(spectral_norm(x) for x in good_anchors),
+    )
+    misses = 0
+    tries = 0
+    halvings = 0
+    while len(samples) < count and tries < 400 * count:
+        tries += 1
+        if len(good_anchors) >= 2:
+            i, j = rng.integers(0, len(good_anchors), size=2)
+            lam = rng.uniform()
+            base = lam * good_anchors[i] + (1.0 - lam) * good_anchors[j]
+        else:
+            base = good_anchors[0]
+        cand = base + rng.uniform(0.0, 1.0) * spread * _random_hermitian(rng, n)
+        cand = 0.5 * (cand + cand.conj().T)
+        if tries - 1 == flag_at:
+            raise InconsistentRoutes("flagged")
+        try:
+            verdict = membership(sigma, cand, tol=tol)
+        except NotPD:
+            verdict = None
+        accept = False
+        if verdict is not None:
+            if require_margin is None:
+                accept = verdict.in_ri
+            else:
+                accept = verdict.diagnostics.lmi_min_eig >= require_margin
+        if accept:
+            samples.append(cand)
+            misses = 0
+        else:
+            misses += 1
+            if misses >= 25:
+                spread *= 0.5
+                misses = 0
+                halvings += 1
+    return samples[:count], tries, halvings
+
+
+ROTATION = SystemRealization(0.6, -0.8, 0.8, 0.6)
+
+
+def _sampler_cases(two_state_system, scalar_interval_system):
+    h_max = np.diag([256.0 / 81.0, 16.0 / 9.0])
+    return {
+        # two anchors, the count is filled
+        "two-state": (two_state_system, 15, [np.eye(2), h_max], None),
+        # the minimal solution alone, as in its certificate: miss streaks
+        # halve the spread
+        "two-state-minimal": (two_state_system, 40, [np.eye(2)], None),
+        # both ends of the interval: the wide spread draws not-PD misses
+        "interval-ends": (
+            scalar_interval_system, 40, [np.array([[3.0 / 64.0]]), np.array([[0.75]])], None
+        ),
+        # the duality rule on a two-anchor run
+        "two-state-margin": (two_state_system, 50, [np.eye(2), h_max], 0.0),
+        # inner, so the inequality set is the point 1: all 400 * 2 tries run
+        "rotation": (ROTATION, 2, [np.eye(1)], 0.0),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["two-state", "two-state-minimal", "interval-ends", "two-state-margin", "rotation"],
+)
+def test_block_sampler_matches_one_try_at_a_time(
+    case, two_state_system, scalar_interval_system, monkeypatch
+):
+    sigma, count, anchors, margin = _sampler_cases(
+        two_state_system, scalar_interval_system
+    )[case]
+    evaluated = []
+    kernel = solver_module._membership_stack
+
+    def spy(sigma, h, **kwargs):
+        results = kernel(sigma, h, **kwargs)
+        evaluated.append(results)
+        return results
+
+    monkeypatch.setattr(solver_module, "_membership_stack", spy)
+    ref_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
+    expected, tries, halvings = _one_try_at_a_time(
+        sigma, count, ref_rng, anchors, require_margin=margin
+    )
+    samples = sample_ri_members(sigma, count, rng, anchors, require_margin=margin)
+    assert len(samples) == len(expected)
+    assert all(np.array_equal(x, y) for x, y in zip(samples, expected))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert all(len(block) <= solver_module.MISS_STREAK for block in evaluated)
+    if case == "rotation":
+        assert tries == 400 * count and len(samples) == 1
+    else:
+        assert len(samples) == count
+    if case in ("two-state-minimal", "rotation"):
+        assert halvings > 0
+    if case == "interval-ends":
+        assert any(isinstance(r, NotPD) for block in evaluated for r in block)
+    if case == "two-state":
+        # the last block was cut short by the filled count, so the generator
+        # was rewound to the consumed tries
+        assert sum(len(block) for block in evaluated) > tries
+
+
+@pytest.mark.parametrize("offset", [-1, 0])
+def test_block_sampler_raises_only_errors_before_the_stop(
+    offset, two_state_system, monkeypatch
+):
+    sigma, count = two_state_system, 15
+    anchors = [np.eye(2), np.diag([256.0 / 81.0, 16.0 / 9.0])]
+    _, tries, _ = _one_try_at_a_time(sigma, count, np.random.default_rng(5), anchors)
+    # the last try before the stop, or the first one past it (evaluated in
+    # the same, cut-short block)
+    flag_at = tries + offset
+    kernel = solver_module._membership_stack
+    seen = [0]
+
+    def flagging(sigma, h, **kwargs):
+        results = kernel(sigma, h, **kwargs)
+        if seen[0] <= flag_at < seen[0] + len(h):
+            results[flag_at - seen[0]] = InconsistentRoutes("flagged")
+        seen[0] += len(h)
+        return results
+
+    monkeypatch.setattr(solver_module, "_membership_stack", flagging)
+    ref_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
+    if offset < 0:
+        with pytest.raises(InconsistentRoutes, match="flagged"):
+            _one_try_at_a_time(sigma, count, ref_rng, anchors, flag_at=flag_at)
+        with pytest.raises(InconsistentRoutes, match="flagged"):
+            sample_ri_members(sigma, count, rng, anchors)
+    else:
+        expected, _, _ = _one_try_at_a_time(sigma, count, ref_rng, anchors)
+        samples = sample_ri_members(sigma, count, rng, anchors)
+        assert seen[0] > flag_at
+        assert all(np.array_equal(x, y) for x, y in zip(samples, expected))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
