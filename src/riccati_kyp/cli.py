@@ -271,6 +271,7 @@ def _solution_set_payload(solution_set) -> dict:
         "maximal_index": solution_set.maximal_index,
         "provenance": solution_set.provenance,
         "route": solution_set.route,
+        "complete": solution_set.complete,
     }
 
 

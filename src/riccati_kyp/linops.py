@@ -238,19 +238,21 @@ def loewner_compare(h1: np.ndarray, h2: np.ndarray, tol: float = 1e-10) -> Loewn
     return _loewner_stack(h1, h2[None], tol)[0]
 
 
-def _loewner_stack(h1: np.ndarray, h2: np.ndarray, tol: float) -> list[Loewner]:
+def _loewner_stack(h1: np.ndarray, h2: np.ndarray, tol) -> list[Loewner]:
     """:func:`loewner_compare` of ``h1`` with each matrix on the nonempty
-    Hermitian stack ``h2``, in stack order."""
+    Hermitian stack ``h2``, in stack order. ``h1`` may be a stack of the
+    same length, compared pair by pair, and ``tol`` one tolerance per pair."""
     diff = h2 - h1
     norms = _spectral_norms(diff).tolist()
     w = np.linalg.eigvalsh(diff)
+    tols = np.broadcast_to(tol, len(diff)).tolist()
     verdicts = []
-    for norm, low, high in zip(norms, w[:, 0].tolist(), w[:, -1].tolist()):
-        if norm <= tol:
+    for norm, low, high, cut in zip(norms, w[:, 0].tolist(), w[:, -1].tolist(), tols):
+        if norm <= cut:
             verdicts.append(Loewner.EQUAL)
-        elif low >= -tol:
+        elif low >= -cut:
             verdicts.append(Loewner.LESS_EQUAL)
-        elif high <= tol:
+        elif high <= cut:
             verdicts.append(Loewner.GREATER_EQUAL)
         else:
             verdicts.append(Loewner.INCOMPARABLE)

@@ -1,28 +1,42 @@
 """Solution-set computation for the Riccati equality, extremal storage
 operators, and the adjoint-inversion duality.
 
-:func:`solve_re` is the one dispatch point. A system with n = m = p = 1 goes
-to the closed form of :func:`solve_re_scalar`; any other system goes to
-multi-start Newton on the augmented feedback form: H satisfies the equality
-conditions exactly when there is a K with
+:func:`solve_re` is the one dispatch point, with three routes.
 
-    beta(H) = delta(H) K      and      alpha(H) = K* delta(H) K,
+* A system with n = m = p = 1 goes to the closed form of
+  :func:`solve_re_scalar`.
+* A minimal system whose extended symplectic pencil decides the equality
+  set (see :mod:`riccati_kyp.pencil`: regular, no eigenvalue near the unit
+  circle, n distinct eigenvalue pairs) goes to the pencil: one generalized
+  eigenvalue problem gives all 2**n Hermitian solutions, one per selection
+  of an eigenvalue from each (lambda, 1/conj(lambda)) pair, and one
+  membership-kernel call validates them. The set is labelled ``complete``
+  when every selection passes.
+* Any other system (inner or co-inner, a Popov function that vanishes on
+  the circle, non-minimal) goes to multi-start Newton on the augmented
+  feedback form: H satisfies the equality conditions exactly when there is a
+  K with
 
-together with H positive definite and delta(H) PSD. The augmented system is
-polynomial in (H, K), so Newton iteration on it stays smooth across rank
-changes of delta and reaches boundary solutions (delta singular) that a
-pseudo-inverse formulation would make non-differentiable. Converged points
-are validated through the membership test, deduplicated, and ordered
-deterministically. Each returned set records its ``route``. The Newton
-Jacobian is linear in the direction (E, F), so it is one batched map over
-the stacks of unit H and K directions, not a loop over them.
+      beta(H) = delta(H) K      and      alpha(H) = K* delta(H) K,
+
+  together with H positive definite and delta(H) PSD. The augmented system
+  is polynomial in (H, K), so Newton iteration on it stays smooth across
+  rank changes of delta and reaches boundary solutions (delta singular) that
+  a pseudo-inverse formulation would make non-differentiable. Converged
+  points are validated through the membership test and deduplicated. The
+  Newton Jacobian is linear in the direction (E, F), so it is one batched
+  map over the stacks of unit H and K directions, not a loop over them.
+
+Every set is ordered deterministically and records its ``route``; only the
+pencil route can label a set complete.
 
 Loops over candidates go through the stacked membership kernel of
-:mod:`riccati_kyp.riccati` with one call per batch: the converged Newton
-points, the inverses of the duality samples, and the rejection sampler's
-tries, which it draws and tests in blocks that end where a miss streak can
-halve its spread (see :func:`sample_ri_members`). The certificates compare
-against all their samples in one batched Loewner comparison.
+:mod:`riccati_kyp.riccati` with one call per batch: the pencil selections,
+the converged Newton points, the inverses of the duality samples, and the
+rejection sampler's tries, which it draws and tests in blocks that end where
+a miss streak can halve its spread (see :func:`sample_ri_members`). The
+certificates compare against all their samples, and :func:`order_solutions`
+compares all member pairs, in one batched Loewner comparison each.
 
 The minimal storage operator is computed by the monotone fixed-point
 iteration H <- A* H A + C* C + beta(H)* pinv(delta(H)) beta(H) started from
@@ -56,9 +70,9 @@ from .linops import (
     _eigh_kept,
     _loewner_stack,
     _pinv_kept,
+    _spectral_norms,
     ensure_hermitian,
     hermitian_part,
-    loewner_compare,
     spectral_norm,
 )
 from .riccati import (
@@ -70,6 +84,7 @@ from .riccati import (
     as_storage,
     membership,
 )
+from .pencil import equality_candidates
 from .systems import SystemRealization, adjoint, is_minimal, schur_class_margin
 
 __all__ = [
@@ -121,8 +136,14 @@ class SolutionSet:
     ``comparisons`` maps index pairs (i, j), i < j, to Loewner verdicts.
     ``minimal_index``/``maximal_index`` are set when one member is below /
     above every other member. ``provenance`` records, per member, the solver
-    route, the final residual norm, and the iteration count. ``route`` is the
-    :func:`solve_re` route: ``scalar-closed-form`` or ``newton-multistart``.
+    route (``pencil(selection=...)``, ``newton(start=...)`` or
+    ``scalar-closed-form``), the final residual norm, and the iteration
+    count. ``route`` is the :func:`solve_re` route: ``scalar-closed-form``,
+    ``pencil`` or ``newton-multistart``.
+
+    ``complete`` is True only when the set is the whole equality set: the
+    pencil decided the system and every one of its 2**n selections passed
+    membership. Any other set is what was found, labelled incomplete.
     """
 
     members: list[StorageOperator] = field(default_factory=list)
@@ -131,6 +152,7 @@ class SolutionSet:
     maximal_index: int | None = None
     provenance: list[dict] = field(default_factory=list)
     route: str | None = None
+    complete: bool = False
 
     def __len__(self) -> int:
         return len(self.members)
@@ -577,22 +599,27 @@ def solve_re(
     """Find equality solutions; the one dispatch between solver routes.
 
     A scalar system (n = m = p = 1) is solved in closed form by
-    :func:`solve_re_scalar`, which returns the complete set. Any other
-    system goes to multi-start Newton on the augmented system. Its starts
-    combine the fixed-point limit (the minimal candidate), the inverse of the
-    adjoint's fixed-point limit (the maximal candidate), scaled identities,
-    and seeded random Hermitian perturbations between the two extremal
-    candidates. Converged points are membership-validated, deduplicated at
-    ``DEDUP_TOL * (1 + |trace|)``, and sorted by trace and then
-    lexicographically by entries, so output order is independent of
-    scheduling; the set is what was found, not claimed complete. Both routes
-    validate at ``config.membership_tol`` and ``EQUALITY_TOL``.
+    :func:`solve_re_scalar`. A minimal system whose pencil decides (see
+    :func:`riccati_kyp.pencil.equality_candidates`) takes the pencil route:
+    its 2**n selections are validated by one membership-kernel call, distinct
+    selections being distinct solutions, and the set is ``complete`` when
+    all of them pass. Any other system goes to multi-start Newton on the
+    augmented system. Its starts combine the fixed-point limit (the minimal
+    candidate), the inverse of the adjoint's fixed-point limit (the maximal
+    candidate), scaled identities, and seeded random Hermitian perturbations
+    between the two extremal candidates; converged points are
+    membership-validated and deduplicated at ``DEDUP_TOL * (1 + |trace|)``.
+    Members are sorted by trace and then lexicographically by entries, so
+    output order is independent of scheduling. Only the pencil route labels
+    a set complete; the others return what they found. Every route
+    validates at ``config.membership_tol`` and ``EQUALITY_TOL``.
     """
     cfg = config or SolverConfig()
     n = sigma.state_dim
     if n > MAX_DIM:
         raise ValueError(f"state dimension {n} exceeds the solver cap {MAX_DIM}")
-    if not is_minimal(sigma):
+    minimal = bool(is_minimal(sigma))
+    if not minimal:
         warnings.warn(
             "equality solving on a non-minimal system; solution structure "
             "theory assumes minimality",
@@ -601,7 +628,39 @@ def solve_re(
         )
     if n == sigma.input_dim == sigma.output_dim == 1:
         return solve_re_scalar(sigma, tol=cfg.membership_tol)
-    return _newton_multistart(sigma, cfg)
+    found = equality_candidates(sigma) if minimal else None
+    if found is None:
+        return _newton_multistart(sigma, cfg)
+    return _pencil_set(sigma, cfg, *found)
+
+
+def _pencil_set(
+    sigma: SystemRealization, cfg: SolverConfig, stack: np.ndarray, labels: list[str]
+) -> SolutionSet:
+    """The pencil route of :func:`solve_re`: the candidates of every
+    selection, validated by one membership-kernel call."""
+    verdicts = _membership_stack(
+        sigma, stack, tol=cfg.membership_tol, eq_tol=EQUALITY_TOL
+    )
+    validated: list[tuple[np.ndarray, float, str]] = []
+    for h, label, verdict in zip(stack, labels, verdicts):
+        if isinstance(verdict, InconsistentRoutes):
+            raise verdict
+        if isinstance(verdict, NotPD) or not verdict.in_re:
+            continue
+        validated.append((h, verdict.diagnostics.equality_residual, label))
+    validated.sort(key=lambda t: _solution_sort_key(t[0]))
+    return order_solutions(
+        SolutionSet(
+            members=[as_storage(h) for h, _, _ in validated],
+            provenance=[
+                {"route": f"pencil(selection={label})", "residual": res, "iterations": 0}
+                for _, res, label in validated
+            ],
+            route="pencil",
+            complete=len(validated) == len(stack),
+        )
+    )
 
 
 def _newton_multistart(sigma: SystemRealization, cfg: SolverConfig) -> SolutionSet:
@@ -885,54 +944,37 @@ def duality_check(
 def order_solutions(solution_set: SolutionSet, tol: float = 1e-9) -> SolutionSet:
     """Fill pairwise Loewner comparisons and flag extremal members.
 
-    A member is flagged minimal (maximal) when it compares below (above)
-    every other member; with incomparable pairs present no flag may be set.
+    Pair (i, j) is compared as :func:`loewner_compare` does at the tolerance
+    ``tol * max(1, ||H_i||, ||H_j||)``; all pairs go through one batched
+    comparison. A member is flagged minimal (maximal) when it compares below
+    (above) every other member; with incomparable pairs present no flag may
+    be set.
     """
     members = solution_set.members
+    count = len(members)
     comparisons: dict[tuple[int, int], Loewner] = {}
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            cmp_tol = tol * max(
-                1.0, spectral_norm(members[i].matrix), spectral_norm(members[j].matrix)
-            )
-            comparisons[(i, j)] = loewner_compare(
-                members[i].matrix, members[j].matrix, tol=cmp_tol
-            )
+    # below[i, j]: H_i <= H_j; above[i, j]: H_i >= H_j
+    below = np.eye(count, dtype=bool)
+    above = np.eye(count, dtype=bool)
+    if count > 1:
+        stack = np.array([m.matrix for m in members])
+        norms = np.maximum(_spectral_norms(stack), 1.0)
+        iu, ju = np.triu_indices(count, 1)
+        verdicts = _loewner_stack(
+            stack[iu], stack[ju], tol * np.maximum(norms[iu], norms[ju])
+        )
+        for i, j, verdict in zip(iu.tolist(), ju.tolist(), verdicts):
+            comparisons[(i, j)] = verdict
+            below[i, j] = above[j, i] = verdict in (Loewner.LESS_EQUAL, Loewner.EQUAL)
+            above[i, j] = below[j, i] = verdict in (Loewner.GREATER_EQUAL, Loewner.EQUAL)
 
-    def _dominates(i: int, j: int) -> Loewner:
-        if i < j:
-            return comparisons[(i, j)]
-        flipped = comparisons[(j, i)]
-        if flipped is Loewner.LESS_EQUAL:
-            return Loewner.GREATER_EQUAL
-        if flipped is Loewner.GREATER_EQUAL:
-            return Loewner.LESS_EQUAL
-        return flipped
-
-    minimal_index = None
-    maximal_index = None
-    for i in range(len(members)):
-        if all(
-            _dominates(i, j) in (Loewner.LESS_EQUAL, Loewner.EQUAL)
-            for j in range(len(members))
-            if j != i
-        ):
-            minimal_index = i
-            break
-    for i in range(len(members)):
-        if all(
-            _dominates(i, j) in (Loewner.GREATER_EQUAL, Loewner.EQUAL)
-            for j in range(len(members))
-            if j != i
-        ):
-            maximal_index = i
-            break
-    if len(members) == 1:
-        minimal_index = maximal_index = 0
+    def first(rows: np.ndarray) -> int | None:
+        hits = np.flatnonzero(rows.all(axis=1))
+        return int(hits[0]) if hits.size else None
 
     return replace(
         solution_set,
         comparisons=comparisons,
-        minimal_index=minimal_index,
-        maximal_index=maximal_index,
+        minimal_index=first(below),
+        maximal_index=first(above),
     )

@@ -2,6 +2,10 @@
 and byte-level report reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,6 +191,8 @@ class TestCommands:
             assert min(np.abs(f - target).max() for f in found) <= 1e-8
         assert report["solve_re"]["minimal_index"] == 0
         assert report["solve_re"]["maximal_index"] == 3
+        assert report["solve_re"]["route"] == "pencil"
+        assert report["solve_re"]["complete"] is True
 
     def test_simulate_with_margins(self, scalar_doc_path, tmp_path, capsys):
         inputs = tmp_path / "inputs.json"
@@ -361,3 +367,20 @@ class TestReproducibility:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert "timings" in report and "analyze" in report["timings"]
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    """scipy.linalg is loaded by the first pencil solve, not by the import
+    that every command pays for."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import riccati_kyp.cli, sys; assert 'scipy.linalg' not in sys.modules",
+        ],
+        env=env,
+        check=True,
+    )

@@ -1,9 +1,12 @@
-"""Solver tests: scalar closed form, multi-start Newton on the augmented
-system, extremal solutions with certificates, inversion duality, ordering,
-and determinism."""
+"""Solver tests: scalar closed form, the symplectic-pencil route, multi-start
+Newton on the augmented system, extremal solutions with certificates,
+inversion duality, ordering, and determinism."""
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from riccati_kyp import (
     InconsistentRoutes,
@@ -14,8 +17,11 @@ from riccati_kyp import (
     NotScalar,
     SolverConfig,
     SystemRealization,
+    SolutionSet,
     adjoint,
+    as_storage,
     duality_check,
+    is_minimal,
     loewner_compare,
     maximal_solution,
     membership,
@@ -29,18 +35,29 @@ from riccati_kyp import (
     system_matrix,
 )
 from riccati_kyp import solver as solver_module
+from riccati_kyp.pencil import CIRCLE_GAP, _extended_pencil, equality_candidates
 from riccati_kyp.solver import (
     EQUALITY_TOL,
+    MAX_ITER,
+    NEWTON_TOL,
     _aug_jacobian,
     _aug_residual,
     _herm_pack,
     _herm_unpack,
+    _newton_equality,
     _newton_multistart,
     _pack_residual,
     _random_hermitian,
     _unpack,
 )
-from conftest import random_hermitian, random_realization, two_state_re_solutions
+from conftest import (
+    blaschke_system,
+    random_hermitian,
+    random_pd,
+    random_realization,
+    random_similarity,
+    two_state_re_solutions,
+)
 
 
 class TestScalarClosedForm:
@@ -84,12 +101,21 @@ class TestSolveRe:
     def test_two_state_finds_exactly_four(self, two_state_system):
         solution_set = solve_re(two_state_system)
         expected = two_state_re_solutions()
+        assert solution_set.route == "pencil"
+        assert solution_set.complete
         assert len(solution_set) == 4
         # sorted by trace then entries: identity, negative off-diagonal,
         # positive off-diagonal, diagonal maximal
         order = [expected[0], expected[2], expected[1], expected[3]]
         for member, target in zip(solution_set.members, order):
-            assert spectral_norm(member.matrix - target) <= 1e-8
+            assert spectral_norm(member.matrix - target) <= 1e-12
+        labels = {p["route"] for p in solution_set.provenance}
+        assert labels == {f"pencil(selection={s})" for s in ("00", "01", "10", "11")}
+        assert all(p["iterations"] == 0 for p in solution_set.provenance)
+        assert all(p["residual"] <= 1e-12 for p in solution_set.provenance)
+        # the selection of the inside eigenvalues is the minimal solution
+        assert solution_set.provenance[0]["route"] == "pencil(selection=00)"
+        assert solution_set.provenance[3]["route"] == "pencil(selection=11)"
 
     def test_scalar_through_newton_matches_closed_form(self, scalar_interval_system):
         # solve_re sends scalar systems to the closed form, so the Newton
@@ -170,6 +196,139 @@ class TestSolveRe:
         except NoConvergence:
             return
         assert len(solution_set) == 0
+
+
+def _near(h, stack, tol=1e-6) -> bool:
+    return any(spectral_norm(h - x) <= tol * max(1.0, spectral_norm(x)) for x in stack)
+
+
+BLASCHKE3_ZEROS = [0.3 + 0.35j, -0.2, 0.5 - 0.1j]
+
+
+class TestPencilRoute:
+    def test_a_rejected_selection_leaves_the_set_incomplete(
+        self, two_state_system, monkeypatch
+    ):
+        kernel = solver_module._membership_stack
+
+        def reject_last(sigma, h, **kwargs):
+            results = kernel(sigma, h, **kwargs)
+            results[-1] = NotPD("rejected")
+            return results
+
+        monkeypatch.setattr(solver_module, "_membership_stack", reject_last)
+        solution_set = solve_re(two_state_system)
+        assert solution_set.route == "pencil"
+        assert not solution_set.complete
+        assert len(solution_set) == 3
+        routes = [p["route"] for p in solution_set.provenance]
+        assert "pencil(selection=11)" not in routes
+        # the maximal solution was the rejected selection
+        assert solution_set.maximal_index is None
+
+    @pytest.mark.parametrize("case", ["blaschke3", "coisometry"])
+    def test_inner_and_coinner_take_newton(self, case, coisometry_system):
+        # the pencil of an inner or co-inner system is singular: its
+        # eigenvalues are noise, and reading selections off them would
+        # return copies of the one solution
+        if case == "blaschke3":
+            t = random_similarity(np.random.default_rng(54), 3)
+            sigma = blaschke_system(BLASCHKE3_ZEROS, t)
+        else:
+            sigma = coisometry_system
+        assert equality_candidates(sigma) is None
+        solution_set = solve_re(sigma)
+        assert solution_set.route == "newton-multistart"
+        assert not solution_set.complete
+        assert len(solution_set) == 1
+
+    def test_circle_eigenvalues_take_newton(self):
+        # the two-state example with A scaled by 1.05: the Popov function
+        # vanishes on the circle, so the pencil has eigenvalues there
+        sigma = SystemRealization(
+            [[0.0, 0.63], [0.84, 0.0]], [[0.0], [0.6]], [[0.0, 0.8]], [[0.0]]
+        )
+        assert equality_candidates(sigma) is None
+
+    @pytest.mark.parametrize("offset", [1e-10, 1e-12])
+    def test_circle_gap_decides_the_route(self, offset):
+        # in the family A = s [[0, 3/5], [4/5, 0]] of the two-state example
+        # two eigenvalue pairs meet on the circle at s = sqrt(13/12) and
+        # approach it as sqrt(sqrt(13/12) - s): 7e-6 and 7e-7 here
+        s = np.sqrt(13.0 / 12.0) - offset
+        sigma = SystemRealization(
+            [[0.0, 0.6 * s], [0.8 * s, 0.0]], [[0.0], [0.6]], [[0.0, 0.8]], [[0.0]]
+        )
+        lam = scipy.linalg.eigvals(*_extended_pencil(sigma))
+        gap = np.abs(np.abs(lam[np.isfinite(lam)]) - 1.0).min()
+        solution_set = solve_re(sigma)
+        if offset == 1e-10:
+            assert gap > 5 * CIRCLE_GAP
+            assert solution_set.route == "pencil" and solution_set.complete
+            assert len(solution_set) == 4
+        else:
+            assert gap < CIRCLE_GAP
+            assert equality_candidates(sigma) is None
+            assert solution_set.route == "newton-multistart"
+
+    def test_non_minimal_takes_newton(self):
+        # the scalar interval example plus an uncontrollable, observable mode
+        sigma = SystemRealization(
+            np.diag([-0.125, 0.5]), [[1.0], [0.0]], [[0.1875, 0.3]], [[0.5]]
+        )
+        with pytest.warns(RuntimeWarning, match="non-minimal"):
+            solution_set = solve_re(sigma)
+        assert solution_set.route == "newton-multistart"
+        assert not solution_set.complete
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=4),
+    m=st.integers(min_value=1, max_value=2),
+    p=st.integers(min_value=1, max_value=2),
+    norm=st.sampled_from([0.5, 0.9, 0.99]),
+)
+def test_pencil_set_holds_every_newton_solution(seed, n, m, p, norm):
+    """On random strictly passive minimal systems the pencil decides the
+    equality set. Every member passes membership; every limit of Newton from
+    seeded random starts is one of the 2**n pencil candidates, and a member
+    whenever membership accepts it. The set is complete exactly when all
+    2**n candidates are members, and then its flagged extremes are the
+    all-inside and all-outside selections."""
+    rng = np.random.default_rng(seed)
+    sigma = random_realization(rng, n, m, p, passive_norm=norm)
+    assume(is_minimal(sigma))
+    found = equality_candidates(sigma)
+    assert found is not None
+    stack, labels = found
+    assert stack.shape == (2**n, n, n)
+    assert len(set(labels)) == 2**n
+    scalar = n == m == p == 1
+    solution_set = solve_re(sigma)
+    assert solution_set.route == ("scalar-closed-form" if scalar else "pencil")
+    members = [member.matrix for member in solution_set.members]
+    for h in members:
+        assert membership(sigma, h, eq_tol=EQUALITY_TOL).in_re
+    if not scalar:
+        assert solution_set.complete == (len(members) == 2**n)
+    if solution_set.complete:
+        assert _near(stack[0], [members[solution_set.minimal_index]], tol=1e-12)
+        assert _near(stack[-1], [members[solution_set.maximal_index]], tol=1e-12)
+    for _ in range(2):
+        h, _, _, converged = _newton_equality(
+            sigma, random_hermitian(rng, n), tol=NEWTON_TOL, max_iter=MAX_ITER
+        )
+        if not converged:
+            continue
+        assert _near(h, stack)
+        try:
+            accepted = membership(sigma, h, eq_tol=EQUALITY_TOL).in_re
+        except NotPD:
+            accepted = False
+        if accepted:
+            assert _near(h, members)
 
 
 def _residual_derivative(sigma, k, delta, e, f):
@@ -336,14 +495,77 @@ class TestOrderSolutions:
         assert solution_set.maximal_index == 0
 
     def test_incomparable_members_leave_flags_unset(self):
-        from riccati_kyp import SolutionSet, as_storage
-
         _, h2, h3, _ = two_state_re_solutions()
         ordered = order_solutions(
             SolutionSet(members=[as_storage(h2), as_storage(h3)])
         )
         assert ordered.minimal_index is None
         assert ordered.maximal_index is None
+
+
+def _pairwise_order(members, tol=1e-9):
+    """order_solutions as it was before the batch: one loewner_compare per
+    pair. Returns the comparisons and the minimal and maximal index."""
+    mats = [m.matrix for m in members]
+    comparisons = {}
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            cmp_tol = tol * max(1.0, spectral_norm(mats[i]), spectral_norm(mats[j]))
+            comparisons[(i, j)] = loewner_compare(mats[i], mats[j], tol=cmp_tol)
+    flip = {Loewner.LESS_EQUAL: Loewner.GREATER_EQUAL,
+            Loewner.GREATER_EQUAL: Loewner.LESS_EQUAL}
+
+    def verdict(i, j):
+        if i < j:
+            return comparisons[(i, j)]
+        return flip.get(comparisons[(j, i)], comparisons[(j, i)])
+
+    def first(wanted):
+        for i in range(len(mats)):
+            if all(verdict(i, j) in wanted for j in range(len(mats)) if j != i):
+                return i
+        return None
+
+    return (
+        comparisons,
+        first((Loewner.LESS_EQUAL, Loewner.EQUAL)),
+        first((Loewner.GREATER_EQUAL, Loewner.EQUAL)),
+    )
+
+
+def _order_cases(two_state_system):
+    rng = np.random.default_rng(61)
+    h = random_pd(rng, 3)
+    return {
+        "two-state": solve_re(two_state_system).members,
+        # a complete 16-member pencil set
+        "n4-m2": solve_re(
+            random_realization(rng, 4, 2, 2, passive_norm=0.9)
+        ).members,
+        # equal pairs, a chain, and incomparable pairs
+        "mixed": [as_storage(x) for x in (h, h, 2.0 * h, h + 1e-12 * np.eye(3),
+                                          random_pd(rng, 3), 0.5 * h)],
+        "random": [as_storage(random_pd(rng, 2)) for _ in range(7)],
+        # pairs whose verdict turns on the larger of the two norms
+        "scales": [as_storage(np.diag(d)) for d in ([1.0, 1.0], [1e3, 0.99], [1.0, 1.0])],
+        "one": [as_storage(h)],
+        "none": [],
+    }
+
+
+@pytest.mark.parametrize(
+    "case", ["two-state", "n4-m2", "mixed", "random", "scales", "one", "none"]
+)
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+def test_batched_order_matches_pairwise(case, tol, two_state_system):
+    members = _order_cases(two_state_system)[case]
+    if case == "n4-m2":
+        assert len(members) == 16
+    ordered = order_solutions(SolutionSet(members=members), tol=tol)
+    comparisons, minimal, maximal = _pairwise_order(members, tol=tol)
+    assert ordered.comparisons == comparisons
+    assert ordered.minimal_index == minimal
+    assert ordered.maximal_index == maximal
 
 
 # -- the block sampler ----------------------------------------------------------
