@@ -17,7 +17,7 @@ always computed through both routes and must agree.
 
 One kernel decides membership for a stack of candidates, with one batched
 LAPACK call per step; :func:`membership` is its one-candidate view, and the
-solver's loops over candidates (rejection sampling, Newton validation, the
+solver's loops over candidates (the sampler's chain, Newton validation, the
 duality inverses) call the kernel once per batch.
 
 RI° is the set of inequality members whose associated system

@@ -33,15 +33,24 @@ pencil route can label a set complete.
 Loops over candidates go through the stacked membership kernel of
 :mod:`riccati_kyp.riccati` with one call per batch: the pencil selections,
 the converged Newton points, the inverses of the duality samples, and the
-rejection sampler's tries, which it draws and tests in blocks that end where
-a miss streak can halve its spread (see :func:`sample_ri_members`). The
-certificates compare against all their samples, and :func:`order_solutions`
-compares all member pairs, in one batched Loewner comparison each.
+points of the sampler's chain. The certificates compare against all their
+samples, and :func:`order_solutions` compares all member pairs, in one
+batched Loewner comparison each.
+
+Inequality members are sampled by hit-and-run over the KYP LMI
+``L(H) = [[alpha, -beta*], [-beta, delta]] >= 0``, which is affine in H, so
+the feasible chord along a direction is read off one small eigenvalue
+problem and no candidate is rejected (see :func:`sample_ri_members`). The
+chain needs a point with L(H) positive definite: the anchors' mean when it
+is one, and otherwise the phase-I point of a barrier Newton iteration. When
+the LMI has no such point (the transfer function reaches norm 1 on the
+circle, as for inner and co-inner systems), the samples are copies of the
+anchors' mean.
 
 The minimal storage operator is computed by the monotone fixed-point
 iteration H <- A* H A + C* C + beta(H)* pinv(delta(H)) beta(H) started from
-zero, Newton-polished, and certified against rejection-sampled inequality
-members. The maximal one is the inverse of the adjoint system's minimal one.
+zero, Newton-polished, and certified against sampled inequality members.
+The maximal one is the inverse of the adjoint system's minimal one.
 :func:`duality_check` runs the inversion checks on samples anchored at the
 extremal pair and on both equality sets. The three share a caller's optional
 ``solved`` list, so each equality set and each minimal solution is computed once.
@@ -79,6 +88,7 @@ from .riccati import (
     RANK_TOL,
     MembershipVerdict,
     StorageOperator,
+    _lmi,
     _membership_stack,
     _residual_ops,
     as_storage,
@@ -116,7 +126,7 @@ CERTIFICATE_SAMPLES = 40  # sampled inequality members per extremal certificate
 CERTIFICATE_RE_DIM_CAP = 3  # up to this n, certificates also use the equality set
 SCHUR_RADIUS = 0.95  # disc radius and grid of the early transfer-norm check
 SCHUR_GRID = 24
-MISS_STREAK = 25  # sampler: consecutive rejections that halve the spread
+PHASE_ONE_STEPS = 200  # sampler: phase-I Newton steps before the LMI counts as thin
 
 
 @dataclass
@@ -341,20 +351,66 @@ def _random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     return hermitian_part(g / np.sqrt(2.0))
 
 
-def _draw_candidate(
-    rng: np.random.Generator, anchors: list[np.ndarray], spread: float, n: int
-) -> np.ndarray:
-    """One sampler candidate: a Hermitian perturbation of a random convex
-    combination of two anchors, or of the one anchor."""
-    if len(anchors) >= 2:
-        i, j = rng.integers(0, len(anchors), size=2)
-        lam = rng.uniform()
-        base = lam * anchors[i] + (1.0 - lam) * anchors[j]
-    else:
-        base = anchors[0]
-    return hermitian_part(
-        base + rng.uniform(0.0, 1.0) * spread * _random_hermitian(rng, n)
-    )
+def _lmi_linear(sigma: SystemRealization, e: np.ndarray) -> np.ndarray:
+    """The linear part of the KYP LMI, ``L(H + E) - L(H)``, for a Hermitian
+    direction E or for each on a stack."""
+    a, b = sigma.a, sigma.b
+    ea = e @ a
+    return _lmi(e - a.conj().T @ ea, b.conj().T @ ea, -(b.conj().T @ e @ b))
+
+
+def _phase_one(sigma: SystemRealization, center: np.ndarray, tol: float):
+    """A point whose LMI margin exceeds the membership band
+    ``tol * max(1, ||L(center)||)``, found from ``center``, or None when the
+    LMI has no such point.
+
+    ``center`` itself is returned when its margin exceeds the band.
+    Otherwise damped Newton runs on the barrier ``-t s - log det(L(H) - s I)``
+    over (H, s), with the gradient and Hessian taken as one batched map over
+    the unit H directions and s, and ``t`` grows tenfold at each centred
+    iterate (Boyd, El Ghaoui, Feron & Balakrishnan, *LMIs in System and
+    Control Theory*, 1994, sec. 2.4). The first iterate with ``s`` above the
+    band whose ``L(H) - s I`` has a Cholesky factor is returned. None means
+    the central path came within the band of the optimum with ``s`` still
+    below it, so no point clears twice the band, or that an LMI too
+    ill-conditioned for double precision sent an iterate out of the
+    feasible set.
+    """
+    n, size = sigma.state_dim, sigma.state_dim + sigma.input_dim
+    lmat = _lmi(*_residual_ops(sigma, center))
+    low = float(np.linalg.eigvalsh(lmat)[0])
+    band = tol * max(1.0, spectral_norm(lmat))
+    if low > band:
+        return center
+    e, _ = _unit_directions(n, sigma.input_dim)
+    eye = np.eye(size)
+    dirs = np.concatenate([_lmi_linear(sigma, e), -eye[None]])
+    # a margin is at most 1 (delta(H) <= I for H >= 0), so s starts one unit
+    # below the centre's margin and t at the barrier's degree n + m
+    x = np.append(_herm_pack(center), low - 1.0)
+    weight = float(size)
+    for _ in range(PHASE_ONE_STEPS):
+        h = _herm_unpack(x[:-1], n)
+        try:
+            c_inv = np.linalg.inv(
+                np.linalg.cholesky(_lmi(*_residual_ops(sigma, h)) - x[-1] * eye)
+            )
+        except np.linalg.LinAlgError:
+            return None  # roundoff took the iterate out of the feasible set
+        if x[-1] > band:
+            return h
+        g = c_inv @ dirs @ c_inv.conj().T
+        flat = g.reshape(len(dirs), -1)
+        grad = -np.trace(g, axis1=1, axis2=2).real
+        grad[-1] -= weight
+        step = np.linalg.solve((flat @ flat.conj().T).real, -grad)
+        decrement = float(np.sqrt(max(-grad @ step, 0.0)))
+        x = x + step / (1.0 + decrement)
+        if decrement <= 0.25 and x[-1] <= band:  # centred: follow the path
+            if size / weight <= band:
+                return None
+            weight *= 10.0
+    return None
 
 
 def sample_ri_members(
@@ -363,30 +419,39 @@ def sample_ri_members(
     rng: np.random.Generator,
     anchors: list[np.ndarray],
     tol: float = 1e-9,
-    require_margin: float | None = None,
 ) -> list[np.ndarray]:
-    """Rejection-sample inequality members around known ones.
+    """Sample inequality members by hit-and-run over the KYP LMI.
 
-    Candidates are Hermitian perturbations of convex combinations of the
-    anchors; the feasible set is convex (it is cut out by a linear matrix
-    inequality in H), so combinations of members stay inside and hit rates
-    remain workable. The perturbation scale halves after ``MISS_STREAK``
-    consecutive rejections (a not-PD candidate is one), which keeps the
-    sampler effective even when the member set is a single point. Anchors
-    that pass the test are included in the output. Sampling stops after
-    ``400 * count`` candidates.
+    The anchors are checked by :func:`membership`, and those in RI open the
+    output. The rest comes from one hit-and-run chain (Smith, Oper. Res.
+    1984) on ``L(H) = [[alpha, -beta*], [-beta, delta]] >= 0``, which is
+    affine in H: from a point with L(H) positive definite, a Hermitian
+    direction E has the feasible chord of all t with ``L(H) + t L(E) >= 0``,
+    read off the eigenvalues of ``C^-1 L(E) C^-*`` for the Cholesky factor C
+    of L(H), and the chain moves to a uniform point of the chord. The chain
+    starts at the anchors' mean when its LMI margin exceeds the membership
+    band ``tol * max(1, ||L||)``, and otherwise at the phase-I point of
+    :func:`_phase_one`. Each round draws all its directions in one generator
+    call and all its chord positions in another, so a call runs one seeded
+    chain, and validates its points by one membership-kernel call: a point
+    is kept when it is in RI with a nonnegative LMI margin. The rare point
+    that roundoff puts past a chord end (L(H) not positive definite, or a
+    failed validation) is dropped and drawn again by a further round; a
+    round that keeps no point ends the chain.
 
-    A candidate's random draws do not depend on earlier verdicts, and the
-    scale can change only at the end of a streak, so the candidates are
-    tested in blocks of ``MISS_STREAK - misses`` tries (at most the tries
-    left), one membership-kernel call per block, and the verdicts are then
-    walked in order. The samples, and the first InconsistentRoutes raised,
-    are those of testing one try at a time. When the walk stops inside a
-    block (the count is filled, or an error is raised), the generator is
-    rewound and only the consumed tries are drawn again, so ``rng`` ends in
-    the state that one try at a time leaves.
+    When no point clears the band, the samples are copies of the anchors'
+    mean, a member by convexity. This happens when the LMI has an empty
+    interior, because the transfer function reaches norm 1 on the unit
+    circle; for an inner or co-inner system RI is one point and every chord
+    has length zero. It also happens when the band, which grows with
+    ||L||, is wider than any margin (cond(H) near 1e10), or when phase-I
+    fails in floating point.
+
+    Raises NotMinimal on a non-minimal realization, whose RI can be
+    unbounded.
     """
-    n = sigma.state_dim
+    if not is_minimal(sigma):
+        raise NotMinimal("sampling the inequality set requires a minimal system")
     good_anchors = []
     for anc in anchors:
         try:
@@ -399,49 +464,49 @@ def sample_ri_members(
         return []
 
     samples = [anc.copy() for anc in good_anchors[: max(count, 1)]]
-    spread = max(
-        max(spectral_norm(x - y) for x in good_anchors for y in good_anchors),
-        0.25 * max(spectral_norm(x) for x in good_anchors),
-    )
-    misses = 0
-    tries = 0
-    max_tries = 400 * count
-    while len(samples) < count and tries < max_tries:
-        size = min(MISS_STREAK - misses, max_tries - tries)
-        state = rng.bit_generator.state
-        block = [_draw_candidate(rng, good_anchors, spread, n) for _ in range(size)]
-        results = _membership_stack(sigma, np.array(block), tol=tol)
-        used = 0
-        error = None
-        for cand, result in zip(block, results):
-            used += 1
-            if isinstance(result, InconsistentRoutes):
-                error = result
-                break
-            accept = False
-            if isinstance(result, MembershipVerdict):
-                if require_margin is None:
-                    accept = result.in_ri
-                else:
-                    accept = result.diagnostics.lmi_min_eig >= require_margin
-            if accept:
-                samples.append(cand)
-                misses = 0
-            else:
-                misses += 1
-            if len(samples) >= count:
-                break
-        tries += used
-        if used < size:
-            rng.bit_generator.state = state
-            for _ in range(used):
-                _draw_candidate(rng, good_anchors, spread, n)
-        if error is not None:
-            raise error
-        # a block ends where a streak can first complete
-        if misses >= MISS_STREAK:
-            spread *= 0.5
-            misses = 0
+    if len(samples) >= count:
+        return samples[:count]
+    center = sum(good_anchors) / len(good_anchors)
+    h = _phase_one(sigma, center, tol)
+    if h is None:
+        return samples + [center.copy() for _ in range(count - len(samples))]
+
+    n = sigma.state_dim
+    lmat = _lmi(*_residual_ops(sigma, h))
+    c_inv = np.linalg.inv(np.linalg.cholesky(lmat))
+    while len(samples) < count:
+        steps = count - len(samples)
+        g = rng.standard_normal((2, steps, n, n))
+        dirs = hermitian_part(g[0] + 1j * g[1])
+        positions = rng.uniform(size=steps)
+        points = []
+        for e, l_e, u in zip(dirs, _lmi_linear(sigma, dirs), positions):
+            mu = np.linalg.eigvalsh(c_inv @ l_e @ c_inv.conj().T)
+            if not mu[0] < 0.0 < mu[-1]:
+                continue  # no finite chord in floating point: stay put
+            lo, hi = -1.0 / mu[-1], -1.0 / mu[0]
+            t = lo + u * (hi - lo)
+            try:
+                c_next = np.linalg.cholesky(lmat + t * l_e)
+            except np.linalg.LinAlgError:
+                continue  # roundoff at a chord end: stay put
+            h, lmat, c_inv = h + t * e, lmat + t * l_e, np.linalg.inv(c_next)
+            points.append(h)
+        kept = 0
+        for point, verdict in zip(
+            points, _membership_stack(sigma, np.array(points), tol=tol) if points else []
+        ):
+            if isinstance(verdict, InconsistentRoutes):
+                raise verdict
+            if (
+                isinstance(verdict, MembershipVerdict)
+                and verdict.in_ri
+                and verdict.diagnostics.lmi_min_eig >= 0.0
+            ):
+                samples.append(point)
+                kept += 1
+        if not kept:
+            break
     return samples[:count]
 
 
@@ -777,7 +842,7 @@ def minimal_solution(
 
     Runs the monotone fixed-point iteration from zero, Newton-polishes the
     limit, verifies equality membership (the minimal member always satisfies
-    the equality), and certifies minimality against rejection-sampled
+    the equality), and certifies minimality against hit-and-run sampled
     inequality members plus, for small dimensions, the full equality solution
     set. The iteration's convergence to the least member is an empirical
     claim validated by these certificates; CertificateFailed means a genuine
@@ -863,15 +928,20 @@ class DualityReport:
 def _sets_match(
     first: list[np.ndarray], second: list[np.ndarray], tol: float
 ) -> bool:
+    """Whether each member of ``first`` matches a distinct member of
+    ``second`` within ``tol * (1 + ||f||)``, taking the first unused hit in
+    order; all distances are one batched norm over the (k, k) differences."""
     if len(first) != len(second):
         return False
+    if not first:
+        return True
+    f, g = np.array(first), np.array(second)
+    close = _spectral_norms(f[:, None] - g[None]) <= (
+        tol * (1.0 + _spectral_norms(f))
+    )[:, None]
     unused = list(range(len(second)))
-    for f in first:
-        hit = None
-        for j in unused:
-            if spectral_norm(f - second[j]) <= tol * (1.0 + spectral_norm(f)):
-                hit = j
-                break
+    for row in close.tolist():
+        hit = next((j for j in unused if row[j]), None)
         if hit is None:
             return False
         unused.remove(hit)
@@ -910,7 +980,6 @@ def duality_check(
         rng,
         anchors=[h_min.matrix, h_max.matrix],
         tol=cfg.membership_tol,
-        require_margin=0.0,
     )
 
     def inverse(h: np.ndarray) -> np.ndarray:

@@ -1,14 +1,17 @@
-"""Shared fixtures: the three worked example systems, random generators, and
-an allpass-cascade builder for inner transfer functions."""
+"""Shared fixtures: the three worked example systems, random generators, an
+allpass-cascade builder for inner transfer functions, and the extremal
+solutions from scipy's discrete Riccati solver."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from riccati_kyp import (
     BlockNonneg,
     SystemRealization,
+    adjoint,
     psd_sqrt,
     range_projector,
     spectral_norm,
@@ -139,3 +142,22 @@ def random_similarity(rng: np.random.Generator, n: int, strength: float = 0.3) -
     return np.eye(n) + strength * (
         rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     )
+
+
+def dare_extremes(sigma: SystemRealization) -> tuple[np.ndarray, np.ndarray]:
+    """(H_min, H_max) of a strictly passive minimal system: H_min is the
+    stabilizing solution of scipy's DARE with Q = C*C, R = D*D - I and
+    S = C*D, and H_max the inverse of the adjoint system's H_min."""
+
+    def minimal(s: SystemRealization) -> np.ndarray:
+        x = scipy.linalg.solve_discrete_are(
+            s.a,
+            s.b,
+            s.c.conj().T @ s.c,
+            s.d.conj().T @ s.d - np.eye(s.input_dim),
+            s=s.c.conj().T @ s.d,
+        )
+        return 0.5 * (x + x.conj().T)
+
+    h_max = np.linalg.inv(minimal(adjoint(sigma)))
+    return minimal(sigma), 0.5 * (h_max + h_max.conj().T)

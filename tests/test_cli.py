@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riccati_kyp import DimensionMismatch, ParseError
+from riccati_kyp import DimensionMismatch, ParseError, SystemRealization
 from riccati_kyp import solver as solver_module
 from riccati_kyp.cli import (
     EXIT_CODES,
@@ -20,7 +20,7 @@ from riccati_kyp.cli import (
     parse_system,
     write_system,
 )
-from conftest import two_state_re_solutions
+from conftest import dare_extremes, two_state_re_solutions
 
 
 def scalar_interval_doc() -> dict:
@@ -299,6 +299,76 @@ class TestSharedWork:
         # the minimal certificates, the maximal one and the duality samples
         assert len(sampler_calls) == realizations + 2
         assert len(certified) == len(set(certified)) == realizations
+
+
+# zoo_n2_m1_p2 of the seeded random zoo (block matrix scaled to norm 0.9) at
+# seeds 13, 21, 207, 209 and 211: rejection sampling once took samples from
+# just outside RI here and raised a false CertificateFailed (exit 19) on the
+# maximal side (at CLI seeds 0 and 301: seeds 21, 207 and 209)
+FALSE_CERTIFICATE_SYSTEMS = {
+    13: (
+        [[-0.22326523543268104+0.42552475864401557j, -0.25132626486250453-0.07196840931936838j],
+         [-0.2827035383727655-0.17218318652807224j, -0.09546690658108213+0.16360897189045484j]],
+        [[0.016194543782473127-0.16076472371679476j], [0.028253967880378966-0.00035222709497417017j]],
+        [[0.10173421194806537+0.19736494385863462j, -0.4474767118931635-0.11861889910344141j],
+         [-0.3769870818534151-0.23885100070518958j, 0.2539182350562723-0.04344033289457755j]],
+        [[-0.2794588834952419+0.3865570272999918j], [-0.07962379499961136+0.030920771671163638j]],
+    ),
+    21: (
+        [[-0.005569077488396107+0.18424867067762682j, -0.12914916782781136-0.023915140491463302j],
+         [-0.1453194922948751-0.0390553159533134j, -0.29488955422873325+0.05698697192879642j]],
+        [[0.15079863511598954-0.0777318480706058j], [0.40380671219116887-0.11399867744083693j]],
+        [[0.05699574982613941+0.19718836983200752j, -0.24026133639606545-0.03399025314530702j],
+         [0.3615787100477808+0.21016255820997481j, 0.26320511262931207+0.2984302724836074j]],
+        [[0.14205524052978868-0.4788369213076674j], [-0.07956099066131822+0.2690925195873474j]],
+    ),
+    207: (
+        [[-0.15273386487569346+0.1404172099460582j, 0.023765212271829667-0.04736572445716711j],
+         [0.13611821745079009+0.36028943585134304j, 0.05945358524560149+0.09941424294952522j]],
+        [[-0.10048454664959657-0.07122547111861884j], [-0.018700897430693+0.016157329041280553j]],
+        [[0.1265433395292916+0.401089283525372j, 0.3940364732014551-0.051469424739932566j],
+         [-0.06359424281439768-0.19815572035898973j, -0.11244367462549827+0.3536356575305138j]],
+        [[-0.5291814608796411+0.22719656134699517j], [0.0495788479575758+0.19841315895296296j]],
+    ),
+    209: (
+        [[0.2761582045959349-0.2953549188675157j, 0.03590808981052142-0.051110349295975986j],
+         [-0.2249954388039788-0.20055216999340417j, -0.30041837595339027+0.08445880134752386j]],
+        [[-0.04268713714354189+0.036679456897580044j], [0.1276602951445649-0.20756592351800734j]],
+        [[-0.10901579738115778-0.5276391929830679j, -0.11073735010991878+0.034350238771145805j],
+         [-0.2851377740153066+0.007525632097400147j, 0.12017104383707024-0.11238644942329735j]],
+        [[-0.0016901954958301617-0.11425448238577997j], [-0.5781362528390319-0.09236420844094567j]],
+    ),
+    211: (
+        [[0.011570986993312526+0.034311172481199j, -0.48625903163152107-0.0707447885604312j],
+         [-0.10592587253776746+0.1988325128710467j, -0.38203622042155105+0.09354219270498244j]],
+        [[0.024441652089682634-0.21616643428818183j], [-0.11549019437734165-0.16380574669039866j]],
+        [[-0.07213282938813599-0.18208425603417708j, -0.08388073790851489+0.27106813361464505j],
+         [0.15937573814779393+0.03647927408953728j, 0.09602481857678577-0.4464687511939723j]],
+        [[0.009144865093919164+0.09513793452901377j], [-0.03108307028959908+0.44490369016652553j]],
+    ),
+}
+
+
+@pytest.mark.parametrize("cli_seed", ["0", "301"])
+@pytest.mark.parametrize("seed", sorted(FALSE_CERTIFICATE_SYSTEMS))
+def test_extremes_certifies_the_dare_solutions(seed, cli_seed, tmp_path):
+    mats = FALSE_CERTIFICATE_SYSTEMS[seed]
+    enc = lambda m: [[[z.real, z.imag] for z in row] for row in m]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"name": f"zoo{seed}", **dict(zip("ABCD", map(enc, mats)))}))
+    out = tmp_path / "report.json"
+    code = main(["extremes", "--system", str(path), "--seed", cli_seed,
+                 "--no-timings", "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())["extremes"]
+    decode = lambda m: np.array([[complex(re, im) for re, im in row] for row in m])
+    for got, want in zip(
+        (decode(report["minimal"]), decode(report["maximal"])),
+        dare_extremes(SystemRealization(*(np.array(m) for m in mats))),
+    ):
+        assert np.linalg.norm(got - want, 2) <= 1e-10 * np.linalg.norm(want, 2)
+    assert report["duality"]["sample_count"] == 50
+    assert report["duality"]["failure_count"] == 0
 
 
 class TestExitCodes:

@@ -1,9 +1,11 @@
 """Golden CLI reports: ``report`` on the four worked examples, ``solve-re``,
-``extremes`` and ``check`` on seeded small systems, and error payloads of
+``extremes`` and ``check`` on seeded small systems, error payloads of
 systems that fail different checks first (non-passive, non-minimal, nearly
-non-passive, a failing maximal certificate), which pin the order of the
-checks. All run with ``--seed 301 --no-timings`` and are compared with the
-reports stored under ``tests/golden``.
+non-passive), which pin the order of the checks, and ``extremes`` on a
+seed-21 zoo system whose maximal certificate once failed on samples that
+rejection sampling took from just outside the inequality set. All run with
+``--seed 301 --no-timings`` and are compared with the reports stored under
+``tests/golden``.
 
 Strings, booleans, integers and nulls must match exactly. Floats must match
 to a relative 1e-12, with an absolute floor of 1e-14 so that roundoff-level

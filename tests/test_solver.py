@@ -47,11 +47,11 @@ from riccati_kyp.solver import (
     _newton_equality,
     _newton_multistart,
     _pack_residual,
-    _random_hermitian,
     _unpack,
 )
 from conftest import (
     blaschke_system,
+    dare_extremes,
     random_hermitian,
     random_pd,
     random_realization,
@@ -568,163 +568,163 @@ def test_batched_order_matches_pairwise(case, tol, two_state_system):
     assert ordered.maximal_index == maximal
 
 
-# -- the block sampler ----------------------------------------------------------
+# -- the hit-and-run sampler --------------------------------------------------
 
 
-def _one_try_at_a_time(sigma, count, rng, anchors, tol=1e-9, require_margin=None,
-                       flag_at=None):
-    """sample_ri_members as it was before the blocks: one membership test per
-    try. ``flag_at`` makes that try (0-based) raise InconsistentRoutes.
-    Returns the samples, the number of tries and the number of halvings of
-    the spread."""
-    n = sigma.state_dim
-    good_anchors = []
-    for anc in anchors:
-        try:
-            verdict = membership(sigma, anc, tol=tol)
-        except NotPD:
-            continue
-        if verdict.in_ri:
-            good_anchors.append(0.5 * (np.asarray(anc, dtype=complex)
-                                       + np.asarray(anc, dtype=complex).conj().T))
-    if not good_anchors:
-        return [], 0, 0
-    samples = [anc.copy() for anc in good_anchors[: max(count, 1)]]
-    spread = max(
-        max(spectral_norm(x - y) for x in good_anchors for y in good_anchors),
-        0.25 * max(spectral_norm(x) for x in good_anchors),
-    )
-    misses = 0
-    tries = 0
-    halvings = 0
-    while len(samples) < count and tries < 400 * count:
-        tries += 1
-        if len(good_anchors) >= 2:
-            i, j = rng.integers(0, len(good_anchors), size=2)
-            lam = rng.uniform()
-            base = lam * good_anchors[i] + (1.0 - lam) * good_anchors[j]
-        else:
-            base = good_anchors[0]
-        cand = base + rng.uniform(0.0, 1.0) * spread * _random_hermitian(rng, n)
-        cand = 0.5 * (cand + cand.conj().T)
-        if tries - 1 == flag_at:
-            raise InconsistentRoutes("flagged")
-        try:
-            verdict = membership(sigma, cand, tol=tol)
-        except NotPD:
-            verdict = None
-        accept = False
-        if verdict is not None:
-            if require_margin is None:
-                accept = verdict.in_ri
-            else:
-                accept = verdict.diagnostics.lmi_min_eig >= require_margin
-        if accept:
-            samples.append(cand)
-            misses = 0
-        else:
-            misses += 1
-            if misses >= 25:
-                spread *= 0.5
-                misses = 0
-                halvings += 1
-    return samples[:count], tries, halvings
+@st.composite
+def strictly_passive_minimal(draw):
+    """A random minimal system with n <= 4, m, p <= 2 and block norm < 1."""
+    dims = draw(st.tuples(st.integers(1, 4), st.integers(1, 2), st.integers(1, 2)))
+    norm = draw(st.floats(0.5, 0.95))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sigma = random_realization(rng, *dims, passive_norm=norm)
+    assume(is_minimal(sigma))
+    return sigma
 
 
-ROTATION = SystemRealization(0.6, -0.8, 0.8, 0.6)
+@settings(max_examples=25, deadline=None)
+@given(
+    sigma=strictly_passive_minimal(),
+    both=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hit_and_run_samples_lie_in_ri(sigma, both, seed):
+    h_min, h_max = dare_extremes(sigma)
+    anchors = [h_min, h_max] if both else [h_min]
+    center = sum(anchors) / len(anchors)
+    # the empty-interior branch never fires on strictly passive systems
+    assert solver_module._phase_one(sigma, center, 1e-9) is not None
+
+    count = 12
+    samples = sample_ri_members(sigma, count, np.random.default_rng(seed), anchors)
+    again = sample_ri_members(sigma, count, np.random.default_rng(seed), anchors)
+    assert len(samples) == count
+    assert all(np.array_equal(x, y) for x, y in zip(samples, again))
+    assert all(np.array_equal(x, y) for x, y in zip(samples, anchors))
+
+    adj = adjoint(sigma)
+    tol = 1e-8 * max(1.0, spectral_norm(h_max))
+    for h in samples[len(anchors):]:
+        assert membership(sigma, h).diagnostics.lmi_min_eig >= 0.0
+        assert loewner_compare(h_min, h, tol=tol) in (Loewner.LESS_EQUAL, Loewner.EQUAL)
+        assert loewner_compare(h, h_max, tol=tol) in (Loewner.LESS_EQUAL, Loewner.EQUAL)
+        assert membership(adj, np.linalg.inv(h)).in_ri_circ
 
 
-def _sampler_cases(two_state_system, scalar_interval_system):
-    h_max = np.diag([256.0 / 81.0, 16.0 / 9.0])
+def _thin_cases(coisometry_system):
+    cascade = blaschke_system([0.5, -0.3 + 0.4j, 0.2j])
     return {
-        # two anchors, the count is filled
-        "two-state": (two_state_system, 15, [np.eye(2), h_max], None),
-        # the minimal solution alone, as in its certificate: miss streaks
-        # halve the spread
-        "two-state-minimal": (two_state_system, 40, [np.eye(2)], None),
-        # both ends of the interval: the wide spread draws not-PD misses
-        "interval-ends": (
-            scalar_interval_system, 40, [np.array([[3.0 / 64.0]]), np.array([[0.75]])], None
-        ),
-        # the duality rule on a two-anchor run
-        "two-state-margin": (two_state_system, 50, [np.eye(2), h_max], 0.0),
-        # inner, so the inequality set is the point 1: all 400 * 2 tries run
-        "rotation": (ROTATION, 2, [np.eye(1)], 0.0),
+        "rotation": (SystemRealization(0.6, -0.8, 0.8, 0.6), [np.eye(1)]),
+        "coisometry": (coisometry_system, [np.eye(1), np.eye(1)]),
+        "allpass-cascade": (cascade, [np.eye(3)]),
+    }
+
+
+@pytest.mark.parametrize("case", ["rotation", "coisometry", "allpass-cascade"])
+def test_empty_interior_gives_copies_of_the_mean(case, coisometry_system):
+    sigma, anchors = _thin_cases(coisometry_system)[case]
+    center = sum(anchors) / len(anchors)
+    assert solver_module._phase_one(sigma, center, 1e-9) is None
+    samples = sample_ri_members(sigma, 30, np.random.default_rng(3), anchors)
+    assert len(samples) == 30
+    assert all(np.array_equal(h, center) for h in samples)
+
+
+def test_ill_conditioned_lmi_still_gives_members():
+    # cond(H_max) about 5e7: roundoff can take a phase-I iterate out of the
+    # feasible set, and the sampler then falls back to copies of the mean
+    sigma = random_realization(np.random.default_rng(173), 6, 1, 1, passive_norm=0.5)
+    anchors = list(dare_extremes(sigma))
+    samples = sample_ri_members(sigma, 10, np.random.default_rng(0), anchors)
+    assert len(samples) == 10
+    assert all(membership(sigma, h).in_ri for h in samples)
+
+
+def test_sampler_requires_a_minimal_system():
+    sigma = SystemRealization(
+        np.diag([0.5, 0.25]), [[1.0], [0.0]], [[1.0, 1.0]], [[0.0]]
+    )
+    with pytest.raises(NotMinimal):
+        sample_ri_members(sigma, 5, np.random.default_rng(0), [np.eye(2)])
+
+
+def test_rejected_chain_points_are_drawn_again(two_state_system, monkeypatch):
+    # a point the kernel rejects (here: every third of the first round) is
+    # dropped, and a further round of the same chain fills the count
+    kernel = solver_module._membership_stack
+    rounds = []
+
+    def rejecting(sigma, h, **kwargs):
+        results = kernel(sigma, h, **kwargs)
+        if not rounds:
+            results[::3] = [NotPD("rejected")] * len(results[::3])
+        rounds.append(h.copy())
+        return results
+
+    monkeypatch.setattr(solver_module, "_membership_stack", rejecting)
+    anchors = [np.eye(2)]
+    samples = sample_ri_members(two_state_system, 20, np.random.default_rng(9), anchors)
+    assert len(samples) == 20 and len(rounds) == 2
+    assert len(rounds[0]) == 19 and len(rounds[1]) == 7
+    kept = list(rounds[0][1::3]) + list(rounds[0][2::3])
+    assert not any(np.array_equal(h, x) for h in samples for x in rounds[0][::3])
+    assert sum(any(np.array_equal(h, x) for x in kept) for h in samples) == 12
+
+
+def test_sampler_raises_inconsistent_routes(two_state_system, monkeypatch):
+    kernel = solver_module._membership_stack
+
+    def flagging(sigma, h, **kwargs):
+        results = kernel(sigma, h, **kwargs)
+        results[4] = InconsistentRoutes("flagged")
+        return results
+
+    monkeypatch.setattr(solver_module, "_membership_stack", flagging)
+    with pytest.raises(InconsistentRoutes, match="flagged"):
+        sample_ri_members(two_state_system, 20, np.random.default_rng(9), [np.eye(2)])
+
+
+# -- matching equality sets -----------------------------------------------------
+
+
+def _pairwise_sets_match(first, second, tol):
+    """_sets_match as it was before the batch: one spectral_norm per pair."""
+    if len(first) != len(second):
+        return False
+    unused = list(range(len(second)))
+    for f in first:
+        hit = None
+        for j in unused:
+            if spectral_norm(f - second[j]) <= tol * (1.0 + spectral_norm(f)):
+                hit = j
+                break
+        if hit is None:
+            return False
+        unused.remove(hit)
+    return True
+
+
+def _set_pairs():
+    rng = np.random.default_rng(71)
+    members = [random_pd(rng, 3) for _ in range(6)]
+    shuffled = [members[i] + 1e-9 * np.eye(3) for i in (3, 0, 5, 1, 4, 2)]
+    near = members[0] + 1e-7 * np.eye(3)
+    return {
+        "match": (members, shuffled),
+        "empty": ([], []),
+        "lengths": (members, members[:5]),
+        "one-off": (members, shuffled[:5] + [members[2] + 1e-3 * np.eye(3)]),
+        # greedy first hit: the close pair is taken by the first member
+        "greedy": ([near, members[0]], [members[0], 2.0 * members[0]]),
+        "duplicates": ([members[0], members[0]], [members[0], near]),
     }
 
 
 @pytest.mark.parametrize(
-    "case",
-    ["two-state", "two-state-minimal", "interval-ends", "two-state-margin", "rotation"],
+    "case", ["match", "empty", "lengths", "one-off", "greedy", "duplicates"]
 )
-def test_block_sampler_matches_one_try_at_a_time(
-    case, two_state_system, scalar_interval_system, monkeypatch
-):
-    sigma, count, anchors, margin = _sampler_cases(
-        two_state_system, scalar_interval_system
-    )[case]
-    evaluated = []
-    kernel = solver_module._membership_stack
-
-    def spy(sigma, h, **kwargs):
-        results = kernel(sigma, h, **kwargs)
-        evaluated.append(results)
-        return results
-
-    monkeypatch.setattr(solver_module, "_membership_stack", spy)
-    ref_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
-    expected, tries, halvings = _one_try_at_a_time(
-        sigma, count, ref_rng, anchors, require_margin=margin
-    )
-    samples = sample_ri_members(sigma, count, rng, anchors, require_margin=margin)
-    assert len(samples) == len(expected)
-    assert all(np.array_equal(x, y) for x, y in zip(samples, expected))
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert all(len(block) <= solver_module.MISS_STREAK for block in evaluated)
-    if case == "rotation":
-        assert tries == 400 * count and len(samples) == 1
-    else:
-        assert len(samples) == count
-    if case in ("two-state-minimal", "rotation"):
-        assert halvings > 0
-    if case == "interval-ends":
-        assert any(isinstance(r, NotPD) for block in evaluated for r in block)
-    if case == "two-state":
-        # the last block was cut short by the filled count, so the generator
-        # was rewound to the consumed tries
-        assert sum(len(block) for block in evaluated) > tries
-
-
-@pytest.mark.parametrize("offset", [-1, 0])
-def test_block_sampler_raises_only_errors_before_the_stop(
-    offset, two_state_system, monkeypatch
-):
-    sigma, count = two_state_system, 15
-    anchors = [np.eye(2), np.diag([256.0 / 81.0, 16.0 / 9.0])]
-    _, tries, _ = _one_try_at_a_time(sigma, count, np.random.default_rng(5), anchors)
-    # the last try before the stop, or the first one past it (evaluated in
-    # the same, cut-short block)
-    flag_at = tries + offset
-    kernel = solver_module._membership_stack
-    seen = [0]
-
-    def flagging(sigma, h, **kwargs):
-        results = kernel(sigma, h, **kwargs)
-        if seen[0] <= flag_at < seen[0] + len(h):
-            results[flag_at - seen[0]] = InconsistentRoutes("flagged")
-        seen[0] += len(h)
-        return results
-
-    monkeypatch.setattr(solver_module, "_membership_stack", flagging)
-    ref_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
-    if offset < 0:
-        with pytest.raises(InconsistentRoutes, match="flagged"):
-            _one_try_at_a_time(sigma, count, ref_rng, anchors, flag_at=flag_at)
-        with pytest.raises(InconsistentRoutes, match="flagged"):
-            sample_ri_members(sigma, count, rng, anchors)
-    else:
-        expected, _, _ = _one_try_at_a_time(sigma, count, ref_rng, anchors)
-        samples = sample_ri_members(sigma, count, rng, anchors)
-        assert seen[0] > flag_at
-        assert all(np.array_equal(x, y) for x, y in zip(samples, expected))
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+def test_batched_sets_match_is_pairwise(case):
+    first, second = _set_pairs()[case]
+    expected = _pairwise_sets_match(first, second, tol=1e-6)
+    assert solver_module._sets_match(first, second, tol=1e-6) is expected
+    assert expected is (case in ("match", "empty", "duplicates"))
