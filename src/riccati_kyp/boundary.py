@@ -5,7 +5,11 @@ Samples the transfer function on an angle grid, measures the defects
 uniqueness of the inequality member when one of the defects vanishes on the
 grid. These are certificates on a grid, not proofs; for rational transfer
 functions of modest degree the default grid density resolves the defects far
-below tolerance, and doubling the grid is a cheap stability check.
+below tolerance, and doubling the grid is a cheap stability check. The grid
+values come from :func:`riccati_kyp.systems._transfer_grid`: invertibility of
+every grid resolvent ``I - zeta A`` is proved from ``||A||`` when A is a
+strict contraction (``||A|| < 1`` with the kernel's margin), and tested point
+by point otherwise.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .errors import NotMinimal, PoleOnCircle
 from .linops import spectral_norm
 from .riccati import riccati_data
 from .solver import SolverConfig, minimal_solution
-from .systems import SINGULAR_TOL, SystemRealization, adjoint, is_minimal
+from .systems import SystemRealization, _transfer_grid, adjoint, is_minimal
 
 __all__ = [
     "CircleProfile",
@@ -75,15 +79,10 @@ def circle_profile(sigma: SystemRealization, grid_steps: int = 4096) -> CirclePr
 
     angles = 2.0 * np.pi * np.arange(grid_steps) / grid_steps
     zeta = np.exp(1j * angles)
-    n, m, p = sigma.state_dim, sigma.input_dim, sigma.output_dim
-    resolvents = np.eye(n)[None, :, :] - zeta[:, None, None] * sigma.a[None, :, :]
-    svals = np.linalg.svd(resolvents, compute_uv=False)
-    bad = svals[:, -1] <= SINGULAR_TOL * svals[:, 0]
-    if np.any(bad):
-        raise PoleOnCircle(float(angles[int(np.argmax(bad))]))
-    rhs = np.broadcast_to(sigma.b, (grid_steps, n, m))
-    x = np.linalg.solve(resolvents, rhs)
-    values = sigma.d[None, :, :] + zeta[:, None, None] * (sigma.c @ x)
+    m, p = sigma.input_dim, sigma.output_dim
+    values = _transfer_grid(
+        sigma, zeta, singular=lambda lam, k: PoleOnCircle(float(angles[k]))
+    )
 
     vt = values.conj().transpose(0, 2, 1)
     right = np.eye(m)[None, :, :] - vt @ values

@@ -651,8 +651,11 @@ def solve_re_scalar(sigma: SystemRealization, tol: float = 1e-9) -> SolutionSet:
 
 
 def _solution_sort_key(h: np.ndarray):
+    """Order members by trace, then entry-wise. The trace is rounded to 9
+    significant digits, so members whose traces agree in exact arithmetic
+    are ordered by their entries, not by the roundoff of the trace."""
     return (
-        float(np.real(np.trace(h))),
+        float(f"{np.real(np.trace(h)):.8e}"),
         tuple(h.real.ravel()),
         tuple(h.imag.ravel()),
     )
@@ -930,15 +933,24 @@ def _sets_match(
 ) -> bool:
     """Whether each member of ``first`` matches a distinct member of
     ``second`` within ``tol * (1 + ||f||)``, taking the first unused hit in
-    order; all distances are one batched norm over the (k, k) differences."""
+    order.
+
+    Since ``||X||_2 <= ||X||_F <= sqrt(n) ||X||_2``, the Frobenius norm of a
+    difference decides the pair when it is below half the threshold or above
+    twice ``sqrt(n)`` times it (the factor 2 covers roundoff); only the pairs
+    in between take a spectral norm, in one batched call."""
     if len(first) != len(second):
         return False
     if not first:
         return True
     f, g = np.array(first), np.array(second)
-    close = _spectral_norms(f[:, None] - g[None]) <= (
-        tol * (1.0 + _spectral_norms(f))
-    )[:, None]
+    diff = f[:, None] - g[None]
+    limit = np.broadcast_to((tol * (1.0 + _spectral_norms(f)))[:, None], diff.shape[:2])
+    fro = np.linalg.norm(diff, axis=(2, 3))
+    close = fro <= 0.5 * limit
+    unsure = ~close & (fro <= 2.0 * np.sqrt(f.shape[1]) * limit)
+    if np.any(unsure):
+        close[unsure] = _spectral_norms(diff[unsure]) <= limit[unsure]
     unused = list(range(len(second)))
     for row in close.tolist():
         hit = next((j for j in unused if row[j]), None)

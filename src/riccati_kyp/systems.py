@@ -10,6 +10,12 @@ provides the block system matrix, transfer-function evaluation, controllable
 and unobservable subspaces, minimality and passivity checks, a grid bound on
 the transfer-function norm over a sub-disc, the adjoint system, trajectory
 simulation and per-step dissipation margins.
+
+Every transfer-function evaluation, at one point or on a grid of the disc or
+the circle, goes through one kernel, :func:`_transfer_grid`. It proves every
+grid resolvent ``I - lam A`` invertible from ``||A||`` at once when A is a
+strict contraction on the grid radius r (``1 - r||A|| >= 2 SINGULAR_TOL
+(1 + r||A||)``), and tests each point by its singular values otherwise.
 """
 
 from __future__ import annotations
@@ -108,6 +114,37 @@ class TransferSample:
     norm: float
 
 
+def _transfer_grid(
+    sigma: SystemRealization,
+    lams: np.ndarray,
+    singular=lambda lam, k: SingularResolvent(lam),
+) -> np.ndarray:
+    """Transfer values ``D + lam C (I - lam A)^{-1} B`` on a 1-D array of
+    points, as a (k, p, m) stack.
+
+    A resolvent is numerically singular when its smallest singular value is
+    at most ``SINGULAR_TOL`` times its largest; the first such point k raises
+    ``singular(lams[k], k)``. Since ``sigma_min(I - lam A) >= 1 - |lam| ||A||``
+    and ``sigma_max(I - lam A) <= 1 + |lam| ||A||``, one spectral norm proves
+    the whole grid regular when ``1 - r||A|| >= 2 SINGULAR_TOL (1 + r||A||)``
+    for the largest modulus r on the grid; the factor 2 covers the roundoff
+    of the computed singular values, so the screen passes only grids on which
+    the per-point test passes too. Otherwise every point is tested.
+    """
+    n = sigma.state_dim
+    resolvents = np.eye(n)[None, :, :] - lams[:, None, None] * sigma.a[None, :, :]
+    bound = float(np.abs(lams).max()) * spectral_norm(sigma.a)
+    if not 1.0 - bound >= 2.0 * SINGULAR_TOL * (1.0 + bound):
+        svals = np.linalg.svd(resolvents, compute_uv=False)
+        bad = svals[:, -1] <= SINGULAR_TOL * svals[:, 0]
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise singular(complex(lams[k]), k)
+    rhs = np.broadcast_to(sigma.b, (lams.size, n, sigma.input_dim))
+    x = np.linalg.solve(resolvents, rhs)
+    return sigma.d[None, :, :] + lams[:, None, None] * (sigma.c @ x)
+
+
 def transfer_eval(sigma: SystemRealization, lam: complex) -> TransferSample:
     """Evaluate the transfer function at ``lam``.
 
@@ -116,12 +153,7 @@ def transfer_eval(sigma: SystemRealization, lam: complex) -> TransferSample:
     or too close to a pole of the realization.
     """
     lam = complex(lam)
-    n = sigma.state_dim
-    resolvent = np.eye(n) - lam * sigma.a
-    svals = np.linalg.svd(resolvent, compute_uv=False)
-    if svals.size and float(svals[-1]) <= SINGULAR_TOL * float(svals[0]):
-        raise SingularResolvent(lam)
-    value = sigma.d + lam * (sigma.c @ np.linalg.solve(resolvent, sigma.b))
+    value = _transfer_grid(sigma, np.array([lam]))[0]
     return TransferSample(lam=lam, value=value, norm=spectral_norm(value))
 
 
@@ -243,15 +275,7 @@ def schur_class_margin(
         [[0.0 + 0.0j], (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()]
     )
 
-    n = sigma.state_dim
-    resolvents = np.eye(n)[None, :, :] - lams[:, None, None] * sigma.a[None, :, :]
-    svals = np.linalg.svd(resolvents, compute_uv=False)
-    bad = svals[:, -1] <= SINGULAR_TOL * svals[:, 0]
-    if np.any(bad):
-        raise SingularResolvent(complex(lams[int(np.argmax(bad))]))
-    rhs = np.broadcast_to(sigma.b, (lams.size, n, sigma.input_dim))
-    x = np.linalg.solve(resolvents, rhs)
-    values = sigma.d[None, :, :] + lams[:, None, None] * (sigma.c @ x)
+    values = _transfer_grid(sigma, lams)
     norms = np.linalg.svd(values, compute_uv=False)[:, 0]
     return float(norms.max())
 

@@ -68,6 +68,27 @@ def random_realization(
     return sigma
 
 
+def similar_realization(sigma: SystemRealization, t: np.ndarray) -> SystemRealization:
+    """(T A T^-1, T B, C T^-1, D): the same transfer function, and in general
+    a non-passive realization of it."""
+    t = np.asarray(t, dtype=complex)
+    t_inv = np.linalg.inv(t)
+    return SystemRealization(t @ sigma.a @ t_inv, t @ sigma.b, sigma.c @ t_inv, sigma.d)
+
+
+def grid_realization(seed: int, n: int, m: int, p: int, kappa: float) -> SystemRealization:
+    """A random realization with block-matrix norm 0.9, so ||A|| < 1; for
+    ``kappa > 1`` its similarity transform by Q diag(geomspace(1, kappa, n)) Q*
+    with a random unitary Q, whose state operator is in general no
+    contraction."""
+    rng = np.random.default_rng(seed)
+    sigma = random_realization(rng, n, m, p, passive_norm=0.9)
+    if kappa == 1.0:
+        return sigma
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return similar_realization(sigma, q @ np.diag(np.geomspace(1.0, kappa, n)) @ q.conj().T)
+
+
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (g + g.conj().T)
@@ -132,9 +153,7 @@ def blaschke_system(
     for zero in zeros[1:]:
         sigma = cascade(sigma, allpass_section(zero))
     if similarity is not None:
-        t = np.asarray(similarity, dtype=complex)
-        t_inv = np.linalg.inv(t)
-        sigma = SystemRealization(t @ sigma.a @ t_inv, t @ sigma.b, sigma.c @ t_inv, sigma.d)
+        sigma = similar_realization(sigma, similarity)
     return sigma
 
 

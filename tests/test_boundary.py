@@ -3,6 +3,8 @@ cascade family where the member set collapses to one point."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from riccati_kyp import (
     NotMinimal,
@@ -21,7 +23,9 @@ from riccati_kyp import (
     spectral_norm,
     uniqueness_certificate,
 )
-from conftest import blaschke_system, random_similarity
+from riccati_kyp.boundary import POLE_TOL, CircleProfile
+from riccati_kyp.systems import SINGULAR_TOL
+from conftest import blaschke_system, grid_realization, random_similarity
 
 
 @pytest.fixture
@@ -59,11 +63,71 @@ class TestCircleProfile:
         with pytest.raises(PoleOnCircle):
             circle_profile(sigma, grid_steps=64)
 
+    def test_non_normal_resolvent_caught_by_singular_values(self):
+        # eigenvalues 0.5 pass the pole test, but ||A|| = 1e13: only the
+        # per-point singular-value test sees the ill-conditioned resolvent
+        sigma = SystemRealization([[0.5, 1e13], [0.0, 0.5]], [[0.0], [1.0]],
+                                  [[1.0, 0.0]], [[0.0]])
+        with pytest.raises(PoleOnCircle) as caught:
+            circle_profile(sigma)
+        with pytest.raises(PoleOnCircle) as expected:
+            _reference_circle_profile(sigma, 4096)
+        assert caught.value.angle == expected.value.angle == 0.0
+
     def test_grid_refinement_stability(self, scalar_interval_system):
         coarse = circle_profile(scalar_interval_system, grid_steps=2048)
         fine = circle_profile(scalar_interval_system, grid_steps=4096)
         assert abs(coarse.max_defect_right - fine.max_defect_right) <= 1e-6
         assert abs(coarse.max_defect_left - fine.max_defect_left) <= 1e-6
+
+
+def _reference_circle_profile(sigma, grid_steps):
+    """circle_profile with the singular-value test run at every grid point,
+    whatever ||A||: the reference for the kernel's norm screen."""
+    for lam in np.linalg.eigvals(sigma.a):
+        mag = abs(lam)
+        if mag > 0.0 and abs(1.0 / mag - 1.0) < POLE_TOL:
+            raise PoleOnCircle(float(-np.angle(lam)))
+    angles = 2.0 * np.pi * np.arange(grid_steps) / grid_steps
+    zeta = np.exp(1j * angles)
+    n, m, p = sigma.state_dim, sigma.input_dim, sigma.output_dim
+    resolvents = np.eye(n)[None, :, :] - zeta[:, None, None] * sigma.a[None, :, :]
+    svals = np.linalg.svd(resolvents, compute_uv=False)
+    bad = svals[:, -1] <= SINGULAR_TOL * svals[:, 0]
+    if np.any(bad):
+        raise PoleOnCircle(float(angles[int(np.argmax(bad))]))
+    rhs = np.broadcast_to(sigma.b, (grid_steps, n, m))
+    x = np.linalg.solve(resolvents, rhs)
+    values = sigma.d[None, :, :] + zeta[:, None, None] * (sigma.c @ x)
+    vt = values.conj().transpose(0, 2, 1)
+    right = np.eye(m)[None, :, :] - vt @ values
+    left = np.eye(p)[None, :, :] - values @ vt
+    return CircleProfile(
+        angles=angles,
+        values=values,
+        right_defects=np.abs(np.linalg.eigvalsh(right)).max(axis=1),
+        left_defects=np.abs(np.linalg.eigvalsh(left)).max(axis=1),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=4),
+    m=st.integers(min_value=1, max_value=2),
+    p=st.integers(min_value=1, max_value=2),
+    kappa=st.sampled_from([1.0, 1e2, 1e4]),
+    grid_steps=st.integers(min_value=1, max_value=512),
+)
+def test_circle_profile_equals_per_point_reference(seed, n, m, p, kappa, grid_steps):
+    """The norm screen changes no bit: contractive state operators take it,
+    similarity transforms with ||A|| > 1 take the per-point test."""
+    sigma = grid_realization(seed, n, m, p, kappa)
+    assume(kappa == 1.0 or spectral_norm(sigma.a) > 1.0)
+    profile = circle_profile(sigma, grid_steps=grid_steps)
+    expected = _reference_circle_profile(sigma, grid_steps)
+    for field in ("angles", "values", "right_defects", "left_defects"):
+        assert np.array_equal(getattr(profile, field), getattr(expected, field))
 
 
 class TestInnerCoinner:

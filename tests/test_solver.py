@@ -35,6 +35,7 @@ from riccati_kyp import (
     system_matrix,
 )
 from riccati_kyp import solver as solver_module
+from riccati_kyp.linops import _spectral_norms
 from riccati_kyp.pencil import CIRCLE_GAP, _extended_pencil, equality_candidates
 from riccati_kyp.solver import (
     EQUALITY_TOL,
@@ -47,6 +48,7 @@ from riccati_kyp.solver import (
     _newton_equality,
     _newton_multistart,
     _pack_residual,
+    _solution_sort_key,
     _unpack,
 )
 from conftest import (
@@ -494,6 +496,13 @@ class TestOrderSolutions:
         assert solution_set.minimal_index == 0
         assert solution_set.maximal_index == 0
 
+    def test_sort_key_ignores_trace_roundoff(self):
+        # equal traces up to one unit in the last place: the entries decide
+        first = np.diag([1.0, 2.0])
+        second = np.diag([2.0, 1.0 - 2.0**-51])
+        assert np.trace(second) < np.trace(first)
+        assert sorted([second, first], key=_solution_sort_key)[0] is first
+
     def test_incomparable_members_leave_flags_unset(self):
         _, h2, h3, _ = two_state_re_solutions()
         ordered = order_solutions(
@@ -709,6 +718,10 @@ def _set_pairs():
     members = [random_pd(rng, 3) for _ in range(6)]
     shuffled = [members[i] + 1e-9 * np.eye(3) for i in (3, 0, 5, 1, 4, 2)]
     near = members[0] + 1e-7 * np.eye(3)
+    # rank-one steps at 0.99 and 1.01 times the threshold: their Frobenius
+    # norm falls between the screen's cuts, so a spectral norm decides them
+    u = np.ones((3, 1)) / np.sqrt(3.0)
+    step = 1e-6 * (1.0 + spectral_norm(members[0])) * (u @ u.T)
     return {
         "match": (members, shuffled),
         "empty": ([], []),
@@ -717,14 +730,27 @@ def _set_pairs():
         # greedy first hit: the close pair is taken by the first member
         "greedy": ([near, members[0]], [members[0], 2.0 * members[0]]),
         "duplicates": ([members[0], members[0]], [members[0], near]),
+        "inside": (members[:2], [members[0] + 0.99 * step, members[1]]),
+        "outside": (members[:2], [members[0] + 1.01 * step, members[1]]),
     }
 
 
 @pytest.mark.parametrize(
-    "case", ["match", "empty", "lengths", "one-off", "greedy", "duplicates"]
+    "case",
+    ["match", "empty", "lengths", "one-off", "greedy", "duplicates", "inside", "outside"],
 )
-def test_batched_sets_match_is_pairwise(case):
+def test_batched_sets_match_is_pairwise(case, monkeypatch):
     first, second = _set_pairs()[case]
     expected = _pairwise_sets_match(first, second, tol=1e-6)
+    stacks = []
+
+    def recording(a):
+        stacks.append(a.shape[0])
+        return _spectral_norms(a)
+
+    monkeypatch.setattr(solver_module, "_spectral_norms", recording)
     assert solver_module._sets_match(first, second, tol=1e-6) is expected
-    assert expected is (case in ("match", "empty", "duplicates"))
+    assert expected is (case in ("match", "empty", "duplicates", "inside"))
+    # the member norms take one call; only the near pairs take a second one
+    near = case in ("inside", "outside")
+    assert stacks == ([] if case in ("empty", "lengths") else [len(first)] + [1] * near)

@@ -4,6 +4,8 @@ dissipation margins."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from riccati_kyp import (
     DimensionMismatch,
@@ -22,7 +24,8 @@ from riccati_kyp import (
     transfer_eval,
     unobservable_subspace,
 )
-from conftest import random_realization
+from riccati_kyp.systems import SINGULAR_TOL
+from conftest import grid_realization, random_realization
 
 
 class TestSystemMatrix:
@@ -200,6 +203,56 @@ class TestSchurMargin:
         sigma = SystemRealization(0.0, 1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             schur_class_margin(sigma, radius=1.0)
+
+    def test_non_normal_resolvent_caught_by_singular_values(self):
+        # eigenvalues 0.5, far from every grid point, but ||A|| = 1e13: only
+        # the per-point singular-value test sees the ill-conditioned resolvent
+        sigma = SystemRealization([[0.5, 1e13], [0.0, 0.5]], [[0.0], [1.0]],
+                                  [[1.0, 0.0]], [[0.0]])
+        with pytest.raises(SingularResolvent) as caught:
+            schur_class_margin(sigma)
+        with pytest.raises(SingularResolvent) as expected:
+            _reference_schur_class_margin(sigma, 48, 0.999)
+        assert caught.value.lam == expected.value.lam == 0.999 / 48
+
+
+def _reference_schur_class_margin(sigma, grid_steps, radius):
+    """schur_class_margin with the singular-value test run at every grid
+    point, whatever ||A||: the reference for the kernel's norm screen."""
+    radii = np.linspace(radius / grid_steps, radius, grid_steps)
+    angles = 2.0 * np.pi * np.arange(grid_steps) / grid_steps
+    lams = np.concatenate(
+        [[0.0 + 0.0j], (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()]
+    )
+    n = sigma.state_dim
+    resolvents = np.eye(n)[None, :, :] - lams[:, None, None] * sigma.a[None, :, :]
+    svals = np.linalg.svd(resolvents, compute_uv=False)
+    bad = svals[:, -1] <= SINGULAR_TOL * svals[:, 0]
+    if np.any(bad):
+        raise SingularResolvent(complex(lams[int(np.argmax(bad))]))
+    rhs = np.broadcast_to(sigma.b, (lams.size, n, sigma.input_dim))
+    x = np.linalg.solve(resolvents, rhs)
+    values = sigma.d[None, :, :] + lams[:, None, None] * (sigma.c @ x)
+    return float(np.linalg.svd(values, compute_uv=False)[:, 0].max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=4),
+    m=st.integers(min_value=1, max_value=2),
+    p=st.integers(min_value=1, max_value=2),
+    kappa=st.sampled_from([1.0, 1e2, 1e4]),
+    grid_steps=st.integers(min_value=1, max_value=24),
+    radius=st.floats(min_value=0.05, max_value=0.999),
+)
+def test_schur_margin_equals_per_point_reference(seed, n, m, p, kappa, grid_steps, radius):
+    """The norm screen changes no bit: contractive state operators take it,
+    similarity transforms with ||A|| > 1 take the per-point test."""
+    sigma = grid_realization(seed, n, m, p, kappa)
+    assume(kappa == 1.0 or spectral_norm(sigma.a) > 1.0)
+    expected = _reference_schur_class_margin(sigma, grid_steps, radius)
+    assert np.array_equal(schur_class_margin(sigma, grid_steps, radius), expected)
 
 
 class TestSimulate:
