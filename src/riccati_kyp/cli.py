@@ -22,6 +22,7 @@ Input files for `simulate` carry {"x0": [[re, im], ...], "inputs":
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -84,9 +85,15 @@ class SystemDocument:
     c: np.ndarray
     d: np.ndarray
     candidates: dict[str, np.ndarray] = field(default_factory=dict)
+    _sigma: SystemRealization | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def realization(self) -> SystemRealization:
-        return SystemRealization(a=self.a, b=self.b, c=self.c, d=self.d)
+        """The realization, validated and built on the first call only."""
+        if self._sigma is None:
+            self._sigma = SystemRealization(a=self.a, b=self.b, c=self.c, d=self.d)
+        return self._sigma
 
 
 def _decode_entry(obj, where: str) -> complex:
@@ -430,7 +437,10 @@ def run(command: str, doc: SystemDocument, args) -> dict:
     return report
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="riccati-kyp",
         description=(

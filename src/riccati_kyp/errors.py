@@ -119,7 +119,26 @@ class IterationDiverged(RiccatiKypError):
 
 
 class CertificateFailed(RiccatiKypError):
-    """A sampled certificate contradicts the computed extremal solution."""
+    """A computed extremal solution fails its deterministic certificate:
+    equality membership, or a closed-loop spectral radius of at most one.
+    Carries the ``side`` (``"minimal"`` or ``"maximal"``), the closed-loop
+    ``radius`` and the ``equality_residual`` of the rejected candidate."""
+
+    def __init__(
+        self,
+        side: str,
+        radius: float,
+        equality_residual: float,
+        message: str | None = None,
+    ):
+        self.side = side
+        self.radius = float(radius)
+        self.equality_residual = float(equality_residual)
+        super().__init__(
+            message
+            or f"{side} solution fails its certificate (closed-loop radius "
+            f"{self.radius:.6f}, equality residual {self.equality_residual:.3e})"
+        )
 
 
 class ParseError(RiccatiKypError):

@@ -25,7 +25,12 @@ has exactly 2n finite and m infinite eigenvalues, no eigenvalue within
 ``CIRCLE_GAP`` of the unit circle, n distinct inside eigenvalues whose
 partners are all present, and an invertible V1 for every selection. Inner
 and co-inner systems (a singular pencil) and systems whose Popov function
-vanishes on the circle (circle eigenvalues) are not decided.
+vanishes on the circle (circle eigenvalues) are not decided. A lossless
+system's one equality solution comes instead from a Stein equation
+(``riccati_kyp.solver._lossless_solution``), and the rest goes to Newton in
+``solve_re`` and to the fixed-point iteration in ``minimal_solution``.
+Selection ``00...0`` is the candidate that ``minimal_solution`` certifies by
+its closed-loop spectral radius.
 
 ``scipy.linalg`` is imported inside :func:`equality_candidates`, so that
 importing the package, and commands that solve nothing, do not load it.

@@ -1,7 +1,7 @@
 """Solution-set computation for the Riccati equality, extremal storage
 operators, and the adjoint-inversion duality.
 
-:func:`solve_re` is the one dispatch point, with three routes.
+:func:`solve_re` is the one dispatch point, with four routes.
 
 * A system with n = m = p = 1 goes to the closed form of
   :func:`solve_re_scalar`.
@@ -12,10 +12,14 @@ operators, and the adjoint-inversion duality.
   of an eigenvalue from each (lambda, 1/conj(lambda)) pair, and one
   membership-kernel call validates them. The set is labelled ``complete``
   when every selection passes.
-* Any other system (inner or co-inner, a Popov function that vanishes on
-  the circle, non-minimal) goes to multi-start Newton on the augmented
-  feedback form: H satisfies the equality conditions exactly when there is a
-  K with
+* A minimal lossless system (inner or co-inner), whose pencil is singular,
+  goes to the Stein equation ``X = A* X A + C* C`` of the system or of its
+  adjoint (see :func:`_lossless_solution`): its inequality set is one point,
+  the set holds that point and is ``complete`` when it passes membership.
+* Any other system (a Popov function that vanishes on the circle, delta
+  singular at an extremal solution, non-minimal) goes to multi-start Newton
+  on the augmented feedback form: H satisfies the equality conditions
+  exactly when there is a K with
 
       beta(H) = delta(H) K      and      alpha(H) = K* delta(H) K,
 
@@ -28,14 +32,13 @@ operators, and the adjoint-inversion duality.
   map over the stacks of unit H and K directions, not a loop over them.
 
 Every set is ordered deterministically and records its ``route``; only the
-pencil route can label a set complete.
+pencil and lossless routes, which are exhaustive, label a set complete.
 
 Loops over candidates go through the stacked membership kernel of
 :mod:`riccati_kyp.riccati` with one call per batch: the pencil selections,
 the converged Newton points, the inverses of the duality samples, and the
-points of the sampler's chain. The certificates compare against all their
-samples, and :func:`order_solutions` compares all member pairs, in one
-batched Loewner comparison each.
+points of the sampler's chain. :func:`order_solutions` compares all member
+pairs in one batched Loewner comparison.
 
 Inequality members are sampled by hit-and-run over the KYP LMI
 ``L(H) = [[alpha, -beta*], [-beta, delta]] >= 0``, which is affine in H, so
@@ -47,13 +50,19 @@ the LMI has no such point (the transfer function reaches norm 1 on the
 circle, as for inner and co-inner systems), the samples are copies of the
 anchors' mean.
 
-The minimal storage operator is computed by the monotone fixed-point
-iteration H <- A* H A + C* C + beta(H)* pinv(delta(H)) beta(H) started from
-zero, Newton-polished, and certified against sampled inequality members.
-The maximal one is the inverse of the adjoint system's minimal one.
-:func:`duality_check` runs the inversion checks on samples anchored at the
-extremal pair and on both equality sets. The three share a caller's optional
-``solved`` list, so each equality set and each minimal solution is computed once.
+The minimal storage operator comes from one exact O(n**3) route per kind of
+system: the pencil's selection of the eigenvalues inside the disc, the Stein
+solution of a lossless system, and for anything else the monotone
+fixed-point iteration H <- A* H A + C* C + beta(H)* pinv(delta(H)) beta(H)
+from zero, Newton-polished. It is certified deterministically (Lancaster &
+Rodman, *Algebraic Riccati Equations*, 1995): it must be an equality member,
+and its closed loop ``A + B pinv(delta) beta`` must have spectral radius at
+most ``1 + EQUALITY_TOL``; sampling plays no part in it. The maximal one is
+the inverse of the adjoint system's minimal one. :func:`duality_check` runs
+the inversion checks on samples anchored at the extremal pair and on both
+equality sets, an independent cross-check. The three share a caller's
+optional ``solved`` list, so each equality set and each minimal solution is
+computed once.
 """
 
 from __future__ import annotations
@@ -80,7 +89,6 @@ from .linops import (
     _loewner_stack,
     _pinv_kept,
     _spectral_norms,
-    ensure_hermitian,
     hermitian_part,
     spectral_norm,
 )
@@ -122,8 +130,6 @@ NEWTON_TOL = 1e-12  # augmented Newton: relative residual that converges
 MAX_ITER = 60
 DEDUP_TOL = 1e-7  # relative distance at which two Newton solutions are one
 EQUALITY_TOL = 1e-8  # equality tolerance of membership tests on solver output
-CERTIFICATE_SAMPLES = 40  # sampled inequality members per extremal certificate
-CERTIFICATE_RE_DIM_CAP = 3  # up to this n, certificates also use the equality set
 SCHUR_RADIUS = 0.95  # disc radius and grid of the early transfer-norm check
 SCHUR_GRID = 24
 PHASE_ONE_STEPS = 200  # sampler: phase-I Newton steps before the LMI counts as thin
@@ -146,14 +152,16 @@ class SolutionSet:
     ``comparisons`` maps index pairs (i, j), i < j, to Loewner verdicts.
     ``minimal_index``/``maximal_index`` are set when one member is below /
     above every other member. ``provenance`` records, per member, the solver
-    route (``pencil(selection=...)``, ``newton(start=...)`` or
-    ``scalar-closed-form``), the final residual norm, and the iteration
-    count. ``route`` is the :func:`solve_re` route: ``scalar-closed-form``,
-    ``pencil`` or ``newton-multistart``.
+    route (``pencil(selection=...)``, ``lossless(inner)``,
+    ``lossless(co-inner)``, ``newton(start=...)`` or ``scalar-closed-form``),
+    the final residual norm, and the iteration count. ``route`` is the
+    :func:`solve_re` route: ``scalar-closed-form``, ``pencil``, ``lossless``
+    or ``newton-multistart``.
 
-    ``complete`` is True only when the set is the whole equality set: the
-    pencil decided the system and every one of its 2**n selections passed
-    membership. Any other set is what was found, labelled incomplete.
+    ``complete`` is True only when the set is the whole equality set and
+    every candidate of an exhaustive route passed membership: the 2**n
+    selections of a decided pencil, or the one inequality member of a
+    lossless system. Any other set is what was found, labelled incomplete.
     """
 
     members: list[StorageOperator] = field(default_factory=list)
@@ -343,7 +351,7 @@ def _fixed_point_solve(sigma: SystemRealization):
     )
 
 
-# -- sampling and certificates ------------------------------------------------
+# -- sampling -----------------------------------------------------------------
 
 
 def _random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -522,54 +530,10 @@ def _once(solved: list | None, kind: str, sigma: SystemRealization, config: Solv
     if kind == "solve_re":
         result = solve_re(sigma, config)
     else:
-        result = _certified_minimal(sigma, config, solved)
+        result = _certified_minimal(sigma, config)
     if solved is not None:
         solved.append((kind, sigma, result))
     return result
-
-
-def _certify_extremal(
-    sigma: SystemRealization,
-    candidate: np.ndarray,
-    side: str,
-    config: SolverConfig,
-    solved: list | None,
-) -> None:
-    """Check the candidate against sampled inequality members and, up to the
-    dimension cap, the equality set (see :func:`_once`); raise
-    CertificateFailed on any violation."""
-    with_re = sigma.state_dim <= CERTIFICATE_RE_DIM_CAP
-    if with_re:
-        re_set = _once(solved, "solve_re", sigma, config)
-    rng = np.random.default_rng(config.seed + (1 if side == "minimal" else 2))
-    samples = sample_ri_members(
-        sigma,
-        CERTIFICATE_SAMPLES,
-        rng,
-        anchors=[candidate],
-        tol=config.membership_tol,
-    )
-    if with_re:
-        samples = samples + [m.matrix for m in re_set.members]
-    if not samples:
-        return
-    cmp_tol = 100.0 * config.membership_tol * max(1.0, spectral_norm(candidate))
-    wanted = (
-        (Loewner.LESS_EQUAL, Loewner.EQUAL)
-        if side == "minimal"
-        else (Loewner.GREATER_EQUAL, Loewner.EQUAL)
-    )
-    verdicts = _loewner_stack(
-        ensure_hermitian(candidate),
-        np.array([ensure_hermitian(sample) for sample in samples]),
-        cmp_tol,
-    )
-    for idx, verdict in enumerate(verdicts):
-        if verdict not in wanted:
-            raise CertificateFailed(
-                f"sampled inequality member {idx} is not on the "
-                f"{side}-certified side (got {verdict.value})"
-            )
 
 
 # -- public solvers -----------------------------------------------------------
@@ -671,16 +635,19 @@ def solve_re(
     :func:`riccati_kyp.pencil.equality_candidates`) takes the pencil route:
     its 2**n selections are validated by one membership-kernel call, distinct
     selections being distinct solutions, and the set is ``complete`` when
-    all of them pass. Any other system goes to multi-start Newton on the
+    all of them pass. A minimal lossless system (inner or co-inner, see
+    :func:`_lossless_solution`) takes the ``lossless`` route: its inequality
+    set is one point, the set holds that point and is ``complete`` when it
+    passes membership. Any other system goes to multi-start Newton on the
     augmented system. Its starts combine the fixed-point limit (the minimal
     candidate), the inverse of the adjoint's fixed-point limit (the maximal
     candidate), scaled identities, and seeded random Hermitian perturbations
     between the two extremal candidates; converged points are
     membership-validated and deduplicated at ``DEDUP_TOL * (1 + |trace|)``.
     Members are sorted by trace and then lexicographically by entries, so
-    output order is independent of scheduling. Only the pencil route labels
-    a set complete; the others return what they found. Every route
-    validates at ``config.membership_tol`` and ``EQUALITY_TOL``.
+    output order is independent of scheduling. The Newton and closed-form
+    routes return what they found and never label a set complete. Every
+    route validates at ``config.membership_tol`` and ``EQUALITY_TOL``.
     """
     cfg = config or SolverConfig()
     n = sigma.state_dim
@@ -696,17 +663,31 @@ def solve_re(
         )
     if n == sigma.input_dim == sigma.output_dim == 1:
         return solve_re_scalar(sigma, tol=cfg.membership_tol)
-    found = equality_candidates(sigma) if minimal else None
-    if found is None:
+    if not minimal:
         return _newton_multistart(sigma, cfg)
-    return _pencil_set(sigma, cfg, *found)
+    found = equality_candidates(sigma)
+    if found is not None:
+        stack, labels = found
+        return _validated_set(
+            sigma, cfg, stack, [f"pencil(selection={s})" for s in labels], "pencil"
+        )
+    lossless = _lossless_solution(sigma)
+    if lossless is not None:
+        kind, h, _, _ = lossless
+        return _validated_set(sigma, cfg, h[None], [f"lossless({kind})"], "lossless")
+    return _newton_multistart(sigma, cfg)
 
 
-def _pencil_set(
-    sigma: SystemRealization, cfg: SolverConfig, stack: np.ndarray, labels: list[str]
+def _validated_set(
+    sigma: SystemRealization,
+    cfg: SolverConfig,
+    stack: np.ndarray,
+    labels: list[str],
+    route: str,
 ) -> SolutionSet:
-    """The pencil route of :func:`solve_re`: the candidates of every
-    selection, validated by one membership-kernel call."""
+    """The pencil and lossless routes of :func:`solve_re`: every candidate
+    of an exhaustive stack, validated by one membership-kernel call; the set
+    is complete when all of them pass. ``labels`` are the provenance routes."""
     verdicts = _membership_stack(
         sigma, stack, tol=cfg.membership_tol, eq_tol=EQUALITY_TOL
     )
@@ -722,13 +703,57 @@ def _pencil_set(
         SolutionSet(
             members=[as_storage(h) for h, _, _ in validated],
             provenance=[
-                {"route": f"pencil(selection={label})", "residual": res, "iterations": 0}
+                {"route": label, "residual": res, "iterations": 0}
                 for _, res, label in validated
             ],
-            route="pencil",
+            route=route,
             complete=len(validated) == len(stack),
         )
     )
+
+
+def _hermitian_inverse(h: np.ndarray) -> np.ndarray:
+    """The inverse of a Hermitian matrix, or of each on a stack, through its
+    eigendecomposition, so that it is Hermitian to the last bit."""
+    w, v = np.linalg.eigh(h)
+    return hermitian_part((v / w[..., None, :]) @ v.conj().swapaxes(-1, -2))
+
+
+def _lossless_solution(
+    sigma: SystemRealization,
+) -> tuple[str, np.ndarray, SystemRealization, np.ndarray] | None:
+    """``("inner", X, sigma, X)`` or ``("co-inner", W^-1, adjoint, W)`` for a
+    lossless system, else None: the kind, the one inequality member, and the
+    system whose Stein equation was solved with its solution.
+
+    X solves the Stein equation ``X = A* X A + C* C``. The system is inner
+    when ``beta(X) = D* C + B* X A`` and ``delta(X) = I - D* D - B* X B``
+    vanish; then alpha(X) vanishes too, the KYP LMI is zero at X, and X is
+    the one inequality member (Arlinskii 2008). Otherwise the same test runs
+    on the adjoint, whose Stein solution is ``W = A W A* + B B*``: the system
+    is co-inner when ``C W A* + D B* = 0`` and ``C W C* + D D* = I``, and
+    then its one inequality member is ``W^-1``. Each identity holds when its
+    residual is within ``EQUALITY_TOL`` of zero relative to ``max(1, ||X||)``.
+    Both Stein equations are solved by
+    ``scipy.linalg.solve_discrete_lyapunov``; a lossless system has a
+    singular pencil, so :func:`~riccati_kyp.pencil.equality_candidates`
+    leaves it here.
+    """
+    import scipy.linalg
+
+    for kind, system in (("inner", sigma), ("co-inner", adjoint(sigma))):
+        a, c = system.a, system.c
+        try:
+            x = hermitian_part(
+                scipy.linalg.solve_discrete_lyapunov(a.conj().T, c.conj().T @ c)
+            )
+        except np.linalg.LinAlgError:  # A has eigenvalues with lambda mu* = 1
+            return None
+        _, beta, delta = _residual_ops(system, x)
+        bound = EQUALITY_TOL * max(1.0, spectral_norm(x))
+        if max(spectral_norm(beta), spectral_norm(delta)) <= bound:
+            return kind, x if kind == "inner" else _hermitian_inverse(x), system, x
+    return None
 
 
 def _newton_multistart(sigma: SystemRealization, cfg: SolverConfig) -> SolutionSet:
@@ -843,52 +868,96 @@ def minimal_solution(
 ) -> StorageOperator:
     """The least storage operator among the inequality members.
 
-    Runs the monotone fixed-point iteration from zero, Newton-polishes the
-    limit, verifies equality membership (the minimal member always satisfies
-    the equality), and certifies minimality against hit-and-run sampled
-    inequality members plus, for small dimensions, the full equality solution
-    set. The iteration's convergence to the least member is an empirical
-    claim validated by these certificates; CertificateFailed means a genuine
-    violation was observed, not a tolerance hiccup.
+    One exact O(n**3) route per kind of system gives the candidate:
+
+    * a decided pencil (every strictly passive minimal system): the
+      selection of the eigenvalues inside the disc, ``00...0`` of
+      :func:`~riccati_kyp.pencil.equality_candidates`;
+    * a lossless system (inner or co-inner, singular pencil): the one
+      inequality member, from a Stein equation (:func:`_lossless_solution`);
+    * anything else (delta singular at an extremal solution, eigenvalues on
+      the circle): the monotone fixed-point iteration from zero, polished by
+      Newton.
+
+    The candidate is certified deterministically (Lancaster & Rodman,
+    *Algebraic Riccati Equations*, 1995): it must be an equality member, and
+    its closed loop ``A + B pinv(delta) beta`` must have spectral radius at
+    most ``1 + EQUALITY_TOL`` (see :func:`_certified`). CertificateFailed
+    means one of the two failed.
 
     ``solved`` is an optional list of equality sets and certified minimal
     solutions computed with the same config (see :func:`_once`). The result
-    is taken from it, or computed and added, and so is the certificate's
-    equality set: a caller computing several extremal objects of one system
-    solves each set and certifies each minimal solution once.
+    is taken from it, or computed and added: a caller computing several
+    extremal objects of one system certifies each minimal solution once.
     """
     return _once(solved, "minimal", sigma, config or SolverConfig())
 
 
-def _certified_minimal(
-    sigma: SystemRealization, cfg: SolverConfig, solved: list | None
+def _closed_loop_radius(sigma: SystemRealization, h: np.ndarray, tol: float) -> float:
+    """Spectral radius of the closed loop ``A + B pinv(delta(H)) beta(H)``.
+
+    The pseudo-inverse keeps the eigenvalues of delta above the membership
+    band ``tol * max(1, ||L(H)||)``, so a delta that vanishes in exact
+    arithmetic (an inner system) gives the open loop A, not a gain made of
+    roundoff."""
+    alpha, beta, delta = _residual_ops(sigma, h)
+    band = tol * max(1.0, spectral_norm(_lmi(alpha, beta, delta)))
+    w, v = np.linalg.eigh(delta)
+    gain = _pinv_kept(w, v, w > band) @ beta
+    return float(np.abs(np.linalg.eigvals(sigma.a + sigma.b @ gain)).max())
+
+
+def _certified(
+    sigma: SystemRealization,
+    h: np.ndarray,
+    cfg: SolverConfig,
+    loop: tuple[SystemRealization, np.ndarray] | None = None,
 ) -> StorageOperator:
-    """The computation behind :func:`minimal_solution`, without the lookup."""
-    if not is_minimal(sigma):
-        raise NotMinimal("extremal solutions require a minimal system")
-    _require_schur(sigma)
+    """``h`` as the minimal solution, once it is an equality member at
+    ``cfg.membership_tol`` and ``EQUALITY_TOL`` and its closed-loop radius is
+    at most ``1 + EQUALITY_TOL``; CertificateFailed otherwise. Of the 2**n
+    selections of a decided pencil only the minimal one has a closed loop in
+    the closed disc (on the two-state example: radius 0.866 at H_min, 1.155
+    at the other three).
 
-    h_fp = _fixed_point_solve(sigma)
-    h, _, _, ok = _newton_equality(sigma, h_fp, tol=NEWTON_TOL, max_iter=MAX_ITER)
-    if not ok:
-        h = h_fp
-
+    The loop is that of ``sigma`` at ``h`` unless ``loop`` gives another
+    (system, weight) pair. The lossless route passes its Stein system and
+    solution, where delta vanishes and the loop is the open loop. For a
+    co-inner system with m > p, delta(H) at the one member has a kernel of
+    dimension p, the gain is not unique there, and the pseudo-inverse gain
+    can give a loop of radius above one; the kernel of the LMI at H is
+    swept by the adjoint's dynamics, whose delta vanishes at H^-1."""
+    radius = _closed_loop_radius(*(loop or (sigma, h)), cfg.membership_tol)
     try:
         storage = as_storage(h)
     except NotPD as exc:
         raise CertificateFailed(
-            "fixed-point limit is not positive definite"
+            "minimal",
+            radius,
+            re_residual_norm(sigma, h),
+            f"minimal solution candidate is not positive definite ({exc})",
         ) from exc
-    verdict = membership(
-        sigma, storage, tol=cfg.membership_tol, eq_tol=EQUALITY_TOL
-    )
-    if not verdict.in_re:
-        raise CertificateFailed(
-            f"fixed-point limit is not an equality solution "
-            f"(equality residual {verdict.diagnostics.equality_residual:.3e})"
-        )
-    _certify_extremal(sigma, storage.matrix, "minimal", cfg, solved)
+    verdict = membership(sigma, storage, tol=cfg.membership_tol, eq_tol=EQUALITY_TOL)
+    if not verdict.in_re or radius > 1.0 + EQUALITY_TOL:
+        raise CertificateFailed("minimal", radius, verdict.diagnostics.equality_residual)
     return storage
+
+
+def _certified_minimal(sigma: SystemRealization, cfg: SolverConfig) -> StorageOperator:
+    """The computation behind :func:`minimal_solution`, without the lookup."""
+    if not is_minimal(sigma):
+        raise NotMinimal("extremal solutions require a minimal system")
+    _require_schur(sigma)
+    found = equality_candidates(sigma)
+    if found is not None:
+        return _certified(sigma, found[0][0], cfg)
+    lossless = _lossless_solution(sigma)
+    if lossless is not None:
+        _, h, system, x = lossless
+        return _certified(sigma, h, cfg, loop=(system, x))
+    h_fp = _fixed_point_solve(sigma)
+    h, _, _, ok = _newton_equality(sigma, h_fp, tol=NEWTON_TOL, max_iter=MAX_ITER)
+    return _certified(sigma, h if ok else h_fp, cfg)
 
 
 def maximal_solution(
@@ -899,15 +968,18 @@ def maximal_solution(
     """The greatest storage operator among the inequality members.
 
     By the adjoint-inversion duality this is the inverse of the adjoint
-    system's minimal solution; the result is certified from above against
-    sampled inequality members of the original system. ``solved`` is as in
+    system's minimal solution, whose certificate covers it; a failed one is
+    raised with side ``"maximal"``. ``solved`` is as in
     :func:`minimal_solution` and serves both the system and its adjoint.
     """
     cfg = config or SolverConfig()
-    minimal_adj = minimal_solution(adjoint(sigma), cfg, solved)
-    storage = as_storage(hermitian_part(minimal_adj.inv_sqrt @ minimal_adj.inv_sqrt))
-    _certify_extremal(sigma, storage.matrix, "maximal", cfg, solved)
-    return storage
+    try:
+        minimal_adj = minimal_solution(adjoint(sigma), cfg, solved)
+    except CertificateFailed as exc:
+        raise CertificateFailed(
+            "maximal", exc.radius, exc.equality_residual, f"adjoint system: {exc}"
+        ) from exc
+    return as_storage(hermitian_part(minimal_adj.inv_sqrt @ minimal_adj.inv_sqrt))
 
 
 @dataclass
@@ -994,14 +1066,10 @@ def duality_check(
         tol=cfg.membership_tol,
     )
 
-    def inverse(h: np.ndarray) -> np.ndarray:
-        w, v = np.linalg.eigh(h)
-        return hermitian_part((v / w[..., None, :]) @ v.conj().swapaxes(-1, -2))
-
     samples_ok: list[bool] = []
     if samples:
         for verdict in _membership_stack(
-            adj, inverse(np.array(samples)), tol=cfg.membership_tol
+            adj, _hermitian_inverse(np.array(samples)), tol=cfg.membership_tol
         ):
             if isinstance(verdict, InconsistentRoutes):
                 raise verdict
@@ -1009,7 +1077,7 @@ def duality_check(
 
     re_members = [m.matrix for m in _once(solved, "solve_re", sigma, cfg).members]
     re_adjoint_members = [m.matrix for m in _once(solved, "solve_re", adj, cfg).members]
-    inverted = [inverse(h) for h in re_members]
+    inverted = [_hermitian_inverse(h) for h in re_members]
     equal = _sets_match(inverted, re_adjoint_members, tol=1e-6)
 
     return DualityReport(

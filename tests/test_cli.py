@@ -10,11 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riccati_kyp import DimensionMismatch, ParseError, SystemRealization
+from riccati_kyp import CertificateFailed, DimensionMismatch, ParseError, SystemRealization
+from riccati_kyp import cli as cli_module
 from riccati_kyp import solver as solver_module
 from riccati_kyp.cli import (
     EXIT_CODES,
     SystemDocument,
+    _build_parser,
     document_from_dict,
     main,
     parse_system,
@@ -87,6 +89,21 @@ class TestParsing:
         assert set(doc.candidates) == {"Hre", "Hmid", "Hout"}
         sigma = doc.realization()
         assert sigma.state_dim == 1
+
+    def test_realization_and_parser_are_built_once(self, scalar_doc_path, monkeypatch):
+        doc = parse_system(scalar_doc_path)
+        assert doc.realization() is doc.realization()
+        assert _build_parser() is _build_parser()
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return SystemRealization(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "SystemRealization", counting)
+        argv = ["check", "--system", scalar_doc_path, "--candidate", "Hre", "--no-timings"]
+        assert main(argv) == 0
+        assert len(built) == 1
 
     def test_empty_matrix_rejected(self):
         raw = scalar_interval_doc()
@@ -273,31 +290,33 @@ class TestSharedWork:
         self, doc, reason, realizations, tmp_path, monkeypatch
     ):
         # the uniqueness certificate and the extremes section share one
-        # certified minimal solution per realization (system and adjoint)
+        # certified minimal solution per realization (system and adjoint);
+        # the certificates are deterministic, so the duality check is the
+        # one sampler run
         sampler_calls = []
         certified = []
         real_sampler = solver_module.sample_ri_members
-        real_certify = solver_module._certify_extremal
+        real_certified = solver_module._certified_minimal
 
         def sampler(*args, **kwargs):
             sampler_calls.append(args[0])
             return real_sampler(*args, **kwargs)
 
-        def certify(sigma, candidate, side, config, solved):
-            if side == "minimal":
-                certified.append(repr([getattr(sigma, x).tolist() for x in "abcd"]))
-            return real_certify(sigma, candidate, side, config, solved)
+        def certify(sigma, config):
+            certified.append(repr([getattr(sigma, x).tolist() for x in "abcd"]))
+            return real_certified(sigma, config)
 
         monkeypatch.setattr(solver_module, "sample_ri_members", sampler)
-        monkeypatch.setattr(solver_module, "_certify_extremal", certify)
+        monkeypatch.setattr(solver_module, "_certified_minimal", certify)
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "report.json"
         code = main(["report", "--system", str(path), "--no-timings", "--out", str(out)])
         assert code == 0
-        assert json.loads(out.read_text())["analyze"]["uniqueness"]["reason"] == reason
-        # the minimal certificates, the maximal one and the duality samples
-        assert len(sampler_calls) == realizations + 2
+        report = json.loads(out.read_text())
+        assert report["analyze"]["uniqueness"]["reason"] == reason
+        assert report["solve_re"]["route"] == ("lossless" if realizations == 2 else "scalar-closed-form")
+        assert len(sampler_calls) == 1
         assert len(certified) == len(set(certified)) == realizations
 
 
@@ -404,6 +423,30 @@ class TestExitCodes:
         from riccati_kyp import NotPD
 
         assert code == EXIT_CODES[NotPD]
+
+    def test_forced_unstable_selection_exits_19(self, tmp_path, monkeypatch, capsys):
+        # two_state's h4 (selection 11, closed-loop radius 1.155) fed to the
+        # certificate in place of the stable selection 00
+        real = solver_module.equality_candidates
+
+        def reversed_selections(sigma):
+            stack, labels = real(sigma)
+            return stack[::-1], labels[::-1]
+
+        monkeypatch.setattr(solver_module, "equality_candidates", reversed_selections)
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(two_state_doc()))
+        code = main(["extremes", "--system", str(path), "--no-timings"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == EXIT_CODES[CertificateFailed] == 19
+        assert payload == {
+            "error": {
+                "category": "CertificateFailed",
+                "exit_code": 19,
+                "message": payload["error"]["message"],
+            }
+        }
+        assert "closed-loop radius 1.154701" in payload["error"]["message"]
 
     def test_exit_codes_are_distinct(self):
         codes = list(EXIT_CODES.values())

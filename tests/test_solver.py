@@ -1,6 +1,7 @@
-"""Solver tests: scalar closed form, the symplectic-pencil route, multi-start
-Newton on the augmented system, extremal solutions with certificates,
-inversion duality, ordering, and determinism."""
+"""Solver tests: scalar closed form, the symplectic-pencil and lossless
+routes, multi-start Newton on the augmented system, extremal solutions with
+their deterministic certificates, inversion duality, ordering, and
+determinism."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from riccati_kyp import (
+    CertificateFailed,
     InconsistentRoutes,
     IterationDiverged,
     Loewner,
@@ -35,7 +37,7 @@ from riccati_kyp import (
     system_matrix,
 )
 from riccati_kyp import solver as solver_module
-from riccati_kyp.linops import _spectral_norms
+from riccati_kyp.linops import _loewner_stack, _spectral_norms
 from riccati_kyp.pencil import CIRCLE_GAP, _extended_pencil, equality_candidates
 from riccati_kyp.solver import (
     EQUALITY_TOL,
@@ -58,6 +60,7 @@ from conftest import (
     random_pd,
     random_realization,
     random_similarity,
+    similar_realization,
     two_state_re_solutions,
 )
 
@@ -229,20 +232,25 @@ class TestPencilRoute:
         assert solution_set.maximal_index is None
 
     @pytest.mark.parametrize("case", ["blaschke3", "coisometry"])
-    def test_inner_and_coinner_take_newton(self, case, coisometry_system):
+    def test_inner_and_coinner_take_lossless(self, case, coisometry_system):
         # the pencil of an inner or co-inner system is singular: its
         # eigenvalues are noise, and reading selections off them would
-        # return copies of the one solution
+        # return copies of the one solution; the Stein route finds it
         if case == "blaschke3":
             t = random_similarity(np.random.default_rng(54), 3)
             sigma = blaschke_system(BLASCHKE3_ZEROS, t)
+            expected = np.linalg.inv(t).conj().T @ np.linalg.inv(t)
         else:
             sigma = coisometry_system
+            expected = np.eye(1)
         assert equality_candidates(sigma) is None
         solution_set = solve_re(sigma)
-        assert solution_set.route == "newton-multistart"
-        assert not solution_set.complete
+        assert solution_set.route == "lossless"
+        assert solution_set.complete
         assert len(solution_set) == 1
+        kind = "inner" if case == "blaschke3" else "co-inner"
+        assert solution_set.provenance[0]["route"] == f"lossless({kind})"
+        assert _near(solution_set.members[0].matrix, [expected], tol=1e-12)
 
     def test_circle_eigenvalues_take_newton(self):
         # the two-state example with A scaled by 1.05: the Popov function
@@ -441,6 +449,216 @@ class TestExtremalSolutions:
             minimal_solution(sigma)
 
 
+# -- exact extremes -------------------------------------------------------------
+
+
+def _sampled_violations(sigma, candidate, side, config=SolverConfig()):
+    """The sampled extremality check that once certified every extremal
+    solution, kept here as an independent cross-check: the indices of the
+    samples (40 hit-and-run inequality members anchored at the candidate,
+    and the equality set up to n = 3) that are not on the ``side`` of it."""
+    rng = np.random.default_rng(config.seed + (1 if side == "minimal" else 2))
+    samples = sample_ri_members(
+        sigma, 40, rng, anchors=[candidate], tol=config.membership_tol
+    )
+    if sigma.state_dim <= 3:
+        samples += [m.matrix for m in solve_re(sigma, config).members]
+    if not samples:  # membership refused the candidate (ill-conditioned H)
+        return []
+    cmp_tol = 100.0 * config.membership_tol * max(1.0, spectral_norm(candidate))
+    wanted = (
+        (Loewner.LESS_EQUAL, Loewner.EQUAL)
+        if side == "minimal"
+        else (Loewner.GREATER_EQUAL, Loewner.EQUAL)
+    )
+    verdicts = _loewner_stack(candidate, np.array(samples), cmp_tol)
+    return [i for i, verdict in enumerate(verdicts) if verdict not in wanted]
+
+
+def _rel(got, want) -> float:
+    return spectral_norm(got - want) / spectral_norm(want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=6),
+    m=st.integers(min_value=1, max_value=2),
+    p=st.integers(min_value=1, max_value=2),
+    norm=st.sampled_from([0.5, 0.9, 0.99]),
+)
+def test_extremes_match_the_dare(seed, n, m, p, norm):
+    """On random strictly passive minimal systems the pencil's stable
+    selection is H_min to 1e-12 of scipy's DARE; H_max, the inverse of the
+    adjoint's H_min, is as close as its conditioning allows. The sampled
+    certificate finds no inequality member below H_min or above H_max."""
+    sigma = random_realization(np.random.default_rng(seed), n, m, p, passive_norm=norm)
+    assume(is_minimal(sigma))
+    ref_min, ref_max = dare_extremes(sigma)
+    h_min = minimal_solution(sigma).matrix
+    h_max = maximal_solution(sigma).matrix
+    assert _rel(h_min, ref_min) <= 1e-12
+    assert _rel(h_max, ref_max) <= 1e-12 * np.linalg.cond(ref_max)
+    assert _sampled_violations(sigma, h_min, "minimal") == []
+    assert _sampled_violations(sigma, h_max, "maximal") == []
+
+
+def _bench_zoo(seed: int) -> list[SystemRealization]:
+    """The eight n <= 2 systems of the benchmark's seeded zoo: complex
+    Gaussian realizations with the block matrix scaled to norm 0.9."""
+    rng = np.random.default_rng([seed, 0])
+    systems = []
+    for n in (1, 2):
+        for m, p in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            mats = [
+                (rng.standard_normal(s) + 1j * rng.standard_normal(s)) / np.sqrt(2.0 * n)
+                for s in ((n, n), (n, m), (p, n), (p, m))
+            ]
+            factor = 0.9 / spectral_norm(np.block([mats[:2], mats[2:]]))
+            systems.append(SystemRealization(*(factor * x for x in mats)))
+    return systems
+
+
+@pytest.mark.parametrize("seed", [13, 21, 207, 209, 211])
+def test_zoo_extremes_certify(seed):
+    # the zoo seeds whose zoo_n2_m1_p2 once raised a false CertificateFailed
+    # under the sampled certificate
+    for sigma in _bench_zoo(seed):
+        ref_min, ref_max = dare_extremes(sigma)
+        assert _rel(minimal_solution(sigma).matrix, ref_min) <= 1e-12
+        assert _rel(maximal_solution(sigma).matrix, ref_max) <= 1e-10
+
+
+def _colligation(rng: np.random.Generator, n: int, m: int, p: int) -> SystemRealization:
+    """(A, B, C, D) from the leading (n + p) x (n + m) block of a random
+    unitary matrix: an isometry (inner) when p >= m, a co-isometry
+    (co-inner) when m >= p."""
+    size = n + max(m, p)
+    q, _ = np.linalg.qr(
+        rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    )
+    v = q[: n + p, : n + m]
+    return SystemRealization(v[:n, :n], v[:n, n:], v[n:, :n], v[n:, n:])
+
+
+def _lossless_draw(seed: int):
+    """A random colligation with n = 1..6 and m, p = 1..2 under the random
+    similarity I + 0.3 G, or None when it is not minimal and stable."""
+    rng = np.random.default_rng(seed)
+    n, m, p = int(rng.integers(1, 7)), int(rng.integers(1, 3)), int(rng.integers(1, 3))
+    sigma = similar_realization(_colligation(rng, n, m, p), random_similarity(rng, n))
+    if not is_minimal(sigma) or np.abs(np.linalg.eigvals(sigma.a)).max() >= 1.0 - 1e-6:
+        return None
+    return sigma
+
+
+# the one draw of seeds 0-99 whose exact member the membership kernel
+# refuses (see test_ill_conditioned_lossless_member_is_refused)
+REFUSED_LOSSLESS_SEED = 52
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_lossless_systems_take_the_stein_route(block):
+    """Random inner and co-inner systems are detected, solved exactly, and
+    have H_min = H_max (Arlinskii 2008: RI is one point)."""
+    for seed in range(25 * block, 25 * (block + 1)):
+        sigma = _lossless_draw(seed)
+        if sigma is None:
+            continue
+        m, p = sigma.input_dim, sigma.output_dim
+        kind, member, _, _ = solver_module._lossless_solution(sigma)
+        assert kind == ("inner" if p >= m else "co-inner"), seed
+        if seed == REFUSED_LOSSLESS_SEED:
+            continue
+        solution_set = solve_re(sigma)
+        if sigma.state_dim == m == p == 1:
+            assert solution_set.route == "scalar-closed-form"
+        else:
+            assert solution_set.route == "lossless", seed
+            assert solution_set.complete
+            assert solution_set.provenance[0]["route"] == f"lossless({kind})"
+        assert len(solution_set) == 1
+        h_min = minimal_solution(sigma).matrix
+        h_max = maximal_solution(sigma).matrix
+        assert _rel(h_min, member) <= 1e-12
+        assert _rel(h_max, h_min) <= 1e-9 * np.linalg.cond(h_min), seed
+
+
+def test_ill_conditioned_lossless_member_is_refused():
+    # a co-inner n = 6, m = 2, p = 1 draw with ||X|| = 357 and cond(X) =
+    # 2.3e3: the identity test holds to 2e-13 relative, but delta(X) keeps a
+    # roundoff eigenvalue of 6.6e-13 above the kernel's relative rank cut,
+    # so the forward residual reads 1.5e-5 and membership refuses the exact
+    # member. A backward-error verdict would accept it.
+    sigma = _lossless_draw(REFUSED_LOSSLESS_SEED)
+    assert solver_module._lossless_solution(sigma)[0] == "co-inner"
+    solution_set = solve_re(sigma)
+    assert solution_set.route == "lossless"
+    assert not solution_set.complete and len(solution_set) == 0
+    with pytest.raises(CertificateFailed) as info:
+        minimal_solution(sigma)
+    assert info.value.radius < 1.0
+    assert info.value.equality_residual > 1e-6
+
+
+def test_lossy_systems_never_take_the_stein_route():
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        n, m, p = int(rng.integers(1, 7)), int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        sigma = random_realization(rng, n, m, p, passive_norm=0.999)
+        assert solver_module._lossless_solution(sigma) is None, seed
+
+
+class TestCertificate:
+    def test_only_the_stable_selection_certifies(self, two_state_system):
+        # closed-loop radius sqrt(3)/2 at H_min, 2/sqrt(3) at the other three
+        h1, h2, h3, h4 = two_state_re_solutions()
+        radius = solver_module._closed_loop_radius(two_state_system, h1, 1e-9)
+        assert abs(radius - np.sqrt(3.0) / 2.0) <= 1e-12
+        assert solver_module._certified(two_state_system, h1, SolverConfig())
+        for h in (h2, h3, h4):
+            with pytest.raises(CertificateFailed) as info:
+                solver_module._certified(two_state_system, h, SolverConfig())
+            assert info.value.side == "minimal"
+            assert abs(info.value.radius - 2.0 / np.sqrt(3.0)) <= 1e-12
+            assert info.value.equality_residual <= 1e-12
+
+    @pytest.mark.parametrize("side", ["minimal", "maximal"])
+    def test_a_forced_unstable_selection_fails(self, side, two_state_system, monkeypatch):
+        # selection 11 (H_max, radius 1.155) put where selection 00 belongs
+        real = solver_module.equality_candidates
+
+        def reversed_selections(sigma):
+            stack, labels = real(sigma)
+            return stack[::-1], labels[::-1]
+
+        monkeypatch.setattr(solver_module, "equality_candidates", reversed_selections)
+        solve = minimal_solution if side == "minimal" else maximal_solution
+        with pytest.raises(CertificateFailed) as info:
+            solve(two_state_system)
+        assert info.value.side == side
+        assert info.value.radius > 1.15
+        assert info.value.equality_residual <= 1e-12
+
+    def test_a_non_equality_candidate_fails(self, two_state_system, monkeypatch):
+        monkeypatch.setattr(
+            solver_module,
+            "equality_candidates",
+            lambda sigma: (np.array([1.5 * np.eye(2)]), ["00"]),
+        )
+        with pytest.raises(CertificateFailed) as info:
+            minimal_solution(two_state_system)
+        assert info.value.equality_residual > 0.1
+
+    def test_extremes_sample_nothing(self, two_state_system, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the extremal solutions sampled")
+
+        monkeypatch.setattr(solver_module, "sample_ri_members", no_sampling)
+        minimal_solution(two_state_system)
+        maximal_solution(two_state_system)
+
+
 class TestDuality:
     def test_scalar_equality_sets_differ_under_inversion(self, scalar_interval_system):
         report = duality_check(scalar_interval_system)
@@ -450,8 +668,8 @@ class TestDuality:
         assert abs(report.re_adjoint_members[0][0, 0] - 4.0 / 3.0) <= 1e-10
 
     def test_each_equality_set_solved_once(self, scalar_interval_system, monkeypatch):
-        # the extremal certificates and the duality check share one list of
-        # solved sets: one solve for the system, one for its adjoint
+        # the duality check solves each equality set once: one solve for the
+        # system, one for its adjoint, and none for the extremal solutions
         solved_systems = []
         real_solve_re = solver_module.solve_re
 
@@ -617,7 +835,8 @@ def test_hit_and_run_samples_lie_in_ri(sigma, both, seed):
         assert membership(sigma, h).diagnostics.lmi_min_eig >= 0.0
         assert loewner_compare(h_min, h, tol=tol) in (Loewner.LESS_EQUAL, Loewner.EQUAL)
         assert loewner_compare(h, h_max, tol=tol) in (Loewner.LESS_EQUAL, Loewner.EQUAL)
-        assert membership(adj, np.linalg.inv(h)).in_ri_circ
+        # inverted as duality_check does, Hermitian to the last bit
+        assert membership(adj, solver_module._hermitian_inverse(h)).in_ri_circ
 
 
 def _thin_cases(coisometry_system):
