@@ -17,12 +17,23 @@ Document schema (informal):
 
 Input files for `simulate` carry {"x0": [[re, im], ...], "inputs":
 [[[re, im], ...], ...]}.
+
+Each re and im is a JSON number (not a boolean, string or null, nor an
+integer beyond float range), and the rows of a matrix are non-empty lists
+of one length.
+A matrix, or all candidates of a document at once when they are all
+n x n, is decoded in one step: the rules are checked on the set of
+distinct Python types, then one numpy float conversion gives the pairs.
+Only input that this refuses is walked entry by entry, to raise the
+ParseError or DimensionMismatch that names the first bad entry or
+candidate.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 import time
@@ -103,10 +114,17 @@ def _decode_entry(obj, where: str) -> complex:
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj)
     ):
         raise err.ParseError(f"{where}: entry must be a [re, im] pair, got {obj!r}")
-    return complex(float(obj[0]), float(obj[1]))
+    try:
+        return complex(float(obj[0]), float(obj[1]))
+    except OverflowError:
+        raise err.ParseError(f"{where}: entry is outside the float range") from None
 
 
-def _decode_matrix(obj, where: str) -> np.ndarray:
+def _walk_matrix(obj, where: str) -> np.ndarray:
+    """Decode one matrix entry by entry, raising at the first bad one.
+
+    Only input that `_decode_stack` refuses comes here, so every error names
+    the first offending row or entry in reading order."""
     if not isinstance(obj, list) or not obj:
         raise err.ParseError(f"{where}: expected a non-empty list of rows")
     rows = []
@@ -124,13 +142,63 @@ def _decode_matrix(obj, where: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
+def _types_within(items, types) -> bool:
+    return all(issubclass(t, types) for t in set(map(type, items)))
+
+
+def _decode_stack(mats: list, shape: tuple[int, int] | None = None):
+    """The (k, rows, width) complex stack of the k matrices in ``mats``, or
+    None unless every one obeys the entry rules and all share one shape
+    (``shape``, when given).
+
+    The rules are those of `_walk_matrix`, checked once per distinct type
+    rather than once per entry: matrices and rows are lists, rows are
+    non-empty and of one length, entries are [re, im] lists or tuples, and
+    each number is an int or float but not a bool. One float conversion of
+    the flat numbers then gives the pairs, viewed as complex, with the bits
+    of ``complex(float(re), float(im))``. A number beyond float range also
+    gives None.
+    """
+    if not mats or not _types_within(mats, list):
+        return None
+    rows = list(itertools.chain.from_iterable(mats))
+    if not _types_within(rows, list):
+        return None
+    heights, widths = set(map(len, mats)), set(map(len, rows))
+    if len(heights) != 1 or len(widths) != 1 or 0 in widths:
+        return None
+    if shape is not None and (*heights, *widths) != shape:
+        return None
+    entries = list(itertools.chain.from_iterable(rows))
+    if not _types_within(entries, (list, tuple)) or set(map(len, entries)) != {2}:
+        return None
+    numbers = list(itertools.chain.from_iterable(entries))
+    if not all(
+        issubclass(t, (int, float)) and not issubclass(t, bool)
+        for t in set(map(type, numbers))
+    ):
+        return None
+    try:
+        pairs = np.array(numbers, dtype=float)
+    except OverflowError:
+        return None
+    return pairs.view(complex).reshape(len(mats), *heights, *widths)
+
+
+def _decode_matrix(obj, where: str) -> np.ndarray:
+    stack = _decode_stack([obj])
+    return _walk_matrix(obj, where) if stack is None else stack[0]
+
+
+def _encode_pairs(z: np.ndarray) -> list:
+    """A complex array as [re, im] pairs of Python floats, nested like its
+    axes."""
+    z = np.asarray(z, dtype=complex)
+    return np.stack((z.real, z.imag), -1).tolist()
+
+
 def _encode_matrix(a: np.ndarray) -> list:
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
-
-
-def _encode_vector(v: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
+    return _encode_pairs(np.atleast_2d(a))
 
 
 def parse_system(path: str) -> SystemDocument:
@@ -168,14 +236,20 @@ def document_from_dict(raw: dict, origin: str = "<memory>") -> SystemDocument:
     if "candidates" in raw:
         if not isinstance(raw["candidates"], dict):
             raise err.ParseError(f"{origin}: candidates must be an object")
-        for cname, cobj in raw["candidates"].items():
-            mat = _decode_matrix(cobj, f"candidates[{cname!r}]")
-            if mat.shape != (a.shape[0], a.shape[0]):
-                raise err.DimensionMismatch(
-                    f"candidate {cname!r} has shape {mat.shape}, expected "
-                    f"{(a.shape[0], a.shape[0])}"
-                )
-            candidates[cname] = mat
+        square = (a.shape[0], a.shape[0])
+        stack = _decode_stack(list(raw["candidates"].values()), square)
+        if stack is not None:
+            candidates = dict(zip(raw["candidates"], stack))
+        else:
+            # refused: decode one by one so the first bad candidate raises
+            for cname, cobj in raw["candidates"].items():
+                mat = _decode_matrix(cobj, f"candidates[{cname!r}]")
+                if mat.shape != square:
+                    raise err.DimensionMismatch(
+                        f"candidate {cname!r} has shape {mat.shape}, expected "
+                        f"{square}"
+                    )
+                candidates[cname] = mat
     doc = SystemDocument(name=name, a=a, b=b, c=c, d=d, candidates=candidates)
     doc.realization()  # validates dimensions
     return doc
@@ -330,8 +404,8 @@ def _simulate_payload(sigma, doc, args) -> dict:
     trajectory = simulate(sigma, x0, inputs)
     payload = {
         "steps": trajectory.steps,
-        "states": [_encode_vector(x) for x in trajectory.states],
-        "outputs": [_encode_vector(y) for y in trajectory.outputs],
+        "states": _encode_pairs(trajectory.states),
+        "outputs": _encode_pairs(trajectory.outputs),
     }
     if args.candidate:
         h = _candidate_matrix(doc, args.candidate)

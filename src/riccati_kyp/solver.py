@@ -340,11 +340,12 @@ def _fixed_point_solve(sigma: SystemRealization):
         )
         drift = spectral_norm(h_next - h)
         h = h_next
-        if spectral_norm(h) > FP_DIVERGENCE_BOUND:
+        h_norm = spectral_norm(h)
+        if h_norm > FP_DIVERGENCE_BOUND:
             raise IterationDiverged(
                 f"fixed-point iterates exceeded {FP_DIVERGENCE_BOUND:.1e} in norm"
             )
-        if drift <= ITER_TOL * (1.0 + spectral_norm(h)):
+        if drift <= ITER_TOL * (1.0 + h_norm):
             return h
     raise IterationDiverged(
         f"fixed-point iteration did not settle within {FP_MAX_ITER} steps"

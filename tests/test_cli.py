@@ -2,6 +2,7 @@
 and byte-level report reproducibility."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riccati_kyp import CertificateFailed, DimensionMismatch, ParseError, SystemRealization
 from riccati_kyp import cli as cli_module
@@ -155,6 +158,185 @@ class TestParsing:
         for key in ("a", "b", "c", "d"):
             assert np.array_equal(getattr(restored, key), getattr(doc, key))
         assert np.array_equal(restored.candidates["H"], doc.candidates["H"])
+
+    def test_encoding_keeps_every_float_bit(self):
+        z = np.array([[0.0, complex(-0.0, 1.0)], [complex(np.nan, -np.inf), 5e-324 - 2.5j]])
+        per_entry = [[[float(v.real), float(v.imag)] for v in row] for row in z]
+        assert json.dumps(cli_module._encode_matrix(z)) == json.dumps(per_entry)
+        assert json.dumps(cli_module._encode_matrix(z[0])) == json.dumps(per_entry[:1])
+
+
+# -- the decoder against the per-entry walk it replaced --------------------------
+
+
+def _reference_entry(obj, where):
+    if (
+        not isinstance(obj, (list, tuple))
+        or len(obj) != 2
+        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj)
+    ):
+        raise ParseError(f"{where}: entry must be a [re, im] pair, got {obj!r}")
+    return complex(float(obj[0]), float(obj[1]))
+
+
+def _reference_matrix(obj, where):
+    if not isinstance(obj, list) or not obj:
+        raise ParseError(f"{where}: expected a non-empty list of rows")
+    rows = []
+    width = None
+    for i, row in enumerate(obj):
+        if not isinstance(row, list) or not row:
+            raise ParseError(f"{where}[{i}]: expected a non-empty row")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ParseError(f"{where}[{i}]: row length {len(row)} differs from {width}")
+        rows.append([_reference_entry(e, f"{where}[{i}][{j}]") for j, e in enumerate(row)])
+    return np.array(rows, dtype=complex)
+
+
+def _reference_document(raw, origin="<memory>"):
+    """`document_from_dict` as it decoded one entry at a time."""
+    if not isinstance(raw, dict):
+        raise ParseError(f"{origin}: top level must be an object")
+    for key in ("A", "B", "C", "D"):
+        if key not in raw:
+            raise ParseError(f"{origin}: missing required matrix {key!r}")
+    a, b, c, d = (_reference_matrix(raw[key], key) for key in ("A", "B", "C", "D"))
+    name = raw.get("name", "system")
+    if not isinstance(name, str):
+        raise ParseError(f"{origin}: name must be a string")
+    candidates = {}
+    if "candidates" in raw:
+        if not isinstance(raw["candidates"], dict):
+            raise ParseError(f"{origin}: candidates must be an object")
+        for cname, cobj in raw["candidates"].items():
+            mat = _reference_matrix(cobj, f"candidates[{cname!r}]")
+            if mat.shape != (a.shape[0], a.shape[0]):
+                raise DimensionMismatch(
+                    f"candidate {cname!r} has shape {mat.shape}, expected "
+                    f"{(a.shape[0], a.shape[0])}"
+                )
+            candidates[cname] = mat
+    doc = SystemDocument(name=name, a=a, b=b, c=c, d=d, candidates=candidates)
+    doc.realization()
+    return doc
+
+
+_SCALARS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.just(-0.0),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+)
+
+
+@st.composite
+def _documents(draw):
+    """A valid document: n, m, p <= 4, 0-5 candidates, list or tuple entries
+    of ints, floats and np.float64 (NaN only in candidates, since a
+    realization refuses it)."""
+    n, m, p = (draw(st.integers(1, 4)) for _ in range(3))
+
+    def matrix(rows, cols, scalars=_SCALARS):
+        pair = st.tuples(scalars, scalars)
+        row = st.lists(st.one_of(pair, pair.map(list)), min_size=cols, max_size=cols)
+        return draw(st.lists(row, min_size=rows, max_size=rows))
+
+    raw = {"name": "drawn", "A": matrix(n, n), "B": matrix(n, m),
+           "C": matrix(p, n), "D": matrix(p, m)}
+    count = draw(st.integers(0, 5))
+    if count or draw(st.booleans()):
+        scalars = st.one_of(_SCALARS, st.just(math.nan))
+        raw["candidates"] = {f"H{i}": matrix(n, n, scalars) for i in range(count)}
+    return raw
+
+
+_MUTATIONS = (
+    "entry", "scalar", "short", "long", "empty_row", "ragged", "tuple_row",
+    "not_list", "wrong_shape", "candidates_shape", "huge",
+)
+
+
+@st.composite
+def _malformed(draw):
+    """A valid document with one entry, row or matrix broken (or every
+    candidate widened to one wrong shape), and the name of the entry when
+    the break is a number beyond float range."""
+    raw = draw(_documents())
+    slots = [(raw, key, key) for key in ("A", "B", "C", "D")]
+    slots += [
+        (raw["candidates"], name, f"candidates[{name!r}]")
+        for name in raw.get("candidates", {})
+    ]
+    holder, key, where = draw(st.sampled_from(slots))
+    mat = holder[key]
+    i = draw(st.integers(0, len(mat) - 1))
+    j = draw(st.integers(0, len(mat[i]) - 1))
+    kind = draw(st.sampled_from(_MUTATIONS))
+    bad = draw(st.sampled_from([True, False, "1.0", None, {"re": 1.0}]))
+    if kind == "entry":
+        mat[i][j] = bad
+    elif kind == "scalar":
+        entry = list(mat[i][j])
+        entry[draw(st.integers(0, 1))] = bad
+        mat[i][j] = entry
+    elif kind == "short":
+        mat[i][j] = [mat[i][j][0]]
+    elif kind == "long":
+        mat[i][j] = [*mat[i][j], 0.0]
+    elif kind == "empty_row":
+        mat[i] = []
+    elif kind == "ragged":
+        mat[i] = mat[i][:-1] if len(mat[i]) > 1 else [*mat[i], [0.0, 0.0]]
+    elif kind == "tuple_row":
+        mat[i] = tuple(mat[i])
+    elif kind == "not_list":
+        holder[key] = draw(st.sampled_from([tuple(mat), {"rows": mat}, "H", None, 1.0]))
+    elif kind == "wrong_shape":
+        holder[key] = mat[:-1] if len(mat) > 1 else [*mat, mat[0]]
+    elif kind == "candidates_shape":
+        # every candidate n x (n + 1): one shape, but not the state's
+        cands = raw.get("candidates", {})
+        for name in cands:
+            cands[name] = [[*row, [0.0, 0.0]] for row in cands[name]]
+    else:
+        entry = list(mat[i][j])
+        entry[draw(st.integers(0, 1))] = draw(st.sampled_from([10**400, -(10**400)]))
+        mat[i][j] = entry
+        return raw, f"{where}[{i}][{j}]"
+    return raw, None
+
+
+def _outcome(decode, raw):
+    try:
+        doc = decode(raw)
+    except (ParseError, DimensionMismatch, ValueError) as exc:
+        return type(exc), str(exc)
+    arrays = [doc.a, doc.b, doc.c, doc.d, *doc.candidates.values()]
+    return doc.name, list(doc.candidates), [(x.shape, x.dtype, x.tobytes()) for x in arrays]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_documents())
+def test_decoder_matches_the_walk_bit_for_bit(raw):
+    got = _outcome(document_from_dict, raw)
+    assert got[0] == "drawn"
+    assert got == _outcome(_reference_document, raw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_malformed())
+def test_decoder_refuses_as_the_walk_did(case):
+    raw, huge_at = case
+    got = _outcome(document_from_dict, raw)
+    if huge_at is not None:
+        # the walk let float()'s OverflowError escape; it is a ParseError now
+        with pytest.raises(OverflowError):
+            _reference_document(raw)
+        assert got == (ParseError, f"{huge_at}: entry is outside the float range")
+    else:
+        assert got == _outcome(_reference_document, raw)
 
 
 class TestCommands:
@@ -447,6 +629,17 @@ class TestExitCodes:
             }
         }
         assert "closed-loop radius 1.154701" in payload["error"]["message"]
+
+    def test_entry_beyond_float_range_is_parse_error(self, tmp_path, capsys):
+        raw = scalar_interval_doc()
+        raw["B"] = [[[10**400, 0.0]]]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(raw))
+        code = main(["check", "--system", str(path), "--candidate", "Hre", "--no-timings"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == EXIT_CODES[ParseError] == 2
+        assert payload["error"]["category"] == "ParseError"
+        assert payload["error"]["message"] == "B[0][0]: entry is outside the float range"
 
     def test_exit_codes_are_distinct(self):
         codes = list(EXIT_CODES.values())
