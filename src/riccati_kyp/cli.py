@@ -18,9 +18,9 @@ Document schema (informal):
 Input files for `simulate` carry {"x0": [[re, im], ...], "inputs":
 [[[re, im], ...], ...]}.
 
-Each re and im is a JSON number (not a boolean, string or null, nor an
-integer beyond float range), and the rows of a matrix are non-empty lists
-of one length.
+Each re and im is a finite JSON number (not a boolean, string or null, nor
+an integer beyond float range, nor NaN or infinity), and the rows of a
+matrix are non-empty lists of one length.
 A matrix, or all candidates of a document at once when they are all
 n x n, is decoded in one step: the rules are checked on the set of
 distinct Python types, then one numpy float conversion gives the pairs.
@@ -75,7 +75,6 @@ EXIT_CODES: dict[type, int] = {
     err.C3Violation: 12,
     err.InconsistentRoutes: 13,
     err.NotInRI: 14,
-    err.NotScalar: 15,
     err.NotMinimal: 16,
     err.NoConvergence: 17,
     err.IterationDiverged: 18,
@@ -115,9 +114,12 @@ def _decode_entry(obj, where: str) -> complex:
     ):
         raise err.ParseError(f"{where}: entry must be a [re, im] pair, got {obj!r}")
     try:
-        return complex(float(obj[0]), float(obj[1]))
+        z = complex(float(obj[0]), float(obj[1]))
     except OverflowError:
         raise err.ParseError(f"{where}: entry is outside the float range") from None
+    if not np.isfinite(z):
+        raise err.ParseError(f"{where}: entry is not finite")
+    return z
 
 
 def _walk_matrix(obj, where: str) -> np.ndarray:
@@ -156,8 +158,9 @@ def _decode_stack(mats: list, shape: tuple[int, int] | None = None):
     non-empty and of one length, entries are [re, im] lists or tuples, and
     each number is an int or float but not a bool. One float conversion of
     the flat numbers then gives the pairs, viewed as complex, with the bits
-    of ``complex(float(re), float(im))``. A number beyond float range also
-    gives None.
+    of ``complex(float(re), float(im))``. A number beyond float range, and
+    a non-finite one (NaN, or infinity such as JSON's ``1e400``), also gives
+    None.
     """
     if not mats or not _types_within(mats, list):
         return None
@@ -182,6 +185,8 @@ def _decode_stack(mats: list, shape: tuple[int, int] | None = None):
         pairs = np.array(numbers, dtype=float)
     except OverflowError:
         return None
+    if not np.isfinite(pairs).all():
+        return None
     return pairs.view(complex).reshape(len(mats), *heights, *widths)
 
 
@@ -201,22 +206,30 @@ def _encode_matrix(a: np.ndarray) -> list:
     return _encode_pairs(np.atleast_2d(a))
 
 
+def _load_json(path: str, kind: str):
+    """The JSON value in the ``kind`` file at ``path``. ParseError when the
+    file is missing, is not JSON, or holds JSON that Python refuses to read,
+    such as an integer of more than 4300 digits."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError as exc:
+        raise err.ParseError(f"{kind} file not found: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise err.ParseError(
+            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}"
+        ) from exc
+    except ValueError as exc:
+        raise err.ParseError(f"{path}: unreadable JSON ({exc})") from exc
+
+
 def parse_system(path: str) -> SystemDocument:
     """Load and validate a system document.
 
     Raises ParseError for malformed JSON or entries and DimensionMismatch for
     inconsistent shapes.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError as exc:
-        raise err.ParseError(f"system file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise err.ParseError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}"
-        ) from exc
-    return document_from_dict(raw, origin=path)
+    return document_from_dict(_load_json(path, "system"), origin=path)
 
 
 def document_from_dict(raw: dict, origin: str = "<memory>") -> SystemDocument:
@@ -377,15 +390,7 @@ def _extremes_payload(sigma, config, solved: list) -> dict:
 
 
 def _load_inputs(path: str, sigma) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError as exc:
-        raise err.ParseError(f"input file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise err.ParseError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}"
-        ) from exc
+    raw = _load_json(path, "input")
     if not isinstance(raw, dict) or "inputs" not in raw:
         raise err.ParseError(f"{path}: expected an object with an 'inputs' field")
     inputs = _decode_matrix(raw["inputs"], "inputs")

@@ -20,7 +20,6 @@ __all__ = [
     "C3Violation",
     "InconsistentRoutes",
     "NotInRI",
-    "NotScalar",
     "NotMinimal",
     "NoConvergence",
     "IterationDiverged",
@@ -92,11 +91,6 @@ class InconsistentRoutes(RiccatiKypError):
 class NotInRI(RiccatiKypError):
     """The candidate storage operator does not satisfy the inequality
     conditions required by the operation."""
-
-
-class NotScalar(RiccatiKypError):
-    """Operation requires a system with one-dimensional state, input and
-    output spaces."""
 
 
 class NotMinimal(RiccatiKypError):

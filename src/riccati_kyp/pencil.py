@@ -9,21 +9,34 @@ delta(H) is invertible, the discrete algebraic Riccati equation with
     M = [[A, 0, B], [-C*C, I, -C*D], [D*C, 0, D*D - I]]
     N = [[I, 0, 0], [0, A*, 0], [0, -B*, 0]]
 
-of size 2n + m. Its finite spectrum is symmetric under
-lambda -> 1/conj(lambda), and every Hermitian solution is ``X = V2 V1^{-1}``
-for an n-dimensional deflating subspace ``[V1; V2; V3]`` that takes one
-eigenvalue from each (lambda, 1/conj(lambda)) pair (Van Dooren, SIAM J. Sci.
-Stat. Comput. 1981; Lancaster and Rodman, Algebraic Riccati Equations, 1995).
-Taking the eigenvalues inside the disc gives the minimal solution, taking
-those outside gives the maximal one.
+of size 2n + m. Its spectrum is symmetric under lambda -> 1/conj(lambda),
+and every Hermitian solution is ``X = V2 V1^{-1}`` for an n-dimensional
+deflating subspace ``[V1; V2; V3]`` that takes one eigenvalue from each
+(lambda, 1/conj(lambda)) pair (Van Dooren, SIAM J. Sci. Stat. Comput. 1981;
+Lancaster and Rodman, Algebraic Riccati Equations, 1995). Taking the
+eigenvalues inside the disc gives the minimal solution, taking those
+outside gives the maximal one.
+
+The partner of a zero eigenvalue is an infinite one. Since
+``det M = det(D*D - I) det F``, a zero eigenvalue appears exactly when
+``F = A + B (I - D*D)^{-1} D*C`` is singular; the scalar interval example
+has F = 0. An infinite eigenvector has ``N v = 0``, so ``V1 = 0`` there,
+and every solution keeps the zero eigenvalue. Taking every other
+eigenvalue outside then gives the largest equality solution, while the
+maximal inequality member is a point where delta(H) is singular and the
+equality fails (3/4 on the scalar interval example, whose equality set is
+{3/64}).
 
 :func:`equality_candidates` runs one generalized eigenvalue problem and
-returns the 2**n candidates as one stack when the pencil *decides* the
-equality set, and None otherwise. The pencil decides when it is regular
+returns the 2**(n - z) candidates as one stack when the pencil *decides*
+the equality set, and None otherwise. The pencil decides when it is regular
 (no homogeneous eigenvalue pair (alpha, beta) with both parts negligible),
-has exactly 2n finite and m infinite eigenvalues, no eigenvalue within
-``CIRCLE_GAP`` of the unit circle, n distinct inside eigenvalues whose
-partners are all present, and an invertible V1 for every selection. Inner
+has, for some z, exactly 2n - z finite eigenvalues of which z are zero
+(``|alpha|`` negligible against ``|beta|``, the mirror of the test for an
+infinite one) and m + z infinite ones, no eigenvalue within ``CIRCLE_GAP``
+of the unit circle, n distinct inside eigenvalues (zero ones included, so
+z >= 2 does not decide) whose nonzero ones have all their partners
+present, and an invertible V1 for every selection. Inner
 and co-inner systems (a singular pencil) and systems whose Popov function
 vanishes on the circle (circle eigenvalues) are not decided. A lossless
 system's one equality solution comes instead from a Stein equation
@@ -76,15 +89,17 @@ def _extended_pencil(sigma: SystemRealization) -> tuple[np.ndarray, np.ndarray]:
 def _pairs(alpha: np.ndarray, beta: np.ndarray, n: int, scales):
     """Indices ``(inside, outside)`` of the n (lambda, 1/conj(lambda)) pairs,
     inside ordered by real part and then imaginary part of lambda, or None
-    when the pencil does not decide (see the module docstring)."""
+    when the pencil does not decide (see the module docstring). A zero
+    eigenvalue pairs with an infinite one; its outside index is -1."""
     rel_alpha, rel_beta = np.abs(alpha) / scales[0], np.abs(beta) / scales[1]
     if (np.maximum(rel_alpha, rel_beta) <= PENCIL_TOL).any():
         return None  # singular pencil
     finite = rel_beta > PENCIL_TOL * rel_alpha
-    if int(finite.sum()) != 2 * n:  # the other m are infinite
+    zero = rel_alpha <= PENCIL_TOL * rel_beta
+    if int(finite.sum()) != 2 * n - int(zero.sum()):  # the other m + z are infinite
         return None
     index = np.flatnonzero(finite)
-    lam = alpha[index] / beta[index]
+    lam = np.where(zero[index], 0.0, alpha[index] / beta[index])
     radius = np.abs(lam)
     if (np.abs(radius - 1.0) <= CIRCLE_GAP).any():
         return None
@@ -98,24 +113,32 @@ def _pairs(alpha: np.ndarray, beta: np.ndarray, n: int, scales):
         gaps = np.abs(lam_in[:, None] - lam_in[None, :]) + np.eye(n)
         if gaps.min() <= PENCIL_TOL:
             return None
-    target = 1.0 / lam_in.conj()
-    mismatch = np.abs(target[:, None] - lam_out[None, :]) / np.abs(target)[:, None]
-    match = mismatch.argmin(axis=1)
-    if len(set(match.tolist())) != n or (mismatch[range(n), match] > PENCIL_TOL).any():
-        return None
-    return inside, outside[match]
+    paired = ~zero[inside]
+    partner = np.full(n, -1)
+    k = len(lam_out)  # n - z
+    if k:
+        target = 1.0 / lam_in[paired].conj()
+        mismatch = np.abs(target[:, None] - lam_out[None, :]) / np.abs(target)[:, None]
+        match = mismatch.argmin(axis=1)
+        if len(set(match.tolist())) != k or (mismatch[range(k), match] > PENCIL_TOL).any():
+            return None
+        partner[paired] = outside[match]
+    return inside, partner
 
 
 def equality_candidates(
     sigma: SystemRealization,
 ) -> tuple[np.ndarray, list[str]] | None:
-    """The 2**n Hermitian equality solutions of a decided pencil, or None.
+    """The 2**(n - z) Hermitian equality solutions of a decided pencil with
+    z zero eigenvalues, or None.
 
-    Returns a (2**n, n, n) stack ``herm(V2 V1^{-1})``, one per selection of
-    one eigenvalue from each pair, and one label per selection: a string of
-    n digits, digit k ``0`` when pair k (ordered as in :func:`_pairs`) gives
-    its eigenvalue inside the disc and ``1`` when it gives the one outside.
-    Selection ``00...0`` is the minimal solution, ``11...1`` the maximal one.
+    Returns a (2**(n - z), n, n) stack ``herm(V2 V1^{-1})``, one per
+    selection of one eigenvalue from each pair, and one label per selection:
+    a string of n digits, digit k ``0`` when pair k (ordered as in
+    :func:`_pairs`) gives its eigenvalue inside the disc and ``1`` when it
+    gives the one outside. The digit of a pair of a zero and an infinite
+    eigenvalue is always ``0``. Selection ``00...0`` is the minimal
+    solution, and the last selection, every other digit ``1``, the largest.
     The candidates are not validated here.
     """
     import scipy.linalg
@@ -133,7 +156,10 @@ def equality_candidates(
     if pairs is None:
         return None
     inside, outside = pairs
-    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    free = np.flatnonzero(outside >= 0)  # a zero pair keeps its digit at 0
+    k = len(free)
+    bits = np.zeros((2**k, n), dtype=int)
+    bits[:, free] = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
     chosen = vectors[:, np.where(bits == 1, outside, inside)].transpose(1, 0, 2)
     v1, v2 = chosen[:, :n], chosen[:, n : 2 * n]
     try:

@@ -1,17 +1,17 @@
 """Solution-set computation for the Riccati equality, extremal storage
 operators, and the adjoint-inversion duality.
 
-:func:`solve_re` is the one dispatch point, with four routes.
+:func:`solve_re` is the one dispatch point, with three routes for systems
+of every dimension, scalar ones included.
 
-* A system with n = m = p = 1 goes to the closed form of
-  :func:`solve_re_scalar`.
 * A minimal system whose extended symplectic pencil decides the equality
   set (see :mod:`riccati_kyp.pencil`: regular, no eigenvalue near the unit
-  circle, n distinct eigenvalue pairs) goes to the pencil: one generalized
-  eigenvalue problem gives all 2**n Hermitian solutions, one per selection
-  of an eigenvalue from each (lambda, 1/conj(lambda)) pair, and one
-  membership-kernel call validates them. The set is labelled ``complete``
-  when every selection passes.
+  circle, n distinct eigenvalue pairs, a zero eigenvalue paired with an
+  infinite one) goes to the pencil: one generalized eigenvalue problem
+  gives all 2**(n - z) Hermitian solutions, one per selection of an
+  eigenvalue from each (lambda, 1/conj(lambda)) pair with each of the z
+  zero eigenvalues kept, and one membership-kernel call validates them.
+  The set is labelled ``complete`` when every selection passes.
 * A minimal lossless system (inner or co-inner), whose pencil is singular,
   goes to the Stein equation ``X = A* X A + C* C`` of the system or of its
   adjoint (see :func:`_lossless_solution`): its inequality set is one point,
@@ -80,7 +80,6 @@ from .errors import (
     NoConvergence,
     NotMinimal,
     NotPD,
-    NotScalar,
     SingularResolvent,
 )
 from .linops import (
@@ -110,7 +109,6 @@ __all__ = [
     "SolutionSet",
     "DualityReport",
     "re_residual_norm",
-    "solve_re_scalar",
     "solve_re",
     "minimal_solution",
     "maximal_solution",
@@ -153,13 +151,12 @@ class SolutionSet:
     ``minimal_index``/``maximal_index`` are set when one member is below /
     above every other member. ``provenance`` records, per member, the solver
     route (``pencil(selection=...)``, ``lossless(inner)``,
-    ``lossless(co-inner)``, ``newton(start=...)`` or ``scalar-closed-form``),
-    the final residual norm, and the iteration count. ``route`` is the
-    :func:`solve_re` route: ``scalar-closed-form``, ``pencil``, ``lossless``
-    or ``newton-multistart``.
+    ``lossless(co-inner)`` or ``newton(start=...)``), the final residual
+    norm, and the iteration count. ``route`` is the :func:`solve_re` route:
+    ``pencil``, ``lossless`` or ``newton-multistart``.
 
     ``complete`` is True only when the set is the whole equality set and
-    every candidate of an exhaustive route passed membership: the 2**n
+    every candidate of an exhaustive route passed membership: the 2**(n - z)
     selections of a decided pencil, or the one inequality member of a
     lossless system. Any other set is what was found, labelled incomplete.
     """
@@ -540,81 +537,6 @@ def _once(solved: list | None, kind: str, sigma: SystemRealization, config: Solv
 # -- public solvers -----------------------------------------------------------
 
 
-def solve_re_scalar(sigma: SystemRealization, tol: float = 1e-9) -> SolutionSet:
-    """Closed-form equality solutions for one-dimensional systems.
-
-    On the region where delta(h) > 0, clearing the denominator of
-    ``alpha(h) = |beta(h)|^2 / delta(h)`` leaves a real polynomial of degree
-    at most two; its positive roots are screened through the membership test
-    at ``tol`` and ``EQUALITY_TOL``. The boundary point where delta vanishes is
-    examined separately since the cleared polynomial does not decide it.
-    :func:`solve_re` takes this route for every scalar system.
-    """
-    if not (sigma.state_dim == 1 and sigma.input_dim == 1 and sigma.output_dim == 1):
-        raise NotScalar(
-            f"closed form requires scalar dimensions, got "
-            f"(n, m, p) = {(sigma.state_dim, sigma.input_dim, sigma.output_dim)}"
-        )
-    a = complex(sigma.a[0, 0])
-    b = complex(sigma.b[0, 0])
-    c = complex(sigma.c[0, 0])
-    d = complex(sigma.d[0, 0])
-
-    # alpha(h) = a1 h + a0, delta(h) = d1 h + d0, |beta(h)|^2 = q2 h^2 + q1 h + q0
-    a1, a0 = 1.0 - abs(a) ** 2, -abs(c) ** 2
-    d1, d0 = -abs(b) ** 2, 1.0 - abs(d) ** 2
-    beta0 = np.conj(d) * c
-    beta1 = np.conj(b) * a
-    q2 = abs(beta1) ** 2
-    q1 = 2.0 * float(np.real(np.conj(beta0) * beta1))
-    q0 = abs(beta0) ** 2
-
-    coeffs = np.array(
-        [a1 * d1 - q2, a1 * d0 + a0 * d1 - q1, a0 * d0 - q0]
-    )
-    coeff_scale = max(1.0, float(np.abs(coeffs).max()))
-    if float(np.abs(coeffs).max()) <= 1e-14 * coeff_scale:
-        raise ValueError(
-            "the equality degenerates to a continuum of solutions "
-            "(uncontrollable and unobservable scalar system)"
-        )
-
-    candidates: list[float] = []
-    nonzero = np.trim_zeros(coeffs, "f")
-    if nonzero.size > 1:
-        for root in np.roots(nonzero):
-            if abs(root.imag) <= 1e-9 * (1.0 + abs(root.real)) and root.real > 1e-12:
-                candidates.append(float(root.real))
-    if abs(b) > 0:
-        boundary = d0 / abs(b) ** 2  # where delta vanishes
-        if boundary > 1e-12:
-            candidates.append(float(boundary))
-
-    members: list[StorageOperator] = []
-    provenance: list[dict] = []
-    for h in sorted(candidates):
-        if any(abs(h - float(s.matrix[0, 0].real)) <= DEDUP_TOL * (1.0 + h)
-               for s in members):
-            continue
-        try:
-            verdict = membership(sigma, h, tol=tol, eq_tol=EQUALITY_TOL)
-        except NotPD:
-            continue
-        if verdict.in_re:
-            storage = as_storage(h)
-            members.append(storage)
-            provenance.append(
-                {
-                    "route": "scalar-closed-form",
-                    "residual": re_residual_norm(sigma, storage.matrix),
-                    "iterations": 0,
-                }
-            )
-    return order_solutions(
-        SolutionSet(members=members, provenance=provenance, route="scalar-closed-form")
-    )
-
-
 def _solution_sort_key(h: np.ndarray):
     """Order members by trace, then entry-wise. The trace is rounded to 9
     significant digits, so members whose traces agree in exact arithmetic
@@ -631,10 +553,11 @@ def solve_re(
 ) -> SolutionSet:
     """Find equality solutions; the one dispatch between solver routes.
 
-    A scalar system (n = m = p = 1) is solved in closed form by
-    :func:`solve_re_scalar`. A minimal system whose pencil decides (see
+    Systems of every dimension, scalar ones included, take one of three
+    routes. A minimal system whose pencil decides (see
     :func:`riccati_kyp.pencil.equality_candidates`) takes the pencil route:
-    its 2**n selections are validated by one membership-kernel call, distinct
+    its 2**(n - z) selections, z being the number of zero eigenvalues of the
+    pencil, are validated by one membership-kernel call, distinct
     selections being distinct solutions, and the set is ``complete`` when
     all of them pass. A minimal lossless system (inner or co-inner, see
     :func:`_lossless_solution`) takes the ``lossless`` route: its inequality
@@ -646,25 +569,22 @@ def solve_re(
     between the two extremal candidates; converged points are
     membership-validated and deduplicated at ``DEDUP_TOL * (1 + |trace|)``.
     Members are sorted by trace and then lexicographically by entries, so
-    output order is independent of scheduling. The Newton and closed-form
-    routes return what they found and never label a set complete. Every
-    route validates at ``config.membership_tol`` and ``EQUALITY_TOL``.
+    output order is independent of scheduling. The Newton route, which
+    every non-minimal system takes, returns what it found and never labels
+    a set complete. Every route validates at ``config.membership_tol`` and
+    ``EQUALITY_TOL``.
     """
     cfg = config or SolverConfig()
     n = sigma.state_dim
     if n > MAX_DIM:
         raise ValueError(f"state dimension {n} exceeds the solver cap {MAX_DIM}")
-    minimal = bool(is_minimal(sigma))
-    if not minimal:
+    if not is_minimal(sigma):
         warnings.warn(
             "equality solving on a non-minimal system; solution structure "
             "theory assumes minimality",
             RuntimeWarning,
             stacklevel=2,
         )
-    if n == sigma.input_dim == sigma.output_dim == 1:
-        return solve_re_scalar(sigma, tol=cfg.membership_tol)
-    if not minimal:
         return _newton_multistart(sigma, cfg)
     found = equality_candidates(sigma)
     if found is not None:

@@ -32,7 +32,6 @@ from riccati_kyp import (
     sample_ri_members,
     simulate,
     solve_re,
-    solve_re_scalar,
     spectral_norm,
     sqrt_pinv_commute_check,
     uniqueness_certificate,
@@ -65,8 +64,8 @@ def test_criterion_01_scalar_interval_reproduction():
     ok = True
     detail = []
 
-    solution_set = solve_re_scalar(SCALAR_INTERVAL)
-    ok &= len(solution_set) == 1
+    solution_set = solve_re(SCALAR_INTERVAL)
+    ok &= solution_set.complete and len(solution_set) == 1
     ok &= abs(solution_set.members[0].matrix[0, 0] - 3.0 / 64.0) <= 1e-12
     detail.append(f"re={solution_set.members[0].matrix[0, 0].real:.9f}")
 
@@ -87,8 +86,8 @@ def test_criterion_02_scalar_interval_adjoint():
     adj = adjoint(SCALAR_INTERVAL)
     ok = True
 
-    solution_set = solve_re_scalar(adj)
-    ok &= len(solution_set) == 1
+    solution_set = solve_re(adj)
+    ok &= solution_set.complete and len(solution_set) == 1
     ok &= abs(solution_set.members[0].matrix[0, 0] - 4.0 / 3.0) <= 1e-12
 
     h_min = minimal_solution(adj).matrix[0, 0].real

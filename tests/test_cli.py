@@ -13,7 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riccati_kyp import CertificateFailed, DimensionMismatch, ParseError, SystemRealization
+import riccati_kyp
+from riccati_kyp import (
+    CertificateFailed,
+    DimensionMismatch,
+    ParseError,
+    RiccatiKypError,
+    SystemRealization,
+)
 from riccati_kyp import cli as cli_module
 from riccati_kyp import solver as solver_module
 from riccati_kyp.cli import (
@@ -234,12 +241,11 @@ _SCALARS = st.one_of(
 @st.composite
 def _documents(draw):
     """A valid document: n, m, p <= 4, 0-5 candidates, list or tuple entries
-    of ints, floats and np.float64 (NaN only in candidates, since a
-    realization refuses it)."""
+    of finite ints, floats and np.float64."""
     n, m, p = (draw(st.integers(1, 4)) for _ in range(3))
 
-    def matrix(rows, cols, scalars=_SCALARS):
-        pair = st.tuples(scalars, scalars)
+    def matrix(rows, cols):
+        pair = st.tuples(_SCALARS, _SCALARS)
         row = st.lists(st.one_of(pair, pair.map(list)), min_size=cols, max_size=cols)
         return draw(st.lists(row, min_size=rows, max_size=rows))
 
@@ -247,22 +253,22 @@ def _documents(draw):
            "C": matrix(p, n), "D": matrix(p, m)}
     count = draw(st.integers(0, 5))
     if count or draw(st.booleans()):
-        scalars = st.one_of(_SCALARS, st.just(math.nan))
-        raw["candidates"] = {f"H{i}": matrix(n, n, scalars) for i in range(count)}
+        raw["candidates"] = {f"H{i}": matrix(n, n) for i in range(count)}
     return raw
 
 
 _MUTATIONS = (
     "entry", "scalar", "short", "long", "empty_row", "ragged", "tuple_row",
-    "not_list", "wrong_shape", "candidates_shape", "huge",
+    "not_list", "wrong_shape", "candidates_shape", "huge", "nonfinite",
 )
 
 
 @st.composite
 def _malformed(draw):
     """A valid document with one entry, row or matrix broken (or every
-    candidate widened to one wrong shape), and the name of the entry when
-    the break is a number beyond float range."""
+    candidate widened to one wrong shape), and the ParseError message that
+    names the entry when the break is a number beyond float range or a
+    non-finite one."""
     raw = draw(_documents())
     slots = [(raw, key, key) for key in ("A", "B", "C", "D")]
     slots += [
@@ -300,11 +306,16 @@ def _malformed(draw):
         cands = raw.get("candidates", {})
         for name in cands:
             cands[name] = [[*row, [0.0, 0.0]] for row in cands[name]]
-    else:
+    elif kind == "huge":
         entry = list(mat[i][j])
         entry[draw(st.integers(0, 1))] = draw(st.sampled_from([10**400, -(10**400)]))
         mat[i][j] = entry
-        return raw, f"{where}[{i}][{j}]"
+        return raw, f"{where}[{i}][{j}]: entry is outside the float range"
+    else:
+        entry = list(mat[i][j])
+        entry[draw(st.integers(0, 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        mat[i][j] = entry
+        return raw, f"{where}[{i}][{j}]: entry is not finite"
     return raw, None
 
 
@@ -328,13 +339,15 @@ def test_decoder_matches_the_walk_bit_for_bit(raw):
 @settings(max_examples=200, deadline=None)
 @given(_malformed())
 def test_decoder_refuses_as_the_walk_did(case):
-    raw, huge_at = case
+    raw, refusal = case
     got = _outcome(document_from_dict, raw)
-    if huge_at is not None:
-        # the walk let float()'s OverflowError escape; it is a ParseError now
-        with pytest.raises(OverflowError):
-            _reference_document(raw)
-        assert got == (ParseError, f"{huge_at}: entry is outside the float range")
+    if refusal is not None:
+        # the walk let float()'s OverflowError escape and passed non-finite
+        # numbers on; both are a ParseError naming the entry now
+        if refusal.endswith("outside the float range"):
+            with pytest.raises(OverflowError):
+                _reference_document(raw)
+        assert got == (ParseError, refusal)
     else:
         assert got == _outcome(_reference_document, raw)
 
@@ -497,7 +510,7 @@ class TestSharedWork:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["analyze"]["uniqueness"]["reason"] == reason
-        assert report["solve_re"]["route"] == ("lossless" if realizations == 2 else "scalar-closed-form")
+        assert report["solve_re"]["route"] == "lossless"
         assert len(sampler_calls) == 1
         assert len(certified) == len(set(certified)) == realizations
 
@@ -641,10 +654,66 @@ class TestExitCodes:
         assert payload["error"]["category"] == "ParseError"
         assert payload["error"]["message"] == "B[0][0]: entry is outside the float range"
 
+    @pytest.mark.parametrize(
+        "old, new, where",
+        [
+            ('"Hre": [[[0.046875', '"Hre": [[[NaN', "candidates['Hre']"),
+            ('"Hre": [[[0.046875', '"Hre": [[[1e400', "candidates['Hre']"),
+            ('"D": [[[0.5', '"D": [[[1e400', "D"),
+        ],
+        ids=["nan-candidate", "inf-candidate", "inf-d"],
+    )
+    def test_non_finite_entry_is_parse_error(self, old, new, where, tmp_path, capsys):
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(scalar_interval_doc()).replace(old, new))
+        code = main(["check", "--system", str(path), "--candidate", "Hre", "--no-timings"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == EXIT_CODES[ParseError] == 2
+        assert payload["error"]["message"] == f"{where}[0][0]: entry is not finite"
+
+    def test_non_finite_simulate_input_is_parse_error(self, scalar_doc_path, tmp_path, capsys):
+        for where, text in (
+            ("inputs[1][0]", '{"inputs": [[[1.0, 0.0]], [[NaN, 0.0]]]}'),
+            ("x0[0][0]", '{"x0": [[Infinity, 0.0]], "inputs": [[[1.0, 0.0]]]}'),
+        ):
+            path = tmp_path / "inputs.json"
+            path.write_text(text)
+            argv = ["simulate", "--system", scalar_doc_path, "--inputs", str(path)]
+            code = main(argv + ["--no-timings"])
+            payload = json.loads(capsys.readouterr().out)
+            assert code == 2
+            assert payload["error"]["message"] == f"{where}: entry is not finite"
+
+    def test_integer_beyond_json_digit_limit_is_parse_error(
+        self, scalar_doc_path, tmp_path, capsys
+    ):
+        # Python's JSON reader refuses integers of more than 4300 digits
+        digits = "1" * 5001
+        raw = json.dumps(scalar_interval_doc()).replace('"D": [[[0.5', f'"D": [[[{digits}')
+        system = tmp_path / "digits.json"
+        system.write_text(raw)
+        inputs = tmp_path / "inputs.json"
+        inputs.write_text(f'{{"inputs": [[[{digits}, 0.0]]]}}')
+        for argv, path in (
+            (["analyze", "--system", str(system)], system),
+            (["simulate", "--system", scalar_doc_path, "--inputs", str(inputs)], inputs),
+        ):
+            code = main(argv + ["--no-timings"])
+            payload = json.loads(capsys.readouterr().out)
+            assert code == EXIT_CODES[ParseError] == 2
+            assert payload["error"]["message"].startswith(f"{path}: unreadable JSON")
+
     def test_exit_codes_are_distinct(self):
         codes = list(EXIT_CODES.values())
         assert len(codes) == len(set(codes))
         assert 0 not in codes and 1 not in codes
+        # one code per exported error class, so a deleted class leaves no
+        # stale entry
+        exported = {getattr(riccati_kyp, name) for name in riccati_kyp.__all__}
+        errors = {
+            obj for obj in exported if isinstance(obj, type) and issubclass(obj, RiccatiKypError)
+        }
+        assert set(EXIT_CODES) == errors - {RiccatiKypError}
 
 
 class TestReproducibility:

@@ -1,7 +1,7 @@
-"""Solver tests: scalar closed form, the symplectic-pencil and lossless
-routes, multi-start Newton on the augmented system, extremal solutions with
-their deterministic certificates, inversion duality, ordering, and
-determinism."""
+"""Solver tests: scalar systems on the common dispatch, the
+symplectic-pencil and lossless routes, zero pencil eigenvalues, multi-start
+Newton on the augmented system, extremal solutions with their deterministic
+certificates, inversion duality, ordering, and determinism."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from riccati_kyp import (
     Loewner,
     NotMinimal,
     NotPD,
-    NotScalar,
     SolverConfig,
     SystemRealization,
     SolutionSet,
@@ -32,7 +31,6 @@ from riccati_kyp import (
     re_residual_norm,
     sample_ri_members,
     solve_re,
-    solve_re_scalar,
     spectral_norm,
     system_matrix,
 )
@@ -65,41 +63,78 @@ from conftest import (
 )
 
 
-class TestScalarClosedForm:
-    def test_interval_example(self, scalar_interval_system):
-        solution_set = solve_re_scalar(scalar_interval_system)
-        assert len(solution_set) == 1
-        assert abs(solution_set.members[0].matrix[0, 0] - 3.0 / 64.0) <= 1e-12
+# (A, B, C, D), equality set and route of scalar systems
+SCALAR_CASES = {
+    # F = A + B (1 - D*D)^-1 D*C = 0: a zero pencil eigenvalue, paired with
+    # an infinite one, leaves one selection
+    "interval": ((-0.125, 1.0, 0.1875, 0.5), [3.0 / 64.0], "pencil"),
+    "interval-adjoint": ((-0.125, 0.1875, 1.0, 0.5), [4.0 / 3.0], "pencil"),
+    # transfer = lam: inner, delta vanishes at the one member
+    "delay": ((0.0, 1.0, 1.0, 0.0), [1.0], "lossless"),
+    # non-minimal: B = 0, then C = 0 (values solved by hand), and no coupling
+    # with a strictly stable state
+    "uncontrollable": ((0.5, 0.0, 0.5, 0.3), [0.25 / 0.6825], "newton-multistart"),
+    "unobservable": ((0.5, 0.5, 0.0, 0.3), [0.6825 / 0.25], "newton-multistart"),
+    "decoupled-stable": ((0.5, 0.0, 0.0, 0.5), [], "newton-multistart"),
+}
 
-    def test_interval_example_adjoint(self, scalar_interval_system):
-        solution_set = solve_re_scalar(adjoint(scalar_interval_system))
-        assert len(solution_set) == 1
-        assert abs(solution_set.members[0].matrix[0, 0] - 4.0 / 3.0) <= 1e-12
 
-    def test_delay_solution_on_boundary(self):
-        sigma = SystemRealization(0.0, 1.0, 1.0, 0.0)  # transfer = lam
-        solution_set = solve_re_scalar(sigma)
-        assert len(solution_set) == 1
-        h = solution_set.members[0].matrix[0, 0]
-        assert abs(h - 1.0) <= 1e-12
-        from riccati_kyp import riccati_data
+class TestScalarSystems:
+    """Scalar systems take the dispatch of every other system: the pencil,
+    the Stein route of a lossless system, or Newton, which every non-minimal
+    system takes with a RuntimeWarning."""
 
-        assert abs(riccati_data(sigma, 1.0).delta_op[0, 0]) <= 1e-14
+    @pytest.mark.parametrize("case", SCALAR_CASES)
+    def test_solve_re(self, case):
+        abcd, expected, route = SCALAR_CASES[case]
+        sigma = SystemRealization(*abcd)
+        if route == "newton-multistart":
+            with pytest.warns(RuntimeWarning, match="non-minimal"):
+                solution_set = solve_re(sigma)
+        else:
+            solution_set = solve_re(sigma)
+        assert solution_set.route == route
+        assert solution_set.complete == (route != "newton-multistart")
+        got = [member.matrix[0, 0] for member in solution_set.members]
+        assert len(got) == len(expected)
+        for h, target in zip(got, expected):
+            assert abs(h - target) <= 1e-12 * target
+            assert re_residual_norm(sigma, h) <= 1e-12
 
-    def test_rejects_non_scalar(self, two_state_system):
-        with pytest.raises(NotScalar):
-            solve_re_scalar(two_state_system)
-
-    def test_degenerate_continuum_rejected(self):
+    def test_continuum_returns_the_points_found_incomplete(self):
         # with no input or output coupling and a unimodular state operator,
-        # every positive weight satisfies the equality; no finite set exists
+        # every positive weight satisfies the equality: Newton returns the
+        # points it reached, labelled incomplete
         sigma = SystemRealization(1.0, 0.0, 0.0, 0.5)
-        with pytest.raises(ValueError):
-            solve_re_scalar(sigma)
+        with pytest.warns(RuntimeWarning, match="non-minimal"):
+            solution_set = solve_re(sigma)
+        assert solution_set.route == "newton-multistart"
+        assert not solution_set.complete
+        assert len(solution_set) > 1
+        for member in solution_set.members:
+            assert membership(sigma, member.matrix, eq_tol=EQUALITY_TOL).in_re
 
-    def test_decoupled_strictly_stable_state_has_no_solutions(self):
-        sigma = SystemRealization(0.5, 0.0, 0.0, 0.5)
-        assert len(solve_re_scalar(sigma)) == 0
+    def test_interval_extremes_skip_the_fixed_point(
+        self, scalar_interval_system, monkeypatch
+    ):
+        # both extremes of the example and of its adjoint are pencil
+        # selection 0, never the fixed-point iteration
+        calls = []
+        real = solver_module._fixed_point_solve
+
+        def spy(sigma):
+            calls.append(sigma)
+            return real(sigma)
+
+        monkeypatch.setattr(solver_module, "_fixed_point_solve", spy)
+        adj = adjoint(scalar_interval_system)
+        for sigma, low, high in (
+            (scalar_interval_system, 3.0 / 64.0, 0.75),
+            (adj, 4.0 / 3.0, 64.0 / 3.0),
+        ):
+            assert abs(minimal_solution(sigma).matrix[0, 0] - low) <= 1e-12 * low
+            assert abs(maximal_solution(sigma).matrix[0, 0] - high) <= 1e-12 * high
+        assert calls == []
 
 
 class TestSolveRe:
@@ -123,8 +158,8 @@ class TestSolveRe:
         assert solution_set.provenance[3]["route"] == "pencil(selection=11)"
 
     def test_scalar_through_newton_matches_closed_form(self, scalar_interval_system):
-        # solve_re sends scalar systems to the closed form, so the Newton
-        # route is called directly
+        # solve_re takes the pencil here; the Newton route, called
+        # directly, must agree with it
         solution_set = _newton_multistart(scalar_interval_system, SolverConfig())
         assert solution_set.route == "newton-multistart"
         assert len(solution_set) == 1
@@ -135,25 +170,20 @@ class TestSolveRe:
     ):
         seen = []
 
-        def spy(sigma, h, **kwargs):
-            seen.append((kwargs.get("tol"), kwargs.get("eq_tol")))
-            return membership(sigma, h, **kwargs)
+        real = solver_module._membership_stack
 
-        monkeypatch.setattr(solver_module, "membership", spy)
+        def spy(sigma, stack, **kwargs):
+            seen.append((kwargs.get("tol"), kwargs.get("eq_tol")))
+            return real(sigma, stack, **kwargs)
+
+        monkeypatch.setattr(solver_module, "_membership_stack", spy)
         solution_set = solve_re(
             scalar_interval_system, SolverConfig(membership_tol=1e-7)
         )
-        assert solution_set.route == "scalar-closed-form"
+        assert solution_set.route == "pencil"
         assert seen
         assert all(tols == (1e-7, EQUALITY_TOL) for tols in seen)
         assert abs(solution_set.members[0].matrix[0, 0] - 3.0 / 64.0) <= 1e-12
-
-    def test_non_minimal_scalar_warns_on_closed_form_route(self):
-        # B = 0 makes the scalar system uncontrollable
-        sigma = SystemRealization(0.5, 0.0, 0.5, 0.3)
-        with pytest.warns(RuntimeWarning, match="non-minimal"):
-            solution_set = solve_re(sigma)
-        assert solution_set.route == "scalar-closed-form"
 
     def test_unitary_block_matrix_yields_identity_member(self):
         rng = np.random.default_rng(40)
@@ -315,14 +345,12 @@ def test_pencil_set_holds_every_newton_solution(seed, n, m, p, norm):
     stack, labels = found
     assert stack.shape == (2**n, n, n)
     assert len(set(labels)) == 2**n
-    scalar = n == m == p == 1
     solution_set = solve_re(sigma)
-    assert solution_set.route == ("scalar-closed-form" if scalar else "pencil")
+    assert solution_set.route == "pencil"
     members = [member.matrix for member in solution_set.members]
     for h in members:
         assert membership(sigma, h, eq_tol=EQUALITY_TOL).in_re
-    if not scalar:
-        assert solution_set.complete == (len(members) == 2**n)
+    assert solution_set.complete == (len(members) == 2**n)
     if solution_set.complete:
         assert _near(stack[0], [members[solution_set.minimal_index]], tol=1e-12)
         assert _near(stack[-1], [members[solution_set.maximal_index]], tol=1e-12)
@@ -339,6 +367,70 @@ def test_pencil_set_holds_every_newton_solution(seed, n, m, p, norm):
             accepted = False
         if accepted:
             assert _near(h, members)
+
+
+def _zero_eigenvalue_draw(seed, n, m, p, zeros=1):
+    """A random realization with D = 0, block norm 0.9 and a state operator
+    with a ``zeros``-dimensional kernel. F = A + B (I - D*D)^-1 D*C = A is
+    singular, so the pencil has ``zeros`` zero eigenvalues, each paired with
+    an infinite one."""
+    rng = np.random.default_rng(seed)
+    sigma = random_realization(rng, n, m, p)
+    kernel, _ = np.linalg.qr(
+        rng.standard_normal((n, zeros)) + 1j * rng.standard_normal((n, zeros))
+    )
+    a = sigma.a @ (np.eye(n) - kernel @ kernel.conj().T)
+    mats = [a, sigma.b, sigma.c, np.zeros((p, m))]
+    factor = 0.9 / spectral_norm(system_matrix(SystemRealization(*mats)))
+    return SystemRealization(*(factor * mat for mat in mats))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=2, max_value=4),
+    m=st.integers(min_value=1, max_value=2),
+    p=st.integers(min_value=1, max_value=2),
+)
+def test_zero_pencil_eigenvalue_pairs_with_infinity(seed, n, m, p):
+    """With one zero eigenvalue the pencil decides with 2**(n - 1)
+    selections, the zero pair's digit always 0; every member is an equality
+    member, and selection 0...0 is the DARE's stabilizing solution."""
+    sigma = _zero_eigenvalue_draw(seed, n, m, p)
+    assume(is_minimal(sigma))
+    found = equality_candidates(sigma)
+    assert found is not None
+    stack, labels = found
+    assert stack.shape == (2 ** (n - 1), n, n)
+    assert len(set(labels)) == len(labels)
+    assert sum(all(s[k] == "0" for s in labels) for k in range(n)) == 1
+    solution_set = solve_re(sigma)
+    assert solution_set.route == "pencil"
+    for member in solution_set.members:
+        assert membership(sigma, member.matrix, eq_tol=EQUALITY_TOL).in_re
+    assert solution_set.complete == (len(solution_set) == 2 ** (n - 1))
+    assert _rel(stack[0], dare_extremes(sigma)[0]) <= 1e-10
+
+
+@pytest.mark.parametrize("seed, n, m, p", [(1, 2, 1, 1), (2, 3, 2, 1), (3, 4, 1, 2)])
+def test_newton_members_lie_in_the_zero_eigenvalue_pencil_set(seed, n, m, p):
+    sigma = _zero_eigenvalue_draw(seed, n, m, p)
+    assert is_minimal(sigma)
+    stack, _ = equality_candidates(sigma)
+    newton = _newton_multistart(sigma, SolverConfig())
+    assert len(newton) >= 1
+    for member in newton.members:
+        assert _near(member.matrix, stack, tol=1e-8)
+
+
+def test_coincident_zero_eigenvalues_take_newton():
+    # two zero eigenvalues coincide, so the pencil does not decide
+    sigma = _zero_eigenvalue_draw(4, 3, 2, 2, zeros=2)
+    assert is_minimal(sigma)
+    assert equality_candidates(sigma) is None
+    solution_set = solve_re(sigma)
+    assert solution_set.route == "newton-multistart"
+    assert not solution_set.complete
 
 
 def _residual_derivative(sigma, k, delta, e, f):
@@ -571,12 +663,9 @@ def test_lossless_systems_take_the_stein_route(block):
         if seed == REFUSED_LOSSLESS_SEED:
             continue
         solution_set = solve_re(sigma)
-        if sigma.state_dim == m == p == 1:
-            assert solution_set.route == "scalar-closed-form"
-        else:
-            assert solution_set.route == "lossless", seed
-            assert solution_set.complete
-            assert solution_set.provenance[0]["route"] == f"lossless({kind})"
+        assert solution_set.route == "lossless", seed
+        assert solution_set.complete
+        assert solution_set.provenance[0]["route"] == f"lossless({kind})"
         assert len(solution_set) == 1
         h_min = minimal_solution(sigma).matrix
         h_max = maximal_solution(sigma).matrix
@@ -710,7 +799,7 @@ class TestOrderSolutions:
         assert solution_set.maximal_index == 3
 
     def test_singleton_flags(self, scalar_interval_system):
-        solution_set = solve_re_scalar(scalar_interval_system)
+        solution_set = solve_re(scalar_interval_system)
         assert solution_set.minimal_index == 0
         assert solution_set.maximal_index == 0
 
