@@ -9,7 +9,10 @@ below tolerance, and doubling the grid is a cheap stability check. The grid
 values come from :func:`riccati_kyp.systems._transfer_grid`: invertibility of
 every grid resolvent ``I - zeta A`` is proved from ``||A||`` when A is a
 strict contraction (``||A|| < 1`` with the kernel's margin), and tested point
-by point otherwise.
+by point otherwise. Both defects come from one spectrum per point, the
+eigenvalues ``sigma_i^2`` of the smaller Gram matrix of theta: each defect
+is ``max |1 - sigma_i^2|``, and the defect on the larger side is at least 1,
+since its unmatched eigenvalues are exactly 1.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .errors import NotMinimal, PoleOnCircle
 from .linops import spectral_norm
 from .riccati import riccati_data
 from .solver import SolverConfig, minimal_solution
-from .systems import SystemRealization, _transfer_grid, adjoint, is_minimal
+from .systems import SystemRealization, _gram_eigs, _transfer_grid, adjoint, is_minimal
 
 __all__ = [
     "CircleProfile",
@@ -68,6 +71,11 @@ def circle_profile(sigma: SystemRealization, grid_steps: int = 4096) -> CirclePr
     Raises PoleOnCircle (with the offending angle) when a realization pole
     lies within ``POLE_TOL`` of the circle or a grid resolvent is numerically
     singular.
+
+    The defects are read off one Gram spectrum per point: ``|1 - sigma_i^2|``
+    over the min(m, p) squared singular values of theta, and, on the side of
+    the larger dimension, the eigenvalue 1 of ``I - theta* theta`` (m > p) or
+    ``I - theta theta*`` (p > m) on the kernel of the Gram matrix.
     """
     if grid_steps < 1:
         raise ValueError("grid_steps must be positive")
@@ -84,16 +92,13 @@ def circle_profile(sigma: SystemRealization, grid_steps: int = 4096) -> CirclePr
         sigma, zeta, singular=lambda lam, k: PoleOnCircle(float(angles[k]))
     )
 
-    vt = values.conj().transpose(0, 2, 1)
-    right = np.eye(m)[None, :, :] - vt @ values
-    left = np.eye(p)[None, :, :] - values @ vt
-    right_defects = np.abs(np.linalg.eigvalsh(right)).max(axis=1)
-    left_defects = np.abs(np.linalg.eigvalsh(left)).max(axis=1)
+    shared = np.abs(1.0 - _gram_eigs(values)).max(axis=1)
+    # the unmatched eigenvalues of the larger defect operator are exactly 1
     return CircleProfile(
         angles=angles,
         values=values,
-        right_defects=right_defects,
-        left_defects=left_defects,
+        right_defects=shared if m <= p else np.maximum(shared, 1.0),
+        left_defects=shared if p <= m else np.maximum(shared, 1.0),
     )
 
 

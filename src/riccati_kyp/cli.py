@@ -206,13 +206,26 @@ def _encode_matrix(a: np.ndarray) -> list:
     return _encode_pairs(np.atleast_2d(a))
 
 
+def _parse_int(text: str) -> int:
+    """``int(text)``; an integer with more digits than Python converts (4300
+    by default) raises ValueError naming that limit, without Python's remedy
+    of raising it, which a CLI user cannot apply."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(
+            f"an integer of {len(text.lstrip('-'))} digits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def _load_json(path: str, kind: str):
     """The JSON value in the ``kind`` file at ``path``. ParseError when the
     file is missing, is not JSON, or holds JSON that Python refuses to read,
     such as an integer of more than 4300 digits."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_parse_int)
     except FileNotFoundError as exc:
         raise err.ParseError(f"{kind} file not found: {path}") from exc
     except json.JSONDecodeError as exc:

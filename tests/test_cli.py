@@ -701,7 +701,12 @@ class TestExitCodes:
             code = main(argv + ["--no-timings"])
             payload = json.loads(capsys.readouterr().out)
             assert code == EXIT_CODES[ParseError] == 2
-            assert payload["error"]["message"].startswith(f"{path}: unreadable JSON")
+            message = payload["error"]["message"]
+            assert message == (
+                f"{path}: unreadable JSON (an integer of 5001 digits exceeds the "
+                f"limit of {sys.get_int_max_str_digits()} digits)"
+            )
+            assert "set_int_max_str_digits" not in message
 
     def test_exit_codes_are_distinct(self):
         codes = list(EXIT_CODES.values())
