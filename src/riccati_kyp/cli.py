@@ -77,7 +77,7 @@ EXIT_CODES: dict[type, int] = {
     err.NotInRI: 14,
     err.NotMinimal: 16,
     err.NoConvergence: 17,
-    err.IterationDiverged: 18,
+    err.NotSchurClass: 18,
     err.CertificateFailed: 19,
 }
 GENERIC_ERROR_EXIT = 1

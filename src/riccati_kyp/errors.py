@@ -22,7 +22,7 @@ __all__ = [
     "NotInRI",
     "NotMinimal",
     "NoConvergence",
-    "IterationDiverged",
+    "NotSchurClass",
     "CertificateFailed",
     "ParseError",
 ]
@@ -107,9 +107,17 @@ class NoConvergence(RiccatiKypError):
         )
 
 
-class IterationDiverged(RiccatiKypError):
-    """The fixed-point iteration left the admissible region or exceeded its
-    iteration budget."""
+class NotSchurClass(RiccatiKypError):
+    """A minimal system's transfer function has a pole in the closed disc or
+    a norm above one on the circle, so no inequality member exists; it has
+    ``norm`` (inf at a pole) at ``angle`` in [0, 2 pi), as in circle_profile."""
+
+    def __init__(self, angle: float, norm: float):
+        self.angle, self.norm = float(angle), float(norm)
+        super().__init__(
+            f"transfer-function norm {self.norm:.6f} > 1 at angle "
+            f"{self.angle:.6f}; no inequality member can exist"
+        )
 
 
 class CertificateFailed(RiccatiKypError):

@@ -36,17 +36,12 @@ has, for some z, exactly 2n - z finite eigenvalues of which z are zero
 infinite one) and m + z infinite ones, no eigenvalue within ``CIRCLE_GAP``
 of the unit circle, n distinct inside eigenvalues (zero ones included, so
 z >= 2 does not decide) whose nonzero ones have all their partners
-present, and an invertible V1 for every selection. Inner
-and co-inner systems (a singular pencil) and systems whose Popov function
-vanishes on the circle (circle eigenvalues) are not decided. A lossless
-system's one equality solution comes instead from a Stein equation
-(``riccati_kyp.solver._lossless_solution``), and the rest goes to Newton in
-``solve_re`` and to the fixed-point iteration in ``minimal_solution``.
-Selection ``00...0`` is the candidate that ``minimal_solution`` certifies by
-its closed-loop spectral radius.
-
-``scipy.linalg`` is imported inside :func:`equality_candidates`, so that
-importing the package, and commands that solve nothing, do not load it.
+present, and an invertible V1 for every selection. Lossless systems (a
+singular pencil) and Popov functions that vanish on the circle (circle
+eigenvalues) are not decided. :func:`extremal` pairs nothing: one ordered
+QZ decomposition gives the minimal solution of every regular pencil, and
+the eigenvalues for the Schur-class test. Both import ``scipy.linalg``
+inside, so that importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -56,9 +51,9 @@ import numpy as np
 from .linops import hermitian_part
 from .systems import SystemRealization
 
-__all__ = ["CIRCLE_GAP", "equality_candidates"]
+__all__ = ["CIRCLE_GAP", "equality_candidates", "extremal"]
 
-CIRCLE_GAP = 1e-6  # least distance | |lambda| - 1 | of a decided eigenvalue
+CIRCLE_GAP = 1e-6  # least distance | |lambda| - 1 | of an eigenvalue off the circle
 PENCIL_TOL = 1e-8  # relative size of a negligible (alpha, beta) part, of a
 # pair mismatch and of the gap below which two eigenvalues coincide
 
@@ -86,14 +81,32 @@ def _extended_pencil(sigma: SystemRealization) -> tuple[np.ndarray, np.ndarray]:
     return big_m.astype(complex), big_n.astype(complex)
 
 
-def _pairs(alpha: np.ndarray, beta: np.ndarray, n: int, scales):
+def _relative_parts(alpha: np.ndarray, beta: np.ndarray, big_m, big_n):
+    """``|alpha| / max(1, ||M||)`` and ``|beta| / max(1, ||N||)``, or None
+    when the pencil is singular: both parts of a pair at most PENCIL_TOL."""
+    rel_alpha = np.abs(alpha) / max(np.linalg.norm(big_m), 1.0)
+    rel_beta = np.abs(beta) / max(np.linalg.norm(big_n), 1.0)
+    if (np.maximum(rel_alpha, rel_beta) <= PENCIL_TOL).any():
+        return None
+    return rel_alpha, rel_beta
+
+
+def _solution(v: np.ndarray, n: int) -> np.ndarray | None:
+    """``herm(V2 V1^{-1})`` of the columns ``[V1; V2; V3]`` of v, or of each
+    on a stack, solved as ``V1^T X^T = V2^T``; None when V1 is singular."""
+    v = v.swapaxes(-1, -2)
+    try:
+        x = np.linalg.solve(v[..., :n], v[..., n : 2 * n]).swapaxes(-1, -2)
+    except np.linalg.LinAlgError:
+        return None
+    return hermitian_part(x)
+
+
+def _pairs(alpha: np.ndarray, beta: np.ndarray, n: int, rel_alpha, rel_beta):
     """Indices ``(inside, outside)`` of the n (lambda, 1/conj(lambda)) pairs,
     inside ordered by real part and then imaginary part of lambda, or None
     when the pencil does not decide (see the module docstring). A zero
     eigenvalue pairs with an infinite one; its outside index is -1."""
-    rel_alpha, rel_beta = np.abs(alpha) / scales[0], np.abs(beta) / scales[1]
-    if (np.maximum(rel_alpha, rel_beta) <= PENCIL_TOL).any():
-        return None  # singular pencil
     finite = rel_beta > PENCIL_TOL * rel_alpha
     zero = rel_alpha <= PENCIL_TOL * rel_beta
     if int(finite.sum()) != 2 * n - int(zero.sum()):  # the other m + z are infinite
@@ -151,8 +164,8 @@ def equality_candidates(
         )
     except np.linalg.LinAlgError:  # the QZ iteration did not converge
         return None
-    scales = (max(np.linalg.norm(big_m), 1.0), max(np.linalg.norm(big_n), 1.0))
-    pairs = _pairs(alpha, beta, n, scales)
+    rel = _relative_parts(alpha, beta, big_m, big_n)
+    pairs = None if rel is None else _pairs(alpha, beta, n, *rel)
     if pairs is None:
         return None
     inside, outside = pairs
@@ -161,11 +174,31 @@ def equality_candidates(
     bits = np.zeros((2**k, n), dtype=int)
     bits[:, free] = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
     chosen = vectors[:, np.where(bits == 1, outside, inside)].transpose(1, 0, 2)
-    v1, v2 = chosen[:, :n], chosen[:, n : 2 * n]
+    x = _solution(chosen, n)
+    return None if x is None else (x, ["".join(map(str, r)) for r in bits.tolist()])
+
+
+def extremal(sigma: SystemRealization) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(herm(V2 V1^{-1}), lam)`` from the leading n Schur vectors of one
+    ordered QZ decomposition, which span the deflating subspace of the
+    eigenvalues inside the unit circle (Van Dooren 1981), with lam the
+    finite eigenvalues; None when QZ fails or the pencil or V1 is singular.
+    A transfer norm of 1 on the circle splits each double circle eigenvalue
+    across it by roundoff, and the candidate, not validated here, is then
+    the minimal solution to about the square root of the working precision."""
+    import scipy.linalg
+
+    n = sigma.state_dim
+    big_m, big_n = _extended_pencil(sigma)
     try:
-        # X = V2 V1^{-1}, solved as V1^T X^T = V2^T
-        x = np.linalg.solve(v1.swapaxes(-1, -2), v2.swapaxes(-1, -2)).swapaxes(-1, -2)
-    except np.linalg.LinAlgError:  # a selection whose V1 is singular
+        _, _, alpha, beta, _, z = scipy.linalg.ordqz(
+            big_m, big_n, sort="iuc", output="complex"
+        )
+    except (np.linalg.LinAlgError, ValueError):  # QZ or its reordering failed
         return None
-    labels = ["".join(map(str, row)) for row in bits.tolist()]
-    return hermitian_part(x), labels
+    rel = _relative_parts(alpha, beta, big_m, big_n)
+    x = None if rel is None else _solution(z[:, :n], n)
+    if x is None:
+        return None
+    finite = rel[1] > PENCIL_TOL * rel[0]
+    return x, alpha[finite] / beta[finite]

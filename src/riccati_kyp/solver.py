@@ -50,13 +50,12 @@ the LMI has no such point (the transfer function reaches norm 1 on the
 circle, as for inner and co-inner systems), the samples are copies of the
 anchors' mean.
 
-The minimal storage operator comes from one exact O(n**3) route per kind of
-system: the pencil's selection of the eigenvalues inside the disc, the Stein
-solution of a lossless system, and for anything else the monotone
-fixed-point iteration H <- A* H A + C* C + beta(H)* pinv(delta(H)) beta(H)
-from zero, Newton-polished. It is certified deterministically (Lancaster &
-Rodman, *Algebraic Riccati Equations*, 1995): it must be an equality member,
-and its closed loop ``A + B pinv(delta) beta`` must have spectral radius at
+The minimal storage operator comes from one of two exact O(n**3) routes:
+ordered QZ (:func:`riccati_kyp.pencil.extremal`) on a regular pencil, after
+an exact Schur-class test on its eigenvalues, and the Stein solution of a
+lossless system. It is certified deterministically (Lancaster & Rodman,
+*Algebraic Riccati Equations*, 1995): it must be an equality member, and
+its closed loop ``A + B pinv(delta) beta`` must have spectral radius at
 most ``1 + EQUALITY_TOL``; sampling plays no part in it. The maximal one is
 the inverse of the adjoint system's minimal one. :func:`duality_check` runs
 the inversion checks on samples anchored at the extremal pair and on both
@@ -76,11 +75,10 @@ import numpy as np
 from .errors import (
     CertificateFailed,
     InconsistentRoutes,
-    IterationDiverged,
     NoConvergence,
     NotMinimal,
     NotPD,
-    SingularResolvent,
+    NotSchurClass,
 )
 from .linops import (
     Loewner,
@@ -101,8 +99,8 @@ from .riccati import (
     as_storage,
     membership,
 )
-from .pencil import equality_candidates
-from .systems import SystemRealization, adjoint, is_minimal, schur_class_margin
+from .pencil import CIRCLE_GAP, equality_candidates, extremal
+from .systems import SystemRealization, _gram_eigs, _transfer_grid, adjoint, is_minimal
 
 __all__ = [
     "SolverConfig",
@@ -121,15 +119,10 @@ __all__ = [
 # Solver parameters that no caller varies.
 MAX_DIM = 6  # largest state dimension solve_re accepts
 STARTS = 30  # seeded random Newton starts besides the anchors and identities
-ITER_TOL = 1e-12  # fixed point: relative drift that ends the iteration
-FP_MAX_ITER = 10000
-FP_DIVERGENCE_BOUND = 1e9
 NEWTON_TOL = 1e-12  # augmented Newton: relative residual that converges
 MAX_ITER = 60
 DEDUP_TOL = 1e-7  # relative distance at which two Newton solutions are one
 EQUALITY_TOL = 1e-8  # equality tolerance of membership tests on solver output
-SCHUR_RADIUS = 0.95  # disc radius and grid of the early transfer-norm check
-SCHUR_GRID = 24
 PHASE_ONE_STEPS = 200  # sampler: phase-I Newton steps before the LMI counts as thin
 
 
@@ -312,41 +305,6 @@ def _newton_equality(
             break
     scale = 1.0 + float(np.linalg.norm(h))
     return h, res_norm, iters, res_norm <= tol * scale
-
-
-# -- fixed-point iteration ----------------------------------------------------
-
-
-def _fixed_point_solve(sigma: SystemRealization):
-    """Iterate H <- A* H A + C* C + beta* pinv(delta) beta from zero.
-
-    The iterates increase monotonically toward the least inequality member
-    whenever one exists; this convergence claim is validated empirically by
-    certificates downstream, not assumed.
-    """
-    n = sigma.state_dim
-    a_mat, c_mat = sigma.a, sigma.c
-    h = np.zeros((n, n), dtype=complex)
-    for _ in range(FP_MAX_ITER):
-        _, beta, delta = _residual_ops(sigma, h)
-        pinv = _pinv_kept(*_eigh_kept(delta, RANK_TOL))
-        h_next = hermitian_part(
-            a_mat.conj().T @ h @ a_mat
-            + c_mat.conj().T @ c_mat
-            + beta.conj().T @ pinv @ beta
-        )
-        drift = spectral_norm(h_next - h)
-        h = h_next
-        h_norm = spectral_norm(h)
-        if h_norm > FP_DIVERGENCE_BOUND:
-            raise IterationDiverged(
-                f"fixed-point iterates exceeded {FP_DIVERGENCE_BOUND:.1e} in norm"
-            )
-        if drift <= ITER_TOL * (1.0 + h_norm):
-            return h
-    raise IterationDiverged(
-        f"fixed-point iteration did not settle within {FP_MAX_ITER} steps"
-    )
 
 
 # -- sampling -----------------------------------------------------------------
@@ -551,28 +509,21 @@ def _solution_sort_key(h: np.ndarray):
 def solve_re(
     sigma: SystemRealization, config: SolverConfig | None = None
 ) -> SolutionSet:
-    """Find equality solutions; the one dispatch between solver routes.
+    """Find equality solutions; the one dispatch between the pencil,
+    lossless and Newton routes of the module docstring, for systems of every
+    dimension, scalar ones included.
 
-    Systems of every dimension, scalar ones included, take one of three
-    routes. A minimal system whose pencil decides (see
-    :func:`riccati_kyp.pencil.equality_candidates`) takes the pencil route:
-    its 2**(n - z) selections, z being the number of zero eigenvalues of the
-    pencil, are validated by one membership-kernel call, distinct
-    selections being distinct solutions, and the set is ``complete`` when
-    all of them pass. A minimal lossless system (inner or co-inner, see
-    :func:`_lossless_solution`) takes the ``lossless`` route: its inequality
-    set is one point, the set holds that point and is ``complete`` when it
-    passes membership. Any other system goes to multi-start Newton on the
-    augmented system. Its starts combine the fixed-point limit (the minimal
-    candidate), the inverse of the adjoint's fixed-point limit (the maximal
-    candidate), scaled identities, and seeded random Hermitian perturbations
-    between the two extremal candidates; converged points are
-    membership-validated and deduplicated at ``DEDUP_TOL * (1 + |trace|)``.
-    Members are sorted by trace and then lexicographically by entries, so
-    output order is independent of scheduling. The Newton route, which
-    every non-minimal system takes, returns what it found and never labels
-    a set complete. Every route validates at ``config.membership_tol`` and
-    ``EQUALITY_TOL``.
+    A minimal system on the Newton route first passes the Schur-class test
+    of :func:`_require_schur`. The Newton starts combine the ordered-QZ
+    candidate (the minimal one, :func:`riccati_kyp.pencil.extremal`), the
+    inverse of the adjoint's when it is positive definite (the maximal
+    one), scaled identities, and seeded random Hermitian perturbations
+    between the two; converged points are membership-validated and
+    deduplicated at ``DEDUP_TOL * (1 + |trace|)``. Members are sorted by
+    trace and then by entries, so output order is independent of
+    scheduling. Every route validates at ``config.membership_tol`` and
+    ``EQUALITY_TOL``; only the pencil and lossless routes, which are
+    exhaustive, label a set ``complete``.
     """
     cfg = config or SolverConfig()
     n = sigma.state_dim
@@ -585,7 +536,7 @@ def solve_re(
             RuntimeWarning,
             stacklevel=2,
         )
-        return _newton_multistart(sigma, cfg)
+        return _newton_multistart(sigma, cfg, extremal(sigma))
     found = equality_candidates(sigma)
     if found is not None:
         stack, labels = found
@@ -596,7 +547,10 @@ def solve_re(
     if lossless is not None:
         kind, h, _, _ = lossless
         return _validated_set(sigma, cfg, h[None], [f"lossless({kind})"], "lossless")
-    return _newton_multistart(sigma, cfg)
+    found = extremal(sigma)
+    if found is not None:
+        _require_schur(sigma, found[1])
+    return _newton_multistart(sigma, cfg, found)
 
 
 def _validated_set(
@@ -657,8 +611,7 @@ def _lossless_solution(
     residual is within ``EQUALITY_TOL`` of zero relative to ``max(1, ||X||)``.
     Both Stein equations are solved by
     ``scipy.linalg.solve_discrete_lyapunov``; a lossless system has a
-    singular pencil, so :func:`~riccati_kyp.pencil.equality_candidates`
-    leaves it here.
+    singular pencil, so :func:`~riccati_kyp.pencil.extremal` leaves it here.
     """
     import scipy.linalg
 
@@ -677,23 +630,18 @@ def _lossless_solution(
     return None
 
 
-def _newton_multistart(sigma: SystemRealization, cfg: SolverConfig) -> SolutionSet:
-    """The Newton route of :func:`solve_re`, for any dimensions."""
+def _newton_multistart(sigma: SystemRealization, cfg: SolverConfig, found) -> SolutionSet:
+    """The Newton route of :func:`solve_re`, for any dimensions, anchored at
+    ``found``, the result of :func:`riccati_kyp.pencil.extremal` on sigma."""
     n = sigma.state_dim
     rng = np.random.default_rng(cfg.seed)
 
-    anchors: list[np.ndarray] = []
-    try:
-        anchors.append(_fixed_point_solve(sigma))
-    except IterationDiverged:
-        pass
-    try:
-        h_adj = _fixed_point_solve(adjoint(sigma))
-        w = np.linalg.eigvalsh(h_adj)
+    anchors = [] if found is None else [found[0]]
+    found_adj = extremal(adjoint(sigma))
+    if found_adj is not None:
+        w = np.linalg.eigvalsh(found_adj[0])
         if float(w[0]) > 1e-12 * max(float(np.abs(w).max()), 1.0):
-            anchors.append(hermitian_part(np.linalg.inv(h_adj)))
-    except IterationDiverged:
-        pass
+            anchors.append(hermitian_part(np.linalg.inv(found_adj[0])))
 
     eye = np.eye(n, dtype=complex)
     starts: list[np.ndarray] = list(anchors)
@@ -765,21 +713,35 @@ def _newton_multistart(sigma: SystemRealization, cfg: SolverConfig) -> SolutionS
     )
 
 
-def _require_schur(sigma: SystemRealization) -> None:
-    try:
-        margin = schur_class_margin(
-            sigma, grid_steps=SCHUR_GRID, radius=SCHUR_RADIUS
-        )
-    except SingularResolvent as exc:
-        raise IterationDiverged(
-            f"transfer function has a pole inside the sampled disc ({exc}); "
-            f"no inequality member can exist"
-        ) from exc
-    if margin > 1.0 + 1e-8:
-        raise IterationDiverged(
-            f"transfer-function norm reaches {margin:.6f} > 1 on the sampled "
-            f"disc; no inequality member can exist"
-        )
+def _require_schur(sigma: SystemRealization, lam: np.ndarray) -> None:
+    """Raise NotSchurClass unless the transfer function T of the minimal
+    system ``sigma`` is in the Schur class, given the finite eigenvalues
+    ``lam`` of its pencil (Boyd, Balakrishnan & Kabamba, Math. Control
+    Signals Systems 1989). Each eigenvalue mu of A is a pole of T at 1/mu,
+    so rho(A) < 1 is required. The pencil's circle eigenvalues ``exp(1j
+    t)`` are the points ``exp(-1j t)`` where a singular value of T is 1, so
+    the norm at the midpoint of each arc between them, or at angle 0 when
+    there are none, decides against ``1 + EQUALITY_TOL``. A singular
+    resolvent at a test point counts as a pole there."""
+    mu = np.linalg.eigvals(sigma.a)
+    k = int(np.argmax(np.abs(mu)))
+    if abs(mu[k]) >= 1.0:  # the pole 1/mu has the angle -angle(mu)
+        raise NotSchurClass(-np.angle(mu[k]) % (2.0 * np.pi), np.inf)
+    on_circle = lam[np.abs(np.abs(lam) - 1.0) <= CIRCLE_GAP]
+    crossings = np.sort(-np.angle(on_circle) % (2.0 * np.pi))
+    if crossings.size:
+        arcs = np.diff(crossings, append=crossings[0] + 2.0 * np.pi)
+        # rounded, so that a midpoint at 0 reads 0 and not 2 pi
+        angles = np.round(crossings + 0.5 * arcs, 12) % (2.0 * np.pi)
+    else:
+        angles = np.zeros(1)
+    values = _transfer_grid(
+        sigma, np.exp(1j * angles), lambda _, i: NotSchurClass(angles[i], np.inf)
+    )
+    norms = np.sqrt(np.maximum(_gram_eigs(values).max(axis=1), 0.0))
+    k = int(np.argmax(norms))
+    if norms[k] > 1.0 + EQUALITY_TOL:
+        raise NotSchurClass(angles[k], norms[k])
 
 
 def minimal_solution(
@@ -789,22 +751,19 @@ def minimal_solution(
 ) -> StorageOperator:
     """The least storage operator among the inequality members.
 
-    One exact O(n**3) route per kind of system gives the candidate:
+    One of two exact O(n**3) routes gives the candidate:
 
-    * a decided pencil (every strictly passive minimal system): the
-      selection of the eigenvalues inside the disc, ``00...0`` of
-      :func:`~riccati_kyp.pencil.equality_candidates`;
+    * a regular pencil: ordered QZ (:func:`~riccati_kyp.pencil.extremal`,
+      selection ``00...0`` of a decided pencil), after the Schur-class test
+      of :func:`_require_schur`, which raises NotSchurClass;
     * a lossless system (inner or co-inner, singular pencil): the one
-      inequality member, from a Stein equation (:func:`_lossless_solution`);
-    * anything else (delta singular at an extremal solution, eigenvalues on
-      the circle): the monotone fixed-point iteration from zero, polished by
-      Newton.
+      inequality member, from a Stein equation (:func:`_lossless_solution`).
 
     The candidate is certified deterministically (Lancaster & Rodman,
     *Algebraic Riccati Equations*, 1995): it must be an equality member, and
     its closed loop ``A + B pinv(delta) beta`` must have spectral radius at
     most ``1 + EQUALITY_TOL`` (see :func:`_certified`). CertificateFailed
-    means one of the two failed.
+    means one of the two failed, or that neither route applies.
 
     ``solved`` is an optional list of equality sets and certified minimal
     solutions computed with the same config (see :func:`_once`). The result
@@ -868,17 +827,16 @@ def _certified_minimal(sigma: SystemRealization, cfg: SolverConfig) -> StorageOp
     """The computation behind :func:`minimal_solution`, without the lookup."""
     if not is_minimal(sigma):
         raise NotMinimal("extremal solutions require a minimal system")
-    _require_schur(sigma)
-    found = equality_candidates(sigma)
+    found = extremal(sigma)
     if found is not None:
-        return _certified(sigma, found[0][0], cfg)
+        _require_schur(sigma, found[1])
+        return _certified(sigma, found[0], cfg)
     lossless = _lossless_solution(sigma)
-    if lossless is not None:
-        _, h, system, x = lossless
-        return _certified(sigma, h, cfg, loop=(system, x))
-    h_fp = _fixed_point_solve(sigma)
-    h, _, _, ok = _newton_equality(sigma, h_fp, tol=NEWTON_TOL, max_iter=MAX_ITER)
-    return _certified(sigma, h if ok else h_fp, cfg)
+    if lossless is None:
+        no_route = "no exact route: singular pencil or V1, not lossless"
+        raise CertificateFailed("minimal", np.nan, np.nan, no_route)
+    _, h, system, x = lossless
+    return _certified(sigma, h, cfg, loop=(system, x))
 
 
 def maximal_solution(

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import riccati_kyp
@@ -328,7 +328,11 @@ def _outcome(decode, raw):
     return doc.name, list(doc.candidates), [(x.shape, x.dtype, x.tobytes()) for x in arrays]
 
 
-@settings(max_examples=100, deadline=None)
+# no shrink phase: shrinking a failing document can take minutes
+NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
+
+
+@settings(max_examples=100, deadline=None, phases=NO_SHRINK)
 @given(_documents())
 def test_decoder_matches_the_walk_bit_for_bit(raw):
     got = _outcome(document_from_dict, raw)
@@ -336,7 +340,7 @@ def test_decoder_matches_the_walk_bit_for_bit(raw):
     assert got == _outcome(_reference_document, raw)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, phases=NO_SHRINK)
 @given(_malformed())
 def test_decoder_refuses_as_the_walk_did(case):
     raw, refusal = case
@@ -622,13 +626,13 @@ class TestExitCodes:
     def test_forced_unstable_selection_exits_19(self, tmp_path, monkeypatch, capsys):
         # two_state's h4 (selection 11, closed-loop radius 1.155) fed to the
         # certificate in place of the stable selection 00
-        real = solver_module.equality_candidates
+        real = solver_module.extremal
 
-        def reversed_selections(sigma):
-            stack, labels = real(sigma)
-            return stack[::-1], labels[::-1]
+        def largest_selection(sigma):
+            _, lam = real(sigma)
+            return solver_module.equality_candidates(sigma)[0][-1], lam
 
-        monkeypatch.setattr(solver_module, "equality_candidates", reversed_selections)
+        monkeypatch.setattr(solver_module, "extremal", largest_selection)
         path = tmp_path / "two.json"
         path.write_text(json.dumps(two_state_doc()))
         code = main(["extremes", "--system", str(path), "--no-timings"])

@@ -37,8 +37,8 @@ from riccati_kyp import (
     transfer_eval,
 )
 from riccati_kyp.linops import TINY
+from riccati_kyp.pencil import extremal
 from riccati_kyp.riccati import BOUNDARY_BAND, RANK_TOL, _membership_stack
-from riccati_kyp.solver import _fixed_point_solve
 from conftest import random_hermitian, random_pd, random_realization
 
 
@@ -530,7 +530,7 @@ def _mixed_candidates(rng, sigma):
     def bump(h, size):
         return 0.5 * (h + h.conj().T) + size * random_hermitian(rng, n)
 
-    h_min = _fixed_point_solve(sigma)
+    h_min, _ = extremal(sigma)
     r = np.eye(m) - sigma.d.conj().T @ sigma.d
     li = np.linalg.inv(np.linalg.cholesky(r))
     pencil = li @ sigma.b.conj().T @ sigma.b @ li.conj().T

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from riccati_kyp import (
     CertificateFailed,
     InconsistentRoutes,
-    IterationDiverged,
     Loewner,
     NotMinimal,
     NotPD,
+    NotSchurClass,
     SolverConfig,
     SystemRealization,
     SolutionSet,
@@ -36,7 +36,7 @@ from riccati_kyp import (
 )
 from riccati_kyp import solver as solver_module
 from riccati_kyp.linops import _loewner_stack, _spectral_norms
-from riccati_kyp.pencil import CIRCLE_GAP, _extended_pencil, equality_candidates
+from riccati_kyp.pencil import CIRCLE_GAP, _extended_pencil, equality_candidates, extremal
 from riccati_kyp.solver import (
     EQUALITY_TOL,
     MAX_ITER,
@@ -114,28 +114,6 @@ class TestScalarSystems:
         for member in solution_set.members:
             assert membership(sigma, member.matrix, eq_tol=EQUALITY_TOL).in_re
 
-    def test_interval_extremes_skip_the_fixed_point(
-        self, scalar_interval_system, monkeypatch
-    ):
-        # both extremes of the example and of its adjoint are pencil
-        # selection 0, never the fixed-point iteration
-        calls = []
-        real = solver_module._fixed_point_solve
-
-        def spy(sigma):
-            calls.append(sigma)
-            return real(sigma)
-
-        monkeypatch.setattr(solver_module, "_fixed_point_solve", spy)
-        adj = adjoint(scalar_interval_system)
-        for sigma, low, high in (
-            (scalar_interval_system, 3.0 / 64.0, 0.75),
-            (adj, 4.0 / 3.0, 64.0 / 3.0),
-        ):
-            assert abs(minimal_solution(sigma).matrix[0, 0] - low) <= 1e-12 * low
-            assert abs(maximal_solution(sigma).matrix[0, 0] - high) <= 1e-12 * high
-        assert calls == []
-
 
 class TestSolveRe:
     def test_two_state_finds_exactly_four(self, two_state_system):
@@ -160,7 +138,9 @@ class TestSolveRe:
     def test_scalar_through_newton_matches_closed_form(self, scalar_interval_system):
         # solve_re takes the pencil here; the Newton route, called
         # directly, must agree with it
-        solution_set = _newton_multistart(scalar_interval_system, SolverConfig())
+        solution_set = _newton_multistart(
+            scalar_interval_system, SolverConfig(), extremal(scalar_interval_system)
+        )
         assert solution_set.route == "newton-multistart"
         assert len(solution_set) == 1
         assert abs(solution_set.members[0].matrix[0, 0] - 3.0 / 64.0) <= 1e-10
@@ -223,14 +203,11 @@ class TestSolveRe:
             solve_re(sigma)
 
     def test_non_schur_system_finds_nothing(self):
-        sigma = SystemRealization(0.1, 1.0, 1.0, 2.0)
-        from riccati_kyp import NoConvergence
-
-        try:
-            solution_set = solve_re(sigma)
-        except NoConvergence:
-            return
+        # the pencil decides, and no selection passes membership
+        solution_set = solve_re(SystemRealization(0.1, 1.0, 1.0, 2.0))
+        assert solution_set.route == "pencil"
         assert len(solution_set) == 0
+        assert not solution_set.complete
 
 
 def _near(h, stack, tol=1e-6) -> bool:
@@ -345,6 +322,7 @@ def test_pencil_set_holds_every_newton_solution(seed, n, m, p, norm):
     stack, labels = found
     assert stack.shape == (2**n, n, n)
     assert len(set(labels)) == 2**n
+    assert _rel(extremal(sigma)[0], stack[0]) <= 1e-12
     solution_set = solve_re(sigma)
     assert solution_set.route == "pencil"
     members = [member.matrix for member in solution_set.members]
@@ -417,7 +395,7 @@ def test_newton_members_lie_in_the_zero_eigenvalue_pencil_set(seed, n, m, p):
     sigma = _zero_eigenvalue_draw(seed, n, m, p)
     assert is_minimal(sigma)
     stack, _ = equality_candidates(sigma)
-    newton = _newton_multistart(sigma, SolverConfig())
+    newton = _newton_multistart(sigma, SolverConfig(), extremal(sigma))
     assert len(newton) >= 1
     for member in newton.members:
         assert _near(member.matrix, stack, tol=1e-8)
@@ -480,13 +458,13 @@ class TestExtremalSolutions:
     def test_scalar_interval(self, scalar_interval_system):
         h_min = minimal_solution(scalar_interval_system)
         h_max = maximal_solution(scalar_interval_system)
-        assert abs(h_min.matrix[0, 0] - 3.0 / 64.0) <= 1e-9
-        assert abs(h_max.matrix[0, 0] - 0.75) <= 1e-9
+        assert abs(h_min.matrix[0, 0] - 3.0 / 64.0) <= 1e-12 * 3.0 / 64.0
+        assert abs(h_max.matrix[0, 0] - 0.75) <= 1e-12 * 0.75
 
     def test_scalar_interval_adjoint(self, scalar_interval_system):
         adj = adjoint(scalar_interval_system)
-        assert abs(minimal_solution(adj).matrix[0, 0] - 4.0 / 3.0) <= 1e-9
-        assert abs(maximal_solution(adj).matrix[0, 0] - 64.0 / 3.0) <= 1e-7
+        assert abs(minimal_solution(adj).matrix[0, 0] - 4.0 / 3.0) <= 1e-12 * 4.0 / 3.0
+        assert abs(maximal_solution(adj).matrix[0, 0] - 64.0 / 3.0) <= 1e-12 * 64.0 / 3.0
 
     def test_two_state(self, two_state_system):
         h_min = minimal_solution(two_state_system)
@@ -537,8 +515,74 @@ class TestExtremalSolutions:
 
     def test_non_schur_rejected_early(self):
         sigma = SystemRealization(0.1, 1.0, 1.0, 2.0)
-        with pytest.raises(IterationDiverged):
+        with pytest.raises(NotSchurClass):
             minimal_solution(sigma)
+
+    @pytest.mark.parametrize("offset", [1e-12, 0.0])
+    def test_norm_one_boundary(self, offset):
+        # the family of test_circle_gap_decides_the_route: at s = sqrt(13/12)
+        # the transfer norm reaches 1 on the circle, where the pencil has
+        # double eigenvalues, and diag(16/9, 4/3) is an exact equality member
+        s = np.sqrt(13.0 / 12.0) - offset
+        sigma = SystemRealization(
+            [[0.0, 0.6 * s], [0.8 * s, 0.0]], [[0.0], [0.6]], [[0.0, 0.8]], [[0.0]]
+        )
+        extremes = [minimal_solution(sigma).matrix, maximal_solution(sigma).matrix]
+        for h in extremes:
+            assert membership(sigma, h, eq_tol=EQUALITY_TOL).in_re
+        if offset == 0.0:
+            target = np.diag([16.0 / 9.0, 4.0 / 3.0])
+            assert re_residual_norm(sigma, target) <= 1e-14
+            for h in extremes:
+                assert spectral_norm(h - target) <= 1e-6
+
+
+def _dense_transfer_norm(sigma, grid=16384) -> float:
+    """Largest singular value of T on a uniform circle grid, from one LU
+    solve per point."""
+    zeta = np.exp(2j * np.pi * np.arange(grid) / grid)[:, None, None]
+    x = np.linalg.solve(
+        np.eye(sigma.state_dim) - zeta * sigma.a,
+        np.broadcast_to(sigma.b, (grid,) + sigma.b.shape),
+    )
+    return float(np.linalg.svd(sigma.d + zeta * (sigma.c @ x), compute_uv=False).max())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=6),
+    m=st.integers(min_value=1, max_value=2),
+    p=st.integers(min_value=1, max_value=2),
+    norm=st.sampled_from([0.9, 0.99, 1.0, 1.001, 1.05, 1.2, None]),
+)
+def test_schur_test_matches_a_dense_reference(seed, n, m, p, norm):
+    """The exact Schur-class test on the QZ eigenvalues passes a random
+    minimal system exactly when rho(A) < 1 and the largest singular value of
+    T on a dense circle grid is at most 1 + 1e-8. Draws that the grid cannot
+    decide are skipped: a dense maximum within 1e-6 of 1, or a pole within
+    1e-3 of the circle, whose peak may fall between grid points."""
+    rng = np.random.default_rng(seed)
+    sigma = random_realization(rng, n, m, p, passive_norm=norm)
+    assume(is_minimal(sigma))
+    found = extremal(sigma)
+    assume(found is not None)
+    rho = float(np.abs(np.linalg.eigvals(sigma.a)).max())
+    assume(abs(rho - 1.0) > 1e-3)
+    if rho < 1.0:
+        peak = _dense_transfer_norm(sigma)
+        assume(abs(peak - 1.0) > 1e-6)
+        schur = peak <= 1.0 + 1e-8
+    else:
+        schur = False
+    try:
+        solver_module._require_schur(sigma, found[1])
+    except NotSchurClass as exc:
+        assert not schur
+        assert 0.0 <= exc.angle < 2.0 * np.pi
+        assert (exc.norm == np.inf) == (rho > 1.0)
+    else:
+        assert schur
 
 
 # -- exact extremes -------------------------------------------------------------
@@ -715,13 +759,13 @@ class TestCertificate:
     @pytest.mark.parametrize("side", ["minimal", "maximal"])
     def test_a_forced_unstable_selection_fails(self, side, two_state_system, monkeypatch):
         # selection 11 (H_max, radius 1.155) put where selection 00 belongs
-        real = solver_module.equality_candidates
+        real = solver_module.extremal
 
-        def reversed_selections(sigma):
-            stack, labels = real(sigma)
-            return stack[::-1], labels[::-1]
+        def largest_selection(sigma):
+            _, lam = real(sigma)
+            return equality_candidates(sigma)[0][-1], lam
 
-        monkeypatch.setattr(solver_module, "equality_candidates", reversed_selections)
+        monkeypatch.setattr(solver_module, "extremal", largest_selection)
         solve = minimal_solution if side == "minimal" else maximal_solution
         with pytest.raises(CertificateFailed) as info:
             solve(two_state_system)
@@ -730,10 +774,9 @@ class TestCertificate:
         assert info.value.equality_residual <= 1e-12
 
     def test_a_non_equality_candidate_fails(self, two_state_system, monkeypatch):
+        real = solver_module.extremal
         monkeypatch.setattr(
-            solver_module,
-            "equality_candidates",
-            lambda sigma: (np.array([1.5 * np.eye(2)]), ["00"]),
+            solver_module, "extremal", lambda sigma: (1.5 * np.eye(2), real(sigma)[1])
         )
         with pytest.raises(CertificateFailed) as info:
             minimal_solution(two_state_system)
