@@ -35,6 +35,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -576,6 +577,12 @@ def _emit(payload: dict, out_path: str | None) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # a tolerance of inf or nan passes every membership test, and a
+        # grid without steps samples no point of the circle
+        if not (math.isfinite(args.tol) and args.tol > 0.0):
+            raise err.ParseError(f"--tol must be finite and positive, got {args.tol!r}")
+        if args.grid < 1:
+            raise err.ParseError(f"--grid must be at least 1, got {args.grid}")
         doc = parse_system(args.system)
         report = run(args.command, doc, args)
     except (err.RiccatiKypError, ValueError) as exc:

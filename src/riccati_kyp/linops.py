@@ -238,25 +238,28 @@ def loewner_compare(h1: np.ndarray, h2: np.ndarray, tol: float = 1e-10) -> Loewn
     return _loewner_stack(h1, h2[None], tol)[0]
 
 
-def _loewner_stack(h1: np.ndarray, h2: np.ndarray, tol) -> list[Loewner]:
+# the verdicts in the order _loewner_stack tests them
+_VERDICTS = np.array(
+    [Loewner.EQUAL, Loewner.LESS_EQUAL, Loewner.GREATER_EQUAL, Loewner.INCOMPARABLE],
+    dtype=object,
+)
+
+
+def _loewner_stack(h1: np.ndarray, h2: np.ndarray, tol) -> np.ndarray:
     """:func:`loewner_compare` of ``h1`` with each matrix on the nonempty
-    Hermitian stack ``h2``, in stack order. ``h1`` may be a stack of the
-    same length, compared pair by pair, and ``tol`` one tolerance per pair."""
-    diff = h2 - h1
-    norms = _spectral_norms(diff).tolist()
-    w = np.linalg.eigvalsh(diff)
-    tols = np.broadcast_to(tol, len(diff)).tolist()
-    verdicts = []
-    for norm, low, high, cut in zip(norms, w[:, 0].tolist(), w[:, -1].tolist(), tols):
-        if norm <= cut:
-            verdicts.append(Loewner.EQUAL)
-        elif low >= -cut:
-            verdicts.append(Loewner.LESS_EQUAL)
-        elif high <= cut:
-            verdicts.append(Loewner.GREATER_EQUAL)
-        else:
-            verdicts.append(Loewner.INCOMPARABLE)
-    return verdicts
+    Hermitian stack ``h2``, as an object array of verdicts in stack order.
+    ``h1`` may be a stack of the same length, compared pair by pair, and
+    ``tol`` one tolerance per pair.
+
+    One ``eigvalsh`` of the stack of differences decides every pair: the
+    spectral norm of a Hermitian matrix is ``max(-lambda_min, lambda_max)``,
+    so the EQUAL test reads the same spectrum as the two semidefinite ones.
+    """
+    w = np.linalg.eigvalsh(h2 - h1)
+    low, high = w[:, 0], w[:, -1]
+    cut = np.broadcast_to(tol, low.shape)
+    tests = [np.maximum(-low, high) <= cut, low >= -cut, high <= cut]
+    return _VERDICTS[np.select(tests, [0, 1, 2], default=3)]
 
 
 @dataclass

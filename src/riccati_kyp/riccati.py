@@ -18,7 +18,9 @@ always computed through both routes and must agree.
 One kernel decides membership for a stack of candidates, with one batched
 LAPACK call per step; :func:`membership` is its one-candidate view, and the
 solver's loops over candidates (the sampler's chain, Newton validation, the
-duality inverses) call the kernel once per batch.
+duality inverses) call the kernel once per batch. Storage operators are
+built the same way: :func:`_storage_stack` decomposes a whole stack with one
+batched ``eigh``, and :class:`StorageOperator` is its one-matrix view.
 
 RI° is the set of inequality members whose associated system
 (S A S^{-1}, S B, C S^{-1}, D), S = H^{1/2}, is minimal. That system is
@@ -82,21 +84,20 @@ class StorageOperator:
     """Hermitian positive-definite state weight with cached square roots.
 
     The eigendecomposition is computed once at construction; the value is
-    immutable afterwards and safe to share across threads.
+    immutable afterwards and safe to share across threads. ``eigenvalues``
+    are ascending, so the last one is the spectral norm.
 
     Raises NotPD unless every eigenvalue exceeds ``PD_TOL`` times the norm.
+    This is the one-matrix view of :func:`_storage_stack`, which builds the
+    operators of a whole stack from one batched decomposition.
     """
 
     def __init__(self, matrix: np.ndarray):
         h = ensure_hermitian(np.atleast_2d(np.asarray(matrix, dtype=complex)))
-        w, v = np.linalg.eigh(h)
-        failure = _pd_failures(w[None])[0]
-        if failure is not None:
-            raise failure
-        self.matrix = hermitian_part(h)
-        self.sqrt = hermitian_part((v * np.sqrt(w)) @ v.conj().T)
-        self.inv_sqrt = hermitian_part((v / np.sqrt(w)) @ v.conj().T)
-        self.eigenvalues = w
+        storage = _storage_stack(h[None])[0]
+        if isinstance(storage, NotPD):
+            raise storage
+        vars(self).update(vars(storage))
 
     @property
     def dim(self) -> int:
@@ -108,6 +109,37 @@ class StorageOperator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StorageOperator(dim={self.dim}, min_eig={self.min_eigenvalue:.3e})"
+
+
+def _storage_stack(h: np.ndarray) -> list[StorageOperator | NotPD]:
+    """For each matrix on the (k, n, n) stack ``h`` of Hermitian matrices
+    (as :func:`hermitian_part` returns them), in order, its StorageOperator,
+    or the NotPD that :class:`StorageOperator` raises for it.
+
+    One batched ``eigh`` decomposes the stack, and the square roots of the
+    positive-definite entries are formed in one batch each, so every
+    operator is bit for bit the one-matrix one.
+    """
+    h = np.asarray(h, dtype=complex)
+    if not len(h):
+        return []
+    w, v = np.linalg.eigh(h)
+    results: list = _pd_failures(w)
+    live = [i for i, failure in enumerate(results) if failure is None]
+    if not live:
+        return results
+    w, v = w[live], v[live]
+    root = np.sqrt(w)[..., None, :]
+    v_star = v.conj().swapaxes(-1, -2)
+    matrix = hermitian_part(h[live])
+    sqrt = hermitian_part((v * root) @ v_star)
+    inv_sqrt = hermitian_part((v / root) @ v_star)
+    for slot, index in enumerate(live):
+        storage = object.__new__(StorageOperator)
+        storage.matrix, storage.sqrt = matrix[slot], sqrt[slot]
+        storage.inv_sqrt, storage.eigenvalues = inv_sqrt[slot], w[slot]
+        results[index] = storage
+    return results
 
 
 def _pd_failures(w: np.ndarray) -> list[NotPD | None]:

@@ -37,8 +37,12 @@ pencil and lossless routes, which are exhaustive, label a set complete.
 Loops over candidates go through the stacked membership kernel of
 :mod:`riccati_kyp.riccati` with one call per batch: the pencil selections,
 the converged Newton points, the inverses of the duality samples, and the
-points of the sampler's chain. :func:`order_solutions` compares all member
-pairs in one batched Loewner comparison.
+points of the sampler's chain. The members of a set are built from one
+batched eigendecomposition (``riccati._storage_stack``), whose last
+eigenvalue is each member's norm, and :func:`order_solutions` compares all
+member pairs from one spectrum per pair. On a decided pencil set that order
+is the subset order of the selection digits (Lancaster & Rodman), an exact
+check the tests make.
 
 Inequality members are sampled by hit-and-run over the KYP LMI
 ``L(H) = [[alpha, -beta*], [-beta, delta]] >= 0``, which is affine in H, so
@@ -96,6 +100,7 @@ from .riccati import (
     _lmi,
     _membership_stack,
     _residual_ops,
+    _storage_stack,
     as_storage,
     membership,
 )
@@ -576,7 +581,7 @@ def _validated_set(
     validated.sort(key=lambda t: _solution_sort_key(t[0]))
     return order_solutions(
         SolutionSet(
-            members=[as_storage(h) for h, _, _ in validated],
+            members=_storage_stack([h for h, _, _ in validated]),
             provenance=[
                 {"route": label, "residual": res, "iterations": 0}
                 for _, res, label in validated
@@ -703,7 +708,7 @@ def _newton_multistart(sigma: SystemRealization, cfg: SolverConfig, found) -> So
             validated.append((h, res, iters, route))
 
     validated.sort(key=lambda t: _solution_sort_key(t[0]))
-    members = [as_storage(h) for h, _, _, _ in validated]
+    members = _storage_stack([h for h, _, _, _ in validated])
     provenance = [
         {"route": route, "residual": res, "iterations": iters}
         for _, res, iters, route in validated
@@ -973,10 +978,15 @@ def order_solutions(solution_set: SolutionSet, tol: float = 1e-9) -> SolutionSet
     """Fill pairwise Loewner comparisons and flag extremal members.
 
     Pair (i, j) is compared as :func:`loewner_compare` does at the tolerance
-    ``tol * max(1, ||H_i||, ||H_j||)``; all pairs go through one batched
-    comparison. A member is flagged minimal (maximal) when it compares below
-    (above) every other member; with incomparable pairs present no flag may
-    be set.
+    ``tol * max(1, ||H_i||, ||H_j||)``. Each member's norm is its largest
+    eigenvalue, which its StorageOperator already holds, and all pairs go
+    through one batched comparison that decomposes each difference once. A
+    member is flagged minimal (maximal) when it compares below (above) every
+    other member; with incomparable pairs present no flag may be set.
+
+    On a decided pencil set this order is the subset order of the selection
+    digits (Lancaster & Rodman, *Algebraic Riccati Equations*, 1995): the
+    tests check it against that exact lattice.
     """
     members = solution_set.members
     count = len(members)
@@ -986,15 +996,15 @@ def order_solutions(solution_set: SolutionSet, tol: float = 1e-9) -> SolutionSet
     above = np.eye(count, dtype=bool)
     if count > 1:
         stack = np.array([m.matrix for m in members])
-        norms = np.maximum(_spectral_norms(stack), 1.0)
+        norms = np.maximum([m.eigenvalues[-1] for m in members], 1.0)
         iu, ju = np.triu_indices(count, 1)
         verdicts = _loewner_stack(
             stack[iu], stack[ju], tol * np.maximum(norms[iu], norms[ju])
         )
-        for i, j, verdict in zip(iu.tolist(), ju.tolist(), verdicts):
-            comparisons[(i, j)] = verdict
-            below[i, j] = above[j, i] = verdict in (Loewner.LESS_EQUAL, Loewner.EQUAL)
-            above[i, j] = below[j, i] = verdict in (Loewner.GREATER_EQUAL, Loewner.EQUAL)
+        comparisons = dict(zip(zip(iu.tolist(), ju.tolist()), verdicts.tolist()))
+        equal = verdicts == Loewner.EQUAL
+        below[iu, ju] = above[ju, iu] = equal | (verdicts == Loewner.LESS_EQUAL)
+        above[iu, ju] = below[ju, iu] = equal | (verdicts == Loewner.GREATER_EQUAL)
 
     def first(rows: np.ndarray) -> int | None:
         hits = np.flatnonzero(rows.all(axis=1))

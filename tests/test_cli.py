@@ -34,6 +34,8 @@ from riccati_kyp.cli import (
 )
 from conftest import dare_extremes, two_state_re_solutions
 
+TWO_STATE_DOC = str(Path(__file__).resolve().parent / "golden" / "docs" / "two_state.json")
+
 
 def scalar_interval_doc() -> dict:
     return {
@@ -646,6 +648,40 @@ class TestExitCodes:
             }
         }
         assert "closed-loop radius 1.154701" in payload["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "command, option, value, message",
+        [
+            ("check", "--tol", "inf", "--tol must be finite and positive, got inf"),
+            ("analyze", "--tol", "inf", "--tol must be finite and positive, got inf"),
+            ("check", "--tol", "nan", "--tol must be finite and positive, got nan"),
+            ("check", "--tol", "-1e-9", "--tol must be finite and positive, got -1e-09"),
+            ("check", "--tol", "0", "--tol must be finite and positive, got 0.0"),
+            ("analyze", "--grid", "0", "--grid must be at least 1, got 0"),
+            ("report", "--grid", "-4", "--grid must be at least 1, got -4"),
+        ],
+        ids=["check-inf", "analyze-inf", "nan", "negative", "zero", "grid-0", "grid-negative"],
+    )
+    def test_invalid_tol_or_grid_is_parse_error(self, command, option, value, message, capsys):
+        # with --tol inf, check once put 0.5 I of two_state, outside RI, in
+        # RI and RE, and analyze called a system inner beside a defect of 0.89
+        argv = [command, "--system", TWO_STATE_DOC, "--candidate", "half", f"{option}={value}"]
+        code = main(argv + ["--no-timings"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == EXIT_CODES[ParseError] == 2
+        assert payload == {
+            "error": {"category": "ParseError", "exit_code": 2, "message": message}
+        }
+        # refused before the document is read
+        missing = ["check", "--system", "no-such-file.json", f"{option}={value}"]
+        assert main(missing) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["message"] == message
+
+    def test_smallest_valid_tol_and_grid_run(self, capsys):
+        code = main(["analyze", "--system", TWO_STATE_DOC, "--tol", "5e-324", "--grid", "1", "--no-timings"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["config"]["grid"] == 1
 
     def test_entry_beyond_float_range_is_parse_error(self, tmp_path, capsys):
         raw = scalar_interval_doc()

@@ -36,9 +36,14 @@ from riccati_kyp import (
     system_matrix,
     transfer_eval,
 )
-from riccati_kyp.linops import TINY
+from riccati_kyp.linops import TINY, hermitian_part
 from riccati_kyp.pencil import extremal
-from riccati_kyp.riccati import BOUNDARY_BAND, RANK_TOL, _membership_stack
+from riccati_kyp.riccati import (
+    BOUNDARY_BAND,
+    RANK_TOL,
+    _membership_stack,
+    _storage_stack,
+)
 from conftest import random_hermitian, random_pd, random_realization
 
 
@@ -64,6 +69,32 @@ class TestStorageOperator:
             StorageOperator(np.diag([1.0, -1.0]))
         with pytest.raises(NotPD):
             StorageOperator(np.diag([1.0, 0.0]))
+
+
+    def test_stack_is_the_one_matrix_operator(self):
+        rng = np.random.default_rng(31)
+        pd = [random_pd(rng, 3) for _ in range(4)]
+        failing = [np.diag([1.0, -1.0, 2.0]), np.diag([1.0, 0.0, 3.0]),
+                   random_hermitian(rng, 3)]
+        # PD and failing entries interleaved, as hermitian_part returns them
+        stack = hermitian_part(np.array([pd[0], failing[0], pd[1], failing[1],
+                                         pd[2], pd[3], failing[2]]))
+        results = _storage_stack(stack)
+        assert len(results) == len(stack)
+        for h, got in zip(stack, results):
+            try:
+                want = StorageOperator(h)
+            except NotPD as exc:
+                assert type(got) is NotPD
+                assert str(got) == str(exc)
+                continue
+            assert isinstance(got, StorageOperator)
+            for name in ("matrix", "sqrt", "inv_sqrt", "eigenvalues"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert [isinstance(r, NotPD) for r in results] == [
+            False, True, False, True, False, False, True
+        ]
+        assert _storage_stack(stack[:0]) == []
 
 
 class TestRiccatiData:

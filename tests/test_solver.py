@@ -3,6 +3,8 @@ symplectic-pencil and lossless routes, zero pencil eigenvalues, multi-start
 Newton on the augmented system, extremal solutions with their deterministic
 certificates, inversion duality, ordering, and determinism."""
 
+import collections
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -863,14 +865,25 @@ class TestOrderSolutions:
 
 
 def _pairwise_order(members, tol=1e-9):
-    """order_solutions as it was before the batch: one loewner_compare per
-    pair. Returns the comparisons and the minimal and maximal index."""
+    """order_solutions computed pair by pair with arithmetic of its own: an
+    SVD norm and an eigvalsh of each difference, at the tolerance
+    ``tol * max(1, ||H_i||, ||H_j||)`` from spectral_norm. Returns the
+    comparisons and the minimal and maximal index."""
     mats = [m.matrix for m in members]
     comparisons = {}
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            cmp_tol = tol * max(1.0, spectral_norm(mats[i]), spectral_norm(mats[j]))
-            comparisons[(i, j)] = loewner_compare(mats[i], mats[j], tol=cmp_tol)
+            cut = tol * max(1.0, spectral_norm(mats[i]), spectral_norm(mats[j]))
+            diff = mats[j] - mats[i]
+            w = np.linalg.eigvalsh(diff)
+            if spectral_norm(diff) <= cut:
+                comparisons[(i, j)] = Loewner.EQUAL
+            elif w[0] >= -cut:
+                comparisons[(i, j)] = Loewner.LESS_EQUAL
+            elif w[-1] <= cut:
+                comparisons[(i, j)] = Loewner.GREATER_EQUAL
+            else:
+                comparisons[(i, j)] = Loewner.INCOMPARABLE
     flip = {Loewner.LESS_EQUAL: Loewner.GREATER_EQUAL,
             Loewner.GREATER_EQUAL: Loewner.LESS_EQUAL}
 
@@ -925,6 +938,56 @@ def test_batched_order_matches_pairwise(case, tol, two_state_system):
     assert ordered.comparisons == comparisons
     assert ordered.minimal_index == minimal
     assert ordered.maximal_index == maximal
+
+
+def test_ordering_takes_no_svd(two_state_system, monkeypatch):
+    members = _order_cases(two_state_system)["n4-m2"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ordering called an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    ordered = order_solutions(SolutionSet(members=members))
+    assert len(ordered.comparisons) == 16 * 15 // 2
+
+
+def _subset_order(first: str, second: str) -> Loewner:
+    """The order of two pencil selections as sets of their 1-digits."""
+    ones = [{k for k, digit in enumerate(label) if digit == "1"} for label in (first, second)]
+    if ones[0] <= ones[1]:
+        return Loewner.LESS_EQUAL
+    if ones[1] <= ones[0]:
+        return Loewner.GREATER_EQUAL
+    return Loewner.INCOMPARABLE
+
+
+def test_pencil_order_is_the_subset_order_of_selections():
+    # Lancaster & Rodman (Algebraic Riccati Equations, 1995): the Hermitian
+    # solutions of a decided pencil form a lattice isomorphic to the subsets
+    # of the selected outside eigenvalues, so the Loewner order of two members
+    # is the inclusion order of the 1-digits of their selections. Non-passive
+    # draws give incomplete sets, on which the order still holds.
+    kinds = collections.Counter()
+    for seed in range(40):
+        rng = np.random.default_rng(7000 + seed)
+        n, m, p = 1 + seed % 5, 1 + (seed // 5) % 2, 1 + (seed // 10) % 2
+        norm = 0.9 if seed % 2 else None
+        sigma = random_realization(rng, n, m, p, passive_norm=norm)
+        if not is_minimal(sigma) or equality_candidates(sigma) is None:
+            continue
+        solution_set = solve_re(sigma)
+        assert solution_set.route == "pencil"
+        labels = [
+            entry["route"].removeprefix("pencil(selection=").removesuffix(")")
+            for entry in solution_set.provenance
+        ]
+        assert len(solution_set.comparisons) == len(labels) * (len(labels) - 1) // 2
+        for (i, j), verdict in solution_set.comparisons.items():
+            assert verdict is _subset_order(labels[i], labels[j]), (seed, i, j)
+        kinds[(n, solution_set.complete)] += 1
+    # every state dimension up to 5, and incomplete sets among them
+    assert {n for n, _ in kinds} == {1, 2, 3, 4, 5}
+    assert sum(count for (_, complete), count in kinds.items() if not complete) >= 2
 
 
 # -- the hit-and-run sampler --------------------------------------------------
