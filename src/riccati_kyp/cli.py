@@ -77,7 +77,6 @@ EXIT_CODES: dict[type, int] = {
     err.InconsistentRoutes: 13,
     err.NotInRI: 14,
     err.NotMinimal: 16,
-    err.NoConvergence: 17,
     err.NotSchurClass: 18,
     err.CertificateFailed: 19,
 }

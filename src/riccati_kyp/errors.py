@@ -21,7 +21,6 @@ __all__ = [
     "InconsistentRoutes",
     "NotInRI",
     "NotMinimal",
-    "NoConvergence",
     "NotSchurClass",
     "CertificateFailed",
     "ParseError",
@@ -95,16 +94,6 @@ class NotInRI(RiccatiKypError):
 
 class NotMinimal(RiccatiKypError):
     """Operation requires a minimal (controllable and observable) system."""
-
-
-class NoConvergence(RiccatiKypError):
-    """No solver start converged; carries the best residual reached."""
-
-    def __init__(self, best_residual: float, message: str | None = None):
-        self.best_residual = float(best_residual)
-        super().__init__(
-            message or f"no start converged (best residual {self.best_residual:.3e})"
-        )
 
 
 class NotSchurClass(RiccatiKypError):

@@ -28,17 +28,20 @@ equality fails (3/4 on the scalar interval example, whose equality set is
 {3/64}).
 
 :func:`equality_candidates` runs one generalized eigenvalue problem and
-returns the 2**(n - z) candidates as one stack when the pencil *decides*
-the equality set, and None otherwise. The pencil decides when it is regular
-(no homogeneous eigenvalue pair (alpha, beta) with both parts negligible),
-has, for some z, exactly 2n - z finite eigenvalues of which z are zero
-(``|alpha|`` negligible against ``|beta|``, the mirror of the test for an
-infinite one) and m + z infinite ones, no eigenvalue within ``CIRCLE_GAP``
-of the unit circle, n distinct inside eigenvalues (zero ones included, so
-z >= 2 does not decide) whose nonzero ones have all their partners
-present, and an invertible V1 for every selection. Lossless systems (a
-singular pencil) and Popov functions that vanish on the circle (circle
-eigenvalues) are not decided. :func:`extremal` pairs nothing: one ordered
+returns the candidates of its 2**(n - z) selections as one stack when the
+pencil *decides* the equality set, and None otherwise. The pencil decides
+when it is regular (no homogeneous eigenvalue pair (alpha, beta) with both
+parts negligible), has, for some z, exactly 2n - z finite eigenvalues of
+which z are zero (``|alpha|`` negligible against ``|beta|``, the mirror of
+the test for an infinite one) and m + z infinite ones, no eigenvalue within
+``CIRCLE_GAP`` of the unit circle, and n inside eigenvalues whose nonzero
+ones are distinct and have all their partners present. Zero eigenvalues
+may coincide, since a zero pair never flips: every selection keeps all z
+of them. A selection whose V1 is singular is dropped; it stands for a
+solution that is infinite on an uncontrollable direction, so on a minimal
+system none is. Lossless systems (a singular pencil) and Popov functions
+that vanish on the circle (circle eigenvalues) are not decided.
+:func:`extremal` pairs nothing: one ordered
 QZ decomposition gives the minimal solution of every regular pencil, and
 the eigenvalues for the Schur-class test. Both import ``scipy.linalg``
 inside, so that importing the package does not load it.
@@ -93,7 +96,7 @@ def _relative_parts(alpha: np.ndarray, beta: np.ndarray, big_m, big_n):
 
 def _solution(v: np.ndarray, n: int) -> np.ndarray | None:
     """``herm(V2 V1^{-1})`` of the columns ``[V1; V2; V3]`` of v, or of each
-    on a stack, solved as ``V1^T X^T = V2^T``; None when V1 is singular."""
+    on a stack, solved as ``V1^T X^T = V2^T``; None when a V1 is singular."""
     v = v.swapaxes(-1, -2)
     try:
         x = np.linalg.solve(v[..., :n], v[..., n : 2 * n]).swapaxes(-1, -2)
@@ -122,13 +125,14 @@ def _pairs(alpha: np.ndarray, beta: np.ndarray, n: int, rel_alpha, rel_beta):
         return None
     order = np.lexsort((lam_in.imag, lam_in.real))
     inside, lam_in = inside[order], lam_in[order]
-    if n > 1:
-        gaps = np.abs(lam_in[:, None] - lam_in[None, :]) + np.eye(n)
+    paired = ~zero[inside]
+    k = int(paired.sum())  # n - z
+    if k > 1:  # zero eigenvalues never flip, so only the others must differ
+        nonzero = lam_in[paired]
+        gaps = np.abs(nonzero[:, None] - nonzero[None, :]) + np.eye(k)
         if gaps.min() <= PENCIL_TOL:
             return None
-    paired = ~zero[inside]
     partner = np.full(n, -1)
-    k = len(lam_out)  # n - z
     if k:
         target = 1.0 / lam_in[paired].conj()
         mismatch = np.abs(target[:, None] - lam_out[None, :]) / np.abs(target)[:, None]
@@ -141,17 +145,20 @@ def _pairs(alpha: np.ndarray, beta: np.ndarray, n: int, rel_alpha, rel_beta):
 
 def equality_candidates(
     sigma: SystemRealization,
-) -> tuple[np.ndarray, list[str]] | None:
-    """The 2**(n - z) Hermitian equality solutions of a decided pencil with
-    z zero eigenvalues, or None.
+) -> tuple[np.ndarray, list[str], int] | None:
+    """The Hermitian equality solutions of a decided pencil with z zero
+    eigenvalues, one per selection of one eigenvalue from each pair, or
+    None.
 
-    Returns a (2**(n - z), n, n) stack ``herm(V2 V1^{-1})``, one per
-    selection of one eigenvalue from each pair, and one label per selection:
-    a string of n digits, digit k ``0`` when pair k (ordered as in
-    :func:`_pairs`) gives its eigenvalue inside the disc and ``1`` when it
-    gives the one outside. The digit of a pair of a zero and an infinite
-    eigenvalue is always ``0``. Selection ``00...0`` is the minimal
-    solution, and the last selection, every other digit ``1``, the largest.
+    Returns the stack ``herm(V2 V1^{-1})`` of the selections whose V1 is
+    invertible, one label per stacked selection, and the number 2**(n - z)
+    of selections. A label is a string of n digits, digit k ``0`` when pair
+    k (ordered as in :func:`_pairs`) gives its eigenvalue inside the disc
+    and ``1`` when it gives the one outside. The digit of a pair of a zero
+    and an infinite eigenvalue is always ``0``. Selection ``00...0`` is the
+    minimal solution, and the last selection, every other digit ``1``, the
+    largest. All selections are solved in one batch; when a V1 of the batch
+    is singular, each is solved alone and the singular ones are dropped.
     The candidates are not validated here.
     """
     import scipy.linalg
@@ -174,8 +181,14 @@ def equality_candidates(
     bits = np.zeros((2**k, n), dtype=int)
     bits[:, free] = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
     chosen = vectors[:, np.where(bits == 1, outside, inside)].transpose(1, 0, 2)
+    labels = ["".join(map(str, r)) for r in bits.tolist()]
     x = _solution(chosen, n)
-    return None if x is None else (x, ["".join(map(str, r)) for r in bits.tolist()])
+    if x is None:
+        alone = [_solution(v, n) for v in chosen]
+        kept = [i for i, solved in enumerate(alone) if solved is not None]
+        x = np.array([alone[i] for i in kept]).reshape(len(kept), n, n)
+        labels = [labels[i] for i in kept]
+    return x, labels, 2**k
 
 
 def extremal(sigma: SystemRealization) -> tuple[np.ndarray, np.ndarray] | None:

@@ -17,8 +17,8 @@ always computed through both routes and must agree.
 
 One kernel decides membership for a stack of candidates, with one batched
 LAPACK call per step; :func:`membership` is its one-candidate view, and the
-solver's loops over candidates (the sampler's chain, Newton validation, the
-duality inverses) call the kernel once per batch. Storage operators are
+solver's loops over candidates (the sampler's chain, the candidates of each
+equality route, the duality inverses) call the kernel once per batch. Storage operators are
 built the same way: :func:`_storage_stack` decomposes a whole stack with one
 batched ``eigh``, and :class:`StorageOperator` is its one-matrix view.
 

@@ -1,43 +1,40 @@
 """Solution-set computation for the Riccati equality, extremal storage
 operators, and the adjoint-inversion duality.
 
-:func:`solve_re` is the one dispatch point, with three routes for systems
-of every dimension, scalar ones included.
+:func:`solve_re` is the one dispatch point, with three exact routes for
+systems of every dimension, scalar ones included. Each runs on the system
+without its constant isometric channels (see :func:`_without_unit_channels`),
+whose KYP LMI is the original one with zero rows and columns removed.
 
-* A minimal system whose extended symplectic pencil decides the equality
-  set (see :mod:`riccati_kyp.pencil`: regular, no eigenvalue near the unit
-  circle, n distinct eigenvalue pairs, a zero eigenvalue paired with an
-  infinite one) goes to the pencil: one generalized eigenvalue problem
-  gives all 2**(n - z) Hermitian solutions, one per selection of an
-  eigenvalue from each (lambda, 1/conj(lambda)) pair with each of the z
-  zero eigenvalues kept, and one membership-kernel call validates them.
-  The set is labelled ``complete`` when every selection passes.
+* A system whose extended symplectic pencil decides the equality set (see
+  :mod:`riccati_kyp.pencil`: regular, no eigenvalue near the unit circle,
+  n eigenvalue pairs whose nonzero inside members are distinct, a zero
+  eigenvalue paired with an infinite one) goes to the pencil: one
+  generalized eigenvalue problem gives the 2**(n - z) Hermitian solutions,
+  one per selection of an eigenvalue from each (lambda, 1/conj(lambda))
+  pair with each of the z zero eigenvalues kept, and one membership-kernel
+  call validates them. On a non-minimal system a selection whose V1 is
+  singular stands for a solution that is infinite on an uncontrollable
+  direction, and is dropped.
 * A minimal lossless system (inner or co-inner), whose pencil is singular,
   goes to the Stein equation ``X = A* X A + C* C`` of the system or of its
   adjoint (see :func:`_lossless_solution`): its inequality set is one point,
-  the set holds that point and is ``complete`` when it passes membership.
-* Any other system (a Popov function that vanishes on the circle, delta
-  singular at an extremal solution, non-minimal) goes to multi-start Newton
-  on the augmented feedback form: H satisfies the equality conditions
-  exactly when there is a K with
+  and the set holds that point when it passes membership.
+* Any other system (a Popov function that vanishes on the circle, a
+  singular pencil that is not lossless, a non-minimal system whose pencil
+  does not decide) gets the extremal pair: the ordered-QZ minimal solution
+  of the system and the inverse of its adjoint's (see
+  :func:`_extremal_set`), validated the same way.
 
-      beta(H) = delta(H) K      and      alpha(H) = K* delta(H) K,
-
-  together with H positive definite and delta(H) PSD. The augmented system
-  is polynomial in (H, K), so Newton iteration on it stays smooth across
-  rank changes of delta and reaches boundary solutions (delta singular) that
-  a pseudo-inverse formulation would make non-differentiable. Converged
-  points are validated through the membership test and deduplicated. The
-  Newton Jacobian is linear in the direction (E, F), so it is one batched
-  map over the stacks of unit H and K directions, not a loop over them.
-
-Every set is ordered deterministically and records its ``route``; only the
-pencil and lossless routes, which are exhaustive, label a set complete.
+Every set is ordered deterministically and records its ``route``. It is
+labelled ``complete`` only when the system is minimal, the route is the
+pencil or the Stein equation, which are exhaustive, and every candidate
+passed.
 
 Loops over candidates go through the stacked membership kernel of
-:mod:`riccati_kyp.riccati` with one call per batch: the pencil selections,
-the converged Newton points, the inverses of the duality samples, and the
-points of the sampler's chain. The members of a set are built from one
+:mod:`riccati_kyp.riccati` with one call per batch: the candidates of a
+route, the inverses of the duality samples, and the points of the sampler's
+chain. The members of a set are built from one
 batched eigendecomposition (``riccati._storage_stack``), whose last
 eigenvalue is each member's norm, and :func:`order_solutions` compares all
 member pairs from one spectrum per pair. On a decided pencil set that order
@@ -54,7 +51,8 @@ the LMI has no such point (the transfer function reaches norm 1 on the
 circle, as for inner and co-inner systems), the samples are copies of the
 anchors' mean.
 
-The minimal storage operator comes from one of two exact O(n**3) routes:
+The minimal storage operator, also taken without the constant isometric
+channels, comes from one of two exact O(n**3) routes:
 ordered QZ (:func:`riccati_kyp.pencil.extremal`) on a regular pencil, after
 an exact Schur-class test on its eigenvalues, and the Stein solution of a
 lossless system. It is certified deterministically (Lancaster & Rodman,
@@ -79,7 +77,6 @@ import numpy as np
 from .errors import (
     CertificateFailed,
     InconsistentRoutes,
-    NoConvergence,
     NotMinimal,
     NotPD,
     NotSchurClass,
@@ -91,6 +88,7 @@ from .linops import (
     _pinv_kept,
     _spectral_norms,
     hermitian_part,
+    loewner_compare,
     spectral_norm,
 )
 from .riccati import (
@@ -123,10 +121,6 @@ __all__ = [
 
 # Solver parameters that no caller varies.
 MAX_DIM = 6  # largest state dimension solve_re accepts
-STARTS = 30  # seeded random Newton starts besides the anchors and identities
-NEWTON_TOL = 1e-12  # augmented Newton: relative residual that converges
-MAX_ITER = 60
-DEDUP_TOL = 1e-7  # relative distance at which two Newton solutions are one
 EQUALITY_TOL = 1e-8  # equality tolerance of membership tests on solver output
 PHASE_ONE_STEPS = 200  # sampler: phase-I Newton steps before the LMI counts as thin
 
@@ -149,14 +143,16 @@ class SolutionSet:
     ``minimal_index``/``maximal_index`` are set when one member is below /
     above every other member. ``provenance`` records, per member, the solver
     route (``pencil(selection=...)``, ``lossless(inner)``,
-    ``lossless(co-inner)`` or ``newton(start=...)``), the final residual
-    norm, and the iteration count. ``route`` is the :func:`solve_re` route:
-    ``pencil``, ``lossless`` or ``newton-multistart``.
+    ``lossless(co-inner)``, ``extremal(minimal)`` or ``extremal(maximal)``),
+    the equality residual, and an iteration count, 0 on every route.
+    ``route`` is the :func:`solve_re` route: ``pencil``, ``lossless`` or
+    ``extremal``.
 
-    ``complete`` is True only when the set is the whole equality set and
-    every candidate of an exhaustive route passed membership: the 2**(n - z)
-    selections of a decided pencil, or the one inequality member of a
-    lossless system. Any other set is what was found, labelled incomplete.
+    ``complete`` is True only when the set is the whole equality set: the
+    system is minimal and every candidate of an exhaustive route passed
+    membership, the 2**(n - z) selections of a decided pencil or the one
+    inequality member of a lossless system. Any other set is what was found,
+    labelled incomplete.
     """
 
     members: list[StorageOperator] = field(default_factory=list)
@@ -183,7 +179,7 @@ def re_residual_norm(sigma: SystemRealization, h) -> float:
     return spectral_norm(alpha - beta.conj().T @ pinv @ beta)
 
 
-# -- augmented Newton ---------------------------------------------------------
+# -- Hermitian coordinates ----------------------------------------------------
 
 
 @functools.cache
@@ -218,106 +214,16 @@ def _herm_unpack(vec: np.ndarray, n: int) -> np.ndarray:
     return m
 
 
-def _pack_residual(phi1: np.ndarray, phi2: np.ndarray) -> np.ndarray:
-    """Real coordinates of a Hermitian n x n and a complex m x n matrix, or of
-    stacks of them; the unknowns (H, K) are packed the same way."""
-    rect = phi2.reshape(*phi2.shape[:-2], -1)
-    return np.concatenate([_herm_pack(phi1), rect.real, rect.imag], axis=-1)
-
-
-def _unpack(vec: np.ndarray, n: int, m: int):
-    """Inverse of :func:`_pack_residual` on (H, K) coordinates, or a stack."""
-    hv, kv = vec[..., : n * n], vec[..., n * n:]
-    k = kv[..., : m * n] + 1j * kv[..., m * n:]
-    return _herm_unpack(hv, n), k.reshape(vec.shape[:-1] + (m, n))
-
-
-def _aug_residual(sigma: SystemRealization, h: np.ndarray, k: np.ndarray):
-    """The packed residual of the augmented system at (H, K), and delta(H)."""
-    alpha, beta, delta = _residual_ops(sigma, h)
-    phi1 = hermitian_part(alpha - k.conj().T @ delta @ k)
-    return _pack_residual(phi1, beta - delta @ k), delta
-
-
 @functools.cache
-def _unit_directions(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only stacks of the unit H and of the unit K directions, in
-    packed order: the rows of the identity, unpacked."""
-    e, f = _unpack(np.eye(n * n + 2 * m * n), n, m)
-    e.flags.writeable = f.flags.writeable = False
-    return e[: n * n], f[n * n:]
-
-
-def _aug_jacobian(
-    sigma: SystemRealization, k: np.ndarray, delta: np.ndarray
-) -> np.ndarray:
-    """Jacobian of :func:`_aug_residual` at (H, K), where
-    ``delta = delta(H)``: its columns are the derivatives along the unit
-    directions, mapped as one stack of H and one of K directions."""
-    a_mat, b_mat = sigma.a, sigma.b
-    e, f = _unit_directions(sigma.state_dim, sigma.input_dim)
-    betab = b_mat.conj().T @ e @ b_mat
-    d_phi1 = hermitian_part(e - a_mat.conj().T @ e @ a_mat + k.conj().T @ betab @ k)
-    d_phi2 = b_mat.conj().T @ e @ a_mat + betab @ k
-    jac_h = _pack_residual(d_phi1, d_phi2)
-    d_phi1 = hermitian_part(
-        -f.conj().swapaxes(-1, -2) @ delta @ k - k.conj().T @ delta @ f
-    )
-    jac_k = _pack_residual(d_phi1, -delta @ f)
-    return np.concatenate([jac_h, jac_k]).T
-
-
-def _newton_equality(
-    sigma: SystemRealization,
-    h0: np.ndarray,
-    tol: float,
-    max_iter: int,
-):
-    """Damped Newton iteration on the augmented equality system.
-
-    Returns (h, residual_norm, iterations, converged). Rank-deficient
-    Jacobians (delta singular at the solution) are handled by least-squares
-    steps.
-    """
-    h = hermitian_part(h0)
-    _, beta0, delta0 = _residual_ops(sigma, h)
-    k = _pinv_kept(*_eigh_kept(delta0, RANK_TOL)) @ beta0
-
-    res, delta = _aug_residual(sigma, h, k)
-    res_norm = float(np.linalg.norm(res))
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        scale = 1.0 + float(np.linalg.norm(h))
-        if res_norm <= tol * scale:
-            return h, res_norm, iters - 1, True
-        step, *_ = np.linalg.lstsq(_aug_jacobian(sigma, k, delta), -res, rcond=None)
-        step_h, step_k = _unpack(step, sigma.state_dim, sigma.input_dim)
-
-        damping = 1.0
-        improved = False
-        for _ in range(12):
-            h_new = hermitian_part(h + damping * step_h)
-            k_new = k + damping * step_k
-            res_new, delta_new = _aug_residual(sigma, h_new, k_new)
-            new_norm = float(np.linalg.norm(res_new))
-            if new_norm < res_norm:
-                h, k, delta = h_new, k_new, delta_new
-                res, res_norm = res_new, new_norm
-                improved = True
-                break
-            damping *= 0.5
-        if not improved:
-            break
-    scale = 1.0 + float(np.linalg.norm(h))
-    return h, res_norm, iters, res_norm <= tol * scale
+def _unit_directions(n: int) -> np.ndarray:
+    """Read-only stack of the unit Hermitian directions, in packed order: the
+    rows of the identity, unpacked."""
+    e = _herm_unpack(np.eye(n * n), n)
+    e.flags.writeable = False
+    return e
 
 
 # -- sampling -----------------------------------------------------------------
-
-
-def _random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return hermitian_part(g / np.sqrt(2.0))
 
 
 def _lmi_linear(sigma: SystemRealization, e: np.ndarray) -> np.ndarray:
@@ -351,7 +257,7 @@ def _phase_one(sigma: SystemRealization, center: np.ndarray, tol: float):
     band = tol * max(1.0, spectral_norm(lmat))
     if low > band:
         return center
-    e, _ = _unit_directions(n, sigma.input_dim)
+    e = _unit_directions(n)
     eye = np.eye(size)
     dirs = np.concatenate([_lmi_linear(sigma, e), -eye[None]])
     # a margin is at most 1 (delta(H) <= I for H >= 0), so s starts one unit
@@ -515,47 +421,47 @@ def solve_re(
     sigma: SystemRealization, config: SolverConfig | None = None
 ) -> SolutionSet:
     """Find equality solutions; the one dispatch between the pencil,
-    lossless and Newton routes of the module docstring, for systems of every
-    dimension, scalar ones included.
+    lossless and extremal routes of the module docstring, for systems of
+    every dimension, scalar ones included, run on ``sigma`` without its
+    constant isometric channels (:func:`_without_unit_channels`).
 
-    A minimal system on the Newton route first passes the Schur-class test
-    of :func:`_require_schur`. The Newton starts combine the ordered-QZ
-    candidate (the minimal one, :func:`riccati_kyp.pencil.extremal`), the
-    inverse of the adjoint's when it is positive definite (the maximal
-    one), scaled identities, and seeded random Hermitian perturbations
-    between the two; converged points are membership-validated and
-    deduplicated at ``DEDUP_TOL * (1 + |trace|)``. Members are sorted by
-    trace and then by entries, so output order is independent of
+    A non-minimal system warns. A minimal system on the extremal route first
+    passes the Schur-class test of :func:`_require_schur`. Members are
+    sorted by trace and then by entries, so output order is independent of
     scheduling. Every route validates at ``config.membership_tol`` and
-    ``EQUALITY_TOL``; only the pencil and lossless routes, which are
-    exhaustive, label a set ``complete``.
+    ``EQUALITY_TOL``.
     """
     cfg = config or SolverConfig()
     n = sigma.state_dim
     if n > MAX_DIM:
         raise ValueError(f"state dimension {n} exceeds the solver cap {MAX_DIM}")
-    if not is_minimal(sigma):
+    sigma = _without_unit_channels(sigma)
+    minimal = bool(is_minimal(sigma))
+    if not minimal:
         warnings.warn(
             "equality solving on a non-minimal system; solution structure "
             "theory assumes minimality",
             RuntimeWarning,
             stacklevel=2,
         )
-        return _newton_multistart(sigma, cfg, extremal(sigma))
     found = equality_candidates(sigma)
     if found is not None:
-        stack, labels = found
+        stack, labels, selections = found
         return _validated_set(
-            sigma, cfg, stack, [f"pencil(selection={s})" for s in labels], "pencil"
+            sigma,
+            cfg,
+            stack,
+            [f"pencil(selection={s})" for s in labels],
+            "pencil",
+            exhaustive=minimal and len(stack) == selections,
         )
-    lossless = _lossless_solution(sigma)
+    lossless = _lossless_solution(sigma) if minimal else None
     if lossless is not None:
         kind, h, _, _ = lossless
-        return _validated_set(sigma, cfg, h[None], [f"lossless({kind})"], "lossless")
-    found = extremal(sigma)
-    if found is not None:
-        _require_schur(sigma, found[1])
-    return _newton_multistart(sigma, cfg, found)
+        return _validated_set(
+            sigma, cfg, h[None], [f"lossless({kind})"], "lossless", exhaustive=True
+        )
+    return _extremal_set(sigma, cfg, minimal)
 
 
 def _validated_set(
@@ -564,10 +470,12 @@ def _validated_set(
     stack: np.ndarray,
     labels: list[str],
     route: str,
+    exhaustive: bool,
 ) -> SolutionSet:
-    """The pencil and lossless routes of :func:`solve_re`: every candidate
-    of an exhaustive stack, validated by one membership-kernel call; the set
-    is complete when all of them pass. ``labels`` are the provenance routes."""
+    """The candidates on ``stack`` that pass membership, validated by one
+    membership-kernel call; ``labels`` are their provenance routes. The set
+    is complete when the stack is ``exhaustive`` (the whole equality set of
+    a minimal system) and all of them pass."""
     verdicts = _membership_stack(
         sigma, stack, tol=cfg.membership_tol, eq_tol=EQUALITY_TOL
     )
@@ -587,9 +495,62 @@ def _validated_set(
                 for _, res, label in validated
             ],
             route=route,
-            complete=len(validated) == len(stack),
+            complete=exhaustive and len(validated) == len(stack),
         )
     )
+
+
+def _extremal_set(
+    sigma: SystemRealization, cfg: SolverConfig, minimal: bool
+) -> SolutionSet:
+    """The extremal route of :func:`solve_re`: the ordered-QZ minimal
+    solution of ``sigma`` (:func:`riccati_kyp.pencil.extremal`, after the
+    Schur-class test when ``minimal``) and the inverse of its adjoint's when
+    that is positive definite, the maximal one; the second is left out when
+    the two are Loewner-equal. The set is never complete."""
+    candidates, labels = [], []
+    found = extremal(sigma)
+    if found is not None:
+        if minimal:
+            _require_schur(sigma, found[1])
+        candidates.append(found[0])
+        labels.append("extremal(minimal)")
+    found = extremal(adjoint(sigma))
+    try:
+        inv_sqrt = None if found is None else as_storage(found[0]).inv_sqrt
+    except NotPD:  # H_max is infinite on the kernel of the adjoint's H_min
+        inv_sqrt = None
+    if inv_sqrt is not None:
+        h_max = hermitian_part(inv_sqrt @ inv_sqrt)
+        tol = EQUALITY_TOL * max(1.0, spectral_norm(h_max))
+        if not candidates or loewner_compare(candidates[0], h_max, tol) != Loewner.EQUAL:
+            candidates.append(h_max)
+            labels.append("extremal(maximal)")
+    stack = np.array(candidates).reshape(len(candidates), *sigma.a.shape)
+    return _validated_set(sigma, cfg, stack, labels, "extremal", exhaustive=False)
+
+
+def _without_unit_channels(sigma: SystemRealization) -> SystemRealization:
+    """``sigma`` without its constant isometric channels, or ``sigma`` when
+    it has none or when every input is one.
+
+    A channel is an input direction u in the kernel of ``[B; I - D* D;
+    C* D]`` (singular values cut at ``RANK_TOL * max(1, s_max)``), which T
+    maps to the unit output ``D u`` at every point. With V the other inputs
+    and W the outputs orthogonal to the ``D u``, ``(A, B V, W* C, W* D V)``
+    has ``alpha(H)``, ``V* beta(H)`` and ``V* delta(H) V``, as ``beta(H) u``
+    and ``delta(H) u`` vanish: its KYP LMI is that of ``sigma`` without zero
+    rows and columns, with the same solution sets and minimality."""
+    b, c, d = sigma.b, sigma.c, sigma.d
+    m = sigma.input_dim
+    _, s, vh = np.linalg.svd(np.vstack([b, np.eye(m) - d.conj().T @ d, c.conj().T @ d]))
+    kept = s > RANK_TOL * max(1.0, s.max(initial=0.0))
+    channels = m - int(kept.sum())
+    if channels in (0, m):  # the kernels take no realization without inputs
+        return sigma
+    u, _, _ = np.linalg.svd(d @ vh[~kept].conj().T)
+    v, w = vh[kept].conj().T, u[:, channels:]
+    return SystemRealization(sigma.a, b @ v, w.conj().T @ c, w.conj().T @ d @ v)
 
 
 def _hermitian_inverse(h: np.ndarray) -> np.ndarray:
@@ -633,89 +594,6 @@ def _lossless_solution(
         if max(spectral_norm(beta), spectral_norm(delta)) <= bound:
             return kind, x if kind == "inner" else _hermitian_inverse(x), system, x
     return None
-
-
-def _newton_multistart(sigma: SystemRealization, cfg: SolverConfig, found) -> SolutionSet:
-    """The Newton route of :func:`solve_re`, for any dimensions, anchored at
-    ``found``, the result of :func:`riccati_kyp.pencil.extremal` on sigma."""
-    n = sigma.state_dim
-    rng = np.random.default_rng(cfg.seed)
-
-    anchors = [] if found is None else [found[0]]
-    found_adj = extremal(adjoint(sigma))
-    if found_adj is not None:
-        w = np.linalg.eigvalsh(found_adj[0])
-        if float(w[0]) > 1e-12 * max(float(np.abs(w).max()), 1.0):
-            anchors.append(hermitian_part(np.linalg.inv(found_adj[0])))
-
-    eye = np.eye(n, dtype=complex)
-    starts: list[np.ndarray] = list(anchors)
-    starts.extend([eye, 0.25 * eye, 0.5 * eye, 2.0 * eye, 4.0 * eye])
-    if len(anchors) == 2:
-        starts.append(0.5 * (anchors[0] + anchors[1]))
-        spread = max(spectral_norm(anchors[1] - anchors[0]), 0.1)
-        base_lo, base_hi = anchors
-    else:
-        spread = 1.0
-        base_lo = base_hi = anchors[0] if anchors else eye
-    for _ in range(STARTS):
-        lam = rng.uniform()
-        base = lam * base_lo + (1.0 - lam) * base_hi
-        starts.append(
-            hermitian_part(
-                base + rng.uniform(0.05, 0.6) * spread * _random_hermitian(rng, n)
-            )
-        )
-
-    candidates: list[tuple[np.ndarray, float, int, str]] = []
-    best_res = np.inf
-    any_converged = False
-    for idx, h0 in enumerate(starts):
-        h, res, iters, ok = _newton_equality(
-            sigma, h0, tol=NEWTON_TOL, max_iter=MAX_ITER
-        )
-        best_res = min(best_res, res)
-        if not ok:
-            continue
-        # polish: a short second pass at full precision
-        h, res, extra, _ = _newton_equality(
-            sigma, h, tol=1e-14, max_iter=6
-        )
-        any_converged = True
-        candidates.append((h, res, iters + extra, f"newton(start={idx})"))
-    if not any_converged:
-        raise NoConvergence(best_res)
-
-    candidates.sort(key=lambda t: t[1])
-    verdicts = _membership_stack(
-        sigma,
-        np.array([t[0] for t in candidates]),
-        tol=cfg.membership_tol,
-        eq_tol=EQUALITY_TOL,
-    )
-    validated: list[tuple[np.ndarray, float, int, str]] = []
-    for (h, res, iters, route), verdict in zip(candidates, verdicts):
-        if isinstance(verdict, InconsistentRoutes):
-            raise verdict
-        if isinstance(verdict, NotPD) or not verdict.in_re:
-            continue
-        dup = any(
-            spectral_norm(h - u[0])
-            <= DEDUP_TOL * (1.0 + abs(float(np.real(np.trace(u[0])))))
-            for u in validated
-        )
-        if not dup:
-            validated.append((h, res, iters, route))
-
-    validated.sort(key=lambda t: _solution_sort_key(t[0]))
-    members = _storage_stack([h for h, _, _, _ in validated])
-    provenance = [
-        {"route": route, "residual": res, "iterations": iters}
-        for _, res, iters, route in validated
-    ]
-    return order_solutions(
-        SolutionSet(members=members, provenance=provenance, route="newton-multistart")
-    )
 
 
 def _require_schur(sigma: SystemRealization, lam: np.ndarray) -> None:
@@ -829,7 +707,9 @@ def _certified(
 
 
 def _certified_minimal(sigma: SystemRealization, cfg: SolverConfig) -> StorageOperator:
-    """The computation behind :func:`minimal_solution`, without the lookup."""
+    """The computation behind :func:`minimal_solution`, without the lookup,
+    on ``sigma`` without its constant isometric channels."""
+    sigma = _without_unit_channels(sigma)
     if not is_minimal(sigma):
         raise NotMinimal("extremal solutions require a minimal system")
     found = extremal(sigma)

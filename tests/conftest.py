@@ -212,20 +212,22 @@ def random_similarity(rng: np.random.Generator, n: int, strength: float = 0.3) -
     )
 
 
+def dare_minimal(sigma: SystemRealization) -> np.ndarray:
+    """The stabilizing solution of scipy's DARE with Q = C*C, R = D*D - I
+    and S = C*D, made Hermitian."""
+    x = scipy.linalg.solve_discrete_are(
+        sigma.a,
+        sigma.b,
+        sigma.c.conj().T @ sigma.c,
+        sigma.d.conj().T @ sigma.d - np.eye(sigma.input_dim),
+        s=sigma.c.conj().T @ sigma.d,
+    )
+    return 0.5 * (x + x.conj().T)
+
+
 def dare_extremes(sigma: SystemRealization) -> tuple[np.ndarray, np.ndarray]:
-    """(H_min, H_max) of a strictly passive minimal system: H_min is the
-    stabilizing solution of scipy's DARE with Q = C*C, R = D*D - I and
-    S = C*D, and H_max the inverse of the adjoint system's H_min."""
-
-    def minimal(s: SystemRealization) -> np.ndarray:
-        x = scipy.linalg.solve_discrete_are(
-            s.a,
-            s.b,
-            s.c.conj().T @ s.c,
-            s.d.conj().T @ s.d - np.eye(s.input_dim),
-            s=s.c.conj().T @ s.d,
-        )
-        return 0.5 * (x + x.conj().T)
-
-    h_max = np.linalg.inv(minimal(adjoint(sigma)))
-    return minimal(sigma), 0.5 * (h_max + h_max.conj().T)
+    """(H_min, H_max) of a strictly passive minimal system: H_min is
+    :func:`dare_minimal`, and H_max the inverse of the adjoint system's
+    H_min."""
+    h_max = np.linalg.inv(dare_minimal(adjoint(sigma)))
+    return dare_minimal(sigma), 0.5 * (h_max + h_max.conj().T)

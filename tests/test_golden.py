@@ -3,7 +3,9 @@
 systems that fail different checks first (non-passive, non-minimal, nearly
 non-passive), which pin the order of the checks, and ``extremes`` on a
 seed-21 zoo system whose maximal certificate once failed on samples that
-rejection sampling took from just outside the inequality set. All run with
+rejection sampling took from just outside the inequality set, and
+``report`` on T(z) = diag(1, 0.5 z), whose constant isometric channel the
+solver drops (equality set {1/4}, H_min = 1/4, H_max = 1). All run with
 ``--seed 301 --no-timings`` and are compared with the reports stored under
 ``tests/golden``.
 

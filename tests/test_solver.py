@@ -1,13 +1,16 @@
 """Solver tests: scalar systems on the common dispatch, the
-symplectic-pencil and lossless routes, zero pencil eigenvalues, multi-start
-Newton on the augmented system, extremal solutions with their deterministic
-certificates, inversion duality, ordering, and determinism."""
+symplectic-pencil, lossless and extremal routes, zero pencil eigenvalues,
+non-minimal systems and constant isometric channels, extremal solutions with
+their deterministic certificates, inversion duality, ordering, and
+determinism."""
 
 import collections
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +28,7 @@ from riccati_kyp import (
     as_storage,
     duality_check,
     is_minimal,
+    kyp_lmi,
     loewner_compare,
     maximal_solution,
     membership,
@@ -37,25 +41,20 @@ from riccati_kyp import (
     system_matrix,
 )
 from riccati_kyp import solver as solver_module
-from riccati_kyp.linops import _loewner_stack, _spectral_norms
+from riccati_kyp.linops import _eigh_kept, _loewner_stack, _pinv_kept, _spectral_norms
 from riccati_kyp.pencil import CIRCLE_GAP, _extended_pencil, equality_candidates, extremal
+from riccati_kyp.riccati import RANK_TOL, _residual_ops
 from riccati_kyp.solver import (
     EQUALITY_TOL,
-    MAX_ITER,
-    NEWTON_TOL,
-    _aug_jacobian,
-    _aug_residual,
     _herm_pack,
     _herm_unpack,
-    _newton_equality,
-    _newton_multistart,
-    _pack_residual,
     _solution_sort_key,
-    _unpack,
+    _without_unit_channels,
 )
 from conftest import (
     blaschke_system,
     dare_extremes,
+    dare_minimal,
     random_hermitian,
     random_pd,
     random_realization,
@@ -74,29 +73,31 @@ SCALAR_CASES = {
     # transfer = lam: inner, delta vanishes at the one member
     "delay": ((0.0, 1.0, 1.0, 0.0), [1.0], "lossless"),
     # non-minimal: B = 0, then C = 0 (values solved by hand), and no coupling
-    # with a strictly stable state
-    "uncontrollable": ((0.5, 0.0, 0.5, 0.3), [0.25 / 0.6825], "newton-multistart"),
-    "unobservable": ((0.5, 0.5, 0.0, 0.3), [0.6825 / 0.25], "newton-multistart"),
-    "decoupled-stable": ((0.5, 0.0, 0.0, 0.5), [], "newton-multistart"),
+    # with a strictly stable state; the pencil's other selection has a
+    # singular V1 or is 0
+    "uncontrollable": ((0.5, 0.0, 0.5, 0.3), [0.25 / 0.6825], "pencil"),
+    "unobservable": ((0.5, 0.5, 0.0, 0.3), [0.6825 / 0.25], "pencil"),
+    "decoupled-stable": ((0.5, 0.0, 0.0, 0.5), [], "pencil"),
 }
 
 
 class TestScalarSystems:
     """Scalar systems take the dispatch of every other system: the pencil,
-    the Stein route of a lossless system, or Newton, which every non-minimal
-    system takes with a RuntimeWarning."""
+    the Stein route of a lossless system, or the extremal pair. A
+    non-minimal system warns, and its set is never complete."""
 
     @pytest.mark.parametrize("case", SCALAR_CASES)
     def test_solve_re(self, case):
         abcd, expected, route = SCALAR_CASES[case]
         sigma = SystemRealization(*abcd)
-        if route == "newton-multistart":
+        minimal = bool(is_minimal(sigma))
+        if minimal:
+            solution_set = solve_re(sigma)
+        else:
             with pytest.warns(RuntimeWarning, match="non-minimal"):
                 solution_set = solve_re(sigma)
-        else:
-            solution_set = solve_re(sigma)
         assert solution_set.route == route
-        assert solution_set.complete == (route != "newton-multistart")
+        assert solution_set.complete == minimal
         got = [member.matrix[0, 0] for member in solution_set.members]
         assert len(got) == len(expected)
         for h, target in zip(got, expected):
@@ -105,16 +106,16 @@ class TestScalarSystems:
 
     def test_continuum_returns_the_points_found_incomplete(self):
         # with no input or output coupling and a unimodular state operator,
-        # every positive weight satisfies the equality: Newton returns the
-        # points it reached, labelled incomplete
+        # every positive weight satisfies the equality; the pencil has its
+        # two eigenvalues on the circle, and neither extremal candidate is
+        # positive definite, so the set is empty and labelled incomplete
         sigma = SystemRealization(1.0, 0.0, 0.0, 0.5)
+        assert membership(sigma, 2.0 * np.eye(1), eq_tol=EQUALITY_TOL).in_re
         with pytest.warns(RuntimeWarning, match="non-minimal"):
             solution_set = solve_re(sigma)
-        assert solution_set.route == "newton-multistart"
+        assert solution_set.route == "extremal"
         assert not solution_set.complete
-        assert len(solution_set) > 1
-        for member in solution_set.members:
-            assert membership(sigma, member.matrix, eq_tol=EQUALITY_TOL).in_re
+        assert len(solution_set) == 0
 
 
 class TestSolveRe:
@@ -136,16 +137,6 @@ class TestSolveRe:
         # the selection of the inside eigenvalues is the minimal solution
         assert solution_set.provenance[0]["route"] == "pencil(selection=00)"
         assert solution_set.provenance[3]["route"] == "pencil(selection=11)"
-
-    def test_scalar_through_newton_matches_closed_form(self, scalar_interval_system):
-        # solve_re takes the pencil here; the Newton route, called
-        # directly, must agree with it
-        solution_set = _newton_multistart(
-            scalar_interval_system, SolverConfig(), extremal(scalar_interval_system)
-        )
-        assert solution_set.route == "newton-multistart"
-        assert len(solution_set) == 1
-        assert abs(solution_set.members[0].matrix[0, 0] - 3.0 / 64.0) <= 1e-10
 
     def test_scalar_dispatch_forwards_tolerances(
         self, scalar_interval_system, monkeypatch
@@ -240,6 +231,15 @@ class TestPencilRoute:
         # the maximal solution was the rejected selection
         assert solution_set.maximal_index is None
 
+    def test_complete_requires_a_minimal_system(self, two_state_system, monkeypatch):
+        # all four selections of the two-state example pass; with
+        # minimality denied, the same members form an incomplete set
+        monkeypatch.setattr(solver_module, "is_minimal", lambda sigma: False)
+        with pytest.warns(RuntimeWarning, match="non-minimal"):
+            solution_set = solve_re(two_state_system)
+        assert solution_set.route == "pencil" and len(solution_set) == 4
+        assert not solution_set.complete
+
     @pytest.mark.parametrize("case", ["blaschke3", "coisometry"])
     def test_inner_and_coinner_take_lossless(self, case, coisometry_system):
         # the pencil of an inner or co-inner system is singular: its
@@ -263,7 +263,8 @@ class TestPencilRoute:
 
     def test_circle_eigenvalues_take_newton(self):
         # the two-state example with A scaled by 1.05: the Popov function
-        # vanishes on the circle, so the pencil has eigenvalues there
+        # vanishes on the circle, so the pencil has eigenvalues there and
+        # does not decide
         sigma = SystemRealization(
             [[0.0, 0.63], [0.84, 0.0]], [[0.0], [0.6]], [[0.0, 0.8]], [[0.0]]
         )
@@ -288,17 +289,30 @@ class TestPencilRoute:
         else:
             assert gap < CIRCLE_GAP
             assert equality_candidates(sigma) is None
-            assert solution_set.route == "newton-multistart"
+            # the extremal pair: H_min and H_max, without the two members
+            # between them
+            assert solution_set.route == "extremal"
+            assert not solution_set.complete
+            routes = [p["route"] for p in solution_set.provenance]
+            assert routes == ["extremal(minimal)", "extremal(maximal)"]
+            assert (solution_set.minimal_index, solution_set.maximal_index) == (0, 1)
 
     def test_non_minimal_takes_newton(self):
-        # the scalar interval example plus an uncontrollable, observable mode
+        # the scalar interval example plus an uncontrollable, observable
+        # mode: the pencil decides, and the selection that flips the mode at
+        # 0.5 has a singular V1, so one of two selections is left
         sigma = SystemRealization(
             np.diag([-0.125, 0.5]), [[1.0], [0.0]], [[0.1875, 0.3]], [[0.5]]
         )
+        stack, labels, selections = equality_candidates(sigma)
+        assert (len(stack), selections) == (1, 2)
         with pytest.warns(RuntimeWarning, match="non-minimal"):
             solution_set = solve_re(sigma)
-        assert solution_set.route == "newton-multistart"
+        assert solution_set.route == "pencil"
         assert not solution_set.complete
+        assert [p["route"] for p in solution_set.provenance] == [
+            f"pencil(selection={labels[0]})"
+        ]
 
 
 @settings(max_examples=60, deadline=None)
@@ -311,18 +325,18 @@ class TestPencilRoute:
 )
 def test_pencil_set_holds_every_newton_solution(seed, n, m, p, norm):
     """On random strictly passive minimal systems the pencil decides the
-    equality set. Every member passes membership; every limit of Newton from
-    seeded random starts is one of the 2**n pencil candidates, and a member
-    whenever membership accepts it. The set is complete exactly when all
-    2**n candidates are members, and then its flagged extremes are the
-    all-inside and all-outside selections."""
+    equality set. Every member passes membership; every limit of a
+    root finder from seeded random starts is one of the 2**n pencil
+    candidates, and a member whenever membership accepts it. The set is
+    complete exactly when all 2**n candidates are members, and then its
+    flagged extremes are the all-inside and all-outside selections."""
     rng = np.random.default_rng(seed)
     sigma = random_realization(rng, n, m, p, passive_norm=norm)
     assume(is_minimal(sigma))
     found = equality_candidates(sigma)
     assert found is not None
-    stack, labels = found
-    assert stack.shape == (2**n, n, n)
+    stack, labels, selections = found
+    assert stack.shape == (2**n, n, n) and selections == 2**n
     assert len(set(labels)) == 2**n
     assert _rel(extremal(sigma)[0], stack[0]) <= 1e-12
     solution_set = solve_re(sigma)
@@ -334,19 +348,38 @@ def test_pencil_set_holds_every_newton_solution(seed, n, m, p, norm):
     if solution_set.complete:
         assert _near(stack[0], [members[solution_set.minimal_index]], tol=1e-12)
         assert _near(stack[-1], [members[solution_set.maximal_index]], tol=1e-12)
-    for _ in range(2):
-        h, _, _, converged = _newton_equality(
-            sigma, random_hermitian(rng, n), tol=NEWTON_TOL, max_iter=MAX_ITER
-        )
-        if not converged:
-            continue
+    for h in _equality_limits(sigma, [random_hermitian(rng, n) for _ in range(2)]):
         assert _near(h, stack)
-        try:
-            accepted = membership(sigma, h, eq_tol=EQUALITY_TOL).in_re
-        except NotPD:
-            accepted = False
-        if accepted:
+        if _in_re(sigma, h):
             assert _near(h, members)
+
+
+def _equality_limits(sigma, starts):
+    """The limits of ``scipy.optimize.root(method="lm")`` on the packed
+    equality residual ``alpha - beta* pinv(delta) beta`` (the DARE residual
+    where delta is invertible) from each start, those that converged: a
+    residual within 1e-10 of zero relative to ``1 + ||H||``."""
+    n = sigma.state_dim
+
+    def residual(x):
+        alpha, beta, delta = _residual_ops(sigma, _herm_unpack(x, n))
+        pinv = _pinv_kept(*_eigh_kept(delta, RANK_TOL))
+        return _herm_pack(alpha - beta.conj().T @ pinv @ beta)
+
+    limits = []
+    for start in starts:
+        x = scipy.optimize.root(residual, _herm_pack(start), method="lm").x
+        h = _herm_unpack(x, n)
+        if np.linalg.norm(residual(x)) <= 1e-10 * (1.0 + np.linalg.norm(h)):
+            limits.append(h)
+    return limits
+
+
+def _in_re(sigma, h) -> bool:
+    try:
+        return membership(sigma, h, eq_tol=EQUALITY_TOL).in_re
+    except NotPD:
+        return False
 
 
 def _zero_eigenvalue_draw(seed, n, m, p, zeros=1):
@@ -380,8 +413,8 @@ def test_zero_pencil_eigenvalue_pairs_with_infinity(seed, n, m, p):
     assume(is_minimal(sigma))
     found = equality_candidates(sigma)
     assert found is not None
-    stack, labels = found
-    assert stack.shape == (2 ** (n - 1), n, n)
+    stack, labels, selections = found
+    assert stack.shape == (2 ** (n - 1), n, n) and selections == 2 ** (n - 1)
     assert len(set(labels)) == len(labels)
     assert sum(all(s[k] == "0" for s in labels) for k in range(n)) == 1
     solution_set = solve_re(sigma)
@@ -392,68 +425,165 @@ def test_zero_pencil_eigenvalue_pairs_with_infinity(seed, n, m, p):
     assert _rel(stack[0], dare_extremes(sigma)[0]) <= 1e-10
 
 
-@pytest.mark.parametrize("seed, n, m, p", [(1, 2, 1, 1), (2, 3, 2, 1), (3, 4, 1, 2)])
-def test_newton_members_lie_in_the_zero_eigenvalue_pencil_set(seed, n, m, p):
-    sigma = _zero_eigenvalue_draw(seed, n, m, p)
-    assert is_minimal(sigma)
-    stack, _ = equality_candidates(sigma)
-    newton = _newton_multistart(sigma, SolverConfig(), extremal(sigma))
-    assert len(newton) >= 1
-    for member in newton.members:
-        assert _near(member.matrix, stack, tol=1e-8)
-
-
-def test_coincident_zero_eigenvalues_take_newton():
-    # two zero eigenvalues coincide, so the pencil does not decide
+def test_coincident_zero_eigenvalues_take_the_pencil():
+    # two zero eigenvalues coincide; neither ever flips, so the pencil
+    # decides with 2**(n - 2) selections, and all of them pass
     sigma = _zero_eigenvalue_draw(4, 3, 2, 2, zeros=2)
     assert is_minimal(sigma)
-    assert equality_candidates(sigma) is None
+    stack, labels, selections = equality_candidates(sigma)
+    assert len(stack) == selections == 2
     solution_set = solve_re(sigma)
-    assert solution_set.route == "newton-multistart"
-    assert not solution_set.complete
+    assert solution_set.route == "pencil"
+    assert solution_set.complete
+    assert len(solution_set) == 2 ** (3 - 2)
+    assert _rel(solution_set.members[0].matrix, dare_extremes(sigma)[0]) <= 1e-10
 
 
-def _residual_derivative(sigma, k, delta, e, f):
-    """The packed derivative of the augmented residual along (E, F), one
-    direction at a time, with the matmuls in the solver's order."""
-    a_mat, b_mat = sigma.a, sigma.b
-    betab = b_mat.conj().T @ e @ b_mat
-    d_phi1 = (
-        e - a_mat.conj().T @ e @ a_mat + k.conj().T @ betab @ k
-        - f.conj().T @ delta @ k - k.conj().T @ delta @ f
+def _appended_state(seed: int, kind: str) -> SystemRealization:
+    """A random realization with n = 1..4, m, p = 1..2 and block norm 0.9,
+    plus one state at 0.3 that the input does not reach (``kind``
+    ``"uncontrollable"``) or the output does not see (``"unobservable"``),
+    coupled to the other side with weight 0.3."""
+    rng = np.random.default_rng(seed)
+    n, m, p = int(rng.integers(1, 5)), int(rng.integers(1, 3)), int(rng.integers(1, 3))
+    sigma = random_realization(rng, n, m, p, passive_norm=0.9)
+    a = np.block([[sigma.a, np.zeros((n, 1))], [np.zeros((1, n)), np.full((1, 1), 0.3)]])
+    k = max(m, p)
+    g = 0.3 * (rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k)))
+    if kind == "uncontrollable":
+        b = np.vstack([sigma.b, np.zeros((1, m))])
+        c = np.hstack([sigma.c, g[0, :p, None]])
+    else:
+        b = np.vstack([sigma.b, g[1, None, :m]])
+        c = np.hstack([sigma.c, np.zeros((p, 1))])
+    return SystemRealization(a, b, c, sigma.d)
+
+
+def _unitary(rng: np.random.Generator, k: int) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    return q
+
+
+def _unit_channel_draw(seed: int) -> SystemRealization:
+    """A random realization with n = 1..3, m, p = 1..2 and block norm 0.9,
+    with one constant isometric channel added and the inputs and outputs
+    rotated by random unitaries U and V: ``(A, [B, 0] V*, U [C; 0],
+    U diag(D, 1) V*)``, which is minimal when the first one is."""
+    rng = np.random.default_rng(seed)
+    n, m, p = int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 3))
+    sigma = random_realization(rng, n, m, p, passive_norm=0.9)
+    u, v = _unitary(rng, p + 1), _unitary(rng, m + 1)
+    d = np.block([[sigma.d, np.zeros((p, 1))], [np.zeros((1, m)), np.ones((1, 1))]])
+    return SystemRealization(
+        sigma.a,
+        np.hstack([sigma.b, np.zeros((n, 1))]) @ v.conj().T,
+        u @ np.vstack([sigma.c, np.zeros((1, n))]),
+        u @ d @ v.conj().T,
     )
-    d_phi2 = b_mat.conj().T @ e @ a_mat + betab @ k - delta @ f
-    return _pack_residual(0.5 * (d_phi1 + d_phi1.conj().T), d_phi2)
+
+
+@pytest.mark.parametrize("kind", ["uncontrollable", "unobservable"])
+def test_non_minimal_systems_take_the_pencil(kind):
+    """A stable uncontrolled or unobserved state leaves the pencil deciding:
+    the set is incomplete, and every member is an equality member. With
+    the state uncontrollable, scipy's stabilizing DARE solution, H_min, is
+    one of them; with it unobservable, H_min is singular."""
+    for seed in range(12):
+        sigma = _appended_state(seed, kind)
+        assert not is_minimal(sigma)
+        with pytest.warns(RuntimeWarning, match="non-minimal"):
+            solution_set = solve_re(sigma)
+        assert solution_set.route == "pencil", seed
+        assert not solution_set.complete
+        members = [member.matrix for member in solution_set.members]
+        assert members, seed
+        for h in members:
+            assert membership(sigma, h, eq_tol=EQUALITY_TOL).in_re
+        if kind == "uncontrollable":
+            assert _near(dare_minimal(sigma), members, tol=1e-8), seed
+
+
+def _three_classes(case: str) -> list[SystemRealization]:
+    """Seeded systems of the three kinds the pencil now decides without a
+    seeded search: a stable state appended, two coincident zero pencil
+    eigenvalues, and a constant isometric channel."""
+    if case == "appended-state":
+        kinds = ("uncontrollable", "unobservable")
+        return [_appended_state(seed, kind) for seed in range(3) for kind in kinds]
+    if case == "two-zeros":
+        return [
+            _zero_eigenvalue_draw(4, 3, 2, 2, zeros=2),
+            _zero_eigenvalue_draw(5, 4, 1, 2, zeros=2),
+        ]
+    return [_unit_channel_draw(s) for s in range(4)]
+
+
+@pytest.mark.parametrize("case", ["appended-state", "two-zeros", "unit-channel"])
+def test_every_accepted_equality_limit_is_a_member(case):
+    """Every limit of a root finder on the equality residual, from seeded
+    positive-definite starts, that membership accepts is in the set of
+    ``solve_re``."""
+    accepted = 0
+    for k, sigma in enumerate(_three_classes(case)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            members = [member.matrix for member in solve_re(sigma).members]
+        rng = np.random.default_rng(k)
+        starts = [random_pd(rng, sigma.state_dim) for _ in range(6)]
+        for h in _equality_limits(sigma, starts):
+            if _in_re(sigma, h):
+                accepted += 1
+                assert _near(h, members), (case, k)
+    assert accepted >= 6
+
+
+def test_unit_channel_is_deflated():
+    # T(z) = diag(1, 0.5 z): the first input is a constant isometric
+    # channel, and without it the system is T(z) = 0.5 z, whose pencil has
+    # a zero eigenvalue; H_min = 1/4 and H_max = 1 in closed form
+    sigma = SystemRealization(0.0, [[0.0, 1.0]], [[0.0], [0.5]], np.diag([1.0, 0.0]))
+    deflated = _without_unit_channels(sigma)
+    assert (deflated.input_dim, deflated.output_dim) == (1, 1)
+    solution_set = solve_re(sigma)
+    assert solution_set.route == "pencil" and solution_set.complete
+    assert [m.matrix[0, 0] for m in solution_set.members] == [0.25]
+    assert minimal_solution(sigma).matrix[0, 0] == 0.25
+    assert abs(maximal_solution(sigma).matrix[0, 0] - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_deflated_lmi_is_the_original_without_zero_rows(seed):
+    """In the input basis ``[V, N]`` (kept inputs, then the channel), the
+    KYP LMI of the system is that of the deflated one bordered by zeros, and
+    minimality is unchanged."""
+    sigma = _unit_channel_draw(seed)
+    deflated = _without_unit_channels(sigma)
+    n, m = sigma.state_dim, sigma.input_dim
+    assert deflated.input_dim == m - 1 and deflated.output_dim == sigma.output_dim - 1
+    assert bool(is_minimal(deflated)) == bool(is_minimal(sigma))
+    d = sigma.d
+    _, _, vh = np.linalg.svd(
+        np.vstack([sigma.b, np.eye(m) - d.conj().T @ d, sigma.c.conj().T @ d])
+    )
+    basis = np.block([[np.eye(n), np.zeros((n, m))], [np.zeros((m, n)), vh.conj().T]])
+    h = random_pd(np.random.default_rng(seed), n)
+    full = basis.conj().T @ kyp_lmi(sigma, h) @ basis
+    assert spectral_norm(full[n + m - 1:]) <= 1e-12
+    assert spectral_norm(full[: n + m - 1, : n + m - 1] - kyp_lmi(deflated, h)) <= 1e-12
 
 
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_aug_jacobian_matches_central_differences(n, m):
-    """Each column of the batched Jacobian equals the derivative along its
-    unit direction taken alone (the same arithmetic, so exactly) and its
-    central difference."""
+    """The packed real coordinates of Hermitian matrices, which the
+    sampler's phase-I iteration works in, round-trip on a stack and agree
+    with the coordinates of each matrix taken alone."""
     rng = np.random.default_rng(100 * n + m)
-    sigma = random_realization(rng, n, m, 2)
-    h = random_hermitian(rng, n)
-    k = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-
     stack = np.stack([random_hermitian(rng, n) for _ in range(5)])
     packed = _herm_pack(stack)
     assert packed.shape == (5, n * n)
     assert np.array_equal(packed[3], _herm_pack(stack[3]))
     assert np.array_equal(_herm_unpack(packed, n), stack)
-
-    delta = _aug_residual(sigma, h, k)[1]
-    jac = _aug_jacobian(sigma, k, delta)
-    dim = n * n + 2 * m * n
-    assert jac.shape == (dim, dim)
-    step = 1e-5
-    for col, (e, f) in enumerate(zip(*_unpack(np.eye(dim), n, m))):
-        assert np.array_equal(jac[:, col], _residual_derivative(sigma, k, delta, e, f))
-        plus = _aug_residual(sigma, h + step * e, k + step * f)[0]
-        minus = _aug_residual(sigma, h - step * e, k - step * f)[0]
-        central = (plus - minus) / (2.0 * step)
-        assert np.allclose(jac[:, col], central, rtol=0.0, atol=1e-8), col
 
 
 class TestExtremalSolutions:
