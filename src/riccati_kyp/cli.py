@@ -44,7 +44,6 @@ import numpy as np
 
 from . import errors as err
 from .boundary import circle_profile, is_coinner, is_inner, uniqueness_certificate
-from .linops import Loewner
 from .riccati import membership
 from .solver import (
     SolverConfig, _once, duality_check, maximal_solution,
@@ -195,15 +194,17 @@ def _decode_matrix(obj, where: str) -> np.ndarray:
     return _walk_matrix(obj, where) if stack is None else stack[0]
 
 
-def _encode_pairs(z: np.ndarray) -> list:
-    """A complex array as [re, im] pairs of Python floats, nested like its
-    axes."""
+def _pairs_array(z: np.ndarray) -> np.ndarray:
+    """A complex array as a float array of [re, im] pairs on a last axis,
+    which a report holds as it is and :func:`_dumps` writes as nested
+    lists."""
     z = np.asarray(z, dtype=complex)
-    return np.stack((z.real, z.imag), -1).tolist()
+    return np.stack((z.real, z.imag), -1)
 
 
 def _encode_matrix(a: np.ndarray) -> list:
-    return _encode_pairs(np.atleast_2d(a))
+    """A matrix as nested lists of [re, im] pairs of Python floats."""
+    return _pairs_array(np.atleast_2d(a)).tolist()
 
 
 def _parse_int(text: str) -> int:
@@ -298,10 +299,6 @@ def write_system(doc: SystemDocument) -> dict:
 # -- report builders ----------------------------------------------------------
 
 
-def _loewner_str(value: Loewner) -> str:
-    return value.value
-
-
 def _membership_payload(sigma, h, tol) -> dict:
     verdict = membership(sigma, h, tol=tol, eq_tol=10.0 * tol, c3_tol=10.0 * tol)
     diag = verdict.diagnostics
@@ -369,10 +366,10 @@ def _analyze_payload(sigma, tol, grid, config, solved: list | None = None) -> di
 
 def _solution_set_payload(solution_set) -> dict:
     return {
-        "members": [_encode_matrix(m.matrix) for m in solution_set.members],
+        "members": _pairs_array([m.matrix for m in solution_set.members]),
+        # the writer sorts the keys
         "comparisons": {
-            f"{i},{j}": _loewner_str(v)
-            for (i, j), v in sorted(solution_set.comparisons.items())
+            f"{i},{j}": v.value for (i, j), v in solution_set.comparisons.items()
         },
         "minimal_index": solution_set.minimal_index,
         "maximal_index": solution_set.maximal_index,
@@ -387,17 +384,15 @@ def _extremes_payload(sigma, config, solved: list) -> dict:
     h_max = maximal_solution(sigma, config, solved)
     duality = duality_check(sigma, config, (h_min, h_max), solved)
     return {
-        "minimal": _encode_matrix(h_min.matrix),
-        "maximal": _encode_matrix(h_max.matrix),
+        "minimal": _pairs_array(h_min.matrix),
+        "maximal": _pairs_array(h_max.matrix),
         "duality": {
             "sample_count": duality.sample_count,
             "samples_ok": duality.samples_ok,
             "failure_count": duality.failure_count,
             "re_inversion_equal": duality.re_inversion_equal,
-            "re_members": [_encode_matrix(m) for m in duality.re_members],
-            "re_adjoint_members": [
-                _encode_matrix(m) for m in duality.re_adjoint_members
-            ],
+            "re_members": _pairs_array(duality.re_members),
+            "re_adjoint_members": _pairs_array(duality.re_adjoint_members),
         },
     }
 
@@ -422,8 +417,8 @@ def _simulate_payload(sigma, doc, args) -> dict:
     trajectory = simulate(sigma, x0, inputs)
     payload = {
         "steps": trajectory.steps,
-        "states": _encode_pairs(trajectory.states),
-        "outputs": _encode_pairs(trajectory.outputs),
+        "states": _pairs_array(trajectory.states),
+        "outputs": _pairs_array(trajectory.outputs),
     }
     if args.candidate:
         h = _candidate_matrix(doc, args.candidate)
@@ -564,8 +559,93 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# -- report writer --------------------------------------------------------------
+
+_INDENT = "  "
+_encode_string = json.encoder.encode_basestring_ascii
+
+
+def _float_text(x: float) -> str:
+    """A float as ``json.dumps`` writes it."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _as_list(obj):
+    """The ``default`` of ``json.dumps`` that :func:`_dumps` leaves to it."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+@functools.lru_cache(maxsize=256)
+def _array_template(shape: tuple[int, ...], level: int) -> str:
+    """The text of a float array of ``shape`` opened at indent ``level``,
+    laid out as ``json.dumps(indent=2)`` lays out its nested lists, with one
+    ``%s`` per entry in C order."""
+    if not shape:
+        return "%s"
+    if not shape[0]:
+        return "[]"
+    pad = "\n" + _INDENT * (level + 1)
+    item = _array_template(shape[1:], level + 1)
+    return "[" + pad + ("," + pad).join([item] * shape[0]) + "\n" + _INDENT * level + "]"
+
+
+def _dumps(obj, level: int = 0) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` byte for byte, with
+    numpy arrays written as their nested lists, for ``obj`` opened at indent
+    ``level``.
+
+    The stdlib encoder writes an indented document in pure Python, one
+    generator step per token. Here types are tested in the order
+    ``json.dumps`` tests them, each float64 array is written from a
+    separator template cached per (shape, indent) with one
+    ``float.__repr__`` per entry, and string items are written in place.
+    What this does not cover (empty containers, keys that are not strings,
+    other types) is written by ``json.dumps`` itself and indented to its
+    place."""
+    if isinstance(obj, str):
+        return _encode_string(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    if type(obj) is np.ndarray and obj.dtype == np.float64:
+        text = float.__repr__ if np.isfinite(obj).all() else _float_text
+        return _array_template(obj.shape, level) % tuple(map(text, obj.ravel().tolist()))
+    pad = "\n" + _INDENT * (level + 1)
+    end = "\n" + _INDENT * level
+    if isinstance(obj, (list, tuple)) and obj:
+        return "[" + pad + ("," + pad).join(
+            _encode_string(item) if type(item) is str else _dumps(item, level + 1)
+            for item in obj
+        ) + end + "]"
+    if isinstance(obj, dict) and obj and all(type(key) is str for key in obj):
+        return "{" + pad + ("," + pad).join(
+            _encode_string(key) + ": " + (
+                _encode_string(value) if type(value) is str else _dumps(value, level + 1)
+            )
+            for key, value in sorted(obj.items())
+        ) + end + "}"
+    # empty containers, other keys and types, other arrays
+    text = json.dumps(obj, indent=2, sort_keys=True, default=_as_list)
+    return text.replace("\n", "\n" + _INDENT * level)
+
+
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = _dumps(payload)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -58,8 +58,10 @@ def spectral_norm(a: np.ndarray) -> float:
 
 
 def _spectral_norms(a: np.ndarray) -> np.ndarray:
-    """:func:`spectral_norm` of each matrix on a nonempty stack: the largest
-    of the same singular values."""
+    """:func:`spectral_norm` of each matrix on a stack: the largest of the
+    same singular values, and 0.0 for empty matrices."""
+    if 0 in a.shape[-2:]:
+        return np.zeros(a.shape[:-2])
     return np.linalg.svd(a, compute_uv=False)[..., 0]
 
 

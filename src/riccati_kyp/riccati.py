@@ -20,7 +20,8 @@ LAPACK call per step; :func:`membership` is its one-candidate view, and the
 solver's loops over candidates (the sampler's chain, the candidates of each
 equality route, the duality inverses) call the kernel once per batch. Storage operators are
 built the same way: :func:`_storage_stack` decomposes a whole stack with one
-batched ``eigh``, and :class:`StorageOperator` is its one-matrix view.
+batched ``eigh``, or takes the one the kernel was given, and
+:class:`StorageOperator` is its one-matrix view.
 
 RI° is the set of inequality members whose associated system
 (S A S^{-1}, S B, C S^{-1}, D), S = H^{1/2}, is minimal. That system is
@@ -111,19 +112,23 @@ class StorageOperator:
         return f"StorageOperator(dim={self.dim}, min_eig={self.min_eigenvalue:.3e})"
 
 
-def _storage_stack(h: np.ndarray) -> list[StorageOperator | NotPD]:
+def _storage_stack(
+    h: np.ndarray, eigh: tuple[np.ndarray, np.ndarray] | None = None
+) -> list[StorageOperator | NotPD]:
     """For each matrix on the (k, n, n) stack ``h`` of Hermitian matrices
     (as :func:`hermitian_part` returns them), in order, its StorageOperator,
     or the NotPD that :class:`StorageOperator` raises for it.
 
-    One batched ``eigh`` decomposes the stack, and the square roots of the
+    One batched ``eigh`` decomposes the stack, unless the caller passes that
+    decomposition ``(w, v)`` as ``eigh`` (the solver takes it once for the
+    membership kernel and the members), and the square roots of the
     positive-definite entries are formed in one batch each, so every
     operator is bit for bit the one-matrix one.
     """
     h = np.asarray(h, dtype=complex)
     if not len(h):
         return []
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(h) if eigh is None else eigh
     results: list = _pd_failures(w)
     live = [i for i, failure in enumerate(results) if failure is None]
     if not live:
@@ -372,11 +377,14 @@ def _membership_stack(
     tol: float = 1e-9,
     eq_tol: float = 1e-8,
     c3_tol: float = 1e-8,
+    eigh: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[MembershipVerdict | NotPD | InconsistentRoutes]:
     """The membership kernel: for each candidate on the (k, n, n) stack
     ``h`` of Hermitian matrices (as :func:`hermitian_part` returns them), in
     order, its MembershipVerdict, or the NotPD or InconsistentRoutes that
-    :func:`membership` raises for it.
+    :func:`membership` raises for it. ``eigh``, when given, is the
+    ``np.linalg.eigh`` of the stack, which the caller also passes to
+    :func:`_storage_stack`.
 
     Every step is one batched call of the LAPACK routine the single-candidate
     computation uses (``eigh`` for the positivity test and for delta,
@@ -384,9 +392,14 @@ def _membership_stack(
     result is bit for bit the one-candidate result; minimality of ``sigma``
     is decided once per stack. A DimensionMismatch concerns the whole stack
     and is raised.
+
+    A realization without inputs (m = 0) has an empty delta: its equality
+    is the Stein equation ``alpha(H) = 0``, its LMI is ``alpha(H)``, the
+    range inclusion holds (``c3_residual`` 0), and ``delta_min_eig`` is
+    +inf, the least of no eigenvalue.
     """
     h = np.asarray(h, dtype=complex)
-    results: list = _pd_failures(np.linalg.eigh(h)[0])
+    results: list = _pd_failures((np.linalg.eigh(h) if eigh is None else eigh)[0])
     live = [i for i, failure in enumerate(results) if failure is None]
     if not live:
         return results
@@ -396,7 +409,7 @@ def _membership_stack(
     lmi = _lmi(alpha, beta, delta)
     lmi_min = np.linalg.eigvalsh(lmi)[:, 0].tolist()
     lmi_norm = _spectral_norms(lmi).tolist()
-    delta_min = np.linalg.eigvalsh(delta)[:, 0].tolist()
+    delta_min = np.linalg.eigvalsh(delta).min(axis=1, initial=np.inf).tolist()
     beta_norm = _spectral_norms(beta).tolist()
     c3 = c3.tolist()
 

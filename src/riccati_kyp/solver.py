@@ -34,12 +34,16 @@ passed.
 Loops over candidates go through the stacked membership kernel of
 :mod:`riccati_kyp.riccati` with one call per batch: the candidates of a
 route, the inverses of the duality samples, and the points of the sampler's
-chain. The members of a set are built from one
-batched eigendecomposition (``riccati._storage_stack``), whose last
-eigenvalue is each member's norm, and :func:`order_solutions` compares all
-member pairs from one spectrum per pair. On a decided pencil set that order
-is the subset order of the selection digits (Lancaster & Rodman), an exact
-check the tests make.
+chain. The members of a set are built from the batched eigendecomposition
+the kernel takes of the candidate stack (``riccati._storage_stack``), whose
+last eigenvalue is each member's norm. A decided pencil set takes its order
+from the selection digits: its members form a lattice isomorphic to the
+subsets of the selected outside eigenvalues (Lancaster & Rodman), so two
+members compare as the sets of their 1-digits do (see :func:`_digit_order`).
+Only the covering pairs, one digit apart, are compared numerically, and a
+set where one of them is not LESS_EQUAL falls back to
+:func:`order_solutions`, which compares all member pairs from one spectrum
+per pair, as it does for every other set.
 
 Inequality members are sampled by hit-and-run over the KYP LMI
 ``L(H) = [[alpha, -beta*], [-beta, delta]] >= 0``, which is affine in H, so
@@ -82,6 +86,7 @@ from .errors import (
     NotSchurClass,
 )
 from .linops import (
+    _VERDICTS,
     Loewner,
     _eigh_kept,
     _loewner_stack,
@@ -454,6 +459,7 @@ def solve_re(
             [f"pencil(selection={s})" for s in labels],
             "pencil",
             exhaustive=minimal and len(stack) == selections,
+            digits=np.array([list(s) for s in labels]).reshape(len(labels), n) == "1",
         )
     lossless = _lossless_solution(sigma) if minimal else None
     if lossless is not None:
@@ -471,33 +477,45 @@ def _validated_set(
     labels: list[str],
     route: str,
     exhaustive: bool,
+    digits: np.ndarray | None = None,
 ) -> SolutionSet:
     """The candidates on ``stack`` that pass membership, validated by one
     membership-kernel call; ``labels`` are their provenance routes. The set
     is complete when the stack is ``exhaustive`` (the whole equality set of
-    a minimal system) and all of them pass."""
+    a minimal system) and all of them pass. One ``eigh`` of the stack serves
+    the kernel's positivity test and the members' storage operators.
+
+    ``digits``, one boolean row of selection digits per candidate of a
+    decided pencil, gives the set its order by :func:`_digit_order`; any
+    other set, or one whose covering pairs fail that check, is ordered by
+    :func:`order_solutions`."""
+    stack = np.asarray(stack, dtype=complex)
+    w, v = np.linalg.eigh(stack)
     verdicts = _membership_stack(
-        sigma, stack, tol=cfg.membership_tol, eq_tol=EQUALITY_TOL
+        sigma, stack, tol=cfg.membership_tol, eq_tol=EQUALITY_TOL, eigh=(w, v)
     )
-    validated: list[tuple[np.ndarray, float, str]] = []
-    for h, label, verdict in zip(stack, labels, verdicts):
+    kept = []
+    for index, verdict in enumerate(verdicts):
         if isinstance(verdict, InconsistentRoutes):
             raise verdict
-        if isinstance(verdict, NotPD) or not verdict.in_re:
-            continue
-        validated.append((h, verdict.diagnostics.equality_residual, label))
-    validated.sort(key=lambda t: _solution_sort_key(t[0]))
-    return order_solutions(
-        SolutionSet(
-            members=_storage_stack([h for h, _, _ in validated]),
-            provenance=[
-                {"route": label, "residual": res, "iterations": 0}
-                for _, res, label in validated
-            ],
-            route=route,
-            complete=exhaustive and len(validated) == len(stack),
-        )
+        if not isinstance(verdict, NotPD) and verdict.in_re:
+            kept.append(index)
+    kept.sort(key=lambda index: _solution_sort_key(stack[index]))
+    solution_set = SolutionSet(
+        members=_storage_stack(stack[kept], eigh=(w[kept], v[kept])),
+        provenance=[
+            {
+                "route": labels[index],
+                "residual": verdicts[index].diagnostics.equality_residual,
+                "iterations": 0,
+            }
+            for index in kept
+        ],
+        route=route,
+        complete=exhaustive and len(kept) == len(stack),
     )
+    ordered = None if digits is None else _digit_order(solution_set, digits[kept])
+    return order_solutions(solution_set) if ordered is None else ordered
 
 
 def _extremal_set(
@@ -532,7 +550,8 @@ def _extremal_set(
 
 def _without_unit_channels(sigma: SystemRealization) -> SystemRealization:
     """``sigma`` without its constant isometric channels, or ``sigma`` when
-    it has none or when every input is one.
+    it has none. When every input is one, the result has no inputs, and its
+    equality is the Stein equation ``alpha(H) = 0``.
 
     A channel is an input direction u in the kernel of ``[B; I - D* D;
     C* D]`` (singular values cut at ``RANK_TOL * max(1, s_max)``), which T
@@ -546,7 +565,7 @@ def _without_unit_channels(sigma: SystemRealization) -> SystemRealization:
     _, s, vh = np.linalg.svd(np.vstack([b, np.eye(m) - d.conj().T @ d, c.conj().T @ d]))
     kept = s > RANK_TOL * max(1.0, s.max(initial=0.0))
     channels = m - int(kept.sum())
-    if channels in (0, m):  # the kernels take no realization without inputs
+    if not channels:
         return sigma
     u, _, _ = np.linalg.svd(d @ vh[~kept].conj().T)
     v, w = vh[kept].conj().T, u[:, channels:]
@@ -854,6 +873,74 @@ def duality_check(
     )
 
 
+def _pair_verdicts(
+    members: list[StorageOperator], first: np.ndarray, second: np.ndarray, tol: float
+) -> np.ndarray:
+    """The Loewner verdicts of the member pairs ``(first[k], second[k])``,
+    each at ``tol * max(1, ||H_first||, ||H_second||)``, from one batched
+    comparison; each norm is the last eigenvalue the StorageOperator holds."""
+    stack = np.array([m.matrix for m in members])
+    norms = np.maximum([m.eigenvalues[-1] for m in members], 1.0)
+    return _loewner_stack(
+        stack[first], stack[second], tol * np.maximum(norms[first], norms[second])
+    )
+
+
+def _with_order(
+    solution_set: SolutionSet, iu: np.ndarray, ju: np.ndarray, verdicts: np.ndarray
+) -> SolutionSet:
+    """``solution_set`` with the verdicts of its pairs ``(iu[k], ju[k])``,
+    i < j, and its extremal flags: a member is flagged minimal (maximal)
+    when it compares below (above) every other member."""
+    count = len(solution_set.members)
+    # below[i, j]: H_i <= H_j; above[i, j]: H_i >= H_j
+    below = np.eye(count, dtype=bool)
+    above = np.eye(count, dtype=bool)
+    equal = verdicts == Loewner.EQUAL
+    below[iu, ju] = above[ju, iu] = equal | (verdicts == Loewner.LESS_EQUAL)
+    above[iu, ju] = below[ju, iu] = equal | (verdicts == Loewner.GREATER_EQUAL)
+
+    def first(rows: np.ndarray) -> int | None:
+        hits = np.flatnonzero(rows.all(axis=1))
+        return int(hits[0]) if hits.size else None
+
+    return replace(
+        solution_set,
+        comparisons=dict(zip(zip(iu.tolist(), ju.tolist()), verdicts.tolist())),
+        minimal_index=first(below),
+        maximal_index=first(above),
+    )
+
+
+def _digit_order(
+    solution_set: SolutionSet, digits: np.ndarray, tol: float = 1e-9
+) -> SolutionSet | None:
+    """The order of a pencil set read off its selection digits, one boolean
+    row per member, or None when the check below fails.
+
+    The Hermitian solutions of a decided pencil form a lattice isomorphic to
+    the subsets of the selected outside eigenvalues (Lancaster & Rodman,
+    *Algebraic Riccati Equations*, 1995), so ``H_i <= H_j`` exactly when the
+    1-digits of member i are among those of member j, and two members whose
+    1-digits are not nested are incomparable. The covering pairs, whose
+    selections differ in one digit (n 2**(n - 1) of the 2**n (2**n - 1) / 2
+    pairs of a full set), are checked as :func:`order_solutions` compares
+    them; unless each is LESS_EQUAL the set is left to it."""
+    ones = digits.astype(int)
+    # nested[i, j]: the 1-digits of member i are among those of member j
+    nested = ones @ (1 - ones).T == 0
+    size = ones.sum(axis=1)
+    lower, upper = np.nonzero(nested & (size[None, :] == size[:, None] + 1))
+    if lower.size and (
+        _pair_verdicts(solution_set.members, lower, upper, tol) != Loewner.LESS_EQUAL
+    ).any():
+        return None
+    iu, ju = np.triu_indices(len(digits), 1)
+    # codes of LESS_EQUAL, GREATER_EQUAL and INCOMPARABLE in _VERDICTS
+    codes = np.where(nested[iu, ju], 1, np.where(nested[ju, iu], 2, 3))
+    return _with_order(solution_set, iu, ju, _VERDICTS[codes])
+
+
 def order_solutions(solution_set: SolutionSet, tol: float = 1e-9) -> SolutionSet:
     """Fill pairwise Loewner comparisons and flag extremal members.
 
@@ -864,35 +951,16 @@ def order_solutions(solution_set: SolutionSet, tol: float = 1e-9) -> SolutionSet
     member is flagged minimal (maximal) when it compares below (above) every
     other member; with incomparable pairs present no flag may be set.
 
-    On a decided pencil set this order is the subset order of the selection
-    digits (Lancaster & Rodman, *Algebraic Riccati Equations*, 1995): the
-    tests check it against that exact lattice.
+    :func:`solve_re` orders a pencil set by its selection digits instead
+    (:func:`_digit_order`), checking only the covering pairs this way, and
+    comes here for every other set and for a pencil set that fails that
+    check; the tests check both routes against a pair-by-pair reference.
     """
-    members = solution_set.members
-    count = len(members)
-    comparisons: dict[tuple[int, int], Loewner] = {}
-    # below[i, j]: H_i <= H_j; above[i, j]: H_i >= H_j
-    below = np.eye(count, dtype=bool)
-    above = np.eye(count, dtype=bool)
-    if count > 1:
-        stack = np.array([m.matrix for m in members])
-        norms = np.maximum([m.eigenvalues[-1] for m in members], 1.0)
-        iu, ju = np.triu_indices(count, 1)
-        verdicts = _loewner_stack(
-            stack[iu], stack[ju], tol * np.maximum(norms[iu], norms[ju])
-        )
-        comparisons = dict(zip(zip(iu.tolist(), ju.tolist()), verdicts.tolist()))
-        equal = verdicts == Loewner.EQUAL
-        below[iu, ju] = above[ju, iu] = equal | (verdicts == Loewner.LESS_EQUAL)
-        above[iu, ju] = below[ju, iu] = equal | (verdicts == Loewner.GREATER_EQUAL)
-
-    def first(rows: np.ndarray) -> int | None:
-        hits = np.flatnonzero(rows.all(axis=1))
-        return int(hits[0]) if hits.size else None
-
-    return replace(
-        solution_set,
-        comparisons=comparisons,
-        minimal_index=first(below),
-        maximal_index=first(above),
+    count = len(solution_set.members)
+    iu, ju = np.triu_indices(count, 1)
+    verdicts = (
+        _pair_verdicts(solution_set.members, iu, ju, tol)
+        if count > 1
+        else np.empty(0, dtype=object)
     )
+    return _with_order(solution_set, iu, ju, verdicts)

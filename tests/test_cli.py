@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import riccati_kyp
 from riccati_kyp import (
@@ -356,6 +357,74 @@ def test_decoder_refuses_as_the_walk_did(case):
         assert got == (ParseError, refusal)
     else:
         assert got == _outcome(_reference_document, raw)
+
+
+# -- the report writer against json.dumps -----------------------------------------
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 1e-05, 1e16, 5e-324]
+_strings = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'), st.characters()),
+    max_size=6,
+)
+_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+_arrays = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=3),
+    elements=_floats,
+)
+_payloads = st.recursive(
+    st.one_of(_strings, st.integers(), st.booleans(), st.none(), _floats, _arrays),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(_strings, inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+def _as_lists(obj):
+    """``obj`` with every array replaced by its nested lists."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, list):
+        return [_as_lists(item) for item in obj]
+    if isinstance(obj, dict):
+        return {key: _as_lists(value) for key, value in obj.items()}
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(_payloads)
+def test_writer_matches_json_dumps(payload):
+    want = json.dumps(_as_lists(payload), indent=2, sort_keys=True)
+    assert cli_module._dumps(payload) == want
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {},
+        [],
+        {"a": {}, "b": [[], {}], "c": np.zeros((2, 0, 3)), "d": np.zeros((0, 2))},
+        # keys that are not strings, tuples, and float and bool subclasses
+        {"i": {10: "ten", 9: [True, None]}, "f": {2.5: (1, 2.0), -0.0: 1}, "n": {None: 0}},
+        {"x": [np.float64(0.1), np.float64(-np.inf), (np.zeros(2),)]},
+        # arrays that are not float64 are written as their lists
+        {"ints": np.arange(3), "flags": np.array([True, False])},
+        np.float64(1e16),
+        np.array(-0.0),
+    ],
+    ids=["empty-dict", "empty-list", "empty-nested", "other-keys", "float-subclass",
+         "other-dtypes", "scalar", "rank-0"],
+)
+def test_writer_matches_json_dumps_on_edge_cases(payload):
+    want = json.dumps(_as_lists(payload) if isinstance(payload, (dict, list, np.ndarray))
+                      else payload, indent=2, sort_keys=True, default=lambda a: a.tolist())
+    assert cli_module._dumps(payload) == want
+
+
+def test_writer_refuses_what_json_dumps_refuses():
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli_module._dumps({"a": [1, {2, 3}]})
 
 
 class TestCommands:

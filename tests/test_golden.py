@@ -13,6 +13,10 @@ Strings, booleans, integers and nulls must match exactly. Floats must match
 to a relative 1e-12, with an absolute floor of 1e-14 so that roundoff-level
 quantities (residuals, eigenvalues at zero) do not tie the test to one BLAS
 or platform.
+
+Each report's text must also be what ``json.dumps(..., indent=2,
+sort_keys=True)`` writes for the value it holds, which pins the CLI's own
+writer to the stdlib's bytes on any platform.
 """
 
 import json
@@ -60,8 +64,9 @@ def test_report_matches_golden(case, tmp_path):
     if case["candidate"]:
         argv += ["--candidate", case["candidate"]]
     code = main(argv + ["--seed", str(SEED), "--no-timings", "--out", str(out)])
-    with open(out, encoding="utf-8") as fh:
-        got = json.load(fh)
+    text = out.read_text(encoding="utf-8")
+    got = json.loads(text)
+    assert text == json.dumps(got, indent=2, sort_keys=True) + "\n"
     with open(GOLDEN / case["report"], encoding="utf-8") as fh:
         want = json.load(fh)
     assert code == want.get("error", {}).get("exit_code", 0)

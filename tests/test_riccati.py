@@ -222,6 +222,22 @@ class TestMembership:
         assert not d.boundary_case
         assert d.lmi_min_eig <= d.surplus_min_eig + 1e-12
 
+    def test_system_without_inputs(self):
+        # m = 0: delta is empty, the equality is the Stein equation
+        # H = A* H A + C* C (here H = 1/3), the LMI is alpha(H), and the
+        # least eigenvalue of the empty delta is +inf
+        sigma = SystemRealization(0.5, np.zeros((1, 0)), [[0.5]], np.zeros((1, 0)))
+        v = membership(sigma, 1.0 / 3.0)
+        assert (v.in_ri, v.in_re, v.in_ri_circ) == (True, True, False)
+        d = v.diagnostics
+        assert d.delta_min_eig == np.inf
+        assert d.c3_residual == 0.0
+        assert abs(d.lmi_min_eig) <= 1e-15 and abs(d.equality_residual) <= 1e-15
+        v = membership(sigma, 0.5)  # alpha = 0.5 - 0.125 - 0.25 > 0
+        assert (v.in_ri, v.in_re) == (True, False)
+        assert v.diagnostics.lmi_min_eig == pytest.approx(0.125)
+        assert not membership(sigma, 0.2).in_ri
+
     def test_routes_agree_on_random_instances(self):
         rng = np.random.default_rng(34)
         for k in range(200):

@@ -551,6 +551,20 @@ def test_unit_channel_is_deflated():
     assert abs(maximal_solution(sigma).matrix[0, 0] - 1.0) <= 1e-15
 
 
+def test_every_input_a_unit_channel_leaves_the_stein_equation():
+    # B = 0, and the one input is a constant isometric channel (D u = e2):
+    # without it the system has no inputs, its equality is the Stein
+    # equation H = A* H A + C* C, and H = 0.25 / (1 - 0.25) = 1/3
+    sigma = SystemRealization(0.5, [[0.0]], [[0.5], [0.0]], [[0.0], [1.0]])
+    assert _without_unit_channels(sigma).input_dim == 0
+    with pytest.warns(RuntimeWarning, match="non-minimal"):
+        solution_set = solve_re(sigma)
+    assert solution_set.route == "pencil"
+    assert not solution_set.complete
+    assert [m.matrix[0, 0] for m in solution_set.members] == [pytest.approx(1 / 3, rel=1e-15)]
+    assert membership(sigma, solution_set.members[0], eq_tol=EQUALITY_TOL).in_re
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_deflated_lmi_is_the_original_without_zero_rows(seed):
     """In the input basis ``[V, N]`` (kept inputs, then the channel), the
@@ -1091,21 +1105,35 @@ def _subset_order(first: str, second: str) -> Loewner:
     return Loewner.INCOMPARABLE
 
 
-def test_pencil_order_is_the_subset_order_of_selections():
-    # Lancaster & Rodman (Algebraic Riccati Equations, 1995): the Hermitian
-    # solutions of a decided pencil form a lattice isomorphic to the subsets
-    # of the selected outside eigenvalues, so the Loewner order of two members
-    # is the inclusion order of the 1-digits of their selections. Non-passive
-    # draws give incomplete sets, on which the order still holds.
-    kinds = collections.Counter()
+def _pencil_draws():
+    """Seeded draws whose pencil decides: minimal ones with n = 1..5, m, p
+    = 1..2, half of them not passive (incomplete sets), and the
+    appended-state non-minimal ones."""
     for seed in range(40):
         rng = np.random.default_rng(7000 + seed)
         n, m, p = 1 + seed % 5, 1 + (seed // 5) % 2, 1 + (seed // 10) % 2
         norm = 0.9 if seed % 2 else None
         sigma = random_realization(rng, n, m, p, passive_norm=norm)
-        if not is_minimal(sigma) or equality_candidates(sigma) is None:
-            continue
-        solution_set = solve_re(sigma)
+        if is_minimal(sigma) and equality_candidates(sigma) is not None:
+            yield "minimal", sigma
+    for seed in range(12):
+        for kind in ("uncontrollable", "unobservable"):
+            yield kind, _appended_state(seed, kind)
+
+
+def test_pencil_order_is_the_subset_order_of_selections():
+    # Lancaster & Rodman (Algebraic Riccati Equations, 1995): the Hermitian
+    # solutions of a decided pencil form a lattice isomorphic to the subsets
+    # of the selected outside eigenvalues, so the Loewner order of two members
+    # is the inclusion order of the 1-digits of their selections. Non-passive
+    # and non-minimal draws give incomplete sets, on which the order still
+    # holds. solve_re reads its order off the digits; the pair-by-pair
+    # reference computes it from the members alone.
+    kinds = collections.Counter()
+    for kind, sigma in _pencil_draws():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            solution_set = solve_re(sigma)
         assert solution_set.route == "pencil"
         labels = [
             entry["route"].removeprefix("pencil(selection=").removesuffix(")")
@@ -1113,11 +1141,67 @@ def test_pencil_order_is_the_subset_order_of_selections():
         ]
         assert len(solution_set.comparisons) == len(labels) * (len(labels) - 1) // 2
         for (i, j), verdict in solution_set.comparisons.items():
-            assert verdict is _subset_order(labels[i], labels[j]), (seed, i, j)
-        kinds[(n, solution_set.complete)] += 1
-    # every state dimension up to 5, and incomplete sets among them
-    assert {n for n, _ in kinds} == {1, 2, 3, 4, 5}
-    assert sum(count for (_, complete), count in kinds.items() if not complete) >= 2
+            assert verdict is _subset_order(labels[i], labels[j]), (kind, i, j)
+        comparisons, minimal, maximal = _pairwise_order(solution_set.members)
+        assert solution_set.comparisons == comparisons
+        assert (solution_set.minimal_index, solution_set.maximal_index) == (minimal, maximal)
+        kinds[(kind, sigma.state_dim, solution_set.complete)] += 1
+    # every state dimension up to 5, incomplete minimal sets, and both
+    # kinds of appended state
+    assert {n for kind, n, _ in kinds if kind == "minimal"} == {1, 2, 3, 4, 5}
+    assert sum(c for (kind, _, done), c in kinds.items() if kind == "minimal" and not done) >= 2
+    assert {kind for kind, _, _ in kinds} == {"minimal", "uncontrollable", "unobservable"}
+
+
+def _recording_loewner_stack(monkeypatch, flip_first_call=False):
+    """Replace the solver's ``_loewner_stack`` by one that records how many
+    pairs each call compares and, with ``flip_first_call``, reports the
+    first pair of its first call INCOMPARABLE."""
+    sizes = []
+
+    def recording(h1, h2, tol):
+        verdicts = _loewner_stack(h1, h2, tol)
+        if flip_first_call and not sizes:
+            verdicts[0] = Loewner.INCOMPARABLE
+        sizes.append(len(h2))
+        return verdicts
+
+    monkeypatch.setattr(solver_module, "_loewner_stack", recording)
+    return sizes
+
+
+def test_pencil_set_compares_only_its_covering_pairs(monkeypatch):
+    # n = 6: 6 * 2**5 = 192 selection pairs one digit apart, against the
+    # 64 * 63 / 2 = 2016 pairs of the set
+    sigma = random_realization(np.random.default_rng(5), 6, 2, 2, passive_norm=0.9)
+    sizes = _recording_loewner_stack(monkeypatch)
+    solution_set = solve_re(sigma)
+    assert len(solution_set) == 64 and solution_set.complete
+    assert sizes == [192]
+    assert len(solution_set.comparisons) == 2016
+    assert (solution_set.minimal_index, solution_set.maximal_index) == (0, 63)
+
+
+def test_a_failing_covering_pair_falls_back_to_all_pairs(two_state_system, monkeypatch):
+    # the two-state set has 2 * 2 covering pairs of its 6; one reported
+    # INCOMPARABLE sends the set to order_solutions, whose all-pairs
+    # spectra give the true order
+    sizes = _recording_loewner_stack(monkeypatch, flip_first_call=True)
+    solution_set = solve_re(two_state_system)
+    assert sizes == [4, 6]
+    comparisons, minimal, maximal = _pairwise_order(solution_set.members)
+    assert solution_set.comparisons == comparisons
+    assert (solution_set.minimal_index, solution_set.maximal_index) == (minimal, maximal)
+
+
+def test_members_share_the_kernel_decomposition_bit_for_bit():
+    # the storage operators of a set come from the eigh the membership
+    # kernel takes of the candidate stack, and equal the one-matrix ones
+    sigma = random_realization(np.random.default_rng(5), 6, 2, 2, passive_norm=0.9)
+    for member in solve_re(sigma).members:
+        alone = as_storage(member.matrix.copy())
+        for key in ("matrix", "sqrt", "inv_sqrt", "eigenvalues"):
+            assert np.array_equal(getattr(member, key), getattr(alone, key)), key
 
 
 # -- the hit-and-run sampler --------------------------------------------------
