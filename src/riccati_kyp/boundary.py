@@ -10,9 +10,11 @@ values come from :func:`riccati_kyp.systems._transfer_grid`: invertibility of
 every grid resolvent ``I - zeta A`` is proved from ``||A||`` when A is a
 strict contraction (``||A|| < 1`` with the kernel's margin), and tested point
 by point otherwise. Both defects come from one spectrum per point, the
-eigenvalues ``sigma_i^2`` of the smaller Gram matrix of theta: each defect
-is ``max |1 - sigma_i^2|``, and the defect on the larger side is at least 1,
-since its unmatched eigenvalues are exactly 1.
+eigenvalues ``sigma_i^2`` of the smaller Gram matrix of theta, taken in
+closed form when min(m, p) <= 2 (:func:`riccati_kyp.systems._gram_eigs`, to a
+few eps of ``max(1, ||theta||^2)``): each defect is ``max |1 - sigma_i^2|``,
+and the defect on the larger side is at least 1, since its unmatched
+eigenvalues are exactly 1. A side of dimension 0 has defect 0.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ def circle_profile(sigma: SystemRealization, grid_steps: int = 4096) -> CirclePr
         sigma, zeta, singular=lambda lam, k: PoleOnCircle(float(angles[k]))
     )
 
-    shared = np.abs(1.0 - _gram_eigs(values)).max(axis=1)
+    shared = np.abs(1.0 - _gram_eigs(values)).max(axis=1, initial=0.0)
     # the unmatched eigenvalues of the larger defect operator are exactly 1
     return CircleProfile(
         angles=angles,

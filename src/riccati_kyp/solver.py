@@ -640,7 +640,7 @@ def _require_schur(sigma: SystemRealization, lam: np.ndarray) -> None:
     values = _transfer_grid(
         sigma, np.exp(1j * angles), lambda _, i: NotSchurClass(angles[i], np.inf)
     )
-    norms = np.sqrt(np.maximum(_gram_eigs(values).max(axis=1), 0.0))
+    norms = np.sqrt(_gram_eigs(values).max(axis=1, initial=0.0))
     k = int(np.argmax(norms))
     if norms[k] > 1.0 + EQUALITY_TOL:
         raise NotSchurClass(angles[k], norms[k])

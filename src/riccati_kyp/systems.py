@@ -18,8 +18,10 @@ strict contraction on the grid radius r (``1 - r||A|| >= 2 SINGULAR_TOL
 (1 + r||A||)``), and otherwise builds the resolvents and tests each point by
 its singular values. It then solves in Schur coordinates: one complex Schur
 form ``A = Q T Q*`` per grid, and one back substitution with T over all
-points at once. Norms of the grid values come from the eigenvalues of the
-smaller Gram matrix of each value (:func:`_gram_eigs`).
+points at once, its unknowns held point-major so that each step is one
+matrix product. Norms of the grid values come from the eigenvalues of the
+smaller Gram matrix of each value (:func:`_gram_eigs`), in closed form when
+that matrix is 1 x 1 or 2 x 2 and from LAPACK otherwise.
 """
 
 from __future__ import annotations
@@ -139,11 +141,16 @@ def _transfer_grid(
     The values are computed in Schur coordinates (Laub, IEEE TAC 26, 1981):
     with ``A = Q T Q*`` (T upper triangular), ``(I - lam A)^{-1} B = Q (I -
     lam T)^{-1} Q* B``, so a back substitution of n steps, each over all
-    points at once, solves the whole grid. The Schur form is backward stable
-    and so is the triangular solve (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 8): the values carry the first-order error of
-    a perturbation of A, B and C of order eps, as LU solves of each
-    resolvent do.
+    points at once, solves the whole grid. Row i of the unknowns is held
+    point-major, as k * m entries (the m entries of point j at ``j*m ..
+    j*m + m - 1``), so the n rows form one (n, k m) array: step i is one
+    product of row i of T with the rows below it, then an in-place multiply
+    by lam, add of row i of ``Q* B`` and divide by ``1 - lam T[i, i]``, and
+    one product with ``C Q`` maps all rows to the outputs. The Schur form is
+    backward stable and so is the triangular solve (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 8): the values carry the
+    first-order error of a perturbation of A, B and C of order eps, as LU
+    solves of each resolvent do.
     """
     import scipy.linalg
 
@@ -158,22 +165,54 @@ def _transfer_grid(
             raise singular(complex(lams[k]), k)
     t, q = scipy.linalg.schur(sigma.a, output="complex")
     rhs = q.conj().T @ sigma.b
-    # x[i] is row i of (I - lam T)^{-1} Q* B at every point, a (k, m) array
-    x = np.empty((n, lams.size, sigma.input_dim), dtype=complex)
+    k, m, p = lams.size, sigma.input_dim, sigma.output_dim
+    # x[i] is row i of (I - lam T)^{-1} Q* B at every point, point-major:
+    # x[i].reshape(k, m)[j] belongs to lams[j]. The report bytes depend on
+    # the rounding here: matmul rounds a one-term product unlike np.dot, and
+    # numpy's complex product is not bitwise commutative, so lam goes first
+    x = np.empty((n, k * m), dtype=complex)
     for i in range(n - 1, -1, -1):
-        coupled = np.tensordot(t[i, i + 1 :], x[i + 1 :], axes=1)
-        x[i] = (rhs[i] + lams[:, None] * coupled) / (1.0 - lams * t[i, i])[:, None]
-    cx = np.tensordot(sigma.c @ q, x, axes=1).transpose(1, 0, 2)
+        row = x[i].reshape(k, m)
+        np.dot(t[i, i + 1 :], x[i + 1 :], out=x[i])
+        np.multiply(lams[:, None], row, out=row)
+        row += rhs[i]
+        row /= (1.0 - lams * t[i, i])[:, None]
+    cx = np.dot(sigma.c @ q, x).reshape(p, k, m).transpose(1, 0, 2)
     return sigma.d[None, :, :] + lams[:, None, None] * cx
 
 
 def _gram_eigs(values: np.ndarray) -> np.ndarray:
     """Squared singular values of each matrix on a (k, p, m) stack, as a
-    (k, min(m, p)) array: the eigenvalues of the smaller Gram matrix,
-    ``theta* theta`` when m <= p and ``theta theta*`` otherwise."""
-    vt = values.conj().transpose(0, 2, 1)
-    gram = vt @ values if values.shape[2] <= values.shape[1] else values @ vt
-    return np.linalg.eigvalsh(gram)
+    (k, min(m, p)) array in ascending order: the eigenvalues of the smaller
+    Gram matrix, ``theta* theta`` when m <= p and ``theta theta*`` otherwise.
+
+    When min(m, p) <= 2 they are taken in closed form (the 2 x 2 symmetric
+    Schur decomposition, Golub & Van Loan, Matrix Computations, sec. 8.5):
+    the diagonal entries a and d are sums of squares and the off-diagonal
+    entry b one inner product, and the eigenvalues of [[a, b], [b*, d]] are
+    ``(a + d)/2 -+ hypot((a - d)/2, |b|)``. The entries carry the rounding
+    of the sums of a matrix product, and the few operations after them err
+    by a few eps of ``a + d``, so every eigenvalue, the smaller one included,
+    is within a small multiple of eps times the largest eigenvalue, as those
+    of ``eigvalsh`` are; ``hypot`` and ``|b|`` neither overflow nor underflow
+    where the squares of the entries do not. A larger Gram matrix goes to
+    batched ``eigvalsh``.
+    """
+    _, p, m = values.shape
+    r = min(m, p)
+    if r > 2:
+        vt = values.conj().transpose(0, 2, 1)
+        return np.linalg.eigvalsh(vt @ values if m <= p else values @ vt)
+    # the Gram matrix holds the inner products of the columns (m <= p) or
+    # of the rows (m > p) of each value
+    vecs = values if m <= p else values.transpose(0, 2, 1)
+    diag = (vecs.real**2 + vecs.imag**2).sum(axis=1)
+    if r < 2:
+        return diag
+    a, d = diag[:, 0], diag[:, 1]
+    off = np.abs((vecs[:, :, 0].conj() * vecs[:, :, 1]).sum(axis=1))
+    mid, radius = 0.5 * (a + d), np.hypot(0.5 * (a - d), off)
+    return np.stack((mid - radius, mid + radius), axis=1)
 
 
 def transfer_eval(sigma: SystemRealization, lam: complex) -> TransferSample:
@@ -307,7 +346,7 @@ def schur_class_margin(
     )
 
     squares = _gram_eigs(_transfer_grid(sigma, lams))
-    return float(np.sqrt(max(float(squares.max()), 0.0)))
+    return float(np.sqrt(squares.max(initial=0.0)))
 
 
 @dataclass

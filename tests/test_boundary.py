@@ -222,6 +222,18 @@ def test_unmatched_output_dimensions_give_left_defect_one():
     assert profile.max_defect_right < 1.0
 
 
+@pytest.mark.parametrize("m, p", [(0, 1), (1, 0)])
+def test_realization_without_inputs_or_outputs(m, p):
+    # I - theta* theta is m x m and I - theta theta* is p x p: the empty side
+    # has defect 0, and the other is the identity, of defect 1
+    sigma = SystemRealization(0.5 * np.eye(1), np.full((1, m), 0.5),
+                              np.full((p, 1), 0.5), np.zeros((p, m)))
+    profile = circle_profile(sigma, grid_steps=16)
+    assert profile.values.shape == (16, p, m)
+    assert np.all(profile.right_defects == float(m > p))
+    assert np.all(profile.left_defects == float(p > m))
+
+
 class TestInnerCoinner:
     def test_delay_both(self, delay_system):
         profile = circle_profile(delay_system, grid_steps=256)

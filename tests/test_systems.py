@@ -24,7 +24,7 @@ from riccati_kyp import (
     transfer_eval,
     unobservable_subspace,
 )
-from riccati_kyp.systems import SINGULAR_TOL, _transfer_grid
+from riccati_kyp.systems import SINGULAR_TOL, _gram_eigs, _transfer_grid
 from conftest import (
     exact_transfer,
     grid_error,
@@ -75,6 +75,17 @@ class TestTransferEval:
         sigma = SystemRealization(2.0, 1.0, 1.0, 0.0)  # pole at 1/2
         with pytest.raises(SingularResolvent):
             transfer_eval(sigma, 0.5)
+
+    @pytest.mark.parametrize("m, p", [(0, 1), (1, 0)])
+    def test_realization_without_inputs_or_outputs(self, m, p):
+        # the transfer function is an empty matrix, of norm 0, at a point
+        # and on the disc grid
+        sigma = SystemRealization(0.5 * np.eye(1), np.full((1, m), 0.5),
+                                  np.full((p, 1), 0.5), np.zeros((p, m)))
+        sample = transfer_eval(sigma, 0.3)
+        assert sample.value.shape == (p, m)
+        assert sample.norm == 0.0
+        assert schur_class_margin(sigma, grid_steps=8) == 0.0
 
 
 class TestSubspaces:
@@ -328,6 +339,51 @@ def test_schur_margin_from_gram_spectrum_matches_svd(seed, n, m, p, gain, grid_s
     expected = float(np.linalg.svd(values, compute_uv=False)[:, 0].max())
     margin = schur_class_margin(sigma, grid_steps, radius)
     assert abs(margin - expected) <= 8.0 * np.finfo(float).eps * expected
+
+
+_GRAM_DRAWS = ("general", "rank_one", "double", "near_isometric")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    k=st.integers(min_value=1, max_value=16),
+    p=st.integers(min_value=0, max_value=3),
+    m=st.integers(min_value=0, max_value=3),
+    draw=st.sampled_from(_GRAM_DRAWS),
+    exponent=st.sampled_from([-100, 0, 100]),
+)
+def test_gram_eigs_match_eigvalsh_of_the_gram_matrix(seed, k, p, m, draw, exponent):
+    """The closed-form spectra (min(m, p) <= 2) and the batched eigvalsh
+    (min(m, p) = 3) equal eigvalsh of the Gram matrix formed by matmul, as
+    ascending (k, min(m, p)) rows, to 8 eps times the largest eigenvalue
+    (over 3,000 stacks they differed by up to 4.6 eps), also for rank-one
+    values, double eigenvalues with a zero off-diagonal entry, near-isometric
+    values and entries of size 1e-100 and 1e100."""
+    rng = np.random.default_rng(seed)
+    r = min(m, p)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    values = gaussian(k, p, m)
+    if draw == "rank_one":
+        values = gaussian(k, p, 1) * gaussian(k, 1, m)
+    elif draw == "double":
+        values = np.zeros((k, p, m), dtype=complex)
+        values[:, np.arange(r), np.arange(r)] = gaussian(k, 1)
+    elif draw == "near_isometric" and r:
+        u, _, wh = np.linalg.svd(values, full_matrices=False)
+        values = (u * (1.0 + 1e-9 * rng.standard_normal((k, 1, r)))) @ wh
+    values = values * 10.0**exponent
+
+    vt = values.conj().transpose(0, 2, 1)
+    expected = np.linalg.eigvalsh(vt @ values if m <= p else values @ vt)
+    eigs = _gram_eigs(values)
+    assert eigs.shape == (k, r)
+    assert np.all(np.diff(eigs, axis=1) >= 0.0)
+    scale = np.maximum(expected.max(axis=1, initial=0.0), np.finfo(float).tiny)
+    assert np.all(np.abs(eigs - expected) <= 8.0 * np.finfo(float).eps * scale[:, None])
 
 
 class TestSimulate:
