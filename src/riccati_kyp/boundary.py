@@ -3,7 +3,8 @@
 Samples the transfer function on an angle grid, measures the defects
 ``||I - theta* theta||`` and ``||I - theta theta*||``, and certifies
 uniqueness of the inequality member when one of the defects vanishes on the
-grid. These are certificates on a grid, not proofs; for rational transfer
+grid and the Stein identities confirm that the system, or its adjoint, is
+inner. The defects are measured on a grid, not proved; for rational transfer
 functions of modest degree the default grid density resolves the defects far
 below tolerance, and doubling the grid is a cheap stability check. The grid
 values come from :func:`riccati_kyp.systems._transfer_grid`: invertibility of
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import NotMinimal, PoleOnCircle
 from .linops import spectral_norm
 from .riccati import riccati_data
-from .solver import SolverConfig, minimal_solution
+from .solver import _lossless_solution
 from .systems import SystemRealization, _gram_eigs, _transfer_grid, adjoint, is_minimal
 
 __all__ = [
@@ -129,11 +130,11 @@ class UniquenessReason(Enum):
 class UniquenessCertificate:
     """Verdict on whether the inequality member set is a single point.
 
-    ``delta_at_solution`` carries the norm of the input-side residual at the
-    relevant extremal solution when the certificate computes one: for the
-    inner route it vanishes; for the co-inner route it is the adjoint
-    system's residual at the inverted member that vanishes, while the
-    system's own residual can be nonzero.
+    ``delta_at_solution`` carries, for a certified singleton, the norm of
+    the input-side residual of the inner system (the system for the inner
+    route, its adjoint for the co-inner one) at its Stein solution. It
+    vanishes up to the identities' tolerance; for the co-inner route the
+    system's own residual at the inverted member can be nonzero.
     """
 
     verdict: UniquenessVerdict
@@ -146,39 +147,43 @@ def uniqueness_certificate(
     profile: CircleProfile | None = None,
     tol: float = 1e-8,
     grid_steps: int = 4096,
-    config: SolverConfig | None = None,
-    solved: list | None = None,
 ) -> UniquenessCertificate:
-    """Certify that the inequality member set is a singleton, when a
-    trivial-defect reason applies.
+    """Certify that the inequality member set is a singleton, when the
+    transfer function is inner or co-inner.
 
-    Routes, in order: an inner transfer function (right defect vanishes on
-    the grid) or a co-inner one (left defect vanishes). For a scalar
-    transfer function both defects equal ``|1 - |theta|^2|``, so unimodular
-    boundary values are the inner case and need no route of their own.
-    Anything else returns Unknown; deciding uniqueness in general needs
-    spectral-factorization machinery that is out of scope here. ``solved`` is
-    as in :func:`~riccati_kyp.solver.minimal_solution`, which shares the
-    minimal solution of the system (inner) or its adjoint (co-inner) with a
-    caller that also computes the extremal pair.
+    The grid screens first: an inner transfer function (right defect
+    vanishes on the grid at ``tol``) or a co-inner one (left defect
+    vanishes). For a scalar transfer function both defects equal ``|1 -
+    |theta|^2|``, so unimodular boundary values are the inner case and need
+    no route of their own. The screen is confirmed on the system it names,
+    ``sigma`` when inner and its adjoint when co-inner, by the Stein
+    identities of :func:`~riccati_kyp.solver._lossless_solution`: that
+    system must be inner, and then its Stein solution (inverted for the
+    co-inner route) is the one inequality member of ``sigma`` (Arlinskii
+    2008).
+    Anything else returns Unknown, as does a screen the identities refuse (a
+    defect within ``tol`` that is not zero); deciding uniqueness in general
+    needs spectral-factorization machinery that is out of scope here.
     """
     if not is_minimal(sigma):
         raise NotMinimal("uniqueness certificates require a minimal system")
     if profile is None:
         profile = circle_profile(sigma, grid_steps=grid_steps)
-    cfg = config or SolverConfig()
 
+    unknown = UniquenessCertificate(
+        verdict=UniquenessVerdict.UNKNOWN, reason=UniquenessReason.NONE
+    )
     if is_inner(profile, tol):
         system, reason = sigma, UniquenessReason.INNER_FR0
     elif is_coinner(profile, tol):
         system, reason = adjoint(sigma), UniquenessReason.COINNER_FL0
     else:
-        return UniquenessCertificate(
-            verdict=UniquenessVerdict.UNKNOWN, reason=UniquenessReason.NONE
-        )
-    h_min = minimal_solution(system, cfg, solved)
+        return unknown
+    lossless = _lossless_solution(system)
+    if lossless is None or lossless[0] != "inner":
+        return unknown
     return UniquenessCertificate(
         verdict=UniquenessVerdict.UNIQUE_SINGLETON,
         reason=reason,
-        delta_at_solution=spectral_norm(riccati_data(system, h_min).delta_op),
+        delta_at_solution=spectral_norm(riccati_data(system, lossless[1]).delta_op),
     )

@@ -45,10 +45,7 @@ import numpy as np
 from . import errors as err
 from .boundary import circle_profile, is_coinner, is_inner, uniqueness_certificate
 from .riccati import membership
-from .solver import (
-    SolverConfig, _once, duality_check, maximal_solution,
-    minimal_solution, solve_re,
-)
+from .solver import SolverConfig, _duality, maximal_solution, minimal_solution, solve_re
 from .systems import (
     SystemRealization,
     dissipation_check,
@@ -318,7 +315,7 @@ def _membership_payload(sigma, h, tol) -> dict:
     }
 
 
-def _analyze_payload(sigma, tol, grid, config, solved: list | None = None) -> dict:
+def _analyze_payload(sigma, tol, grid) -> dict:
     minimality = is_minimal(sigma)
     passivity = is_passive(sigma, tol=tol)
     margin = schur_class_margin(sigma, grid_steps=48, radius=0.999)
@@ -351,9 +348,7 @@ def _analyze_payload(sigma, tol, grid, config, solved: list | None = None) -> di
         "coinner": is_coinner(profile, inner_tol),
     }
     if minimality.minimal:
-        cert = uniqueness_certificate(
-            sigma, profile, tol=inner_tol, config=config, solved=solved
-        )
+        cert = uniqueness_certificate(sigma, profile, tol=inner_tol)
         out["uniqueness"] = {
             "verdict": cert.verdict.value,
             "reason": cert.reason.value,
@@ -379,10 +374,10 @@ def _solution_set_payload(solution_set) -> dict:
     }
 
 
-def _extremes_payload(sigma, config, solved: list) -> dict:
-    h_min = minimal_solution(sigma, config, solved)
-    h_max = maximal_solution(sigma, config, solved)
-    duality = duality_check(sigma, config, (h_min, h_max), solved)
+def _extremes_payload(sigma, config, re_set=None) -> dict:
+    h_min = minimal_solution(sigma, config)
+    h_max = maximal_solution(sigma, config)
+    duality = _duality(sigma, config, (h_min, h_max), re_set)
     return {
         "minimal": _pairs_array(h_min.matrix),
         "maximal": _pairs_array(h_max.matrix),
@@ -422,7 +417,7 @@ def _simulate_payload(sigma, doc, args) -> dict:
     }
     if args.candidate:
         h = _candidate_matrix(doc, args.candidate)
-        margins = dissipation_check(trajectory, h, tol=args.tol)
+        margins = dissipation_check(trajectory, h)
         payload["dissipation"] = {
             "candidate": args.candidate,
             "margins": [float(v) for v in margins],
@@ -467,7 +462,7 @@ def run(command: str, doc: SystemDocument, args) -> dict:
 
     if command == "analyze":
         report["analyze"] = timed(
-            "analyze", lambda: _analyze_payload(sigma, args.tol, args.grid, config)
+            "analyze", lambda: _analyze_payload(sigma, args.tol, args.grid)
         )
     elif command == "check":
         if not args.candidate:
@@ -486,23 +481,21 @@ def run(command: str, doc: SystemDocument, args) -> dict:
         )
     elif command == "extremes":
         report["extremes"] = timed(
-            "extremes", lambda: _extremes_payload(sigma, config, [])
+            "extremes", lambda: _extremes_payload(sigma, config)
         )
     elif command == "simulate":
         report["simulate"] = timed(
             "simulate", lambda: _simulate_payload(sigma, doc, args)
         )
     elif command == "report":
-        # one list of equality sets, so that no section solves a set twice
-        solved: list = []
         report["analyze"] = timed(
-            "analyze",
-            lambda: _analyze_payload(sigma, args.tol, args.grid, config, solved),
+            "analyze", lambda: _analyze_payload(sigma, args.tol, args.grid)
         )
-        re_set = timed("solve_re", lambda: _once(solved, "solve_re", sigma, config))
+        re_set = timed("solve_re", lambda: solve_re(sigma, config))
         report["solve_re"] = _solution_set_payload(re_set)
+        # the duality check reuses this section's equality set
         report["extremes"] = timed(
-            "extremes", lambda: _extremes_payload(sigma, config, solved)
+            "extremes", lambda: _extremes_payload(sigma, config, re_set)
         )
         if doc.candidates:
             report["check"] = timed(
@@ -662,6 +655,8 @@ def main(argv: list[str] | None = None) -> int:
             raise err.ParseError(f"--tol must be finite and positive, got {args.tol!r}")
         if args.grid < 1:
             raise err.ParseError(f"--grid must be at least 1, got {args.grid}")
+        if args.seed < 0:  # the sampler's generator takes no negative seed
+            raise err.ParseError(f"--seed must be non-negative, got {args.seed}")
         doc = parse_system(args.system)
         report = run(args.command, doc, args)
     except (err.RiccatiKypError, ValueError) as exc:

@@ -65,9 +65,10 @@ its closed loop ``A + B pinv(delta) beta`` must have spectral radius at
 most ``1 + EQUALITY_TOL``; sampling plays no part in it. The maximal one is
 the inverse of the adjoint system's minimal one. :func:`duality_check` runs
 the inversion checks on samples anchored at the extremal pair and on both
-equality sets, an independent cross-check. The three share a caller's
-optional ``solved`` list, so each equality set and each minimal solution is
-computed once.
+equality sets, an independent cross-check. Its work is :func:`_duality`,
+which takes the pair, and optionally the system's equality set, from a
+caller that already has them, so a CLI command computes each equality set
+and certifies each minimal solution once.
 """
 
 from __future__ import annotations
@@ -390,24 +391,6 @@ def sample_ri_members(
     return samples[:count]
 
 
-def _once(solved: list | None, kind: str, sigma: SystemRealization, config: SolverConfig):
-    """``solve_re(sigma, config)`` for ``kind`` ``"solve_re"``, the certified
-    minimal solution for ``"minimal"``; looked up first in ``solved``, the
-    caller's list of (kind, realization, result) triples, and added to it."""
-    for known_kind, known, result in solved or ():
-        if known_kind == kind and all(
-            np.array_equal(getattr(known, x), getattr(sigma, x)) for x in "abcd"
-        ):
-            return result
-    if kind == "solve_re":
-        result = solve_re(sigma, config)
-    else:
-        result = _certified_minimal(sigma, config)
-    if solved is not None:
-        solved.append((kind, sigma, result))
-    return result
-
-
 # -- public solvers -----------------------------------------------------------
 
 
@@ -647,11 +630,10 @@ def _require_schur(sigma: SystemRealization, lam: np.ndarray) -> None:
 
 
 def minimal_solution(
-    sigma: SystemRealization,
-    config: SolverConfig | None = None,
-    solved: list | None = None,
+    sigma: SystemRealization, config: SolverConfig | None = None
 ) -> StorageOperator:
-    """The least storage operator among the inequality members.
+    """The least storage operator among the inequality members, of ``sigma``
+    without its constant isometric channels.
 
     One of two exact O(n**3) routes gives the candidate:
 
@@ -666,13 +648,21 @@ def minimal_solution(
     its closed loop ``A + B pinv(delta) beta`` must have spectral radius at
     most ``1 + EQUALITY_TOL`` (see :func:`_certified`). CertificateFailed
     means one of the two failed, or that neither route applies.
-
-    ``solved`` is an optional list of equality sets and certified minimal
-    solutions computed with the same config (see :func:`_once`). The result
-    is taken from it, or computed and added: a caller computing several
-    extremal objects of one system certifies each minimal solution once.
     """
-    return _once(solved, "minimal", sigma, config or SolverConfig())
+    cfg = config or SolverConfig()
+    sigma = _without_unit_channels(sigma)
+    if not is_minimal(sigma):
+        raise NotMinimal("extremal solutions require a minimal system")
+    found = extremal(sigma)
+    if found is not None:
+        _require_schur(sigma, found[1])
+        return _certified(sigma, found[0], cfg)
+    lossless = _lossless_solution(sigma)
+    if lossless is None:
+        no_route = "no exact route: singular pencil or V1, not lossless"
+        raise CertificateFailed("minimal", np.nan, np.nan, no_route)
+    _, h, system, x = lossless
+    return _certified(sigma, h, cfg, loop=(system, x))
 
 
 def _closed_loop_radius(sigma: SystemRealization, h: np.ndarray, tol: float) -> float:
@@ -725,39 +715,17 @@ def _certified(
     return storage
 
 
-def _certified_minimal(sigma: SystemRealization, cfg: SolverConfig) -> StorageOperator:
-    """The computation behind :func:`minimal_solution`, without the lookup,
-    on ``sigma`` without its constant isometric channels."""
-    sigma = _without_unit_channels(sigma)
-    if not is_minimal(sigma):
-        raise NotMinimal("extremal solutions require a minimal system")
-    found = extremal(sigma)
-    if found is not None:
-        _require_schur(sigma, found[1])
-        return _certified(sigma, found[0], cfg)
-    lossless = _lossless_solution(sigma)
-    if lossless is None:
-        no_route = "no exact route: singular pencil or V1, not lossless"
-        raise CertificateFailed("minimal", np.nan, np.nan, no_route)
-    _, h, system, x = lossless
-    return _certified(sigma, h, cfg, loop=(system, x))
-
-
 def maximal_solution(
-    sigma: SystemRealization,
-    config: SolverConfig | None = None,
-    solved: list | None = None,
+    sigma: SystemRealization, config: SolverConfig | None = None
 ) -> StorageOperator:
     """The greatest storage operator among the inequality members.
 
     By the adjoint-inversion duality this is the inverse of the adjoint
     system's minimal solution, whose certificate covers it; a failed one is
-    raised with side ``"maximal"``. ``solved`` is as in
-    :func:`minimal_solution` and serves both the system and its adjoint.
+    raised with side ``"maximal"``.
     """
-    cfg = config or SolverConfig()
     try:
-        minimal_adj = minimal_solution(adjoint(sigma), cfg, solved)
+        minimal_adj = minimal_solution(adjoint(sigma), config)
     except CertificateFailed as exc:
         raise CertificateFailed(
             "maximal", exc.radius, exc.equality_residual, f"adjoint system: {exc}"
@@ -816,10 +784,7 @@ def _sets_match(
 
 
 def duality_check(
-    sigma: SystemRealization,
-    config: SolverConfig | None = None,
-    extremes: tuple[StorageOperator, StorageOperator] | None = None,
-    solved: list | None = None,
+    sigma: SystemRealization, config: SolverConfig | None = None
 ) -> DualityReport:
     """Verify inversion duality on samples and compare the equality sets.
 
@@ -827,19 +792,30 @@ def duality_check(
     inequality member of the adjoint system with a minimal associated system.
     Also computes both equality sets and reports whether inversion maps one
     onto the other (it need not). The samples are anchored at the extremal
-    pair: ``extremes`` is (minimal, maximal) if the caller has it, and is
-    computed here otherwise. ``solved`` is as in :func:`minimal_solution`;
-    each equality set is solved at most once per call.
+    pair of :func:`minimal_solution` and :func:`maximal_solution`. The work
+    is that of :func:`_duality`, which a caller that already holds the pair,
+    or the system's equality set, calls with them.
     """
     cfg = config or SolverConfig()
     if not is_minimal(sigma):
         raise NotMinimal("the duality statements assume a minimal system")
+    extremes = minimal_solution(sigma, cfg), maximal_solution(sigma, cfg)
+    return _duality(sigma, cfg, extremes)
+
+
+def _duality(
+    sigma: SystemRealization,
+    cfg: SolverConfig,
+    extremes: tuple[StorageOperator, StorageOperator],
+    re_set: SolutionSet | None = None,
+) -> DualityReport:
+    """The checks of :func:`duality_check` on the minimal system ``sigma``,
+    given its extremal pair ``extremes`` = (minimal, maximal): the sampled
+    members anchored at the pair are inverted and tested for the adjoint,
+    and the adjoint's equality set is solved and compared with ``re_set``,
+    the system's own, which is solved here when None."""
     adj = adjoint(sigma)
-    solved = [] if solved is None else solved
-    h_min, h_max = extremes or (
-        minimal_solution(sigma, cfg, solved),
-        maximal_solution(sigma, cfg, solved),
-    )
+    h_min, h_max = extremes
     rng = np.random.default_rng(cfg.seed + 7)
     samples = sample_ri_members(
         sigma,
@@ -858,8 +834,10 @@ def duality_check(
                 raise verdict
             samples_ok.append(not isinstance(verdict, NotPD) and verdict.in_ri_circ)
 
-    re_members = [m.matrix for m in _once(solved, "solve_re", sigma, cfg).members]
-    re_adjoint_members = [m.matrix for m in _once(solved, "solve_re", adj, cfg).members]
+    if re_set is None:  # an empty SolutionSet is falsy
+        re_set = solve_re(sigma, cfg)
+    re_members = [m.matrix for m in re_set.members]
+    re_adjoint_members = [m.matrix for m in solve_re(adj, cfg).members]
     inverted = [_hermitian_inverse(h) for h in re_members]
     equal = _sets_match(inverted, re_adjoint_members, tol=1e-6)
 

@@ -386,14 +386,13 @@ def simulate(
     return Trajectory(states=states, inputs=u.copy(), outputs=outputs)
 
 
-def dissipation_check(
-    trajectory: Trajectory, h: np.ndarray, tol: float = 1e-10
-) -> np.ndarray:
+def dissipation_check(trajectory: Trajectory, h: np.ndarray) -> np.ndarray:
     """Per-step storage margins along a trajectory for the weight ``h``.
 
     Margin at step k is ``||u_k||^2 - ||y_k||^2 - (x_{k+1}* H x_{k+1} -
     x_k* H x_k)``. When ``h`` satisfies the inequality conditions for the
-    system that produced the trajectory, every margin is >= -tol.
+    system that produced the trajectory, every margin is nonnegative up to
+    roundoff.
 
     Raises NotPD when ``h`` is not positive definite.
     """

@@ -548,36 +548,37 @@ class TestCommands:
 
 class TestSharedWork:
     @pytest.mark.parametrize(
-        "doc, reason, realizations",
+        "doc, reason",
         [
-            (coisometry_doc(), "coinner_fl0", 2),
-            # the unit delay is inner and its own adjoint realization
-            (delay_doc(), "inner_fr0", 1),
+            (coisometry_doc(), "coinner_fl0"),
+            # the unit delay is inner and its own adjoint realization; both
+            # are certified, since nothing looks realizations up
+            (delay_doc(), "inner_fr0"),
         ],
         ids=["coinner", "inner"],
     )
     def test_report_certifies_each_minimal_solution_once(
-        self, doc, reason, realizations, tmp_path, monkeypatch
+        self, doc, reason, tmp_path, monkeypatch
     ):
-        # the uniqueness certificate and the extremes section share one
-        # certified minimal solution per realization (system and adjoint);
-        # the certificates are deterministic, so the duality check is the
-        # one sampler run
-        sampler_calls = []
-        certified = []
-        real_sampler = solver_module.sample_ri_members
-        real_certified = solver_module._certified_minimal
+        # a report solves the equality sets of the system and its adjoint
+        # and certifies the minimal solution of each once; the uniqueness
+        # certificate runs neither, and the duality check is the one
+        # sampler run
+        calls = dict.fromkeys(("solve_re", "_certified", "sample_ri_members"), 0)
 
-        def sampler(*args, **kwargs):
-            sampler_calls.append(args[0])
-            return real_sampler(*args, **kwargs)
+        def counted(name):
+            real = getattr(solver_module, name)
 
-        def certify(sigma, config):
-            certified.append(repr([getattr(sigma, x).tolist() for x in "abcd"]))
-            return real_certified(sigma, config)
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(solver_module, "sample_ri_members", sampler)
-        monkeypatch.setattr(solver_module, "_certified_minimal", certify)
+            return spy
+
+        for name in calls:
+            monkeypatch.setattr(solver_module, name, counted(name))
+        # the CLI's solve_re section calls its own imported name
+        monkeypatch.setattr(cli_module, "solve_re", solver_module.solve_re)
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "report.json"
@@ -586,8 +587,33 @@ class TestSharedWork:
         report = json.loads(out.read_text())
         assert report["analyze"]["uniqueness"]["reason"] == reason
         assert report["solve_re"]["route"] == "lossless"
-        assert len(sampler_calls) == 1
-        assert len(certified) == len(set(certified)) == realizations
+        assert calls == {"solve_re": 2, "_certified": 2, "sample_ri_members": 1}
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["c-short", "b-short"])
+    def test_near_inner_delay_is_not_certified_unique(self, swap, tmp_path, monkeypatch, capsys):
+        # T(z) = (1 - 2.5e-8) z has defects 5e-8, inside the grid screen at
+        # --tol 1e-8 (10 tol), but H_min = 1 - 5e-8 and H_max = 1 (B and C
+        # swapped: 1 and 1 + 5e-8); the Stein identities refuse the screen.
+        # Neither ordered QZ nor a minimal-solution certificate runs.
+        def refuse(*args, **kwargs):
+            raise AssertionError("analyze ran a solver route")
+
+        monkeypatch.setattr(solver_module, "extremal", refuse)
+        monkeypatch.setattr(solver_module, "_certified", refuse)
+        short = 1.0 - 2.5e-8
+        b, c = (short, 1.0) if swap else (1.0, short)
+        doc = {**delay_doc(), "B": [[[b, 0.0]]], "C": [[[c, 0.0]]]}
+        path = tmp_path / "near_delay.json"
+        path.write_text(json.dumps(doc))
+        code = main(["analyze", "--system", str(path), "--tol", "1e-8", "--no-timings"])
+        analyze = json.loads(capsys.readouterr().out)["analyze"]
+        assert code == 0
+        assert analyze["circle"]["inner"] and analyze["circle"]["coinner"]
+        assert analyze["uniqueness"] == {
+            "verdict": "unknown",
+            "reason": "none",
+            "delta_at_solution": None,
+        }
 
 
 # zoo_n2_m1_p2 of the seeded random zoo (block matrix scaled to norm 0.9) at
@@ -728,8 +754,13 @@ class TestExitCodes:
             ("check", "--tol", "0", "--tol must be finite and positive, got 0.0"),
             ("analyze", "--grid", "0", "--grid must be at least 1, got 0"),
             ("report", "--grid", "-4", "--grid must be at least 1, got -4"),
+            # numpy's generator refused seed + 7 < 0 with a ValueError (exit 1)
+            ("report", "--seed", "-8", "--seed must be non-negative, got -8"),
         ],
-        ids=["check-inf", "analyze-inf", "nan", "negative", "zero", "grid-0", "grid-negative"],
+        ids=[
+            "check-inf", "analyze-inf", "nan", "negative", "zero", "grid-0",
+            "grid-negative", "seed-negative",
+        ],
     )
     def test_invalid_tol_or_grid_is_parse_error(self, command, option, value, message, capsys):
         # with --tol inf, check once put 0.5 I of two_state, outside RI, in
