@@ -3,14 +3,15 @@
 Samples the transfer function on an angle grid, measures the defects
 ``||I - theta* theta||`` and ``||I - theta theta*||``, and certifies
 uniqueness of the inequality member when one of the defects vanishes on the
-grid and the Stein identities confirm that the system, or its adjoint, is
-inner. The defects are measured on a grid, not proved; for rational transfer
-functions of modest degree the default grid density resolves the defects far
-below tolerance, and doubling the grid is a cheap stability check. The grid
-values come from :func:`riccati_kyp.systems._transfer_grid`: invertibility of
-every grid resolvent ``I - zeta A`` is proved from ``||A||`` when A is a
-strict contraction (``||A|| < 1`` with the kernel's margin), and tested point
-by point otherwise. Both defects come from one spectrum per point, the
+grid and the Stein identities, with a positive-definite Stein solution,
+confirm that the system, or its adjoint, is inner. The defects are measured
+on a grid, not proved; for rational transfer functions of modest degree the
+default grid density resolves the defects far below tolerance, and doubling
+the grid is a cheap stability check. The grid values come from
+:func:`riccati_kyp.systems._transfer_grid`: invertibility of every grid
+resolvent ``I - zeta A`` is proved from ``||A||`` when A is a strict
+contraction (``||A|| < 1`` with the kernel's margin), and tested point by
+point otherwise. Both defects come from one spectrum per point, the
 eigenvalues ``sigma_i^2`` of the smaller Gram matrix of theta, taken in
 closed form when min(m, p) <= 2 (:func:`riccati_kyp.systems._gram_eigs`, to a
 few eps of ``max(1, ||theta||^2)``): each defect is ``max |1 - sigma_i^2|``,
@@ -25,9 +26,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NotMinimal, PoleOnCircle
+from .errors import NotMinimal, NotPD, PoleOnCircle
 from .linops import spectral_norm
-from .riccati import riccati_data
+from .riccati import StorageOperator, riccati_data
 from .solver import _lossless_solution
 from .systems import SystemRealization, _gram_eigs, _transfer_grid, adjoint, is_minimal
 
@@ -160,7 +161,11 @@ def uniqueness_certificate(
     identities of :func:`~riccati_kyp.solver._lossless_solution`: that
     system must be inner, and then its Stein solution (inverted for the
     co-inner route) is the one inequality member of ``sigma`` (Arlinskii
-    2008).
+    2008). The identities alone also hold for an unstable all-pass system
+    (T(z) = (z - 2) / (1 - 2z), with Stein solution -3), which has no
+    inequality member, so the Stein solution must pass the positivity test
+    of :class:`~riccati_kyp.riccati.StorageOperator`; for a minimal system
+    that is what makes A stable.
     Anything else returns Unknown, as does a screen the identities refuse (a
     defect within ``tol`` that is not zero); deciding uniqueness in general
     needs spectral-factorization machinery that is out of scope here.
@@ -182,8 +187,12 @@ def uniqueness_certificate(
     lossless = _lossless_solution(system)
     if lossless is None or lossless[0] != "inner":
         return unknown
+    try:  # X > 0 with (C, A) observable gives rho(A) < 1: the system is inner
+        storage = StorageOperator(lossless[1])
+    except NotPD:
+        return unknown
     return UniquenessCertificate(
         verdict=UniquenessVerdict.UNIQUE_SINGLETON,
         reason=reason,
-        delta_at_solution=spectral_norm(riccati_data(system, lossless[1]).delta_op),
+        delta_at_solution=spectral_norm(riccati_data(system, storage).delta_op),
     )

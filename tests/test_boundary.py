@@ -296,6 +296,22 @@ class TestUniquenessCertificate:
             assert cert.reason is UniquenessReason.NONE
             assert cert.delta_at_solution is None
 
+    @pytest.mark.parametrize("padded", [False, True], ids=["inner", "coinner"])
+    def test_unstable_allpass_unknown(self, padded):
+        # T(z) = (z - 2) / (1 - 2z) is unimodular on the circle and satisfies
+        # the Stein identities with X = -3, but its pole at z = 1/2 puts it
+        # outside the Schur class, so it has no inequality member. Padded
+        # with a zero input column it is co-inner only, and its adjoint's
+        # Stein solution is W = -1/3.
+        pad = [0.0] if padded else []
+        sigma = SystemRealization([[2.0]], [[1.0] + pad], [[-3.0]], [[-2.0] + pad])
+        profile = circle_profile(sigma, grid_steps=256)
+        assert is_inner(profile) != padded and is_coinner(profile)
+        cert = uniqueness_certificate(sigma, profile)
+        assert cert.verdict is UniquenessVerdict.UNKNOWN
+        assert cert.reason is UniquenessReason.NONE
+        assert cert.delta_at_solution is None
+
     def test_requires_minimal_system(self):
         sigma = SystemRealization(
             np.diag([0.0, 0.5]), [[1.0], [0.0]], [[1.0, 0.0]], [[0.0]]

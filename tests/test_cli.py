@@ -616,6 +616,30 @@ class TestSharedWork:
         }
 
 
+    def test_unstable_allpass_is_not_certified_unique(self, tmp_path, capsys):
+        # T(z) = (z - 2) / (1 - 2z) is unimodular on the circle and passes
+        # the Stein identities with X = -3, but its pole at z = 1/2 leaves it
+        # with no inequality member: the certificate says unknown, not
+        # unique_singleton, and the passivity section says why
+        doc = {
+            "name": "unstable_allpass",
+            "A": [[[2.0, 0.0]]],
+            "B": [[[1.0, 0.0]]],
+            "C": [[[-3.0, 0.0]]],
+            "D": [[[-2.0, 0.0]]],
+        }
+        path = tmp_path / "unstable_allpass.json"
+        path.write_text(json.dumps(doc))
+        code = main(["analyze", "--system", str(path), "--no-timings"])
+        analyze = json.loads(capsys.readouterr().out)["analyze"]
+        assert code == 0
+        assert analyze["circle"]["inner"] and not analyze["passivity"]["passive"]
+        assert analyze["uniqueness"] == {
+            "verdict": "unknown",
+            "reason": "none",
+            "delta_at_solution": None,
+        }
+
 # zoo_n2_m1_p2 of the seeded random zoo (block matrix scaled to norm 0.9) at
 # seeds 13, 21, 207, 209 and 211: rejection sampling once took samples from
 # just outside RI here and raised a false CertificateFailed (exit 19) on the
