@@ -87,7 +87,8 @@ def circle_profile(sigma: SystemRealization, grid_steps: int = 4096) -> CirclePr
     for lam in eigs:
         mag = abs(lam)
         if mag > 0.0 and abs(1.0 / mag - 1.0) < POLE_TOL:
-            raise PoleOnCircle(float(-np.angle(lam)))
+            # the pole 1/lam has the angle -angle(lam), here in [0, 2 pi)
+            raise PoleOnCircle(float(-np.angle(lam) % (2.0 * np.pi)))
 
     angles = 2.0 * np.pi * np.arange(grid_steps) / grid_steps
     zeta = np.exp(1j * angles)

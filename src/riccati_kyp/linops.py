@@ -65,6 +65,13 @@ def _spectral_norms(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)[..., 0]
 
 
+def _least_and_norm(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least eigenvalue and 2-norm ``max(-lambda_min, lambda_max)`` of each
+    Hermitian matrix on a stack (or of one), from one ``eigvalsh``."""
+    w = np.linalg.eigvalsh(a)
+    return w[..., 0], np.maximum(-w[..., 0], w[..., -1])
+
+
 def ensure_hermitian(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Validate Hermitian symmetry and return the symmetrized matrix.
 
@@ -132,22 +139,10 @@ def _pinv_kept(w: np.ndarray, v: np.ndarray, kept: np.ndarray) -> np.ndarray:
 
 
 def _projector_kept(v: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the span of the kept eigenvectors, per
-    matrix on a stack. Each product runs over the kept columns only, one
-    batch per distinct mask, so a stacked projector equals the single one."""
-    if kept.all():
-        return hermitian_part(v @ v.conj().swapaxes(-1, -2))
-    flat_v = v.reshape(-1, *v.shape[-2:])
-    flat_kept = kept.reshape(-1, kept.shape[-1])
-    out = np.empty(flat_v.shape, dtype=complex)
-    todo = np.ones(flat_kept.shape[0], dtype=bool)
-    while todo.any():
-        mask = flat_kept[todo.argmax()]
-        rows = todo & (flat_kept == mask).all(axis=-1)
-        vk = flat_v[rows][..., mask]
-        out[rows] = hermitian_part(vk @ vk.conj().swapaxes(-1, -2))
-        todo &= ~rows
-    return out.reshape(v.shape)
+    """Orthogonal projector onto the span of the kept eigenvectors (the
+    columns of ``v`` where ``kept`` holds) of one Hermitian matrix."""
+    vk = v[:, kept]
+    return hermitian_part(vk @ vk.conj().T)
 
 
 def _psd_spectral(a: np.ndarray, rank_tol: float | None):

@@ -16,11 +16,13 @@ surplus to vanish. The same set is cut out by the linear matrix inequality
 always computed through both routes and must agree.
 
 One kernel decides membership for a stack of candidates, with one batched
-LAPACK call per step; :func:`membership` is its one-candidate view, and the
-solver's loops over candidates (the sampler's chain, the candidates of each
-equality route, the duality inverses) call the kernel once per batch. Storage operators are
-built the same way: :func:`_storage_stack` decomposes a whole stack with one
-batched ``eigh``, or takes the one the kernel was given, and
+LAPACK call per step and one spectrum per Hermitian matrix, from which it
+reads every norm, least eigenvalue and range test; :func:`membership` is
+its one-candidate view, and the solver's loops over candidates (the
+sampler's chain, the candidates of each equality route, the duality
+inverses) call the kernel once per batch. Storage operators are built the
+same way: :func:`_storage_stack` decomposes a whole stack with one batched
+``eigh``, or takes the one the kernel was given, and
 :class:`StorageOperator` is its one-matrix view.
 
 RI° is the set of inequality members whose associated system
@@ -45,8 +47,8 @@ from .errors import (
 from .linops import (
     BlockNonneg,
     _kept,
+    _least_and_norm,
     _pinv_kept,
-    _projector_kept,
     _spectral_norms,
     ensure_hermitian,
     hermitian_part,
@@ -211,20 +213,26 @@ def _residual_ops(sigma: SystemRealization, h: np.ndarray):
 
 def _riccati_stack(sigma: SystemRealization, h: np.ndarray):
     """alpha, beta and delta of each weight on a stack, the eigendecomposition
-    ``(w, v)`` of each delta, and the range-inclusion residuals."""
+    ``(w, v)`` of each delta, and the range-inclusion residuals: the norms of
+    beta along the eigenvectors of delta that the rank cut drops."""
     alpha, beta, delta = _residual_ops(sigma, h)
     w, v = np.linalg.eigh(delta)
     # delta may be indefinite here, so the range is cut on |eigenvalue|
-    proj = _projector_kept(v, _kept(w, RANK_TOL, magnitude=True))
-    residual = _spectral_norms((np.eye(sigma.input_dim) - proj) @ beta)
+    dropped = v * ~_kept(w, RANK_TOL, magnitude=True)[..., None, :]
+    residual = _spectral_norms(dropped.conj().swapaxes(-1, -2) @ beta)
     return alpha, beta, delta, w, v, residual
+
+
+def _riccati_one(sigma: SystemRealization, h):
+    """:func:`_riccati_stack` of one storage operator, as stacks of one."""
+    storage = as_storage(h)
+    _check_dims(sigma, storage.dim)
+    return _riccati_stack(sigma, storage.matrix[None])
 
 
 def riccati_data(sigma: SystemRealization, h) -> RiccatiData:
     """Assemble alpha(H), beta(H), delta(H) and the range-inclusion residual."""
-    storage = as_storage(h)
-    _check_dims(sigma, storage.dim)
-    alpha, beta, delta, _, _, residual = _riccati_stack(sigma, storage.matrix[None])
+    alpha, beta, delta, _, _, residual = _riccati_one(sigma, h)
     return RiccatiData(
         alpha_op=alpha[0],
         beta_op=beta[0],
@@ -240,10 +248,6 @@ def _surplus(alpha, beta, w, v) -> np.ndarray:
     return hermitian_part(alpha - beta.conj().swapaxes(-1, -2) @ pinv_delta @ beta)
 
 
-def _surplus_from_data(data: RiccatiData) -> np.ndarray:
-    return _surplus(data.alpha_op, data.beta_op, *np.linalg.eigh(data.delta_op))
-
-
 def inequality_surplus(sigma: SystemRealization, h, c3_tol: float = 1e-8) -> np.ndarray:
     """The surplus ``alpha - beta* pinv(delta) beta``.
 
@@ -253,21 +257,19 @@ def inequality_surplus(sigma: SystemRealization, h, c3_tol: float = 1e-8) -> np.
     C3Violation). A zero operator delta is legitimate and handled through the
     pseudo-inverse.
     """
-    data = riccati_data(sigma, h)
-    w = np.linalg.eigvalsh(data.delta_op)
-    scale = max(1.0, float(np.abs(w).max()) if w.size else 0.0)
-    if w.size and float(w[0]) < -PSD_TOL * scale:
+    alpha, beta, _, w, v, residual = _riccati_one(sigma, h)
+    scale = max(1.0, float(np.abs(w).max(initial=0.0)))
+    if w.size and float(w[0, 0]) < -PSD_TOL * scale:
         raise DeltaNotPSD(
-            f"input-side residual has eigenvalue {float(w[0]):.3e} below "
+            f"input-side residual has eigenvalue {float(w[0, 0]):.3e} below "
             f"-{PSD_TOL * scale:.3e}"
         )
-    beta_scale = max(1.0, spectral_norm(data.beta_op))
-    if data.range_inclusion_residual > c3_tol * beta_scale:
+    if residual[0] > c3_tol * max(1.0, spectral_norm(beta[0])):
         raise C3Violation(
             f"cross term leaves the range of the input-side residual "
-            f"(residual {data.range_inclusion_residual:.3e})"
+            f"(residual {residual[0]:.3e})"
         )
-    return _surplus_from_data(data)
+    return _surplus(alpha, beta, w, v)[0]
 
 
 def kyp_form(sigma: SystemRealization, h, x: np.ndarray, u: np.ndarray) -> float:
@@ -387,11 +389,12 @@ def _membership_stack(
     :func:`_storage_stack`.
 
     Every step is one batched call of the LAPACK routine the single-candidate
-    computation uses (``eigh`` for the positivity test and for delta,
-    ``eigvalsh`` for the least eigenvalues, SVD for the 2-norms), so each
-    result is bit for bit the one-candidate result; minimality of ``sigma``
-    is decided once per stack. A DimensionMismatch concerns the whole stack
-    and is raised.
+    computation uses (``eigh`` for the positivity test and for delta, whose
+    least eigenvalue, range test and pseudo-inverse it gives; ``eigvalsh``
+    for the least eigenvalue and norm of the LMI and of the surplus; SVD for
+    the norms of beta and of its dropped-range part), so each result is bit
+    for bit the one-candidate result; minimality of ``sigma`` is decided
+    once per stack. A DimensionMismatch concerns the whole stack and is raised.
 
     A realization without inputs (m = 0) has an empty delta: its equality
     is the Stein equation ``alpha(H) = 0``, its LMI is ``alpha(H)``, the
@@ -406,10 +409,8 @@ def _membership_stack(
     _check_dims(sigma, h.shape[-1])
     alpha, beta, delta, w, v, c3 = _riccati_stack(sigma, h[live])
 
-    lmi = _lmi(alpha, beta, delta)
-    lmi_min = np.linalg.eigvalsh(lmi)[:, 0].tolist()
-    lmi_norm = _spectral_norms(lmi).tolist()
-    delta_min = np.linalg.eigvalsh(delta).min(axis=1, initial=np.inf).tolist()
+    lmi_min, lmi_norm = (x.tolist() for x in _least_and_norm(_lmi(alpha, beta, delta)))
+    delta_min = w.min(axis=1, initial=np.inf).tolist()
     beta_norm = _spectral_norms(beta).tolist()
     c3 = c3.tolist()
 
@@ -429,11 +430,8 @@ def _membership_stack(
             alpha[with_surplus], beta[with_surplus], w[with_surplus], v[with_surplus]
         )
         formed = np.flatnonzero(with_surplus).tolist()
-        for slot, low, norm in zip(
-            formed,
-            np.linalg.eigvalsh(surplus)[:, 0].tolist(),
-            _spectral_norms(surplus).tolist(),
-        ):
+        lows, norms = (x.tolist() for x in _least_and_norm(surplus))
+        for slot, low, norm in zip(formed, lows, norms):
             surplus_min[slot], equality_residual[slot] = low, norm
 
     # Sigma_H is similar to sigma through S = H^{1/2}, which maps the
@@ -548,7 +546,8 @@ def equality_gap(
     fact = minimal_contraction(block, rank_tol=GAP_RANK_TOL)
     gap = spectral_norm(fact.complement)
 
-    surplus = _surplus_from_data(riccati_data(sigma, storage))
+    alpha, beta, _, w, v, _ = _riccati_one(sigma, storage)
+    surplus = _surplus(alpha, beta, w, v)[0]
     congruent = storage.sqrt @ fact.complement @ storage.sqrt
     mismatch = spectral_norm(surplus - congruent)
     if mismatch > CROSS_CHECK_TOL * (1.0 + spectral_norm(surplus)):

@@ -89,7 +89,7 @@ from .errors import (
 from .linops import (
     _VERDICTS,
     Loewner,
-    _eigh_kept,
+    _least_and_norm,
     _loewner_stack,
     _pinv_kept,
     _spectral_norms,
@@ -105,6 +105,7 @@ from .riccati import (
     _membership_stack,
     _residual_ops,
     _storage_stack,
+    _surplus,
     as_storage,
     membership,
 )
@@ -174,15 +175,15 @@ class SolutionSet:
 
 
 def re_residual_norm(sigma: SystemRealization, h) -> float:
-    """Norm of ``alpha - beta* pinv(delta) beta`` at ``h``; zero at equality
-    solutions. Accepts any Hermitian weight, definite or not."""
+    """Norm of the surplus ``alpha - beta* pinv(delta) beta`` at ``h``, formed
+    as the membership kernel forms it; zero at equality solutions. Accepts
+    any Hermitian weight, definite or not."""
     if isinstance(h, StorageOperator):
         hm = h.matrix
     else:
         hm = hermitian_part(np.atleast_2d(np.asarray(h, dtype=complex)))
     alpha, beta, delta = _residual_ops(sigma, hm)
-    pinv = _pinv_kept(*_eigh_kept(delta, RANK_TOL))
-    return spectral_norm(alpha - beta.conj().T @ pinv @ beta)
+    return spectral_norm(_surplus(alpha, beta, *np.linalg.eigh(delta)))
 
 
 # -- Hermitian coordinates ----------------------------------------------------
@@ -258,9 +259,8 @@ def _phase_one(sigma: SystemRealization, center: np.ndarray, tol: float):
     feasible set.
     """
     n, size = sigma.state_dim, sigma.state_dim + sigma.input_dim
-    lmat = _lmi(*_residual_ops(sigma, center))
-    low = float(np.linalg.eigvalsh(lmat)[0])
-    band = tol * max(1.0, spectral_norm(lmat))
+    low, norm = map(float, _least_and_norm(_lmi(*_residual_ops(sigma, center))))
+    band = tol * max(1.0, norm)
     if low > band:
         return center
     e = _unit_directions(n)
@@ -673,7 +673,7 @@ def _closed_loop_radius(sigma: SystemRealization, h: np.ndarray, tol: float) -> 
     arithmetic (an inner system) gives the open loop A, not a gain made of
     roundoff."""
     alpha, beta, delta = _residual_ops(sigma, h)
-    band = tol * max(1.0, spectral_norm(_lmi(alpha, beta, delta)))
+    band = tol * max(1.0, float(_least_and_norm(_lmi(alpha, beta, delta))[1]))
     w, v = np.linalg.eigh(delta)
     gain = _pinv_kept(w, v, w > band) @ beta
     return float(np.abs(np.linalg.eigvals(sigma.a + sigma.b @ gain)).max())

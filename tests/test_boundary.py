@@ -107,7 +107,7 @@ def _reference_circle_profile(sigma, grid_steps):
     for lam in np.linalg.eigvals(sigma.a):
         mag = abs(lam)
         if mag > 0.0 and abs(1.0 / mag - 1.0) < POLE_TOL:
-            raise PoleOnCircle(float(-np.angle(lam)))
+            raise PoleOnCircle(float(-np.angle(lam) % (2.0 * np.pi)))
     angles = 2.0 * np.pi * np.arange(grid_steps) / grid_steps
     zeta = np.exp(1j * angles)
     n, m = sigma.state_dim, sigma.input_dim

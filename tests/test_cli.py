@@ -465,6 +465,39 @@ class TestCommands:
         assert report["analyze"]["uniqueness"]["verdict"] == "unique_singleton"
         assert report["analyze"]["uniqueness"]["reason"] == "coinner_fl0"
 
+    def test_analyze_skips_uniqueness_on_a_non_minimal_system(self, capsys):
+        doc = Path(TWO_STATE_DOC).with_name("nonminimal.json")
+        code = main(["analyze", "--system", str(doc), "--no-timings"])
+        assert code == 0
+        analyze = json.loads(capsys.readouterr().out)["analyze"]
+        assert analyze["minimality"]["minimal"] is False
+        assert analyze["uniqueness"] == {"skipped": "system is not minimal"}
+
+    @pytest.mark.parametrize("a", [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+    def test_a_pole_on_the_circle_has_one_angle(self, a, tmp_path, capsys):
+        # A = 1, -1, i puts the pole 1/A on the circle: analyze and solve-re
+        # both report its angle, in [0, 2 pi)
+        doc = {"name": "pole", "A": [[a]], "B": [[[0.5, 0.0]]],
+               "C": [[[0.5, 0.0]]], "D": [[[0.0, 0.0]]]}
+        path = tmp_path / "pole.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", "--system", str(path), "--no-timings"]) == 0
+        analyze = json.loads(capsys.readouterr().out)["analyze"]
+        assert analyze["circle"]["error"] == "PoleOnCircle"
+        assert analyze["uniqueness"] == {
+            "skipped": "transfer function has a pole on the circle"
+        }
+        angle = analyze["circle"]["angle"]
+        assert 0.0 <= angle < 2.0 * np.pi and math.copysign(1.0, angle) == 1.0
+        code = main(["solve-re", "--system", str(path), "--no-timings"])
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert code == EXIT_CODES[riccati_kyp.NotSchurClass]
+        assert error["category"] == "NotSchurClass"
+        assert f"at angle {angle:.6f};" in error["message"]
+        with pytest.raises(riccati_kyp.NotSchurClass) as caught:
+            riccati_kyp.solve_re(SystemRealization(complex(*a), 0.5, 0.5, 0.0))
+        assert caught.value.angle == angle
+
     def test_solve_re_two_state(self, tmp_path, capsys):
         path = tmp_path / "two_state.json"
         path.write_text(json.dumps(two_state_doc()))

@@ -484,30 +484,32 @@ def _reference_membership(sigma, h, tol=1e-9, eq_tol=1e-8, c3_tol=1e-8):
     def norm2(x):
         return float(np.linalg.norm(x, 2))
 
+    def least_and_norm(x):
+        lam = np.linalg.eigvalsh(x)
+        return float(lam[0]), max(float(lam[-1]), -float(lam[0]))
+
     hm = StorageOperator(h).matrix
     a, b, c, d = sigma.a, sigma.b, sigma.c, sigma.d
     alpha = herm(hm - a.conj().T @ hm @ a - c.conj().T @ c)
     beta = d.conj().T @ c + b.conj().T @ hm @ a
     delta = herm(np.eye(sigma.input_dim) - d.conj().T @ d - b.conj().T @ hm @ b)
     w, v = np.linalg.eigh(delta)
-    kept = np.abs(w) > max(RANK_TOL * float(np.abs(w).max(initial=0.0)), TINY)
-    vk = v[:, kept]
-    c3_res = norm2((np.eye(sigma.input_dim) - herm(vk @ vk.conj().T)) @ beta)
+    # beta along the eigenvectors of delta that the magnitude cut drops
+    dropped = np.abs(w) <= max(RANK_TOL * float(np.abs(w).max(initial=0.0)), TINY)
+    c3_res = norm2((v * dropped).conj().T @ beta)
 
     lmi = herm(np.block([[alpha, -beta.conj().T], [-beta, delta]]))
-    lmi_min = float(np.linalg.eigvalsh(lmi)[0])
-    scale = max(1.0, norm2(lmi))
+    lmi_min, lmi_norm = least_and_norm(lmi)
+    scale = max(1.0, lmi_norm)
     threshold = tol * scale
-    delta_min = float(np.linalg.eigvalsh(delta)[0])
+    delta_min = float(w[0])
     c3_threshold = c3_tol * max(1.0, norm2(beta))
     if delta_min >= -threshold and c3_res <= c3_threshold:
-        w, v = np.linalg.eigh(delta)
         kept = w > max(RANK_TOL * float(w.max(initial=0.0)), TINY)
         inv_w = np.where(kept, 1.0 / np.where(kept, w, 1.0), 0.0)
         pinv = herm((v * inv_w) @ v.conj().T)
         surplus = herm(alpha - beta.conj().T @ pinv @ beta)
-        surplus_min = float(np.linalg.eigvalsh(surplus)[0])
-        equality_residual = norm2(surplus)
+        surplus_min, equality_residual = least_and_norm(surplus)
         route_one = surplus_min >= -threshold
     else:
         surplus_min = equality_residual = float("nan")

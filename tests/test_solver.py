@@ -297,6 +297,39 @@ class TestPencilRoute:
             assert routes == ["extremal(minimal)", "extremal(maximal)"]
             assert (solution_set.minimal_index, solution_set.maximal_index) == (0, 1)
 
+    def test_double_inside_eigenvalue_takes_the_extremal_route(self):
+        # two identical decoupled channels: the pencil's inside eigenvalue
+        # 0.3223 is double, so no selection of pairs is decided, and the
+        # extremal route gives H_min and H_max only
+        sigma = SystemRealization(
+            0.3 * np.eye(2), 0.5 * np.eye(2), 0.5 * np.eye(2), np.zeros((2, 2))
+        )
+        lam = scipy.linalg.eigvals(*_extended_pencil(sigma))
+        inside = np.sort(lam[np.abs(lam) < 1.0].real)
+        assert inside == pytest.approx([0.3223, 0.3223], abs=1e-4)
+        assert equality_candidates(sigma) is None
+        solution_set = solve_re(sigma)
+        assert solution_set.route == "extremal" and not solution_set.complete
+        routes = [p["route"] for p in solution_set.provenance]
+        assert routes == ["extremal(minimal)", "extremal(maximal)"]
+        h_min, h_max = dare_extremes(sigma)
+        assert _rel(solution_set.members[0].matrix, h_min) <= 1e-10
+        assert _rel(solution_set.members[1].matrix, h_max) <= 1e-10
+        assert _rel(minimal_solution(sigma).matrix, h_min) <= 1e-10
+        assert _rel(maximal_solution(sigma).matrix, h_max) <= 1e-10
+
+    def test_unpaired_zero_eigenvalue_leaves_the_pencil_undecided(self):
+        # the pencil eigenvalue 1.07e-8 lies below the zero cut
+        # PENCIL_TOL * ||M|| / ||N|| = 1.36e-8, but its partner 9.4e7 lies
+        # below the infinity cut 1.36e8: the finite eigenvalues do not count
+        # 2 n - z, and the extremal route still finds H_min
+        sigma = SystemRealization(1e-8, 0.5, 0.5, 0.0)
+        assert equality_candidates(sigma) is None
+        solution_set = solve_re(sigma)
+        assert solution_set.route == "extremal" and not solution_set.complete
+        assert solution_set.provenance[0]["route"] == "extremal(minimal)"
+        assert _rel(solution_set.members[0].matrix, dare_minimal(sigma)) <= 1e-10
+
     def test_non_minimal_takes_newton(self):
         # the scalar interval example plus an uncontrollable, observable
         # mode: the pencil decides, and the selection that flips the mode at
