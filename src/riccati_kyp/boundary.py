@@ -21,6 +21,7 @@ eigenvalues are exactly 1. A side of dimension 0 has defect 0.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -69,7 +70,22 @@ class CircleProfile:
         return float(self.left_defects.max())
 
 
-def circle_profile(sigma: SystemRealization, grid_steps: int = 4096) -> CircleProfile:
+@functools.lru_cache(maxsize=16)
+def _circle_points(grid_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only uniform angle grid of the circle and its points
+    ``exp(1j * angles)``."""
+    angles = 2.0 * np.pi * np.arange(grid_steps) / grid_steps
+    zeta = np.exp(1j * angles)
+    angles.flags.writeable = zeta.flags.writeable = False
+    return angles, zeta
+
+
+def circle_profile(
+    sigma: SystemRealization,
+    grid_steps: int = 4096,
+    *,
+    _schur: tuple[float, np.ndarray, np.ndarray] | None = None,
+) -> CircleProfile:
     """Sample the transfer function on a uniform angle grid of the circle.
 
     Raises PoleOnCircle (with the offending angle) when a realization pole
@@ -80,6 +96,9 @@ def circle_profile(sigma: SystemRealization, grid_steps: int = 4096) -> CirclePr
     over the min(m, p) squared singular values of theta, and, on the side of
     the larger dimension, the eigenvalue 1 of ``I - theta* theta`` (m > p) or
     ``I - theta theta*`` (p > m) on the kernel of the Gram matrix.
+    ``_schur`` is a caller's :func:`~riccati_kyp.systems._state_schur` of
+    ``sigma``, shared with its other grids. The profile's ``angles`` is the
+    read-only grid cached per ``grid_steps``.
     """
     if grid_steps < 1:
         raise ValueError("grid_steps must be positive")
@@ -90,11 +109,10 @@ def circle_profile(sigma: SystemRealization, grid_steps: int = 4096) -> CirclePr
             # the pole 1/lam has the angle -angle(lam), here in [0, 2 pi)
             raise PoleOnCircle(float(-np.angle(lam) % (2.0 * np.pi)))
 
-    angles = 2.0 * np.pi * np.arange(grid_steps) / grid_steps
-    zeta = np.exp(1j * angles)
+    angles, zeta = _circle_points(grid_steps)
     m, p = sigma.input_dim, sigma.output_dim
     values = _transfer_grid(
-        sigma, zeta, singular=lambda lam, k: PoleOnCircle(float(angles[k]))
+        sigma, zeta, singular=lambda lam, k: PoleOnCircle(float(angles[k])), schur=_schur
     )
 
     shared = np.abs(1.0 - _gram_eigs(values)).max(axis=1, initial=0.0)
@@ -149,6 +167,8 @@ def uniqueness_certificate(
     profile: CircleProfile | None = None,
     tol: float = 1e-8,
     grid_steps: int = 4096,
+    *,
+    _minimal: bool = False,
 ) -> UniquenessCertificate:
     """Certify that the inequality member set is a singleton, when the
     transfer function is inner or co-inner.
@@ -170,8 +190,11 @@ def uniqueness_certificate(
     Anything else returns Unknown, as does a screen the identities refuse (a
     defect within ``tol`` that is not zero); deciding uniqueness in general
     needs spectral-factorization machinery that is out of scope here.
+
+    Raises NotMinimal on a non-minimal system, unless ``_minimal`` says that
+    the caller has already found ``sigma`` minimal.
     """
-    if not is_minimal(sigma):
+    if not (_minimal or is_minimal(sigma)):
         raise NotMinimal("uniqueness certificates require a minimal system")
     if profile is None:
         profile = circle_profile(sigma, grid_steps=grid_steps)

@@ -21,12 +21,12 @@ Input files for `simulate` carry {"x0": [[re, im], ...], "inputs":
 Each re and im is a finite JSON number (not a boolean, string or null, nor
 an integer beyond float range, nor NaN or infinity), and the rows of a
 matrix are non-empty lists of one length.
-A matrix, or all candidates of a document at once when they are all
-n x n, is decoded in one step: the rules are checked on the set of
-distinct Python types, then one numpy float conversion gives the pairs.
-Only input that this refuses is walked entry by entry, to raise the
-ParseError or DimensionMismatch that names the first bad entry or
-candidate.
+A document's A, B, C and D together, a single matrix, and all candidates
+of a document at once when they are all n x n, are each decoded in one
+step: the rules are checked on the set of distinct Python types, then one
+numpy float conversion gives the pairs. Only input that this refuses is
+walked matrix by matrix and entry by entry, to raise the ParseError or
+DimensionMismatch that names the first bad entry or candidate.
 """
 
 from __future__ import annotations
@@ -44,10 +44,12 @@ import numpy as np
 
 from . import errors as err
 from .boundary import circle_profile, is_coinner, is_inner, uniqueness_certificate
+from .linops import _VERDICTS
 from .riccati import membership
 from .solver import SolverConfig, _duality, maximal_solution, minimal_solution, solve_re
 from .systems import (
     SystemRealization,
+    _state_schur,
     dissipation_check,
     is_minimal,
     is_passive,
@@ -121,7 +123,7 @@ def _decode_entry(obj, where: str) -> complex:
 def _walk_matrix(obj, where: str) -> np.ndarray:
     """Decode one matrix entry by entry, raising at the first bad one.
 
-    Only input that `_decode_stack` refuses comes here, so every error names
+    Only input that `_decode_group` refuses comes here, so every error names
     the first offending row or entry in reading order."""
     if not isinstance(obj, list) or not obj:
         raise err.ParseError(f"{where}: expected a non-empty list of rows")
@@ -144,30 +146,32 @@ def _types_within(items, types) -> bool:
     return all(issubclass(t, types) for t in set(map(type, items)))
 
 
-def _decode_stack(mats: list, shape: tuple[int, int] | None = None):
-    """The (k, rows, width) complex stack of the k matrices in ``mats``, or
-    None unless every one obeys the entry rules and all share one shape
-    (``shape``, when given).
+def _decode_group(mats: list) -> list[np.ndarray] | None:
+    """The complex matrices of the list ``mats``, in order, or None unless
+    every one obeys the entry rules.
 
     The rules are those of `_walk_matrix`, checked once per distinct type
-    rather than once per entry: matrices and rows are lists, rows are
-    non-empty and of one length, entries are [re, im] lists or tuples, and
-    each number is an int or float but not a bool. One float conversion of
-    the flat numbers then gives the pairs, viewed as complex, with the bits
-    of ``complex(float(re), float(im))``. A number beyond float range, and
-    a non-finite one (NaN, or infinity such as JSON's ``1e400``), also gives
-    None.
+    rather than once per entry: matrices and rows are lists, each matrix
+    has rows, its rows are non-empty and of one length, entries are [re,
+    im] lists or tuples, and each number is an int or float but not a bool.
+    One float conversion of the flat numbers of all matrices then gives the
+    pairs, viewed as complex, with the bits of ``complex(float(re),
+    float(im))``. A number beyond float range, and a non-finite one (NaN,
+    or infinity such as JSON's ``1e400``), also gives None.
     """
     if not mats or not _types_within(mats, list):
         return None
     rows = list(itertools.chain.from_iterable(mats))
     if not _types_within(rows, list):
         return None
-    heights, widths = set(map(len, mats)), set(map(len, rows))
-    if len(heights) != 1 or len(widths) != 1 or 0 in widths:
-        return None
-    if shape is not None and (*heights, *widths) != shape:
-        return None
+    widths = list(map(len, rows))
+    shapes, start = [], 0
+    for height in map(len, mats):
+        width = set(widths[start : start + height])
+        start += height
+        if len(width) != 1 or 0 in width:
+            return None
+        shapes.append((height, *width))
     entries = list(itertools.chain.from_iterable(rows))
     if not _types_within(entries, (list, tuple)) or set(map(len, entries)) != {2}:
         return None
@@ -183,12 +187,17 @@ def _decode_stack(mats: list, shape: tuple[int, int] | None = None):
         return None
     if not np.isfinite(pairs).all():
         return None
-    return pairs.view(complex).reshape(len(mats), *heights, *widths)
+    values = pairs.view(complex)
+    out, start = [], 0
+    for height, width in shapes:
+        out.append(values[start : start + height * width].reshape(height, width))
+        start += height * width
+    return out
 
 
 def _decode_matrix(obj, where: str) -> np.ndarray:
-    stack = _decode_stack([obj])
-    return _walk_matrix(obj, where) if stack is None else stack[0]
+    group = _decode_group([obj])
+    return _walk_matrix(obj, where) if group is None else group[0]
 
 
 def _pairs_array(z: np.ndarray) -> np.ndarray:
@@ -246,13 +255,14 @@ def parse_system(path: str) -> SystemDocument:
 def document_from_dict(raw: dict, origin: str = "<memory>") -> SystemDocument:
     if not isinstance(raw, dict):
         raise err.ParseError(f"{origin}: top level must be an object")
-    for key in ("A", "B", "C", "D"):
+    keys = ("A", "B", "C", "D")
+    for key in keys:
         if key not in raw:
             raise err.ParseError(f"{origin}: missing required matrix {key!r}")
-    a = _decode_matrix(raw["A"], "A")
-    b = _decode_matrix(raw["B"], "B")
-    c = _decode_matrix(raw["C"], "C")
-    d = _decode_matrix(raw["D"], "D")
+    group = _decode_group([raw[key] for key in keys])
+    if group is None:  # refused: decode one by one so the first bad one raises
+        group = [_decode_matrix(raw[key], key) for key in keys]
+    a, b, c, d = group
     name = raw.get("name", "system")
     if not isinstance(name, str):
         raise err.ParseError(f"{origin}: name must be a string")
@@ -261,8 +271,8 @@ def document_from_dict(raw: dict, origin: str = "<memory>") -> SystemDocument:
         if not isinstance(raw["candidates"], dict):
             raise err.ParseError(f"{origin}: candidates must be an object")
         square = (a.shape[0], a.shape[0])
-        stack = _decode_stack(list(raw["candidates"].values()), square)
-        if stack is not None:
+        stack = _decode_group(list(raw["candidates"].values()))
+        if stack is not None and all(mat.shape == square for mat in stack):
             candidates = dict(zip(raw["candidates"], stack))
         else:
             # refused: decode one by one so the first bad candidate raises
@@ -318,7 +328,9 @@ def _membership_payload(sigma, h, tol) -> dict:
 def _analyze_payload(sigma, tol, grid) -> dict:
     minimality = is_minimal(sigma)
     passivity = is_passive(sigma, tol=tol)
-    margin = schur_class_margin(sigma, grid_steps=48, radius=0.999)
+    # both grids read one Schur form and norm of A
+    schur = _state_schur(sigma)
+    margin = schur_class_margin(sigma, grid_steps=48, radius=0.999, _schur=schur)
     out = {
         "minimality": {
             "minimal": minimality.minimal,
@@ -334,7 +346,7 @@ def _analyze_payload(sigma, tol, grid) -> dict:
         "schur_margin": {"value": margin, "radius": 0.999, "grid_steps": 48},
     }
     try:
-        profile = circle_profile(sigma, grid_steps=grid)
+        profile = circle_profile(sigma, grid_steps=grid, _schur=schur)
     except err.PoleOnCircle as exc:
         out["circle"] = {"error": "PoleOnCircle", "angle": exc.angle}
         out["uniqueness"] = {"skipped": "transfer function has a pole on the circle"}
@@ -348,7 +360,7 @@ def _analyze_payload(sigma, tol, grid) -> dict:
         "coinner": is_coinner(profile, inner_tol),
     }
     if minimality.minimal:
-        cert = uniqueness_certificate(sigma, profile, tol=inner_tol)
+        cert = uniqueness_certificate(sigma, profile, tol=inner_tol, _minimal=True)
         out["uniqueness"] = {
             "verdict": cert.verdict.value,
             "reason": cert.reason.value,
@@ -359,13 +371,28 @@ def _analyze_payload(sigma, tol, grid) -> dict:
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class _PairOrder:
+    """The Loewner order of ``size`` members as a report holds it: one code
+    per pair (i, j), i < j, in ``np.triu_indices(size, 1)`` order, each the
+    index of the verdict in ``linops._VERDICTS``. :func:`_dumps` writes it
+    as the object ``{"i,j": verdict}``, which :meth:`as_dict` builds."""
+
+    size: int
+    codes: np.ndarray
+
+    def as_dict(self) -> dict[str, str]:
+        iu, ju = np.triu_indices(self.size, 1)
+        return {
+            f"{i},{j}": verdict.value
+            for i, j, verdict in zip(iu.tolist(), ju.tolist(), _VERDICTS[self.codes])
+        }
+
+
 def _solution_set_payload(solution_set) -> dict:
     return {
         "members": _pairs_array([m.matrix for m in solution_set.members]),
-        # the writer sorts the keys
-        "comparisons": {
-            f"{i},{j}": v.value for (i, j), v in solution_set.comparisons.items()
-        },
+        "comparisons": _PairOrder(len(solution_set.members), solution_set._order),
         "minimal_index": solution_set.minimal_index,
         "maximal_index": solution_set.maximal_index,
         "provenance": solution_set.provenance,
@@ -573,6 +600,8 @@ def _as_list(obj):
     """The ``default`` of ``json.dumps`` that :func:`_dumps` leaves to it."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
+    if isinstance(obj, _PairOrder):
+        return obj.as_dict()
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -590,6 +619,32 @@ def _array_template(shape: tuple[int, ...], level: int) -> str:
     return "[" + pad + ("," + pad).join([item] * shape[0]) + "\n" + _INDENT * level + "]"
 
 
+# each verdict as a JSON string, indexed by its code
+_VERDICT_TEXT = np.array([_encode_string(v.value) for v in _VERDICTS], dtype=object)
+
+
+@functools.lru_cache(maxsize=64)
+def _order_template(size: int, level: int) -> tuple[str, np.ndarray]:
+    """The text of the pair order of ``size`` members opened at indent
+    ``level``, laid out as ``json.dumps(indent=2, sort_keys=True)`` lays out
+    its dict: the keys "i,j" in string order ("10,2" before "2,10"), each
+    with a ``%s`` for its verdict. Also the read-only permutation that takes
+    codes in ``np.triu_indices`` order to that key order."""
+    if size < 2:
+        return "{}", np.empty(0, dtype=np.intp)
+    iu, ju = np.triu_indices(size, 1)
+    keys = [f"{i},{j}" for i, j in zip(iu.tolist(), ju.tolist())]
+    rank = sorted(range(len(keys)), key=keys.__getitem__)
+    pad = "\n" + _INDENT * (level + 1)
+    text = (
+        "{" + pad + ("," + pad).join(f'"{keys[k]}": %s' for k in rank)
+        + "\n" + _INDENT * level + "}"
+    )
+    perm = np.array(rank, dtype=np.intp)
+    perm.flags.writeable = False
+    return text, perm
+
+
 def _dumps(obj, level: int = 0) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` byte for byte, with
     numpy arrays written as their nested lists, for ``obj`` opened at indent
@@ -599,7 +654,9 @@ def _dumps(obj, level: int = 0) -> str:
     generator step per token. Here types are tested in the order
     ``json.dumps`` tests them, each float64 array is written from a
     separator template cached per (shape, indent) with one
-    ``float.__repr__`` per entry, and string items are written in place.
+    ``float.__repr__`` per entry, a pair order (:class:`_PairOrder`) is
+    written from a template cached per (size, indent) with its verdicts
+    taken from its codes, and string items are written in place.
     What this does not cover (empty containers, keys that are not strings,
     other types) is written by ``json.dumps`` itself and indented to its
     place."""
@@ -618,6 +675,9 @@ def _dumps(obj, level: int = 0) -> str:
     if type(obj) is np.ndarray and obj.dtype == np.float64:
         text = float.__repr__ if np.isfinite(obj).all() else _float_text
         return _array_template(obj.shape, level) % tuple(map(text, obj.ravel().tolist()))
+    if type(obj) is _PairOrder:
+        text, perm = _order_template(obj.size, level)
+        return text % tuple(_VERDICT_TEXT[obj.codes[perm]].tolist())
     pad = "\n" + _INDENT * (level + 1)
     end = "\n" + _INDENT * level
     if isinstance(obj, (list, tuple)) and obj:

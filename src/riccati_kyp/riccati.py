@@ -380,13 +380,15 @@ def _membership_stack(
     eq_tol: float = 1e-8,
     c3_tol: float = 1e-8,
     eigh: tuple[np.ndarray, np.ndarray] | None = None,
+    minimal: bool | None = None,
 ) -> list[MembershipVerdict | NotPD | InconsistentRoutes]:
     """The membership kernel: for each candidate on the (k, n, n) stack
     ``h`` of Hermitian matrices (as :func:`hermitian_part` returns them), in
     order, its MembershipVerdict, or the NotPD or InconsistentRoutes that
     :func:`membership` raises for it. ``eigh``, when given, is the
     ``np.linalg.eigh`` of the stack, which the caller also passes to
-    :func:`_storage_stack`.
+    :func:`_storage_stack`; ``minimal``, when given, is the caller's
+    ``is_minimal(sigma)`` verdict, which is otherwise decided here.
 
     Every step is one batched call of the LAPACK routine the single-candidate
     computation uses (``eigh`` for the positivity test and for delta, whose
@@ -436,7 +438,7 @@ def _membership_stack(
 
     # Sigma_H is similar to sigma through S = H^{1/2}, which maps the
     # controllable and unobservable subspaces of sigma onto those of Sigma_H
-    sigma_h_minimal = bool(is_minimal(sigma))
+    sigma_h_minimal = bool(is_minimal(sigma) if minimal is None else minimal)
     for slot, index in enumerate(live):
         threshold = thresholds[slot]
         route_one = with_surplus[slot] and surplus_min[slot] >= -threshold

@@ -29,7 +29,8 @@ whose KYP LMI is the original one with zero rows and columns removed.
 Every set is ordered deterministically and records its ``route``. It is
 labelled ``complete`` only when the system is minimal, the route is the
 pencil or the Stein equation, which are exhaustive, and every candidate
-passed.
+passed. Minimality is decided once per set, and the membership kernel is
+handed that verdict.
 
 Loops over candidates go through the stacked membership kernel of
 :mod:`riccati_kyp.riccati` with one call per batch: the candidates of a
@@ -43,7 +44,10 @@ members compare as the sets of their 1-digits do (see :func:`_digit_order`).
 Only the covering pairs, one digit apart, are compared numerically, and a
 set where one of them is not LESS_EQUAL falls back to
 :func:`order_solutions`, which compares all member pairs from one spectrum
-per pair, as it does for every other set.
+per pair, as it does for every other set. Either way the order is held as
+one small-int code per pair (its index in ``linops._VERDICTS``), and
+``SolutionSet.comparisons`` is the dict of verdicts built from those codes
+when it is read.
 
 Inequality members are sampled by hit-and-run over the KYP LMI
 ``L(H) = [[alpha, -beta*], [-beta, delta]] >= 0``, which is affine in H, so
@@ -146,7 +150,12 @@ class SolverConfig:
 class SolutionSet:
     """Storage operators found by a solver, with pairwise order data.
 
-    ``comparisons`` maps index pairs (i, j), i < j, to Loewner verdicts.
+    The order is held as ``_order``, one int8 code per index pair (i, j),
+    i < j, in ``np.triu_indices(len(members), 1)`` order, each the index of
+    the pair's Loewner verdict in ``linops._VERDICTS`` (0 EQUAL, 1
+    LESS_EQUAL, 2 GREATER_EQUAL, 3 INCOMPARABLE); it is empty until the set
+    is ordered. The read-only ``comparisons`` is built from it on each
+    access: a dict mapping each pair (i, j) to its verdict.
     ``minimal_index``/``maximal_index`` are set when one member is below /
     above every other member. ``provenance`` records, per member, the solver
     route (``pencil(selection=...)``, ``lossless(inner)``,
@@ -163,15 +172,24 @@ class SolutionSet:
     """
 
     members: list[StorageOperator] = field(default_factory=list)
-    comparisons: dict[tuple[int, int], Loewner] = field(default_factory=dict)
     minimal_index: int | None = None
     maximal_index: int | None = None
     provenance: list[dict] = field(default_factory=list)
     route: str | None = None
     complete: bool = False
+    _order: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int8), repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.members)
+
+    @property
+    def comparisons(self) -> dict[tuple[int, int], Loewner]:
+        """The Loewner verdict of each index pair (i, j), i < j, of an
+        ordered set; empty before the set is ordered."""
+        iu, ju = _upper(len(self.members))
+        return dict(zip(zip(iu.tolist(), ju.tolist()), _VERDICTS[self._order].tolist()))
 
 
 def re_residual_norm(sigma: SystemRealization, h) -> float:
@@ -397,12 +415,29 @@ def sample_ri_members(
 def _solution_sort_key(h: np.ndarray):
     """Order members by trace, then entry-wise. The trace is rounded to 9
     significant digits, so members whose traces agree in exact arithmetic
-    are ordered by their entries, not by the roundoff of the trace."""
+    are ordered by their entries, not by the roundoff of the trace.
+    :func:`_sorted_order` sorts a whole stack by this key at once; the
+    tests hold it to this one-member form."""
     return (
         float(f"{np.real(np.trace(h)):.8e}"),
         tuple(h.real.ravel()),
         tuple(h.imag.ravel()),
     )
+
+
+def _sorted_order(stack: np.ndarray) -> np.ndarray:
+    """The indices that sort the (k, n, n) ``stack`` as ``sorted`` does with
+    :func:`_solution_sort_key`, from one ``np.lexsort``: its last key, the
+    rounded trace, decides first, then the real entries and then the
+    imaginary ones in C order. Both sorts are stable and compare floats
+    with ``<``, so ties (-0.0 and 0.0 among them) keep stack order."""
+    k, n = stack.shape[0], stack.shape[-1]
+    traces = np.trace(stack, axis1=1, axis2=2).real.tolist()
+    flat = stack.reshape(k, n * n)
+    keys = np.concatenate(
+        [flat.imag.T[::-1], flat.real.T[::-1], [[float(f"{t:.8e}") for t in traces]]]
+    )
+    return np.lexsort(keys)
 
 
 def solve_re(
@@ -442,13 +477,20 @@ def solve_re(
             [f"pencil(selection={s})" for s in labels],
             "pencil",
             exhaustive=minimal and len(stack) == selections,
+            minimal=minimal,
             digits=np.array([list(s) for s in labels]).reshape(len(labels), n) == "1",
         )
     lossless = _lossless_solution(sigma) if minimal else None
     if lossless is not None:
         kind, h, _, _ = lossless
         return _validated_set(
-            sigma, cfg, h[None], [f"lossless({kind})"], "lossless", exhaustive=True
+            sigma,
+            cfg,
+            h[None],
+            [f"lossless({kind})"],
+            "lossless",
+            exhaustive=True,
+            minimal=True,
         )
     return _extremal_set(sigma, cfg, minimal)
 
@@ -460,13 +502,16 @@ def _validated_set(
     labels: list[str],
     route: str,
     exhaustive: bool,
+    minimal: bool,
     digits: np.ndarray | None = None,
 ) -> SolutionSet:
     """The candidates on ``stack`` that pass membership, validated by one
     membership-kernel call; ``labels`` are their provenance routes. The set
     is complete when the stack is ``exhaustive`` (the whole equality set of
     a minimal system) and all of them pass. One ``eigh`` of the stack serves
-    the kernel's positivity test and the members' storage operators.
+    the kernel's positivity test and the members' storage operators, and
+    ``minimal``, the caller's minimality verdict on ``sigma``, serves the
+    kernel's. Members are sorted by :func:`_sorted_order`.
 
     ``digits``, one boolean row of selection digits per candidate of a
     decided pencil, gives the set its order by :func:`_digit_order`; any
@@ -475,7 +520,12 @@ def _validated_set(
     stack = np.asarray(stack, dtype=complex)
     w, v = np.linalg.eigh(stack)
     verdicts = _membership_stack(
-        sigma, stack, tol=cfg.membership_tol, eq_tol=EQUALITY_TOL, eigh=(w, v)
+        sigma,
+        stack,
+        tol=cfg.membership_tol,
+        eq_tol=EQUALITY_TOL,
+        eigh=(w, v),
+        minimal=minimal,
     )
     kept = []
     for index, verdict in enumerate(verdicts):
@@ -483,7 +533,8 @@ def _validated_set(
             raise verdict
         if not isinstance(verdict, NotPD) and verdict.in_re:
             kept.append(index)
-    kept.sort(key=lambda index: _solution_sort_key(stack[index]))
+    kept = np.array(kept, dtype=np.intp)
+    kept = kept[_sorted_order(stack[kept])]
     solution_set = SolutionSet(
         members=_storage_stack(stack[kept], eigh=(w[kept], v[kept])),
         provenance=[
@@ -492,7 +543,7 @@ def _validated_set(
                 "residual": verdicts[index].diagnostics.equality_residual,
                 "iterations": 0,
             }
-            for index in kept
+            for index in kept.tolist()
         ],
         route=route,
         complete=exhaustive and len(kept) == len(stack),
@@ -528,7 +579,9 @@ def _extremal_set(
             candidates.append(h_max)
             labels.append("extremal(maximal)")
     stack = np.array(candidates).reshape(len(candidates), *sigma.a.shape)
-    return _validated_set(sigma, cfg, stack, labels, "extremal", exhaustive=False)
+    return _validated_set(
+        sigma, cfg, stack, labels, "extremal", exhaustive=False, minimal=minimal
+    )
 
 
 def _without_unit_channels(sigma: SystemRealization) -> SystemRealization:
@@ -864,19 +917,22 @@ def _pair_verdicts(
     )
 
 
-def _with_order(
-    solution_set: SolutionSet, iu: np.ndarray, ju: np.ndarray, verdicts: np.ndarray
-) -> SolutionSet:
-    """``solution_set`` with the verdicts of its pairs ``(iu[k], ju[k])``,
-    i < j, and its extremal flags: a member is flagged minimal (maximal)
-    when it compares below (above) every other member."""
+# the code of each verdict: its index in _VERDICTS
+_CODES = {verdict: code for code, verdict in enumerate(_VERDICTS.tolist())}
+
+
+def _with_order(solution_set: SolutionSet, codes: np.ndarray) -> SolutionSet:
+    """``solution_set`` with the verdict codes ``codes`` of its pairs (i, j),
+    i < j, in :func:`_upper` order, and its extremal flags: a member is
+    flagged minimal (maximal) when it compares below (above) every other
+    member."""
     count = len(solution_set.members)
+    iu, ju = _upper(count)
     # below[i, j]: H_i <= H_j; above[i, j]: H_i >= H_j
     below = np.eye(count, dtype=bool)
     above = np.eye(count, dtype=bool)
-    equal = verdicts == Loewner.EQUAL
-    below[iu, ju] = above[ju, iu] = equal | (verdicts == Loewner.LESS_EQUAL)
-    above[iu, ju] = below[ju, iu] = equal | (verdicts == Loewner.GREATER_EQUAL)
+    below[iu, ju] = above[ju, iu] = codes <= 1  # EQUAL or LESS_EQUAL
+    above[iu, ju] = below[ju, iu] = (codes == 0) | (codes == 2)  # or GREATER_EQUAL
 
     def first(rows: np.ndarray) -> int | None:
         hits = np.flatnonzero(rows.all(axis=1))
@@ -884,9 +940,9 @@ def _with_order(
 
     return replace(
         solution_set,
-        comparisons=dict(zip(zip(iu.tolist(), ju.tolist()), verdicts.tolist())),
         minimal_index=first(below),
         maximal_index=first(above),
+        _order=codes.astype(np.int8),
     )
 
 
@@ -913,10 +969,10 @@ def _digit_order(
         _pair_verdicts(solution_set.members, lower, upper, tol) != Loewner.LESS_EQUAL
     ).any():
         return None
-    iu, ju = np.triu_indices(len(digits), 1)
+    iu, ju = _upper(len(digits))
     # codes of LESS_EQUAL, GREATER_EQUAL and INCOMPARABLE in _VERDICTS
     codes = np.where(nested[iu, ju], 1, np.where(nested[ju, iu], 2, 3))
-    return _with_order(solution_set, iu, ju, _VERDICTS[codes])
+    return _with_order(solution_set, codes)
 
 
 def order_solutions(solution_set: SolutionSet, tol: float = 1e-9) -> SolutionSet:
@@ -935,10 +991,7 @@ def order_solutions(solution_set: SolutionSet, tol: float = 1e-9) -> SolutionSet
     check; the tests check both routes against a pair-by-pair reference.
     """
     count = len(solution_set.members)
-    iu, ju = np.triu_indices(count, 1)
-    verdicts = (
-        _pair_verdicts(solution_set.members, iu, ju, tol)
-        if count > 1
-        else np.empty(0, dtype=object)
-    )
-    return _with_order(solution_set, iu, ju, verdicts)
+    iu, ju = _upper(count)
+    verdicts = _pair_verdicts(solution_set.members, iu, ju, tol) if count > 1 else []
+    codes = np.array([_CODES[verdict] for verdict in verdicts], dtype=np.int8)
+    return _with_order(solution_set, codes)

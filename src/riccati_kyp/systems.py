@@ -17,7 +17,8 @@ grid resolvent ``I - lam A`` invertible from ``||A||`` at once when A is a
 strict contraction on the grid radius r (``1 - r||A|| >= 2 SINGULAR_TOL
 (1 + r||A||)``), and otherwise builds the resolvents and tests each point by
 its singular values. It then solves in Schur coordinates: one complex Schur
-form ``A = Q T Q*`` per grid, and one back substitution with T over all
+form ``A = Q T Q*`` (which grids on one system can share with ``||A||``,
+see :func:`_state_schur`), and one back substitution with T over all
 points at once, its unknowns held point-major so that each step is one
 matrix product. Norms of the grid values come from the eigenvalues of the
 smaller Gram matrix of each value (:func:`_gram_eigs`), in closed form when
@@ -26,6 +27,7 @@ that matrix is 1 x 1 or 2 x 2 and from LAPACK otherwise.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,7 +92,8 @@ class SystemRealization:
                 f"{(self.c.shape[0], self.b.shape[1])}"
             )
         for name, mat in (("A", self.a), ("B", self.b), ("C", self.c), ("D", self.d)):
-            if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
+            # a complex entry is finite when both of its parts are
+            if not np.isfinite(mat).all():
                 raise ValueError(f"{name} contains non-finite entries")
 
     @property
@@ -120,13 +123,25 @@ class TransferSample:
     norm: float
 
 
+def _state_schur(sigma: SystemRealization) -> tuple[float, np.ndarray, np.ndarray]:
+    """``(||A||, T, Q)`` for the complex Schur form ``A = Q T Q*``: what
+    :func:`_transfer_grid` reads of the state operator, taken once when
+    several grids on one system share it."""
+    import scipy.linalg
+
+    t, q = scipy.linalg.schur(sigma.a, output="complex")
+    return spectral_norm(sigma.a), t, q
+
+
 def _transfer_grid(
     sigma: SystemRealization,
     lams: np.ndarray,
     singular=lambda lam, k: SingularResolvent(lam),
+    schur: tuple[float, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Transfer values ``D + lam C (I - lam A)^{-1} B`` on a 1-D array of
-    points, as a (k, p, m) stack.
+    points, as a (k, p, m) stack. ``schur`` is :func:`_state_schur` of
+    ``sigma`` when the caller holds it, and is taken here otherwise.
 
     A resolvent is numerically singular when its smallest singular value is
     at most ``SINGULAR_TOL`` times its largest; the first such point k raises
@@ -152,10 +167,9 @@ def _transfer_grid(
     first-order error of a perturbation of A, B and C of order eps, as LU
     solves of each resolvent do.
     """
-    import scipy.linalg
-
     n = sigma.state_dim
-    bound = float(np.abs(lams).max()) * spectral_norm(sigma.a)
+    norm_a, t, q = _state_schur(sigma) if schur is None else schur
+    bound = float(np.abs(lams).max()) * norm_a
     if not 1.0 - bound >= 2.0 * SINGULAR_TOL * (1.0 + bound):
         resolvents = np.eye(n)[None, :, :] - lams[:, None, None] * sigma.a[None, :, :]
         svals = np.linalg.svd(resolvents, compute_uv=False)
@@ -163,7 +177,6 @@ def _transfer_grid(
         if np.any(bad):
             k = int(np.argmax(bad))
             raise singular(complex(lams[k]), k)
-    t, q = scipy.linalg.schur(sigma.a, output="complex")
     rhs = q.conj().T @ sigma.b
     k, m, p = lams.size, sigma.input_dim, sigma.output_dim
     # x[i] is row i of (I - lam T)^{-1} Q* B at every point, point-major:
@@ -324,8 +337,25 @@ def is_passive(sigma: SystemRealization, tol: float = 1e-10) -> PassivityReport:
     return PassivityReport(passive=norm <= 1.0 + tol, margin=1.0 - norm, system_norm=norm)
 
 
+@functools.lru_cache(maxsize=16)
+def _disc_points(grid_steps: int, radius: float) -> np.ndarray:
+    """Read-only polar grid of the disc ``|lam| <= radius``: the origin,
+    then ``grid_steps`` angles on each of ``grid_steps`` radii."""
+    radii = np.linspace(radius / grid_steps, radius, grid_steps)
+    angles = 2.0 * np.pi * np.arange(grid_steps) / grid_steps
+    lams = np.concatenate(
+        [[0.0 + 0.0j], (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()]
+    )
+    lams.flags.writeable = False
+    return lams
+
+
 def schur_class_margin(
-    sigma: SystemRealization, grid_steps: int = 48, radius: float = 0.999
+    sigma: SystemRealization,
+    grid_steps: int = 48,
+    radius: float = 0.999,
+    *,
+    _schur: tuple[float, np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Largest transfer-function norm over a polar grid of the disc
     ``|lam| <= radius``.
@@ -333,20 +363,15 @@ def schur_class_margin(
     This is a grid certificate, not a proof: the value bounds the norm only at
     the sampled points. Grid points with a numerically singular resolvent
     abort with SingularResolvent carrying the offending point; skipping them
-    silently could mask norm blow-up near a pole.
+    silently could mask norm blow-up near a pole. ``_schur`` is a caller's
+    :func:`_state_schur` of ``sigma``, shared with its other grids.
     """
     if not 0.0 < radius < 1.0:
         raise ValueError("radius must lie strictly between 0 and 1")
     if grid_steps < 1:
         raise ValueError("grid_steps must be positive")
-    radii = np.linspace(radius / grid_steps, radius, grid_steps)
-    angles = 2.0 * np.pi * np.arange(grid_steps) / grid_steps
-    lams = np.concatenate(
-        [[0.0 + 0.0j], (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()]
-    )
-
-    squares = _gram_eigs(_transfer_grid(sigma, lams))
-    return float(np.sqrt(squares.max(initial=0.0)))
+    values = _transfer_grid(sigma, _disc_points(grid_steps, radius), schur=_schur)
+    return float(np.sqrt(_gram_eigs(values).max(initial=0.0)))
 
 
 @dataclass

@@ -33,9 +33,12 @@ from riccati_kyp.cli import (
     parse_system,
     write_system,
 )
-from conftest import dare_extremes, two_state_re_solutions
+from riccati_kyp import systems as systems_module
+from riccati_kyp.linops import _VERDICTS
+from conftest import dare_extremes, random_realization, two_state_re_solutions
 
-TWO_STATE_DOC = str(Path(__file__).resolve().parent / "golden" / "docs" / "two_state.json")
+GOLDEN_DOCS = Path(__file__).resolve().parent / "golden" / "docs"
+TWO_STATE_DOC = str(GOLDEN_DOCS / "two_state.json")
 
 
 def scalar_interval_doc() -> dict:
@@ -425,6 +428,94 @@ def test_writer_matches_json_dumps_on_edge_cases(payload):
 def test_writer_refuses_what_json_dumps_refuses():
     with pytest.raises(TypeError, match="not JSON serializable"):
         cli_module._dumps({"a": [1, {2, 3}]})
+
+
+def _order_dict(size: int, codes: np.ndarray) -> dict:
+    """The comparisons block as a dict: one "i,j" key per pair i < j."""
+    iu, ju = np.triu_indices(size, 1)
+    return {f"{i},{j}": _VERDICTS[c].value for i, j, c in zip(iu, ju, codes)}
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("size", [0, 1, 2, 11, 32, 64])
+def test_pair_order_is_written_as_json_dumps_writes_its_dict(size, level):
+    codes = np.random.default_rng(size).integers(0, 4, size * (size - 1) // 2)
+    order = cli_module._PairOrder(size, codes.astype(np.int8))
+    want = json.dumps(_order_dict(size, codes), indent=2, sort_keys=True)
+    assert cli_module._dumps(order, level) == want.replace("\n", "\n" + "  " * level)
+    # inside a payload, and through json.dumps where the writer leaves a
+    # dict with a key that is not a string to it
+    for payload in ({"comparisons": order}, {0: order}):
+        want = json.dumps({key: _order_dict(size, codes) for key in payload},
+                          indent=2, sort_keys=True)
+        assert cli_module._dumps(payload) == want
+
+
+def _seeded_pencil_doc(tmp_path, n: int) -> str:
+    """A document of the n-state, m = p = 2 system of the random_passive
+    recipe at norm 0.9, rng seed 5: a complete pencil set of 2**n members."""
+    sigma = random_realization(np.random.default_rng(5), n, 2, 2, passive_norm=0.9)
+    path = tmp_path / f"pencil_n{n}.json"
+    doc = SystemDocument(f"pencil_n{n}", sigma.a, sigma.b, sigma.c, sigma.d)
+    path.write_text(json.dumps(write_system(doc)))
+    return str(path)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_solve_re_writes_the_bytes_of_json_dumps(n, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["solve-re", "--system", _seeded_pencil_doc(tmp_path, n),
+                 "--no-timings", "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    report = json.loads(text)
+    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert len(report["solve_re"]["members"]) == 2**n
+    assert len(report["solve_re"]["comparisons"]) == 2**n * (2**n - 1) // 2
+
+
+def test_the_golden_64_member_document_is_the_seeded_system(tmp_path):
+    golden = parse_system(str(GOLDEN_DOCS / "pencil64_n6_m2_p2.json"))
+    seeded = parse_system(_seeded_pencil_doc(tmp_path, 6))
+    for key in ("a", "b", "c", "d"):
+        assert getattr(golden, key).tobytes() == getattr(seeded, key).tobytes()
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap ``module.name`` under every name of the package that refers to
+    it, and return the list that records one entry per call."""
+    original, calls = getattr(module, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("riccati_kyp"):
+            for attr, obj in list(vars(mod).items()):
+                if obj is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+def test_each_command_decides_minimality_and_decomposes_a_once(monkeypatch, tmp_path):
+    minimality = _count_calls(monkeypatch, systems_module, "is_minimal")
+    schur = _count_calls(monkeypatch, systems_module, "_state_schur")
+    doc = _seeded_pencil_doc(tmp_path, 3)
+    out = str(tmp_path / "report.json")
+    for command in ("analyze", "solve-re"):
+        minimality.clear()
+        schur.clear()
+        assert main([command, "--system", doc, "--no-timings", "--out", out]) == 0
+        assert len(minimality) == 1, command
+        assert len(schur) == (command == "analyze"), command
+
+
+def test_grid_points_are_cached_read_only(two_state_system):
+    first = riccati_kyp.circle_profile(two_state_system, grid_steps=64)
+    second = riccati_kyp.circle_profile(two_state_system, grid_steps=64)
+    assert first.angles is second.angles and not first.angles.flags.writeable
+    disc = systems_module._disc_points(48, 0.999)
+    assert disc is systems_module._disc_points(48, 0.999) and not disc.flags.writeable
 
 
 class TestCommands:

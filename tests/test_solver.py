@@ -13,6 +13,7 @@ import scipy.linalg
 import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from riccati_kyp import (
     CertificateFailed,
@@ -49,6 +50,7 @@ from riccati_kyp.solver import (
     _herm_pack,
     _herm_unpack,
     _solution_sort_key,
+    _sorted_order,
     _without_unit_channels,
 )
 from conftest import (
@@ -1225,6 +1227,54 @@ def test_a_failing_covering_pair_falls_back_to_all_pairs(two_state_system, monke
     comparisons, minimal, maximal = _pairwise_order(solution_set.members)
     assert solution_set.comparisons == comparisons
     assert (solution_set.minimal_index, solution_set.maximal_index) == (minimal, maximal)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_seeded_pencil_sets_match_the_pairwise_reference_on_both_routes(n, monkeypatch):
+    # the digit lattice (covering pairs only) and order_solutions (every
+    # pair) give the reference's verdicts, flags and codes on full sets
+    sigma = random_realization(np.random.default_rng(5), n, 2, 2, passive_norm=0.9)
+    sizes = _recording_loewner_stack(monkeypatch)
+    by_digits = solve_re(sigma)
+    assert len(by_digits) == 2**n and by_digits.complete
+    assert sizes == [n * 2 ** (n - 1)]
+    by_pairs = order_solutions(SolutionSet(members=by_digits.members))
+    assert sizes[1:] == [2**n * (2**n - 1) // 2]
+    comparisons, minimal, maximal = _pairwise_order(by_digits.members)
+    for ordered in (by_digits, by_pairs):
+        assert ordered.comparisons == comparisons
+        assert (ordered.minimal_index, ordered.maximal_index) == (minimal, maximal)
+    assert by_digits._order.dtype == by_pairs._order.dtype == np.int8
+    assert np.array_equal(by_digits._order, by_pairs._order)
+
+
+def test_an_unordered_set_has_no_comparisons(two_state_system):
+    members = solve_re(two_state_system).members
+    assert SolutionSet(members=members).comparisons == {}
+
+
+# entries drawn from a few values, so that traces agree to 9 digits (1 and
+# 1 + 2**-40), entries agree exactly, and zeros carry either sign
+_SORT_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, 1.0 + 2.0**-40, 2.0, -1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hnp.arrays(np.float64, st.tuples(st.integers(0, 12), st.just(2), st.just(4)),
+               elements=_SORT_ENTRIES)
+)
+def test_lexsort_order_matches_the_sort_key(parts):
+    stack = parts.view(complex).reshape(len(parts), 2, 2)
+    want = sorted(range(len(stack)), key=lambda i: _solution_sort_key(stack[i]))
+    assert _sorted_order(stack).tolist() == want
+
+
+def test_lexsort_order_matches_the_sort_key_on_pencil_sets():
+    for n in (5, 6):
+        sigma = random_realization(np.random.default_rng(5), n, 2, 2, passive_norm=0.9)
+        stack = equality_candidates(sigma)[0]
+        want = sorted(range(len(stack)), key=lambda i: _solution_sort_key(stack[i]))
+        assert _sorted_order(stack).tolist() == want
 
 
 def test_members_share_the_kernel_decomposition_bit_for_bit():
