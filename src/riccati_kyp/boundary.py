@@ -80,30 +80,23 @@ def _circle_points(grid_steps: int) -> tuple[np.ndarray, np.ndarray]:
     return angles, zeta
 
 
-def circle_profile(
-    sigma: SystemRealization,
-    grid_steps: int = 4096,
-    *,
-    _schur: tuple[float, np.ndarray, np.ndarray] | None = None,
-) -> CircleProfile:
+def circle_profile(sigma: SystemRealization, grid_steps: int = 4096) -> CircleProfile:
     """Sample the transfer function on a uniform angle grid of the circle.
 
     Raises PoleOnCircle (with the offending angle) when a realization pole
     lies within ``POLE_TOL`` of the circle or a grid resolvent is numerically
-    singular.
+    singular. The poles are ``1/mu`` for the eigenvalues mu of A on the
+    diagonal of the Schur form that ``sigma`` keeps for the grid.
 
     The defects are read off one Gram spectrum per point: ``|1 - sigma_i^2|``
     over the min(m, p) squared singular values of theta, and, on the side of
     the larger dimension, the eigenvalue 1 of ``I - theta* theta`` (m > p) or
-    ``I - theta theta*`` (p > m) on the kernel of the Gram matrix.
-    ``_schur`` is a caller's :func:`~riccati_kyp.systems._state_schur` of
-    ``sigma``, shared with its other grids. The profile's ``angles`` is the
-    read-only grid cached per ``grid_steps``.
+    ``I - theta theta*`` (p > m) on the kernel of the Gram matrix. The
+    profile's ``angles`` is the read-only grid cached per ``grid_steps``.
     """
     if grid_steps < 1:
         raise ValueError("grid_steps must be positive")
-    eigs = np.linalg.eigvals(sigma.a)
-    for lam in eigs:
+    for lam in np.diagonal(sigma.schur[1]):
         mag = abs(lam)
         if mag > 0.0 and abs(1.0 / mag - 1.0) < POLE_TOL:
             # the pole 1/lam has the angle -angle(lam), here in [0, 2 pi)
@@ -112,7 +105,7 @@ def circle_profile(
     angles, zeta = _circle_points(grid_steps)
     m, p = sigma.input_dim, sigma.output_dim
     values = _transfer_grid(
-        sigma, zeta, singular=lambda lam, k: PoleOnCircle(float(angles[k])), schur=_schur
+        sigma, zeta, singular=lambda lam, k: PoleOnCircle(float(angles[k]))
     )
 
     shared = np.abs(1.0 - _gram_eigs(values)).max(axis=1, initial=0.0)
@@ -167,8 +160,6 @@ def uniqueness_certificate(
     profile: CircleProfile | None = None,
     tol: float = 1e-8,
     grid_steps: int = 4096,
-    *,
-    _minimal: bool = False,
 ) -> UniquenessCertificate:
     """Certify that the inequality member set is a singleton, when the
     transfer function is inner or co-inner.
@@ -188,13 +179,13 @@ def uniqueness_certificate(
     of :class:`~riccati_kyp.riccati.StorageOperator`; for a minimal system
     that is what makes A stable.
     Anything else returns Unknown, as does a screen the identities refuse (a
-    defect within ``tol`` that is not zero); deciding uniqueness in general
-    needs spectral-factorization machinery that is out of scope here.
+    defect within ``tol`` that is not zero). RI lies between H_min and H_max
+    in the Loewner order, so it is a single point exactly when H_min = H_max;
+    that test is not made here yet.
 
-    Raises NotMinimal on a non-minimal system, unless ``_minimal`` says that
-    the caller has already found ``sigma`` minimal.
+    Raises NotMinimal on a non-minimal system.
     """
-    if not (_minimal or is_minimal(sigma)):
+    if not is_minimal(sigma):
         raise NotMinimal("uniqueness certificates require a minimal system")
     if profile is None:
         profile = circle_profile(sigma, grid_steps=grid_steps)

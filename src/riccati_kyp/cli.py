@@ -49,7 +49,6 @@ from .riccati import membership
 from .solver import SolverConfig, _duality, maximal_solution, minimal_solution, solve_re
 from .systems import (
     SystemRealization,
-    _state_schur,
     dissipation_check,
     is_minimal,
     is_passive,
@@ -328,9 +327,7 @@ def _membership_payload(sigma, h, tol) -> dict:
 def _analyze_payload(sigma, tol, grid) -> dict:
     minimality = is_minimal(sigma)
     passivity = is_passive(sigma, tol=tol)
-    # both grids read one Schur form and norm of A
-    schur = _state_schur(sigma)
-    margin = schur_class_margin(sigma, grid_steps=48, radius=0.999, _schur=schur)
+    margin = schur_class_margin(sigma, grid_steps=48, radius=0.999)
     out = {
         "minimality": {
             "minimal": minimality.minimal,
@@ -346,7 +343,7 @@ def _analyze_payload(sigma, tol, grid) -> dict:
         "schur_margin": {"value": margin, "radius": 0.999, "grid_steps": 48},
     }
     try:
-        profile = circle_profile(sigma, grid_steps=grid, _schur=schur)
+        profile = circle_profile(sigma, grid_steps=grid)
     except err.PoleOnCircle as exc:
         out["circle"] = {"error": "PoleOnCircle", "angle": exc.angle}
         out["uniqueness"] = {"skipped": "transfer function has a pole on the circle"}
@@ -360,7 +357,7 @@ def _analyze_payload(sigma, tol, grid) -> dict:
         "coinner": is_coinner(profile, inner_tol),
     }
     if minimality.minimal:
-        cert = uniqueness_certificate(sigma, profile, tol=inner_tol, _minimal=True)
+        cert = uniqueness_certificate(sigma, profile, tol=inner_tol)
         out["uniqueness"] = {
             "verdict": cert.verdict.value,
             "reason": cert.reason.value,

@@ -41,6 +41,7 @@ __all__ = [
 EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).tiny)
 RESIDUAL_TOL = 1e-8  # minimal_contraction: admissible factorization residual
+HERMITIAN_TOL = 1e-12  # ensure_hermitian: admissible relative deviation from a*
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -72,16 +73,16 @@ def _least_and_norm(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[..., 0], np.maximum(-w[..., 0], w[..., -1])
 
 
-def ensure_hermitian(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def ensure_hermitian(a: np.ndarray) -> np.ndarray:
     """Validate Hermitian symmetry and return the symmetrized matrix.
+
+    The admissible deviation of ``a - a*`` is ``HERMITIAN_TOL`` relative to
+    the largest absolute entry (at least to an absolute unit scale).
 
     Parameters
     ----------
     a : array_like
         Square matrix.
-    tol : float
-        Admissible deviation of ``a - a*`` relative to the largest absolute
-        entry (at least to an absolute unit scale).
 
     Raises
     ------
@@ -98,10 +99,10 @@ def ensure_hermitian(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     if a.size:
         scale = max(1.0, float(np.abs(a).max()))
         dev = float(np.abs(a - a.conj().T).max())
-        if dev > tol * scale:
+        if dev > HERMITIAN_TOL * scale:
             raise NotHermitian(
                 f"matrix deviates from Hermitian symmetry by {dev:.3e} "
-                f"(tolerance {tol * scale:.3e})"
+                f"(tolerance {HERMITIAN_TOL * scale:.3e})"
             )
     return hermitian_part(a)
 

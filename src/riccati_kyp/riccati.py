@@ -27,7 +27,8 @@ same way: :func:`_storage_stack` decomposes a whole stack with one batched
 
 RI° is the set of inequality members whose associated system
 (S A S^{-1}, S B, C S^{-1}, D), S = H^{1/2}, is minimal. That system is
-similar to (A, B, C, D), so ``in_ri_circ = in_ri and is_minimal(sigma)``.
+similar to (A, B, C, D), so ``in_ri_circ = in_ri and is_minimal(sigma)``,
+and the realization decides that verdict once for all its candidates.
 """
 
 from __future__ import annotations
@@ -380,23 +381,22 @@ def _membership_stack(
     eq_tol: float = 1e-8,
     c3_tol: float = 1e-8,
     eigh: tuple[np.ndarray, np.ndarray] | None = None,
-    minimal: bool | None = None,
 ) -> list[MembershipVerdict | NotPD | InconsistentRoutes]:
     """The membership kernel: for each candidate on the (k, n, n) stack
     ``h`` of Hermitian matrices (as :func:`hermitian_part` returns them), in
     order, its MembershipVerdict, or the NotPD or InconsistentRoutes that
     :func:`membership` raises for it. ``eigh``, when given, is the
     ``np.linalg.eigh`` of the stack, which the caller also passes to
-    :func:`_storage_stack`; ``minimal``, when given, is the caller's
-    ``is_minimal(sigma)`` verdict, which is otherwise decided here.
+    :func:`_storage_stack`.
 
     Every step is one batched call of the LAPACK routine the single-candidate
     computation uses (``eigh`` for the positivity test and for delta, whose
     least eigenvalue, range test and pseudo-inverse it gives; ``eigvalsh``
     for the least eigenvalue and norm of the LMI and of the surplus; SVD for
     the norms of beta and of its dropped-range part), so each result is bit
-    for bit the one-candidate result; minimality of ``sigma`` is decided
-    once per stack. A DimensionMismatch concerns the whole stack and is raised.
+    for bit the one-candidate result. Every verdict reads the minimality
+    report that ``sigma`` holds, decided once per realization, not per call.
+    A DimensionMismatch concerns the whole stack and is raised.
 
     A realization without inputs (m = 0) has an empty delta: its equality
     is the Stein equation ``alpha(H) = 0``, its LMI is ``alpha(H)``, the
@@ -438,7 +438,7 @@ def _membership_stack(
 
     # Sigma_H is similar to sigma through S = H^{1/2}, which maps the
     # controllable and unobservable subspaces of sigma onto those of Sigma_H
-    sigma_h_minimal = bool(is_minimal(sigma) if minimal is None else minimal)
+    sigma_h_minimal = bool(is_minimal(sigma))
     for slot, index in enumerate(live):
         threshold = thresholds[slot]
         route_one = with_surplus[slot] and surplus_min[slot] >= -threshold
@@ -502,7 +502,7 @@ def associated_system(sigma: SystemRealization, h) -> AssociatedSystem:
         a=s @ sigma.a @ s_inv,
         b=s @ sigma.b,
         c=sigma.c @ s_inv,
-        d=sigma.d.copy(),
+        d=sigma.d,
     )
     return AssociatedSystem(system=transformed, storage=storage)
 

@@ -29,8 +29,8 @@ whose KYP LMI is the original one with zero rows and columns removed.
 Every set is ordered deterministically and records its ``route``. It is
 labelled ``complete`` only when the system is minimal, the route is the
 pencil or the Stein equation, which are exhaustive, and every candidate
-passed. Minimality is decided once per set, and the membership kernel is
-handed that verdict.
+passed. Minimality is a fact of the realization, decided once by it (see
+:func:`riccati_kyp.systems.is_minimal`) and read by the kernel too.
 
 Loops over candidates go through the stacked membership kernel of
 :mod:`riccati_kyp.riccati` with one call per batch: the candidates of a
@@ -132,6 +132,7 @@ __all__ = [
 
 # Solver parameters that no caller varies.
 MAX_DIM = 6  # largest state dimension solve_re accepts
+ORDER_TOL = 1e-9  # relative Loewner tolerance of a set's order
 EQUALITY_TOL = 1e-8  # equality tolerance of membership tests on solver output
 PHASE_ONE_STEPS = 200  # sampler: phase-I Newton steps before the LMI counts as thin
 
@@ -159,8 +160,8 @@ class SolutionSet:
     ``minimal_index``/``maximal_index`` are set when one member is below /
     above every other member. ``provenance`` records, per member, the solver
     route (``pencil(selection=...)``, ``lossless(inner)``,
-    ``lossless(co-inner)``, ``extremal(minimal)`` or ``extremal(maximal)``),
-    the equality residual, and an iteration count, 0 on every route.
+    ``lossless(co-inner)``, ``extremal(minimal)`` or ``extremal(maximal)``)
+    and the equality residual.
     ``route`` is the :func:`solve_re` route: ``pencil``, ``lossless`` or
     ``extremal``.
 
@@ -477,7 +478,6 @@ def solve_re(
             [f"pencil(selection={s})" for s in labels],
             "pencil",
             exhaustive=minimal and len(stack) == selections,
-            minimal=minimal,
             digits=np.array([list(s) for s in labels]).reshape(len(labels), n) == "1",
         )
     lossless = _lossless_solution(sigma) if minimal else None
@@ -490,9 +490,8 @@ def solve_re(
             [f"lossless({kind})"],
             "lossless",
             exhaustive=True,
-            minimal=True,
         )
-    return _extremal_set(sigma, cfg, minimal)
+    return _extremal_set(sigma, cfg)
 
 
 def _validated_set(
@@ -502,16 +501,14 @@ def _validated_set(
     labels: list[str],
     route: str,
     exhaustive: bool,
-    minimal: bool,
     digits: np.ndarray | None = None,
 ) -> SolutionSet:
     """The candidates on ``stack`` that pass membership, validated by one
     membership-kernel call; ``labels`` are their provenance routes. The set
     is complete when the stack is ``exhaustive`` (the whole equality set of
     a minimal system) and all of them pass. One ``eigh`` of the stack serves
-    the kernel's positivity test and the members' storage operators, and
-    ``minimal``, the caller's minimality verdict on ``sigma``, serves the
-    kernel's. Members are sorted by :func:`_sorted_order`.
+    the kernel's positivity test and the members' storage operators.
+    Members are sorted by :func:`_sorted_order`.
 
     ``digits``, one boolean row of selection digits per candidate of a
     decided pencil, gives the set its order by :func:`_digit_order`; any
@@ -525,7 +522,6 @@ def _validated_set(
         tol=cfg.membership_tol,
         eq_tol=EQUALITY_TOL,
         eigh=(w, v),
-        minimal=minimal,
     )
     kept = []
     for index, verdict in enumerate(verdicts):
@@ -541,7 +537,6 @@ def _validated_set(
             {
                 "route": labels[index],
                 "residual": verdicts[index].diagnostics.equality_residual,
-                "iterations": 0,
             }
             for index in kept.tolist()
         ],
@@ -552,18 +547,16 @@ def _validated_set(
     return order_solutions(solution_set) if ordered is None else ordered
 
 
-def _extremal_set(
-    sigma: SystemRealization, cfg: SolverConfig, minimal: bool
-) -> SolutionSet:
+def _extremal_set(sigma: SystemRealization, cfg: SolverConfig) -> SolutionSet:
     """The extremal route of :func:`solve_re`: the ordered-QZ minimal
     solution of ``sigma`` (:func:`riccati_kyp.pencil.extremal`, after the
-    Schur-class test when ``minimal``) and the inverse of its adjoint's when
-    that is positive definite, the maximal one; the second is left out when
-    the two are Loewner-equal. The set is never complete."""
+    Schur-class test when ``sigma`` is minimal) and the inverse of its
+    adjoint's when that is positive definite, the maximal one; the second is
+    left out when the two are Loewner-equal. The set is never complete."""
     candidates, labels = [], []
     found = extremal(sigma)
     if found is not None:
-        if minimal:
+        if is_minimal(sigma):
             _require_schur(sigma, found[1])
         candidates.append(found[0])
         labels.append("extremal(minimal)")
@@ -579,9 +572,7 @@ def _extremal_set(
             candidates.append(h_max)
             labels.append("extremal(maximal)")
     stack = np.array(candidates).reshape(len(candidates), *sigma.a.shape)
-    return _validated_set(
-        sigma, cfg, stack, labels, "extremal", exhaustive=False, minimal=minimal
-    )
+    return _validated_set(sigma, cfg, stack, labels, "extremal", exhaustive=False)
 
 
 def _without_unit_channels(sigma: SystemRealization) -> SystemRealization:
@@ -661,7 +652,7 @@ def _require_schur(sigma: SystemRealization, lam: np.ndarray) -> None:
     the norm at the midpoint of each arc between them, or at angle 0 when
     there are none, decides against ``1 + EQUALITY_TOL``. A singular
     resolvent at a test point counts as a pole there."""
-    mu = np.linalg.eigvals(sigma.a)
+    mu = np.diagonal(sigma.schur[1])
     k = int(np.argmax(np.abs(mu)))
     if abs(mu[k]) >= 1.0:  # the pole 1/mu has the angle -angle(mu)
         raise NotSchurClass(-np.angle(mu[k]) % (2.0 * np.pi), np.inf)
@@ -946,9 +937,7 @@ def _with_order(solution_set: SolutionSet, codes: np.ndarray) -> SolutionSet:
     )
 
 
-def _digit_order(
-    solution_set: SolutionSet, digits: np.ndarray, tol: float = 1e-9
-) -> SolutionSet | None:
+def _digit_order(solution_set: SolutionSet, digits: np.ndarray) -> SolutionSet | None:
     """The order of a pencil set read off its selection digits, one boolean
     row per member, or None when the check below fails.
 
@@ -966,7 +955,8 @@ def _digit_order(
     size = ones.sum(axis=1)
     lower, upper = np.nonzero(nested & (size[None, :] == size[:, None] + 1))
     if lower.size and (
-        _pair_verdicts(solution_set.members, lower, upper, tol) != Loewner.LESS_EQUAL
+        _pair_verdicts(solution_set.members, lower, upper, ORDER_TOL)
+        != Loewner.LESS_EQUAL
     ).any():
         return None
     iu, ju = _upper(len(digits))
@@ -975,7 +965,7 @@ def _digit_order(
     return _with_order(solution_set, codes)
 
 
-def order_solutions(solution_set: SolutionSet, tol: float = 1e-9) -> SolutionSet:
+def order_solutions(solution_set: SolutionSet, tol: float = ORDER_TOL) -> SolutionSet:
     """Fill pairwise Loewner comparisons and flag extremal members.
 
     Pair (i, j) is compared as :func:`loewner_compare` does at the tolerance

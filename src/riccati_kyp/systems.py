@@ -11,18 +11,22 @@ and unobservable subspaces, minimality and passivity checks, a grid bound on
 the transfer-function norm over a sub-disc, the adjoint system, trajectory
 simulation and per-step dissipation margins.
 
+A :class:`SystemRealization` is an immutable value with read-only copies of
+its matrices. It decides its :class:`MinimalityReport` and the complex Schur
+form of A with ``||A||`` once, on first read; every transfer grid reads that
+Schur form, and its diagonal gives the eigenvalues of A.
+
 Every transfer-function evaluation, at one point or on a grid of the disc or
 the circle, goes through one kernel, :func:`_transfer_grid`. It proves every
 grid resolvent ``I - lam A`` invertible from ``||A||`` at once when A is a
 strict contraction on the grid radius r (``1 - r||A|| >= 2 SINGULAR_TOL
 (1 + r||A||)``), and otherwise builds the resolvents and tests each point by
-its singular values. It then solves in Schur coordinates: one complex Schur
-form ``A = Q T Q*`` (which grids on one system can share with ``||A||``,
-see :func:`_state_schur`), and one back substitution with T over all
-points at once, its unknowns held point-major so that each step is one
-matrix product. Norms of the grid values come from the eigenvalues of the
-smaller Gram matrix of each value (:func:`_gram_eigs`), in closed form when
-that matrix is 1 x 1 or 2 x 2 and from LAPACK otherwise.
+its singular values. It then solves in Schur coordinates, with the
+realization's one Schur form ``A = Q T Q*`` and one back substitution with
+T over all points at once, its unknowns held point-major so that each step
+is one matrix product. Norms of the grid values come from the eigenvalues of
+the smaller Gram matrix of each value (:func:`_gram_eigs`), in closed form
+when that matrix is 1 x 1 or 2 x 2 and from LAPACK otherwise.
 """
 
 from __future__ import annotations
@@ -54,15 +58,16 @@ __all__ = [
 ]
 
 SINGULAR_TOL = 1e-12  # relative smallest singular value of a singular resolvent
+MINIMALITY_TOL = 1e-10  # relative singular-value cut of the Krylov ranks
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemRealization:
     """State-space quadruple (A, B, C, D) over complex scalars.
 
     Shapes: A is n x n, B is n x m, C is p x n, D is p x m. Scalars and
-    one-dimensional arrays are promoted to matrices, and everything is stored
-    as complex even for real data.
+    one-dimensional arrays are promoted to matrices and stored as read-only
+    complex copies.
     """
 
     a: np.ndarray
@@ -71,10 +76,10 @@ class SystemRealization:
     d: np.ndarray
 
     def __post_init__(self):
-        self.a = np.atleast_2d(np.asarray(self.a, dtype=complex))
-        self.b = np.atleast_2d(np.asarray(self.b, dtype=complex))
-        self.c = np.atleast_2d(np.asarray(self.c, dtype=complex))
-        self.d = np.atleast_2d(np.asarray(self.d, dtype=complex))
+        for name in ("a", "b", "c", "d"):
+            mat = np.atleast_2d(np.array(getattr(self, name), dtype=complex))
+            mat.flags.writeable = False
+            object.__setattr__(self, name, mat)
         n = self.a.shape[0]
         if self.a.shape != (n, n):
             raise DimensionMismatch(f"state operator must be square, got {self.a.shape}")
@@ -108,6 +113,18 @@ class SystemRealization:
     def output_dim(self) -> int:
         return self.c.shape[0]
 
+    @functools.cached_property
+    def minimality(self) -> MinimalityReport:
+        """The realization's :class:`MinimalityReport`, decided once."""
+        return _minimality(self)
+
+    @functools.cached_property
+    def schur(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """``(||A||, T, Q)`` for the complex Schur form ``A = Q T Q*``, with
+        T and Q read-only: what :func:`_transfer_grid` reads of the state
+        operator, and, on the diagonal of T, the eigenvalues of A."""
+        return _state_schur(self)
+
 
 def system_matrix(sigma: SystemRealization) -> np.ndarray:
     """Assemble the block operator [[A, B], [C, D]] mapping X+U to X+Y."""
@@ -124,12 +141,11 @@ class TransferSample:
 
 
 def _state_schur(sigma: SystemRealization) -> tuple[float, np.ndarray, np.ndarray]:
-    """``(||A||, T, Q)`` for the complex Schur form ``A = Q T Q*``: what
-    :func:`_transfer_grid` reads of the state operator, taken once when
-    several grids on one system share it."""
+    """:attr:`SystemRealization.schur`, computed."""
     import scipy.linalg
 
     t, q = scipy.linalg.schur(sigma.a, output="complex")
+    t.flags.writeable = q.flags.writeable = False
     return spectral_norm(sigma.a), t, q
 
 
@@ -137,11 +153,10 @@ def _transfer_grid(
     sigma: SystemRealization,
     lams: np.ndarray,
     singular=lambda lam, k: SingularResolvent(lam),
-    schur: tuple[float, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Transfer values ``D + lam C (I - lam A)^{-1} B`` on a 1-D array of
-    points, as a (k, p, m) stack. ``schur`` is :func:`_state_schur` of
-    ``sigma`` when the caller holds it, and is taken here otherwise.
+    points, as a (k, p, m) stack, from the Schur form and norm of A that
+    ``sigma`` holds (:attr:`SystemRealization.schur`).
 
     A resolvent is numerically singular when its smallest singular value is
     at most ``SINGULAR_TOL`` times its largest; the first such point k raises
@@ -168,7 +183,7 @@ def _transfer_grid(
     solves of each resolvent do.
     """
     n = sigma.state_dim
-    norm_a, t, q = _state_schur(sigma) if schur is None else schur
+    norm_a, t, q = sigma.schur
     bound = float(np.abs(lams).max()) * norm_a
     if not 1.0 - bound >= 2.0 * SINGULAR_TOL * (1.0 + bound):
         resolvents = np.eye(n)[None, :, :] - lams[:, None, None] * sigma.a[None, :, :]
@@ -252,21 +267,22 @@ def _krylov_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def controllable_subspace(sigma: SystemRealization, tol: float = 1e-10) -> np.ndarray:
+def controllable_subspace(sigma: SystemRealization) -> np.ndarray:
     """Orthonormal basis of the span of {A^k B : 0 <= k <= n-1}.
 
-    Rank decisions use singular values against ``tol`` times the largest one.
+    Rank decisions use singular values against ``MINIMALITY_TOL`` times the
+    largest one.
     Returns an n x r matrix; r = 0 yields an empty basis.
     """
     k = _krylov_block(sigma.a, sigma.b)
     u, s, _ = np.linalg.svd(k, full_matrices=False)
     if s.size == 0 or float(s[0]) == 0.0:
         return np.zeros((sigma.state_dim, 0), dtype=complex)
-    rank = int(np.count_nonzero(s > tol * float(s[0])))
+    rank = int(np.count_nonzero(s > MINIMALITY_TOL * float(s[0])))
     return u[:, :rank]
 
 
-def unobservable_subspace(sigma: SystemRealization, tol: float = 1e-10) -> np.ndarray:
+def unobservable_subspace(sigma: SystemRealization) -> np.ndarray:
     """Orthonormal basis of the intersection of ker(C A^k), 0 <= k <= n-1.
 
     Dual of :func:`controllable_subspace` applied to (A*, C*): the
@@ -278,11 +294,11 @@ def unobservable_subspace(sigma: SystemRealization, tol: float = 1e-10) -> np.nd
     if s.size == 0 or float(s[0]) == 0.0:
         rank = 0
     else:
-        rank = int(np.count_nonzero(s > tol * float(s[0])))
+        rank = int(np.count_nonzero(s > MINIMALITY_TOL * float(s[0])))
     return vh[rank:].conj().T
 
 
-@dataclass
+@dataclass(frozen=True)
 class MinimalityReport:
     """Controllability/observability verdict with subspace dimensions."""
 
@@ -295,11 +311,17 @@ class MinimalityReport:
         return self.minimal
 
 
-def is_minimal(sigma: SystemRealization, tol: float = 1e-10) -> MinimalityReport:
+def is_minimal(sigma: SystemRealization) -> MinimalityReport:
     """True iff the controllable subspace is the whole state space and the
-    unobservable subspace is trivial, both decided at tolerance ``tol``."""
-    cdim = controllable_subspace(sigma, tol).shape[1]
-    udim = unobservable_subspace(sigma, tol).shape[1]
+    unobservable subspace is trivial: the report ``sigma`` keeps from its
+    first read (:attr:`SystemRealization.minimality`)."""
+    return sigma.minimality
+
+
+def _minimality(sigma: SystemRealization) -> MinimalityReport:
+    """:attr:`SystemRealization.minimality`, decided."""
+    cdim = controllable_subspace(sigma).shape[1]
+    udim = unobservable_subspace(sigma).shape[1]
     return MinimalityReport(
         minimal=(cdim == sigma.state_dim and udim == 0),
         controllable_dim=cdim,
@@ -351,11 +373,7 @@ def _disc_points(grid_steps: int, radius: float) -> np.ndarray:
 
 
 def schur_class_margin(
-    sigma: SystemRealization,
-    grid_steps: int = 48,
-    radius: float = 0.999,
-    *,
-    _schur: tuple[float, np.ndarray, np.ndarray] | None = None,
+    sigma: SystemRealization, grid_steps: int = 48, radius: float = 0.999
 ) -> float:
     """Largest transfer-function norm over a polar grid of the disc
     ``|lam| <= radius``.
@@ -363,14 +381,14 @@ def schur_class_margin(
     This is a grid certificate, not a proof: the value bounds the norm only at
     the sampled points. Grid points with a numerically singular resolvent
     abort with SingularResolvent carrying the offending point; skipping them
-    silently could mask norm blow-up near a pole. ``_schur`` is a caller's
-    :func:`_state_schur` of ``sigma``, shared with its other grids.
+    silently could mask norm blow-up near a pole. The grid reads the Schur
+    form that ``sigma`` keeps.
     """
     if not 0.0 < radius < 1.0:
         raise ValueError("radius must lie strictly between 0 and 1")
     if grid_steps < 1:
         raise ValueError("grid_steps must be positive")
-    values = _transfer_grid(sigma, _disc_points(grid_steps, radius), schur=_schur)
+    values = _transfer_grid(sigma, _disc_points(grid_steps, radius))
     return float(np.sqrt(_gram_eigs(values).max(initial=0.0)))
 
 

@@ -89,6 +89,20 @@ def grid_realization(seed: int, n: int, m: int, p: int, kappa: float) -> SystemR
     return similar_realization(sigma, q @ np.diag(np.geomspace(1.0, kappa, n)) @ q.conj().T)
 
 
+def unit_pole_realization(seed: int) -> tuple[SystemRealization, float]:
+    """A minimal three-state realization whose dense state operator is A = Q
+    diag(exp(1j theta), 0.5, -0.3j) Q* for a random unitary Q and a random
+    angle theta, with random B and C and D = 0, and theta: its transfer
+    function has the pole exp(-1j theta) on the unit circle."""
+    rng = np.random.default_rng(seed)
+    theta = float(rng.uniform(0.0, 2.0 * np.pi))
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    a = q @ np.diag([np.exp(1j * theta), 0.5, -0.3j]) @ q.conj().T
+    b = 0.3 * (rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1)))
+    c = 0.3 * (rng.standard_normal((1, 3)) + 1j * rng.standard_normal((1, 3)))
+    return SystemRealization(a, b, c, np.zeros((1, 1))), theta
+
+
 def exact_transfer(sigma: SystemRealization, lams: np.ndarray) -> np.ndarray:
     """``D + lam C (I - lam A)^{-1} B`` at each point, computed by mpmath at
     40 digits from the same double-precision data and rounded once, as a

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from riccati_kyp import (
     NotMinimal,
+    NotSchurClass,
     PoleOnCircle,
     SystemRealization,
     UniquenessReason,
@@ -16,6 +17,7 @@ from riccati_kyp import (
     circle_profile,
     is_coinner,
     is_inner,
+    is_minimal,
     maximal_solution,
     minimal_solution,
     riccati_data,
@@ -33,6 +35,7 @@ from conftest import (
     grid_realization,
     random_realization,
     random_similarity,
+    unit_pole_realization,
 )
 
 
@@ -210,6 +213,37 @@ def test_defects_from_one_gram_spectrum_match_two(seed, n, m, p, kappa, gain):
     tol = 16.0 * np.finfo(float).eps * scale
     assert np.all(np.abs(profile.right_defects - right) <= tol)
     assert np.all(np.abs(profile.left_defects - left) <= tol)
+
+
+def _angle_gap(first: float, second: float) -> float:
+    """Distance of two angles on the circle."""
+    return abs((first - second + np.pi) % (2.0 * np.pi) - np.pi)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_unit_eigenvalue_of_a_dense_state_operator_is_a_pole_on_the_circle(seed):
+    # circle_profile and minimal_solution read the eigenvalues of A off the
+    # diagonal of the realization's Schur form; their decisions are those of
+    # np.linalg.eigvals, and the pole exp(-1j theta) has the angle -theta
+    sigma, theta = unit_pole_realization(seed)
+    assert is_minimal(sigma)
+    angle = -theta % (2.0 * np.pi)
+    mu = np.linalg.eigvals(sigma.a)
+    on_circle = [lam for lam in mu if abs(1.0 / abs(lam) - 1.0) < POLE_TOL]
+    assert len(on_circle) == 1
+    assert _angle_gap(-np.angle(on_circle[0]), angle) <= 1e-12
+    with pytest.raises(PoleOnCircle) as pole:
+        circle_profile(sigma, grid_steps=64)
+    assert _angle_gap(pole.value.angle, angle) <= 1e-12
+    with pytest.raises(NotSchurClass) as schur:
+        minimal_solution(sigma)
+    if np.abs(mu).max() >= 1.0:  # the Schur-class test's pole decision
+        assert schur.value.norm == np.inf
+        assert _angle_gap(schur.value.angle, angle) <= 1e-12
+    else:
+        # |mu| rounds below 1, so the pole test passes and the norm on an
+        # arc of the circle exceeds 1
+        assert 1.0 < schur.value.norm < np.inf
 
 
 def test_unmatched_output_dimensions_give_left_defect_one():

@@ -35,7 +35,12 @@ from riccati_kyp.cli import (
 )
 from riccati_kyp import systems as systems_module
 from riccati_kyp.linops import _VERDICTS
-from conftest import dare_extremes, random_realization, two_state_re_solutions
+from conftest import (
+    dare_extremes,
+    random_realization,
+    two_state_re_solutions,
+    unit_pole_realization,
+)
 
 GOLDEN_DOCS = Path(__file__).resolve().parent / "golden" / "docs"
 TWO_STATE_DOC = str(GOLDEN_DOCS / "two_state.json")
@@ -480,13 +485,21 @@ def test_the_golden_64_member_document_is_the_seeded_system(tmp_path):
         assert getattr(golden, key).tobytes() == getattr(seeded, key).tobytes()
 
 
+def test_the_golden_unit_pole_document_is_the_seeded_system():
+    golden = parse_system(str(GOLDEN_DOCS / "unit_pole_n3.json"))
+    seeded, _ = unit_pole_realization(1)
+    for key in ("a", "b", "c", "d"):
+        assert getattr(golden, key).tobytes() == getattr(seeded, key).tobytes()
+
+
 def _count_calls(monkeypatch, module, name: str) -> list:
     """Wrap ``module.name`` under every name of the package that refers to
-    it, and return the list that records one entry per call."""
+    it, and return the list that records the first argument of each call
+    (holding it, so that no two recorded objects share an id)."""
     original, calls = getattr(module, name), []
 
     def counting(*args, **kwargs):
-        calls.append(name)
+        calls.append(args[0])
         return original(*args, **kwargs)
 
     for mod_name, mod in list(sys.modules.items()):
@@ -498,16 +511,24 @@ def _count_calls(monkeypatch, module, name: str) -> list:
 
 
 def test_each_command_decides_minimality_and_decomposes_a_once(monkeypatch, tmp_path):
-    minimality = _count_calls(monkeypatch, systems_module, "is_minimal")
+    # the private functions behind SystemRealization's cached facts: each
+    # realization object decides its minimality and takes its Schur form at
+    # most once, however many callers read them
+    minimality = _count_calls(monkeypatch, systems_module, "_minimality")
     schur = _count_calls(monkeypatch, systems_module, "_state_schur")
     doc = _seeded_pencil_doc(tmp_path, 3)
     out = str(tmp_path / "report.json")
-    for command in ("analyze", "solve-re"):
+    runs = [("analyze", doc), ("solve-re", doc), ("report", TWO_STATE_DOC),
+            ("extremes", TWO_STATE_DOC)]
+    for command, path in runs:
         minimality.clear()
         schur.clear()
-        assert main([command, "--system", doc, "--no-timings", "--out", out]) == 0
-        assert len(minimality) == 1, command
-        assert len(schur) == (command == "analyze"), command
+        assert main([command, "--system", path, "--no-timings", "--out", out]) == 0
+        for calls in (minimality, schur):
+            assert len(calls) == len({id(sigma) for sigma in calls}), command
+        if path == doc:
+            assert len(minimality) == 1, command
+            assert len(schur) == (command == "analyze"), command
 
 
 def test_grid_points_are_cached_read_only(two_state_system):

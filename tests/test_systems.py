@@ -1,6 +1,8 @@
-"""Realization tests: block matrix, transfer evaluation, subspaces,
-minimality, adjoint, passivity, disc-norm grid bound, simulation, and
-dissipation margins."""
+"""Realization tests: immutability, block matrix, transfer evaluation,
+subspaces, minimality, adjoint, passivity, disc-norm grid bound, simulation,
+and dissipation margins."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -32,6 +34,41 @@ from conftest import (
     grid_realization,
     random_realization,
 )
+
+
+class TestImmutableRealization:
+    def test_fields_cannot_be_assigned(self, two_state_system):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            two_state_system.a = np.zeros((2, 2))
+
+    def test_matrices_are_read_only(self, two_state_system):
+        for mat in (two_state_system.a, two_state_system.b,
+                    two_state_system.c, two_state_system.d):
+            with pytest.raises(ValueError):
+                mat[0, 0] = 1.0
+
+    def test_constructor_copies_its_arrays(self):
+        mats = [np.full((2, 2), 0.5, dtype=complex), np.ones((2, 1), dtype=complex),
+                np.ones((1, 2), dtype=complex), np.zeros((1, 1), dtype=complex)]
+        sigma = SystemRealization(*mats)
+        before = [mat.copy() for mat in mats]
+        for mat in mats:
+            mat += 1.0
+        for kept, mat in zip(before, (sigma.a, sigma.b, sigma.c, sigma.d)):
+            assert np.array_equal(mat, kept)
+
+    def test_minimality_report_is_decided_once_and_frozen(self, two_state_system):
+        report = is_minimal(two_state_system)
+        assert is_minimal(two_state_system) is report
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.minimal = False
+
+    def test_schur_form_is_read_only(self, two_state_system):
+        norm_a, t, q = two_state_system.schur
+        assert two_state_system.schur[1] is t
+        assert not t.flags.writeable and not q.flags.writeable
+        assert np.allclose(q @ t @ q.conj().T, two_state_system.a, atol=1e-15)
+        assert norm_a == spectral_norm(two_state_system.a)
 
 
 class TestSystemMatrix:
