@@ -31,7 +31,14 @@ from .errors import NotMinimal, NotPD, PoleOnCircle
 from .linops import spectral_norm
 from .riccati import StorageOperator, riccati_data
 from .solver import _lossless_solution
-from .systems import SystemRealization, _gram_eigs, _transfer_grid, adjoint, is_minimal
+from .systems import (
+    SystemRealization,
+    _gram_eigs,
+    _pole_angle,
+    _transfer_grid,
+    adjoint,
+    is_minimal,
+)
 
 __all__ = [
     "CircleProfile",
@@ -43,9 +50,6 @@ __all__ = [
     "UniquenessCertificate",
     "uniqueness_certificate",
 ]
-
-POLE_TOL = 1e-8  # distance |1/|pole| - 1| at which a pole is on the circle
-
 
 @dataclass
 class CircleProfile:
@@ -84,9 +88,9 @@ def circle_profile(sigma: SystemRealization, grid_steps: int = 4096) -> CirclePr
     """Sample the transfer function on a uniform angle grid of the circle.
 
     Raises PoleOnCircle (with the offending angle) when a realization pole
-    lies within ``POLE_TOL`` of the circle or a grid resolvent is numerically
-    singular. The poles are ``1/mu`` for the eigenvalues mu of A on the
-    diagonal of the Schur form that ``sigma`` keeps for the grid.
+    lies within ``systems.POLE_TOL`` of the circle
+    (:func:`~riccati_kyp.systems._pole_angle`) or a grid resolvent is
+    numerically singular.
 
     The defects are read off one Gram spectrum per point: ``|1 - sigma_i^2|``
     over the min(m, p) squared singular values of theta, and, on the side of
@@ -96,11 +100,9 @@ def circle_profile(sigma: SystemRealization, grid_steps: int = 4096) -> CirclePr
     """
     if grid_steps < 1:
         raise ValueError("grid_steps must be positive")
-    for lam in np.diagonal(sigma.schur[1]):
-        mag = abs(lam)
-        if mag > 0.0 and abs(1.0 / mag - 1.0) < POLE_TOL:
-            # the pole 1/lam has the angle -angle(lam), here in [0, 2 pi)
-            raise PoleOnCircle(float(-np.angle(lam) % (2.0 * np.pi)))
+    pole = _pole_angle(sigma)
+    if pole is not None:
+        raise PoleOnCircle(pole)
 
     angles, zeta = _circle_points(grid_steps)
     m, p = sigma.input_dim, sigma.output_dim

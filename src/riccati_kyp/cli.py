@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Reads system documents from JSON, dispatches to the library, and emits
-machine-readable JSON reports. Complex entries are encoded as [re, im] pairs
-(unambiguous and locale-free); reports embed the effective configuration
-verbatim so every verdict is auditable, and with --no-timings two runs with
-identical inputs and seed produce byte-identical output.
+machine-readable JSON reports. A report holds the library's result objects
+as they are, and one writer (:func:`_dumps`) owns the format: a result
+dataclass is written as the object of its fields, an Enum as its value, and
+a complex entry as its [re, im] pair (unambiguous and locale-free). Reports
+embed the effective configuration verbatim so every verdict is auditable,
+and with --no-timings two runs with identical inputs and seed produce
+byte-identical output.
 
 Document schema (informal):
 
@@ -38,7 +41,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -306,22 +310,7 @@ def write_system(doc: SystemDocument) -> dict:
 
 
 def _membership_payload(sigma, h, tol) -> dict:
-    verdict = membership(sigma, h, tol=tol, eq_tol=10.0 * tol, c3_tol=10.0 * tol)
-    diag = verdict.diagnostics
-    return {
-        "in_ri": verdict.in_ri,
-        "in_re": verdict.in_re,
-        "in_ri_circ": verdict.in_ri_circ,
-        "diagnostics": {
-            "delta_min_eig": diag.delta_min_eig,
-            "surplus_min_eig": diag.surplus_min_eig,
-            "equality_residual": diag.equality_residual,
-            "lmi_min_eig": diag.lmi_min_eig,
-            "c3_residual": diag.c3_residual,
-            "sigma_h_minimal": diag.sigma_h_minimal,
-            "boundary_case": diag.boundary_case,
-        },
-    }
+    return vars(membership(sigma, h, tol=tol, eq_tol=10.0 * tol, c3_tol=10.0 * tol))
 
 
 def _analyze_payload(sigma, tol, grid) -> dict:
@@ -329,17 +318,8 @@ def _analyze_payload(sigma, tol, grid) -> dict:
     passivity = is_passive(sigma, tol=tol)
     margin = schur_class_margin(sigma, grid_steps=48, radius=0.999)
     out = {
-        "minimality": {
-            "minimal": minimality.minimal,
-            "controllable_dim": minimality.controllable_dim,
-            "unobservable_dim": minimality.unobservable_dim,
-            "state_dim": minimality.state_dim,
-        },
-        "passivity": {
-            "passive": passivity.passive,
-            "margin": passivity.margin,
-            "system_norm": passivity.system_norm,
-        },
+        "minimality": minimality,
+        "passivity": passivity,
         "schur_margin": {"value": margin, "radius": 0.999, "grid_steps": 48},
     }
     try:
@@ -357,12 +337,7 @@ def _analyze_payload(sigma, tol, grid) -> dict:
         "coinner": is_coinner(profile, inner_tol),
     }
     if minimality.minimal:
-        cert = uniqueness_certificate(sigma, profile, tol=inner_tol)
-        out["uniqueness"] = {
-            "verdict": cert.verdict.value,
-            "reason": cert.reason.value,
-            "delta_at_solution": cert.delta_at_solution,
-        }
+        out["uniqueness"] = uniqueness_certificate(sigma, profile, tol=inner_tol)
     else:
         out["uniqueness"] = {"skipped": "system is not minimal"}
     return out
@@ -373,22 +348,15 @@ class _PairOrder:
     """The Loewner order of ``size`` members as a report holds it: one code
     per pair (i, j), i < j, in ``np.triu_indices(size, 1)`` order, each the
     index of the verdict in ``linops._VERDICTS``. :func:`_dumps` writes it
-    as the object ``{"i,j": verdict}``, which :meth:`as_dict` builds."""
+    as the object ``{"i,j": verdict}``."""
 
     size: int
     codes: np.ndarray
 
-    def as_dict(self) -> dict[str, str]:
-        iu, ju = np.triu_indices(self.size, 1)
-        return {
-            f"{i},{j}": verdict.value
-            for i, j, verdict in zip(iu.tolist(), ju.tolist(), _VERDICTS[self.codes])
-        }
-
 
 def _solution_set_payload(solution_set) -> dict:
     return {
-        "members": _pairs_array([m.matrix for m in solution_set.members]),
+        "members": np.array([m.matrix for m in solution_set.members], dtype=complex),
         "comparisons": _PairOrder(len(solution_set.members), solution_set._order),
         "minimal_index": solution_set.minimal_index,
         "maximal_index": solution_set.maximal_index,
@@ -401,18 +369,10 @@ def _solution_set_payload(solution_set) -> dict:
 def _extremes_payload(sigma, config, re_set=None) -> dict:
     h_min = minimal_solution(sigma, config)
     h_max = maximal_solution(sigma, config)
-    duality = _duality(sigma, config, (h_min, h_max), re_set)
     return {
-        "minimal": _pairs_array(h_min.matrix),
-        "maximal": _pairs_array(h_max.matrix),
-        "duality": {
-            "sample_count": duality.sample_count,
-            "samples_ok": duality.samples_ok,
-            "failure_count": duality.failure_count,
-            "re_inversion_equal": duality.re_inversion_equal,
-            "re_members": _pairs_array(duality.re_members),
-            "re_adjoint_members": _pairs_array(duality.re_adjoint_members),
-        },
+        "minimal": h_min.matrix,
+        "maximal": h_max.matrix,
+        "duality": _duality(sigma, config, (h_min, h_max), re_set),
     }
 
 
@@ -422,11 +382,8 @@ def _load_inputs(path: str, sigma) -> tuple[np.ndarray, np.ndarray]:
         raise err.ParseError(f"{path}: expected an object with an 'inputs' field")
     inputs = _decode_matrix(raw["inputs"], "inputs")
     if "x0" in raw:
-        x0_mat = _decode_matrix([raw["x0"]], "x0")
-        x0 = x0_mat[0]
-    else:
-        x0 = np.zeros(sigma.state_dim, dtype=complex)
-    return x0, inputs
+        return _decode_matrix([raw["x0"]], "x0")[0], inputs
+    return np.zeros(sigma.state_dim, dtype=complex), inputs
 
 
 def _simulate_payload(sigma, doc, args) -> dict:
@@ -436,15 +393,15 @@ def _simulate_payload(sigma, doc, args) -> dict:
     trajectory = simulate(sigma, x0, inputs)
     payload = {
         "steps": trajectory.steps,
-        "states": _pairs_array(trajectory.states),
-        "outputs": _pairs_array(trajectory.outputs),
+        "states": trajectory.states,
+        "outputs": trajectory.outputs,
     }
     if args.candidate:
         h = _candidate_matrix(doc, args.candidate)
         margins = dissipation_check(trajectory, h)
         payload["dissipation"] = {
             "candidate": args.candidate,
-            "margins": [float(v) for v in margins],
+            "margins": margins,
             "min_margin": float(margins.min()) if margins.size else 0.0,
         }
     return payload
@@ -475,7 +432,7 @@ def run(command: str, doc: SystemDocument, args) -> dict:
         },
     }
     if command in ("solve-re", "extremes", "report"):
-        report["config"]["solver"] = dict(vars(config))
+        report["config"]["solver"] = config
     timings: dict[str, float] = {}
 
     def timed(key: str, fn):
@@ -593,12 +550,14 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
-def _as_list(obj):
-    """The ``default`` of ``json.dumps`` that :func:`_dumps` leaves to it."""
+def _json_default(obj):
+    """The ``default`` of ``json.dumps``: the report encodings of :func:`_dumps`."""
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, _PairOrder):
-        return obj.as_dict()
+        return (_pairs_array(obj) if np.iscomplexobj(obj) else obj).tolist()
+    if is_dataclass(obj):
+        return vars(obj)
+    if isinstance(obj, Enum):
+        return obj.value
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -643,9 +602,11 @@ def _order_template(size: int, level: int) -> tuple[str, np.ndarray]:
 
 
 def _dumps(obj, level: int = 0) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` byte for byte, with
-    numpy arrays written as their nested lists, for ``obj`` opened at indent
-    ``level``.
+    """``json.dumps(obj, indent=2, sort_keys=True)`` byte for byte, for
+    ``obj`` opened at indent ``level``, with the report encodings: a
+    complex128 array as its [re, im] pairs (:func:`_pairs_array`), a
+    dataclass instance as the object of its fields, an ``Enum`` as its
+    value, and other numpy arrays as their nested lists.
 
     The stdlib encoder writes an indented document in pure Python, one
     generator step per token. Here types are tested in the order
@@ -653,10 +614,11 @@ def _dumps(obj, level: int = 0) -> str:
     separator template cached per (shape, indent) with one
     ``float.__repr__`` per entry, a pair order (:class:`_PairOrder`) is
     written from a template cached per (size, indent) with its verdicts
-    taken from its codes, and string items are written in place.
+    taken from its codes, and string items are written in place; the three
+    encodings are tested last, so the other nodes pay nothing for them.
     What this does not cover (empty containers, keys that are not strings,
-    other types) is written by ``json.dumps`` itself and indented to its
-    place."""
+    other types) is written by ``json.dumps`` itself, with the encodings as
+    its ``default`` (:func:`_json_default`), and indented to its place."""
     if isinstance(obj, str):
         return _encode_string(obj)
     if obj is None:
@@ -689,8 +651,14 @@ def _dumps(obj, level: int = 0) -> str:
             )
             for key, value in sorted(obj.items())
         ) + end + "}"
+    if type(obj) is np.ndarray and obj.dtype == np.complex128:
+        return _dumps(_pairs_array(obj), level)
+    if is_dataclass(obj):
+        return _dumps(vars(obj), level)
+    if isinstance(obj, Enum):
+        return _dumps(obj.value, level)
     # empty containers, other keys and types, other arrays
-    text = json.dumps(obj, indent=2, sort_keys=True, default=_as_list)
+    text = json.dumps(obj, indent=2, sort_keys=True, default=_json_default)
     return text.replace("\n", "\n" + _INDENT * level)
 
 
@@ -718,16 +686,8 @@ def main(argv: list[str] | None = None) -> int:
         report = run(args.command, doc, args)
     except (err.RiccatiKypError, ValueError) as exc:
         code = EXIT_CODES.get(type(exc), GENERIC_ERROR_EXIT)
-        _emit(
-            {
-                "error": {
-                    "category": type(exc).__name__,
-                    "exit_code": code,
-                    "message": str(exc),
-                }
-            },
-            args.out,
-        )
+        error = {"category": type(exc).__name__, "exit_code": code, "message": str(exc)}
+        _emit({"error": error}, args.out)
         return code
     _emit(report, args.out)
     return 0

@@ -114,7 +114,14 @@ from .riccati import (
     membership,
 )
 from .pencil import CIRCLE_GAP, equality_candidates, extremal
-from .systems import SystemRealization, _gram_eigs, _transfer_grid, adjoint, is_minimal
+from .systems import (
+    SystemRealization,
+    _gram_eigs,
+    _pole_angle,
+    _transfer_grid,
+    adjoint,
+    is_minimal,
+)
 
 __all__ = [
     "SolverConfig",
@@ -624,16 +631,21 @@ def _lossless_solution(
     Both Stein equations are solved by
     ``scipy.linalg.solve_discrete_lyapunov``; a lossless system has a
     singular pencil, so :func:`~riccati_kyp.pencil.extremal` leaves it here.
+    A pole on the circle (:func:`~riccati_kyp.systems._pole_angle`) gives
+    None before any solve: an eigenvalue lambda of A with lambda lambda* = 1
+    makes both Stein equations singular.
     """
     import scipy.linalg
 
+    if _pole_angle(sigma) is not None:
+        return None
     for kind, system in (("inner", sigma), ("co-inner", adjoint(sigma))):
         a, c = system.a, system.c
         try:
             x = hermitian_part(
                 scipy.linalg.solve_discrete_lyapunov(a.conj().T, c.conj().T @ c)
             )
-        except np.linalg.LinAlgError:  # A has eigenvalues with lambda mu* = 1
+        except np.linalg.LinAlgError:  # lambda mu* = 1 for eigenvalues off the circle
             return None
         _, beta, delta = _residual_ops(system, x)
         bound = EQUALITY_TOL * max(1.0, spectral_norm(x))
@@ -647,15 +659,16 @@ def _require_schur(sigma: SystemRealization, lam: np.ndarray) -> None:
     system ``sigma`` is in the Schur class, given the finite eigenvalues
     ``lam`` of its pencil (Boyd, Balakrishnan & Kabamba, Math. Control
     Signals Systems 1989). Each eigenvalue mu of A is a pole of T at 1/mu,
-    so rho(A) < 1 is required. The pencil's circle eigenvalues ``exp(1j
-    t)`` are the points ``exp(-1j t)`` where a singular value of T is 1, so
-    the norm at the midpoint of each arc between them, or at angle 0 when
-    there are none, decides against ``1 + EQUALITY_TOL``. A singular
-    resolvent at a test point counts as a pole there."""
-    mu = np.diagonal(sigma.schur[1])
-    k = int(np.argmax(np.abs(mu)))
-    if abs(mu[k]) >= 1.0:  # the pole 1/mu has the angle -angle(mu)
-        raise NotSchurClass(-np.angle(mu[k]) % (2.0 * np.pi), np.inf)
+    so a pole in the closed disc, or within ``systems.POLE_TOL`` of it
+    (:func:`~riccati_kyp.systems._pole_angle`), raises with norm inf. The
+    pencil's circle eigenvalues ``exp(1j t)`` are the points ``exp(-1j t)``
+    where a singular value of T is 1, so the norm at the midpoint of each
+    arc between them, or at angle 0 when there are none, decides against
+    ``1 + EQUALITY_TOL``. A singular resolvent at a test point counts as a
+    pole there."""
+    pole = _pole_angle(sigma, disc=True)
+    if pole is not None:
+        raise NotSchurClass(pole, np.inf)
     on_circle = lam[np.abs(np.abs(lam) - 1.0) <= CIRCLE_GAP]
     crossings = np.sort(-np.angle(on_circle) % (2.0 * np.pi))
     if crossings.size:

@@ -14,7 +14,8 @@ simulation and per-step dissipation margins.
 A :class:`SystemRealization` is an immutable value with read-only copies of
 its matrices. It decides its :class:`MinimalityReport` and the complex Schur
 form of A with ``||A||`` once, on first read; every transfer grid reads that
-Schur form, and its diagonal gives the eigenvalues of A.
+Schur form, and its diagonal gives the eigenvalues of A, which decide every
+pole test (:func:`_pole_angle`).
 
 Every transfer-function evaluation, at one point or on a grid of the disc or
 the circle, goes through one kernel, :func:`_transfer_grid`. It proves every
@@ -58,6 +59,7 @@ __all__ = [
 ]
 
 SINGULAR_TOL = 1e-12  # relative smallest singular value of a singular resolvent
+POLE_TOL = 1e-8  # distance |1/|pole| - 1| at which a pole is on the circle
 MINIMALITY_TOL = 1e-10  # relative singular-value cut of the Krylov ranks
 
 
@@ -147,6 +149,22 @@ def _state_schur(sigma: SystemRealization) -> tuple[float, np.ndarray, np.ndarra
     t, q = scipy.linalg.schur(sigma.a, output="complex")
     t.flags.writeable = q.flags.writeable = False
     return spectral_norm(sigma.a), t, q
+
+
+def _pole_angle(sigma: SystemRealization, disc: bool = False) -> float | None:
+    """The angle in [0, 2 pi) of a pole ``1/mu`` of the transfer function
+    within ``POLE_TOL`` of the unit circle, or, with ``disc``, in the closed
+    disc widened by ``POLE_TOL``; None when there is none. The eigenvalues
+    mu of A are read off the diagonal of the Schur form ``sigma`` keeps, and
+    of several such poles the one of largest ``|mu|`` is named."""
+    mu = np.diagonal(sigma.schur[1])
+    with np.errstate(divide="ignore"):
+        gap = 1.0 / np.abs(mu) - 1.0  # inf at mu = 0, which is no pole
+    hits = gap < POLE_TOL if disc else np.abs(gap) < POLE_TOL
+    if not hits.any():
+        return None
+    k = int(np.argmax(np.where(hits, np.abs(mu), -1.0)))
+    return float(-np.angle(mu[k]) % (2.0 * np.pi))  # 1/mu has the angle -angle(mu)
 
 
 def _transfer_grid(

@@ -1,11 +1,14 @@
 """CLI tests: document parsing and round-trip, command dispatch, exit codes,
 and byte-level report reproducibility."""
 
+import dataclasses
+import enum
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -435,6 +438,77 @@ def test_writer_refuses_what_json_dumps_refuses():
         cli_module._dumps({"a": [1, {2, 3}]})
 
 
+@dataclasses.dataclass
+class _Inner:
+    flag: bool
+    label: str
+    value: float
+
+
+@dataclasses.dataclass
+class _Outer:
+    name: str
+    items: list
+    inner: _Inner
+    empty: dict = dataclasses.field(default_factory=dict)
+
+
+class _Kind(enum.Enum):
+    FIRST = "first"
+    SECOND = 2
+
+
+def _indented(text: str, level: int) -> str:
+    return text.replace("\n", "\n" + "  " * level)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_writer_writes_a_dataclass_as_json_dumps_writes_asdict(level):
+    inner = _Inner(True, "aé", -0.0)
+    outer = _Outer("x", [1, 2.5, None, inner], inner)
+    for result in (inner, outer, _Inner(False, "", math.inf)):
+        want = json.dumps(dataclasses.asdict(result), indent=2, sort_keys=True)
+        assert cli_module._dumps(result, level) == _indented(want, level)
+    # inside a payload, and through json.dumps under a key that is not a string
+    want = json.dumps({"r": dataclasses.asdict(outer), "s": {1: dataclasses.asdict(inner)}},
+                      indent=2, sort_keys=True)
+    assert cli_module._dumps({"r": outer, "s": {1: inner}}, level) == _indented(want, level)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_writer_writes_an_enum_as_its_value(level):
+    payload = {"a": _Kind.FIRST, "b": [_Kind.SECOND, _Kind.FIRST], "c": {0: _Kind.SECOND}}
+    want = json.dumps({"a": "first", "b": [2, "first"], "c": {0: 2}}, indent=2, sort_keys=True)
+    assert cli_module._dumps(payload, level) == _indented(want, level)
+    assert cli_module._dumps(_Kind.SECOND, level) == "2"
+
+
+_complex_arrays = hnp.arrays(
+    np.complex128,
+    hnp.array_shapes(min_dims=2, max_dims=4, min_side=0, max_side=3),
+    elements=st.complex_numbers(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_complex_arrays, st.integers(min_value=0, max_value=2))
+def test_writer_writes_a_complex_array_as_json_dumps_writes_its_pairs(z, level):
+    # every entry as its [re, im] pair, in place and under a key that is not
+    # a string
+    pairs = cli_module._encode_matrix(z)
+    want = json.dumps({"z": pairs, "k": {3: pairs}}, indent=2, sort_keys=True)
+    assert cli_module._dumps({"z": z, "k": {3: z}}, level) == _indented(want, level)
+    want = json.dumps(pairs, indent=2, sort_keys=True)
+    assert cli_module._dumps(z, level) == _indented(want, level)
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 2), (2, 0), (1, 0, 3), (3, 2, 0)])
+def test_writer_writes_an_empty_complex_stack_as_json_dumps_writes_its_pairs(shape):
+    z = np.zeros(shape, dtype=complex)
+    want = json.dumps({"members": cli_module._encode_matrix(z)}, indent=2, sort_keys=True)
+    assert cli_module._dumps({"members": z}) == want
+
+
 def _order_dict(size: int, codes: np.ndarray) -> dict:
     """The comparisons block as a dict: one "i,j" key per pair i < j."""
     iu, ju = np.triu_indices(size, 1)
@@ -448,12 +522,8 @@ def test_pair_order_is_written_as_json_dumps_writes_its_dict(size, level):
     order = cli_module._PairOrder(size, codes.astype(np.int8))
     want = json.dumps(_order_dict(size, codes), indent=2, sort_keys=True)
     assert cli_module._dumps(order, level) == want.replace("\n", "\n" + "  " * level)
-    # inside a payload, and through json.dumps where the writer leaves a
-    # dict with a key that is not a string to it
-    for payload in ({"comparisons": order}, {0: order}):
-        want = json.dumps({key: _order_dict(size, codes) for key in payload},
-                          indent=2, sort_keys=True)
-        assert cli_module._dumps(payload) == want
+    want = json.dumps({"comparisons": _order_dict(size, codes)}, indent=2, sort_keys=True)
+    assert cli_module._dumps({"comparisons": order}) == want
 
 
 def _seeded_pencil_doc(tmp_path, n: int) -> str:
@@ -490,6 +560,22 @@ def test_the_golden_unit_pole_document_is_the_seeded_system():
     seeded, _ = unit_pole_realization(1)
     for key in ("a", "b", "c", "d"):
         assert getattr(golden, key).tobytes() == getattr(seeded, key).tobytes()
+
+
+@pytest.mark.parametrize("command", ["solve-re", "report"])
+def test_a_pole_on_the_circle_is_refused_without_a_singular_stein_solve(command, tmp_path):
+    # the lossless route declines the unit pole before solving its singular
+    # Stein equation, so no warning is raised on the way to the Schur-class
+    # test, which names the pole of the analyze golden (angle 3.0673151949...)
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--system", str(GOLDEN_DOCS / "unit_pole_n3.json"),
+                     "--seed", "301", "--no-timings", "--out", str(out)])
+    assert code == 18
+    message = "transfer-function norm inf > 1 at angle 3.067315; no inequality member can exist"
+    want = {"error": {"category": "NotSchurClass", "exit_code": 18, "message": message}}
+    assert out.read_text(encoding="utf-8") == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
 def _count_calls(monkeypatch, module, name: str) -> list:

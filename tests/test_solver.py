@@ -819,12 +819,13 @@ def test_extremes_match_the_dare(seed, n, m, p, norm):
     assert _sampled_violations(sigma, h_max, "maximal") == []
 
 
-def _bench_zoo(seed: int) -> list[SystemRealization]:
-    """The eight n <= 2 systems of the benchmark's seeded zoo: complex
-    Gaussian realizations with the block matrix scaled to norm 0.9."""
+def _bench_zoo(seed: int, max_dim: int = 2) -> list[SystemRealization]:
+    """The systems with n <= max_dim of the benchmark's seeded zoo, in its
+    order (n, then (m, p)): complex Gaussian realizations with the block
+    matrix scaled to norm 0.9. The default gives its eight n <= 2 systems."""
     rng = np.random.default_rng([seed, 0])
     systems = []
-    for n in (1, 2):
+    for n in range(1, max_dim + 1):
         for m, p in ((1, 1), (1, 2), (2, 1), (2, 2)):
             mats = [
                 (rng.standard_normal(s) + 1j * rng.standard_normal(s)) / np.sqrt(2.0 * n)
@@ -1357,6 +1358,25 @@ def test_ill_conditioned_lmi_still_gives_members():
     samples = sample_ri_members(sigma, 10, np.random.default_rng(0), anchors)
     assert len(samples) == 10
     assert all(membership(sigma, h).in_ri for h in samples)
+
+
+# seed-301 zoo systems with n >= 3 > m, by their index in the zoo; the
+# greatest distance of a sample from the chain's first one measured 2.1,
+# 4.4, 5.6 and 3.3
+CHAIN_ZOO = {"n3_m2_p2": 11, "n4_m1_p2": 13, "n5_m2_p2": 19, "n6_m1_p1": 20}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_ZOO))
+def test_the_sampler_chain_moves_away_from_its_start(name):
+    # a chain started where n - m of the LMI's eigenvalues are near zero can
+    # stall in that corner, within 1e-2 of its first sample; the report shows
+    # only sample counts, so the spread of the samples is bounded here
+    sigma = _bench_zoo(301, 6)[CHAIN_ZOO[name]]
+    anchors = [minimal_solution(sigma).matrix, maximal_solution(sigma).matrix]
+    samples = sample_ri_members(sigma, 50, np.random.default_rng(7), anchors)
+    assert len(samples) == 50
+    chain = samples[len(anchors):]
+    assert max(spectral_norm(h - chain[0]) for h in chain) >= 1.0
 
 
 def test_sampler_requires_a_minimal_system():
