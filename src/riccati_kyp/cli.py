@@ -4,9 +4,13 @@ Reads system documents from JSON, dispatches to the library, and emits
 machine-readable JSON reports. A report holds the library's result objects
 as they are, and one writer (:func:`_dumps`) owns the format: a result
 dataclass is written as the object of its fields, an Enum as its value, and
-a complex entry as its [re, im] pair (unambiguous and locale-free). Reports
-embed the effective configuration verbatim so every verdict is auditable,
-and with --no-timings two runs with identical inputs and seed produce
+a complex entry as its [re, im] pair (unambiguous and locale-free). A
+solution set ordered by its selection digits holds ``"order":
+"selection_subset"``: H_i <= H_j exactly when the 1-digits of member i's
+provenance selection are among member j's. Any other set holds its
+``"comparisons"``, ``{"i,j": verdict}`` for each pair i < j. Reports embed
+the effective configuration verbatim so every verdict is auditable, and
+with --no-timings two runs with identical inputs and seed produce
 byte-identical output.
 
 Document schema (informal):
@@ -48,7 +52,6 @@ import numpy as np
 
 from . import errors as err
 from .boundary import circle_profile, is_coinner, is_inner, uniqueness_certificate
-from .linops import _VERDICTS
 from .riccati import membership
 from .solver import SolverConfig, _duality, maximal_solution, minimal_solution, solve_re
 from .systems import (
@@ -343,27 +346,22 @@ def _analyze_payload(sigma, tol, grid) -> dict:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class _PairOrder:
-    """The Loewner order of ``size`` members as a report holds it: one code
-    per pair (i, j), i < j, in ``np.triu_indices(size, 1)`` order, each the
-    index of the verdict in ``linops._VERDICTS``. :func:`_dumps` writes it
-    as the object ``{"i,j": verdict}``."""
-
-    size: int
-    codes: np.ndarray
-
-
 def _solution_set_payload(solution_set) -> dict:
-    return {
+    payload = {
         "members": np.array([m.matrix for m in solution_set.members], dtype=complex),
-        "comparisons": _PairOrder(len(solution_set.members), solution_set._order),
         "minimal_index": solution_set.minimal_index,
         "maximal_index": solution_set.maximal_index,
         "provenance": solution_set.provenance,
         "route": solution_set.route,
         "complete": solution_set.complete,
     }
+    if solution_set._lattice:
+        payload["order"] = "selection_subset"
+    else:
+        payload["comparisons"] = {
+            f"{i},{j}": verdict for (i, j), verdict in solution_set.comparisons.items()
+        }
+    return payload
 
 
 def _extremes_payload(sigma, config, re_set=None) -> dict:
@@ -575,32 +573,6 @@ def _array_template(shape: tuple[int, ...], level: int) -> str:
     return "[" + pad + ("," + pad).join([item] * shape[0]) + "\n" + _INDENT * level + "]"
 
 
-# each verdict as a JSON string, indexed by its code
-_VERDICT_TEXT = np.array([_encode_string(v.value) for v in _VERDICTS], dtype=object)
-
-
-@functools.lru_cache(maxsize=64)
-def _order_template(size: int, level: int) -> tuple[str, np.ndarray]:
-    """The text of the pair order of ``size`` members opened at indent
-    ``level``, laid out as ``json.dumps(indent=2, sort_keys=True)`` lays out
-    its dict: the keys "i,j" in string order ("10,2" before "2,10"), each
-    with a ``%s`` for its verdict. Also the read-only permutation that takes
-    codes in ``np.triu_indices`` order to that key order."""
-    if size < 2:
-        return "{}", np.empty(0, dtype=np.intp)
-    iu, ju = np.triu_indices(size, 1)
-    keys = [f"{i},{j}" for i, j in zip(iu.tolist(), ju.tolist())]
-    rank = sorted(range(len(keys)), key=keys.__getitem__)
-    pad = "\n" + _INDENT * (level + 1)
-    text = (
-        "{" + pad + ("," + pad).join(f'"{keys[k]}": %s' for k in rank)
-        + "\n" + _INDENT * level + "}"
-    )
-    perm = np.array(rank, dtype=np.intp)
-    perm.flags.writeable = False
-    return text, perm
-
-
 def _dumps(obj, level: int = 0) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` byte for byte, for
     ``obj`` opened at indent ``level``, with the report encodings: a
@@ -612,13 +584,12 @@ def _dumps(obj, level: int = 0) -> str:
     generator step per token. Here types are tested in the order
     ``json.dumps`` tests them, each float64 array is written from a
     separator template cached per (shape, indent) with one
-    ``float.__repr__`` per entry, a pair order (:class:`_PairOrder`) is
-    written from a template cached per (size, indent) with its verdicts
-    taken from its codes, and string items are written in place; the three
-    encodings are tested last, so the other nodes pay nothing for them.
-    What this does not cover (empty containers, keys that are not strings,
-    other types) is written by ``json.dumps`` itself, with the encodings as
-    its ``default`` (:func:`_json_default`), and indented to its place."""
+    ``float.__repr__`` per entry, string items are written in place, and
+    the three encodings are tested last, so the other nodes pay nothing for
+    them. What this does not cover (empty containers, keys that are not
+    strings, other types) is written by ``json.dumps`` itself, with the
+    encodings as its ``default`` (:func:`_json_default`), and indented to
+    its place."""
     if isinstance(obj, str):
         return _encode_string(obj)
     if obj is None:
@@ -634,9 +605,6 @@ def _dumps(obj, level: int = 0) -> str:
     if type(obj) is np.ndarray and obj.dtype == np.float64:
         text = float.__repr__ if np.isfinite(obj).all() else _float_text
         return _array_template(obj.shape, level) % tuple(map(text, obj.ravel().tolist()))
-    if type(obj) is _PairOrder:
-        text, perm = _order_template(obj.size, level)
-        return text % tuple(_VERDICT_TEXT[obj.codes[perm]].tolist())
     pad = "\n" + _INDENT * (level + 1)
     end = "\n" + _INDENT * level
     if isinstance(obj, (list, tuple)) and obj:

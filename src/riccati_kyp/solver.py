@@ -45,9 +45,9 @@ Only the covering pairs, one digit apart, are compared numerically, and a
 set where one of them is not LESS_EQUAL falls back to
 :func:`order_solutions`, which compares all member pairs from one spectrum
 per pair, as it does for every other set. Either way the order is held as
-one small-int code per pair (its index in ``linops._VERDICTS``), and
-``SolutionSet.comparisons`` is the dict of verdicts built from those codes
-when it is read.
+one small-int code per pair (its index in ``linops._VERDICTS``), which
+``SolutionSet.comparisons`` reads as verdicts; a set ordered by its digits
+is flagged ``_lattice``, so a report can name its order and list no pair.
 
 Inequality members are sampled by hit-and-run over the KYP LMI
 ``L(H) = [[alpha, -beta*], [-beta, delta]] >= 0``, which is affine in H, so
@@ -163,7 +163,9 @@ class SolutionSet:
     the pair's Loewner verdict in ``linops._VERDICTS`` (0 EQUAL, 1
     LESS_EQUAL, 2 GREATER_EQUAL, 3 INCOMPARABLE); it is empty until the set
     is ordered. The read-only ``comparisons`` is built from it on each
-    access: a dict mapping each pair (i, j) to its verdict.
+    access: a dict mapping each pair (i, j) to its verdict. ``_lattice`` is
+    True only when :func:`_digit_order` gave the order, the subset order of
+    the selection digits in the provenance labels.
     ``minimal_index``/``maximal_index`` are set when one member is below /
     above every other member. ``provenance`` records, per member, the solver
     route (``pencil(selection=...)``, ``lossless(inner)``,
@@ -188,6 +190,7 @@ class SolutionSet:
     _order: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int8), repr=False, compare=False
     )
+    _lattice: bool = field(default=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -797,33 +800,31 @@ class DualityReport:
     ``samples_ok[i]`` records whether the i-th sampled inequality member's
     inverse passed membership for the adjoint system. ``re_inversion_equal``
     records whether inverting the equality set reproduced the adjoint's
-    equality set; the theory does not promise it does.
+    equality set; the theory does not promise it does. The two equality
+    sets are (k, n, n) complex stacks.
     """
 
     sample_count: int
     samples_ok: list[bool]
     failure_count: int
     re_inversion_equal: bool
-    re_members: list[np.ndarray]
-    re_adjoint_members: list[np.ndarray]
+    re_members: np.ndarray
+    re_adjoint_members: np.ndarray
 
 
-def _sets_match(
-    first: list[np.ndarray], second: list[np.ndarray], tol: float
-) -> bool:
-    """Whether each member of ``first`` matches a distinct member of
-    ``second`` within ``tol * (1 + ||f||)``, taking the first unused hit in
-    order.
+def _sets_match(f: np.ndarray, g: np.ndarray, tol: float) -> bool:
+    """Whether each member of the stack ``f`` matches a distinct member of
+    the stack ``g`` within ``tol * (1 + ||f||)``, taking the first unused
+    hit in order.
 
     Since ``||X||_2 <= ||X||_F <= sqrt(n) ||X||_2``, the Frobenius norm of a
     difference decides the pair when it is below half the threshold or above
     twice ``sqrt(n)`` times it (the factor 2 covers roundoff); only the pairs
     in between take a spectral norm, in one batched call."""
-    if len(first) != len(second):
+    if len(f) != len(g):
         return False
-    if not first:
+    if not len(f):
         return True
-    f, g = np.array(first), np.array(second)
     diff = f[:, None] - g[None]
     limit = np.broadcast_to((tol * (1.0 + _spectral_norms(f)))[:, None], diff.shape[:2])
     fro = np.linalg.norm(diff, axis=(2, 3))
@@ -831,7 +832,7 @@ def _sets_match(
     unsure = ~close & (fro <= 2.0 * np.sqrt(f.shape[1]) * limit)
     if np.any(unsure):
         close[unsure] = _spectral_norms(diff[unsure]) <= limit[unsure]
-    unused = list(range(len(second)))
+    unused = list(range(len(g)))
     for row in close.tolist():
         hit = next((j for j in unused if row[j]), None)
         if hit is None:
@@ -891,12 +892,12 @@ def _duality(
                 raise verdict
             samples_ok.append(not isinstance(verdict, NotPD) and verdict.in_ri_circ)
 
-    if re_set is None:  # an empty SolutionSet is falsy
-        re_set = solve_re(sigma, cfg)
-    re_members = [m.matrix for m in re_set.members]
-    re_adjoint_members = [m.matrix for m in solve_re(adj, cfg).members]
-    inverted = [_hermitian_inverse(h) for h in re_members]
-    equal = _sets_match(inverted, re_adjoint_members, tol=1e-6)
+    own = solve_re(sigma, cfg) if re_set is None else re_set  # an empty set is falsy
+    re_members, re_adjoint_members = (
+        np.array([m.matrix for m in s.members], dtype=complex).reshape(-1, *sigma.a.shape)
+        for s in (own, solve_re(adj, cfg))
+    )
+    equal = _sets_match(_hermitian_inverse(re_members), re_adjoint_members, tol=1e-6)
 
     return DualityReport(
         sample_count=len(samples),
@@ -927,9 +928,9 @@ _CODES = {verdict: code for code, verdict in enumerate(_VERDICTS.tolist())}
 
 def _with_order(solution_set: SolutionSet, codes: np.ndarray) -> SolutionSet:
     """``solution_set`` with the verdict codes ``codes`` of its pairs (i, j),
-    i < j, in :func:`_upper` order, and its extremal flags: a member is
-    flagged minimal (maximal) when it compares below (above) every other
-    member."""
+    i < j, in :func:`_upper` order, not flagged as its digit lattice, and
+    its extremal flags: a member is flagged minimal (maximal) when it
+    compares below (above) every other member."""
     count = len(solution_set.members)
     iu, ju = _upper(count)
     # below[i, j]: H_i <= H_j; above[i, j]: H_i >= H_j
@@ -947,6 +948,7 @@ def _with_order(solution_set: SolutionSet, codes: np.ndarray) -> SolutionSet:
         minimal_index=first(below),
         maximal_index=first(above),
         _order=codes.astype(np.int8),
+        _lattice=False,
     )
 
 
@@ -975,7 +977,7 @@ def _digit_order(solution_set: SolutionSet, digits: np.ndarray) -> SolutionSet |
     iu, ju = _upper(len(digits))
     # codes of LESS_EQUAL, GREATER_EQUAL and INCOMPARABLE in _VERDICTS
     codes = np.where(nested[iu, ju], 1, np.where(nested[ju, iu], 2, 3))
-    return _with_order(solution_set, codes)
+    return replace(_with_order(solution_set, codes), _lattice=True)
 
 
 def order_solutions(solution_set: SolutionSet, tol: float = ORDER_TOL) -> SolutionSet:

@@ -3,6 +3,7 @@ and byte-level report reproducibility."""
 
 import dataclasses
 import enum
+import itertools
 import json
 import math
 import os
@@ -23,7 +24,10 @@ from riccati_kyp import (
     DimensionMismatch,
     ParseError,
     RiccatiKypError,
+    SolutionSet,
     SystemRealization,
+    as_storage,
+    order_solutions,
 )
 from riccati_kyp import cli as cli_module
 from riccati_kyp import solver as solver_module
@@ -44,6 +48,7 @@ from conftest import (
     two_state_re_solutions,
     unit_pole_realization,
 )
+from test_solver import _pairwise_order, _subset_order
 
 GOLDEN_DOCS = Path(__file__).resolve().parent / "golden" / "docs"
 TWO_STATE_DOC = str(GOLDEN_DOCS / "two_state.json")
@@ -518,12 +523,15 @@ def _order_dict(size: int, codes: np.ndarray) -> dict:
 @pytest.mark.parametrize("level", [1, 2])
 @pytest.mark.parametrize("size", [0, 1, 2, 11, 32, 64])
 def test_pair_order_is_written_as_json_dumps_writes_its_dict(size, level):
+    # a set not ordered by its selection digits lists its comparisons, which
+    # the writer's generic dict path writes ("10,2" sorts before "2,10")
     codes = np.random.default_rng(size).integers(0, 4, size * (size - 1) // 2)
-    order = cli_module._PairOrder(size, codes.astype(np.int8))
+    ordered = SolutionSet(members=[as_storage(np.eye(1))] * size, _order=codes.astype(np.int8))
+    block = cli_module._solution_set_payload(ordered)["comparisons"]
     want = json.dumps(_order_dict(size, codes), indent=2, sort_keys=True)
-    assert cli_module._dumps(order, level) == want.replace("\n", "\n" + "  " * level)
+    assert cli_module._dumps(block, level) == want.replace("\n", "\n" + "  " * level)
     want = json.dumps({"comparisons": _order_dict(size, codes)}, indent=2, sort_keys=True)
-    assert cli_module._dumps({"comparisons": order}) == want
+    assert cli_module._dumps({"comparisons": block}) == want
 
 
 def _seeded_pencil_doc(tmp_path, n: int) -> str:
@@ -545,7 +553,27 @@ def test_solve_re_writes_the_bytes_of_json_dumps(n, tmp_path):
     report = json.loads(text)
     assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
     assert len(report["solve_re"]["members"]) == 2**n
-    assert len(report["solve_re"]["comparisons"]) == 2**n * (2**n - 1) // 2
+    _assert_the_lattice_is_the_pairwise_order(report["solve_re"])
+
+
+def _assert_the_lattice_is_the_pairwise_order(block: dict) -> None:
+    """A solve_re block that states the subset order of its selection
+    digits, in place of the pairs, stands for the verdicts and extremal
+    indices that order_solutions and the pair-by-pair reference give on its
+    members."""
+    assert block["order"] == "selection_subset" and "comparisons" not in block
+    labels = [
+        entry["route"].removeprefix("pencil(selection=").removesuffix(")")
+        for entry in block["provenance"]
+    ]
+    pairs = itertools.combinations(range(len(labels)), 2)
+    stated = {(i, j): _subset_order(labels[i], labels[j]) for i, j in pairs}
+    members = [as_storage(m[..., 0] + 1j * m[..., 1]) for m in np.array(block["members"])]
+    ordered = order_solutions(SolutionSet(members=members))
+    comparisons, minimal, maximal = _pairwise_order(members)
+    assert stated == ordered.comparisons == comparisons
+    indices = (block["minimal_index"], block["maximal_index"])
+    assert indices == (ordered.minimal_index, ordered.maximal_index) == (minimal, maximal)
 
 
 def test_the_golden_64_member_document_is_the_seeded_system(tmp_path):
@@ -711,6 +739,7 @@ class TestCommands:
         assert report["solve_re"]["maximal_index"] == 3
         assert report["solve_re"]["route"] == "pencil"
         assert report["solve_re"]["complete"] is True
+        _assert_the_lattice_is_the_pairwise_order(report["solve_re"])
 
     def test_simulate_with_margins(self, scalar_doc_path, tmp_path, capsys):
         inputs = tmp_path / "inputs.json"

@@ -473,6 +473,37 @@ def test_coincident_zero_eigenvalues_take_the_pencil():
     assert _rel(solution_set.members[0].matrix, dare_extremes(sigma)[0]) <= 1e-10
 
 
+def test_outside_subspace_of_a_zero_eigenvalue_pencil_is_not_h_max(scalar_interval_system):
+    # F = 0 on the scalar interval example: the extended pencil has one
+    # finite eigenvalue, 0, and two infinite ones. An ordered QZ that puts
+    # the finite outside eigenvalues first selects none, so its leading
+    # Schur vector spans the zero eigenvalue's subspace and gives H_min =
+    # 3/64, not H_max = 3/4. H_max is the closed form, a point of RI where
+    # the equality fails, so the equality set is {3/64} alone; an H_max
+    # from the system's own pencil must keep the adjoint route whenever the
+    # pencil has zero eigenvalues.
+    sigma = scalar_interval_system
+    big_m, big_n = _extended_pencil(sigma)
+    (alpha, beta), _ = scipy.linalg.eig(big_m, big_n, homogeneous_eigvals=True)
+    finite = np.abs(beta) > 1e-8 * np.abs(alpha)
+    assert finite.sum() == 1 and abs(alpha[finite][0]) <= 1e-12
+
+    def finite_outside(a, b):
+        return (np.abs(b) > 1e-8 * np.abs(a)) & (np.abs(a) > np.abs(b))
+
+    _, _, alpha, beta, _, z = scipy.linalg.ordqz(
+        big_m, big_n, sort=finite_outside, output="complex"
+    )
+    assert not finite_outside(alpha, beta).any()
+    assert abs(z[1, 0] / z[0, 0] - 3.0 / 64.0) <= 1e-12
+    h_max = maximal_solution(sigma).matrix
+    assert abs(h_max[0, 0] - 0.75) <= 1e-12
+    verdict = membership(sigma, h_max)
+    assert verdict.in_ri and not verdict.in_re
+    members = solve_re(sigma).members
+    assert len(members) == 1 and abs(members[0].matrix[0, 0] - 3.0 / 64.0) <= 1e-12
+
+
 def _appended_state(seed: int, kind: str) -> SystemRealization:
     """A random realization with n = 1..4, m, p = 1..2 and block norm 0.9,
     plus one state at 0.3 that the input does not reach (``kind``
@@ -977,6 +1008,7 @@ class TestDuality:
         report = duality_check(scalar_interval_system)
         assert report.failure_count == 0
         assert not report.re_inversion_equal
+        assert report.re_members.shape == report.re_adjoint_members.shape == (1, 1, 1)
         assert abs(report.re_members[0][0, 0] - 3.0 / 64.0) <= 1e-10
         assert abs(report.re_adjoint_members[0][0, 0] - 4.0 / 3.0) <= 1e-10
 
@@ -1224,6 +1256,7 @@ def test_a_failing_covering_pair_falls_back_to_all_pairs(two_state_system, monke
     sizes = _recording_loewner_stack(monkeypatch, flip_first_call=True)
     solution_set = solve_re(two_state_system)
     assert sizes == [4, 6]
+    assert not solution_set._lattice
     comparisons, minimal, maximal = _pairwise_order(solution_set.members)
     assert solution_set.comparisons == comparisons
     assert (solution_set.minimal_index, solution_set.maximal_index) == (minimal, maximal)
@@ -1232,19 +1265,21 @@ def test_a_failing_covering_pair_falls_back_to_all_pairs(two_state_system, monke
 @pytest.mark.parametrize("n", [5, 6])
 def test_seeded_pencil_sets_match_the_pairwise_reference_on_both_routes(n, monkeypatch):
     # the digit lattice (covering pairs only) and order_solutions (every
-    # pair) give the reference's verdicts, flags and codes on full sets
+    # pair) give the reference's verdicts, flags and codes on full sets;
+    # only the first flags the set as ordered by its digits
     sigma = random_realization(np.random.default_rng(5), n, 2, 2, passive_norm=0.9)
     sizes = _recording_loewner_stack(monkeypatch)
     by_digits = solve_re(sigma)
     assert len(by_digits) == 2**n and by_digits.complete
     assert sizes == [n * 2 ** (n - 1)]
-    by_pairs = order_solutions(SolutionSet(members=by_digits.members))
+    by_pairs = order_solutions(by_digits)
     assert sizes[1:] == [2**n * (2**n - 1) // 2]
     comparisons, minimal, maximal = _pairwise_order(by_digits.members)
     for ordered in (by_digits, by_pairs):
         assert ordered.comparisons == comparisons
         assert (ordered.minimal_index, ordered.maximal_index) == (minimal, maximal)
     assert by_digits._order.dtype == by_pairs._order.dtype == np.int8
+    assert by_digits._lattice and not by_pairs._lattice
     assert np.array_equal(by_digits._order, by_pairs._order)
 
 
@@ -1470,7 +1505,7 @@ def _set_pairs():
     ["match", "empty", "lengths", "one-off", "greedy", "duplicates", "inside", "outside"],
 )
 def test_batched_sets_match_is_pairwise(case, monkeypatch):
-    first, second = _set_pairs()[case]
+    first, second = (np.array(s, dtype=complex).reshape(-1, 3, 3) for s in _set_pairs()[case])
     expected = _pairwise_sets_match(first, second, tol=1e-6)
     stacks = []
 
