@@ -10,11 +10,16 @@ default grid density resolves the defects far below tolerance, and doubling
 the grid is a cheap stability check. The grid values come from
 :func:`riccati_kyp.systems._transfer_grid`: invertibility of every grid
 resolvent ``I - zeta A`` is proved from ``||A||`` when A is a strict
-contraction (``||A|| < 1`` with the kernel's margin), and tested point by
-point otherwise. Both defects come from one spectrum per point, the
-eigenvalues ``sigma_i^2`` of the smaller Gram matrix of theta, taken in
-closed form when min(m, p) <= 2 (:func:`riccati_kyp.systems._gram_eigs`, to a
-few eps of ``max(1, ||theta||^2)``): each defect is ``max |1 - sigma_i^2|``,
+contraction (``||A|| < 1`` with the kernel's margin), and otherwise from a
+bound on each ``||(I - zeta T)^-1||`` read off the Schur form ``A = Q T
+Q*``, with the singular-value test run only at the points that bound
+leaves open. The co-inner route's Stein test runs on the one adjoint the
+realization keeps, and each realization runs its Stein tests once
+(:func:`riccati_kyp.solver._lossless_solution`). Both defects come from one
+spectrum per point, the eigenvalues ``sigma_i^2`` of the smaller Gram
+matrix of theta, taken in closed form when min(m, p) <= 2
+(:func:`riccati_kyp.systems._gram_eigs`, to a few eps of ``max(1,
+||theta||^2)``): each defect is ``max |1 - sigma_i^2|``,
 and the defect on the larger side is at least 1, since its unmatched
 eigenvalues are exactly 1. A side of dimension 0 has defect 0.
 """

@@ -52,7 +52,8 @@ import numpy as np
 
 from . import errors as err
 from .boundary import circle_profile, is_coinner, is_inner, uniqueness_certificate
-from .riccati import membership
+from .linops import ensure_hermitian
+from .riccati import MembershipVerdict, _membership_stack, membership
 from .solver import SolverConfig, _duality, maximal_solution, minimal_solution, solve_re
 from .systems import (
     SystemRealization,
@@ -316,6 +317,33 @@ def _membership_payload(sigma, h, tol) -> dict:
     return vars(membership(sigma, h, tol=tol, eq_tol=10.0 * tol, c3_tol=10.0 * tol))
 
 
+def _checks_payload(sigma, candidates: dict, tol) -> dict:
+    """The check section of ``report``: the membership payload of every
+    candidate, in name order, from one membership-kernel call. The first
+    candidate in that order that :func:`membership` refuses raises its
+    error, whether its symmetry test refuses it (NotHermitian) or the kernel
+    does (NotPD, InconsistentRoutes), as checking them one by one does."""
+    names, stack, refused = [], [], None
+    for name, h in sorted(candidates.items()):
+        try:
+            stack.append(ensure_hermitian(np.atleast_2d(np.asarray(h, dtype=complex))))
+        except (err.NotHermitian, err.DimensionMismatch) as exc:
+            refused = exc  # raised unless a candidate before it fails first
+            break
+        names.append(name)
+    verdicts = (
+        _membership_stack(sigma, np.array(stack), tol, 10.0 * tol, 10.0 * tol)
+        if stack
+        else []
+    )
+    for verdict in verdicts:
+        if not isinstance(verdict, MembershipVerdict):
+            raise verdict
+    if refused is not None:
+        raise refused
+    return {name: vars(verdict) for name, verdict in zip(names, verdicts)}
+
+
 def _analyze_payload(sigma, tol, grid) -> dict:
     minimality = is_minimal(sigma)
     passivity = is_passive(sigma, tol=tol)
@@ -478,11 +506,7 @@ def run(command: str, doc: SystemDocument, args) -> dict:
         )
         if doc.candidates:
             report["check"] = timed(
-                "check",
-                lambda: {
-                    name: _membership_payload(sigma, h, args.tol)
-                    for name, h in sorted(doc.candidates.items())
-                },
+                "check", lambda: _checks_payload(sigma, doc.candidates, args.tol)
             )
         if args.inputs:
             report["simulate"] = timed(

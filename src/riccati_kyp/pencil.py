@@ -62,26 +62,25 @@ PENCIL_TOL = 1e-8  # relative size of a negligible (alpha, beta) part, of a
 
 
 def _extended_pencil(sigma: SystemRealization) -> tuple[np.ndarray, np.ndarray]:
-    """The matrices ``(M, N)`` of the extended pencil ``M - lambda N``."""
+    """The matrices ``(M, N)`` of the extended pencil ``M - lambda N``, each
+    block written into its slice of a zeroed complex array."""
     a, b, c, d = sigma.a, sigma.b, sigma.c, sigma.d
     n, m = sigma.state_dim, sigma.input_dim
-    eye_n, zero_n, zero_nm = np.eye(n), np.zeros((n, n)), np.zeros((n, m))
-    ch = c.conj().T
-    big_m = np.block(
-        [
-            [a, zero_n, b],
-            [-ch @ c, eye_n, -ch @ d],
-            [d.conj().T @ c, zero_nm.T, d.conj().T @ d - np.eye(m)],
-        ]
-    )
-    big_n = np.block(
-        [
-            [eye_n, zero_n, zero_nm],
-            [zero_n, a.conj().T, zero_nm],
-            [zero_nm.T, -b.conj().T, np.zeros((m, m))],
-        ]
-    )
-    return big_m.astype(complex), big_n.astype(complex)
+    ch, dh = c.conj().T, d.conj().T
+    size = 2 * n + m
+    big_m = np.zeros((size, size), dtype=complex)
+    big_n = np.zeros((size, size), dtype=complex)
+    big_m[:n, :n] = a
+    big_m[:n, 2 * n :] = b
+    big_m[n : 2 * n, :n] = -ch @ c
+    big_m[n : 2 * n, 2 * n :] = -ch @ d
+    big_m[2 * n :, :n] = dh @ c
+    big_m[2 * n :, 2 * n :] = dh @ d - np.eye(m)
+    big_m[n : 2 * n, n : 2 * n] = np.eye(n)
+    big_n[:n, :n] = np.eye(n)
+    big_n[n : 2 * n, n : 2 * n] = a.conj().T
+    big_n[2 * n :, n : 2 * n] = -b.conj().T
+    return big_m, big_n
 
 
 def _relative_parts(alpha: np.ndarray, beta: np.ndarray, big_m, big_n):

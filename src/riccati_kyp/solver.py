@@ -30,7 +30,10 @@ Every set is ordered deterministically and records its ``route``. It is
 labelled ``complete`` only when the system is minimal, the route is the
 pencil or the Stein equation, which are exhaustive, and every candidate
 passed. Minimality is a fact of the realization, decided once by it (see
-:func:`riccati_kyp.systems.is_minimal`) and read by the kernel too.
+:func:`riccati_kyp.systems.is_minimal`) and read by the kernel too; so are
+its adjoint (:func:`riccati_kyp.systems.adjoint`), its reduction without
+constant isometric channels and the outcome of its Stein tests, which this
+module keeps with the realization (:func:`riccati_kyp.systems._kept`).
 
 Loops over candidates go through the stacked membership kernel of
 :mod:`riccati_kyp.riccati` with one call per batch: the candidates of a
@@ -57,7 +60,10 @@ chain needs a point with L(H) positive definite: the anchors' mean when it
 is one, and otherwise the phase-I point of a barrier Newton iteration. When
 the LMI has no such point (the transfer function reaches norm 1 on the
 circle, as for inner and co-inner systems), the samples are copies of the
-anchors' mean.
+anchors' mean. Each move of the chain reuses the eigendecomposition that
+gave its chord to factor the next point (see :func:`_chord_step`). The
+duality check takes the copies at once when its extremal pair is
+Loewner-equal, since RI, which lies between the pair, is then one point.
 
 The minimal storage operator, also taken without the constant isometric
 channels, comes from one of two exact O(n**3) routes:
@@ -117,6 +123,7 @@ from .pencil import CIRCLE_GAP, equality_candidates, extremal
 from .systems import (
     SystemRealization,
     _gram_eigs,
+    _kept,
     _pole_angle,
     _transfer_grid,
     adjoint,
@@ -337,17 +344,20 @@ def sample_ri_members(
     1984) on ``L(H) = [[alpha, -beta*], [-beta, delta]] >= 0``, which is
     affine in H: from a point with L(H) positive definite, a Hermitian
     direction E has the feasible chord of all t with ``L(H) + t L(E) >= 0``,
-    read off the eigenvalues of ``C^-1 L(E) C^-*`` for the Cholesky factor C
-    of L(H), and the chain moves to a uniform point of the chord. The chain
-    starts at the anchors' mean when its LMI margin exceeds the membership
-    band ``tol * max(1, ||L||)``, and otherwise at the phase-I point of
-    :func:`_phase_one`. Each round draws all its directions in one generator
-    call and all its chord positions in another, so a call runs one seeded
-    chain, and validates its points by one membership-kernel call: a point
-    is kept when it is in RI with a nonnegative LMI margin. The rare point
-    that roundoff puts past a chord end (L(H) not positive definite, or a
-    failed validation) is dropped and drawn again by a further round; a
-    round that keeps no point ends the chain.
+    read off the eigenvalues of ``F^-1 L(E) F^-*`` for a factor ``L(H) = F
+    F*`` (the Cholesky factor at the start), and the chain moves to a uniform
+    point of the chord; the eigenvectors that gave the chord also give the
+    next point's factor, with no new Cholesky factor or inverse (see
+    :func:`_chord_step`). The chain starts at the anchors' mean when its LMI
+    margin exceeds the membership band ``tol * max(1, ||L||)``, and
+    otherwise at the phase-I point of :func:`_phase_one`. Each round draws
+    all its directions in one generator call and all its chord positions in
+    another, so a call runs one seeded chain, and validates its points by
+    one membership-kernel call: a point is kept when it is in RI with a
+    nonnegative LMI margin. The rare point that roundoff puts past a chord
+    end (some ``1 + t mu`` not positive, or a failed validation) is dropped
+    and drawn again by a further round; a round that keeps no point ends the
+    chain.
 
     When no point clears the band, the samples are copies of the anchors'
     mean, a member by convexity. This happens when the LMI has an empty
@@ -355,11 +365,28 @@ def sample_ri_members(
     circle; for an inner or co-inner system RI is one point and every chord
     has length zero. It also happens when the band, which grows with
     ||L||, is wider than any margin (cond(H) near 1e10), or when phase-I
-    fails in floating point.
+    fails in floating point. :func:`_duality`, which knows from the extremal
+    pair when RI is one point, takes these copies without running phase-I
+    (see :func:`_ri_samples`).
 
     Raises NotMinimal on a non-minimal realization, whose RI can be
     unbounded.
     """
+    return _ri_samples(sigma, count, rng, anchors, tol, one_point=False)
+
+
+def _ri_samples(
+    sigma: SystemRealization,
+    count: int,
+    rng: np.random.Generator,
+    anchors: list[np.ndarray],
+    tol: float,
+    one_point: bool,
+) -> list[np.ndarray]:
+    """:func:`sample_ri_members`; with ``one_point``, from a caller that
+    knows RI to be one point, the checked anchors followed by copies of
+    their mean, which is what the chain gives when phase-I finds no
+    interior, and no phase-I is run."""
     if not is_minimal(sigma):
         raise NotMinimal("sampling the inequality set requires a minimal system")
     good_anchors = []
@@ -377,13 +404,13 @@ def sample_ri_members(
     if len(samples) >= count:
         return samples[:count]
     center = sum(good_anchors) / len(good_anchors)
-    h = _phase_one(sigma, center, tol)
+    h = None if one_point else _phase_one(sigma, center, tol)
     if h is None:
         return samples + [center.copy() for _ in range(count - len(samples))]
 
     n = sigma.state_dim
-    lmat = _lmi(*_residual_ops(sigma, h))
-    c_inv = np.linalg.inv(np.linalg.cholesky(lmat))
+    # the inverse of a factor F of L(h) = F F*
+    f_inv = np.linalg.inv(np.linalg.cholesky(_lmi(*_residual_ops(sigma, h))))
     while len(samples) < count:
         steps = count - len(samples)
         g = rng.standard_normal((2, steps, n, n))
@@ -391,16 +418,11 @@ def sample_ri_members(
         positions = rng.uniform(size=steps)
         points = []
         for e, l_e, u in zip(dirs, _lmi_linear(sigma, dirs), positions):
-            mu = np.linalg.eigvalsh(c_inv @ l_e @ c_inv.conj().T)
-            if not mu[0] < 0.0 < mu[-1]:
-                continue  # no finite chord in floating point: stay put
-            lo, hi = -1.0 / mu[-1], -1.0 / mu[0]
-            t = lo + u * (hi - lo)
-            try:
-                c_next = np.linalg.cholesky(lmat + t * l_e)
-            except np.linalg.LinAlgError:
-                continue  # roundoff at a chord end: stay put
-            h, lmat, c_inv = h + t * e, lmat + t * l_e, np.linalg.inv(c_next)
+            step = _chord_step(f_inv, l_e, u)
+            if step is None:
+                continue  # stay put
+            t, f_inv = step
+            h = h + t * e
             points.append(h)
         kept = 0
         for point, verdict in zip(
@@ -418,6 +440,30 @@ def sample_ri_members(
         if not kept:
             break
     return samples[:count]
+
+
+def _chord_step(
+    f_inv: np.ndarray, l_e: np.ndarray, u: float
+) -> tuple[float, np.ndarray] | None:
+    """One hit-and-run move from a point H whose LMI is ``L(H) = F F*``,
+    with ``f_inv`` = F^-1, along a direction E with linear LMI part ``l_e``
+    = L(E), to the position ``u`` in [0, 1) of its chord: ``(t, F'^-1)``
+    with ``L(H + t E) = F' F'*``, or None when the chain stays put.
+
+    The eigendecomposition ``U diag(mu) U*`` of ``F^-1 L(E) F^-*`` gives
+    the chord, all t with every ``1 + t mu >= 0``, and ``F' = F U diag(1 + t
+    mu)^1/2``. The chain stays put when the chord is not finite in floating
+    point, or when roundoff at a chord end leaves some ``1 + t mu`` not
+    positive."""
+    mu, vecs = np.linalg.eigh(f_inv @ l_e @ f_inv.conj().T)
+    if not mu[0] < 0.0 < mu[-1]:
+        return None
+    lo, hi = -1.0 / mu[-1], -1.0 / mu[0]
+    t = lo + u * (hi - lo)
+    scale = 1.0 + t * mu
+    if not scale.min() > 0.0:
+        return None
+    return t, (vecs.conj().T @ f_inv) / np.sqrt(scale)[:, None]
 
 
 # -- public solvers -----------------------------------------------------------
@@ -587,8 +633,9 @@ def _extremal_set(sigma: SystemRealization, cfg: SolverConfig) -> SolutionSet:
 
 def _without_unit_channels(sigma: SystemRealization) -> SystemRealization:
     """``sigma`` without its constant isometric channels, or ``sigma`` when
-    it has none. When every input is one, the result has no inputs, and its
-    equality is the Stein equation ``alpha(H) = 0``.
+    it has none, decided once per realization (see
+    :func:`~riccati_kyp.systems._kept`). When every input is one, the result
+    has no inputs, and its equality is the Stein equation ``alpha(H) = 0``.
 
     A channel is an input direction u in the kernel of ``[B; I - D* D;
     C* D]`` (singular values cut at ``RANK_TOL * max(1, s_max)``), which T
@@ -597,6 +644,11 @@ def _without_unit_channels(sigma: SystemRealization) -> SystemRealization:
     has ``alpha(H)``, ``V* beta(H)`` and ``V* delta(H) V``, as ``beta(H) u``
     and ``delta(H) u`` vanish: its KYP LMI is that of ``sigma`` without zero
     rows and columns, with the same solution sets and minimality."""
+    return _kept(sigma, "without unit channels", _unit_channels_dropped)
+
+
+def _unit_channels_dropped(sigma: SystemRealization) -> SystemRealization:
+    """:func:`_without_unit_channels`, decided."""
     b, c, d = sigma.b, sigma.c, sigma.d
     m = sigma.input_dim
     _, s, vh = np.linalg.svd(np.vstack([b, np.eye(m) - d.conj().T @ d, c.conj().T @ d]))
@@ -636,8 +688,18 @@ def _lossless_solution(
     singular pencil, so :func:`~riccati_kyp.pencil.extremal` leaves it here.
     A pole on the circle (:func:`~riccati_kyp.systems._pole_angle`) gives
     None before any solve: an eigenvalue lambda of A with lambda lambda* = 1
-    makes both Stein equations singular.
+    makes both Stein equations singular. The answer is decided once per
+    realization (see :func:`~riccati_kyp.systems._kept`), and the co-inner
+    test runs on the one adjoint that :func:`~riccati_kyp.systems.adjoint`
+    keeps.
     """
+    return _kept(sigma, "lossless", _stein_solution)
+
+
+def _stein_solution(
+    sigma: SystemRealization,
+) -> tuple[str, np.ndarray, SystemRealization, np.ndarray] | None:
+    """:func:`_lossless_solution`, decided."""
     import scipy.linalg
 
     if _pole_angle(sigma) is not None:
@@ -782,7 +844,10 @@ def maximal_solution(
 
     By the adjoint-inversion duality this is the inverse of the adjoint
     system's minimal solution, whose certificate covers it; a failed one is
-    raised with side ``"maximal"``.
+    raised with side ``"maximal"``. The adjoint's transfer function is
+    ``T_adj(exp(1j t)) = T(exp(-1j t))*``, so a NotSchurClass of the adjoint
+    at angle t is raised at angle ``-t mod 2 pi``, where ``sigma``'s own
+    transfer function has that norm.
     """
     try:
         minimal_adj = minimal_solution(adjoint(sigma), config)
@@ -790,6 +855,8 @@ def maximal_solution(
         raise CertificateFailed(
             "maximal", exc.radius, exc.equality_residual, f"adjoint system: {exc}"
         ) from exc
+    except NotSchurClass as exc:
+        raise NotSchurClass(-exc.angle % (2.0 * np.pi), exc.norm) from exc
     return as_storage(hermitian_part(minimal_adj.inv_sqrt @ minimal_adj.inv_sqrt))
 
 
@@ -871,17 +938,28 @@ def _duality(
     given its extremal pair ``extremes`` = (minimal, maximal): the sampled
     members anchored at the pair are inverted and tested for the adjoint,
     and the adjoint's equality set is solved and compared with ``re_set``,
-    the system's own, which is solved here when None."""
+    the system's own, which is solved here when None.
+
+    Every member H of RI has ``H_min <= H <= H_max`` (Arov, Kaashoek & Pik
+    2006; Arlinskii 2008), so RI is one point exactly when the pair is
+    Loewner-equal, tested as :func:`_extremal_set` tests it, at
+    ``EQUALITY_TOL * max(1, ||H_max||)``. Then the samples are the checked
+    anchors and copies of their mean, with no phase-I search for an interior
+    that does not exist (see :func:`_ri_samples`); any other pair goes to
+    :func:`sample_ri_members`."""
     adj = adjoint(sigma)
     h_min, h_max = extremes
+    anchors = [h_min.matrix, h_max.matrix]
+    tol = EQUALITY_TOL * max(1.0, spectral_norm(h_max.matrix))
     rng = np.random.default_rng(cfg.seed + 7)
-    samples = sample_ri_members(
-        sigma,
-        cfg.duality_samples,
-        rng,
-        anchors=[h_min.matrix, h_max.matrix],
-        tol=cfg.membership_tol,
-    )
+    if loewner_compare(h_min.matrix, h_max.matrix, tol) == Loewner.EQUAL:
+        samples = _ri_samples(
+            sigma, cfg.duality_samples, rng, anchors, cfg.membership_tol, one_point=True
+        )
+    else:
+        samples = sample_ri_members(
+            sigma, cfg.duality_samples, rng, anchors=anchors, tol=cfg.membership_tol
+        )
 
     samples_ok: list[bool] = []
     if samples:

@@ -15,17 +15,22 @@ A :class:`SystemRealization` is an immutable value with read-only copies of
 its matrices. It decides its :class:`MinimalityReport` and the complex Schur
 form of A with ``||A||`` once, on first read; every transfer grid reads that
 Schur form, and its diagonal gives the eigenvalues of A, which decide every
-pole test (:func:`_pole_angle`).
+pole test (:func:`_pole_angle`). Its adjoint is built once too
+(:func:`adjoint`), with the realization itself as the adjoint's adjoint, and
+other modules keep what they decide about a realization with it through
+:func:`_kept`.
 
 Every transfer-function evaluation, at one point or on a grid of the disc or
 the circle, goes through one kernel, :func:`_transfer_grid`. It proves every
 grid resolvent ``I - lam A`` invertible from ``||A||`` at once when A is a
 strict contraction on the grid radius r (``1 - r||A|| >= 2 SINGULAR_TOL
-(1 + r||A||)``), and otherwise builds the resolvents and tests each point by
-its singular values. It then solves in Schur coordinates, with the
-realization's one Schur form ``A = Q T Q*`` and one back substitution with
-T over all points at once, its unknowns held point-major so that each step
-is one matrix product. Norms of the grid values come from the eigenvalues of
+(1 + r||A||)``). Otherwise it bounds each resolvent's inverse from the
+Schur form, by two triangular solves with its comparison matrix over all
+points at once, and only the points that bound leaves open are built and
+tested by their singular values. It then solves in Schur coordinates, with
+the realization's one Schur form ``A = Q T Q*`` and one back substitution
+with T over all points at once, its unknowns held point-major so that each
+step is one matrix product. Norms of the grid values come from the eigenvalues of
 the smaller Gram matrix of each value (:func:`_gram_eigs`), in closed form
 when that matrix is 1 x 1 or 2 x 2 and from LAPACK otherwise.
 """
@@ -127,6 +132,22 @@ class SystemRealization:
         operator, and, on the diagonal of T, the eigenvalues of A."""
         return _state_schur(self)
 
+    @functools.cached_property
+    def _facts(self) -> dict:
+        """What other modules decided about the realization, by name; see
+        :func:`_kept`."""
+        return {}
+
+
+def _kept(sigma: SystemRealization, name: str, fact):
+    """``fact(sigma)``, decided on the first call for ``sigma`` under
+    ``name`` and kept by the realization, as it keeps its minimality and
+    Schur form; ``fact`` is not called again for ``sigma``."""
+    facts = sigma._facts
+    if name not in facts:
+        facts[name] = fact(sigma)
+    return facts[name]
+
 
 def system_matrix(sigma: SystemRealization) -> np.ndarray:
     """Assemble the block operator [[A, B], [C, D]] mapping X+U to X+Y."""
@@ -183,8 +204,16 @@ def _transfer_grid(
     the whole grid regular when ``1 - r||A|| >= 2 SINGULAR_TOL (1 + r||A||)``
     for the largest modulus r on the grid; the factor 2 covers the roundoff
     of the computed singular values, so the screen passes only grids on which
-    the per-point test passes too. Otherwise the resolvent stack is built and
-    every point is tested.
+    the per-point test passes too.
+
+    Otherwise each point is screened from the Schur form (:func:`_screened`):
+    ``sigma_min(I - lam A)`` is ``1 / ||(I - lam T)^{-1}||``, which the
+    comparison matrix of the triangular ``I - lam T`` bounds from above, and
+    a point whose bound proves ``sigma_min >= 4 SINGULAR_TOL (1 + r||A||)``
+    passes the per-point test with room for the roundoff of the Schur form
+    and of the singular values. Only the other points have their resolvents
+    built and tested by their singular values, in index order, so the first
+    singular point and its error are those of testing every point.
 
     The values are computed in Schur coordinates (Laub, IEEE TAC 26, 1981):
     with ``A = Q T Q*`` (T upper triangular), ``(I - lam A)^{-1} B = Q (I -
@@ -204,12 +233,16 @@ def _transfer_grid(
     norm_a, t, q = sigma.schur
     bound = float(np.abs(lams).max()) * norm_a
     if not 1.0 - bound >= 2.0 * SINGULAR_TOL * (1.0 + bound):
-        resolvents = np.eye(n)[None, :, :] - lams[:, None, None] * sigma.a[None, :, :]
-        svals = np.linalg.svd(resolvents, compute_uv=False)
-        bad = svals[:, -1] <= SINGULAR_TOL * svals[:, 0]
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            raise singular(complex(lams[k]), k)
+        unproved = np.flatnonzero(~_screened(t, lams, bound))
+        if unproved.size:
+            resolvents = (
+                np.eye(n)[None, :, :] - lams[unproved, None, None] * sigma.a[None, :, :]
+            )
+            svals = np.linalg.svd(resolvents, compute_uv=False)
+            bad = svals[:, -1] <= SINGULAR_TOL * svals[:, 0]
+            if np.any(bad):
+                k = int(unproved[np.argmax(bad)])
+                raise singular(complex(lams[k]), k)
     rhs = q.conj().T @ sigma.b
     k, m, p = lams.size, sigma.input_dim, sigma.output_dim
     # x[i] is row i of (I - lam T)^{-1} Q* B at every point, point-major:
@@ -225,6 +258,36 @@ def _transfer_grid(
         row /= (1.0 - lams * t[i, i])[:, None]
     cx = np.dot(sigma.c @ q, x).reshape(p, k, m).transpose(1, 0, 2)
     return sigma.d[None, :, :] + lams[:, None, None] * cx
+
+
+def _screened(t: np.ndarray, lams: np.ndarray, bound: float) -> np.ndarray:
+    """Which points of ``lams`` the comparison matrix of ``I - lam T``, for
+    the upper triangular Schur factor T, proves regular: a boolean mask.
+
+    The comparison matrix M has ``|1 - lam T[i, i]|`` on its diagonal and
+    ``-|lam| |T[i, j]|`` above it, and ``|(I - lam T)^{-1}| <= M^{-1}``
+    entrywise (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    Thm 8.12), so ``||(I - lam T)^{-1}||_2 <= sqrt(||M^{-1}||_1
+    ||M^{-1}||_inf)``. M^{-1} is nonnegative, so its largest row sum is the
+    largest entry of ``M^{-1} e`` and its largest column sum that of ``M^{-T}
+    e``, one back and one forward substitution with all points at once; the
+    sums have no cancellation. A point is proved when that bound is at most
+    ``1 / (4 SINGULAR_TOL (1 + bound))``, ``bound`` being r||A|| for the
+    largest modulus r on the grid. A zero pivot gives an infinite or NaN
+    bound, which proves nothing."""
+    n = t.shape[0]
+    r = np.abs(lams)
+    off = np.abs(t)
+    pivots = np.abs(1.0 - lams[None, :] * np.diagonal(t)[:, None])
+    rows = np.empty((n, lams.size))
+    cols = np.empty((n, lams.size))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i in range(n - 1, -1, -1):
+            rows[i] = (1.0 + r * (off[i, i + 1 :] @ rows[i + 1 :])) / pivots[i]
+        for i in range(n):
+            cols[i] = (1.0 + r * (off[:i, i] @ cols[:i])) / pivots[i]
+        inverse_norm = np.sqrt(rows.max(axis=0) * cols.max(axis=0))
+        return inverse_norm * (4.0 * SINGULAR_TOL * (1.0 + bound)) <= 1.0
 
 
 def _gram_eigs(values: np.ndarray) -> np.ndarray:
@@ -350,13 +413,22 @@ def _minimality(sigma: SystemRealization) -> MinimalityReport:
 
 def adjoint(sigma: SystemRealization) -> SystemRealization:
     """The adjoint system (A*, C*, B*, D*) with input and output spaces
-    swapped."""
-    return SystemRealization(
+    swapped, built once per realization: every call on ``sigma`` returns the
+    same realization, which keeps its own facts (minimality, Schur form and
+    what :func:`_kept` holds), and ``adjoint(adjoint(sigma)) is sigma``."""
+    return _kept(sigma, "adjoint", _adjoint_of)
+
+
+def _adjoint_of(sigma: SystemRealization) -> SystemRealization:
+    """:func:`adjoint`, built, with ``sigma`` kept as its adjoint."""
+    adj = SystemRealization(
         a=sigma.a.conj().T,
         b=sigma.c.conj().T,
         c=sigma.b.conj().T,
         d=sigma.d.conj().T,
     )
+    adj._facts["adjoint"] = sigma
+    return adj
 
 
 @dataclass

@@ -103,6 +103,26 @@ def unit_pole_realization(seed: int) -> tuple[SystemRealization, float]:
     return SystemRealization(a, b, c, np.zeros((1, 1))), theta
 
 
+def nonnormal_realization(seed: int) -> SystemRealization:
+    """A minimal three-state realization A = Q T Q* with a random unitary Q
+    and T upper triangular with eigenvalues 0.9 exp(1j phi), 0.9 exp(1j (phi
+    + 0.3)) and 0.5 exp(1j psi) for random angles, and T[0, 1] = 1e5, so
+    that ||A|| is 1e5 while rho(A) is 0.9: the comparison-matrix screen of
+    the transfer grid proves most points of the circle and of the disc but
+    not those near the first two eigenvalues' angles. B and C couple to
+    that pair through entries of 1e-8 and 1e-2 only, and D = 4, so the
+    transfer values are well conditioned although the resolvents are not."""
+    rng = np.random.default_rng(seed)
+    phi = rng.uniform(0.0, 2.0 * np.pi, 3)
+    mu = np.array([0.9, 0.9, 0.5]) * np.exp(1j * np.array([phi[0], phi[0] + 0.3, phi[2]]))
+    t = np.diag(mu)
+    t[0, 1] = 1e5
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    b = q @ np.array([[1e-2], [1e-8], [0.5]])
+    c = np.array([[1e-8, 1e-2, 0.5]]) @ q.conj().T
+    return SystemRealization(q @ t @ q.conj().T, b, c, np.full((1, 1), 4.0))
+
+
 def exact_transfer(sigma: SystemRealization, lams: np.ndarray) -> np.ndarray:
     """``D + lam C (I - lam A)^{-1} B`` at each point, computed by mpmath at
     40 digits from the same double-precision data and rounded once, as a

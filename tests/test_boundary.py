@@ -1,6 +1,9 @@
 """Circle-profile and uniqueness-certificate tests, including the allpass
 cascade family where the member set collapses to one point."""
 
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -10,6 +13,7 @@ from riccati_kyp import (
     NotMinimal,
     NotSchurClass,
     PoleOnCircle,
+    SingularResolvent,
     SystemRealization,
     UniquenessReason,
     UniquenessVerdict,
@@ -21,11 +25,14 @@ from riccati_kyp import (
     maximal_solution,
     minimal_solution,
     riccati_data,
+    schur_class_margin,
     solve_re,
     spectral_norm,
     uniqueness_certificate,
 )
+from riccati_kyp import systems as systems_module
 from riccati_kyp.boundary import CircleProfile
+from riccati_kyp.cli import parse_system
 from riccati_kyp.systems import POLE_TOL, SINGULAR_TOL
 from conftest import (
     blaschke_system,
@@ -158,6 +165,105 @@ def test_circle_profile_decision_equals_per_point_reference(seed, n, m, p, kappa
     profile = circle_profile(sigma, grid_steps=grid_steps)
     assert np.array_equal(profile.angles, expected.angles)
     assert np.all(np.isfinite(profile.values))
+
+
+def _nonnormal_draw(seed: int, n: int, m: int, p: int, exponent: float) -> SystemRealization:
+    """A = Q T Q* for a random unitary Q and an upper triangular T with
+    eigenvalues of modulus below 0.999 and off-diagonal entries of size
+    10**exponent."""
+    rng = np.random.default_rng(seed)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    mu = rng.uniform(0.0, 0.999, n) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+    t = np.diag(mu) + 10.0**exponent * np.triu(gaussian(n, n), 1)
+    q, _ = np.linalg.qr(gaussian(n, n))
+    return SystemRealization(q @ t @ q.conj().T, gaussian(n, m), gaussian(p, n), gaussian(p, m))
+
+
+def _unscreened():
+    """Every grid point of a non-contractive A goes to the singular-value
+    test, as if the comparison-matrix screen proved none."""
+    return mock.patch.object(
+        systems_module, "_screened", lambda t, lams, bound: np.zeros(lams.size, dtype=bool)
+    )
+
+
+def _first_singular(sigma: SystemRealization, lams: np.ndarray) -> int | None:
+    """The index of the first point whose resolvent fails the singular-value
+    test when every point is tested, or None."""
+    n = sigma.state_dim
+    resolvents = np.eye(n)[None, :, :] - lams[:, None, None] * sigma.a[None, :, :]
+    svals = np.linalg.svd(resolvents, compute_uv=False)
+    bad = svals[:, -1] <= SINGULAR_TOL * svals[:, 0]
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=2, max_value=4),
+    m=st.integers(min_value=1, max_value=2),
+    p=st.integers(min_value=1, max_value=2),
+    exponent=st.floats(min_value=0.0, max_value=9.0),
+    grid_steps=st.sampled_from([64, 512, 4096]),
+)
+def test_schur_screen_changes_no_value_and_no_raise(seed, n, m, p, exponent, grid_steps):
+    """On non-normal state operators with ||A|| >= 1 and off-diagonal Schur
+    entries up to 1e9, the circle profile and the disc margin with the
+    comparison-matrix screen raise at the first point, in index order, that
+    fails the singular-value test when every point is tested, and where no
+    point fails, their values are those of testing every point, byte for
+    byte."""
+    sigma = _nonnormal_draw(seed, n, m, p, exponent)
+    assume(spectral_norm(sigma.a) >= 1.0)
+    angles = 2.0 * np.pi * np.arange(grid_steps) / grid_steps
+    first = _first_singular(sigma, np.exp(1j * angles))
+    if first is None:
+        profile = circle_profile(sigma, grid_steps=grid_steps)
+        with _unscreened():
+            reference = circle_profile(sigma, grid_steps=grid_steps)
+        for got, want in ((profile.values, reference.values),
+                          (profile.right_defects, reference.right_defects),
+                          (profile.left_defects, reference.left_defects)):
+            assert got.tobytes() == want.tobytes()
+    else:
+        with pytest.raises(PoleOnCircle) as caught:
+            circle_profile(sigma, grid_steps=grid_steps)
+        assert caught.value.angle == angles[first]
+    disc = systems_module._disc_points(48, 0.999)
+    first = _first_singular(sigma, disc)
+    if first is None:
+        margin = schur_class_margin(sigma)
+        with _unscreened():
+            assert margin == schur_class_margin(sigma)
+    else:
+        with pytest.raises(SingularResolvent) as caught:
+            schur_class_margin(sigma)
+        assert caught.value.lam == disc[first]
+
+
+def test_screen_proves_every_point_of_blaschke3(monkeypatch):
+    # ||A|| = 1.0000000000000002 misses the contraction screen, and the
+    # comparison matrix proves all 4096 grid points, so no SVD is taken
+    path = Path(__file__).parent / "golden" / "docs" / "blaschke3.json"
+    sigma = parse_system(str(path)).realization()
+    norm_a = sigma.schur[0]  # decided before the spy
+    assert not 1.0 - norm_a >= 2.0 * SINGULAR_TOL * (1.0 + norm_a)
+    real_svd, calls = np.linalg.svd, []
+
+    def svd(*args, **kwargs):
+        calls.append(args[0])
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    profile = circle_profile(sigma, grid_steps=4096)
+    assert calls == []
+    with _unscreened():
+        reference = circle_profile(sigma, grid_steps=4096)
+    assert len(calls) == 1 and len(calls[0]) == 4096
+    assert profile.values.tobytes() == reference.values.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

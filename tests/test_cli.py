@@ -44,6 +44,7 @@ from riccati_kyp import systems as systems_module
 from riccati_kyp.linops import _VERDICTS
 from conftest import (
     dare_extremes,
+    nonnormal_realization,
     random_realization,
     two_state_re_solutions,
     unit_pole_realization,
@@ -590,6 +591,13 @@ def test_the_golden_unit_pole_document_is_the_seeded_system():
         assert getattr(golden, key).tobytes() == getattr(seeded, key).tobytes()
 
 
+def test_the_golden_nonnormal_document_is_the_seeded_system():
+    golden = parse_system(str(GOLDEN_DOCS / "nonnormal_n3.json"))
+    seeded = nonnormal_realization(5)
+    for key in ("a", "b", "c", "d"):
+        assert getattr(golden, key).tobytes() == getattr(seeded, key).tobytes()
+
+
 @pytest.mark.parametrize("command", ["solve-re", "report"])
 def test_a_pole_on_the_circle_is_refused_without_a_singular_stein_solve(command, tmp_path):
     # the lossless route declines the unit pole before solving its singular
@@ -643,6 +651,66 @@ def test_each_command_decides_minimality_and_decomposes_a_once(monkeypatch, tmp_
         if path == doc:
             assert len(minimality) == 1, command
             assert len(schur) == (command == "analyze"), command
+
+
+@pytest.mark.parametrize("name", ["blaschke3", "coisometry"])
+def test_report_decides_each_fact_once_per_realization(name, monkeypatch, tmp_path):
+    # a report on an inner (blaschke3) or co-inner (coisometry) system reads
+    # the system, its adjoint and their facts from every section; each
+    # realization builds its adjoint, decides its minimality, takes its
+    # Schur form, looks for unit channels and runs the Stein tests once
+    spies = [
+        _count_calls(monkeypatch, systems_module, "_adjoint_of"),
+        _count_calls(monkeypatch, systems_module, "_minimality"),
+        _count_calls(monkeypatch, systems_module, "_state_schur"),
+        _count_calls(monkeypatch, solver_module, "_unit_channels_dropped"),
+        _count_calls(monkeypatch, solver_module, "_stein_solution"),
+    ]
+    out = str(tmp_path / "report.json")
+    path = str(GOLDEN_DOCS / f"{name}.json")
+    argv = ["report", "--system", path, "--seed", "301", "--no-timings", "--out", out]
+    assert main(argv) == 0
+    for calls in spies:
+        assert calls and len(calls) == len({id(sigma) for sigma in calls})
+    assert len(spies[0]) == 1  # the adjoint's adjoint is the system
+
+
+def _candidates_doc(tmp_path, candidates: dict) -> str:
+    doc = scalar_interval_doc()
+    doc["candidates"] = candidates
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("order, code", [(("a", "b"), 6), (("b", "a"), 4)])
+def test_report_check_raises_the_first_refused_candidate_in_name_order(order, code, tmp_path):
+    # all candidates go through one membership-kernel call, but the first
+    # candidate in name order that membership refuses names the error: a
+    # NotPD one (-1) before a NotHermitian one (1 + 1j) exits 6, and the
+    # other way round 4
+    not_pd, not_hermitian = [[[-1.0, 0.0]]], [[[1.0, 1.0]]]
+    path = _candidates_doc(tmp_path, dict(zip(order, (not_pd, not_hermitian))))
+    out = tmp_path / "report.json"
+    assert main(["report", "--system", path, "--no-timings", "--out", str(out)]) == code
+    error = json.loads(out.read_text())["error"]
+    assert error["category"] == {6: "NotPD", 4: "NotHermitian"}[code]
+
+
+def test_report_checks_every_candidate_as_check_does(tmp_path):
+    # the batched check section holds, for each candidate, the bytes of the
+    # check command's payload
+    path = _candidates_doc(tmp_path, scalar_interval_doc()["candidates"])
+    out = tmp_path / "report.json"
+    assert main(["report", "--system", path, "--no-timings", "--out", str(out)]) == 0
+    section = json.loads(out.read_text())["check"]
+    assert sorted(section) == ["Hmid", "Hout", "Hre"]
+    for name, payload in section.items():
+        assert main(["check", "--system", path, "--candidate", name,
+                     "--no-timings", "--out", str(out)]) == 0
+        check = json.loads(out.read_text())["check"]
+        assert check.pop("candidate") == name
+        assert json.dumps(check, sort_keys=True) == json.dumps(payload, sort_keys=True)
 
 
 def test_grid_points_are_cached_read_only(two_state_system):
@@ -823,8 +891,8 @@ class TestSharedWork:
         # a report solves the equality sets of the system and its adjoint
         # and certifies the minimal solution of each once; the uniqueness
         # certificate runs neither, and the duality check is the one
-        # sampler run
-        calls = dict.fromkeys(("solve_re", "_certified", "sample_ri_members"), 0)
+        # sampler run (_ri_samples, the work of sample_ri_members)
+        calls = dict.fromkeys(("solve_re", "_certified", "_ri_samples"), 0)
 
         def counted(name):
             real = getattr(solver_module, name)
@@ -847,7 +915,7 @@ class TestSharedWork:
         report = json.loads(out.read_text())
         assert report["analyze"]["uniqueness"]["reason"] == reason
         assert report["solve_re"]["route"] == "lossless"
-        assert calls == {"solve_re": 2, "_certified": 2, "sample_ri_members": 1}
+        assert calls == {"solve_re": 2, "_certified": 2, "_ri_samples": 1}
 
     @pytest.mark.parametrize("swap", [False, True], ids=["c-short", "b-short"])
     def test_near_inner_delay_is_not_certified_unique(self, swap, tmp_path, monkeypatch, capsys):

@@ -6,6 +6,7 @@ determinism."""
 
 import collections
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from riccati_kyp import (
     adjoint,
     as_storage,
     duality_check,
+    hermitian_part,
     is_minimal,
     kyp_lmi,
     loewner_compare,
@@ -44,7 +46,8 @@ from riccati_kyp import (
 from riccati_kyp import solver as solver_module
 from riccati_kyp.linops import _eigh_kept, _loewner_stack, _pinv_kept, _spectral_norms
 from riccati_kyp.pencil import CIRCLE_GAP, _extended_pencil, equality_candidates, extremal
-from riccati_kyp.riccati import RANK_TOL, _residual_ops
+from riccati_kyp.cli import parse_system
+from riccati_kyp.riccati import RANK_TOL, _lmi, _residual_ops
 from riccati_kyp.solver import (
     EQUALITY_TOL,
     _herm_pack,
@@ -1519,3 +1522,125 @@ def test_batched_sets_match_is_pairwise(case, monkeypatch):
     # the member norms take one call; only the near pairs take a second one
     near = case in ("inside", "outside")
     assert stacks == ([] if case in ("empty", "lengths") else [len(first)] + [1] * near)
+
+
+def _golden_system(name: str) -> SystemRealization:
+    path = Path(__file__).parent / "golden" / "docs" / f"{name}.json"
+    return parse_system(str(path)).realization()
+
+
+@pytest.mark.parametrize("name", ["coisometry", "blaschke3"])
+def test_a_one_point_ri_takes_no_phase_one(name, monkeypatch):
+    # co-inner and inner: H_min = H_max, so RI is one point and the duality
+    # samples are the anchors and their mean's copies, as the chain gives
+    # them when phase-I, run anyway, finds no interior
+    sigma = _golden_system(name)
+    cfg = SolverConfig(seed=301)
+    extremes = minimal_solution(sigma, cfg), maximal_solution(sigma, cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("phase-I ran on a one-point RI")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "_phase_one", refuse)
+        report = solver_module._duality(sigma, cfg, extremes)
+
+    phase_one, ri_samples, runs = solver_module._phase_one, solver_module._ri_samples, []
+
+    def counted(*args, **kwargs):
+        runs.append(phase_one(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(solver_module, "_phase_one", counted)
+    monkeypatch.setattr(
+        solver_module, "_ri_samples", lambda *args, one_point: ri_samples(*args, one_point=False)
+    )
+    forced = solver_module._duality(sigma, cfg, extremes)
+    assert runs == [None]
+    assert report.sample_count == forced.sample_count == cfg.duality_samples
+    assert report.samples_ok == forced.samples_ok
+    assert report.failure_count == forced.failure_count
+    assert report.re_inversion_equal == forced.re_inversion_equal
+    for mine, theirs in ((report.re_members, forced.re_members),
+                         (report.re_adjoint_members, forced.re_adjoint_members)):
+        assert mine.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_ZOO))
+def test_the_chain_factor_stays_a_factor_of_the_lmi(name):
+    # each move updates the inverse factor F^-1 of L(H) = F F* from the
+    # eigendecomposition that gave the chord; after 50 moves F^-1 L(H) F^-*
+    # is still the identity, to 1e-10 or, on an LMI too ill-conditioned for
+    # that (n6_m1_p1: cond 2e7, where a fresh Cholesky factor is off by
+    # 2.7e-10), to 50 moves' worth of the roundoff of a fresh factor
+    sigma = _bench_zoo(301, 6)[CHAIN_ZOO[name]]
+    n = sigma.state_dim
+    anchors = [minimal_solution(sigma).matrix, maximal_solution(sigma).matrix]
+    h = solver_module._phase_one(sigma, sum(anchors) / 2.0, 1e-9)
+    f_inv = np.linalg.inv(np.linalg.cholesky(_lmi(*_residual_ops(sigma, h))))
+    rng = np.random.default_rng(3)
+    moves = 0
+    for _ in range(50):
+        g = rng.standard_normal((2, n, n))
+        e = hermitian_part(g[0] + 1j * g[1])
+        step = solver_module._chord_step(f_inv, solver_module._lmi_linear(sigma, e), rng.uniform())
+        if step is not None:
+            t, f_inv = step
+            h, moves = h + t * e, moves + 1
+    lmat = _lmi(*_residual_ops(sigma, h))
+    error = spectral_norm(f_inv @ lmat @ f_inv.conj().T - np.eye(len(lmat)))
+    assert moves == 50
+    assert error <= max(1e-10, 50 * np.finfo(float).eps * np.linalg.cond(lmat))
+
+
+@pytest.mark.parametrize(
+    "a, b, c, d",
+    [(1.5 * np.exp(0.7j), 0.3, 0.4, 0.1), (0.5, 1.0, 1.0, 0.2j)],
+    ids=["pole", "norm"],
+)
+def test_maximal_solution_names_the_systems_angle(a, b, c, d):
+    # the adjoint's transfer function at angle t is T(exp(-1j t))*, so its
+    # NotSchurClass is raised at -t mod 2 pi: where minimal_solution names
+    # the pole (5.583185, norm inf) or the norm above one (0.394791)
+    sigma = SystemRealization(a, b, c, d)
+    with pytest.raises(NotSchurClass) as low:
+        minimal_solution(sigma)
+    with pytest.raises(NotSchurClass) as high:
+        maximal_solution(sigma)
+    assert abs(high.value.angle - low.value.angle) <= 1e-12
+    assert high.value.norm == pytest.approx(low.value.norm, rel=1e-12)
+
+
+def _block_pencil(sigma: SystemRealization) -> tuple[np.ndarray, np.ndarray]:
+    """The extended pencil assembled by np.block and cast to complex."""
+    a, b, c, d = sigma.a, sigma.b, sigma.c, sigma.d
+    n, m = sigma.state_dim, sigma.input_dim
+    eye_n, zero_n, zero_nm = np.eye(n), np.zeros((n, n)), np.zeros((n, m))
+    ch = c.conj().T
+    big_m = np.block([
+        [a, zero_n, b],
+        [-ch @ c, eye_n, -ch @ d],
+        [d.conj().T @ c, zero_nm.T, d.conj().T @ d - np.eye(m)],
+    ])
+    big_n = np.block([
+        [eye_n, zero_n, zero_nm],
+        [zero_n, a.conj().T, zero_nm],
+        [zero_nm.T, -b.conj().T, np.zeros((m, m))],
+    ])
+    return big_m.astype(complex), big_n.astype(complex)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=6),
+    m=st.integers(min_value=1, max_value=2),
+    p=st.integers(min_value=1, max_value=2),
+    real=st.booleans(),
+)
+def test_extended_pencil_equals_its_block_assembly(seed, n, m, p, real):
+    sigma = random_realization(np.random.default_rng(seed), n, m, p)
+    if real:  # real data: zero imaginary parts, and signed zeros in products
+        sigma = SystemRealization(sigma.a.real, sigma.b.real, sigma.c.real, sigma.d.real)
+    for got, want in zip(_extended_pencil(sigma), _block_pencil(sigma)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

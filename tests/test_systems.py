@@ -26,12 +26,19 @@ from riccati_kyp import (
     transfer_eval,
     unobservable_subspace,
 )
-from riccati_kyp.systems import SINGULAR_TOL, _gram_eigs, _transfer_grid
+from riccati_kyp.systems import (
+    SINGULAR_TOL,
+    _disc_points,
+    _gram_eigs,
+    _screened,
+    _transfer_grid,
+)
 from conftest import (
     exact_transfer,
     grid_error,
     grid_error_bound,
     grid_realization,
+    nonnormal_realization,
     random_realization,
 )
 
@@ -205,6 +212,15 @@ class TestAdjoint:
                         (sigma.a, sigma.b, sigma.c, sigma.d)):
             assert np.allclose(x, y)
 
+    def test_built_once_and_linked_back(self):
+        # the adjoint is one realization with its own facts, whose adjoint
+        # is the realization it came from
+        sigma = random_realization(np.random.default_rng(23), 3, 2, 1)
+        adj = adjoint(sigma)
+        assert adjoint(sigma) is adj and adjoint(adj) is sigma
+        assert adjoint(sigma).minimality is adj.minimality
+        assert adjoint(sigma).schur is adj.schur
+
     def test_transfer_conjugation_identity(self):
         rng = np.random.default_rng(22)
         for _ in range(10):
@@ -268,6 +284,20 @@ class TestSchurMargin:
         with pytest.raises(SingularResolvent) as expected:
             _reference_schur_class_margin(sigma, 48, 0.999)
         assert caught.value.lam == expected.value.lam == 0.999 / 48
+
+
+def test_the_nonnormal_golden_system_takes_both_branches_of_the_screen():
+    # the system of the nonnormal_n3 analyze golden: ||A|| = 1e5 and
+    # rho(A) = 0.9, so the comparison matrix proves most points of the
+    # circle and disc grids but not all, and the singular-value test finds
+    # none of the rest singular
+    sigma = nonnormal_realization(5)
+    norm_a, t, _ = sigma.schur
+    circle = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    for lams in (circle, _disc_points(48, 0.999)):
+        proved = int(_screened(t, lams, float(np.abs(lams).max()) * norm_a).sum())
+        assert 0.9 * lams.size < proved < lams.size
+        assert np.isfinite(_transfer_grid(sigma, lams)).all()
 
 
 def _disc_grid(grid_steps, radius):
