@@ -13,9 +13,10 @@ resolvent ``I - zeta A`` is proved from ``||A||`` when A is a strict
 contraction (``||A|| < 1`` with the kernel's margin), and otherwise from a
 bound on each ``||(I - zeta T)^-1||`` read off the Schur form ``A = Q T
 Q*``, with the singular-value test run only at the points that bound
-leaves open. The co-inner route's Stein test runs on the one adjoint the
-realization keeps, and each realization runs its Stein tests once
-(:func:`riccati_kyp.solver._lossless_solution`). Both defects come from one
+leaves open. The Stein test reads the inner fact that the system it names
+keeps (:func:`riccati_kyp.solver._inner_solution`): the system itself for
+the inner route and the one adjoint it keeps for the co-inner one, so the
+solver's co-inner test reads the same solve. Both defects come from one
 spectrum per point, the eigenvalues ``sigma_i^2`` of the smaller Gram
 matrix of theta, taken in closed form when min(m, p) <= 2
 (:func:`riccati_kyp.systems._gram_eigs`, to a few eps of ``max(1,
@@ -35,7 +36,7 @@ import numpy as np
 from .errors import NotMinimal, NotPD, PoleOnCircle
 from .linops import spectral_norm
 from .riccati import StorageOperator, riccati_data
-from .solver import _lossless_solution
+from .solver import _inner_solution
 from .systems import (
     SystemRealization,
     _gram_eigs,
@@ -177,7 +178,7 @@ def uniqueness_certificate(
     |theta|^2|``, so unimodular boundary values are the inner case and need
     no route of their own. The screen is confirmed on the system it names,
     ``sigma`` when inner and its adjoint when co-inner, by the Stein
-    identities of :func:`~riccati_kyp.solver._lossless_solution`: that
+    identities of :func:`~riccati_kyp.solver._inner_solution`: that
     system must be inner, and then its Stein solution (inverted for the
     co-inner route) is the one inequality member of ``sigma`` (Arlinskii
     2008). The identities alone also hold for an unstable all-pass system
@@ -206,11 +207,11 @@ def uniqueness_certificate(
         system, reason = adjoint(sigma), UniquenessReason.COINNER_FL0
     else:
         return unknown
-    lossless = _lossless_solution(system)
-    if lossless is None or lossless[0] != "inner":
+    x = _inner_solution(system)
+    if x is None:
         return unknown
     try:  # X > 0 with (C, A) observable gives rho(A) < 1: the system is inner
-        storage = StorageOperator(lossless[1])
+        storage = StorageOperator(x)
     except NotPD:
         return unknown
     return UniquenessCertificate(

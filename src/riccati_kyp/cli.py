@@ -52,8 +52,7 @@ import numpy as np
 
 from . import errors as err
 from .boundary import circle_profile, is_coinner, is_inner, uniqueness_certificate
-from .linops import ensure_hermitian
-from .riccati import MembershipVerdict, _membership_stack, membership
+from .riccati import membership
 from .solver import SolverConfig, _duality, maximal_solution, minimal_solution, solve_re
 from .systems import (
     SystemRealization,
@@ -313,35 +312,15 @@ def write_system(doc: SystemDocument) -> dict:
 # -- report builders ----------------------------------------------------------
 
 
-def _membership_payload(sigma, h, tol) -> dict:
-    return vars(membership(sigma, h, tol=tol, eq_tol=10.0 * tol, c3_tol=10.0 * tol))
-
-
 def _checks_payload(sigma, candidates: dict, tol) -> dict:
-    """The check section of ``report``: the membership payload of every
-    candidate, in name order, from one membership-kernel call. The first
-    candidate in that order that :func:`membership` refuses raises its
-    error, whether its symmetry test refuses it (NotHermitian) or the kernel
-    does (NotPD, InconsistentRoutes), as checking them one by one does."""
-    names, stack, refused = [], [], None
-    for name, h in sorted(candidates.items()):
-        try:
-            stack.append(ensure_hermitian(np.atleast_2d(np.asarray(h, dtype=complex))))
-        except (err.NotHermitian, err.DimensionMismatch) as exc:
-            refused = exc  # raised unless a candidate before it fails first
-            break
-        names.append(name)
-    verdicts = (
-        _membership_stack(sigma, np.array(stack), tol, 10.0 * tol, 10.0 * tol)
-        if stack
-        else []
-    )
-    for verdict in verdicts:
-        if not isinstance(verdict, MembershipVerdict):
-            raise verdict
-    if refused is not None:
-        raise refused
-    return {name: vars(verdict) for name, verdict in zip(names, verdicts)}
+    """The check section of ``report``, and of ``check`` on its one named
+    candidate: the :func:`membership` payload of every candidate, in name
+    order. The first candidate in that order that it refuses raises its
+    error (NotHermitian, NotPD, InconsistentRoutes, ...)."""
+    return {
+        name: vars(membership(sigma, h, tol=tol, eq_tol=10.0 * tol, c3_tol=10.0 * tol))
+        for name, h in sorted(candidates.items())
+    }
 
 
 def _analyze_payload(sigma, tol, grid) -> dict:
@@ -479,7 +458,7 @@ def run(command: str, doc: SystemDocument, args) -> dict:
             "check",
             lambda: {
                 "candidate": args.candidate,
-                **_membership_payload(sigma, h, args.tol),
+                **_checks_payload(sigma, {args.candidate: h}, args.tol)[args.candidate],
             },
         )
     elif command == "solve-re":

@@ -43,8 +43,12 @@ system none is. Lossless systems (a singular pencil) and Popov functions
 that vanish on the circle (circle eigenvalues) are not decided.
 :func:`extremal` pairs nothing: one ordered
 QZ decomposition gives the minimal solution of every regular pencil, and
-the eigenvalues for the Schur-class test. Both import ``scipy.linalg``
-inside, so that importing the package does not load it.
+the eigenvalues for the Schur-class test. Its answer is a fact of the
+realization, decided once and kept by it
+(:func:`riccati_kyp.systems._memo`): the solver reads it first, and tests
+a system for losslessness by its Stein equation only when it is None, since
+a lossless system has a singular pencil. Both functions import
+``scipy.linalg`` inside, so that importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linops import hermitian_part
-from .systems import SystemRealization
+from .systems import SystemRealization, _memo
 
 __all__ = ["CIRCLE_GAP", "equality_candidates", "extremal"]
 
@@ -190,6 +194,7 @@ def equality_candidates(
     return x, labels, 2**k
 
 
+@_memo
 def extremal(sigma: SystemRealization) -> tuple[np.ndarray, np.ndarray] | None:
     """``(herm(V2 V1^{-1}), lam)`` from the leading n Schur vectors of one
     ordered QZ decomposition, which span the deflating subspace of the
@@ -197,7 +202,9 @@ def extremal(sigma: SystemRealization) -> tuple[np.ndarray, np.ndarray] | None:
     finite eigenvalues; None when QZ fails or the pencil or V1 is singular.
     A transfer norm of 1 on the circle splits each double circle eigenvalue
     across it by roundoff, and the candidate, not validated here, is then
-    the minimal solution to about the square root of the working precision."""
+    the minimal solution to about the square root of the working precision.
+    Decided once per realization (:func:`riccati_kyp.systems._memo`), with
+    both arrays read-only."""
     import scipy.linalg
 
     n = sigma.state_dim
@@ -213,4 +220,6 @@ def extremal(sigma: SystemRealization) -> tuple[np.ndarray, np.ndarray] | None:
     if x is None:
         return None
     finite = rel[1] > PENCIL_TOL * rel[0]
-    return x, alpha[finite] / beta[finite]
+    lam = alpha[finite] / beta[finite]
+    x.flags.writeable = lam.flags.writeable = False
+    return x, lam

@@ -16,10 +16,13 @@ whose KYP LMI is the original one with zero rows and columns removed.
   call validates them. On a non-minimal system a selection whose V1 is
   singular stands for a solution that is infinite on an uncontrollable
   direction, and is dropped.
-* A minimal lossless system (inner or co-inner), whose pencil is singular,
-  goes to the Stein equation ``X = A* X A + C* C`` of the system or of its
-  adjoint (see :func:`_lossless_solution`): its inequality set is one point,
-  and the set holds that point when it passes membership.
+* A minimal system whose ordered QZ (:func:`riccati_kyp.pencil.extremal`)
+  gives no candidate is tested for losslessness, as
+  :func:`minimal_solution` tests it: a lossless system (inner or co-inner)
+  has a singular pencil, so only such a system can be one. Its Stein
+  equation ``X = A* X A + C* C``, or its adjoint's, decides (see
+  :func:`_lossless_solution`): its inequality set is one point, and the
+  set holds that point when it passes membership.
 * Any other system (a Popov function that vanishes on the circle, a
   singular pencil that is not lossless, a non-minimal system whose pencil
   does not decide) gets the extremal pair: the ordered-QZ minimal solution
@@ -29,11 +32,14 @@ whose KYP LMI is the original one with zero rows and columns removed.
 Every set is ordered deterministically and records its ``route``. It is
 labelled ``complete`` only when the system is minimal, the route is the
 pencil or the Stein equation, which are exhaustive, and every candidate
-passed. Minimality is a fact of the realization, decided once by it (see
-:func:`riccati_kyp.systems.is_minimal`) and read by the kernel too; so are
-its adjoint (:func:`riccati_kyp.systems.adjoint`), its reduction without
-constant isometric channels and the outcome of its Stein tests, which this
-module keeps with the realization (:func:`riccati_kyp.systems._kept`).
+passed. Every fact of a realization is decided once and kept by it
+(:func:`riccati_kyp.systems._memo`): its minimality
+(:func:`riccati_kyp.systems.is_minimal`), which the kernel reads too, its
+adjoint (:func:`riccati_kyp.systems.adjoint`), its ordered-QZ candidate,
+and here its reduction without constant isometric channels
+(:func:`_without_unit_channels`) and its Stein test
+(:func:`_inner_solution`), so a system and its adjoint solve one Stein
+equation each.
 
 Loops over candidates go through the stacked membership kernel of
 :mod:`riccati_kyp.riccati` with one call per batch: the candidates of a
@@ -123,7 +129,7 @@ from .pencil import CIRCLE_GAP, equality_candidates, extremal
 from .systems import (
     SystemRealization,
     _gram_eigs,
-    _kept,
+    _memo,
     _pole_angle,
     _transfer_grid,
     adjoint,
@@ -536,7 +542,10 @@ def solve_re(
             exhaustive=minimal and len(stack) == selections,
             digits=np.array([list(s) for s in labels]).reshape(len(labels), n) == "1",
         )
-    lossless = _lossless_solution(sigma) if minimal else None
+    # a lossless system has a singular pencil, so ordered QZ gives it no
+    # candidate; the Stein equations are solved only then, as
+    # minimal_solution solves them
+    lossless = _lossless_solution(sigma) if minimal and extremal(sigma) is None else None
     if lossless is not None:
         kind, h, _, _ = lossless
         return _validated_set(
@@ -631,11 +640,12 @@ def _extremal_set(sigma: SystemRealization, cfg: SolverConfig) -> SolutionSet:
     return _validated_set(sigma, cfg, stack, labels, "extremal", exhaustive=False)
 
 
+@_memo
 def _without_unit_channels(sigma: SystemRealization) -> SystemRealization:
     """``sigma`` without its constant isometric channels, or ``sigma`` when
-    it has none, decided once per realization (see
-    :func:`~riccati_kyp.systems._kept`). When every input is one, the result
-    has no inputs, and its equality is the Stein equation ``alpha(H) = 0``.
+    it has none, decided once per realization. When every input is one, the
+    result has no inputs, and its equality is the Stein equation
+    ``alpha(H) = 0``.
 
     A channel is an input direction u in the kernel of ``[B; I - D* D;
     C* D]`` (singular values cut at ``RANK_TOL * max(1, s_max)``), which T
@@ -644,11 +654,6 @@ def _without_unit_channels(sigma: SystemRealization) -> SystemRealization:
     has ``alpha(H)``, ``V* beta(H)`` and ``V* delta(H) V``, as ``beta(H) u``
     and ``delta(H) u`` vanish: its KYP LMI is that of ``sigma`` without zero
     rows and columns, with the same solution sets and minimality."""
-    return _kept(sigma, "without unit channels", _unit_channels_dropped)
-
-
-def _unit_channels_dropped(sigma: SystemRealization) -> SystemRealization:
-    """:func:`_without_unit_channels`, decided."""
     b, c, d = sigma.b, sigma.c, sigma.d
     m = sigma.input_dim
     _, s, vh = np.linalg.svd(np.vstack([b, np.eye(m) - d.conj().T @ d, c.conj().T @ d]))
@@ -675,48 +680,54 @@ def _lossless_solution(
     lossless system, else None: the kind, the one inequality member, and the
     system whose Stein equation was solved with its solution.
 
-    X solves the Stein equation ``X = A* X A + C* C``. The system is inner
-    when ``beta(X) = D* C + B* X A`` and ``delta(X) = I - D* D - B* X B``
-    vanish; then alpha(X) vanishes too, the KYP LMI is zero at X, and X is
-    the one inequality member (Arlinskii 2008). Otherwise the same test runs
-    on the adjoint, whose Stein solution is ``W = A W A* + B B*``: the system
-    is co-inner when ``C W A* + D B* = 0`` and ``C W C* + D D* = I``, and
-    then its one inequality member is ``W^-1``. Each identity holds when its
-    residual is within ``EQUALITY_TOL`` of zero relative to ``max(1, ||X||)``.
-    Both Stein equations are solved by
-    ``scipy.linalg.solve_discrete_lyapunov``; a lossless system has a
-    singular pencil, so :func:`~riccati_kyp.pencil.extremal` leaves it here.
-    A pole on the circle (:func:`~riccati_kyp.systems._pole_angle`) gives
-    None before any solve: an eigenvalue lambda of A with lambda lambda* = 1
-    makes both Stein equations singular. The answer is decided once per
-    realization (see :func:`~riccati_kyp.systems._kept`), and the co-inner
-    test runs on the one adjoint that :func:`~riccati_kyp.systems.adjoint`
-    keeps.
+    The system is inner when :func:`_inner_solution` finds it so, with X its
+    Stein solution, and X is then the one inequality member (Arlinskii
+    2008). Otherwise it is co-inner when its adjoint is inner, with Stein
+    solution ``W = A W A* + B B*``, and then its one inequality member is
+    ``W^-1``. A lossless system has a singular pencil, so
+    :func:`~riccati_kyp.pencil.extremal` leaves it here. Each realization
+    solves its own Stein equation once, and the co-inner test reads the one
+    adjoint that :func:`~riccati_kyp.systems.adjoint` keeps, so a system and
+    its adjoint solve two Stein equations between them.
     """
-    return _kept(sigma, "lossless", _stein_solution)
+    x = _inner_solution(sigma)
+    if x is not None:
+        return "inner", x, sigma, x
+    adj = adjoint(sigma)
+    w = _inner_solution(adj)
+    if w is not None:
+        return "co-inner", _hermitian_inverse(w), adj, w
+    return None
 
 
-def _stein_solution(
-    sigma: SystemRealization,
-) -> tuple[str, np.ndarray, SystemRealization, np.ndarray] | None:
-    """:func:`_lossless_solution`, decided."""
+@_memo
+def _inner_solution(sigma: SystemRealization) -> np.ndarray | None:
+    """The read-only solution X of the Stein equation ``X = A* X A + C* C``
+    when ``sigma`` is inner, else None; decided once per realization.
+
+    ``sigma`` is inner when ``beta(X) = D* C + B* X A`` and ``delta(X) = I -
+    D* D - B* X B`` vanish; then alpha(X) vanishes too and the KYP LMI is
+    zero at X. Each identity holds when its residual is within
+    ``EQUALITY_TOL`` of zero relative to ``max(1, ||X||)``. The equation is
+    solved by ``scipy.linalg.solve_discrete_lyapunov``. A pole on the circle
+    (:func:`~riccati_kyp.systems._pole_angle`) gives None before the solve:
+    an eigenvalue lambda of A with lambda lambda* = 1 makes the equation
+    singular."""
     import scipy.linalg
 
     if _pole_angle(sigma) is not None:
         return None
-    for kind, system in (("inner", sigma), ("co-inner", adjoint(sigma))):
-        a, c = system.a, system.c
-        try:
-            x = hermitian_part(
-                scipy.linalg.solve_discrete_lyapunov(a.conj().T, c.conj().T @ c)
-            )
-        except np.linalg.LinAlgError:  # lambda mu* = 1 for eigenvalues off the circle
-            return None
-        _, beta, delta = _residual_ops(system, x)
-        bound = EQUALITY_TOL * max(1.0, spectral_norm(x))
-        if max(spectral_norm(beta), spectral_norm(delta)) <= bound:
-            return kind, x if kind == "inner" else _hermitian_inverse(x), system, x
-    return None
+    a, c = sigma.a, sigma.c
+    try:
+        x = hermitian_part(scipy.linalg.solve_discrete_lyapunov(a.conj().T, c.conj().T @ c))
+    except np.linalg.LinAlgError:  # lambda mu* = 1 for eigenvalues off the circle
+        return None
+    _, beta, delta = _residual_ops(sigma, x)
+    bound = EQUALITY_TOL * max(1.0, spectral_norm(x))
+    if max(spectral_norm(beta), spectral_norm(delta)) > bound:
+        return None
+    x.flags.writeable = False
+    return x
 
 
 def _require_schur(sigma: SystemRealization, lam: np.ndarray) -> None:

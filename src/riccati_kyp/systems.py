@@ -12,13 +12,14 @@ the transfer-function norm over a sub-disc, the adjoint system, trajectory
 simulation and per-step dissipation margins.
 
 A :class:`SystemRealization` is an immutable value with read-only copies of
-its matrices. It decides its :class:`MinimalityReport` and the complex Schur
-form of A with ``||A||`` once, on first read; every transfer grid reads that
-Schur form, and its diagonal gives the eigenvalues of A, which decide every
-pole test (:func:`_pole_angle`). Its adjoint is built once too
-(:func:`adjoint`), with the realization itself as the adjoint's adjoint, and
-other modules keep what they decide about a realization with it through
-:func:`_kept`.
+its matrices. What is decided about it is decided once: a decider wrapped in
+:func:`_memo` keeps its result on the realization, keyed by the decider, and
+every later call reads it back. This module's deciders are
+:func:`is_minimal`, the complex Schur form of A with ``||A||``
+(:func:`_schur_form`), which every transfer grid reads and whose diagonal
+gives the eigenvalues of A that decide every pole test (:func:`_pole_angle`),
+and :func:`adjoint`, whose adjoint is the realization itself; the solver and
+the pencil keep theirs the same way.
 
 Every transfer-function evaluation, at one point or on a grid of the disc or
 the circle, goes through one kernel, :func:`_transfer_grid`. It proves every
@@ -38,7 +39,7 @@ when that matrix is 1 x 1 or 2 x 2 and from LAPACK otherwise.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,13 +75,15 @@ class SystemRealization:
 
     Shapes: A is n x n, B is n x m, C is p x n, D is p x m. Scalars and
     one-dimensional arrays are promoted to matrices and stored as read-only
-    complex copies.
+    complex copies. ``_facts`` holds what the deciders of :func:`_memo` have
+    decided about the realization.
     """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     d: np.ndarray
+    _facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
@@ -120,33 +123,29 @@ class SystemRealization:
     def output_dim(self) -> int:
         return self.c.shape[0]
 
-    @functools.cached_property
-    def minimality(self) -> MinimalityReport:
-        """The realization's :class:`MinimalityReport`, decided once."""
-        return _minimality(self)
 
-    @functools.cached_property
-    def schur(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """``(||A||, T, Q)`` for the complex Schur form ``A = Q T Q*``, with
-        T and Q read-only: what :func:`_transfer_grid` reads of the state
-        operator, and, on the diagonal of T, the eigenvalues of A."""
-        return _state_schur(self)
+def _memo(decide=None, *, involution: bool = False):
+    """Decorator that keeps ``decide(sigma)`` on the realization ``sigma``,
+    keyed by the decorated function: ``decide`` runs on the first call for
+    ``sigma`` and never again for it, and every call returns the kept
+    result. With ``involution`` the result is a realization that keeps
+    ``sigma`` as its own result, so that ``f(f(sigma)) is sigma``. The
+    decorated function reaches ``decide`` as its ``__wrapped__`` on each
+    decision, and only then."""
+    if decide is None:
+        return functools.partial(_memo, involution=involution)
 
-    @functools.cached_property
-    def _facts(self) -> dict:
-        """What other modules decided about the realization, by name; see
-        :func:`_kept`."""
-        return {}
+    @functools.wraps(decide)
+    def kept(sigma):
+        try:
+            return sigma._facts[kept]
+        except KeyError:
+            fact = sigma._facts[kept] = kept.__wrapped__(sigma)
+            if involution:
+                fact._facts[kept] = sigma
+            return fact
 
-
-def _kept(sigma: SystemRealization, name: str, fact):
-    """``fact(sigma)``, decided on the first call for ``sigma`` under
-    ``name`` and kept by the realization, as it keeps its minimality and
-    Schur form; ``fact`` is not called again for ``sigma``."""
-    facts = sigma._facts
-    if name not in facts:
-        facts[name] = fact(sigma)
-    return facts[name]
+    return kept
 
 
 def system_matrix(sigma: SystemRealization) -> np.ndarray:
@@ -163,8 +162,11 @@ class TransferSample:
     norm: float
 
 
-def _state_schur(sigma: SystemRealization) -> tuple[float, np.ndarray, np.ndarray]:
-    """:attr:`SystemRealization.schur`, computed."""
+@_memo
+def _schur_form(sigma: SystemRealization) -> tuple[float, np.ndarray, np.ndarray]:
+    """``(||A||, T, Q)`` for the complex Schur form ``A = Q T Q*``, with T
+    and Q read-only: what :func:`_transfer_grid` reads of the state
+    operator, and, on the diagonal of T, the eigenvalues of A."""
     import scipy.linalg
 
     t, q = scipy.linalg.schur(sigma.a, output="complex")
@@ -178,7 +180,7 @@ def _pole_angle(sigma: SystemRealization, disc: bool = False) -> float | None:
     disc widened by ``POLE_TOL``; None when there is none. The eigenvalues
     mu of A are read off the diagonal of the Schur form ``sigma`` keeps, and
     of several such poles the one of largest ``|mu|`` is named."""
-    mu = np.diagonal(sigma.schur[1])
+    mu = np.diagonal(_schur_form(sigma)[1])
     with np.errstate(divide="ignore"):
         gap = 1.0 / np.abs(mu) - 1.0  # inf at mu = 0, which is no pole
     hits = gap < POLE_TOL if disc else np.abs(gap) < POLE_TOL
@@ -195,7 +197,7 @@ def _transfer_grid(
 ) -> np.ndarray:
     """Transfer values ``D + lam C (I - lam A)^{-1} B`` on a 1-D array of
     points, as a (k, p, m) stack, from the Schur form and norm of A that
-    ``sigma`` holds (:attr:`SystemRealization.schur`).
+    ``sigma`` keeps (:func:`_schur_form`).
 
     A resolvent is numerically singular when its smallest singular value is
     at most ``SINGULAR_TOL`` times its largest; the first such point k raises
@@ -230,7 +232,7 @@ def _transfer_grid(
     solves of each resolvent do.
     """
     n = sigma.state_dim
-    norm_a, t, q = sigma.schur
+    norm_a, t, q = _schur_form(sigma)
     bound = float(np.abs(lams).max()) * norm_a
     if not 1.0 - bound >= 2.0 * SINGULAR_TOL * (1.0 + bound):
         unproved = np.flatnonzero(~_screened(t, lams, bound))
@@ -392,15 +394,10 @@ class MinimalityReport:
         return self.minimal
 
 
+@_memo
 def is_minimal(sigma: SystemRealization) -> MinimalityReport:
     """True iff the controllable subspace is the whole state space and the
-    unobservable subspace is trivial: the report ``sigma`` keeps from its
-    first read (:attr:`SystemRealization.minimality`)."""
-    return sigma.minimality
-
-
-def _minimality(sigma: SystemRealization) -> MinimalityReport:
-    """:attr:`SystemRealization.minimality`, decided."""
+    unobservable subspace is trivial, decided once per realization."""
     cdim = controllable_subspace(sigma).shape[1]
     udim = unobservable_subspace(sigma).shape[1]
     return MinimalityReport(
@@ -411,24 +408,18 @@ def _minimality(sigma: SystemRealization) -> MinimalityReport:
     )
 
 
+@_memo(involution=True)
 def adjoint(sigma: SystemRealization) -> SystemRealization:
     """The adjoint system (A*, C*, B*, D*) with input and output spaces
     swapped, built once per realization: every call on ``sigma`` returns the
-    same realization, which keeps its own facts (minimality, Schur form and
-    what :func:`_kept` holds), and ``adjoint(adjoint(sigma)) is sigma``."""
-    return _kept(sigma, "adjoint", _adjoint_of)
-
-
-def _adjoint_of(sigma: SystemRealization) -> SystemRealization:
-    """:func:`adjoint`, built, with ``sigma`` kept as its adjoint."""
-    adj = SystemRealization(
+    same realization, which keeps its own facts, and ``adjoint(adjoint(sigma))
+    is sigma``."""
+    return SystemRealization(
         a=sigma.a.conj().T,
         b=sigma.c.conj().T,
         c=sigma.b.conj().T,
         d=sigma.d.conj().T,
     )
-    adj._facts["adjoint"] = sigma
-    return adj
 
 
 @dataclass
@@ -472,7 +463,7 @@ def schur_class_margin(
     the sampled points. Grid points with a numerically singular resolvent
     abort with SingularResolvent carrying the offending point; skipping them
     silently could mask norm blow-up near a pole. The grid reads the Schur
-    form that ``sigma`` keeps.
+    form that ``sigma`` keeps (:func:`_schur_form`).
     """
     if not 0.0 < radius < 1.0:
         raise ValueError("radius must lie strictly between 0 and 1")

@@ -1,6 +1,7 @@
 """Shared fixtures: the three worked example systems, random generators, an
-allpass-cascade builder for inner transfer functions, and the extremal
-solutions from scipy's discrete Riccati solver."""
+allpass-cascade builder for inner transfer functions, the extremal
+solutions from scipy's discrete Riccati solver, and a spy on the decisions
+behind a realization's kept facts."""
 
 from __future__ import annotations
 
@@ -38,6 +39,20 @@ def coisometry_system() -> SystemRealization:
     """One-state, two-input system whose block matrix is a co-isometry; its
     transfer function is co-inner but not inner."""
     return SystemRealization([[0.0]], [[1.0, 0.0]], [[1.0]], [[0.0, 0.0]])
+
+
+def decisions(monkeypatch, decider) -> list:
+    """The realizations that the memo of ``decider`` (a function wrapped by
+    ``riccati_kyp.systems._memo``) hands to the decider behind it from now
+    on: one entry per decision, none for a kept fact read back."""
+    decide, calls = decider.__wrapped__, []
+
+    def spy(sigma):
+        calls.append(sigma)
+        return decide(sigma)
+
+    monkeypatch.setattr(decider, "__wrapped__", spy)
+    return calls
 
 
 def two_state_re_solutions() -> list[np.ndarray]:

@@ -40,10 +40,12 @@ from riccati_kyp.cli import (
     parse_system,
     write_system,
 )
+from riccati_kyp import pencil as pencil_module
 from riccati_kyp import systems as systems_module
 from riccati_kyp.linops import _VERDICTS
 from conftest import (
     dare_extremes,
+    decisions,
     nonnormal_realization,
     random_realization,
     two_state_re_solutions,
@@ -614,30 +616,11 @@ def test_a_pole_on_the_circle_is_refused_without_a_singular_stein_solve(command,
     assert out.read_text(encoding="utf-8") == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
-def _count_calls(monkeypatch, module, name: str) -> list:
-    """Wrap ``module.name`` under every name of the package that refers to
-    it, and return the list that records the first argument of each call
-    (holding it, so that no two recorded objects share an id)."""
-    original, calls = getattr(module, name), []
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.startswith("riccati_kyp"):
-            for attr, obj in list(vars(mod).items()):
-                if obj is original:
-                    monkeypatch.setattr(mod, attr, counting)
-    return calls
-
-
 def test_each_command_decides_minimality_and_decomposes_a_once(monkeypatch, tmp_path):
-    # the private functions behind SystemRealization's cached facts: each
-    # realization object decides its minimality and takes its Schur form at
-    # most once, however many callers read them
-    minimality = _count_calls(monkeypatch, systems_module, "_minimality")
-    schur = _count_calls(monkeypatch, systems_module, "_state_schur")
+    # each realization object decides its minimality and takes its Schur
+    # form at most once, however many callers read them
+    minimality = decisions(monkeypatch, systems_module.is_minimal)
+    schur = decisions(monkeypatch, systems_module._schur_form)
     doc = _seeded_pencil_doc(tmp_path, 3)
     out = str(tmp_path / "report.json")
     runs = [("analyze", doc), ("solve-re", doc), ("report", TWO_STATE_DOC),
@@ -658,13 +641,15 @@ def test_report_decides_each_fact_once_per_realization(name, monkeypatch, tmp_pa
     # a report on an inner (blaschke3) or co-inner (coisometry) system reads
     # the system, its adjoint and their facts from every section; each
     # realization builds its adjoint, decides its minimality, takes its
-    # Schur form, looks for unit channels and runs the Stein tests once
+    # Schur form, looks for unit channels, runs ordered QZ and solves its
+    # Stein equation once
     spies = [
-        _count_calls(monkeypatch, systems_module, "_adjoint_of"),
-        _count_calls(monkeypatch, systems_module, "_minimality"),
-        _count_calls(monkeypatch, systems_module, "_state_schur"),
-        _count_calls(monkeypatch, solver_module, "_unit_channels_dropped"),
-        _count_calls(monkeypatch, solver_module, "_stein_solution"),
+        decisions(monkeypatch, systems_module.adjoint),
+        decisions(monkeypatch, systems_module.is_minimal),
+        decisions(monkeypatch, systems_module._schur_form),
+        decisions(monkeypatch, solver_module._without_unit_channels),
+        decisions(monkeypatch, pencil_module.extremal),
+        decisions(monkeypatch, solver_module._inner_solution),
     ]
     out = str(tmp_path / "report.json")
     path = str(GOLDEN_DOCS / f"{name}.json")
@@ -673,6 +658,53 @@ def test_report_decides_each_fact_once_per_realization(name, monkeypatch, tmp_pa
     for calls in spies:
         assert calls and len(calls) == len({id(sigma) for sigma in calls})
     assert len(spies[0]) == 1  # the adjoint's adjoint is the system
+
+
+def _lyapunov_solves(monkeypatch) -> list:
+    """Record each ``scipy.linalg.solve_discrete_lyapunov`` call."""
+    import scipy.linalg
+
+    real, calls = scipy.linalg.solve_discrete_lyapunov, []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "solve_discrete_lyapunov", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, solves", [("coisometry", 2), ("blaschke3", 2), ("near_nonpassive", 0),
+                     ("nonnormal_n3", 0)],
+)
+def test_report_solves_each_stein_equation_once(name, solves, monkeypatch, tmp_path):
+    # a system and its adjoint solve one Stein equation each, only when
+    # ordered QZ gives no candidate: the co-inner system solves its own and
+    # its adjoint's (whose inner test the uniqueness certificate and the
+    # co-inner test share), the inner one the same two (its adjoint's for
+    # the maximal solution), and the two systems with a regular pencil none
+    calls = _lyapunov_solves(monkeypatch)
+    out = str(tmp_path / "report.json")
+    path = str(GOLDEN_DOCS / f"{name}.json")
+    main(["report", "--system", path, "--seed", "301", "--no-timings", "--out", out])
+    assert len(calls) == solves
+
+
+@pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
+@pytest.mark.parametrize("command", ["report", "solve-re"])
+def test_a_regular_pencil_is_refused_without_a_stein_solve(command, monkeypatch, tmp_path):
+    # ||A|| = 1e5 makes both Stein equations of nonnormal_n3 ill-conditioned;
+    # its ordered QZ gives a candidate, so the Schur-class test refuses the
+    # system before any Stein solve, and no LinAlgWarning is raised
+    calls = _lyapunov_solves(monkeypatch)
+    out = tmp_path / "report.json"
+    code = main([command, "--system", str(GOLDEN_DOCS / "nonnormal_n3.json"),
+                 "--seed", "301", "--no-timings", "--out", str(out)])
+    assert code == 18 and calls == []
+    message = "transfer-function norm 4.166756 > 1 at angle 0.000000; no inequality member can exist"
+    want = {"error": {"category": "NotSchurClass", "exit_code": 18, "message": message}}
+    assert out.read_text(encoding="utf-8") == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
 def _candidates_doc(tmp_path, candidates: dict) -> str:

@@ -30,10 +30,12 @@ from riccati_kyp.systems import (
     SINGULAR_TOL,
     _disc_points,
     _gram_eigs,
+    _schur_form,
     _screened,
     _transfer_grid,
 )
 from conftest import (
+    decisions,
     exact_transfer,
     grid_error,
     grid_error_bound,
@@ -64,15 +66,19 @@ class TestImmutableRealization:
         for kept, mat in zip(before, (sigma.a, sigma.b, sigma.c, sigma.d)):
             assert np.array_equal(mat, kept)
 
-    def test_minimality_report_is_decided_once_and_frozen(self, two_state_system):
-        report = is_minimal(two_state_system)
-        assert is_minimal(two_state_system) is report
+    def test_minimality_report_is_decided_once_and_frozen(self, monkeypatch):
+        # the memo reaches the decider only on the first call for a
+        # realization, and every call returns the one frozen report
+        sigma = random_realization(np.random.default_rng(24), 3, 2, 1)
+        decided = decisions(monkeypatch, is_minimal)
+        report = is_minimal(sigma)
+        assert is_minimal(sigma) is report and decided == [sigma]
         with pytest.raises(dataclasses.FrozenInstanceError):
             report.minimal = False
 
     def test_schur_form_is_read_only(self, two_state_system):
-        norm_a, t, q = two_state_system.schur
-        assert two_state_system.schur[1] is t
+        norm_a, t, q = _schur_form(two_state_system)
+        assert _schur_form(two_state_system)[1] is t
         assert not t.flags.writeable and not q.flags.writeable
         assert np.allclose(q @ t @ q.conj().T, two_state_system.a, atol=1e-15)
         assert norm_a == spectral_norm(two_state_system.a)
@@ -212,14 +218,16 @@ class TestAdjoint:
                         (sigma.a, sigma.b, sigma.c, sigma.d)):
             assert np.allclose(x, y)
 
-    def test_built_once_and_linked_back(self):
+    def test_built_once_and_linked_back(self, monkeypatch):
         # the adjoint is one realization with its own facts, whose adjoint
-        # is the realization it came from
+        # is the realization it came from, without a second build
         sigma = random_realization(np.random.default_rng(23), 3, 2, 1)
+        built = decisions(monkeypatch, adjoint)
         adj = adjoint(sigma)
         assert adjoint(sigma) is adj and adjoint(adj) is sigma
-        assert adjoint(sigma).minimality is adj.minimality
-        assert adjoint(sigma).schur is adj.schur
+        assert built == [sigma]
+        assert is_minimal(adjoint(sigma)) is is_minimal(adj)
+        assert _schur_form(adjoint(sigma)) is _schur_form(adj)
 
     def test_transfer_conjugation_identity(self):
         rng = np.random.default_rng(22)
@@ -292,7 +300,7 @@ def test_the_nonnormal_golden_system_takes_both_branches_of_the_screen():
     # circle and disc grids but not all, and the singular-value test finds
     # none of the rest singular
     sigma = nonnormal_realization(5)
-    norm_a, t, _ = sigma.schur
+    norm_a, t, _ = _schur_form(sigma)
     circle = np.exp(2j * np.pi * np.arange(4096) / 4096)
     for lams in (circle, _disc_points(48, 0.999)):
         proved = int(_screened(t, lams, float(np.abs(lams).max()) * norm_a).sum())
