@@ -53,7 +53,13 @@ import numpy as np
 from . import errors as err
 from .boundary import circle_profile, is_coinner, is_inner, uniqueness_certificate
 from .riccati import membership
-from .solver import SolverConfig, _duality, maximal_solution, minimal_solution, solve_re
+from .solver import (
+    SolverConfig,
+    duality_check,
+    maximal_solution,
+    minimal_solution,
+    solve_re,
+)
 from .systems import (
     SystemRealization,
     dissipation_check,
@@ -377,7 +383,9 @@ def _extremes_payload(sigma, config, re_set=None) -> dict:
     return {
         "minimal": h_min.matrix,
         "maximal": h_max.matrix,
-        "duality": _duality(sigma, config, (h_min, h_max), re_set),
+        "duality": duality_check(
+            sigma, config, extremes=(h_min, h_max), equality_set=re_set
+        ),
     }
 
 

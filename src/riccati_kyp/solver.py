@@ -63,13 +63,15 @@ Inequality members are sampled by hit-and-run over the KYP LMI
 the feasible chord along a direction is read off one small eigenvalue
 problem and no candidate is rejected (see :func:`sample_ri_members`). The
 chain needs a point with L(H) positive definite: the anchors' mean when it
-is one, and otherwise the phase-I point of a barrier Newton iteration. When
-the LMI has no such point (the transfer function reaches norm 1 on the
-circle, as for inner and co-inner systems), the samples are copies of the
-anchors' mean. Each move of the chain reuses the eigendecomposition that
-gave its chord to factor the next point (see :func:`_chord_step`). The
-duality check takes the copies at once when its extremal pair is
-Loewner-equal, since RI, which lies between the pair, is then one point.
+is one, and otherwise the ordered-QZ solution of a strictly passive
+neighbour of the system, or its midpoint with the mean (see
+:func:`_interior_point`). When the LMI has no such point (the transfer
+function reaches norm 1 on the circle, as for inner and co-inner systems),
+the samples are copies of the anchors' mean. Each move of the chain reuses
+the eigendecomposition that gave its chord to factor the next point (see
+:func:`_chord_step`). The duality check takes the copies at once when its
+extremal pair is Loewner-equal, since RI, which lies between the pair, is
+then one point.
 
 The minimal storage operator, also taken without the constant isometric
 channels, comes from one of two exact O(n**3) routes:
@@ -81,10 +83,10 @@ its closed loop ``A + B pinv(delta) beta`` must have spectral radius at
 most ``1 + EQUALITY_TOL``; sampling plays no part in it. The maximal one is
 the inverse of the adjoint system's minimal one. :func:`duality_check` runs
 the inversion checks on samples anchored at the extremal pair and on both
-equality sets, an independent cross-check. Its work is :func:`_duality`,
-which takes the pair, and optionally the system's equality set, from a
-caller that already has them, so a CLI command computes each equality set
-and certifies each minimal solution once.
+equality sets, an independent cross-check. It takes the pair, and the
+system's equality set, from a caller that already has them, so a CLI
+command computes each equality set and certifies each minimal solution
+once.
 """
 
 from __future__ import annotations
@@ -154,7 +156,6 @@ __all__ = [
 MAX_DIM = 6  # largest state dimension solve_re accepts
 ORDER_TOL = 1e-9  # relative Loewner tolerance of a set's order
 EQUALITY_TOL = 1e-8  # equality tolerance of membership tests on solver output
-PHASE_ONE_STEPS = 200  # sampler: phase-I Newton steps before the LMI counts as thin
 
 
 @dataclass
@@ -228,7 +229,7 @@ def re_residual_norm(sigma: SystemRealization, h) -> float:
     return spectral_norm(_surplus(alpha, beta, *np.linalg.eigh(delta)))
 
 
-# -- Hermitian coordinates ----------------------------------------------------
+# -- pair indices -------------------------------------------------------------
 
 
 @functools.cache
@@ -237,39 +238,6 @@ def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
     iu, ju = np.triu_indices(n, 1)
     iu.flags.writeable = ju.flags.writeable = False
     return iu, ju
-
-
-def _herm_pack(m: np.ndarray) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix, or of each on a stack: the
-    diagonal, then (re, im) of the upper triangle row by row."""
-    n = m.shape[-1]
-    iu, ju = _upper(n)
-    upper = m[..., iu, ju]
-    out = np.empty(m.shape[:-2] + (n * n,))
-    out[..., :n] = np.diagonal(m, axis1=-2, axis2=-1).real
-    out[..., n::2] = upper.real
-    out[..., n + 1::2] = upper.imag
-    return out
-
-
-def _herm_unpack(vec: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`_herm_pack`."""
-    iu, ju = _upper(n)
-    re, im = vec[..., n::2], vec[..., n + 1::2]
-    m = np.zeros(vec.shape[:-1] + (n, n), dtype=complex)
-    m[..., range(n), range(n)] = vec[..., :n]
-    m[..., iu, ju] = re + 1j * im
-    m[..., ju, iu] = re - 1j * im
-    return m
-
-
-@functools.cache
-def _unit_directions(n: int) -> np.ndarray:
-    """Read-only stack of the unit Hermitian directions, in packed order: the
-    rows of the identity, unpacked."""
-    e = _herm_unpack(np.eye(n * n), n)
-    e.flags.writeable = False
-    return e
 
 
 # -- sampling -----------------------------------------------------------------
@@ -283,56 +251,51 @@ def _lmi_linear(sigma: SystemRealization, e: np.ndarray) -> np.ndarray:
     return _lmi(e - a.conj().T @ ea, b.conj().T @ ea, -(b.conj().T @ e @ b))
 
 
-def _phase_one(sigma: SystemRealization, center: np.ndarray, tol: float):
-    """A point whose LMI margin exceeds the membership band
-    ``tol * max(1, ||L(center)||)``, found from ``center``, or None when the
-    LMI has no such point.
+def _clears_band(sigma: SystemRealization, h: np.ndarray, tol: float) -> bool:
+    """Whether ``h`` is finite and its LMI margin exceeds the membership
+    band ``tol * max(1, ||L(h)||)``."""
+    if not np.isfinite(h).all():
+        return False
+    low, norm = _least_and_norm(_lmi(*_residual_ops(sigma, h)))
+    return bool(low > tol * max(1.0, float(norm)))
 
-    ``center`` itself is returned when its margin exceeds the band.
-    Otherwise damped Newton runs on the barrier ``-t s - log det(L(H) - s I)``
-    over (H, s), with the gradient and Hessian taken as one batched map over
-    the unit H directions and s, and ``t`` grows tenfold at each centred
-    iterate (Boyd, El Ghaoui, Feron & Balakrishnan, *LMIs in System and
-    Control Theory*, 1994, sec. 2.4). The first iterate with ``s`` above the
-    band whose ``L(H) - s I`` has a Cholesky factor is returned. None means
-    the central path came within the band of the optimum with ``s`` still
-    below it, so no point clears twice the band, or that an LMI too
-    ill-conditioned for double precision sent an iterate out of the
-    feasible set.
-    """
-    n, size = sigma.state_dim, sigma.state_dim + sigma.input_dim
-    low, norm = map(float, _least_and_norm(_lmi(*_residual_ops(sigma, center))))
-    band = tol * max(1.0, norm)
-    if low > band:
+
+def _interior_point(
+    sigma: SystemRealization, center: np.ndarray, tol: float
+) -> np.ndarray | None:
+    """A point that clears its membership band (:func:`_clears_band`), or
+    None when none is found.
+
+    ``center``, a member of RI, is returned when it clears the band.
+    Otherwise, for eps = 1, 1/4, 1/16, ... down to ``tol``, the least band,
+    the neighbour ``(A, B, [C; sqrt(eps) I], [D; 0])`` gives its ordered-QZ
+    candidate H_eps (:func:`riccati_kyp.pencil.extremal`), and the midpoint
+    of H_eps and ``center``, or else H_eps itself, is returned once one of
+    them clears the band. Since ``L(H) = L_eps(H) + diag(eps I, 0)``, the
+    stabilizing solution of a strictly Schur-class neighbour, whose delta is
+    positive definite, lies strictly inside RI (de Souza & Xie, *Systems &
+    Control Letters* 18, 1992), and so does its midpoint with a member, by
+    convexity. A too-large eps, for which the neighbour is not in the Schur
+    class, gives a candidate that fails the test, and eps shrinks. None
+    means that no neighbour gave such a point: the LMI has an empty
+    interior, or is too ill-conditioned for the band."""
+    if _clears_band(sigma, center, tol):
         return center
-    e = _unit_directions(n)
-    eye = np.eye(size)
-    dirs = np.concatenate([_lmi_linear(sigma, e), -eye[None]])
-    # a margin is at most 1 (delta(H) <= I for H >= 0), so s starts one unit
-    # below the centre's margin and t at the barrier's degree n + m
-    x = np.append(_herm_pack(center), low - 1.0)
-    weight = float(size)
-    for _ in range(PHASE_ONE_STEPS):
-        h = _herm_unpack(x[:-1], n)
-        try:
-            c_inv = np.linalg.inv(
-                np.linalg.cholesky(_lmi(*_residual_ops(sigma, h)) - x[-1] * eye)
-            )
-        except np.linalg.LinAlgError:
-            return None  # roundoff took the iterate out of the feasible set
-        if x[-1] > band:
-            return h
-        g = c_inv @ dirs @ c_inv.conj().T
-        flat = g.reshape(len(dirs), -1)
-        grad = -np.trace(g, axis1=1, axis2=2).real
-        grad[-1] -= weight
-        step = np.linalg.solve((flat @ flat.conj().T).real, -grad)
-        decrement = float(np.sqrt(max(-grad @ step, 0.0)))
-        x = x + step / (1.0 + decrement)
-        if decrement <= 0.25 and x[-1] <= band:  # centred: follow the path
-            if size / weight <= band:
-                return None
-            weight *= 10.0
+    n, m = sigma.state_dim, sigma.input_dim
+    eps = 1.0
+    while eps >= tol:
+        neighbour = SystemRealization(
+            sigma.a,
+            sigma.b,
+            np.vstack([sigma.c, np.sqrt(eps) * np.eye(n)]),
+            np.vstack([sigma.d, np.zeros((n, m))]),
+        )
+        found = extremal(neighbour)
+        if found is not None:
+            for point in (0.5 * (found[0] + center), found[0]):
+                if _clears_band(sigma, point, tol):
+                    return point
+        eps /= 4.0
     return None
 
 
@@ -354,26 +317,27 @@ def sample_ri_members(
     F*`` (the Cholesky factor at the start), and the chain moves to a uniform
     point of the chord; the eigenvectors that gave the chord also give the
     next point's factor, with no new Cholesky factor or inverse (see
-    :func:`_chord_step`). The chain starts at the anchors' mean when its LMI
-    margin exceeds the membership band ``tol * max(1, ||L||)``, and
-    otherwise at the phase-I point of :func:`_phase_one`. Each round draws
-    all its directions in one generator call and all its chord positions in
-    another, so a call runs one seeded chain, and validates its points by
-    one membership-kernel call: a point is kept when it is in RI with a
-    nonnegative LMI margin. The rare point that roundoff puts past a chord
-    end (some ``1 + t mu`` not positive, or a failed validation) is dropped
-    and drawn again by a further round; a round that keeps no point ends the
-    chain.
+    :func:`_chord_step`). The chain starts at the point of
+    :func:`_interior_point`: the anchors' mean when its LMI margin exceeds
+    the membership band ``tol * max(1, ||L||)``, and otherwise a point
+    inside RI taken from the ordered-QZ solution of a strictly passive
+    neighbour of ``sigma``. Each round draws all its directions in one
+    generator call and all its chord positions in another, so a call runs
+    one seeded chain, and validates its points by one membership-kernel
+    call: a point is kept when it is in RI with a nonnegative LMI margin.
+    The rare point that roundoff puts past a chord end (some ``1 + t mu``
+    not positive, or a failed validation) is dropped and drawn again by a
+    further round; a round that keeps no point ends the chain.
 
     When no point clears the band, the samples are copies of the anchors'
     mean, a member by convexity. This happens when the LMI has an empty
     interior, because the transfer function reaches norm 1 on the unit
     circle; for an inner or co-inner system RI is one point and every chord
     has length zero. It also happens when the band, which grows with
-    ||L||, is wider than any margin (cond(H) near 1e10), or when phase-I
-    fails in floating point. :func:`_duality`, which knows from the extremal
-    pair when RI is one point, takes these copies without running phase-I
-    (see :func:`_ri_samples`).
+    ||L||, is wider than any margin (cond(H) near 1e10).
+    :func:`duality_check`, which knows from the extremal pair when RI is one
+    point, takes these copies without searching for an interior point (see
+    :func:`_ri_samples`).
 
     Raises NotMinimal on a non-minimal realization, whose RI can be
     unbounded.
@@ -391,8 +355,8 @@ def _ri_samples(
 ) -> list[np.ndarray]:
     """:func:`sample_ri_members`; with ``one_point``, from a caller that
     knows RI to be one point, the checked anchors followed by copies of
-    their mean, which is what the chain gives when phase-I finds no
-    interior, and no phase-I is run."""
+    their mean, which is what the chain gives when :func:`_interior_point`
+    finds no interior point, and no search is run."""
     if not is_minimal(sigma):
         raise NotMinimal("sampling the inequality set requires a minimal system")
     good_anchors = []
@@ -410,7 +374,7 @@ def _ri_samples(
     if len(samples) >= count:
         return samples[:count]
     center = sum(good_anchors) / len(good_anchors)
-    h = None if one_point else _phase_one(sigma, center, tol)
+    h = None if one_point else _interior_point(sigma, center, tol)
     if h is None:
         return samples + [center.copy() for _ in range(count - len(samples))]
 
@@ -920,44 +884,36 @@ def _sets_match(f: np.ndarray, g: np.ndarray, tol: float) -> bool:
 
 
 def duality_check(
-    sigma: SystemRealization, config: SolverConfig | None = None
+    sigma: SystemRealization,
+    config: SolverConfig | None = None,
+    *,
+    extremes: tuple[StorageOperator, StorageOperator] | None = None,
+    equality_set: SolutionSet | None = None,
 ) -> DualityReport:
     """Verify inversion duality on samples and compare the equality sets.
 
-    For sampled inequality members H of the system, checks that H^{-1} is an
-    inequality member of the adjoint system with a minimal associated system.
-    Also computes both equality sets and reports whether inversion maps one
-    onto the other (it need not). The samples are anchored at the extremal
-    pair of :func:`minimal_solution` and :func:`maximal_solution`. The work
-    is that of :func:`_duality`, which a caller that already holds the pair,
-    or the system's equality set, calls with them.
-    """
-    cfg = config or SolverConfig()
-    if not is_minimal(sigma):
-        raise NotMinimal("the duality statements assume a minimal system")
-    extremes = minimal_solution(sigma, cfg), maximal_solution(sigma, cfg)
-    return _duality(sigma, cfg, extremes)
-
-
-def _duality(
-    sigma: SystemRealization,
-    cfg: SolverConfig,
-    extremes: tuple[StorageOperator, StorageOperator],
-    re_set: SolutionSet | None = None,
-) -> DualityReport:
-    """The checks of :func:`duality_check` on the minimal system ``sigma``,
-    given its extremal pair ``extremes`` = (minimal, maximal): the sampled
-    members anchored at the pair are inverted and tested for the adjoint,
-    and the adjoint's equality set is solved and compared with ``re_set``,
-    the system's own, which is solved here when None.
+    For sampled inequality members H of the minimal system ``sigma``, checks
+    that H^{-1} is an inequality member of the adjoint system with a minimal
+    associated system. Also solves both equality sets and reports whether
+    inversion maps one onto the other (it need not). The samples are
+    anchored at the extremal pair (minimal, maximal). A caller that already
+    holds the pair, or the system's own equality set, passes it as
+    ``extremes`` or ``equality_set``; otherwise :func:`minimal_solution`,
+    :func:`maximal_solution` and :func:`solve_re` compute them here.
 
     Every member H of RI has ``H_min <= H <= H_max`` (Arov, Kaashoek & Pik
     2006; Arlinskii 2008), so RI is one point exactly when the pair is
     Loewner-equal, tested as :func:`_extremal_set` tests it, at
     ``EQUALITY_TOL * max(1, ||H_max||)``. Then the samples are the checked
-    anchors and copies of their mean, with no phase-I search for an interior
+    anchors and copies of their mean, with no search for an interior point
     that does not exist (see :func:`_ri_samples`); any other pair goes to
-    :func:`sample_ri_members`."""
+    :func:`sample_ri_members`.
+    """
+    cfg = config or SolverConfig()
+    if not is_minimal(sigma):
+        raise NotMinimal("the duality statements assume a minimal system")
+    if extremes is None:
+        extremes = minimal_solution(sigma, cfg), maximal_solution(sigma, cfg)
     adj = adjoint(sigma)
     h_min, h_max = extremes
     anchors = [h_min.matrix, h_max.matrix]
@@ -981,7 +937,8 @@ def _duality(
                 raise verdict
             samples_ok.append(not isinstance(verdict, NotPD) and verdict.in_ri_circ)
 
-    own = solve_re(sigma, cfg) if re_set is None else re_set  # an empty set is falsy
+    # an empty set is falsy
+    own = solve_re(sigma, cfg) if equality_set is None else equality_set
     re_members, re_adjoint_members = (
         np.array([m.matrix for m in s.members], dtype=complex).reshape(-1, *sigma.a.shape)
         for s in (own, solve_re(adj, cfg))

@@ -922,9 +922,11 @@ class TestSharedWork:
     ):
         # a report solves the equality sets of the system and its adjoint
         # and certifies the minimal solution of each once; the uniqueness
-        # certificate runs neither, and the duality check is the one
-        # sampler run (_ri_samples, the work of sample_ri_members)
-        calls = dict.fromkeys(("solve_re", "_certified", "_ri_samples"), 0)
+        # certificate runs neither, and the one public duality_check, handed
+        # the extremal pair and the equality set, is the one sampler run
+        # (_ri_samples, the work of sample_ri_members)
+        names = ("solve_re", "_certified", "_ri_samples", "duality_check")
+        calls = dict.fromkeys(names, 0)
 
         def counted(name):
             real = getattr(solver_module, name)
@@ -937,8 +939,9 @@ class TestSharedWork:
 
         for name in calls:
             monkeypatch.setattr(solver_module, name, counted(name))
-        # the CLI's solve_re section calls its own imported name
-        monkeypatch.setattr(cli_module, "solve_re", solver_module.solve_re)
+        # the CLI calls its own imported names
+        for name in ("solve_re", "duality_check"):
+            monkeypatch.setattr(cli_module, name, getattr(solver_module, name))
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "report.json"
@@ -947,7 +950,7 @@ class TestSharedWork:
         report = json.loads(out.read_text())
         assert report["analyze"]["uniqueness"]["reason"] == reason
         assert report["solve_re"]["route"] == "lossless"
-        assert calls == {"solve_re": 2, "_certified": 2, "_ri_samples": 1}
+        assert calls == {"solve_re": 2, "_certified": 2, "_ri_samples": 1, "duality_check": 1}
 
     @pytest.mark.parametrize("swap", [False, True], ids=["c-short", "b-short"])
     def test_near_inner_delay_is_not_certified_unique(self, swap, tmp_path, monkeypatch, capsys):

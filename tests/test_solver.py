@@ -5,6 +5,7 @@ their deterministic certificates, inversion duality, ordering, and
 determinism."""
 
 import collections
+import math
 import warnings
 from pathlib import Path
 
@@ -50,8 +51,6 @@ from riccati_kyp.cli import parse_system
 from riccati_kyp.riccati import RANK_TOL, _lmi, _residual_ops
 from riccati_kyp.solver import (
     EQUALITY_TOL,
-    _herm_pack,
-    _herm_unpack,
     _solution_sort_key,
     _sorted_order,
     _without_unit_channels,
@@ -392,21 +391,34 @@ def test_pencil_set_holds_every_newton_solution(seed, n, m, p, norm):
 
 
 def _equality_limits(sigma, starts):
-    """The limits of ``scipy.optimize.root(method="lm")`` on the packed
-    equality residual ``alpha - beta* pinv(delta) beta`` (the DARE residual
-    where delta is invertible) from each start, those that converged: a
-    residual within 1e-10 of zero relative to ``1 + ||H||``."""
+    """The limits of ``scipy.optimize.root(method="lm")`` on the equality
+    residual ``alpha - beta* pinv(delta) beta`` (the DARE residual where
+    delta is invertible) in real Hermitian coordinates from each start,
+    those that converged: a residual within 1e-10 of zero relative to
+    ``1 + ||H||``. The coordinates of a Hermitian matrix are the real parts
+    of its upper triangle, diagonal included, then the imaginary parts of
+    its strict upper triangle."""
     n = sigma.state_dim
+    upper, strict = np.triu_indices(n), np.triu_indices(n, 1)
+
+    def pack(h):
+        return np.concatenate([h[upper].real, h[strict].imag])
+
+    def unpack(x):
+        h = np.zeros((n, n), dtype=complex)
+        h[upper] = x[: len(upper[0])]
+        h[strict] += 1j * x[len(upper[0]) :]
+        return h + np.triu(h, 1).conj().T
 
     def residual(x):
-        alpha, beta, delta = _residual_ops(sigma, _herm_unpack(x, n))
+        alpha, beta, delta = _residual_ops(sigma, unpack(x))
         pinv = _pinv_kept(*_eigh_kept(delta, RANK_TOL))
-        return _herm_pack(alpha - beta.conj().T @ pinv @ beta)
+        return pack(alpha - beta.conj().T @ pinv @ beta)
 
     limits = []
     for start in starts:
-        x = scipy.optimize.root(residual, _herm_pack(start), method="lm").x
-        h = _herm_unpack(x, n)
+        x = scipy.optimize.root(residual, pack(start), method="lm").x
+        h = unpack(x)
         if np.linalg.norm(residual(x)) <= 1e-10 * (1.0 + np.linalg.norm(h)):
             limits.append(h)
     return limits
@@ -654,20 +666,6 @@ def test_deflated_lmi_is_the_original_without_zero_rows(seed):
     assert spectral_norm(full[: n + m - 1, : n + m - 1] - kyp_lmi(deflated, h)) <= 1e-12
 
 
-@pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_aug_jacobian_matches_central_differences(n, m):
-    """The packed real coordinates of Hermitian matrices, which the
-    sampler's phase-I iteration works in, round-trip on a stack and agree
-    with the coordinates of each matrix taken alone."""
-    rng = np.random.default_rng(100 * n + m)
-    stack = np.stack([random_hermitian(rng, n) for _ in range(5)])
-    packed = _herm_pack(stack)
-    assert packed.shape == (5, n * n)
-    assert np.array_equal(packed[3], _herm_pack(stack[3]))
-    assert np.array_equal(_herm_unpack(packed, n), stack)
-
-
 class TestExtremalSolutions:
     def test_scalar_interval(self, scalar_interval_system):
         h_min = minimal_solution(scalar_interval_system)
@@ -858,16 +856,23 @@ def _bench_zoo(seed: int, max_dim: int = 2) -> list[SystemRealization]:
     order (n, then (m, p)): complex Gaussian realizations with the block
     matrix scaled to norm 0.9. The default gives its eight n <= 2 systems."""
     rng = np.random.default_rng([seed, 0])
-    systems = []
-    for n in range(1, max_dim + 1):
-        for m, p in ((1, 1), (1, 2), (2, 1), (2, 2)):
-            mats = [
-                (rng.standard_normal(s) + 1j * rng.standard_normal(s)) / np.sqrt(2.0 * n)
-                for s in ((n, n), (n, m), (p, n), (p, m))
-            ]
-            factor = 0.9 / spectral_norm(np.block([mats[:2], mats[2:]]))
-            systems.append(SystemRealization(*(factor * x for x in mats)))
-    return systems
+    return [
+        _zoo_draw(rng, n, m, p)
+        for n in range(1, max_dim + 1)
+        for m, p in ((1, 1), (1, 2), (2, 1), (2, 2))
+    ]
+
+
+def _zoo_draw(rng: np.random.Generator, n: int, m: int, p: int) -> SystemRealization:
+    """One draw of the benchmark's ``random_passive``, consuming ``rng`` as
+    it does: a complex Gaussian realization with the block matrix scaled to
+    norm 0.9."""
+    mats = [
+        (rng.standard_normal(s) + 1j * rng.standard_normal(s)) / np.sqrt(2.0 * n)
+        for s in ((n, n), (n, m), (p, n), (p, m))
+    ]
+    factor = 0.9 / spectral_norm(np.block([mats[:2], mats[2:]]))
+    return SystemRealization(*(factor * x for x in mats))
 
 
 @pytest.mark.parametrize("seed", [13, 21, 207, 209, 211])
@@ -1350,7 +1355,7 @@ def test_hit_and_run_samples_lie_in_ri(sigma, both, seed):
     anchors = [h_min, h_max] if both else [h_min]
     center = sum(anchors) / len(anchors)
     # the empty-interior branch never fires on strictly passive systems
-    assert solver_module._phase_one(sigma, center, 1e-9) is not None
+    assert solver_module._interior_point(sigma, center, 1e-9) is not None
 
     count = 12
     samples = sample_ri_members(sigma, count, np.random.default_rng(seed), anchors)
@@ -1378,24 +1383,92 @@ def _thin_cases(coisometry_system):
     }
 
 
+@settings(max_examples=25, deadline=None)
+@given(sigma=strictly_passive_minimal(), upper=st.booleans())
+def test_interior_point_from_an_equality_member(sigma, upper):
+    # at H_min or H_max the LMI is singular, so the point comes from a
+    # strictly passive neighbour: it clears the band and lies between the
+    # extremal pair
+    h_min, h_max = dare_extremes(sigma)
+    h = solver_module._interior_point(sigma, h_max if upper else h_min, 1e-9)
+    assert h is not None
+    w = np.linalg.eigvalsh(_lmi(*_residual_ops(sigma, h)))
+    assert w[0] > 1e-9 * max(1.0, -w[0], w[-1])
+    tol = 1e-8 * max(1.0, spectral_norm(h_max))
+    assert loewner_compare(h_min, h, tol=tol) in (Loewner.LESS_EQUAL, Loewner.EQUAL)
+    assert loewner_compare(h, h_max, tol=tol) in (Loewner.LESS_EQUAL, Loewner.EQUAL)
+
+
+def _interior_sweep() -> list[tuple[SystemRealization, np.ndarray]]:
+    """The minimal systems of 240 seeded draws, n = 2..10 and m, p = 1..2,
+    with C and D scaled so that the block norm is at most 0.5, 0.9, 0.99 or
+    0.999, whose extremes certify and whose extremal pair's mean does not
+    clear the band, each with that mean."""
+    rng = np.random.default_rng(5)
+    kept = []
+    for _ in range(240):
+        n, m, p = int(rng.integers(2, 11)), int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        drawn = _zoo_draw(rng, n, m, p)
+        scale = rng.choice([0.5, 0.9, 0.99, 0.999]) / 0.9
+        sigma = SystemRealization(drawn.a, drawn.b, scale * drawn.c, scale * drawn.d)
+        if not is_minimal(sigma):
+            continue
+        try:
+            center = 0.5 * (minimal_solution(sigma).matrix + maximal_solution(sigma).matrix)
+        except CertificateFailed:
+            continue
+        w = np.linalg.eigvalsh(_lmi(*_residual_ops(sigma, center)))
+        if w[0] <= 1e-9 * max(1.0, -w[0], w[-1]):
+            kept.append((sigma, center))
+    return kept
+
+
+def test_every_strictly_passive_draw_gets_an_interior_point():
+    # every draw is strictly passive, so its LMI has an interior, and each
+    # kept draw needs the neighbours to find a point in it
+    kept = _interior_sweep()
+    assert len(kept) >= 200
+    missed = [
+        sigma.state_dim
+        for sigma, center in kept
+        if solver_module._interior_point(sigma, center, 1e-9) is None
+    ]
+    assert missed == []
+
+
 @pytest.mark.parametrize("case", ["rotation", "coisometry", "allpass-cascade"])
-def test_empty_interior_gives_copies_of_the_mean(case, coisometry_system):
+def test_empty_interior_gives_copies_of_the_mean(case, coisometry_system, monkeypatch):
     sigma, anchors = _thin_cases(coisometry_system)[case]
     center = sum(anchors) / len(anchors)
-    assert solver_module._phase_one(sigma, center, 1e-9) is None
+    calls = []
+
+    def counted(neighbour):
+        calls.append(neighbour)
+        return extremal(neighbour)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "extremal", counted)
+        assert solver_module._interior_point(sigma, center, 1e-9) is None
+    # one ordered QZ per eps = 4**-k down to the band
+    band = 1e-9 * max(1.0, spectral_norm(_lmi(*_residual_ops(sigma, center))))
+    assert 1 <= len(calls) <= math.ceil(math.log(1.0 / band, 4)) + 1
     samples = sample_ri_members(sigma, 30, np.random.default_rng(3), anchors)
     assert len(samples) == 30
     assert all(np.array_equal(h, center) for h in samples)
 
 
 def test_ill_conditioned_lmi_still_gives_members():
-    # cond(H_max) about 5e7: roundoff can take a phase-I iterate out of the
-    # feasible set, and the sampler then falls back to copies of the mean
+    # cond(H_max) about 5e7, and the anchors' mean does not clear the band:
+    # the chain starts from a strictly passive neighbour's solution and
+    # moves away from the mean
     sigma = random_realization(np.random.default_rng(173), 6, 1, 1, passive_norm=0.5)
     anchors = list(dare_extremes(sigma))
+    center = sum(anchors) / 2.0
+    assert solver_module._interior_point(sigma, center, 1e-9) is not None
     samples = sample_ri_members(sigma, 10, np.random.default_rng(0), anchors)
     assert len(samples) == 10
     assert all(membership(sigma, h).in_ri for h in samples)
+    assert not any(np.array_equal(h, center) for h in samples[len(anchors):])
 
 
 # seed-301 zoo systems with n >= 3 > m, by their index in the zoo; the
@@ -1533,29 +1606,29 @@ def _golden_system(name: str) -> SystemRealization:
 def test_a_one_point_ri_takes_no_phase_one(name, monkeypatch):
     # co-inner and inner: H_min = H_max, so RI is one point and the duality
     # samples are the anchors and their mean's copies, as the chain gives
-    # them when phase-I, run anyway, finds no interior
+    # them when the interior-point search, run anyway, finds no point
     sigma = _golden_system(name)
     cfg = SolverConfig(seed=301)
     extremes = minimal_solution(sigma, cfg), maximal_solution(sigma, cfg)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("phase-I ran on a one-point RI")
+        raise AssertionError("the interior-point search ran on a one-point RI")
 
     with monkeypatch.context() as patch:
-        patch.setattr(solver_module, "_phase_one", refuse)
-        report = solver_module._duality(sigma, cfg, extremes)
+        patch.setattr(solver_module, "_interior_point", refuse)
+        report = duality_check(sigma, cfg, extremes=extremes)
 
-    phase_one, ri_samples, runs = solver_module._phase_one, solver_module._ri_samples, []
+    search, ri_samples, runs = solver_module._interior_point, solver_module._ri_samples, []
 
     def counted(*args, **kwargs):
-        runs.append(phase_one(*args, **kwargs))
+        runs.append(search(*args, **kwargs))
         return runs[-1]
 
-    monkeypatch.setattr(solver_module, "_phase_one", counted)
+    monkeypatch.setattr(solver_module, "_interior_point", counted)
     monkeypatch.setattr(
         solver_module, "_ri_samples", lambda *args, one_point: ri_samples(*args, one_point=False)
     )
-    forced = solver_module._duality(sigma, cfg, extremes)
+    forced = duality_check(sigma, cfg, extremes=extremes)
     assert runs == [None]
     assert report.sample_count == forced.sample_count == cfg.duality_samples
     assert report.samples_ok == forced.samples_ok
@@ -1576,7 +1649,7 @@ def test_the_chain_factor_stays_a_factor_of_the_lmi(name):
     sigma = _bench_zoo(301, 6)[CHAIN_ZOO[name]]
     n = sigma.state_dim
     anchors = [minimal_solution(sigma).matrix, maximal_solution(sigma).matrix]
-    h = solver_module._phase_one(sigma, sum(anchors) / 2.0, 1e-9)
+    h = solver_module._interior_point(sigma, sum(anchors) / 2.0, 1e-9)
     f_inv = np.linalg.inv(np.linalg.cholesky(_lmi(*_residual_ops(sigma, h))))
     rng = np.random.default_rng(3)
     moves = 0
