@@ -240,13 +240,16 @@ def _parse_int(text: str) -> int:
 
 def _load_json(path: str, kind: str):
     """The JSON value in the ``kind`` file at ``path``. ParseError when the
-    file is missing, is not JSON, or holds JSON that Python refuses to read,
-    such as an integer of more than 4300 digits."""
+    file is missing or cannot be read (a directory, say), is not JSON, or
+    holds JSON that Python refuses to read, such as an integer of more than
+    4300 digits."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, parse_int=_parse_int)
     except FileNotFoundError as exc:
         raise err.ParseError(f"{kind} file not found: {path}") from exc
+    except OSError as exc:
+        raise err.ParseError(f"cannot read {kind} file {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise err.ParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}"

@@ -68,13 +68,17 @@ def _spectral_norms(a: np.ndarray) -> np.ndarray:
 
 def _least_and_norm(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least eigenvalue and 2-norm ``max(-lambda_min, lambda_max)`` of each
-    Hermitian matrix on a stack (or of one), from one ``eigvalsh``."""
+    Hermitian matrix on a stack (or of one), from one ``eigvalsh``; +inf
+    and 0.0 for an empty matrix."""
     w = np.linalg.eigvalsh(a)
+    if not w.shape[-1]:
+        return np.full(w.shape[:-1], np.inf), np.zeros(w.shape[:-1])
     return w[..., 0], np.maximum(-w[..., 0], w[..., -1])
 
 
 def ensure_hermitian(a: np.ndarray) -> np.ndarray:
-    """Validate Hermitian symmetry and return the symmetrized matrix.
+    """Validate finiteness and Hermitian symmetry and return the symmetrized
+    matrix.
 
     The admissible deviation of ``a - a*`` is ``HERMITIAN_TOL`` relative to
     the largest absolute entry (at least to an absolute unit scale).
@@ -88,6 +92,8 @@ def ensure_hermitian(a: np.ndarray) -> np.ndarray:
     ------
     DimensionMismatch
         If ``a`` is not square.
+    ValueError
+        If an entry is NaN or infinite, as for a SystemRealization.
     NotHermitian
         If the deviation exceeds the tolerance.
     """
@@ -96,6 +102,9 @@ def ensure_hermitian(a: np.ndarray) -> np.ndarray:
     a = np.atleast_2d(np.asarray(a, dtype=complex))
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    # a complex entry is finite when both of its parts are
+    if not np.isfinite(a).all():
+        raise ValueError("matrix contains non-finite entries")
     if a.size:
         scale = max(1.0, float(np.abs(a).max()))
         dev = float(np.abs(a - a.conj().T).max())

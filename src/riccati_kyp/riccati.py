@@ -17,12 +17,13 @@ always computed through both routes and must agree.
 
 One kernel decides membership for a stack of candidates, with one batched
 LAPACK call per step and one spectrum per Hermitian matrix, from which it
-reads every norm, least eigenvalue and range test; :func:`membership` is
+reads every norm, least eigenvalue and range test, and answers with a
+:class:`VerdictTable` of masks and diagnostic arrays; :func:`membership` is
 its one-candidate view, and the solver's loops over candidates (the
 sampler's chain, the candidates of each equality route, the duality
-inverses) call the kernel once per batch. Storage operators are built the
-same way: :func:`_storage_stack` decomposes a whole stack with one batched
-``eigh``, or takes the one the kernel was given, and
+inverses) call the kernel once per batch and read the masks. Storage
+operators are built the same way: :func:`_storage_stack` takes the
+batched ``eigh`` of a whole stack, the one the kernel was given, and
 :class:`StorageOperator` is its one-matrix view.
 
 RI° is the set of inequality members whose associated system
@@ -98,10 +99,7 @@ class StorageOperator:
 
     def __init__(self, matrix: np.ndarray):
         h = ensure_hermitian(np.atleast_2d(np.asarray(matrix, dtype=complex)))
-        storage = _storage_stack(h[None])[0]
-        if isinstance(storage, NotPD):
-            raise storage
-        vars(self).update(vars(storage))
+        vars(self).update(vars(_storage_stack(h[None], _pd_eigh(h))[0]))
 
     @property
     def dim(self) -> int:
@@ -116,58 +114,52 @@ class StorageOperator:
 
 
 def _storage_stack(
-    h: np.ndarray, eigh: tuple[np.ndarray, np.ndarray] | None = None
-) -> list[StorageOperator | NotPD]:
-    """For each matrix on the (k, n, n) stack ``h`` of Hermitian matrices
-    (as :func:`hermitian_part` returns them), in order, its StorageOperator,
-    or the NotPD that :class:`StorageOperator` raises for it.
-
-    One batched ``eigh`` decomposes the stack, unless the caller passes that
-    decomposition ``(w, v)`` as ``eigh`` (the solver takes it once for the
-    membership kernel and the members), and the square roots of the
-    positive-definite entries are formed in one batch each, so every
-    operator is bit for bit the one-matrix one.
+    h: np.ndarray, eigh: tuple[np.ndarray, np.ndarray]
+) -> list[StorageOperator]:
+    """The StorageOperator of each matrix on the (k, n, n) stack ``h`` of
+    positive-definite Hermitian matrices (as :func:`hermitian_part` returns
+    them), in order, from their batched decomposition ``eigh`` = ``(w, v)``;
+    the caller has tested positivity (:func:`_pd_mask`) on it. The solver
+    takes the decomposition once for the membership kernel and the members.
+    The square roots are formed in one batch each, so every operator is bit
+    for bit the one-matrix one.
     """
-    h = np.asarray(h, dtype=complex)
-    if not len(h):
-        return []
-    w, v = np.linalg.eigh(h) if eigh is None else eigh
-    results: list = _pd_failures(w)
-    live = [i for i, failure in enumerate(results) if failure is None]
-    if not live:
-        return results
-    w, v = w[live], v[live]
+    w, v = eigh
     root = np.sqrt(w)[..., None, :]
     v_star = v.conj().swapaxes(-1, -2)
-    matrix = hermitian_part(h[live])
+    matrix = hermitian_part(h)
     sqrt = hermitian_part((v * root) @ v_star)
     inv_sqrt = hermitian_part((v / root) @ v_star)
-    for slot, index in enumerate(live):
+    results = []
+    for slot in range(len(h)):
         storage = object.__new__(StorageOperator)
         storage.matrix, storage.sqrt = matrix[slot], sqrt[slot]
         storage.inv_sqrt, storage.eigenvalues = inv_sqrt[slot], w[slot]
-        results[index] = storage
+        results.append(storage)
     return results
 
 
-def _pd_failures(w: np.ndarray) -> list[NotPD | None]:
+def _pd_mask(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of ascending eigenvalues ``w`` (from ``eigh``) of a stack of
-    weights: the NotPD of that weight, or None when every eigenvalue exceeds
-    ``PD_TOL`` times the norm."""
+    weights: whether every eigenvalue exceeds ``PD_TOL`` times the norm, and
+    the least eigenvalue (NaN for an empty weight, which is not PD)."""
     if w.shape[-1] == 0:
-        return [NotPD("storage operator must be positive definite "
-                      "(smallest eigenvalue nan)")] * len(w)
+        return np.zeros(len(w), dtype=bool), np.full(len(w), np.nan)
     low = w[:, 0]
-    failed = low <= PD_TOL * np.maximum(np.abs(w).max(axis=-1), 1.0)
-    return [
-        NotPD(
+    return low > PD_TOL * np.maximum(np.abs(w).max(axis=-1), 1.0), low
+
+
+def _pd_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of the one-matrix stack ``h[None]``; NotPD unless
+    the Hermitian ``h`` is positive definite (:func:`_pd_mask`)."""
+    w, v = np.linalg.eigh(h[None])
+    pd, low = _pd_mask(w)
+    if not pd[0]:
+        raise NotPD(
             f"storage operator must be positive definite "
-            f"(smallest eigenvalue {value:.3e})"
+            f"(smallest eigenvalue {low[0]:.3e})"
         )
-        if fail
-        else None
-        for value, fail in zip(low.tolist(), failed.tolist())
-    ]
+    return w, v
 
 
 def as_storage(h) -> StorageOperator:
@@ -341,6 +333,33 @@ class MembershipVerdict:
     diagnostics: MembershipDiagnostics
 
 
+@dataclass
+class VerdictTable:
+    """The membership kernel's answer for a stack of k candidates, one row
+    per candidate in stack order.
+
+    ``pd``, ``in_ri``, ``in_re``, ``in_ri_circ`` and ``boundary`` are
+    boolean masks; ``delta_min``, ``surplus_min``, ``equality_residual``,
+    ``lmi_min`` and ``c3`` are float arrays, the diagnostics of
+    :class:`MembershipDiagnostics`. A candidate that is not positive
+    definite reads False in the masks and NaN in the floats.
+    ``sigma_h_minimal`` is the minimality of the realization, shared by
+    every row.
+    """
+
+    pd: np.ndarray
+    in_ri: np.ndarray
+    in_re: np.ndarray
+    in_ri_circ: np.ndarray
+    boundary: np.ndarray
+    delta_min: np.ndarray
+    surplus_min: np.ndarray
+    equality_residual: np.ndarray
+    lmi_min: np.ndarray
+    c3: np.ndarray
+    sigma_h_minimal: bool
+
+
 def membership(
     sigma: SystemRealization,
     h,
@@ -360,18 +379,25 @@ def membership(
     minimality of the associated system (see the module docstring).
 
     This is the one-candidate view of the stacked membership kernel
-    (``_membership_stack``): the verdict, its diagnostics and its errors are
-    those the kernel gives ``h`` on any stack.
+    (``_membership_stack``): ``h`` must be positive definite (else NotPD),
+    and the verdict and its diagnostics are the one row of the kernel's
+    :class:`VerdictTable`, whose errors it raises.
     """
     matrix = (
         h.matrix
         if isinstance(h, StorageOperator)
         else ensure_hermitian(np.atleast_2d(np.asarray(h, dtype=complex)))
     )
-    result = _membership_stack(sigma, matrix[None], tol, eq_tol, c3_tol)[0]
-    if isinstance(result, MembershipVerdict):
-        return result
-    raise result
+    t = _membership_stack(sigma, matrix[None], tol, eq_tol, c3_tol, _pd_eigh(matrix))
+    floats = (t.delta_min, t.surplus_min, t.equality_residual, t.lmi_min, t.c3)
+    return MembershipVerdict(
+        bool(t.in_ri[0]),
+        bool(t.in_re[0]),
+        bool(t.in_ri_circ[0]),
+        MembershipDiagnostics(
+            *(float(x[0]) for x in floats), t.sigma_h_minimal, bool(t.boundary[0])
+        ),
+    )
 
 
 def _membership_stack(
@@ -381,107 +407,80 @@ def _membership_stack(
     eq_tol: float = 1e-8,
     c3_tol: float = 1e-8,
     eigh: tuple[np.ndarray, np.ndarray] | None = None,
-) -> list[MembershipVerdict | NotPD | InconsistentRoutes]:
-    """The membership kernel: for each candidate on the (k, n, n) stack
-    ``h`` of Hermitian matrices (as :func:`hermitian_part` returns them), in
-    order, its MembershipVerdict, or the NotPD or InconsistentRoutes that
-    :func:`membership` raises for it. ``eigh``, when given, is the
-    ``np.linalg.eigh`` of the stack, which the caller also passes to
-    :func:`_storage_stack`.
+) -> VerdictTable:
+    """The membership kernel: the :class:`VerdictTable` of the (k, n, n)
+    stack ``h`` of Hermitian matrices (as :func:`hermitian_part` returns
+    them). ``eigh``, when given, is the ``np.linalg.eigh`` of the stack,
+    which the caller also passes to :func:`_storage_stack`.
 
     Every step is one batched call of the LAPACK routine the single-candidate
     computation uses (``eigh`` for the positivity test and for delta, whose
     least eigenvalue, range test and pseudo-inverse it gives; ``eigvalsh``
     for the least eigenvalue and norm of the LMI and of the surplus; SVD for
-    the norms of beta and of its dropped-range part), so each result is bit
-    for bit the one-candidate result. Every verdict reads the minimality
-    report that ``sigma`` holds, decided once per realization, not per call.
-    A DimensionMismatch concerns the whole stack and is raised.
+    the norms of beta and of its dropped-range part), and the routes, the
+    boundary band and ``in_re`` are array operations on the results, so each
+    row is bit for bit the one-candidate result. The realization's
+    minimality is read once per call. A DimensionMismatch concerns the whole
+    stack, and the InconsistentRoutes of the first candidate whose routes
+    disagree outside the band, in stack order, is raised.
 
     A realization without inputs (m = 0) has an empty delta: its equality
     is the Stein equation ``alpha(H) = 0``, its LMI is ``alpha(H)``, the
-    range inclusion holds (``c3_residual`` 0), and ``delta_min_eig`` is
-    +inf, the least of no eigenvalue.
+    range inclusion holds (``c3`` 0), and ``delta_min`` is +inf, the least
+    of no eigenvalue.
     """
     h = np.asarray(h, dtype=complex)
-    results: list = _pd_failures((np.linalg.eigh(h) if eigh is None else eigh)[0])
-    live = [i for i, failure in enumerate(results) if failure is None]
-    if not live:
-        return results
     _check_dims(sigma, h.shape[-1])
-    alpha, beta, delta, w, v, c3 = _riccati_stack(sigma, h[live])
+    pd, _ = _pd_mask((np.linalg.eigh(h) if eigh is None else eigh)[0])
+    alpha, beta, delta, w, v, c3 = _riccati_stack(sigma, h[pd])
+    lmi_min, lmi_norm = _least_and_norm(_lmi(alpha, beta, delta))
+    delta_min = w.min(axis=1, initial=np.inf)
+    scale = np.maximum(1.0, lmi_norm)
+    threshold = tol * scale
+    floor = -threshold
+    c3_threshold = c3_tol * np.maximum(1.0, _spectral_norms(beta))
 
-    lmi_min, lmi_norm = (x.tolist() for x in _least_and_norm(_lmi(alpha, beta, delta)))
-    delta_min = w.min(axis=1, initial=np.inf).tolist()
-    beta_norm = _spectral_norms(beta).tolist()
-    c3 = c3.tolist()
-
-    thresholds = [tol * max(1.0, norm) for norm in lmi_norm]
-    c3_thresholds = [c3_tol * max(1.0, norm) for norm in beta_norm]
     # route one needs delta PSD and the range inclusion to form the surplus
-    with_surplus = [
-        low >= -threshold and res <= c3_threshold
-        for low, threshold, res, c3_threshold in zip(
-            delta_min, thresholds, c3, c3_thresholds
+    formed = (delta_min >= floor) & (c3 <= c3_threshold)
+    surplus_min = np.full(len(formed), np.nan)
+    equality_residual = surplus_min.copy()
+    if formed.any():
+        surplus_min[formed], equality_residual[formed] = _least_and_norm(
+            _surplus(alpha[formed], beta[formed], w[formed], v[formed])
         )
-    ]
-    surplus_min = [float("nan")] * len(live)
-    equality_residual = [float("nan")] * len(live)
-    if any(with_surplus):
-        surplus = _surplus(
-            alpha[with_surplus], beta[with_surplus], w[with_surplus], v[with_surplus]
+    route_one = surplus_min >= floor  # False where no surplus is formed (NaN)
+    route_two = lmi_min >= floor
+    in_ri = route_one
+    boundary = split = route_one != route_two
+    if split.any():
+        # a split within the band of a decision's edge is a boundary case,
+        # where the LMI route decides; an unformed surplus has no margin
+        margins = np.abs(
+            [lmi_min + threshold, delta_min + threshold, c3 - c3_threshold]
         )
-        formed = np.flatnonzero(with_surplus).tolist()
-        lows, norms = (x.tolist() for x in _least_and_norm(surplus))
-        for slot, low, norm in zip(formed, lows, norms):
-            surplus_min[slot], equality_residual[slot] = low, norm
-
+        margin = np.fmin(margins.min(axis=0), np.abs(surplus_min + threshold))
+        boundary = split & (margin <= BOUNDARY_BAND * threshold)
+        inconsistent = np.flatnonzero(split & ~boundary)
+        if inconsistent.size:
+            i = inconsistent[0]
+            raise InconsistentRoutes(
+                f"surplus route says {bool(route_one[i])}, LMI route says "
+                f"{bool(route_two[i])} (delta_min={delta_min[i]:.3e}, "
+                f"surplus_min={surplus_min[i]:.3e}, "
+                f"lmi_min={lmi_min[i]:.3e}, c3={c3[i]:.3e})"
+            )
+        in_ri = np.where(boundary, route_two, route_one)
+    in_re = in_ri & (equality_residual <= eq_tol * scale)
     # Sigma_H is similar to sigma through S = H^{1/2}, which maps the
     # controllable and unobservable subspaces of sigma onto those of Sigma_H
     sigma_h_minimal = bool(is_minimal(sigma))
-    for slot, index in enumerate(live):
-        threshold = thresholds[slot]
-        route_one = with_surplus[slot] and surplus_min[slot] >= -threshold
-        route_two = lmi_min[slot] >= -threshold
-        boundary = False
-        if route_one != route_two:
-            band = BOUNDARY_BAND * threshold
-            margins = [abs(lmi_min[slot] + threshold),
-                       abs(delta_min[slot] + threshold),
-                       abs(c3[slot] - c3_thresholds[slot])]
-            if not np.isnan(surplus_min[slot]):
-                margins.append(abs(surplus_min[slot] + threshold))
-            if min(margins) <= band:
-                boundary = True
-            else:
-                results[index] = InconsistentRoutes(
-                    f"surplus route says {route_one}, LMI route says {route_two} "
-                    f"(delta_min={delta_min[slot]:.3e}, "
-                    f"surplus_min={surplus_min[slot]:.3e}, "
-                    f"lmi_min={lmi_min[slot]:.3e}, c3={c3[slot]:.3e})"
-                )
-                continue
-        in_ri = route_two if boundary else route_one
-        in_re = bool(
-            in_ri
-            and not np.isnan(equality_residual[slot])
-            and equality_residual[slot] <= eq_tol * max(1.0, lmi_norm[slot])
-        )
-        results[index] = MembershipVerdict(
-            in_ri=bool(in_ri),
-            in_re=in_re,
-            in_ri_circ=bool(in_ri and sigma_h_minimal),
-            diagnostics=MembershipDiagnostics(
-                delta_min_eig=delta_min[slot],
-                surplus_min_eig=surplus_min[slot],
-                equality_residual=equality_residual[slot],
-                lmi_min_eig=lmi_min[slot],
-                c3_residual=c3[slot],
-                sigma_h_minimal=sigma_h_minimal,
-                boundary_case=boundary,
-            ),
-        )
-    return results
+    columns = [in_ri, in_re, in_ri & sigma_h_minimal, boundary, delta_min,
+               surplus_min, equality_residual, lmi_min, c3]
+    if not pd.all():  # False or NaN at the candidates that are not PD
+        for i, values in enumerate(columns):
+            columns[i] = np.full(len(pd), False if values.dtype == bool else np.nan)
+            columns[i][pd] = values
+    return VerdictTable(pd, *columns, sigma_h_minimal)
 
 
 @dataclass

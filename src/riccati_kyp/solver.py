@@ -42,14 +42,20 @@ and here its reduction without constant isometric channels
 equation each.
 
 Loops over candidates go through the stacked membership kernel of
-:mod:`riccati_kyp.riccati` with one call per batch: the candidates of a
-route, the inverses of the duality samples, and the points of the sampler's
-chain. The members of a set are built from the batched eigendecomposition
-the kernel takes of the candidate stack (``riccati._storage_stack``), whose
-last eigenvalue is each member's norm. A decided pencil set takes its order
-from the selection digits: its members form a lattice isomorphic to the
-subsets of the selected outside eigenvalues (Lancaster & Rodman), so two
-members compare as the sets of their 1-digits do (see :func:`_digit_order`).
+:mod:`riccati_kyp.riccati` with one call per batch, and read its verdict
+table (``riccati.VerdictTable``) as masks: the candidates of a route are
+the members where ``in_re`` holds, each with its ``equality_residual``; the
+inverses of the duality samples give ``samples_ok`` as ``in_ri_circ``; and
+the sampler keeps the points of its chain where ``in_ri & (lmi_min >= 0)``
+holds. A candidate that is not positive definite reads False in every mask,
+and the kernel itself raises the InconsistentRoutes of the first candidate
+whose routes split. The members of a set are built from the batched
+eigendecomposition the kernel takes of the candidate stack
+(``riccati._storage_stack``), whose last eigenvalue is each member's norm.
+A decided pencil set takes its order from the selection digits: its
+members form a lattice isomorphic to the subsets of the selected outside
+eigenvalues (Lancaster & Rodman), so two members compare as the sets of
+their 1-digits do (see :func:`_digit_order`).
 Only the covering pairs, one digit apart, are compared numerically, and a
 set where one of them is not LESS_EQUAL falls back to
 :func:`order_solutions`, which compares all member pairs from one spectrum
@@ -99,7 +105,6 @@ import numpy as np
 
 from .errors import (
     CertificateFailed,
-    InconsistentRoutes,
     NotMinimal,
     NotPD,
     NotSchurClass,
@@ -117,7 +122,6 @@ from .linops import (
 )
 from .riccati import (
     RANK_TOL,
-    MembershipVerdict,
     StorageOperator,
     _lmi,
     _membership_stack,
@@ -394,21 +398,11 @@ def _ri_samples(
             t, f_inv = step
             h = h + t * e
             points.append(h)
-        kept = 0
-        for point, verdict in zip(
-            points, _membership_stack(sigma, np.array(points), tol=tol) if points else []
-        ):
-            if isinstance(verdict, InconsistentRoutes):
-                raise verdict
-            if (
-                isinstance(verdict, MembershipVerdict)
-                and verdict.in_ri
-                and verdict.diagnostics.lmi_min_eig >= 0.0
-            ):
-                samples.append(point)
-                kept += 1
-        if not kept:
+        table = _membership_stack(sigma, np.array(points).reshape(-1, n, n), tol=tol)
+        kept = np.flatnonzero(table.in_ri & (table.lmi_min >= 0.0))
+        if not kept.size:
             break
+        samples.extend(points[i] for i in kept.tolist())
     return samples[:count]
 
 
@@ -545,29 +539,22 @@ def _validated_set(
     :func:`order_solutions`."""
     stack = np.asarray(stack, dtype=complex)
     w, v = np.linalg.eigh(stack)
-    verdicts = _membership_stack(
+    table = _membership_stack(
         sigma,
         stack,
         tol=cfg.membership_tol,
         eq_tol=EQUALITY_TOL,
         eigh=(w, v),
     )
-    kept = []
-    for index, verdict in enumerate(verdicts):
-        if isinstance(verdict, InconsistentRoutes):
-            raise verdict
-        if not isinstance(verdict, NotPD) and verdict.in_re:
-            kept.append(index)
-    kept = np.array(kept, dtype=np.intp)
+    kept = np.flatnonzero(table.in_re)
     kept = kept[_sorted_order(stack[kept])]
     solution_set = SolutionSet(
         members=_storage_stack(stack[kept], eigh=(w[kept], v[kept])),
         provenance=[
-            {
-                "route": labels[index],
-                "residual": verdicts[index].diagnostics.equality_residual,
-            }
-            for index in kept.tolist()
+            {"route": labels[index], "residual": residual}
+            for index, residual in zip(
+                kept.tolist(), table.equality_residual[kept].tolist()
+            )
         ],
         route=route,
         complete=exhaustive and len(kept) == len(stack),
@@ -928,14 +915,9 @@ def duality_check(
             sigma, cfg.duality_samples, rng, anchors=anchors, tol=cfg.membership_tol
         )
 
-    samples_ok: list[bool] = []
-    if samples:
-        for verdict in _membership_stack(
-            adj, _hermitian_inverse(np.array(samples)), tol=cfg.membership_tol
-        ):
-            if isinstance(verdict, InconsistentRoutes):
-                raise verdict
-            samples_ok.append(not isinstance(verdict, NotPD) and verdict.in_ri_circ)
+    inverses = _hermitian_inverse(np.array(samples).reshape(-1, *sigma.a.shape))
+    table = _membership_stack(adj, inverses, tol=cfg.membership_tol)
+    samples_ok = table.in_ri_circ.tolist()
 
     # an empty set is falsy
     own = solve_re(sigma, cfg) if equality_set is None else equality_set
@@ -948,7 +930,7 @@ def duality_check(
     return DualityReport(
         sample_count=len(samples),
         samples_ok=samples_ok,
-        failure_count=int(sum(1 for ok in samples_ok if not ok)),
+        failure_count=samples_ok.count(False),
         re_inversion_equal=equal,
         re_members=re_members,
         re_adjoint_members=re_adjoint_members,

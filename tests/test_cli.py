@@ -1093,6 +1093,20 @@ class TestExitCodes:
         code = main(["analyze", "--system", str(path), "--no-timings"])
         assert code == EXIT_CODES[ParseError]
 
+    @pytest.mark.parametrize("flag", ["--system", "--inputs"])
+    def test_unreadable_path_is_parse_error(self, flag, scalar_doc_path, tmp_path, capsys):
+        # a directory opens with IsADirectoryError, an OSError other than
+        # FileNotFoundError; it gets the error payload, not a traceback
+        system = str(tmp_path) if flag == "--system" else scalar_doc_path
+        argv = ["simulate", "--system", system, "--candidate", "Hre", "--no-timings"]
+        if flag == "--inputs":
+            argv += ["--inputs", str(tmp_path)]
+        code = main(argv)
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert code == EXIT_CODES[ParseError] == 2
+        assert error["category"] == "ParseError"
+        assert str(tmp_path) in error["message"]
+
     def test_indefinite_candidate_maps_to_not_pd(self, tmp_path, capsys):
         raw = scalar_interval_doc()
         raw["candidates"]["neg"] = [[[-1.0, 0.0]]]

@@ -12,19 +12,49 @@ from riccati_kyp import (
     Loewner,
     NotNonneg,
     NotPSD,
+    StorageOperator,
+    SystemRealization,
     brute_force_infimum,
+    dissipation_check,
+    ensure_hermitian,
     loewner_compare,
+    membership,
     minimal_contraction,
     psd_pseudo_inverse,
     psd_rank,
     psd_sqrt,
     range_projector,
+    simulate,
     spectral_norm,
     sqrt_pinv_commute_check,
     system_matrix,
 )
 from riccati_kyp.linops import _psd_spectral
 from conftest import random_block_nonneg, random_hermitian, random_psd
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "entry_point",
+    [
+        ensure_hermitian,
+        psd_sqrt,
+        psd_pseudo_inverse,
+        range_projector,
+        StorageOperator,
+        lambda h: membership(SystemRealization(0.5, 0.5, 0.5, 0.0), h),
+        lambda h: dissipation_check(
+            simulate(SystemRealization(0.5, 0.5, 0.5, 0.0), [1.0], np.ones((3, 1))), h
+        ),
+    ],
+    ids=["ensure_hermitian", "psd_sqrt", "psd_pseudo_inverse", "range_projector",
+         "StorageOperator", "membership", "dissipation_check"],
+)
+def test_non_finite_matrices_are_refused(entry_point, value):
+    # nan > tol is False, so only an explicit test keeps such a matrix from
+    # passing the symmetry check
+    with pytest.raises(ValueError, match="non-finite"):
+        entry_point(np.array([[value]]))
 
 
 class TestPsdSqrt:

@@ -2,6 +2,8 @@
 form vs LMI identity, two-route membership, the similarity-transformed
 system, and the equality gap cross-checked against the infimum oracle."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -38,10 +40,12 @@ from riccati_kyp import (
 )
 from riccati_kyp.linops import TINY, hermitian_part
 from riccati_kyp.pencil import extremal
+from riccati_kyp import riccati as riccati_module
 from riccati_kyp.riccati import (
     BOUNDARY_BAND,
     RANK_TOL,
     _membership_stack,
+    _pd_mask,
     _storage_stack,
 )
 from conftest import random_hermitian, random_pd, random_realization
@@ -79,22 +83,19 @@ class TestStorageOperator:
         # PD and failing entries interleaved, as hermitian_part returns them
         stack = hermitian_part(np.array([pd[0], failing[0], pd[1], failing[1],
                                          pd[2], pd[3], failing[2]]))
-        results = _storage_stack(stack)
-        assert len(results) == len(stack)
-        for h, got in zip(stack, results):
-            try:
-                want = StorageOperator(h)
-            except NotPD as exc:
-                assert type(got) is NotPD
-                assert str(got) == str(exc)
-                continue
-            assert isinstance(got, StorageOperator)
+        w, v = np.linalg.eigh(stack)
+        mask, low = _pd_mask(w)
+        assert mask.tolist() == [True, False, True, False, True, True, False]
+        for h, value in zip(stack[~mask], low[~mask]):
+            with pytest.raises(NotPD, match=re.escape(f"smallest eigenvalue {value:.3e})")):
+                StorageOperator(h)
+        results = _storage_stack(stack[mask], eigh=(w[mask], v[mask]))
+        assert len(results) == 4
+        for h, got in zip(stack[mask], results):
+            want = StorageOperator(h)
             for name in ("matrix", "sqrt", "inv_sqrt", "eigenvalues"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-        assert [isinstance(r, NotPD) for r in results] == [
-            False, True, False, True, False, False, True
-        ]
-        assert _storage_stack(stack[:0]) == []
+        assert _storage_stack(stack[:0], eigh=(w[:0], v[:0])) == []
 
 
 class TestRiccatiData:
@@ -564,6 +565,19 @@ def _outcome(result):
     )
 
 
+def _row_outcome(table, i):
+    """Row ``i`` of a verdict table as :func:`_outcome` gives a verdict."""
+    floats = (table.delta_min, table.surplus_min, table.equality_residual,
+              table.lmi_min, table.c3)
+    return (
+        bool(table.in_ri[i]),
+        bool(table.in_re[i]),
+        bool(table.in_ri_circ[i]),
+        tuple(np.float64(x[i]).tobytes() for x in floats)
+        + (table.sigma_h_minimal, bool(table.boundary[i])),
+    )
+
+
 def _outcome_of(call):
     try:
         return _outcome(call())
@@ -613,20 +627,93 @@ def _mixed_candidates(rng, sigma):
     tol=st.sampled_from([1e-9, 1e-6, 1e-3]),
 )
 def test_membership_kernel_matches_one_candidate_at_a_time(seed, n, m, p, norm, tol):
-    """Every verdict, diagnostic and error of one kernel call on a mixed
-    stack equals, bit for bit, what membership gives each candidate alone
-    and what the step-by-step reference gives, at the CLI's tolerance
-    ratios."""
+    """Every row of one kernel call on a mixed stack equals, bit for bit,
+    what the step-by-step reference gives its candidate alone, at the CLI's
+    tolerance ratios: a candidate the reference refuses as not PD reads
+    False in every mask and NaN in every float, and membership gives each
+    candidate the reference's verdict or error. When the routes of some
+    candidates split, the call raises the first one's InconsistentRoutes,
+    and the rest of the stack is compared without them."""
     tols = {"tol": tol, "eq_tol": 10.0 * tol, "c3_tol": 10.0 * tol}
     rng = np.random.default_rng(seed)
     sigma = random_realization(rng, n, m, p, passive_norm=norm)
     assume(np.linalg.eigvalsh(np.eye(m) - sigma.d.conj().T @ sigma.d)[0] > 1e-6)
     assume(spectral_norm(sigma.b) > 1e-6)
     candidates = _mixed_candidates(rng, sigma)
-    stacked = _membership_stack(sigma, np.array(candidates), **tols)
-    assert len(stacked) == len(candidates)
-    for h, result in zip(candidates, stacked):
-        expected = _outcome_of(lambda: _reference_membership(sigma, h, **tols))
-        assert _outcome(result) == expected
-        assert _outcome_of(lambda: membership(sigma, h, **tols)) == expected
+    expected = [
+        _outcome_of(lambda: _reference_membership(sigma, h, **tols)) for h in candidates
+    ]
+    splits = [e for e in expected if e[0] == "InconsistentRoutes"]
+    if splits:
+        with pytest.raises(InconsistentRoutes) as raised:
+            _membership_stack(sigma, np.array(candidates), **tols)
+        assert _outcome(raised.value) == splits[0]
+    rest = [i for i, e in enumerate(expected) if e[0] != "InconsistentRoutes"]
+    table = _membership_stack(sigma, np.array(candidates)[rest], **tols)
+    nan = np.float64(np.nan).tobytes()
+    refused = (False, False, False, (nan,) * 5 + (table.sigma_h_minimal, False))
+    assert len(table.pd) == len(rest)
+    for row, i in enumerate(rest):
+        if expected[i][0] == "NotPD":
+            assert not table.pd[row] and _row_outcome(table, row) == refused
+        else:
+            assert table.pd[row] and _row_outcome(table, row) == expected[i]
+    for h, want in zip(candidates, expected):
+        assert _outcome_of(lambda: membership(sigma, h, **tols)) == want
+
+
+def test_kernel_on_a_stack_without_positive_definite_candidates(
+    scalar_interval_system,
+):
+    """No row reaches a verdict: every mask reads False and every float NaN,
+    also for the 0 x 0 candidates of a realization without states, with
+    inputs or without, whose LMIs are empty without inputs."""
+    stateless = [
+        SystemRealization(np.zeros((0, 0)), np.zeros((0, m)), np.zeros((1, 0)), d)
+        for m, d in ((1, [[0.5]]), (0, np.zeros((1, 0))))
+    ]
+    for sigma, stack in (
+        (stateless[0], np.zeros((2, 0, 0))),
+        (stateless[1], np.zeros((2, 0, 0))),
+        (scalar_interval_system, np.array([[[-1.0]], [[0.0]]])),
+    ):
+        table = _membership_stack(sigma, stack)
+        masks = (table.pd, table.in_ri, table.in_re, table.in_ri_circ, table.boundary)
+        floats = (table.delta_min, table.surplus_min, table.equality_residual,
+                  table.lmi_min, table.c3)
+        assert not np.any(masks) and np.isnan(floats).all()
+        assert np.shape(masks) == np.shape(floats) == (5, 2)
+
+
+def test_kernel_raises_the_first_split_in_stack_order(two_state_system, monkeypatch):
+    """With the surplus of two interior candidates pushed down, the later
+    one by more, their routes split outside the band, and the kernel raises
+    the InconsistentRoutes of the earlier one in stack order. The band is
+    narrowed (tol 1e-12), since at the default tolerances a zero range
+    residual lies within it of its threshold, and every split is a boundary
+    case."""
+    from conftest import two_state_re_solutions
+
+    members = two_state_re_solutions()
+    samples = sample_ri_members(
+        two_state_system, 8, np.random.default_rng(3), anchors=[members[0], members[3]]
+    )
+    stack = np.array(samples[2:])  # the chain's points, not the anchors
+    tols = {"tol": 1e-12, "c3_tol": 1e-8}
+    table = _membership_stack(two_state_system, stack, **tols)
+    assert table.in_ri.all() and np.isfinite(table.surplus_min).all()
+    assert not table.boundary.any()
+    shift = np.array([0.0, 0.0, 3.0, 0.0, 5.0, 0.0])
+    surplus = riccati_module._surplus
+    monkeypatch.setattr(
+        riccati_module,
+        "_surplus",
+        lambda *args: surplus(*args) - shift[:, None, None] * np.eye(2),
+    )
+    with pytest.raises(InconsistentRoutes) as raised:
+        _membership_stack(two_state_system, stack, **tols)
+    message = str(raised.value)
+    assert message.startswith("surplus route says False, LMI route says True")
+    assert f"surplus_min={table.surplus_min[2] - 3.0:.3e}" in message
+    assert f"lmi_min={table.lmi_min[2]:.3e}" in message
 
