@@ -52,7 +52,7 @@ import numpy as np
 
 from . import errors as err
 from .boundary import circle_profile, is_coinner, is_inner, uniqueness_certificate
-from .riccati import membership
+from .riccati import _memberships, membership
 from .solver import (
     SolverConfig,
     duality_check,
@@ -321,15 +321,23 @@ def write_system(doc: SystemDocument) -> dict:
 # -- report builders ----------------------------------------------------------
 
 
+def _membership_tols(tol) -> dict:
+    """The membership tolerances of a run: ``eq_tol`` and ``c3_tol`` are ten
+    times ``tol``."""
+    return {"tol": tol, "eq_tol": 10.0 * tol, "c3_tol": 10.0 * tol}
+
+
 def _checks_payload(sigma, candidates: dict, tol) -> dict:
-    """The check section of ``report``, and of ``check`` on its one named
-    candidate: the :func:`membership` payload of every candidate, in name
-    order. The first candidate in that order that it refuses raises its
-    error (NotHermitian, NotPD, InconsistentRoutes, ...)."""
-    return {
-        name: vars(membership(sigma, h, tol=tol, eq_tol=10.0 * tol, c3_tol=10.0 * tol))
-        for name, h in sorted(candidates.items())
-    }
+    """The check section of ``report``: the :func:`membership` payload of
+    every candidate, in name order, from one membership-kernel call
+    (``riccati._memberships``). The first candidate in that order that
+    membership refuses raises its error (NotHermitian, NotPD,
+    InconsistentRoutes, ...). ``check`` calls :func:`membership` on its one
+    candidate, which gives the same payload."""
+    names = sorted(candidates)
+    matrices = [candidates[name] for name in names]
+    verdicts = _memberships(sigma, matrices, **_membership_tols(tol))
+    return {name: vars(verdict) for name, verdict in zip(names, verdicts)}
 
 
 def _analyze_payload(sigma, tol, grid) -> dict:
@@ -469,7 +477,7 @@ def run(command: str, doc: SystemDocument, args) -> dict:
             "check",
             lambda: {
                 "candidate": args.candidate,
-                **_checks_payload(sigma, {args.candidate: h}, args.tol)[args.candidate],
+                **vars(membership(sigma, h, **_membership_tols(args.tol))),
             },
         )
     elif command == "solve-re":

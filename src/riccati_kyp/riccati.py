@@ -18,12 +18,19 @@ always computed through both routes and must agree.
 One kernel decides membership for a stack of candidates, with one batched
 LAPACK call per step and one spectrum per Hermitian matrix, from which it
 reads every norm, least eigenvalue and range test, and answers with a
-:class:`VerdictTable` of masks and diagnostic arrays; :func:`membership` is
-its one-candidate view, and the solver's loops over candidates (the
-sampler's chain, the candidates of each equality route, the duality
-inverses) call the kernel once per batch and read the masks. Storage
-operators are built the same way: :func:`_storage_stack` takes the
-batched ``eigh`` of a whole stack, the one the kernel was given, and
+:class:`VerdictTable` of masks and diagnostic arrays. It forms a column
+only on the rows that read it: the range residual where the rank cut of
+delta drops an eigenvalue (0.0 elsewhere), and ``||beta||``, which scales
+the range threshold, where the residual exceeds ``c3_tol`` or the routes
+split. :func:`membership` is its one-candidate view, which reads the
+eigenvalues a StorageOperator holds instead of decomposing it again;
+:func:`_memberships` checks a list of matrices in one call, as a CLI
+``report`` checks its candidates, while ``check`` calls
+:func:`membership`; and the solver's loops over candidates (the sampler's
+chain, the candidates of each equality route, the duality inverses) call
+the kernel once per batch and read the masks. Storage operators are built
+the same way: :func:`_storage_stack` takes the batched ``eigh`` of a whole
+stack, whose eigenvalues the kernel was given, and
 :class:`StorageOperator` is its one-matrix view.
 
 RI° is the set of inequality members whose associated system
@@ -45,6 +52,7 @@ from .errors import (
     InconsistentRoutes,
     NotInRI,
     NotPD,
+    RiccatiKypError,
 )
 from .linops import (
     BlockNonneg,
@@ -120,7 +128,8 @@ def _storage_stack(
     positive-definite Hermitian matrices (as :func:`hermitian_part` returns
     them), in order, from their batched decomposition ``eigh`` = ``(w, v)``;
     the caller has tested positivity (:func:`_pd_mask`) on it. The solver
-    takes the decomposition once for the membership kernel and the members.
+    takes the decomposition once for the members and, by its eigenvalues,
+    for the membership kernel.
     The square roots are formed in one batch each, so every operator is bit
     for bit the one-matrix one.
     """
@@ -149,16 +158,20 @@ def _pd_mask(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return low > PD_TOL * np.maximum(np.abs(w).max(axis=-1), 1.0), low
 
 
+def _not_pd(low: float) -> NotPD:
+    """The NotPD of a weight whose least eigenvalue is ``low``."""
+    return NotPD(
+        f"storage operator must be positive definite (smallest eigenvalue {low:.3e})"
+    )
+
+
 def _pd_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.linalg.eigh`` of the one-matrix stack ``h[None]``; NotPD unless
     the Hermitian ``h`` is positive definite (:func:`_pd_mask`)."""
     w, v = np.linalg.eigh(h[None])
     pd, low = _pd_mask(w)
     if not pd[0]:
-        raise NotPD(
-            f"storage operator must be positive definite "
-            f"(smallest eigenvalue {low[0]:.3e})"
-        )
+        raise _not_pd(low[0])
     return w, v
 
 
@@ -207,12 +220,18 @@ def _residual_ops(sigma: SystemRealization, h: np.ndarray):
 def _riccati_stack(sigma: SystemRealization, h: np.ndarray):
     """alpha, beta and delta of each weight on a stack, the eigendecomposition
     ``(w, v)`` of each delta, and the range-inclusion residuals: the norms of
-    beta along the eigenvectors of delta that the rank cut drops."""
+    beta along the eigenvectors of delta that the rank cut drops. A row
+    whose cut drops no eigenvalue has the norm of a zero matrix, 0.0, so
+    only the other rows take an SVD."""
     alpha, beta, delta = _residual_ops(sigma, h)
     w, v = np.linalg.eigh(delta)
     # delta may be indefinite here, so the range is cut on |eigenvalue|
-    dropped = v * ~_kept(w, RANK_TOL, magnitude=True)[..., None, :]
-    residual = _spectral_norms(dropped.conj().swapaxes(-1, -2) @ beta)
+    dropped = ~_kept(w, RANK_TOL, magnitude=True)
+    rows = dropped.any(axis=-1)
+    residual = np.zeros(len(w))
+    if rows.any():
+        part = v[rows] * dropped[rows][..., None, :]
+        residual[rows] = _spectral_norms(part.conj().swapaxes(-1, -2) @ beta[rows])
     return alpha, beta, delta, w, v, residual
 
 
@@ -381,21 +400,66 @@ def membership(
     This is the one-candidate view of the stacked membership kernel
     (``_membership_stack``): ``h`` must be positive definite (else NotPD),
     and the verdict and its diagnostics are the one row of the kernel's
-    :class:`VerdictTable`, whose errors it raises.
+    :class:`VerdictTable`, whose errors it raises. A StorageOperator is
+    positive definite by construction and hands the kernel the eigenvalues
+    it holds, so it is not decomposed again.
     """
-    matrix = (
-        h.matrix
-        if isinstance(h, StorageOperator)
-        else ensure_hermitian(np.atleast_2d(np.asarray(h, dtype=complex)))
+    if not isinstance(h, StorageOperator):
+        return _memberships(sigma, [h], tol, eq_tol, c3_tol)[0]
+    table = _membership_stack(
+        sigma, h.matrix[None], tol, eq_tol, c3_tol, h.eigenvalues[None]
     )
-    t = _membership_stack(sigma, matrix[None], tol, eq_tol, c3_tol, _pd_eigh(matrix))
-    floats = (t.delta_min, t.surplus_min, t.equality_residual, t.lmi_min, t.c3)
+    return _verdict(table, 0)
+
+
+def _memberships(
+    sigma: SystemRealization,
+    matrices: list,
+    tol: float = 1e-9,
+    eq_tol: float = 1e-8,
+    c3_tol: float = 1e-8,
+) -> list[MembershipVerdict]:
+    """:func:`membership` of each of ``matrices``, of one shape, from one
+    ``eigh`` of their stack and one kernel call: the verdicts in order, or
+    the error that membership raises for the first matrix it refuses
+    (NotHermitian, NotPD, InconsistentRoutes, ...). Only the matrices before
+    that one go to the kernel, which raises the first split of their routes
+    in stack order."""
+    stack, refused = [], None
+    for h in matrices:
+        try:
+            stack.append(ensure_hermitian(np.atleast_2d(np.asarray(h, dtype=complex))))
+        except (RiccatiKypError, ValueError) as exc:
+            refused = exc  # raised once the matrices before it are checked
+            break
+    if not stack:
+        if refused is not None:
+            raise refused
+        return []
+    stack = np.array(stack)
+    w = np.linalg.eigh(stack)[0]
+    pd, low = _pd_mask(w)
+    if not pd.all():
+        first = int(np.flatnonzero(~pd)[0])
+        stack, w, refused = stack[:first], w[:first], _not_pd(low[first])
+    table = _membership_stack(sigma, stack, tol, eq_tol, c3_tol, w)
+    if refused is not None:
+        raise refused
+    return [_verdict(table, i) for i in range(len(stack))]
+
+
+def _verdict(table: VerdictTable, i: int) -> MembershipVerdict:
+    """Row ``i`` of the kernel's verdict table as a MembershipVerdict."""
+    floats = (table.delta_min, table.surplus_min, table.equality_residual,
+              table.lmi_min, table.c3)
     return MembershipVerdict(
-        bool(t.in_ri[0]),
-        bool(t.in_re[0]),
-        bool(t.in_ri_circ[0]),
+        bool(table.in_ri[i]),
+        bool(table.in_re[i]),
+        bool(table.in_ri_circ[i]),
         MembershipDiagnostics(
-            *(float(x[0]) for x in floats), t.sigma_h_minimal, bool(t.boundary[0])
+            *(float(x[i]) for x in floats),
+            table.sigma_h_minimal,
+            bool(table.boundary[i]),
         ),
     )
 
@@ -406,23 +470,32 @@ def _membership_stack(
     tol: float = 1e-9,
     eq_tol: float = 1e-8,
     c3_tol: float = 1e-8,
-    eigh: tuple[np.ndarray, np.ndarray] | None = None,
+    eigenvalues: np.ndarray | None = None,
 ) -> VerdictTable:
     """The membership kernel: the :class:`VerdictTable` of the (k, n, n)
     stack ``h`` of Hermitian matrices (as :func:`hermitian_part` returns
-    them). ``eigh``, when given, is the ``np.linalg.eigh`` of the stack,
-    which the caller also passes to :func:`_storage_stack`.
+    them). ``eigenvalues``, when given, are the ascending eigenvalues of
+    each matrix on the stack, which decide positivity; a caller that has
+    decomposed the stack, or holds its StorageOperators, passes them, and
+    otherwise the kernel takes ``eigvalsh``.
 
     Every step is one batched call of the LAPACK routine the single-candidate
-    computation uses (``eigh`` for the positivity test and for delta, whose
-    least eigenvalue, range test and pseudo-inverse it gives; ``eigvalsh``
-    for the least eigenvalue and norm of the LMI and of the surplus; SVD for
-    the norms of beta and of its dropped-range part), and the routes, the
-    boundary band and ``in_re`` are array operations on the results, so each
-    row is bit for bit the one-candidate result. The realization's
-    minimality is read once per call. A DimensionMismatch concerns the whole
-    stack, and the InconsistentRoutes of the first candidate whose routes
-    disagree outside the band, in stack order, is raised.
+    computation uses (``eigh`` for delta, whose least eigenvalue, range test
+    and pseudo-inverse it gives; ``eigvalsh`` for the least eigenvalue and
+    norm of the LMI and of the surplus; SVD for the norms of beta and of its
+    dropped-range part), and the routes, the boundary band and ``in_re``
+    are array operations on the results, so each row is bit for bit the
+    one-candidate result. Two columns are formed only on the rows that read
+    them: the range residual ``c3`` where the rank cut drops an eigenvalue
+    of delta (it is 0.0 elsewhere, see :func:`_riccati_stack`), and
+    ``||beta||``, which sets the range threshold ``c3_tol * max(1,
+    ||beta||)``, where ``c3 > c3_tol`` or the routes split (elsewhere ``c3
+    <= c3_tol`` passes any such threshold, and the band margins are not
+    read). The
+    realization's minimality is read once per call. A DimensionMismatch
+    concerns the whole stack, and the InconsistentRoutes of the first
+    candidate whose routes disagree outside the band, in stack order, is
+    raised.
 
     A realization without inputs (m = 0) has an empty delta: its equality
     is the Stein equation ``alpha(H) = 0``, its LMI is ``alpha(H)``, the
@@ -431,14 +504,22 @@ def _membership_stack(
     """
     h = np.asarray(h, dtype=complex)
     _check_dims(sigma, h.shape[-1])
-    pd, _ = _pd_mask((np.linalg.eigh(h) if eigh is None else eigh)[0])
+    pd, _ = _pd_mask(np.linalg.eigvalsh(h) if eigenvalues is None else eigenvalues)
     alpha, beta, delta, w, v, c3 = _riccati_stack(sigma, h[pd])
     lmi_min, lmi_norm = _least_and_norm(_lmi(alpha, beta, delta))
     delta_min = w.min(axis=1, initial=np.inf)
     scale = np.maximum(1.0, lmi_norm)
     threshold = tol * scale
     floor = -threshold
-    c3_threshold = c3_tol * np.maximum(1.0, _spectral_norms(beta))
+    # c3_tol stands in for the range threshold on the rows that do not read it
+    c3_threshold = np.full(len(c3), c3_tol)
+
+    def form_c3_threshold(rows: np.ndarray) -> None:
+        if rows.any():
+            c3_threshold[rows] = c3_tol * np.maximum(1.0, _spectral_norms(beta[rows]))
+
+    above = c3 > c3_tol
+    form_c3_threshold(above)
 
     # route one needs delta PSD and the range inclusion to form the surplus
     formed = (delta_min >= floor) & (c3 <= c3_threshold)
@@ -453,6 +534,7 @@ def _membership_stack(
     in_ri = route_one
     boundary = split = route_one != route_two
     if split.any():
+        form_c3_threshold(split & ~above)
         # a split within the band of a decision's edge is a boundary case,
         # where the LMI route decides; an unformed surplus has no margin
         margins = np.abs(

@@ -45,13 +45,19 @@ Loops over candidates go through the stacked membership kernel of
 :mod:`riccati_kyp.riccati` with one call per batch, and read its verdict
 table (``riccati.VerdictTable``) as masks: the candidates of a route are
 the members where ``in_re`` holds, each with its ``equality_residual``; the
-inverses of the duality samples give ``samples_ok`` as ``in_ri_circ``; and
-the sampler keeps the points of its chain where ``in_ri & (lmi_min >= 0)``
-holds. A candidate that is not positive definite reads False in every mask,
-and the kernel itself raises the InconsistentRoutes of the first candidate
-whose routes split. The members of a set are built from the batched
-eigendecomposition the kernel takes of the candidate stack
-(``riccati._storage_stack``), whose last eigenvalue is each member's norm.
+inverses of the distinct duality samples (a one-point RI gives copies of
+one mean) give ``samples_ok`` as ``in_ri_circ``, read back for every copy;
+and the sampler keeps the points of its chain where ``in_ri & (lmi_min >=
+0)`` holds. A candidate that is not positive definite reads False in every
+mask, and the kernel itself raises the InconsistentRoutes of the first
+candidate whose routes split. The kernel forms the range residual and
+``||beta||`` only on the rows that read them (see
+``riccati._membership_stack``). The members of a set are built from one
+batched eigendecomposition of the candidate stack
+(``riccati._storage_stack``), whose eigenvalues also decide the kernel's
+positivity test and whose last eigenvalue is each member's norm. A
+certified extremal pair reaches the sampler as StorageOperators, so the
+anchor checks of :func:`membership` read the eigenvalues they hold.
 A decided pencil set takes its order from the selection digits: its
 members form a lattice isomorphic to the subsets of the selected outside
 eigenvalues (Lancaster & Rodman), so two members compare as the sets of
@@ -307,14 +313,15 @@ def sample_ri_members(
     sigma: SystemRealization,
     count: int,
     rng: np.random.Generator,
-    anchors: list[np.ndarray],
+    anchors: list,
     tol: float = 1e-9,
 ) -> list[np.ndarray]:
     """Sample inequality members by hit-and-run over the KYP LMI.
 
-    The anchors are checked by :func:`membership`, and those in RI open the
-    output. The rest comes from one hit-and-run chain (Smith, Oper. Res.
-    1984) on ``L(H) = [[alpha, -beta*], [-beta, delta]] >= 0``, which is
+    The anchors, matrices or StorageOperators, are checked by
+    :func:`membership`, and those in RI open the output. The rest comes
+    from one hit-and-run chain (Smith, Oper. Res. 1984) on
+    ``L(H) = [[alpha, -beta*], [-beta, delta]] >= 0``, which is
     affine in H: from a point with L(H) positive definite, a Hermitian
     direction E has the feasible chord of all t with ``L(H) + t L(E) >= 0``,
     read off the eigenvalues of ``F^-1 L(E) F^-*`` for a factor ``L(H) = F
@@ -353,7 +360,7 @@ def _ri_samples(
     sigma: SystemRealization,
     count: int,
     rng: np.random.Generator,
-    anchors: list[np.ndarray],
+    anchors: list,
     tol: float,
     one_point: bool,
 ) -> list[np.ndarray]:
@@ -370,7 +377,11 @@ def _ri_samples(
         except NotPD:
             continue
         if verdict.in_ri:
-            good_anchors.append(hermitian_part(np.asarray(anc, dtype=complex)))
+            good_anchors.append(
+                anc.matrix
+                if isinstance(anc, StorageOperator)
+                else hermitian_part(np.asarray(anc, dtype=complex))
+            )
     if not good_anchors:
         return []
 
@@ -530,7 +541,8 @@ def _validated_set(
     membership-kernel call; ``labels`` are their provenance routes. The set
     is complete when the stack is ``exhaustive`` (the whole equality set of
     a minimal system) and all of them pass. One ``eigh`` of the stack serves
-    the kernel's positivity test and the members' storage operators.
+    the kernel's positivity test, by its eigenvalues, and the members'
+    storage operators.
     Members are sorted by :func:`_sorted_order`.
 
     ``digits``, one boolean row of selection digits per candidate of a
@@ -544,7 +556,7 @@ def _validated_set(
         stack,
         tol=cfg.membership_tol,
         eq_tol=EQUALITY_TOL,
-        eigh=(w, v),
+        eigenvalues=w,
     )
     kept = np.flatnonzero(table.in_re)
     kept = kept[_sorted_order(stack[kept])]
@@ -750,7 +762,8 @@ def minimal_solution(
 
 
 def _closed_loop_radius(sigma: SystemRealization, h: np.ndarray, tol: float) -> float:
-    """Spectral radius of the closed loop ``A + B pinv(delta(H)) beta(H)``.
+    """Spectral radius of the closed loop ``A + B pinv(delta(H)) beta(H)``,
+    0.0 for a realization without states.
 
     The pseudo-inverse keeps the eigenvalues of delta above the membership
     band ``tol * max(1, ||L(H)||)``, so a delta that vanishes in exact
@@ -760,7 +773,7 @@ def _closed_loop_radius(sigma: SystemRealization, h: np.ndarray, tol: float) -> 
     band = tol * max(1.0, float(_least_and_norm(_lmi(alpha, beta, delta))[1]))
     w, v = np.linalg.eigh(delta)
     gain = _pinv_kept(w, v, w > band) @ beta
-    return float(np.abs(np.linalg.eigvals(sigma.a + sigma.b @ gain)).max())
+    return float(np.abs(np.linalg.eigvals(sigma.a + sigma.b @ gain)).max(initial=0.0))
 
 
 def _certified(
@@ -903,7 +916,7 @@ def duality_check(
         extremes = minimal_solution(sigma, cfg), maximal_solution(sigma, cfg)
     adj = adjoint(sigma)
     h_min, h_max = extremes
-    anchors = [h_min.matrix, h_max.matrix]
+    anchors = [h_min, h_max]
     tol = EQUALITY_TOL * max(1.0, spectral_norm(h_max.matrix))
     rng = np.random.default_rng(cfg.seed + 7)
     if loewner_compare(h_min.matrix, h_max.matrix, tol) == Loewner.EQUAL:
@@ -915,9 +928,15 @@ def duality_check(
             sigma, cfg.duality_samples, rng, anchors=anchors, tol=cfg.membership_tol
         )
 
-    inverses = _hermitian_inverse(np.array(samples).reshape(-1, *sigma.a.shape))
-    table = _membership_stack(adj, inverses, tol=cfg.membership_tol)
-    samples_ok = table.in_ri_circ.tolist()
+    # a one-point RI gives copies of one sample, so each distinct sample is
+    # inverted and checked once
+    distinct = {sample.tobytes(): sample for sample in samples}
+    slot = {key: i for i, key in enumerate(distinct)}
+    inverses = _hermitian_inverse(
+        np.array(list(distinct.values())).reshape(-1, *sigma.a.shape)
+    )
+    ok = _membership_stack(adj, inverses, tol=cfg.membership_tol).in_ri_circ
+    samples_ok = ok[[slot[sample.tobytes()] for sample in samples]].tolist()
 
     # an empty set is falsy
     own = solve_re(sigma, cfg) if equality_set is None else equality_set

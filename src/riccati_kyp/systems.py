@@ -15,9 +15,11 @@ A :class:`SystemRealization` is an immutable value with read-only copies of
 its matrices. What is decided about it is decided once: a decider wrapped in
 :func:`_memo` keeps its result on the realization, keyed by the decider, and
 every later call reads it back. This module's deciders are
-:func:`is_minimal`, the complex Schur form of A with ``||A||``
-(:func:`_schur_form`), which every transfer grid reads and whose diagonal
-gives the eigenvalues of A that decide every pole test (:func:`_pole_angle`),
+:func:`is_minimal`, which counts its two Krylov ranks from singular values
+alone, the complex Schur form of A with ``||A||`` (:func:`_schur_form`),
+which every transfer grid reads and whose diagonal gives the eigenvalues of
+A that decide every pole test (:func:`_pole_angle`; an adjoint without a
+Schur form of its own reads the conjugates of its realization's diagonal),
 and :func:`adjoint`, whose adjoint is the realization itself; the solver and
 the pencil keep theirs the same way.
 
@@ -131,7 +133,9 @@ def _memo(decide=None, *, involution: bool = False):
     result. With ``involution`` the result is a realization that keeps
     ``sigma`` as its own result, so that ``f(f(sigma)) is sigma``. The
     decorated function reaches ``decide`` as its ``__wrapped__`` on each
-    decision, and only then."""
+    decision, and only then; its ``known(sigma)`` is the kept result, or
+    None before the first call, and decides nothing. A wrapper made with
+    ``functools.wraps`` carries ``known`` along."""
     if decide is None:
         return functools.partial(_memo, involution=involution)
 
@@ -145,6 +149,7 @@ def _memo(decide=None, *, involution: bool = False):
                 fact._facts[kept] = sigma
             return fact
 
+    kept.known = lambda sigma: sigma._facts.get(kept)
     return kept
 
 
@@ -174,13 +179,26 @@ def _schur_form(sigma: SystemRealization) -> tuple[float, np.ndarray, np.ndarray
     return spectral_norm(sigma.a), t, q
 
 
+def _eigenvalues(sigma: SystemRealization) -> np.ndarray:
+    """The eigenvalues of A, off the diagonal of the Schur form ``sigma``
+    keeps (:func:`_schur_form`). When ``sigma`` keeps none and its adjoint,
+    kept by :func:`adjoint`, does, they are the conjugates of the adjoint's,
+    and A is not decomposed again."""
+    other = adjoint.known(sigma)
+    if _schur_form.known(sigma) is None and other is not None:
+        form = _schur_form.known(other)
+        if form is not None:
+            return np.diagonal(form[1]).conj()
+    return np.diagonal(_schur_form(sigma)[1])
+
+
 def _pole_angle(sigma: SystemRealization, disc: bool = False) -> float | None:
     """The angle in [0, 2 pi) of a pole ``1/mu`` of the transfer function
     within ``POLE_TOL`` of the unit circle, or, with ``disc``, in the closed
     disc widened by ``POLE_TOL``; None when there is none. The eigenvalues
-    mu of A are read off the diagonal of the Schur form ``sigma`` keeps, and
-    of several such poles the one of largest ``|mu|`` is named."""
-    mu = np.diagonal(_schur_form(sigma)[1])
+    mu of A are those of :func:`_eigenvalues`, and of several such poles the
+    one of largest ``|mu|`` is named."""
+    mu = _eigenvalues(sigma)
     with np.errstate(divide="ignore"):
         gap = 1.0 / np.abs(mu) - 1.0  # inf at mu = 0, which is no pole
     hits = gap < POLE_TOL if disc else np.abs(gap) < POLE_TOL
@@ -350,6 +368,21 @@ def _krylov_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.hstack(blocks)
 
 
+def _observability_block(sigma: SystemRealization) -> np.ndarray:
+    """[C; CA; ...; CA^{n-1}], the conjugate transpose of the Krylov block
+    of (A*, C*)."""
+    return _krylov_block(sigma.a.conj().T, sigma.c.conj().T).conj().T
+
+
+def _rank(s: np.ndarray) -> int:
+    """The number of the descending singular values ``s`` above
+    ``MINIMALITY_TOL`` times the largest; 0 when there is none or the
+    largest is 0."""
+    if s.size == 0 or float(s[0]) == 0.0:
+        return 0
+    return int(np.count_nonzero(s > MINIMALITY_TOL * float(s[0])))
+
+
 def controllable_subspace(sigma: SystemRealization) -> np.ndarray:
     """Orthonormal basis of the span of {A^k B : 0 <= k <= n-1}.
 
@@ -359,10 +392,7 @@ def controllable_subspace(sigma: SystemRealization) -> np.ndarray:
     """
     k = _krylov_block(sigma.a, sigma.b)
     u, s, _ = np.linalg.svd(k, full_matrices=False)
-    if s.size == 0 or float(s[0]) == 0.0:
-        return np.zeros((sigma.state_dim, 0), dtype=complex)
-    rank = int(np.count_nonzero(s > MINIMALITY_TOL * float(s[0])))
-    return u[:, :rank]
+    return u[:, : _rank(s)]
 
 
 def unobservable_subspace(sigma: SystemRealization) -> np.ndarray:
@@ -372,13 +402,8 @@ def unobservable_subspace(sigma: SystemRealization) -> np.ndarray:
     unobservable subspace is the orthogonal complement of the range of the
     observability block matrix.
     """
-    obs = _krylov_block(sigma.a.conj().T, sigma.c.conj().T).conj().T
-    _, s, vh = np.linalg.svd(obs, full_matrices=True)
-    if s.size == 0 or float(s[0]) == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > MINIMALITY_TOL * float(s[0])))
-    return vh[rank:].conj().T
+    _, s, vh = np.linalg.svd(_observability_block(sigma), full_matrices=True)
+    return vh[_rank(s) :].conj().T
 
 
 @dataclass(frozen=True)
@@ -397,9 +422,13 @@ class MinimalityReport:
 @_memo
 def is_minimal(sigma: SystemRealization) -> MinimalityReport:
     """True iff the controllable subspace is the whole state space and the
-    unobservable subspace is trivial, decided once per realization."""
-    cdim = controllable_subspace(sigma).shape[1]
-    udim = unobservable_subspace(sigma).shape[1]
+    unobservable subspace is trivial, decided once per realization. The two
+    dimensions are the Krylov ranks of :func:`controllable_subspace` and
+    :func:`unobservable_subspace`, counted from singular values alone,
+    with no basis built."""
+    svdvals = functools.partial(np.linalg.svd, compute_uv=False)
+    cdim = _rank(svdvals(_krylov_block(sigma.a, sigma.b)))
+    udim = sigma.state_dim - _rank(svdvals(_observability_block(sigma)))
     return MinimalityReport(
         minimal=(cdim == sigma.state_dim and udim == 0),
         controllable_dim=cdim,

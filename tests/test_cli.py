@@ -658,6 +658,9 @@ def test_report_decides_each_fact_once_per_realization(name, monkeypatch, tmp_pa
     for calls in spies:
         assert calls and len(calls) == len({id(sigma) for sigma in calls})
     assert len(spies[0]) == 1  # the adjoint's adjoint is the system
+    # the adjoint's pole test reads the conjugates of the system's Schur
+    # diagonal, so A* is not decomposed
+    assert len(spies[2]) == 1
 
 
 def _lyapunov_solves(monkeypatch) -> list:
@@ -743,6 +746,34 @@ def test_report_checks_every_candidate_as_check_does(tmp_path):
         check = json.loads(out.read_text())["check"]
         assert check.pop("candidate") == name
         assert json.dumps(check, sort_keys=True) == json.dumps(payload, sort_keys=True)
+
+
+def test_report_checks_its_candidates_in_one_kernel_call(monkeypatch, tmp_path):
+    # the check section is one kernel call over every candidate, and the
+    # report calls membership for none of them; check calls membership on
+    # its one candidate
+    from riccati_kyp import riccati as riccati_module
+
+    path = _candidates_doc(tmp_path, scalar_interval_doc()["candidates"])
+    out = str(tmp_path / "report.json")
+    kernel, stacks, checked = riccati_module._membership_stack, [], []
+
+    def kernel_spy(sigma, h, *args, **kwargs):
+        stacks.append(len(h))
+        return kernel(sigma, h, *args, **kwargs)
+
+    def membership_spy(*args, **kwargs):
+        checked.append(args)
+        return riccati_module.membership(*args, **kwargs)
+
+    monkeypatch.setattr(riccati_module, "_membership_stack", kernel_spy)
+    monkeypatch.setattr(cli_module, "membership", membership_spy)
+    doc = parse_system(path)
+    payload = cli_module._checks_payload(doc.realization(), doc.candidates, 1e-9)
+    assert list(payload) == ["Hmid", "Hout", "Hre"] and stacks == [3] and not checked
+    assert main(["check", "--system", path, "--candidate", "Hre", "--no-timings",
+                 "--out", out]) == 0
+    assert len(checked) == 1
 
 
 def test_grid_points_are_cached_read_only(two_state_system):

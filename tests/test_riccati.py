@@ -475,9 +475,13 @@ class TestDissipationOfMembers:
 # -- the stacked membership kernel ---------------------------------------------
 
 
-def _reference_membership(sigma, h, tol=1e-9, eq_tol=1e-8, c3_tol=1e-8):
+def _reference_membership(
+    sigma, h, tol=1e-9, eq_tol=1e-8, c3_tol=1e-8, surplus_shift=0.0
+):
     """Membership of one candidate computed on its own, step by step, as it
-    was before the stacked kernel: the reference the kernel must match."""
+    was before the stacked kernel: the reference the kernel must match.
+    ``surplus_shift`` pushes the surplus down by that multiple of I, as a
+    test that splits the routes pushes the kernel's."""
 
     def herm(x):
         return 0.5 * (x + x.conj().T)
@@ -510,6 +514,7 @@ def _reference_membership(sigma, h, tol=1e-9, eq_tol=1e-8, c3_tol=1e-8):
         inv_w = np.where(kept, 1.0 / np.where(kept, w, 1.0), 0.0)
         pinv = herm((v * inv_w) @ v.conj().T)
         surplus = herm(alpha - beta.conj().T @ pinv @ beta)
+        surplus = surplus - surplus_shift * np.eye(len(hm))
         surplus_min, equality_residual = least_and_norm(surplus)
         route_one = surplus_min >= -threshold
     else:
@@ -717,3 +722,82 @@ def test_kernel_raises_the_first_split_in_stack_order(two_state_system, monkeypa
     assert f"surplus_min={table.surplus_min[2] - 3.0:.3e}" in message
     assert f"lmi_min={table.lmi_min[2]:.3e}" in message
 
+
+def test_kernel_forms_the_range_columns_only_where_they_are_read(
+    scalar_interval_system, monkeypatch
+):
+    """The kernel takes the range residual c3 only on rows whose rank cut
+    drops an eigenvalue of delta, and ||beta|| only on rows with c3 above
+    c3_tol or split routes; on those rows it matches the step-by-step
+    reference bit for bit. scalar_interval at H = 3/4 has delta = 0, so the
+    cut drops its eigenvalue; A = 1e-8, B = C = 0.5, D = 0 at its H_max = 4
+    has delta = 0 and c3 = 2e-8 above c3_tol, a boundary split. A scaled
+    scalar system whose surplus is pushed down by 3 at tol 1e-12 splits
+    with ||beta|| = 2.97, so c3_tol ||beta|| is the margin that decides:
+    outside the band at c3_tol 1e-9, where the split raises, and inside it
+    at 1e-10, where it is a boundary case."""
+    calls = []
+    norms = riccati_module._spectral_norms
+
+    def spy(a):
+        calls.append(len(a))
+        return norms(a)
+
+    monkeypatch.setattr(riccati_module, "_spectral_norms", spy)
+
+    def check(sigma, stack, formed, shift=0.0, **tols):
+        # the rows of one kernel call, or the error it raises, against the
+        # reference on each row; ``formed`` lists the rows of each SVD call
+        calls.clear()
+        expected = [
+            _outcome_of(
+                lambda: _reference_membership(sigma, h, surplus_shift=shift, **tols)
+            )
+            for h in stack
+        ]
+        try:
+            table = _membership_stack(sigma, np.array(stack, dtype=complex), **tols)
+            got = [_row_outcome(table, i) for i in range(len(stack))]
+        except InconsistentRoutes as exc:
+            got = [_outcome(exc)]
+        assert got == expected
+        assert calls == formed
+        return got
+
+    # only the row at 3/4 takes c3 (one SVD of one row); no row takes ||beta||
+    check(scalar_interval_system, [[[0.25]], [[0.75]], [[0.5]]], [1])
+    # the row at 4 takes c3 and then ||beta||; the row at 2 takes neither
+    found_53 = SystemRealization([[1e-8]], [[0.5]], [[0.5]], [[0.0]])
+    check(found_53, [[[4.0]], [[2.0]]], [1, 1])
+    table = _membership_stack(found_53, np.array([[[4.0]]]))
+    assert table.boundary[0] and table.c3[0] > 1e-8
+
+    # an interior point of the scaled system: delta = 0.9 and c3 = 0, so the
+    # one SVD is that of ||beta|| on the split row
+    scaled = SystemRealization([[0.9]], [[0.03]], [[3.0]], [[0.0]])
+    surplus = riccati_module._surplus
+    monkeypatch.setattr(riccati_module, "_surplus", lambda *args: surplus(*args) - 3.0)
+    for c3_tol, raises in ((1e-9, True), (1e-10, False)):
+        (got,) = check(scaled, [[[110.0]]], [1], shift=3.0, tol=1e-12, c3_tol=c3_tol)
+        assert (got[0] == "InconsistentRoutes") == raises
+        assert raises or got[3][-1]  # the boundary flag
+
+
+def test_membership_reads_a_storage_operators_eigenvalues(
+    two_state_system, monkeypatch
+):
+    # a StorageOperator hands the kernel the eigenvalues it holds, so the
+    # only eigh is delta's (1 x 1 here); a matrix is decomposed first (2 x 2)
+    storage = StorageOperator(np.diag([1.0, 2.0]))
+    shapes, eigh = [], np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    verdict = membership(two_state_system, storage)
+    assert shapes == [(1, 1, 1)]
+    shapes.clear()
+    assert _outcome(membership(two_state_system, storage.matrix)) == _outcome(verdict)
+    assert shapes == [(1, 2, 2), (1, 1, 1)]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -366,13 +366,18 @@ class TestPencilRoute:
     p=st.integers(min_value=1, max_value=2),
     norm=st.sampled_from([0.5, 0.9, 0.99]),
 )
+# a root finder's limit here is a Hermitian zero of the pinv residual with an
+# indefinite delta, which no pencil selection gives and membership refuses
+@example(seed=1011, n=2, m=2, p=2, norm=0.99)
 def test_pencil_set_holds_every_newton_solution(seed, n, m, p, norm):
     """On random strictly passive minimal systems the pencil decides the
-    equality set. Every member passes membership; every limit of a
-    root finder from seeded random starts is one of the 2**n pencil
-    candidates, and a member whenever membership accepts it. The set is
-    complete exactly when all 2**n candidates are members, and then its
-    flagged extremes are the all-inside and all-outside selections."""
+    equality set. Every member passes membership. A limit of a root finder
+    from seeded random starts that membership accepts is a member, and so
+    one of the 2**n pencil candidates; a limit near no candidate is a zero
+    of the pinv residual outside RI (its delta may be indefinite), which
+    membership refuses. The set is complete exactly when all 2**n
+    candidates are members, and then its flagged extremes are the
+    all-inside and all-outside selections."""
     rng = np.random.default_rng(seed)
     sigma = random_realization(rng, n, m, p, passive_norm=norm)
     assume(is_minimal(sigma))
@@ -392,9 +397,10 @@ def test_pencil_set_holds_every_newton_solution(seed, n, m, p, norm):
         assert _near(stack[0], [members[solution_set.minimal_index]], tol=1e-12)
         assert _near(stack[-1], [members[solution_set.maximal_index]], tol=1e-12)
     for h in _equality_limits(sigma, [random_hermitian(rng, n) for _ in range(2)]):
-        assert _near(h, stack)
         if _in_re(sigma, h):
             assert _near(h, members)
+        if not _near(h, stack):
+            assert not _in_re(sigma, h)
 
 
 def _equality_limits(sigma, starts):
@@ -1008,6 +1014,19 @@ class TestCertificate:
         with pytest.raises(CertificateFailed) as info:
             minimal_solution(two_state_system)
         assert info.value.equality_residual > 0.1
+
+    def test_a_realization_without_states_fails_its_certificate(self):
+        # no states: the closed loop has no eigenvalue and radius 0.0, and
+        # the 0 x 0 candidate is refused as not positive definite, so the
+        # certificate path ends in its typed error, not a bare ValueError
+        sigma = SystemRealization(
+            np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[0.5]]
+        )
+        assert solver_module._closed_loop_radius(sigma, np.zeros((0, 0)), 1e-9) == 0.0
+        for solve in (minimal_solution, maximal_solution, duality_check):
+            with pytest.raises(CertificateFailed, match="not positive") as info:
+                solve(sigma)
+            assert info.value.radius == 0.0
 
     def test_extremes_sample_nothing(self, two_state_system, monkeypatch):
         def no_sampling(*args, **kwargs):
@@ -1645,6 +1664,26 @@ def test_a_one_point_ri_takes_no_phase_one(name, monkeypatch):
     for mine, theirs in ((report.re_members, forced.re_members),
                          (report.re_adjoint_members, forced.re_adjoint_members)):
         assert mine.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize("name", ["coisometry", "blaschke3"])
+def test_duality_checks_each_distinct_sample_once(name, monkeypatch):
+    # a one-point RI gives 50 samples of at most three distinct matrices,
+    # the anchors and their mean: each is inverted and checked once, in the
+    # first kernel call on the adjoint, and every copy reads its verdict
+    sigma = _golden_system(name)
+    adj = adjoint(sigma)
+    kernel, rows = solver_module._membership_stack, []
+
+    def spy(system, h, *args, **kwargs):
+        if system is adj:
+            rows.append(len(h))
+        return kernel(system, h, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_membership_stack", spy)
+    report = duality_check(sigma, SolverConfig(seed=301))
+    assert report.sample_count == len(report.samples_ok) == 50
+    assert 1 <= rows[0] <= 3
 
 
 @pytest.mark.parametrize("name", sorted(CHAIN_ZOO))

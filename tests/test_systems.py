@@ -68,11 +68,14 @@ class TestImmutableRealization:
 
     def test_minimality_report_is_decided_once_and_frozen(self, monkeypatch):
         # the memo reaches the decider only on the first call for a
-        # realization, and every call returns the one frozen report
+        # realization, and every call returns the one frozen report, which
+        # known reads back without deciding
         sigma = random_realization(np.random.default_rng(24), 3, 2, 1)
         decided = decisions(monkeypatch, is_minimal)
+        assert is_minimal.known(sigma) is None and decided == []
         report = is_minimal(sigma)
         assert is_minimal(sigma) is report and decided == [sigma]
+        assert is_minimal.known(sigma) is report
         with pytest.raises(dataclasses.FrozenInstanceError):
             report.minimal = False
 
@@ -183,6 +186,27 @@ class TestMinimality:
         sigma = SystemRealization(np.diag([1.0, 2.0]), [[1.0], [0.0]],
                                   [[1.0, 1.0]], [[0.0]])
         assert not is_minimal(sigma)
+
+    def test_dimensions_are_the_ranks_of_the_subspace_bases(self):
+        # is_minimal counts the two Krylov ranks from singular values alone;
+        # they are the column counts of the bases the subspace functions
+        # build, on minimal systems and on ones whose last state is cut off
+        # from the input, from the output, or from both
+        rng = np.random.default_rng(21)
+        for k in range(40):
+            n, m, p = (int(x) for x in rng.integers(1, 5, size=3))
+            sigma = random_realization(rng, n, m, p)
+            a, b, c = sigma.a.copy(), sigma.b.copy(), sigma.c.copy()
+            if k % 4 in (1, 3):  # the last state gets no input
+                a[-1, :-1], b[-1] = 0.0, 0.0
+            if k % 4 in (2, 3):  # the last state reaches no output
+                a[:-1, -1], c[:, -1] = 0.0, 0.0
+            sigma = SystemRealization(a, b, c, sigma.d)
+            report = is_minimal(sigma)
+            assert report.controllable_dim == controllable_subspace(sigma).shape[1]
+            assert report.unobservable_dim == unobservable_subspace(sigma).shape[1]
+            assert report.minimal == (k % 4 == 0)
+            assert report.state_dim == n
 
     def test_minimality_matches_adjoint(self):
         rng = np.random.default_rng(20)
