@@ -189,7 +189,8 @@ def uniqueness_certificate(
     Anything else returns Unknown, as does a screen the identities refuse (a
     defect within ``tol`` that is not zero). RI lies between H_min and H_max
     in the Loewner order, so it is a single point exactly when H_min = H_max;
-    that test is not made here yet.
+    :func:`~riccati_kyp.solver.duality_check` makes that test, and this
+    certificate decides only inner and co-inner systems.
 
     Raises NotMinimal on a non-minimal system.
     """

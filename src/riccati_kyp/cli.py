@@ -9,9 +9,14 @@ solution set ordered by its selection digits holds ``"order":
 "selection_subset"``: H_i <= H_j exactly when the 1-digits of member i's
 provenance selection are among member j's. Any other set holds its
 ``"comparisons"``, ``{"i,j": verdict}`` for each pair i < j. Reports embed
-the effective configuration verbatim so every verdict is auditable, and
-with --no-timings two runs with identical inputs and seed produce
-byte-identical output.
+the effective configuration verbatim, and with --no-timings two runs with
+identical inputs and seed produce byte-identical output. The embedded
+``eq_tol`` and ``c3_tol``, ten times ``--tol``, govern only ``check`` and
+the check section of ``report``: ``solve-re``, ``extremes`` and the duality
+check take ``--tol`` as their membership tolerance but validate at
+``solver.EQUALITY_TOL`` = 1e-8 and at the membership kernel's default
+``c3_tol`` of 1e-8, whatever ``--tol`` is, so the two agree only at the
+default ``--tol``.
 
 Document schema (informal):
 
@@ -441,23 +446,26 @@ def _candidate_matrix(doc: SystemDocument, name: str) -> np.ndarray:
 
 
 def run(command: str, doc: SystemDocument, args) -> dict:
-    """Dispatch one command against a parsed document and return the report."""
+    """Run one command against a parsed document and return the report.
+
+    The sections run in one order, each written once and enabled per
+    command: check (``check``, on its one candidate), analyze, solve_re,
+    extremes, the check of every candidate and simulate; ``report`` runs
+    the single commands' analyze, solve_re and extremes sections, its
+    check section when the document has candidates, and simulate with
+    ``--inputs``. The extremes section's duality check reuses the solve_re
+    section's equality set when there is one."""
     sigma = doc.realization()
     config = SolverConfig(seed=args.seed, membership_tol=args.tol)
     report: dict = {
         "name": doc.name,
         "command": command,
-        "config": {
-            "tol": args.tol,
-            "grid": args.grid,
-            "seed": args.seed,
-            "eq_tol": 10.0 * args.tol,
-            "c3_tol": 10.0 * args.tol,
-        },
+        "config": {"grid": args.grid, "seed": args.seed, **_membership_tols(args.tol)},
     }
     if command in ("solve-re", "extremes", "report"):
         report["config"]["solver"] = config
     timings: dict[str, float] = {}
+    whole = command == "report"
 
     def timed(key: str, fn):
         start = time.perf_counter()
@@ -465,53 +473,33 @@ def run(command: str, doc: SystemDocument, args) -> dict:
         timings[key] = time.perf_counter() - start
         return value
 
-    if command == "analyze":
-        report["analyze"] = timed(
-            "analyze", lambda: _analyze_payload(sigma, args.tol, args.grid)
-        )
-    elif command == "check":
+    if command == "check":
         if not args.candidate:
             raise err.ParseError("check requires --candidate <name>")
         h = _candidate_matrix(doc, args.candidate)
-        report["check"] = timed(
-            "check",
-            lambda: {
-                "candidate": args.candidate,
-                **vars(membership(sigma, h, **_membership_tols(args.tol))),
-            },
-        )
-    elif command == "solve-re":
-        report["solve_re"] = _solution_set_payload(
-            timed("solve_re", lambda: solve_re(sigma, config))
-        )
-    elif command == "extremes":
-        report["extremes"] = timed(
-            "extremes", lambda: _extremes_payload(sigma, config)
-        )
-    elif command == "simulate":
-        report["simulate"] = timed(
-            "simulate", lambda: _simulate_payload(sigma, doc, args)
-        )
-    elif command == "report":
+        tols = _membership_tols(args.tol)
+        verdict = timed("check", lambda: membership(sigma, h, **tols))
+        report["check"] = {"candidate": args.candidate, **vars(verdict)}
+    if whole or command == "analyze":
         report["analyze"] = timed(
             "analyze", lambda: _analyze_payload(sigma, args.tol, args.grid)
         )
+    re_set = None
+    if whole or command == "solve-re":
         re_set = timed("solve_re", lambda: solve_re(sigma, config))
         report["solve_re"] = _solution_set_payload(re_set)
-        # the duality check reuses this section's equality set
+    if whole or command == "extremes":
         report["extremes"] = timed(
             "extremes", lambda: _extremes_payload(sigma, config, re_set)
         )
-        if doc.candidates:
-            report["check"] = timed(
-                "check", lambda: _checks_payload(sigma, doc.candidates, args.tol)
-            )
-        if args.inputs:
-            report["simulate"] = timed(
-                "simulate", lambda: _simulate_payload(sigma, doc, args)
-            )
-    else:  # pragma: no cover - argparse restricts choices
-        raise err.ParseError(f"unknown command {command!r}")
+    if whole and doc.candidates:
+        report["check"] = timed(
+            "check", lambda: _checks_payload(sigma, doc.candidates, args.tol)
+        )
+    if command == "simulate" or (whole and args.inputs):
+        report["simulate"] = timed(
+            "simulate", lambda: _simulate_payload(sigma, doc, args)
+        )
 
     if not args.no_timings:
         report["timings"] = timings

@@ -389,13 +389,14 @@ def membership(
     """Decide inequality/equality membership through two independent routes.
 
     Route one checks delta PSD, the range inclusion, and PSD-ness of the
-    surplus; route two checks PSD-ness of the LMI matrix. The routes agree in
+    surplus; route two checks PSD-ness of the LMI matrix. The LMI route
+    decides and the surplus route cross-checks it. The routes agree in
     exact arithmetic; a disagreement outside the boundary band (``tol`` times
     ``BOUNDARY_BAND``) raises InconsistentRoutes since it signals a
-    tolerance or rank-decision bug rather than a mathematical fact. Within
-    the band the LMI route decides and the verdict is flagged as a boundary
-    case. ``in_ri_circ`` is ``in_ri`` and minimality of ``sigma``, which is
-    minimality of the associated system (see the module docstring).
+    tolerance or rank-decision bug rather than a mathematical fact, and one
+    within the band flags the verdict as a boundary case. ``in_ri_circ`` is
+    ``in_ri`` and minimality of ``sigma``, which is minimality of the
+    associated system (see the module docstring).
 
     This is the one-candidate view of the stacked membership kernel
     (``_membership_stack``): ``h`` must be positive definite (else NotPD),
@@ -491,11 +492,12 @@ def _membership_stack(
     ``||beta||``, which sets the range threshold ``c3_tol * max(1,
     ||beta||)``, where ``c3 > c3_tol`` or the routes split (elsewhere ``c3
     <= c3_tol`` passes any such threshold, and the band margins are not
-    read). The
-    realization's minimality is read once per call. A DimensionMismatch
-    concerns the whole stack, and the InconsistentRoutes of the first
-    candidate whose routes disagree outside the band, in stack order, is
-    raised.
+    read). The realization's minimality is read once per call.
+    ``in_ri`` is the LMI route's verdict and ``boundary`` marks the rows
+    where the surplus route disagrees with it. A DimensionMismatch concerns
+    the whole stack, and the InconsistentRoutes of the first candidate whose
+    routes disagree outside the band, in stack order, is raised, so every
+    split that returns lies within the band.
 
     A realization without inputs (m = 0) has an empty delta: its equality
     is the Stein equation ``alpha(H) = 0``, its LMI is ``alpha(H)``, the
@@ -529,29 +531,27 @@ def _membership_stack(
         surplus_min[formed], equality_residual[formed] = _least_and_norm(
             _surplus(alpha[formed], beta[formed], w[formed], v[formed])
         )
+    # the LMI route decides, and the surplus route cross-checks it
+    in_ri = lmi_min >= floor
     route_one = surplus_min >= floor  # False where no surplus is formed (NaN)
-    route_two = lmi_min >= floor
-    in_ri = route_one
-    boundary = split = route_one != route_two
-    if split.any():
-        form_c3_threshold(split & ~above)
-        # a split within the band of a decision's edge is a boundary case,
-        # where the LMI route decides; an unformed surplus has no margin
+    boundary = route_one != in_ri
+    if boundary.any():
+        form_c3_threshold(boundary & ~above)
+        # a split within the band of a decision's edge is a boundary case;
+        # any other raises. An unformed surplus has no margin
         margins = np.abs(
             [lmi_min + threshold, delta_min + threshold, c3 - c3_threshold]
         )
         margin = np.fmin(margins.min(axis=0), np.abs(surplus_min + threshold))
-        boundary = split & (margin <= BOUNDARY_BAND * threshold)
-        inconsistent = np.flatnonzero(split & ~boundary)
+        inconsistent = np.flatnonzero(boundary & ~(margin <= BOUNDARY_BAND * threshold))
         if inconsistent.size:
             i = inconsistent[0]
             raise InconsistentRoutes(
                 f"surplus route says {bool(route_one[i])}, LMI route says "
-                f"{bool(route_two[i])} (delta_min={delta_min[i]:.3e}, "
+                f"{bool(in_ri[i])} (delta_min={delta_min[i]:.3e}, "
                 f"surplus_min={surplus_min[i]:.3e}, "
                 f"lmi_min={lmi_min[i]:.3e}, c3={c3[i]:.3e})"
             )
-        in_ri = np.where(boundary, route_two, route_one)
     in_re = in_ri & (equality_residual <= eq_tol * scale)
     # Sigma_H is similar to sigma through S = H^{1/2}, which maps the
     # controllable and unobservable subspaces of sigma onto those of Sigma_H

@@ -37,9 +37,10 @@ passed. Every fact of a realization is decided once and kept by it
 (:func:`riccati_kyp.systems.is_minimal`), which the kernel reads too, its
 adjoint (:func:`riccati_kyp.systems.adjoint`), its ordered-QZ candidate,
 and here its reduction without constant isometric channels
-(:func:`_without_unit_channels`) and its Stein test
-(:func:`_inner_solution`), so a system and its adjoint solve one Stein
-equation each.
+(:func:`_without_unit_channels`), its Stein test (:func:`_inner_solution`)
+and its lossless member (:func:`_lossless_solution`), so a system and its
+adjoint solve one Stein equation each, and a co-inner member is inverted
+once.
 
 Loops over candidates go through the stacked membership kernel of
 :mod:`riccati_kyp.riccati` with one call per batch, and read its verdict
@@ -92,13 +93,15 @@ an exact Schur-class test on its eigenvalues, and the Stein solution of a
 lossless system. It is certified deterministically (Lancaster & Rodman,
 *Algebraic Riccati Equations*, 1995): it must be an equality member, and
 its closed loop ``A + B pinv(delta) beta`` must have spectral radius at
-most ``1 + EQUALITY_TOL``; sampling plays no part in it. The maximal one is
-the inverse of the adjoint system's minimal one. :func:`duality_check` runs
-the inversion checks on samples anchored at the extremal pair and on both
-equality sets, an independent cross-check. It takes the pair, and the
-system's equality set, from a caller that already has them, so a CLI
-command computes each equality set and certifies each minimal solution
-once.
+most ``1 + EQUALITY_TOL``; sampling plays no part in it. At the lossless
+member beta and delta vanish, so its loop is the open loop A, whose
+spectral radius is read off the Schur diagonal the realization keeps. The
+maximal one is the inverse of the adjoint system's minimal one.
+:func:`duality_check` runs the inversion checks on samples anchored at the
+extremal pair and on both equality sets, an independent cross-check. It
+takes the pair, and the system's equality set, from a caller that already
+has them, so a CLI command computes each equality set and certifies each
+minimal solution once.
 """
 
 from __future__ import annotations
@@ -140,6 +143,7 @@ from .riccati import (
 from .pencil import CIRCLE_GAP, equality_candidates, extremal
 from .systems import (
     SystemRealization,
+    _eigenvalues,
     _gram_eigs,
     _memo,
     _pole_angle,
@@ -516,7 +520,7 @@ def solve_re(
     # minimal_solution solves them
     lossless = _lossless_solution(sigma) if minimal and extremal(sigma) is None else None
     if lossless is not None:
-        kind, h, _, _ = lossless
+        kind, h = lossless
         return _validated_set(
             sigma,
             cfg,
@@ -636,31 +640,31 @@ def _hermitian_inverse(h: np.ndarray) -> np.ndarray:
     return hermitian_part((v / w[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
-def _lossless_solution(
-    sigma: SystemRealization,
-) -> tuple[str, np.ndarray, SystemRealization, np.ndarray] | None:
-    """``("inner", X, sigma, X)`` or ``("co-inner", W^-1, adjoint, W)`` for a
-    lossless system, else None: the kind, the one inequality member, and the
-    system whose Stein equation was solved with its solution.
+@_memo
+def _lossless_solution(sigma: SystemRealization) -> tuple[str, np.ndarray] | None:
+    """``("inner", X)`` or ``("co-inner", W^-1)`` for a lossless system, else
+    None: the kind and the one inequality member, read-only, decided once
+    per realization.
 
     The system is inner when :func:`_inner_solution` finds it so, with X its
     Stein solution, and X is then the one inequality member (Arlinskii
     2008). Otherwise it is co-inner when its adjoint is inner, with Stein
     solution ``W = A W A* + B B*``, and then its one inequality member is
-    ``W^-1``. A lossless system has a singular pencil, so
-    :func:`~riccati_kyp.pencil.extremal` leaves it here. Each realization
+    ``W^-1``, inverted here once. A lossless system has a singular pencil,
+    so :func:`~riccati_kyp.pencil.extremal` leaves it here. Each realization
     solves its own Stein equation once, and the co-inner test reads the one
     adjoint that :func:`~riccati_kyp.systems.adjoint` keeps, so a system and
     its adjoint solve two Stein equations between them.
     """
     x = _inner_solution(sigma)
     if x is not None:
-        return "inner", x, sigma, x
-    adj = adjoint(sigma)
-    w = _inner_solution(adj)
-    if w is not None:
-        return "co-inner", _hermitian_inverse(w), adj, w
-    return None
+        return "inner", x
+    w = _inner_solution(adjoint(sigma))
+    if w is None:
+        return None
+    member = _hermitian_inverse(w)
+    member.flags.writeable = False
+    return "co-inner", member
 
 
 @_memo
@@ -742,8 +746,10 @@ def minimal_solution(
     The candidate is certified deterministically (Lancaster & Rodman,
     *Algebraic Riccati Equations*, 1995): it must be an equality member, and
     its closed loop ``A + B pinv(delta) beta`` must have spectral radius at
-    most ``1 + EQUALITY_TOL`` (see :func:`_certified`). CertificateFailed
-    means one of the two failed, or that neither route applies.
+    most ``1 + EQUALITY_TOL`` (see :func:`_certified`); the lossless
+    member's loop is the open loop A, whose eigenvalues are those of
+    :func:`~riccati_kyp.systems._eigenvalues`. CertificateFailed means one
+    of the two failed, or that neither route applies.
     """
     cfg = config or SolverConfig()
     sigma = _without_unit_channels(sigma)
@@ -757,8 +763,10 @@ def minimal_solution(
     if lossless is None:
         no_route = "no exact route: singular pencil or V1, not lossless"
         raise CertificateFailed("minimal", np.nan, np.nan, no_route)
-    _, h, system, x = lossless
-    return _certified(sigma, h, cfg, loop=(system, x))
+    # beta and delta vanish at the Stein solution, so the member's loop is
+    # the open loop A (A* on the adjoint, whose spectrum is the conjugate)
+    radius = float(np.abs(_eigenvalues(sigma)).max(initial=0.0))
+    return _certified(sigma, lossless[1], cfg, radius)
 
 
 def _closed_loop_radius(sigma: SystemRealization, h: np.ndarray, tol: float) -> float:
@@ -767,8 +775,7 @@ def _closed_loop_radius(sigma: SystemRealization, h: np.ndarray, tol: float) -> 
 
     The pseudo-inverse keeps the eigenvalues of delta above the membership
     band ``tol * max(1, ||L(H)||)``, so a delta that vanishes in exact
-    arithmetic (an inner system) gives the open loop A, not a gain made of
-    roundoff."""
+    arithmetic gives the open loop A, not a gain made of roundoff."""
     alpha, beta, delta = _residual_ops(sigma, h)
     band = tol * max(1.0, float(_least_and_norm(_lmi(alpha, beta, delta))[1]))
     w, v = np.linalg.eigh(delta)
@@ -780,7 +787,7 @@ def _certified(
     sigma: SystemRealization,
     h: np.ndarray,
     cfg: SolverConfig,
-    loop: tuple[SystemRealization, np.ndarray] | None = None,
+    radius: float | None = None,
 ) -> StorageOperator:
     """``h`` as the minimal solution, once it is an equality member at
     ``cfg.membership_tol`` and ``EQUALITY_TOL`` and its closed-loop radius is
@@ -789,14 +796,11 @@ def _certified(
     the closed disc (on the two-state example: radius 0.866 at H_min, 1.155
     at the other three).
 
-    The loop is that of ``sigma`` at ``h`` unless ``loop`` gives another
-    (system, weight) pair. The lossless route passes its Stein system and
-    solution, where delta vanishes and the loop is the open loop. For a
-    co-inner system with m > p, delta(H) at the one member has a kernel of
-    dimension p, the gain is not unique there, and the pseudo-inverse gain
-    can give a loop of radius above one; the kernel of the LMI at H is
-    swept by the adjoint's dynamics, whose delta vanishes at H^-1."""
-    radius = _closed_loop_radius(*(loop or (sigma, h)), cfg.membership_tol)
+    ``radius`` is the closed-loop radius when the caller knows it: the
+    lossless route passes that of the open loop A. Otherwise
+    :func:`_closed_loop_radius` computes it."""
+    if radius is None:
+        radius = _closed_loop_radius(sigma, h, cfg.membership_tol)
     try:
         storage = as_storage(h)
     except NotPD as exc:

@@ -3,6 +3,7 @@ and byte-level report reproducibility."""
 
 import dataclasses
 import enum
+import inspect
 import itertools
 import json
 import math
@@ -641,8 +642,8 @@ def test_report_decides_each_fact_once_per_realization(name, monkeypatch, tmp_pa
     # a report on an inner (blaschke3) or co-inner (coisometry) system reads
     # the system, its adjoint and their facts from every section; each
     # realization builds its adjoint, decides its minimality, takes its
-    # Schur form, looks for unit channels, runs ordered QZ and solves its
-    # Stein equation once
+    # Schur form, looks for unit channels, runs ordered QZ, solves its
+    # Stein equation and decides its lossless member once
     spies = [
         decisions(monkeypatch, systems_module.adjoint),
         decisions(monkeypatch, systems_module.is_minimal),
@@ -650,6 +651,7 @@ def test_report_decides_each_fact_once_per_realization(name, monkeypatch, tmp_pa
         decisions(monkeypatch, solver_module._without_unit_channels),
         decisions(monkeypatch, pencil_module.extremal),
         decisions(monkeypatch, solver_module._inner_solution),
+        decisions(monkeypatch, solver_module._lossless_solution),
     ]
     out = str(tmp_path / "report.json")
     path = str(GOLDEN_DOCS / f"{name}.json")
@@ -692,6 +694,36 @@ def test_report_solves_each_stein_equation_once(name, solves, monkeypatch, tmp_p
     path = str(GOLDEN_DOCS / f"{name}.json")
     main(["report", "--system", path, "--seed", "301", "--no-timings", "--out", out])
     assert len(calls) == solves
+
+
+@pytest.mark.parametrize("command", ["solve-re", "extremes"])
+def test_solver_validates_at_its_own_tolerances(command, monkeypatch, tmp_path):
+    # the embedded eq_tol and c3_tol (10 --tol) govern check and the check
+    # section of report only: the solver's kernel calls take --tol as their
+    # membership tolerance, but validate at EQUALITY_TOL and at the
+    # kernel's default c3_tol of 1e-8 whatever --tol is
+    real = solver_module._membership_stack
+    signature = inspect.signature(real)
+    calls = []
+
+    def spy(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_membership_stack", spy)
+    out = tmp_path / "report.json"
+    argv = [command, "--system", TWO_STATE_DOC, "--tol", "1e-7", "--no-timings",
+            "--out", str(out)]
+    assert main(argv) == 0
+    config = json.loads(out.read_text())["config"]
+    assert config["eq_tol"] == config["c3_tol"] == 10.0 * 1e-7
+    assert calls
+    for arguments in calls:
+        assert arguments["tol"] == 1e-7
+        assert arguments["eq_tol"] == solver_module.EQUALITY_TOL == 1e-8
+        assert arguments["c3_tol"] == 1e-8
 
 
 @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")

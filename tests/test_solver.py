@@ -935,7 +935,7 @@ def test_lossless_systems_take_the_stein_route(block):
         if sigma is None:
             continue
         m, p = sigma.input_dim, sigma.output_dim
-        kind, member, _, _ = solver_module._lossless_solution(sigma)
+        kind, member = solver_module._lossless_solution(sigma)
         assert kind == ("inner" if p >= m else "co-inner"), seed
         if seed == REFUSED_LOSSLESS_SEED:
             continue
