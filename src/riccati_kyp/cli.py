@@ -377,7 +377,7 @@ def _analyze_payload(sigma, tol, grid) -> dict:
 
 def _solution_set_payload(solution_set) -> dict:
     payload = {
-        "members": np.array([m.matrix for m in solution_set.members], dtype=complex),
+        "members": solution_set.members,
         "minimal_index": solution_set.minimal_index,
         "maximal_index": solution_set.maximal_index,
         "provenance": solution_set.provenance,

@@ -1,6 +1,7 @@
 """Hermitian matrix primitives.
 
-PSD square roots and pseudo-inverses via eigendecomposition, minimal-contraction
+PSD square roots and pseudo-inverses via eigendecomposition, the one
+positive-definiteness test of a weight (:func:`_pd_mask`), minimal-contraction
 factorization of nonnegative 2x2 block operators with the associated Schur
 complement, a brute-force infimum oracle for that complement, and Loewner-order
 comparison.
@@ -17,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotNonneg, NotPSD, RangeViolation
+from .errors import DimensionMismatch, NotNonneg, NotPD, NotPSD, RangeViolation
 
 __all__ = [
     "EPS",
@@ -42,6 +43,7 @@ EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).tiny)
 RESIDUAL_TOL = 1e-8  # minimal_contraction: admissible factorization residual
 HERMITIAN_TOL = 1e-12  # ensure_hermitian: admissible relative deviation from a*
+PD_TOL = 1e-12  # relative eigenvalue floor of a positive-definite weight
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -114,6 +116,25 @@ def ensure_hermitian(a: np.ndarray) -> np.ndarray:
                 f"(tolerance {HERMITIAN_TOL * scale:.3e})"
             )
     return hermitian_part(a)
+
+
+def _pd_mask(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ascending eigenvalues ``w`` (from ``eigh``) of a stack of
+    weights: whether every eigenvalue exceeds ``PD_TOL`` times the norm, and
+    the least eigenvalue (NaN for an empty weight, which is not PD). This is
+    the one positive-definiteness test of the package: storage operators,
+    membership and dissipation margins all refuse a weight by it."""
+    if w.shape[-1] == 0:
+        return np.zeros(len(w), dtype=bool), np.full(len(w), np.nan)
+    low = w[:, 0]
+    return low > PD_TOL * np.maximum(np.abs(w).max(axis=-1), 1.0), low
+
+
+def _not_pd(low: float) -> NotPD:
+    """The NotPD of a weight whose least eigenvalue is ``low``."""
+    return NotPD(
+        f"storage operator must be positive definite (smallest eigenvalue {low:.3e})"
+    )
 
 
 def default_rank_tol(a: np.ndarray) -> float:

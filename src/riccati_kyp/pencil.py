@@ -28,8 +28,9 @@ equality fails (3/4 on the scalar interval example, whose equality set is
 {3/64}).
 
 :func:`equality_candidates` runs one generalized eigenvalue problem and
-returns the candidates of its 2**(n - z) selections as one stack when the
-pencil *decides* the equality set, and None otherwise. The pencil decides
+returns the candidates of its 2**(n - z) selections as one stack, with
+their selection digits as one boolean array, when the pencil *decides* the
+equality set, and None otherwise. The pencil decides
 when it is regular (no homogeneous eigenvalue pair (alpha, beta) with both
 parts negligible), has, for some z, exactly 2n - z finite eigenvalues of
 which z are zero (``|alpha|`` negligible against ``|beta|``, the mirror of
@@ -148,21 +149,21 @@ def _pairs(alpha: np.ndarray, beta: np.ndarray, n: int, rel_alpha, rel_beta):
 
 def equality_candidates(
     sigma: SystemRealization,
-) -> tuple[np.ndarray, list[str], int] | None:
+) -> tuple[np.ndarray, np.ndarray, int] | None:
     """The Hermitian equality solutions of a decided pencil with z zero
     eigenvalues, one per selection of one eigenvalue from each pair, or
     None.
 
     Returns the stack ``herm(V2 V1^{-1})`` of the selections whose V1 is
-    invertible, one label per stacked selection, and the number 2**(n - z)
-    of selections. A label is a string of n digits, digit k ``0`` when pair
-    k (ordered as in :func:`_pairs`) gives its eigenvalue inside the disc
-    and ``1`` when it gives the one outside. The digit of a pair of a zero
-    and an infinite eigenvalue is always ``0``. Selection ``00...0`` is the
-    minimal solution, and the last selection, every other digit ``1``, the
-    largest. All selections are solved in one batch; when a V1 of the batch
-    is singular, each is solved alone and the singular ones are dropped.
-    The candidates are not validated here.
+    invertible, their (k, n) boolean selection digits, one row per stacked
+    selection, and the number 2**(n - z) of selections. Digit k of a row is
+    False when pair k (ordered as in :func:`_pairs`) gives its eigenvalue
+    inside the disc and True when it gives the one outside. The digit of a
+    pair of a zero and an infinite eigenvalue is always False. The row of
+    no True digit is the minimal solution, and the last row, every other
+    digit True, the largest. All selections are solved in one batch; when a
+    V1 of the batch is singular, each is solved alone and the singular ones
+    are dropped. The candidates are not validated here.
     """
     import scipy.linalg
 
@@ -179,19 +180,18 @@ def equality_candidates(
     if pairs is None:
         return None
     inside, outside = pairs
-    free = np.flatnonzero(outside >= 0)  # a zero pair keeps its digit at 0
+    free = np.flatnonzero(outside >= 0)  # a zero pair keeps its digit False
     k = len(free)
-    bits = np.zeros((2**k, n), dtype=int)
-    bits[:, free] = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    chosen = vectors[:, np.where(bits == 1, outside, inside)].transpose(1, 0, 2)
-    labels = ["".join(map(str, r)) for r in bits.tolist()]
+    digits = np.zeros((2**k, n), dtype=bool)
+    digits[:, free] = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    chosen = vectors[:, np.where(digits, outside, inside)].transpose(1, 0, 2)
     x = _solution(chosen, n)
     if x is None:
         alone = [_solution(v, n) for v in chosen]
         kept = [i for i, solved in enumerate(alone) if solved is not None]
         x = np.array([alone[i] for i in kept]).reshape(len(kept), n, n)
-        labels = [labels[i] for i in kept]
-    return x, labels, 2**k
+        digits = digits[kept]
+    return x, digits, 2**k
 
 
 @_memo

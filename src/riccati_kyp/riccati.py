@@ -28,10 +28,11 @@ eigenvalues a StorageOperator holds instead of decomposing it again;
 ``report`` checks its candidates, while ``check`` calls
 :func:`membership`; and the solver's loops over candidates (the sampler's
 chain, the candidates of each equality route, the duality inverses) call
-the kernel once per batch and read the masks. Storage operators are built
-the same way: :func:`_storage_stack` takes the batched ``eigh`` of a whole
-stack, whose eigenvalues the kernel was given, and
-:class:`StorageOperator` is its one-matrix view.
+the kernel once per batch and read the masks. Positivity is decided by the
+one test of :func:`riccati_kyp.linops._pd_mask`. A
+:class:`StorageOperator` is one weight with its square roots, built by the
+certified extremes and by library callers; a solution set holds its
+members as one stack with their spectra, and builds none.
 
 RI° is the set of inequality members whose associated system
 (S A S^{-1}, S B, C S^{-1}, D), S = H^{1/2}, is minimal. That system is
@@ -51,13 +52,14 @@ from .errors import (
     DimensionMismatch,
     InconsistentRoutes,
     NotInRI,
-    NotPD,
     RiccatiKypError,
 )
 from .linops import (
     BlockNonneg,
     _kept,
     _least_and_norm,
+    _not_pd,
+    _pd_mask,
     _pinv_kept,
     _spectral_norms,
     ensure_hermitian,
@@ -85,7 +87,6 @@ __all__ = [
 ]
 
 # Tolerances that no caller varies.
-PD_TOL = 1e-12  # relative eigenvalue floor of a storage operator
 RANK_TOL = 1e-12  # relative rank cut of delta(H)
 PSD_TOL = 1e-9  # relative PSD floor of delta(H) in inequality_surplus
 BOUNDARY_BAND = 100.0  # membership: route splits within this many tol are boundary
@@ -100,14 +101,20 @@ class StorageOperator:
     immutable afterwards and safe to share across threads. ``eigenvalues``
     are ascending, so the last one is the spectral norm.
 
-    Raises NotPD unless every eigenvalue exceeds ``PD_TOL`` times the norm.
-    This is the one-matrix view of :func:`_storage_stack`, which builds the
-    operators of a whole stack from one batched decomposition.
+    Raises NotPD unless every eigenvalue exceeds ``linops.PD_TOL`` times the
+    norm (:func:`riccati_kyp.linops._pd_mask`).
     """
 
     def __init__(self, matrix: np.ndarray):
         h = ensure_hermitian(np.atleast_2d(np.asarray(matrix, dtype=complex)))
-        vars(self).update(vars(_storage_stack(h[None], _pd_eigh(h))[0]))
+        w, v = np.linalg.eigh(h)
+        pd, low = _pd_mask(w[None])
+        if not pd[0]:
+            raise _not_pd(low[0])
+        root = np.sqrt(w)
+        self.matrix, self.eigenvalues = h, w
+        self.sqrt = hermitian_part((v * root) @ v.conj().T)
+        self.inv_sqrt = hermitian_part((v / root) @ v.conj().T)
 
     @property
     def dim(self) -> int:
@@ -119,60 +126,6 @@ class StorageOperator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StorageOperator(dim={self.dim}, min_eig={self.min_eigenvalue:.3e})"
-
-
-def _storage_stack(
-    h: np.ndarray, eigh: tuple[np.ndarray, np.ndarray]
-) -> list[StorageOperator]:
-    """The StorageOperator of each matrix on the (k, n, n) stack ``h`` of
-    positive-definite Hermitian matrices (as :func:`hermitian_part` returns
-    them), in order, from their batched decomposition ``eigh`` = ``(w, v)``;
-    the caller has tested positivity (:func:`_pd_mask`) on it. The solver
-    takes the decomposition once for the members and, by its eigenvalues,
-    for the membership kernel.
-    The square roots are formed in one batch each, so every operator is bit
-    for bit the one-matrix one.
-    """
-    w, v = eigh
-    root = np.sqrt(w)[..., None, :]
-    v_star = v.conj().swapaxes(-1, -2)
-    matrix = hermitian_part(h)
-    sqrt = hermitian_part((v * root) @ v_star)
-    inv_sqrt = hermitian_part((v / root) @ v_star)
-    results = []
-    for slot in range(len(h)):
-        storage = object.__new__(StorageOperator)
-        storage.matrix, storage.sqrt = matrix[slot], sqrt[slot]
-        storage.inv_sqrt, storage.eigenvalues = inv_sqrt[slot], w[slot]
-        results.append(storage)
-    return results
-
-
-def _pd_mask(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of ascending eigenvalues ``w`` (from ``eigh``) of a stack of
-    weights: whether every eigenvalue exceeds ``PD_TOL`` times the norm, and
-    the least eigenvalue (NaN for an empty weight, which is not PD)."""
-    if w.shape[-1] == 0:
-        return np.zeros(len(w), dtype=bool), np.full(len(w), np.nan)
-    low = w[:, 0]
-    return low > PD_TOL * np.maximum(np.abs(w).max(axis=-1), 1.0), low
-
-
-def _not_pd(low: float) -> NotPD:
-    """The NotPD of a weight whose least eigenvalue is ``low``."""
-    return NotPD(
-        f"storage operator must be positive definite (smallest eigenvalue {low:.3e})"
-    )
-
-
-def _pd_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh`` of the one-matrix stack ``h[None]``; NotPD unless
-    the Hermitian ``h`` is positive definite (:func:`_pd_mask`)."""
-    w, v = np.linalg.eigh(h[None])
-    pd, low = _pd_mask(w)
-    if not pd[0]:
-        raise _not_pd(low[0])
-    return w, v
 
 
 def as_storage(h) -> StorageOperator:
@@ -477,7 +430,7 @@ def _membership_stack(
     stack ``h`` of Hermitian matrices (as :func:`hermitian_part` returns
     them). ``eigenvalues``, when given, are the ascending eigenvalues of
     each matrix on the stack, which decide positivity; a caller that has
-    decomposed the stack, or holds its StorageOperators, passes them, and
+    decomposed the stack, or holds its one StorageOperator, passes them, and
     otherwise the kernel takes ``eigvalsh``.
 
     Every step is one batched call of the LAPACK routine the single-candidate

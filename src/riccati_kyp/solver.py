@@ -53,12 +53,13 @@ and the sampler keeps the points of its chain where ``in_ri & (lmi_min >=
 mask, and the kernel itself raises the InconsistentRoutes of the first
 candidate whose routes split. The kernel forms the range residual and
 ``||beta||`` only on the rows that read them (see
-``riccati._membership_stack``). The members of a set are built from one
-batched eigendecomposition of the candidate stack
-(``riccati._storage_stack``), whose eigenvalues also decide the kernel's
-positivity test and whose last eigenvalue is each member's norm. A
-certified extremal pair reaches the sampler as StorageOperators, so the
-anchor checks of :func:`membership` read the eigenvalues they hold.
+``riccati._membership_stack``). A set is a record of arrays: its members
+are one read-only stack, held with the spectra of the one ``eigh`` of the
+candidate stack, whose eigenvalues also decide the kernel's positivity test
+and whose last column is each member's norm; no member is a
+StorageOperator. A certified extremal pair reaches the sampler as
+StorageOperators, so the anchor checks of :func:`membership` read the
+eigenvalues they hold.
 A decided pencil set takes its order from the selection digits: its
 members form a lattice isomorphic to the subsets of the selected outside
 eigenvalues (Lancaster & Rodman), so two members compare as the sets of
@@ -135,7 +136,6 @@ from .riccati import (
     _lmi,
     _membership_stack,
     _residual_ops,
-    _storage_stack,
     _surplus,
     as_storage,
     membership,
@@ -182,18 +182,21 @@ class SolverConfig:
     duality_samples: int = 50
 
 
-@dataclass
+@dataclass(eq=False)
 class SolutionSet:
-    """Storage operators found by a solver, with pairwise order data.
+    """Equality members found by a solver, as arrays, with pairwise order
+    data; two sets compare equal only when they are one object.
 
-    The order is held as ``_order``, one int8 code per index pair (i, j),
-    i < j, in ``np.triu_indices(len(members), 1)`` order, each the index of
-    the pair's Loewner verdict in ``linops._VERDICTS`` (0 EQUAL, 1
-    LESS_EQUAL, 2 GREATER_EQUAL, 3 INCOMPARABLE); it is empty until the set
-    is ordered. The read-only ``comparisons`` is built from it on each
+    ``members`` is the read-only (k, n, n) complex stack of the members and
+    ``eigenvalues`` the read-only (k, n) array of their ascending spectra;
+    the last column is each member's spectral norm. The order is held as
+    ``_order``, one int8 code per index pair (i, j), i < j, in
+    ``np.triu_indices(len(members), 1)`` order, each the index of the pair's
+    Loewner verdict in ``linops._VERDICTS`` (0 EQUAL, 1 LESS_EQUAL, 2
+    GREATER_EQUAL, 3 INCOMPARABLE); it is empty until the set is ordered. The read-only ``comparisons`` is built from it on each
     access: a dict mapping each pair (i, j) to its verdict. ``_lattice`` is
     True only when :func:`_digit_order` gave the order, the subset order of
-    the selection digits in the provenance labels.
+    the selection digits, which the provenance labels spell.
     ``minimal_index``/``maximal_index`` are set when one member is below /
     above every other member. ``provenance`` records, per member, the solver
     route (``pencil(selection=...)``, ``lossless(inner)``,
@@ -209,7 +212,8 @@ class SolutionSet:
     labelled incomplete.
     """
 
-    members: list[StorageOperator] = field(default_factory=list)
+    members: np.ndarray
+    eigenvalues: np.ndarray
     minimal_index: int | None = None
     maximal_index: int | None = None
     provenance: list[dict] = field(default_factory=list)
@@ -505,15 +509,16 @@ def solve_re(
         )
     found = equality_candidates(sigma)
     if found is not None:
-        stack, labels, selections = found
+        stack, digits, selections = found
+        spelled = np.where(digits, "1", "0").tolist()
         return _validated_set(
             sigma,
             cfg,
             stack,
-            [f"pencil(selection={s})" for s in labels],
+            [f"pencil(selection={''.join(row)})" for row in spelled],
             "pencil",
             exhaustive=minimal and len(stack) == selections,
-            digits=np.array([list(s) for s in labels]).reshape(len(labels), n) == "1",
+            digits=digits,
         )
     # a lossless system has a singular pencil, so ordered QZ gives it no
     # candidate; the Stein equations are solved only then, as
@@ -545,8 +550,8 @@ def _validated_set(
     membership-kernel call; ``labels`` are their provenance routes. The set
     is complete when the stack is ``exhaustive`` (the whole equality set of
     a minimal system) and all of them pass. One ``eigh`` of the stack serves
-    the kernel's positivity test, by its eigenvalues, and the members'
-    storage operators.
+    the kernel's positivity test and the set's ``eigenvalues``, which are
+    the spectra a StorageOperator of each member would hold, bit for bit.
     Members are sorted by :func:`_sorted_order`.
 
     ``digits``, one boolean row of selection digits per candidate of a
@@ -554,7 +559,7 @@ def _validated_set(
     other set, or one whose covering pairs fail that check, is ordered by
     :func:`order_solutions`."""
     stack = np.asarray(stack, dtype=complex)
-    w, v = np.linalg.eigh(stack)
+    w = np.linalg.eigh(stack)[0]
     table = _membership_stack(
         sigma,
         stack,
@@ -564,8 +569,11 @@ def _validated_set(
     )
     kept = np.flatnonzero(table.in_re)
     kept = kept[_sorted_order(stack[kept])]
+    members, eigenvalues = stack[kept], w[kept]
+    members.flags.writeable = eigenvalues.flags.writeable = False
     solution_set = SolutionSet(
-        members=_storage_stack(stack[kept], eigh=(w[kept], v[kept])),
+        members=members,
+        eigenvalues=eigenvalues,
         provenance=[
             {"route": labels[index], "residual": residual}
             for index, residual in zip(
@@ -847,7 +855,7 @@ class DualityReport:
     inverse passed membership for the adjoint system. ``re_inversion_equal``
     records whether inverting the equality set reproduced the adjoint's
     equality set; the theory does not promise it does. The two equality
-    sets are (k, n, n) complex stacks.
+    sets are the read-only member stacks of the two solution sets.
     """
 
     sample_count: int
@@ -944,10 +952,7 @@ def duality_check(
 
     # an empty set is falsy
     own = solve_re(sigma, cfg) if equality_set is None else equality_set
-    re_members, re_adjoint_members = (
-        np.array([m.matrix for m in s.members], dtype=complex).reshape(-1, *sigma.a.shape)
-        for s in (own, solve_re(adj, cfg))
-    )
+    re_members, re_adjoint_members = own.members, solve_re(adj, cfg).members
     equal = _sets_match(_hermitian_inverse(re_members), re_adjoint_members, tol=1e-6)
 
     return DualityReport(
@@ -961,13 +966,13 @@ def duality_check(
 
 
 def _pair_verdicts(
-    members: list[StorageOperator], first: np.ndarray, second: np.ndarray, tol: float
+    solution_set: SolutionSet, first: np.ndarray, second: np.ndarray, tol: float
 ) -> np.ndarray:
     """The Loewner verdicts of the member pairs ``(first[k], second[k])``,
     each at ``tol * max(1, ||H_first||, ||H_second||)``, from one batched
-    comparison; each norm is the last eigenvalue the StorageOperator holds."""
-    stack = np.array([m.matrix for m in members])
-    norms = np.maximum([m.eigenvalues[-1] for m in members], 1.0)
+    comparison; each norm is the last eigenvalue of the member's spectrum."""
+    stack = solution_set.members
+    norms = np.maximum(solution_set.eigenvalues[:, -1], 1.0)
     return _loewner_stack(
         stack[first], stack[second], tol * np.maximum(norms[first], norms[second])
     )
@@ -1021,7 +1026,7 @@ def _digit_order(solution_set: SolutionSet, digits: np.ndarray) -> SolutionSet |
     size = ones.sum(axis=1)
     lower, upper = np.nonzero(nested & (size[None, :] == size[:, None] + 1))
     if lower.size and (
-        _pair_verdicts(solution_set.members, lower, upper, ORDER_TOL)
+        _pair_verdicts(solution_set, lower, upper, ORDER_TOL)
         != Loewner.LESS_EQUAL
     ).any():
         return None
@@ -1036,8 +1041,9 @@ def order_solutions(solution_set: SolutionSet, tol: float = ORDER_TOL) -> Soluti
 
     Pair (i, j) is compared as :func:`loewner_compare` does at the tolerance
     ``tol * max(1, ||H_i||, ||H_j||)``. Each member's norm is its largest
-    eigenvalue, which its StorageOperator already holds, and all pairs go
-    through one batched comparison that decomposes each difference once. A
+    eigenvalue, the last column of the set's ``eigenvalues`` (the spectra of
+    the ``eigh`` that validated the members), and all pairs go through one
+    batched comparison that decomposes each difference once. A
     member is flagged minimal (maximal) when it compares below (above) every
     other member; with incomparable pairs present no flag may be set.
 
@@ -1048,6 +1054,6 @@ def order_solutions(solution_set: SolutionSet, tol: float = ORDER_TOL) -> Soluti
     """
     count = len(solution_set.members)
     iu, ju = _upper(count)
-    verdicts = _pair_verdicts(solution_set.members, iu, ju, tol) if count > 1 else []
+    verdicts = _pair_verdicts(solution_set, iu, ju, tol) if count > 1 else []
     codes = np.array([_CODES[verdict] for verdict in verdicts], dtype=np.int8)
     return _with_order(solution_set, codes)

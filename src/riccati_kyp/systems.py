@@ -45,8 +45,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPD, SingularResolvent
-from .linops import ensure_hermitian, spectral_norm
+from .errors import DimensionMismatch, SingularResolvent
+from .linops import _not_pd, _pd_mask, ensure_hermitian, spectral_norm
 
 __all__ = [
     "SystemRealization",
@@ -547,12 +547,14 @@ def dissipation_check(trajectory: Trajectory, h: np.ndarray) -> np.ndarray:
     system that produced the trajectory, every margin is nonnegative up to
     roundoff.
 
-    Raises NotPD when ``h`` is not positive definite.
+    Raises NotPD when ``h`` is not positive definite, by the test that
+    storage operators and membership apply (:func:`~riccati_kyp.linops._pd_mask`)
+    to the same ``eigh`` spectrum (``eigvalsh`` can differ in the last bits).
     """
     h = ensure_hermitian(h)
-    w = np.linalg.eigvalsh(h)
-    if w.size == 0 or float(w[0]) <= 0.0:
-        raise NotPD("storage weight must be positive definite")
+    pd, low = _pd_mask(np.linalg.eigh(h)[0][None])
+    if not pd[0]:
+        raise _not_pd(low[0])
     x = trajectory.states
     if x.shape[1] != h.shape[0]:
         raise DimensionMismatch(

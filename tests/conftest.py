@@ -11,6 +11,7 @@ import scipy.linalg
 
 from riccati_kyp import (
     BlockNonneg,
+    SolutionSet,
     SystemRealization,
     adjoint,
     psd_sqrt,
@@ -280,3 +281,10 @@ def dare_extremes(sigma: SystemRealization) -> tuple[np.ndarray, np.ndarray]:
     H_min."""
     h_max = np.linalg.inv(dare_minimal(adjoint(sigma)))
     return dare_minimal(sigma), 0.5 * (h_max + h_max.conj().T)
+
+
+def solution_set_of(stack) -> SolutionSet:
+    """An unordered SolutionSet of the (k, n, n) Hermitian ``stack``, with
+    the spectra that solve_re holds for its members."""
+    stack = np.asarray(stack, dtype=complex)
+    return SolutionSet(members=stack, eigenvalues=np.linalg.eigh(stack)[0])

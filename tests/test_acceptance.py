@@ -66,8 +66,8 @@ def test_criterion_01_scalar_interval_reproduction():
 
     solution_set = solve_re(SCALAR_INTERVAL)
     ok &= solution_set.complete and len(solution_set) == 1
-    ok &= abs(solution_set.members[0].matrix[0, 0] - 3.0 / 64.0) <= 1e-12
-    detail.append(f"re={solution_set.members[0].matrix[0, 0].real:.9f}")
+    ok &= abs(solution_set.members[0][0, 0] - 3.0 / 64.0) <= 1e-12
+    detail.append(f"re={solution_set.members[0][0, 0].real:.9f}")
 
     for h in (3.0 / 64.0, 0.1, 0.5, 0.75):
         ok &= membership(SCALAR_INTERVAL, h).in_ri
@@ -88,7 +88,7 @@ def test_criterion_02_scalar_interval_adjoint():
 
     solution_set = solve_re(adj)
     ok &= solution_set.complete and len(solution_set) == 1
-    ok &= abs(solution_set.members[0].matrix[0, 0] - 4.0 / 3.0) <= 1e-12
+    ok &= abs(solution_set.members[0][0, 0] - 4.0 / 3.0) <= 1e-12
 
     h_min = minimal_solution(adj).matrix[0, 0].real
     h_max = maximal_solution(adj).matrix[0, 0].real
@@ -117,7 +117,7 @@ def test_criterion_03_two_state_four_solutions():
         # off-diagonal, positive off-diagonal, diagonal maximal
         order = [expected[0], expected[2], expected[1], expected[3]]
         for member, target in zip(solution_set.members, order):
-            ok &= spectral_norm(member.matrix - target) <= 1e-8
+            ok &= spectral_norm(member - target) <= 1e-8
         ok &= solution_set.minimal_index == 0
         ok &= solution_set.maximal_index == 3
         ok &= solution_set.comparisons[(1, 2)] is Loewner.INCOMPARABLE

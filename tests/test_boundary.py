@@ -483,6 +483,6 @@ class TestAllpassCascades:
 
         solution_set = solve_re(sigma)
         assert len(solution_set) == 1
-        assert spectral_norm(solution_set.members[0].matrix - h_min.matrix) <= 1e-8
+        assert spectral_norm(solution_set.members[0] - h_min.matrix) <= 1e-8
 
         assert spectral_norm(riccati_data(sigma, h_min).delta_op) <= 1e-8

@@ -27,7 +27,6 @@ from riccati_kyp import (
     RiccatiKypError,
     SolutionSet,
     SystemRealization,
-    as_storage,
     order_solutions,
 )
 from riccati_kyp import cli as cli_module
@@ -49,6 +48,7 @@ from conftest import (
     decisions,
     nonnormal_realization,
     random_realization,
+    solution_set_of,
     two_state_re_solutions,
     unit_pole_realization,
 )
@@ -530,7 +530,8 @@ def test_pair_order_is_written_as_json_dumps_writes_its_dict(size, level):
     # a set not ordered by its selection digits lists its comparisons, which
     # the writer's generic dict path writes ("10,2" sorts before "2,10")
     codes = np.random.default_rng(size).integers(0, 4, size * (size - 1) // 2)
-    ordered = SolutionSet(members=[as_storage(np.eye(1))] * size, _order=codes.astype(np.int8))
+    ordered = SolutionSet(members=np.ones((size, 1, 1), dtype=complex),
+                          eigenvalues=np.ones((size, 1)), _order=codes.astype(np.int8))
     block = cli_module._solution_set_payload(ordered)["comparisons"]
     want = json.dumps(_order_dict(size, codes), indent=2, sort_keys=True)
     assert cli_module._dumps(block, level) == want.replace("\n", "\n" + "  " * level)
@@ -572,8 +573,9 @@ def _assert_the_lattice_is_the_pairwise_order(block: dict) -> None:
     ]
     pairs = itertools.combinations(range(len(labels)), 2)
     stated = {(i, j): _subset_order(labels[i], labels[j]) for i, j in pairs}
-    members = [as_storage(m[..., 0] + 1j * m[..., 1]) for m in np.array(block["members"])]
-    ordered = order_solutions(SolutionSet(members=members))
+    pairs = np.array(block["members"])
+    members = pairs[..., 0] + 1j * pairs[..., 1]
+    ordered = order_solutions(solution_set_of(members))
     comparisons, minimal, maximal = _pairwise_order(members)
     assert stated == ordered.comparisons == comparisons
     indices = (block["minimal_index"], block["maximal_index"])
@@ -1183,6 +1185,49 @@ class TestExitCodes:
         from riccati_kyp import NotPD
 
         assert code == EXIT_CODES[NotPD]
+
+    # the one positivity test refuses a weight whose least eigenvalue is at
+    # most linops.PD_TOL = 1e-12 times its norm (at least 1)
+    @pytest.mark.parametrize(
+        "weight, pd",
+        [([[1e-13]], False), (np.diag([1.0, 1e-14]), False), ([[1e-11]], True)],
+    )
+    def test_every_entry_point_applies_one_positivity_test(
+        self, weight, pd, tmp_path, capsys
+    ):
+        from riccati_kyp import NotPD, StorageOperator, dissipation_check, membership, simulate
+
+        h = np.asarray(weight, dtype=complex)
+        n = len(h)
+        a = np.diag([0.5, 0.25][:n])
+        sigma = SystemRealization(a, 0.5 * np.ones((n, 1)), 0.5 * np.ones((1, n)), [[0.0]])
+        trajectory = simulate(sigma, np.ones(n), np.ones((3, 1)))
+        messages = set()
+        for call in (
+            lambda: StorageOperator(h),
+            lambda: membership(sigma, h),
+            lambda: dissipation_check(trajectory, h),
+        ):
+            try:
+                call()
+            except NotPD as exc:
+                messages.add(str(exc))
+            else:
+                messages.add(None)
+        doc = SystemDocument("weights", sigma.a, sigma.b, sigma.c, sigma.d, {"w": h})
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps(write_system(doc)))
+        inputs = tmp_path / "inputs.json"
+        inputs.write_text(json.dumps({"inputs": [[[1.0, 0.0]]] * 3}))
+        common = ["--system", str(path), "--candidate", "w", "--no-timings"]
+        for argv in (["check"], ["simulate", "--inputs", str(inputs)]):
+            code = main(argv + common)
+            report = json.loads(capsys.readouterr().out)
+            assert code == (0 if pd else EXIT_CODES[NotPD])
+            messages.add(None if pd else report["error"]["message"])
+        # every entry point accepts, or every one refuses with one message
+        assert len(messages) == 1
+        assert (messages == {None}) == pd
 
     def test_forced_unstable_selection_exits_19(self, tmp_path, monkeypatch, capsys):
         # two_state's h4 (selection 11, closed-loop radius 1.155) fed to the

@@ -64,6 +64,7 @@ from conftest import (
     random_realization,
     random_similarity,
     similar_realization,
+    solution_set_of,
     two_state_re_solutions,
 )
 
@@ -102,7 +103,7 @@ class TestScalarSystems:
                 solution_set = solve_re(sigma)
         assert solution_set.route == route
         assert solution_set.complete == minimal
-        got = [member.matrix[0, 0] for member in solution_set.members]
+        got = [member[0, 0] for member in solution_set.members]
         assert len(got) == len(expected)
         for h, target in zip(got, expected):
             assert abs(h - target) <= 1e-12 * target
@@ -133,7 +134,7 @@ class TestSolveRe:
         # positive off-diagonal, diagonal maximal
         order = [expected[0], expected[2], expected[1], expected[3]]
         for member, target in zip(solution_set.members, order):
-            assert spectral_norm(member.matrix - target) <= 1e-12
+            assert spectral_norm(member - target) <= 1e-12
         labels = {p["route"] for p in solution_set.provenance}
         assert labels == {f"pencil(selection={s})" for s in ("00", "01", "10", "11")}
         assert all(p["residual"] <= 1e-12 for p in solution_set.provenance)
@@ -159,7 +160,7 @@ class TestSolveRe:
         assert solution_set.route == "pencil"
         assert seen
         assert all(tols == (1e-7, EQUALITY_TOL) for tols in seen)
-        assert abs(solution_set.members[0].matrix[0, 0] - 3.0 / 64.0) <= 1e-12
+        assert abs(solution_set.members[0][0, 0] - 3.0 / 64.0) <= 1e-12
 
     def test_unitary_block_matrix_yields_identity_member(self):
         rng = np.random.default_rng(40)
@@ -171,23 +172,23 @@ class TestSolveRe:
         ) <= 1e-12
         solution_set = solve_re(sigma)
         distances = [
-            spectral_norm(m.matrix - np.eye(2)) for m in solution_set.members
+            spectral_norm(m - np.eye(2)) for m in solution_set.members
         ]
         assert min(distances) <= 1e-10
 
     def test_members_are_fixed_points(self, two_state_system):
         solution_set = solve_re(two_state_system)
         for member in solution_set.members:
-            residual = re_residual_norm(two_state_system, member.matrix)
-            assert residual <= 1e-9 * (1.0 + spectral_norm(member.matrix))
+            residual = re_residual_norm(two_state_system, member)
+            assert residual <= 1e-9 * (1.0 + spectral_norm(member))
 
     def test_deterministic_given_seed(self, two_state_system):
         config = SolverConfig(seed=123)
         first = solve_re(two_state_system, config)
         second = solve_re(two_state_system, config)
         assert len(first) == len(second)
-        for a, b in zip(first.members, second.members):
-            assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(first.members, second.members)
+        assert np.array_equal(first.eigenvalues, second.eigenvalues)
         assert first.provenance == second.provenance
         assert first.comparisons == second.comparisons
 
@@ -204,6 +205,11 @@ class TestSolveRe:
         assert solution_set.route == "pencil"
         assert len(solution_set) == 0
         assert not solution_set.complete
+
+
+def _spelled(digits: np.ndarray) -> list[str]:
+    """The selection labels of provenance, one per row of boolean digits."""
+    return ["".join("1" if digit else "0" for digit in row) for row in digits.tolist()]
 
 
 def _near(h, stack, tol=1e-6) -> bool:
@@ -269,7 +275,7 @@ class TestPencilRoute:
         assert len(solution_set) == 1
         kind = "inner" if case == "blaschke3" else "co-inner"
         assert solution_set.provenance[0]["route"] == f"lossless({kind})"
-        assert _near(solution_set.members[0].matrix, [expected], tol=1e-12)
+        assert _near(solution_set.members[0], [expected], tol=1e-12)
 
     def test_circle_eigenvalues_take_newton(self):
         # the two-state example with A scaled by 1.05: the Popov function
@@ -323,8 +329,8 @@ class TestPencilRoute:
         routes = [p["route"] for p in solution_set.provenance]
         assert routes == ["extremal(minimal)", "extremal(maximal)"]
         h_min, h_max = dare_extremes(sigma)
-        assert _rel(solution_set.members[0].matrix, h_min) <= 1e-10
-        assert _rel(solution_set.members[1].matrix, h_max) <= 1e-10
+        assert _rel(solution_set.members[0], h_min) <= 1e-10
+        assert _rel(solution_set.members[1], h_max) <= 1e-10
         assert _rel(minimal_solution(sigma).matrix, h_min) <= 1e-10
         assert _rel(maximal_solution(sigma).matrix, h_max) <= 1e-10
 
@@ -338,7 +344,7 @@ class TestPencilRoute:
         solution_set = solve_re(sigma)
         assert solution_set.route == "extremal" and not solution_set.complete
         assert solution_set.provenance[0]["route"] == "extremal(minimal)"
-        assert _rel(solution_set.members[0].matrix, dare_minimal(sigma)) <= 1e-10
+        assert _rel(solution_set.members[0], dare_minimal(sigma)) <= 1e-10
 
     def test_non_minimal_takes_newton(self):
         # the scalar interval example plus an uncontrollable, observable
@@ -347,14 +353,14 @@ class TestPencilRoute:
         sigma = SystemRealization(
             np.diag([-0.125, 0.5]), [[1.0], [0.0]], [[0.1875, 0.3]], [[0.5]]
         )
-        stack, labels, selections = equality_candidates(sigma)
+        stack, digits, selections = equality_candidates(sigma)
         assert (len(stack), selections) == (1, 2)
         with pytest.warns(RuntimeWarning, match="non-minimal"):
             solution_set = solve_re(sigma)
         assert solution_set.route == "pencil"
         assert not solution_set.complete
         assert [p["route"] for p in solution_set.provenance] == [
-            f"pencil(selection={labels[0]})"
+            f"pencil(selection={_spelled(digits)[0]})"
         ]
 
 
@@ -383,13 +389,14 @@ def test_pencil_set_holds_every_newton_solution(seed, n, m, p, norm):
     assume(is_minimal(sigma))
     found = equality_candidates(sigma)
     assert found is not None
-    stack, labels, selections = found
+    stack, digits, selections = found
     assert stack.shape == (2**n, n, n) and selections == 2**n
-    assert len(set(labels)) == 2**n
+    assert digits.shape == (2**n, n) and digits.dtype == bool
+    assert len(np.unique(digits, axis=0)) == 2**n
     assert _rel(extremal(sigma)[0], stack[0]) <= 1e-12
     solution_set = solve_re(sigma)
     assert solution_set.route == "pencil"
-    members = [member.matrix for member in solution_set.members]
+    members = list(solution_set.members)
     for h in members:
         assert membership(sigma, h, eq_tol=EQUALITY_TOL).in_re
     assert solution_set.complete == (len(members) == 2**n)
@@ -475,14 +482,15 @@ def test_zero_pencil_eigenvalue_pairs_with_infinity(seed, n, m, p):
     assume(is_minimal(sigma))
     found = equality_candidates(sigma)
     assert found is not None
-    stack, labels, selections = found
+    stack, digits, selections = found
     assert stack.shape == (2 ** (n - 1), n, n) and selections == 2 ** (n - 1)
-    assert len(set(labels)) == len(labels)
-    assert sum(all(s[k] == "0" for s in labels) for k in range(n)) == 1
+    assert digits.shape == (len(stack), n) and digits.dtype == bool
+    assert len(np.unique(digits, axis=0)) == len(digits)
+    assert int((~digits.any(axis=0)).sum()) == 1
     solution_set = solve_re(sigma)
     assert solution_set.route == "pencil"
     for member in solution_set.members:
-        assert membership(sigma, member.matrix, eq_tol=EQUALITY_TOL).in_re
+        assert membership(sigma, member, eq_tol=EQUALITY_TOL).in_re
     assert solution_set.complete == (len(solution_set) == 2 ** (n - 1))
     assert _rel(stack[0], dare_extremes(sigma)[0]) <= 1e-10
 
@@ -492,13 +500,13 @@ def test_coincident_zero_eigenvalues_take_the_pencil():
     # decides with 2**(n - 2) selections, and all of them pass
     sigma = _zero_eigenvalue_draw(4, 3, 2, 2, zeros=2)
     assert is_minimal(sigma)
-    stack, labels, selections = equality_candidates(sigma)
-    assert len(stack) == selections == 2
+    stack, digits, selections = equality_candidates(sigma)
+    assert len(stack) == selections == len(digits) == 2
     solution_set = solve_re(sigma)
     assert solution_set.route == "pencil"
     assert solution_set.complete
     assert len(solution_set) == 2 ** (3 - 2)
-    assert _rel(solution_set.members[0].matrix, dare_extremes(sigma)[0]) <= 1e-10
+    assert _rel(solution_set.members[0], dare_extremes(sigma)[0]) <= 1e-10
 
 
 def test_outside_subspace_of_a_zero_eigenvalue_pencil_is_not_h_max(scalar_interval_system):
@@ -529,7 +537,7 @@ def test_outside_subspace_of_a_zero_eigenvalue_pencil_is_not_h_max(scalar_interv
     verdict = membership(sigma, h_max)
     assert verdict.in_ri and not verdict.in_re
     members = solve_re(sigma).members
-    assert len(members) == 1 and abs(members[0].matrix[0, 0] - 3.0 / 64.0) <= 1e-12
+    assert len(members) == 1 and abs(members[0][0, 0] - 3.0 / 64.0) <= 1e-12
 
 
 def _appended_state(seed: int, kind: str) -> SystemRealization:
@@ -588,7 +596,7 @@ def test_non_minimal_systems_take_the_pencil(kind):
             solution_set = solve_re(sigma)
         assert solution_set.route == "pencil", seed
         assert not solution_set.complete
-        members = [member.matrix for member in solution_set.members]
+        members = list(solution_set.members)
         assert members, seed
         for h in members:
             assert membership(sigma, h, eq_tol=EQUALITY_TOL).in_re
@@ -620,7 +628,7 @@ def test_every_accepted_equality_limit_is_a_member(case):
     for k, sigma in enumerate(_three_classes(case)):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            members = [member.matrix for member in solve_re(sigma).members]
+            members = list(solve_re(sigma).members)
         rng = np.random.default_rng(k)
         starts = [random_pd(rng, sigma.state_dim) for _ in range(6)]
         for h in _equality_limits(sigma, starts):
@@ -639,7 +647,7 @@ def test_unit_channel_is_deflated():
     assert (deflated.input_dim, deflated.output_dim) == (1, 1)
     solution_set = solve_re(sigma)
     assert solution_set.route == "pencil" and solution_set.complete
-    assert [m.matrix[0, 0] for m in solution_set.members] == [0.25]
+    assert [m[0, 0] for m in solution_set.members] == [0.25]
     assert minimal_solution(sigma).matrix[0, 0] == 0.25
     assert abs(maximal_solution(sigma).matrix[0, 0] - 1.0) <= 1e-15
 
@@ -654,7 +662,7 @@ def test_every_input_a_unit_channel_leaves_the_stein_equation():
         solution_set = solve_re(sigma)
     assert solution_set.route == "pencil"
     assert not solution_set.complete
-    assert [m.matrix[0, 0] for m in solution_set.members] == [pytest.approx(1 / 3, rel=1e-15)]
+    assert [m[0, 0] for m in solution_set.members] == [pytest.approx(1 / 3, rel=1e-15)]
     assert membership(sigma, solution_set.members[0], eq_tol=EQUALITY_TOL).in_re
 
 
@@ -823,7 +831,7 @@ def _sampled_violations(sigma, candidate, side, config=SolverConfig()):
         sigma, 40, rng, anchors=[candidate], tol=config.membership_tol
     )
     if sigma.state_dim <= 3:
-        samples += [m.matrix for m in solve_re(sigma, config).members]
+        samples += list(solve_re(sigma, config).members)
     if not samples:  # membership refused the candidate (ill-conditioned H)
         return []
     cmp_tol = 100.0 * config.membership_tol * max(1.0, spectral_norm(candidate))
@@ -1102,9 +1110,7 @@ class TestOrderSolutions:
 
     def test_incomparable_members_leave_flags_unset(self):
         _, h2, h3, _ = two_state_re_solutions()
-        ordered = order_solutions(
-            SolutionSet(members=[as_storage(h2), as_storage(h3)])
-        )
+        ordered = order_solutions(solution_set_of([h2, h3]))
         assert ordered.minimal_index is None
         assert ordered.maximal_index is None
 
@@ -1114,7 +1120,7 @@ def _pairwise_order(members, tol=1e-9):
     SVD norm and an eigvalsh of each difference, at the tolerance
     ``tol * max(1, ||H_i||, ||H_j||)`` from spectral_norm. Returns the
     comparisons and the minimal and maximal index."""
-    mats = [m.matrix for m in members]
+    mats = list(members)
     comparisons = {}
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
@@ -1160,13 +1166,13 @@ def _order_cases(two_state_system):
             random_realization(rng, 4, 2, 2, passive_norm=0.9)
         ).members,
         # equal pairs, a chain, and incomparable pairs
-        "mixed": [as_storage(x) for x in (h, h, 2.0 * h, h + 1e-12 * np.eye(3),
-                                          random_pd(rng, 3), 0.5 * h)],
-        "random": [as_storage(random_pd(rng, 2)) for _ in range(7)],
+        "mixed": np.array([h, h, 2.0 * h, h + 1e-12 * np.eye(3), random_pd(rng, 3),
+                           0.5 * h]),
+        "random": np.array([random_pd(rng, 2) for _ in range(7)]),
         # pairs whose verdict turns on the larger of the two norms
-        "scales": [as_storage(np.diag(d)) for d in ([1.0, 1.0], [1e3, 0.99], [1.0, 1.0])],
-        "one": [as_storage(h)],
-        "none": [],
+        "scales": np.array([np.diag(d) for d in ([1.0, 1.0], [1e3, 0.99], [1.0, 1.0])]),
+        "one": h[None],
+        "none": np.zeros((0, 3, 3)),
     }
 
 
@@ -1178,7 +1184,7 @@ def test_batched_order_matches_pairwise(case, tol, two_state_system):
     members = _order_cases(two_state_system)[case]
     if case == "n4-m2":
         assert len(members) == 16
-    ordered = order_solutions(SolutionSet(members=members), tol=tol)
+    ordered = order_solutions(solution_set_of(members), tol=tol)
     comparisons, minimal, maximal = _pairwise_order(members, tol=tol)
     assert ordered.comparisons == comparisons
     assert ordered.minimal_index == minimal
@@ -1192,7 +1198,7 @@ def test_ordering_takes_no_svd(two_state_system, monkeypatch):
         raise AssertionError("ordering called an SVD")
 
     monkeypatch.setattr(np.linalg, "svd", refuse)
-    ordered = order_solutions(SolutionSet(members=members))
+    ordered = order_solutions(solution_set_of(members))
     assert len(ordered.comparisons) == 16 * 15 // 2
 
 
@@ -1318,8 +1324,9 @@ def test_seeded_pencil_sets_match_the_pairwise_reference_on_both_routes(n, monke
 
 
 def test_an_unordered_set_has_no_comparisons(two_state_system):
-    members = solve_re(two_state_system).members
-    assert SolutionSet(members=members).comparisons == {}
+    solved = solve_re(two_state_system)
+    unordered = SolutionSet(members=solved.members, eigenvalues=solved.eigenvalues)
+    assert unordered.comparisons == {}
 
 
 # entries drawn from a few values, so that traces agree to 9 digits (1 and
@@ -1347,13 +1354,25 @@ def test_lexsort_order_matches_the_sort_key_on_pencil_sets():
 
 
 def test_members_share_the_kernel_decomposition_bit_for_bit():
-    # the storage operators of a set come from the eigh the membership
-    # kernel takes of the candidate stack, and equal the one-matrix ones
+    # a set is one read-only member stack with the spectra of the eigh the
+    # membership kernel takes of the candidate stack; each row is the matrix
+    # and the spectrum of the member's own StorageOperator, bit for bit
     sigma = random_realization(np.random.default_rng(5), 6, 2, 2, passive_norm=0.9)
-    for member in solve_re(sigma).members:
-        alone = as_storage(member.matrix.copy())
-        for key in ("matrix", "sqrt", "inv_sqrt", "eigenvalues"):
-            assert np.array_equal(getattr(member, key), getattr(alone, key)), key
+    solution_set = solve_re(sigma)
+    members, eigenvalues = solution_set.members, solution_set.eigenvalues
+    assert members.shape == (64, 6, 6) and members.dtype == complex
+    assert eigenvalues.shape == (64, 6) and eigenvalues.dtype == float
+    assert len(members) == len(solution_set.provenance)
+    for array in (members, eigenvalues):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    for member, spectrum in zip(members, eigenvalues):
+        alone = as_storage(member.copy())
+        assert alone.matrix.tobytes() == member.tobytes()
+        assert alone.eigenvalues.tobytes() == spectrum.tobytes()
+    # sets compare by identity, never element by element through the arrays
+    assert solution_set == solution_set and solution_set != solve_re(sigma)
 
 
 # -- the hit-and-run sampler --------------------------------------------------

@@ -23,24 +23,33 @@ The systems are the seed-301 and seed-401 benchmark zoos (n = 1..6, m, p =
 0.95), and lossless colligations under a similarity, whose one inequality
 member the uniqueness certificate decides. The defects of a lossless draw
 vanish only to roundoff in ``||A||`` (up to 1e-11), so those draws take no
-part in the margin and defect comparison.
+part in the margin and defect comparison. The first three properties are
+also checked on 200 hypothesis draws of strictly passive minimal systems
+(``test_solver.strictly_passive_minimal``), under one drawn transform per
+draw: the extremes and ``in_ri`` on one set of draws, the uniqueness
+verdict on another.
 """
 
 import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riccati_kyp import (
     SystemRealization,
+    circle_profile,
     maximal_solution,
     membership,
     minimal_solution,
     spectral_norm,
+    uniqueness_certificate,
 )
 from riccati_kyp.cli import _analyze_payload
+from riccati_kyp.riccati import _memberships
 from conftest import random_realization
-from test_solver import _bench_zoo, _lossless_draw
+from test_solver import _bench_zoo, _lossless_draw, strictly_passive_minimal
 
 # the transforms applied to each system: which of U, V_in and V_out are
 # random unitaries (the others are identities), and whether the result is
@@ -114,6 +123,14 @@ def _rel(got: np.ndarray, want: np.ndarray) -> float:
     return spectral_norm(got - want) / spectral_norm(want)
 
 
+def _candidates(h_min: np.ndarray, h_max: np.ndarray) -> list[np.ndarray]:
+    """H_min, H_max, three mixtures (inside RI) and half of H_min (outside
+    it for a strictly passive system)."""
+    return [h_min, h_max, 0.5 * h_min] + [
+        (1.0 - lam) * h_min + lam * h_max for lam in (0.25, 0.5, 0.75)
+    ]
+
+
 GROUPS = ["zoo", "random", "lossless"]
 
 
@@ -124,12 +141,8 @@ def test_groups_are_populated():
 
 @pytest.mark.parametrize("group", GROUPS)
 def test_in_ri_agrees_under_every_transform(group):
-    # H_min and H_max, three mixtures (inside RI) and half of H_min (outside
-    # it for a strictly passive system)
     for sigma, h_min, h_max, transforms in _cases(group):
-        candidates = [h_min, h_max, 0.5 * h_min] + [
-            (1.0 - lam) * h_min + lam * h_max for lam in (0.25, 0.5, 0.75)
-        ]
+        candidates = _candidates(h_min, h_max)
         verdicts = [membership(sigma, h, tol=TOL) for h in candidates]
         for name, other, to_other in transforms:
             for h, verdict in zip(candidates, verdicts):
@@ -170,3 +183,41 @@ def test_analyze_agrees_under_every_transform(group):
             for side in ("max_defect_right", "max_defect_left"):
                 defects = got["circle"][side], want["circle"][side]
                 assert abs(defects[0] - defects[1]) <= 1e-12, (name, side)
+
+
+# -- hypothesis draws ---------------------------------------------------------
+
+# a strictly passive minimal draw, one transform and the seed of its unitaries
+DRAWS = dict(
+    sigma=strictly_passive_minimal(),
+    name=st.sampled_from(list(TRANSFORMS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**DRAWS)
+def test_drawn_extremes_and_in_ri_agree_under_a_transform(sigma, name, seed):
+    # one property per draw for both, so that each draw solves its extremes once
+    other, to_other = _transformed(sigma, np.random.default_rng(seed), name)
+    extremes = minimal_solution(sigma).matrix, maximal_solution(sigma).matrix
+    for solve, h in zip((minimal_solution, maximal_solution), extremes):
+        assert _rel(solve(other).matrix, to_other(h)) <= 1e-12 * np.linalg.cond(h), solve
+    candidates = _candidates(*extremes)
+    # each side's candidates in one kernel call, as a report checks its own
+    verdicts = _memberships(sigma, candidates, tol=TOL)
+    moved = _memberships(other, [to_other(h) for h in candidates], tol=TOL)
+    for want, got in zip(verdicts, moved):
+        if not (want.diagnostics.boundary_case or got.diagnostics.boundary_case):
+            assert got.in_ri == want.in_ri
+
+
+@settings(max_examples=200, deadline=None)
+@given(**DRAWS)
+def test_drawn_uniqueness_verdict_agrees_under_a_transform(sigma, name, seed):
+    other, _ = _transformed(sigma, np.random.default_rng(seed), name)
+    want, got = (
+        uniqueness_certificate(s, circle_profile(s, grid_steps=GRID), tol=10.0 * TOL)
+        for s in (sigma, other)
+    )
+    assert (got.verdict, got.reason) == (want.verdict, want.reason)
