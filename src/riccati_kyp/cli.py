@@ -652,10 +652,16 @@ def _emit(payload: dict, out_path: str | None) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        # a tolerance of inf or nan passes every membership test, and a
-        # grid without steps samples no point of the circle
+        # a tolerance of inf or nan, or one whose tenfold tolerances are
+        # inf, passes every membership test, and a grid without steps
+        # samples no point of the circle
         if not (math.isfinite(args.tol) and args.tol > 0.0):
             raise err.ParseError(f"--tol must be finite and positive, got {args.tol!r}")
+        if not math.isfinite(10.0 * args.tol):  # eq_tol, c3_tol and inner_tol
+            raise err.ParseError(
+                f"--tol must be at most {sys.float_info.max / 10.0!r}, so that"
+                f" 10 * tol is finite, got {args.tol!r}"
+            )
         if args.grid < 1:
             raise err.ParseError(f"--grid must be at least 1, got {args.grid}")
         if args.seed < 0:  # the sampler's generator takes no negative seed

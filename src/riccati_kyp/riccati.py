@@ -26,8 +26,8 @@ split. :func:`membership` is its one-candidate view, which reads the
 eigenvalues a StorageOperator holds instead of decomposing it again;
 :func:`_memberships` checks a list of matrices in one call, as a CLI
 ``report`` checks its candidates, while ``check`` calls
-:func:`membership`; and the solver's loops over candidates (the sampler's
-chain, the candidates of each equality route, the duality inverses) call
+:func:`membership`; and the solver's loops over candidates (each round of
+the sampler, the candidates of each equality route, the duality inverses) call
 the kernel once per batch and read the masks. Positivity is decided by the
 one test of :func:`riccati_kyp.linops._pd_mask`. A
 :class:`StorageOperator` is one weight with its square roots, built by the

@@ -48,7 +48,7 @@ table (``riccati.VerdictTable``) as masks: the candidates of a route are
 the members where ``in_re`` holds, each with its ``equality_residual``; the
 inverses of the distinct duality samples (a one-point RI gives copies of
 one mean) give ``samples_ok`` as ``in_ri_circ``, read back for every copy;
-and the sampler keeps the points of its chain where ``in_ri & (lmi_min >=
+and the sampler keeps the points of a round where ``in_ri & (lmi_min >=
 0)`` holds. A candidate that is not positive definite reads False in every
 mask, and the kernel itself raises the InconsistentRoutes of the first
 candidate whose routes split. The kernel forms the range residual and
@@ -72,20 +72,18 @@ one small-int code per pair (its index in ``linops._VERDICTS``), which
 ``SolutionSet.comparisons`` reads as verdicts; a set ordered by its digits
 is flagged ``_lattice``, so a report can name its order and list no pair.
 
-Inequality members are sampled by hit-and-run over the KYP LMI
-``L(H) = [[alpha, -beta*], [-beta, delta]] >= 0``, which is affine in H, so
-the feasible chord along a direction is read off one small eigenvalue
-problem and no candidate is rejected (see :func:`sample_ri_members`). The
-chain needs a point with L(H) positive definite: the anchors' mean when it
-is one, and otherwise the ordered-QZ solution of a strictly passive
-neighbour of the system, or its midpoint with the mean (see
-:func:`_interior_point`). When the LMI has no such point (the transfer
+Inequality members are sampled on random chords through one interior
+point h0 of the KYP LMI ``L(H) = [[alpha, -beta*], [-beta, delta]] >= 0``,
+which is affine in H, so the feasible chord along a direction is read off
+one small eigenvalue problem, and the samples are independent (see
+:func:`sample_ri_members`). The interior point has L(h0) positive definite:
+the anchors' mean when it is one, and otherwise the ordered-QZ solution of
+a strictly passive neighbour of the system, or its midpoint with the mean
+(see :func:`_interior_point`). When the LMI has no such point (the transfer
 function reaches norm 1 on the circle, as for inner and co-inner systems),
-the samples are copies of the anchors' mean. Each move of the chain reuses
-the eigendecomposition that gave its chord to factor the next point (see
-:func:`_chord_step`). The duality check takes the copies at once when its
-extremal pair is Loewner-equal, since RI, which lies between the pair, is
-then one point.
+the samples are copies of the anchors' mean. The duality check takes the
+copies at once when its extremal pair is Loewner-equal, since RI, which
+lies between the pair, is then one point.
 
 The minimal storage operator, also taken without the constant isometric
 channels, comes from one of two exact O(n**3) routes:
@@ -324,29 +322,30 @@ def sample_ri_members(
     anchors: list,
     tol: float = 1e-9,
 ) -> list[np.ndarray]:
-    """Sample inequality members by hit-and-run over the KYP LMI.
+    """Sample inequality members on random chords of the KYP LMI.
 
     The anchors, matrices or StorageOperators, are checked by
-    :func:`membership`, and those in RI open the output. The rest comes
-    from one hit-and-run chain (Smith, Oper. Res. 1984) on
-    ``L(H) = [[alpha, -beta*], [-beta, delta]] >= 0``, which is
-    affine in H: from a point with L(H) positive definite, a Hermitian
-    direction E has the feasible chord of all t with ``L(H) + t L(E) >= 0``,
-    read off the eigenvalues of ``F^-1 L(E) F^-*`` for a factor ``L(H) = F
-    F*`` (the Cholesky factor at the start), and the chain moves to a uniform
-    point of the chord; the eigenvectors that gave the chord also give the
-    next point's factor, with no new Cholesky factor or inverse (see
-    :func:`_chord_step`). The chain starts at the point of
+    :func:`membership`, and those in RI open the output. The rest are
+    independent points ``h0 + t E`` on random chords through one interior
+    point h0 of ``L(H) = [[alpha, -beta*], [-beta, delta]] >= 0``, which is
+    affine in H: a Hermitian direction E has the feasible chord of all t
+    with ``L(h0) + t L(E) >= 0``, whose ends ``-1/mu_max`` and ``-1/mu_min``
+    are read off the eigenvalues mu of ``F^-1 L(E) F^-*`` for the Cholesky
+    factor ``L(h0) = F F*``, formed once, and t is a uniform point of it.
+    Every member of RI lies between H_min and H_max (Arov, Kaashoek & Pik
+    2006; Arlinskii 2008), so points spread up to the boundary serve the
+    duality cross-check, and no Markov chain is run. h0 is the point of
     :func:`_interior_point`: the anchors' mean when its LMI margin exceeds
     the membership band ``tol * max(1, ||L||)``, and otherwise a point
     inside RI taken from the ordered-QZ solution of a strictly passive
     neighbour of ``sigma``. Each round draws all its directions in one
-    generator call and all its chord positions in another, so a call runs
-    one seeded chain, and validates its points by one membership-kernel
-    call: a point is kept when it is in RI with a nonnegative LMI margin.
-    The rare point that roundoff puts past a chord end (some ``1 + t mu``
-    not positive, or a failed validation) is dropped and drawn again by a
-    further round; a round that keeps no point ends the chain.
+    generator call and all its chord positions in another, reads every
+    chord off one batched ``eigvalsh``, and validates its points by one
+    membership-kernel call: a point is kept when it is in RI with a
+    nonnegative LMI margin. A direction whose chord is not finite in
+    floating point is skipped, and the rare point that roundoff puts past a
+    chord end (a failed validation) is dropped; both are drawn again by a
+    further round, and a round that keeps no point ends sampling.
 
     When no point clears the band, the samples are copies of the anchors'
     mean, a member by convexity. This happens when the LMI has an empty
@@ -374,7 +373,7 @@ def _ri_samples(
 ) -> list[np.ndarray]:
     """:func:`sample_ri_members`; with ``one_point``, from a caller that
     knows RI to be one point, the checked anchors followed by copies of
-    their mean, which is what the chain gives when :func:`_interior_point`
+    their mean, which is what sampling gives when :func:`_interior_point`
     finds no interior point, and no search is run."""
     if not is_minimal(sigma):
         raise NotMinimal("sampling the inequality set requires a minimal system")
@@ -397,56 +396,30 @@ def _ri_samples(
     if len(samples) >= count:
         return samples[:count]
     center = sum(good_anchors) / len(good_anchors)
-    h = None if one_point else _interior_point(sigma, center, tol)
-    if h is None:
+    h0 = None if one_point else _interior_point(sigma, center, tol)
+    if h0 is None:
         return samples + [center.copy() for _ in range(count - len(samples))]
 
     n = sigma.state_dim
-    # the inverse of a factor F of L(h) = F F*
-    f_inv = np.linalg.inv(np.linalg.cholesky(_lmi(*_residual_ops(sigma, h))))
+    # the inverse of the factor F of L(h0) = F F*
+    f_inv = np.linalg.inv(np.linalg.cholesky(_lmi(*_residual_ops(sigma, h0))))
     while len(samples) < count:
         steps = count - len(samples)
         g = rng.standard_normal((2, steps, n, n))
         dirs = hermitian_part(g[0] + 1j * g[1])
         positions = rng.uniform(size=steps)
-        points = []
-        for e, l_e, u in zip(dirs, _lmi_linear(sigma, dirs), positions):
-            step = _chord_step(f_inv, l_e, u)
-            if step is None:
-                continue  # stay put
-            t, f_inv = step
-            h = h + t * e
-            points.append(h)
-        table = _membership_stack(sigma, np.array(points).reshape(-1, n, n), tol=tol)
+        # the chord of E: all t with every 1 + t mu >= 0
+        mu = np.linalg.eigvalsh(f_inv @ _lmi_linear(sigma, dirs) @ f_inv.conj().T)
+        finite = (mu[:, 0] < 0.0) & (mu[:, -1] > 0.0)
+        lo, hi = -1.0 / mu[finite, -1], -1.0 / mu[finite, 0]
+        t = lo + positions[finite] * (hi - lo)
+        points = h0 + t[:, None, None] * dirs[finite]
+        table = _membership_stack(sigma, points, tol=tol)
         kept = np.flatnonzero(table.in_ri & (table.lmi_min >= 0.0))
         if not kept.size:
             break
-        samples.extend(points[i] for i in kept.tolist())
+        samples.extend(points[kept])
     return samples[:count]
-
-
-def _chord_step(
-    f_inv: np.ndarray, l_e: np.ndarray, u: float
-) -> tuple[float, np.ndarray] | None:
-    """One hit-and-run move from a point H whose LMI is ``L(H) = F F*``,
-    with ``f_inv`` = F^-1, along a direction E with linear LMI part ``l_e``
-    = L(E), to the position ``u`` in [0, 1) of its chord: ``(t, F'^-1)``
-    with ``L(H + t E) = F' F'*``, or None when the chain stays put.
-
-    The eigendecomposition ``U diag(mu) U*`` of ``F^-1 L(E) F^-*`` gives
-    the chord, all t with every ``1 + t mu >= 0``, and ``F' = F U diag(1 + t
-    mu)^1/2``. The chain stays put when the chord is not finite in floating
-    point, or when roundoff at a chord end leaves some ``1 + t mu`` not
-    positive."""
-    mu, vecs = np.linalg.eigh(f_inv @ l_e @ f_inv.conj().T)
-    if not mu[0] < 0.0 < mu[-1]:
-        return None
-    lo, hi = -1.0 / mu[-1], -1.0 / mu[0]
-    t = lo + u * (hi - lo)
-    scale = 1.0 + t * mu
-    if not scale.min() > 0.0:
-        return None
-    return t, (vecs.conj().T @ f_inv) / np.sqrt(scale)[:, None]
 
 
 # -- public solvers -----------------------------------------------------------

@@ -349,9 +349,13 @@ def transfer_eval(sigma: SystemRealization, lam: complex) -> TransferSample:
 
     Raises SingularResolvent when I - lam A is singular to within
     ``SINGULAR_TOL`` (relative smallest singular value), i.e. ``lam`` sits at
-    or too close to a pole of the realization.
+    or too close to a pole of the realization, and ValueError when ``lam``
+    is not finite.
     """
     lam = complex(lam)
+    # a complex point is finite when both of its parts are
+    if not np.isfinite(lam):
+        raise ValueError(f"the transfer function is evaluated at a finite point, got {lam!r}")
     value = _transfer_grid(sigma, np.array([lam]))[0]
     return TransferSample(lam=lam, value=value, norm=spectral_norm(value))
 

@@ -1261,19 +1261,25 @@ class TestExitCodes:
             ("check", "--tol", "nan", "--tol must be finite and positive, got nan"),
             ("check", "--tol", "-1e-9", "--tol must be finite and positive, got -1e-09"),
             ("check", "--tol", "0", "--tol must be finite and positive, got 0.0"),
+            (
+                "check", "--tol", "1e308",
+                "--tol must be at most 1.7976931348623158e+307, so that 10 * tol is"
+                " finite, got 1e+308",
+            ),
             ("analyze", "--grid", "0", "--grid must be at least 1, got 0"),
             ("report", "--grid", "-4", "--grid must be at least 1, got -4"),
             # numpy's generator refused seed + 7 < 0 with a ValueError (exit 1)
             ("report", "--seed", "-8", "--seed must be non-negative, got -8"),
         ],
         ids=[
-            "check-inf", "analyze-inf", "nan", "negative", "zero", "grid-0",
+            "check-inf", "analyze-inf", "nan", "negative", "zero", "oversized", "grid-0",
             "grid-negative", "seed-negative",
         ],
     )
     def test_invalid_tol_or_grid_is_parse_error(self, command, option, value, message, capsys):
         # with --tol inf, check once put 0.5 I of two_state, outside RI, in
-        # RI and RE, and analyze called a system inner beside a defect of 0.89
+        # RI and RE, and analyze called a system inner beside a defect of 0.89;
+        # --tol 1e308 did the same through eq_tol = 10 * tol = inf
         argv = [command, "--system", TWO_STATE_DOC, "--candidate", "half", f"{option}={value}"]
         code = main(argv + ["--no-timings"])
         payload = json.loads(capsys.readouterr().out)

@@ -696,7 +696,7 @@ def test_kernel_raises_the_first_split_in_stack_order(two_state_system, monkeypa
     samples = sample_ri_members(
         two_state_system, 8, np.random.default_rng(3), anchors=[members[0], members[3]]
     )
-    stack = np.array(samples[2:])  # the chain's points, not the anchors
+    stack = np.array(samples[2:])  # the sampled points, not the anchors
     tols = {"tol": 1e-12, "c3_tol": 1e-8}
     table = _membership_stack(two_state_system, stack, **tols)
     assert table.in_ri.all() and np.isfinite(table.surplus_min).all()

@@ -824,7 +824,7 @@ def test_schur_test_matches_a_dense_reference(seed, n, m, p, norm):
 def _sampled_violations(sigma, candidate, side, config=SolverConfig()):
     """The sampled extremality check that once certified every extremal
     solution, kept here as an independent cross-check: the indices of the
-    samples (40 hit-and-run inequality members anchored at the candidate,
+    samples (40 sampled inequality members anchored at the candidate,
     and the equality set up to n = 3) that are not on the ``side`` of it."""
     rng = np.random.default_rng(config.seed + (1 if side == "minimal" else 2))
     samples = sample_ri_members(
@@ -1375,7 +1375,7 @@ def test_members_share_the_kernel_decomposition_bit_for_bit():
     assert solution_set == solution_set and solution_set != solve_re(sigma)
 
 
-# -- the hit-and-run sampler --------------------------------------------------
+# -- the chord sampler --------------------------------------------------------
 
 
 @st.composite
@@ -1504,8 +1504,8 @@ def test_empty_interior_gives_copies_of_the_mean(case, coisometry_system, monkey
 
 def test_ill_conditioned_lmi_still_gives_members():
     # cond(H_max) about 5e7, and the anchors' mean does not clear the band:
-    # the chain starts from a strictly passive neighbour's solution and
-    # moves away from the mean
+    # the chords run through a strictly passive neighbour's solution, not
+    # through the mean
     sigma = random_realization(np.random.default_rng(173), 6, 1, 1, passive_norm=0.5)
     anchors = list(dare_extremes(sigma))
     center = sum(anchors) / 2.0
@@ -1517,22 +1517,31 @@ def test_ill_conditioned_lmi_still_gives_members():
 
 
 # seed-301 zoo systems with n >= 3 > m, by their index in the zoo; the
-# greatest distance of a sample from the chain's first one measured 2.1,
-# 4.4, 5.6 and 3.3
-CHAIN_ZOO = {"n3_m2_p2": 11, "n4_m1_p2": 13, "n5_m2_p2": 19, "n6_m1_p1": 20}
+# greatest distance of a sample from the first sampled one measured 2.90,
+# 2.28, 1.12 and 1.36
+CHORD_ZOO = {"n3_m2_p2": 11, "n4_m1_p2": 13, "n5_m2_p2": 19, "n6_m1_p1": 20}
 
 
-@pytest.mark.parametrize("name", sorted(CHAIN_ZOO))
-def test_the_sampler_chain_moves_away_from_its_start(name):
-    # a chain started where n - m of the LMI's eigenvalues are near zero can
-    # stall in that corner, within 1e-2 of its first sample; the report shows
-    # only sample counts, so the spread of the samples is bounded here
-    sigma = _bench_zoo(301, 6)[CHAIN_ZOO[name]]
+@pytest.mark.parametrize("name", sorted(CHORD_ZOO))
+def test_the_samples_spread_through_ri(name):
+    # the report shows only sample counts, so the spread of the samples is
+    # bounded here
+    sigma = _bench_zoo(301, 6)[CHORD_ZOO[name]]
     anchors = [minimal_solution(sigma).matrix, maximal_solution(sigma).matrix]
     samples = sample_ri_members(sigma, 50, np.random.default_rng(7), anchors)
     assert len(samples) == 50
-    chain = samples[len(anchors):]
-    assert max(spectral_norm(h - chain[0]) for h in chain) >= 1.0
+    sampled = samples[len(anchors):]
+    assert max(spectral_norm(h - sampled[0]) for h in sampled) >= 1.0
+
+
+@pytest.mark.parametrize("seed", [301, 401, 1201])
+def test_duality_fills_its_samples_on_the_zoo(seed):
+    # every zoo system with n <= 6: 50 samples, each inverted into the
+    # adjoint's RI
+    for sigma in _bench_zoo(seed, 6):
+        report = duality_check(sigma, SolverConfig(seed=seed))
+        assert report.sample_count == 50
+        assert report.failure_count == 0
 
 
 def test_sampler_requires_a_minimal_system():
@@ -1545,7 +1554,7 @@ def test_sampler_requires_a_minimal_system():
 
 def test_rejected_chain_points_are_drawn_again(two_state_system, monkeypatch):
     # a point the kernel rejects (here: every third of the first round) is
-    # dropped, and a further round of the same chain fills the count
+    # dropped, and a further round fills the count
     kernel = solver_module._membership_stack
     rounds = []
 
@@ -1567,7 +1576,7 @@ def test_rejected_chain_points_are_drawn_again(two_state_system, monkeypatch):
 
 
 def test_sampler_raises_inconsistent_routes(two_state_system, monkeypatch):
-    # the kernel raises the first split of a round; the chain lets it out
+    # the kernel raises the first split of a round; the sampler lets it out
     kernel = solver_module._membership_stack
 
     def flagging(sigma, h, **kwargs):
@@ -1651,7 +1660,7 @@ def _golden_system(name: str) -> SystemRealization:
 @pytest.mark.parametrize("name", ["coisometry", "blaschke3"])
 def test_a_one_point_ri_takes_no_phase_one(name, monkeypatch):
     # co-inner and inner: H_min = H_max, so RI is one point and the duality
-    # samples are the anchors and their mean's copies, as the chain gives
+    # samples are the anchors and their mean's copies, as the sampler gives
     # them when the interior-point search, run anyway, finds no point
     sigma = _golden_system(name)
     cfg = SolverConfig(seed=301)
@@ -1705,31 +1714,30 @@ def test_duality_checks_each_distinct_sample_once(name, monkeypatch):
     assert 1 <= rows[0] <= 3
 
 
-@pytest.mark.parametrize("name", sorted(CHAIN_ZOO))
-def test_the_chain_factor_stays_a_factor_of_the_lmi(name):
-    # each move updates the inverse factor F^-1 of L(H) = F F* from the
-    # eigendecomposition that gave the chord; after 50 moves F^-1 L(H) F^-*
-    # is still the identity, to 1e-10 or, on an LMI too ill-conditioned for
-    # that (n6_m1_p1: cond 2e7, where a fresh Cholesky factor is off by
-    # 2.7e-10), to 50 moves' worth of the roundoff of a fresh factor
-    sigma = _bench_zoo(301, 6)[CHAIN_ZOO[name]]
+@pytest.mark.parametrize("name", sorted(CHORD_ZOO))
+def test_each_sample_lies_inside_its_chord(name):
+    # one round of 28 directions from the interior point h0: each sample is
+    # h0 + t E at its drawn position u of the chord of E, whose ends
+    # -1/mu_max and -1/mu_min are read here off the generalized eigenvalues
+    # of L(E) x = mu L(h0) x, not off the sampler's factor of L(h0)
+    sigma = _bench_zoo(301, 6)[CHORD_ZOO[name]]
     n = sigma.state_dim
     anchors = [minimal_solution(sigma).matrix, maximal_solution(sigma).matrix]
-    h = solver_module._interior_point(sigma, sum(anchors) / 2.0, 1e-9)
-    f_inv = np.linalg.inv(np.linalg.cholesky(_lmi(*_residual_ops(sigma, h))))
-    rng = np.random.default_rng(3)
-    moves = 0
-    for _ in range(50):
-        g = rng.standard_normal((2, n, n))
-        e = hermitian_part(g[0] + 1j * g[1])
-        step = solver_module._chord_step(f_inv, solver_module._lmi_linear(sigma, e), rng.uniform())
-        if step is not None:
-            t, f_inv = step
-            h, moves = h + t * e, moves + 1
-    lmat = _lmi(*_residual_ops(sigma, h))
-    error = spectral_norm(f_inv @ lmat @ f_inv.conj().T - np.eye(len(lmat)))
-    assert moves == 50
-    assert error <= max(1e-10, 50 * np.finfo(float).eps * np.linalg.cond(lmat))
+    h0 = solver_module._interior_point(sigma, sum(anchors) / 2.0, 1e-9)
+    samples = sample_ri_members(sigma, 30, np.random.default_rng(5), anchors)
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((2, 28, n, n))
+    dirs = hermitian_part(g[0] + 1j * g[1])
+    positions = rng.uniform(size=28)
+    l0 = _lmi(*_residual_ops(sigma, h0))
+    assert len(samples) == 30
+    for h, e, u in zip(samples[2:], dirs, positions):
+        mu = scipy.linalg.eigh(solver_module._lmi_linear(sigma, e), l0, eigvals_only=True)
+        lo, hi = -1.0 / mu[-1], -1.0 / mu[0]
+        t = np.vdot(e, h - h0).real / np.vdot(e, e).real
+        assert spectral_norm(h - h0 - t * e) <= 1e-12 * spectral_norm(h0)
+        assert lo <= t <= hi
+        assert abs(t - (lo + u * (hi - lo))) <= 1e-10 * (hi - lo)
 
 
 @pytest.mark.parametrize(

@@ -129,6 +129,14 @@ class TestTransferEval:
         with pytest.raises(SingularResolvent):
             transfer_eval(sigma, 0.5)
 
+    @pytest.mark.parametrize("lam", [np.inf, np.nan, complex(1.0, np.inf)],
+                             ids=["inf", "nan", "complex-inf"])
+    def test_non_finite_point_is_refused(self, two_state_system, lam):
+        # numpy's SVD once failed to converge here, after a RuntimeWarning
+        # at inf
+        with pytest.raises(ValueError, match="finite point"):
+            transfer_eval(two_state_system, lam)
+
     @pytest.mark.parametrize("m, p", [(0, 1), (1, 0)])
     def test_realization_without_inputs_or_outputs(self, m, p):
         # the transfer function is an empty matrix, of norm 0, at a point
