@@ -7,7 +7,12 @@ grid and the Stein identities, with a positive-definite Stein solution,
 confirm that the system, or its adjoint, is inner. The defects are measured
 on a grid, not proved; for rational transfer functions of modest degree the
 default grid density resolves the defects far below tolerance, and doubling
-the grid is a cheap stability check. The grid values come from
+the grid is a cheap stability check. The angle grid
+(:func:`riccati_kyp.systems._circle_points`) is cached per size and shared
+with the Schur-class margin, which samples the circle ``|lam| = radius``
+alone: by the maximum-modulus principle a transfer function analytic on a
+closed disc takes its largest norm there on the boundary circle. The grid
+values come from
 :func:`riccati_kyp.systems._transfer_grid`: invertibility of every grid
 resolvent ``I - zeta A`` is proved from ``||A||`` when A is a strict
 contraction (``||A|| < 1`` with the kernel's margin), and otherwise from a
@@ -27,7 +32,6 @@ eigenvalues are exactly 1. A side of dimension 0 has defect 0.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,6 +43,7 @@ from .riccati import StorageOperator, riccati_data
 from .solver import _inner_solution
 from .systems import (
     SystemRealization,
+    _circle_points,
     _gram_eigs,
     _pole_angle,
     _transfer_grid,
@@ -80,16 +85,6 @@ class CircleProfile:
         return float(self.left_defects.max())
 
 
-@functools.lru_cache(maxsize=16)
-def _circle_points(grid_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only uniform angle grid of the circle and its points
-    ``exp(1j * angles)``."""
-    angles = 2.0 * np.pi * np.arange(grid_steps) / grid_steps
-    zeta = np.exp(1j * angles)
-    angles.flags.writeable = zeta.flags.writeable = False
-    return angles, zeta
-
-
 def circle_profile(sigma: SystemRealization, grid_steps: int = 4096) -> CircleProfile:
     """Sample the transfer function on a uniform angle grid of the circle.
 
@@ -102,7 +97,9 @@ def circle_profile(sigma: SystemRealization, grid_steps: int = 4096) -> CirclePr
     over the min(m, p) squared singular values of theta, and, on the side of
     the larger dimension, the eigenvalue 1 of ``I - theta* theta`` (m > p) or
     ``I - theta theta*`` (p > m) on the kernel of the Gram matrix. The
-    profile's ``angles`` is the read-only grid cached per ``grid_steps``.
+    profile's ``angles`` is the read-only grid cached per ``grid_steps``
+    (:func:`~riccati_kyp.systems._circle_points`), which the Schur-class
+    margin scales to its circle.
     """
     if grid_steps < 1:
         raise ValueError("grid_steps must be positive")

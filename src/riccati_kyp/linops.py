@@ -326,12 +326,6 @@ class BlockNonneg:
             np.block([[self.alpha, self.beta], [self.beta.conj().T, self.delta]])
         )
 
-    @classmethod
-    def from_matrix(cls, t: np.ndarray, state_dim: int) -> "BlockNonneg":
-        t = ensure_hermitian(t)
-        n = int(state_dim)
-        return cls(alpha=t[:n, :n], beta=t[:n, n:], delta=t[n:, n:])
-
 
 @dataclass
 class SchurFactorization:

@@ -98,15 +98,16 @@ def _relative_parts(alpha: np.ndarray, beta: np.ndarray, big_m, big_n):
     return rel_alpha, rel_beta
 
 
-def _solution(v: np.ndarray, n: int) -> np.ndarray | None:
-    """``herm(V2 V1^{-1})`` of the columns ``[V1; V2; V3]`` of v, or of each
-    on a stack, solved as ``V1^T X^T = V2^T``; None when a V1 is singular."""
+def _solution(v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``herm(V2 V1^{-1})`` of the columns ``[V1; V2; V3]`` of each matrix
+    on the stack v whose V1 is regular, solved in one batch as ``V1^T X^T =
+    V2^T``, and the boolean mask of those matrices. A V1 is singular when
+    its LU factorization has a zero pivot, which ``np.linalg.solve``
+    refuses and which gives ``np.linalg.slogdet`` the sign 0."""
     v = v.swapaxes(-1, -2)
-    try:
-        x = np.linalg.solve(v[..., :n], v[..., n : 2 * n]).swapaxes(-1, -2)
-    except np.linalg.LinAlgError:
-        return None
-    return hermitian_part(x)
+    regular = np.linalg.slogdet(v[:, :, :n])[0] != 0
+    x = np.linalg.solve(v[regular, :, :n], v[regular, :, n : 2 * n])
+    return hermitian_part(x.swapaxes(-1, -2)), regular
 
 
 def _pairs(alpha: np.ndarray, beta: np.ndarray, n: int, rel_alpha, rel_beta):
@@ -161,9 +162,9 @@ def equality_candidates(
     inside the disc and True when it gives the one outside. The digit of a
     pair of a zero and an infinite eigenvalue is always False. The row of
     no True digit is the minimal solution, and the last row, every other
-    digit True, the largest. All selections are solved in one batch; when a
-    V1 of the batch is singular, each is solved alone and the singular ones
-    are dropped. The candidates are not validated here.
+    digit True, the largest. The selections whose V1 is regular are solved
+    in one batch and the others dropped. The candidates are not validated
+    here.
     """
     import scipy.linalg
 
@@ -185,13 +186,8 @@ def equality_candidates(
     digits = np.zeros((2**k, n), dtype=bool)
     digits[:, free] = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
     chosen = vectors[:, np.where(digits, outside, inside)].transpose(1, 0, 2)
-    x = _solution(chosen, n)
-    if x is None:
-        alone = [_solution(v, n) for v in chosen]
-        kept = [i for i, solved in enumerate(alone) if solved is not None]
-        x = np.array([alone[i] for i in kept]).reshape(len(kept), n, n)
-        digits = digits[kept]
-    return x, digits, 2**k
+    x, regular = _solution(chosen, n)
+    return x, digits[regular], 2**k
 
 
 @_memo
@@ -216,10 +212,12 @@ def extremal(sigma: SystemRealization) -> tuple[np.ndarray, np.ndarray] | None:
     except (np.linalg.LinAlgError, ValueError):  # QZ or its reordering failed
         return None
     rel = _relative_parts(alpha, beta, big_m, big_n)
-    x = None if rel is None else _solution(z[:, :n], n)
-    if x is None:
+    if rel is None:
+        return None
+    x, regular = _solution(z[None, :, :n], n)
+    if not regular[0]:
         return None
     finite = rel[1] > PENCIL_TOL * rel[0]
     lam = alpha[finite] / beta[finite]
     x.flags.writeable = lam.flags.writeable = False
-    return x, lam
+    return x[0], lam

@@ -431,7 +431,8 @@ def _membership_stack(
     them). ``eigenvalues``, when given, are the ascending eigenvalues of
     each matrix on the stack, which decide positivity; a caller that has
     decomposed the stack, or holds its one StorageOperator, passes them, and
-    otherwise the kernel takes ``eigvalsh``.
+    otherwise the kernel takes those of ``eigh``, the spectrum on which a
+    StorageOperator decides (``eigvalsh`` can differ in the last bits).
 
     Every step is one batched call of the LAPACK routine the single-candidate
     computation uses (``eigh`` for delta, whose least eigenvalue, range test
@@ -459,7 +460,7 @@ def _membership_stack(
     """
     h = np.asarray(h, dtype=complex)
     _check_dims(sigma, h.shape[-1])
-    pd, _ = _pd_mask(np.linalg.eigvalsh(h) if eigenvalues is None else eigenvalues)
+    pd, _ = _pd_mask(np.linalg.eigh(h)[0] if eigenvalues is None else eigenvalues)
     alpha, beta, delta, w, v, c3 = _riccati_stack(sigma, h[pd])
     lmi_min, lmi_norm = _least_and_norm(_lmi(alpha, beta, delta))
     delta_min = w.min(axis=1, initial=np.inf)

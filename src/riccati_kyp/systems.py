@@ -8,8 +8,9 @@ A realization is the quadruple (A, B, C, D) of the recursion
 with complex state, input and output spaces of dimensions n, m, p. The module
 provides the block system matrix, transfer-function evaluation, controllable
 and unobservable subspaces, minimality and passivity checks, a grid bound on
-the transfer-function norm over a sub-disc, the adjoint system, trajectory
-simulation and per-step dissipation margins.
+the transfer-function norm over a sub-disc, sampled on its boundary circle
+by the maximum-modulus principle, the adjoint system, trajectory simulation
+and per-step dissipation margins.
 
 A :class:`SystemRealization` is an immutable value with read-only copies of
 its matrices. What is decided about it is decided once: a decider wrapped in
@@ -18,13 +19,13 @@ every later call reads it back. This module's deciders are
 :func:`is_minimal`, which counts its two Krylov ranks from singular values
 alone, the complex Schur form of A with ``||A||`` (:func:`_schur_form`),
 which every transfer grid reads and whose diagonal gives the eigenvalues of
-A that decide every pole test (:func:`_pole_angle`; an adjoint without a
-Schur form of its own reads the conjugates of its realization's diagonal),
+A that decide every pole test (:func:`_pole_angle`; a realization whose
+adjoint has its form reads its own off it, so a pair decomposes once),
 and :func:`adjoint`, whose adjoint is the realization itself; the solver and
 the pencil keep theirs the same way.
 
-Every transfer-function evaluation, at one point or on a grid of the disc or
-the circle, goes through one kernel, :func:`_transfer_grid`. It proves every
+Every transfer-function evaluation, at one point or on a grid of a circle,
+goes through one kernel, :func:`_transfer_grid`. It proves every
 grid resolvent ``I - lam A`` invertible from ``||A||`` at once when A is a
 strict contraction on the grid radius r (``1 - r||A|| >= 2 SINGULAR_TOL
 (1 + r||A||)``). Otherwise it bounds each resolvent's inverse from the
@@ -171,24 +172,28 @@ class TransferSample:
 def _schur_form(sigma: SystemRealization) -> tuple[float, np.ndarray, np.ndarray]:
     """``(||A||, T, Q)`` for the complex Schur form ``A = Q T Q*``, with T
     and Q read-only: what :func:`_transfer_grid` reads of the state
-    operator, and, on the diagonal of T, the eigenvalues of A."""
-    import scipy.linalg
+    operator, and, on the diagonal of T, the eigenvalues of A. When the
+    adjoint that ``sigma`` keeps (:func:`adjoint`) has its form ``A* = Q T
+    Q*``, the form of A is read off it: ``A = (Q J) (J T* J) (Q J)*`` with
+    J the reversal, and ``J T* J`` is upper triangular, so a realization
+    and its adjoint decompose their state operator once between them."""
+    other = adjoint.known(sigma)
+    form = None if other is None else _schur_form.known(other)
+    if form is None:
+        import scipy.linalg
 
-    t, q = scipy.linalg.schur(sigma.a, output="complex")
+        t, q = scipy.linalg.schur(sigma.a, output="complex")
+        norm_a = spectral_norm(sigma.a)
+    else:
+        norm_a, t, q = form
+        t, q = np.ascontiguousarray(t.conj().T[::-1, ::-1]), np.ascontiguousarray(q[:, ::-1])
     t.flags.writeable = q.flags.writeable = False
-    return spectral_norm(sigma.a), t, q
+    return norm_a, t, q
 
 
 def _eigenvalues(sigma: SystemRealization) -> np.ndarray:
     """The eigenvalues of A, off the diagonal of the Schur form ``sigma``
-    keeps (:func:`_schur_form`). When ``sigma`` keeps none and its adjoint,
-    kept by :func:`adjoint`, does, they are the conjugates of the adjoint's,
-    and A is not decomposed again."""
-    other = adjoint.known(sigma)
-    if _schur_form.known(sigma) is None and other is not None:
-        form = _schur_form.known(other)
-        if form is not None:
-            return np.diagonal(form[1]).conj()
+    keeps (:func:`_schur_form`)."""
     return np.diagonal(_schur_form(sigma)[1])
 
 
@@ -474,35 +479,42 @@ def is_passive(sigma: SystemRealization, tol: float = 1e-10) -> PassivityReport:
 
 
 @functools.lru_cache(maxsize=16)
-def _disc_points(grid_steps: int, radius: float) -> np.ndarray:
-    """Read-only polar grid of the disc ``|lam| <= radius``: the origin,
-    then ``grid_steps`` angles on each of ``grid_steps`` radii."""
-    radii = np.linspace(radius / grid_steps, radius, grid_steps)
+def _circle_points(grid_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only uniform angle grid of the unit circle and its points
+    ``exp(1j * angles)``."""
     angles = 2.0 * np.pi * np.arange(grid_steps) / grid_steps
-    lams = np.concatenate(
-        [[0.0 + 0.0j], (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()]
-    )
-    lams.flags.writeable = False
-    return lams
+    zeta = np.exp(1j * angles)
+    angles.flags.writeable = zeta.flags.writeable = False
+    return angles, zeta
 
 
 def schur_class_margin(
     sigma: SystemRealization, grid_steps: int = 48, radius: float = 0.999
 ) -> float:
-    """Largest transfer-function norm over a polar grid of the disc
-    ``|lam| <= radius``.
+    """Largest transfer-function norm on the disc ``|lam| <= radius``, taken
+    on ``grid_steps`` points of its boundary circle, or ``inf`` when the
+    realization has a pole in the disc.
 
-    This is a grid certificate, not a proof: the value bounds the norm only at
-    the sampled points. Grid points with a numerically singular resolvent
-    abort with SingularResolvent carrying the offending point; skipping them
-    silently could mask norm blow-up near a pole. The grid reads the Schur
-    form that ``sigma`` keeps (:func:`_schur_form`).
+    Each eigenvalue mu of A, off the Schur form that ``sigma`` keeps
+    (:func:`_schur_form`), is a pole at ``1/mu``; when no ``|mu| radius``
+    reaches 1 the transfer function is analytic on the closed disc, and by
+    the maximum-modulus principle its norm there is largest on the circle
+    ``|lam| = radius``, so the circle grid of :func:`_circle_points`, scaled
+    by ``radius``, is the whole sample. This is a grid certificate, not a
+    proof: the value bounds the norm only at the sampled points, and no
+    point inside the circle, the origin included, is one of them, so a
+    near-singular resolvent there raises nothing. A circle point with a
+    numerically singular resolvent aborts with SingularResolvent carrying
+    the offending point; skipping it silently could mask norm blow-up near
+    a pole.
     """
     if not 0.0 < radius < 1.0:
         raise ValueError("radius must lie strictly between 0 and 1")
     if grid_steps < 1:
         raise ValueError("grid_steps must be positive")
-    values = _transfer_grid(sigma, _disc_points(grid_steps, radius))
+    if (np.abs(_eigenvalues(sigma)) * radius >= 1.0).any():
+        return np.inf
+    values = _transfer_grid(sigma, radius * _circle_points(grid_steps)[1])
     return float(np.sqrt(_gram_eigs(values).max(initial=0.0)))
 
 

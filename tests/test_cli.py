@@ -621,9 +621,11 @@ def test_a_pole_on_the_circle_is_refused_without_a_singular_stein_solve(command,
 
 def test_each_command_decides_minimality_and_decomposes_a_once(monkeypatch, tmp_path):
     # each realization object decides its minimality and takes its Schur
-    # form at most once, however many callers read them
+    # form at most once, however many callers read them, and a realization
+    # and its adjoint call LAPACK's schur once between them
     minimality = decisions(monkeypatch, systems_module.is_minimal)
     schur = decisions(monkeypatch, systems_module._schur_form)
+    schur_calls = _scipy_calls(monkeypatch, "schur")
     doc = _seeded_pencil_doc(tmp_path, 3)
     out = str(tmp_path / "report.json")
     runs = [("analyze", doc), ("solve-re", doc), ("report", TWO_STATE_DOC),
@@ -631,9 +633,15 @@ def test_each_command_decides_minimality_and_decomposes_a_once(monkeypatch, tmp_
     for command, path in runs:
         minimality.clear()
         schur.clear()
+        schur_calls.clear()
         assert main([command, "--system", path, "--no-timings", "--out", out]) == 0
         for calls in (minimality, schur):
             assert len(calls) == len({id(sigma) for sigma in calls}), command
+        pairs = {frozenset({id(sigma), id(systems_module.adjoint.known(sigma))})
+                 for sigma in schur}
+        assert len(schur_calls) == len(pairs), command
+        if path == TWO_STATE_DOC:
+            assert len(schur) == 2 and len(pairs) == 1, command
         if path == doc:
             assert len(minimality) == 1, command
             assert len(schur) == (command == "analyze"), command
@@ -646,6 +654,7 @@ def test_report_decides_each_fact_once_per_realization(name, monkeypatch, tmp_pa
     # realization builds its adjoint, decides its minimality, takes its
     # Schur form, looks for unit channels, runs ordered QZ, solves its
     # Stein equation and decides its lossless member once
+    schur_calls = _scipy_calls(monkeypatch, "schur")
     spies = [
         decisions(monkeypatch, systems_module.adjoint),
         decisions(monkeypatch, systems_module.is_minimal),
@@ -662,22 +671,22 @@ def test_report_decides_each_fact_once_per_realization(name, monkeypatch, tmp_pa
     for calls in spies:
         assert calls and len(calls) == len({id(sigma) for sigma in calls})
     assert len(spies[0]) == 1  # the adjoint's adjoint is the system
-    # the adjoint's pole test reads the conjugates of the system's Schur
-    # diagonal, so A* is not decomposed
-    assert len(spies[2]) == 1
+    # the second of the pair to take its Schur form reads it off the
+    # first's, so A is decomposed once
+    assert len(schur_calls) == 1
 
 
-def _lyapunov_solves(monkeypatch) -> list:
-    """Record each ``scipy.linalg.solve_discrete_lyapunov`` call."""
+def _scipy_calls(monkeypatch, name: str) -> list:
+    """Record the arguments of each call of ``scipy.linalg.<name>``."""
     import scipy.linalg
 
-    real, calls = scipy.linalg.solve_discrete_lyapunov, []
+    real, calls = getattr(scipy.linalg, name), []
 
     def spy(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "solve_discrete_lyapunov", spy)
+    monkeypatch.setattr(scipy.linalg, name, spy)
     return calls
 
 
@@ -691,7 +700,7 @@ def test_report_solves_each_stein_equation_once(name, solves, monkeypatch, tmp_p
     # its adjoint's (whose inner test the uniqueness certificate and the
     # co-inner test share), the inner one the same two (its adjoint's for
     # the maximal solution), and the two systems with a regular pencil none
-    calls = _lyapunov_solves(monkeypatch)
+    calls = _scipy_calls(monkeypatch, "solve_discrete_lyapunov")
     out = str(tmp_path / "report.json")
     path = str(GOLDEN_DOCS / f"{name}.json")
     main(["report", "--system", path, "--seed", "301", "--no-timings", "--out", out])
@@ -734,7 +743,7 @@ def test_a_regular_pencil_is_refused_without_a_stein_solve(command, monkeypatch,
     # ||A|| = 1e5 makes both Stein equations of nonnormal_n3 ill-conditioned;
     # its ordered QZ gives a candidate, so the Schur-class test refuses the
     # system before any Stein solve, and no LinAlgWarning is raised
-    calls = _lyapunov_solves(monkeypatch)
+    calls = _scipy_calls(monkeypatch, "solve_discrete_lyapunov")
     out = tmp_path / "report.json"
     code = main([command, "--system", str(GOLDEN_DOCS / "nonnormal_n3.json"),
                  "--seed", "301", "--no-timings", "--out", str(out)])
@@ -814,8 +823,11 @@ def test_grid_points_are_cached_read_only(two_state_system):
     first = riccati_kyp.circle_profile(two_state_system, grid_steps=64)
     second = riccati_kyp.circle_profile(two_state_system, grid_steps=64)
     assert first.angles is second.angles and not first.angles.flags.writeable
-    disc = systems_module._disc_points(48, 0.999)
-    assert disc is systems_module._disc_points(48, 0.999) and not disc.flags.writeable
+    # the Schur margin reads the same cached circle grid
+    angles, zeta = systems_module._circle_points(48)
+    assert systems_module._circle_points(48)[1] is zeta
+    assert first.angles is systems_module._circle_points(64)[0]
+    assert not angles.flags.writeable and not zeta.flags.writeable
 
 
 class TestCommands:
@@ -1292,6 +1304,41 @@ class TestExitCodes:
         assert main(missing) == 2
         assert json.loads(capsys.readouterr().out)["error"]["message"] == message
 
+    @pytest.mark.parametrize(
+        "command, top, inputs, message",
+        [
+            ("analyze", None, None, "system file not found: {doc}"),
+            ("analyze", [1.0], None, "{doc}: top level must be an object"),
+            ("analyze", {"name": 5}, None, "{doc}: name must be a string"),
+            ("check", {"candidates": [1.0]}, None, "{doc}: candidates must be an object"),
+            ("simulate", {}, {"x0": [[0.0, 0.0]]},
+             "{inputs}: expected an object with an 'inputs' field"),
+            ("simulate", {}, None, "simulate requires --inputs <path>"),
+        ],
+        ids=["no-system-file", "top-level", "name", "candidates", "inputs-field",
+             "no-inputs-option"],
+    )
+    def test_malformed_document_or_inputs_is_parse_error(
+        self, command, top, inputs, message, tmp_path, capsys
+    ):
+        # no document is written for None, and a list replaces the document
+        doc, inputs_path = tmp_path / "doc.json", tmp_path / "inputs.json"
+        if top is not None:
+            raw = {**scalar_interval_doc(), **top} if isinstance(top, dict) else top
+            doc.write_text(json.dumps(raw), encoding="utf-8")
+        argv = [command, "--system", str(doc), "--no-timings"]
+        if inputs is not None:
+            inputs_path.write_text(json.dumps(inputs), encoding="utf-8")
+            argv += ["--inputs", str(inputs_path)]
+        assert main(argv) == EXIT_CODES[ParseError] == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": {
+                "category": "ParseError",
+                "exit_code": 2,
+                "message": message.format(doc=doc, inputs=inputs_path),
+            }
+        }
+
     def test_smallest_valid_tol_and_grid_run(self, capsys):
         code = main(["analyze", "--system", TWO_STATE_DOC, "--tol", "5e-324", "--grid", "1", "--no-timings"])
         payload = json.loads(capsys.readouterr().out)
@@ -1419,3 +1466,25 @@ def test_importing_the_cli_leaves_scipy_unloaded():
         env=env,
         check=True,
     )
+
+
+@pytest.mark.parametrize("doc", ["zoo401_n6_m1_p2", "zoo47_n4_m1_p1"])
+def test_analyze_bytes_do_not_depend_on_blas_threads(doc, tmp_path):
+    """``analyze`` writes the same bytes under one and two BLAS threads. On
+    these two zoo systems a Schur margin sampled on a 2,305-point disc grid
+    rounded differently in its last digit."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads{threads}.json"
+        subprocess.run(
+            [sys.executable, "-m", "riccati_kyp.cli", "analyze", "--system",
+             str(GOLDEN_DOCS / f"{doc}.json"), "--seed", "301", "--no-timings",
+             "--out", str(out)],
+            env=env,
+            check=True,
+        )
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]

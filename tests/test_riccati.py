@@ -794,3 +794,25 @@ def test_membership_reads_a_storage_operators_eigenvalues(
     shapes.clear()
     assert _outcome(membership(two_state_system, storage.matrix)) == _outcome(verdict)
     assert shapes == [(1, 2, 2), (1, 1, 1)]
+
+
+@pytest.mark.parametrize("seed", [60, 109])
+def test_kernel_positivity_is_a_storage_operators(seed):
+    # a weight whose least eigenvalue is within 1e-3 of the PD_TOL floor:
+    # on these seeds eigh and eigvalsh put it on opposite sides (eigh says
+    # PD at 60 and not PD at 109), and the kernel, given no eigenvalues,
+    # decides as a StorageOperator of the same weight does
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    q, _ = np.linalg.qr(g)
+    w = np.array([1e-12 * (1.0 + rng.uniform(-1e-3, 1e-3)), 0.5, 1.0])
+    h = hermitian_part(q @ np.diag(w) @ q.conj().T)
+    assert abs(np.linalg.eigh(h)[0][0] / 1e-12 - 1.0) < 1e-3
+    sigma = SystemRealization(np.kron(np.eye(3), [[0.5]]), np.full((3, 1), 0.3),
+                              np.full((1, 3), 0.3), [[0.0]])
+    try:
+        StorageOperator(h)
+        constructs = True
+    except NotPD:
+        constructs = False
+    assert bool(_membership_stack(sigma, h[None]).pd[0]) == constructs

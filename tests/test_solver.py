@@ -46,7 +46,13 @@ from riccati_kyp import (
 )
 from riccati_kyp import solver as solver_module
 from riccati_kyp.linops import _eigh_kept, _loewner_stack, _pinv_kept, _spectral_norms
-from riccati_kyp.pencil import CIRCLE_GAP, _extended_pencil, equality_candidates, extremal
+from riccati_kyp.pencil import (
+    CIRCLE_GAP,
+    _extended_pencil,
+    _solution,
+    equality_candidates,
+    extremal,
+)
 from riccati_kyp.cli import parse_system
 from riccati_kyp.riccati import RANK_TOL, _lmi, _residual_ops
 from riccati_kyp.solver import (
@@ -362,6 +368,22 @@ class TestPencilRoute:
         assert [p["route"] for p in solution_set.provenance] == [
             f"pencil(selection={_spelled(digits)[0]})"
         ]
+
+
+def test_singular_v1s_are_masked_and_the_rest_solved_in_one_batch():
+    # a V1 with a zero column has a zero pivot, which solve refuses and
+    # slogdet signs 0; the regular ones solve as each does alone
+    n, m = 3, 2
+    rng = np.random.default_rng(27)
+    v = rng.standard_normal((4, 2 * n + m, n)) + 1j * rng.standard_normal((4, 2 * n + m, n))
+    v[1, :n, 0] = 0.0
+    x, regular = _solution(v, n)
+    assert regular.tolist() == [True, False, True, True] and x.shape == (3, n, n)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(v[1, :n].T, v[1, n : 2 * n].T)
+    for got, one in zip(x, v[regular]):
+        alone = hermitian_part(np.linalg.solve(one[:n].T, one[n : 2 * n].T).T)
+        assert got.tobytes() == alone.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -1542,6 +1564,23 @@ def test_duality_fills_its_samples_on_the_zoo(seed):
         report = duality_check(sigma, SolverConfig(seed=seed))
         assert report.sample_count == 50
         assert report.failure_count == 0
+
+
+def test_no_exact_route_fails_the_certificate():
+    # T(z) = diag(z, 0.5 z): the inner channel z is not constant, so it is
+    # not deflated, and it makes the Popov function singular on the circle
+    # and so the pencil; the system is neither inner nor co-inner
+    sigma = SystemRealization(np.zeros((2, 2)), np.eye(2), np.diag([1.0, 0.5]),
+                              np.zeros((2, 2)))
+    assert is_minimal(sigma) and extremal(sigma) is None
+    with pytest.raises(CertificateFailed, match="no exact route: singular pencil or V1"):
+        minimal_solution(sigma)
+
+
+def test_duality_check_requires_a_minimal_system():
+    sigma = SystemRealization(0.5 * np.eye(2), [[1.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+    with pytest.raises(NotMinimal, match="duality statements assume a minimal system"):
+        duality_check(sigma)
 
 
 def test_sampler_requires_a_minimal_system():

@@ -1,6 +1,6 @@
 """Realization tests: immutability, block matrix, transfer evaluation,
-subspaces, minimality, adjoint, passivity, disc-norm grid bound, simulation,
-and dissipation margins."""
+subspaces, minimality, adjoint, passivity, the disc-norm bound on its
+boundary circle, simulation, and dissipation margins."""
 
 import dataclasses
 
@@ -28,7 +28,7 @@ from riccati_kyp import (
 )
 from riccati_kyp.systems import (
     SINGULAR_TOL,
-    _disc_points,
+    _circle_points,
     _gram_eigs,
     _schur_form,
     _screened,
@@ -261,6 +261,29 @@ class TestAdjoint:
         assert is_minimal(adjoint(sigma)) is is_minimal(adj)
         assert _schur_form(adjoint(sigma)) is _schur_form(adj)
 
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_the_pair_takes_one_schur_form(self, first, monkeypatch):
+        # whichever of the pair is decomposed first, the other reads its
+        # form off it, A* = (Q J)(J T* J)(Q J)* with J the reversal: an
+        # upper triangular Schur form with the conjugate eigenvalues in
+        # reverse order, the same norm, and no second LAPACK call
+        import scipy.linalg
+
+        sigma = random_realization(np.random.default_rng(25), 4, 2, 1)
+        pair = [sigma, adjoint(sigma)]
+        real, calls = scipy.linalg.schur, []
+        monkeypatch.setattr(scipy.linalg, "schur",
+                            lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+        norm_a, t, q = _schur_form(pair[first])
+        other_norm, other_t, other_q = _schur_form(pair[1 - first])
+        assert len(calls) == 1 and other_norm == norm_a
+        assert not other_t.flags.writeable and not other_q.flags.writeable
+        assert np.array_equal(other_t, np.triu(other_t))
+        assert np.array_equal(np.diagonal(other_t), np.diagonal(t)[::-1].conj())
+        assert np.allclose(other_q.conj().T @ other_q, np.eye(4), atol=1e-14)
+        assert np.allclose(other_q @ other_t @ other_q.conj().T, pair[1 - first].a,
+                           atol=1e-14)
+
     def test_transfer_conjugation_identity(self):
         rng = np.random.default_rng(22)
         for _ in range(10):
@@ -309,6 +332,30 @@ class TestSchurMargin:
             sigma = random_realization(rng, 3, 2, 2, passive_norm=0.98)
             assert schur_class_margin(sigma, grid_steps=24, radius=0.95) <= 1.0 + 1e-8
 
+    def test_pole_in_the_disc_reads_inf(self):
+        # A = 1.002 puts the pole 1/1.002 inside the disc of radius 0.999,
+        # and A = 1 puts it on the unit circle, outside that disc, where the
+        # circle points read up to 0.999 / 0.001
+        for a, expected in ((1.002, np.inf), (2.0, np.inf), (1.0, 0.999 / 0.001)):
+            sigma = SystemRealization(a, 1.0, 1.0, 0.0)  # transfer lam / (1 - a lam)
+            margin = schur_class_margin(sigma)
+            assert margin == expected or abs(margin - expected) <= 1e-9 * expected
+
+    def test_margin_is_the_largest_norm_on_the_circle_grid(self):
+        # the grid is the cached unit circle grid scaled by the radius, and
+        # by the maximum-modulus principle no inner point of the polar grid
+        # with the same outer circle reads more on these seeded draws
+        rng = np.random.default_rng(26)
+        for _ in range(10):
+            sigma = random_realization(rng, 3, 2, 2, passive_norm=0.98)
+            circle = 0.9 * _circle_points(48)[1]
+            norms = [transfer_eval(sigma, lam).norm for lam in circle]
+            margin = schur_class_margin(sigma, grid_steps=48, radius=0.9)
+            assert abs(margin - max(norms)) <= 8.0 * np.finfo(float).eps * margin
+            inside = np.linalg.svd(_transfer_grid(sigma, _disc_grid(48, 0.9)),
+                                   compute_uv=False)[:, 0]
+            assert inside.max() <= margin * (1.0 + 1e-12)
+
     def test_radius_validation(self):
         sigma = SystemRealization(0.0, 1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
@@ -323,26 +370,33 @@ class TestSchurMargin:
             schur_class_margin(sigma)
         with pytest.raises(SingularResolvent) as expected:
             _reference_schur_class_margin(sigma, 48, 0.999)
-        assert caught.value.lam == expected.value.lam == 0.999 / 48
+        assert caught.value.lam == expected.value.lam == 0.999
 
 
 def test_the_nonnormal_golden_system_takes_both_branches_of_the_screen():
     # the system of the nonnormal_n3 analyze golden: ||A|| = 1e5 and
     # rho(A) = 0.9, so the comparison matrix proves most points of the
-    # circle and disc grids but not all, and the singular-value test finds
-    # none of the rest singular
+    # unit circle grid and of the margin's circle grid but not all, and the
+    # singular-value test finds none of the rest singular
     sigma = nonnormal_realization(5)
     norm_a, t, _ = _schur_form(sigma)
     circle = np.exp(2j * np.pi * np.arange(4096) / 4096)
-    for lams in (circle, _disc_points(48, 0.999)):
+    for lams in (circle, _circle_grid(48, 0.999)):
         proved = int(_screened(t, lams, float(np.abs(lams).max()) * norm_a).sum())
         assert 0.9 * lams.size < proved < lams.size
         assert np.isfinite(_transfer_grid(sigma, lams)).all()
 
 
+def _circle_grid(grid_steps, radius):
+    """The grid of :func:`schur_class_margin`: ``grid_steps`` points of the
+    circle ``|lam| = radius``."""
+    return radius * np.exp(2j * np.pi * np.arange(grid_steps) / grid_steps)
+
+
 def _disc_grid(grid_steps, radius):
-    """The polar grid of :func:`schur_class_margin`: the origin and
-    ``grid_steps`` circles of ``grid_steps`` points."""
+    """A polar grid of the disc ``|lam| <= radius``, where the kernel is
+    asked for single values: the origin and ``grid_steps`` circles of
+    ``grid_steps`` points."""
     radii = np.linspace(radius / grid_steps, radius, grid_steps)
     angles = 2.0 * np.pi * np.arange(grid_steps) / grid_steps
     return np.concatenate(
@@ -366,7 +420,11 @@ def _reference_disc_values(sigma, lams):
 
 
 def _reference_schur_class_margin(sigma, grid_steps, radius):
-    values = _reference_disc_values(sigma, _disc_grid(grid_steps, radius))
+    """inf when an eigenvalue mu of A has ``|mu| radius >= 1``, a pole in
+    the disc; otherwise the largest singular value on the circle grid."""
+    if (np.abs(np.linalg.eigvals(sigma.a)) * radius >= 1.0).any():
+        return np.inf
+    values = _reference_disc_values(sigma, _circle_grid(grid_steps, radius))
     return float(np.linalg.svd(values, compute_uv=False)[:, 0].max())
 
 
@@ -387,7 +445,8 @@ def test_schur_margin_decision_equals_per_point_reference(
 ):
     """The norm screen changes no decision: contractive state operators take
     it, similarity transforms with ||A|| > 1 take the per-point test, and the
-    kernel raises exactly where the reference does, at the same point."""
+    kernel raises exactly where the reference does, at the same point of
+    the circle grid."""
     sigma = grid_realization(seed, n, m, p, kappa)
     assume(kappa == 1.0 or spectral_norm(sigma.a) > 1.0)
     try:
@@ -442,7 +501,7 @@ def test_schur_margin_from_gram_spectrum_matches_svd(seed, n, m, p, gain, grid_s
     evaluation by up to 2.9 eps)."""
     sigma = grid_realization(seed, n, m, p, 1.0)
     sigma = SystemRealization(sigma.a, sigma.b, gain * sigma.c, gain * sigma.d)
-    values = _transfer_grid(sigma, _disc_grid(grid_steps, radius))
+    values = _transfer_grid(sigma, _circle_grid(grid_steps, radius))
     expected = float(np.linalg.svd(values, compute_uv=False)[:, 0].max())
     margin = schur_class_margin(sigma, grid_steps, radius)
     assert abs(margin - expected) <= 8.0 * np.finfo(float).eps * expected
