@@ -640,13 +640,29 @@ def _dumps(obj, level: int = 0) -> str:
     return text.replace("\n", "\n" + _INDENT * level)
 
 
-def _emit(payload: dict, out_path: str | None) -> None:
-    text = _dumps(payload)
-    if out_path:
+def _error_report(exc: Exception) -> tuple[dict, int]:
+    """The error report of ``exc`` and its exit code."""
+    code = EXIT_CODES.get(type(exc), GENERIC_ERROR_EXIT)
+    error = {"category": type(exc).__name__, "exit_code": code, "message": str(exc)}
+    return {"error": error}, code
+
+
+def _emit(payload: dict, code: int, out_path: str | None) -> int:
+    """Write ``payload`` to ``out_path``, or to stdout when there is none,
+    and return the exit code ``code``. A ``--out`` that cannot be written
+    (a directory, say, or a path whose parent is missing) is a ParseError,
+    whose report goes to stdout."""
+    text = _dumps(payload) + "\n"
+    if not out_path:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+            fh.write(text)
+    except OSError as exc:
+        failure = err.ParseError(f"cannot write --out file {out_path}: {exc.strerror}")
+        return _emit(*_error_report(failure), None)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -669,12 +685,8 @@ def main(argv: list[str] | None = None) -> int:
         doc = parse_system(args.system)
         report = run(args.command, doc, args)
     except (err.RiccatiKypError, ValueError) as exc:
-        code = EXIT_CODES.get(type(exc), GENERIC_ERROR_EXIT)
-        error = {"category": type(exc).__name__, "exit_code": code, "message": str(exc)}
-        _emit({"error": error}, args.out)
-        return code
-    _emit(report, args.out)
-    return 0
+        return _emit(*_error_report(exc), args.out)
+    return _emit(report, 0, args.out)
 
 
 if __name__ == "__main__":  # pragma: no cover

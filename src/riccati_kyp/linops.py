@@ -263,31 +263,30 @@ def loewner_compare(h1: np.ndarray, h2: np.ndarray, tol: float = 1e-10) -> Loewn
     h2 = ensure_hermitian(h2)
     if h1.shape != h2.shape:
         raise DimensionMismatch(f"shapes {h1.shape} and {h2.shape} differ")
-    return _loewner_stack(h1, h2[None], tol)[0]
+    le, ge = _loewner_masks(h1, h2[None], tol)
+    return _LOEWNER_TABLE[bool(le[0])][bool(ge[0])]
 
 
-# the verdicts in the order _loewner_stack tests them
-_VERDICTS = np.array(
-    [Loewner.EQUAL, Loewner.LESS_EQUAL, Loewner.GREATER_EQUAL, Loewner.INCOMPARABLE],
-    dtype=object,
+# the verdict of the masks (le, ge) of a pair, as _LOEWNER_TABLE[le][ge]
+_LOEWNER_TABLE = (
+    (Loewner.INCOMPARABLE, Loewner.GREATER_EQUAL),
+    (Loewner.LESS_EQUAL, Loewner.EQUAL),
 )
 
 
-def _loewner_stack(h1: np.ndarray, h2: np.ndarray, tol) -> np.ndarray:
-    """:func:`loewner_compare` of ``h1`` with each matrix on the nonempty
-    Hermitian stack ``h2``, as an object array of verdicts in stack order.
-    ``h1`` may be a stack of the same length, compared pair by pair, and
-    ``tol`` one tolerance per pair.
+def _loewner_masks(h1: np.ndarray, h2: np.ndarray, tol) -> tuple[np.ndarray, np.ndarray]:
+    """The masks ``(le, ge)`` of ``h1`` against each matrix on the nonempty
+    Hermitian stack ``h2``: ``le`` when ``h2 - h1`` is PSD within ``tol``
+    (``lambda_min >= -tol``) and ``ge`` when ``h1 - h2`` is
+    (``lambda_max <= tol``). ``h1`` may be a stack of the same length,
+    compared pair by pair, and ``tol`` one tolerance per pair.
 
-    One ``eigvalsh`` of the stack of differences decides every pair: the
+    One ``eigvalsh`` of the stack of differences decides every pair. The
     spectral norm of a Hermitian matrix is ``max(-lambda_min, lambda_max)``,
-    so the EQUAL test reads the same spectrum as the two semidefinite ones.
+    so the EQUAL test ``||h1 - h2|| <= tol`` is exactly ``le & ge``.
     """
     w = np.linalg.eigvalsh(h2 - h1)
-    low, high = w[:, 0], w[:, -1]
-    cut = np.broadcast_to(tol, low.shape)
-    tests = [np.maximum(-low, high) <= cut, low >= -cut, high <= cut]
-    return _VERDICTS[np.select(tests, [0, 1, 2], default=3)]
+    return w[:, 0] >= -tol, w[:, -1] <= tol
 
 
 @dataclass

@@ -65,12 +65,13 @@ members form a lattice isomorphic to the subsets of the selected outside
 eigenvalues (Lancaster & Rodman), so two members compare as the sets of
 their 1-digits do (see :func:`_digit_order`).
 Only the covering pairs, one digit apart, are compared numerically, and a
-set where one of them is not LESS_EQUAL falls back to
+set where one of them is not strictly below falls back to
 :func:`order_solutions`, which compares all member pairs from one spectrum
-per pair, as it does for every other set. Either way the order is held as
-one small-int code per pair (its index in ``linops._VERDICTS``), which
-``SolutionSet.comparisons`` reads as verdicts; a set ordered by its digits
-is flagged ``_lattice``, so a report can name its order and list no pair.
+per pair, as it does for every other set. Either way the order is one
+boolean matrix, ``H_i <= H_j`` for each index pair, from which
+``SolutionSet`` reads its extremal members and its verdicts; a set ordered
+by its digits is flagged ``_lattice``, so a report can name its order and
+list no pair.
 
 Inequality members are sampled on random chords through one interior
 point h0 of the KYP LMI ``L(H) = [[alpha, -beta*], [-beta, delta]] >= 0``,
@@ -118,10 +119,10 @@ from .errors import (
     NotSchurClass,
 )
 from .linops import (
-    _VERDICTS,
+    _LOEWNER_TABLE,
     Loewner,
     _least_and_norm,
-    _loewner_stack,
+    _loewner_masks,
     _pinv_kept,
     _spectral_norms,
     hermitian_part,
@@ -188,15 +189,16 @@ class SolutionSet:
     ``members`` is the read-only (k, n, n) complex stack of the members and
     ``eigenvalues`` the read-only (k, n) array of their ascending spectra;
     the last column is each member's spectral norm. The order is held as
-    ``_order``, one int8 code per index pair (i, j), i < j, in
-    ``np.triu_indices(len(members), 1)`` order, each the index of the pair's
-    Loewner verdict in ``linops._VERDICTS`` (0 EQUAL, 1 LESS_EQUAL, 2
-    GREATER_EQUAL, 3 INCOMPARABLE); it is empty until the set is ordered. The read-only ``comparisons`` is built from it on each
-    access: a dict mapping each pair (i, j) to its verdict. ``_lattice`` is
-    True only when :func:`_digit_order` gave the order, the subset order of
-    the selection digits, which the provenance labels spell.
-    ``minimal_index``/``maximal_index`` are set when one member is below /
-    above every other member. ``provenance`` records, per member, the solver
+    ``_below``, a read-only (k, k) boolean matrix whose entry (i, j) says
+    ``H_i <= H_j``; it is empty until the set is ordered. Everything else
+    about the order is read off it on each access: ``minimal_index`` is
+    the first member below every member (a row of ``_below`` that is all
+    True), ``maximal_index`` the first above every member (such a column),
+    each None when there is none, and ``comparisons`` is a dict mapping each
+    pair (i, j), i < j, to its Loewner verdict, EQUAL when the pair is below
+    both ways. ``_lattice`` is True only when :func:`_digit_order` gave the
+    order, the subset order of the selection digits, which the provenance
+    labels spell. ``provenance`` records, per member, the solver
     route (``pencil(selection=...)``, ``lossless(inner)``,
     ``lossless(co-inner)``, ``extremal(minimal)`` or ``extremal(maximal)``)
     and the equality residual.
@@ -212,13 +214,11 @@ class SolutionSet:
 
     members: np.ndarray
     eigenvalues: np.ndarray
-    minimal_index: int | None = None
-    maximal_index: int | None = None
     provenance: list[dict] = field(default_factory=list)
     route: str | None = None
     complete: bool = False
-    _order: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.int8), repr=False, compare=False
+    _below: np.ndarray = field(
+        default_factory=lambda: np.empty((0, 0), dtype=bool), repr=False, compare=False
     )
     _lattice: bool = field(default=False, repr=False, compare=False)
 
@@ -226,11 +226,23 @@ class SolutionSet:
         return len(self.members)
 
     @property
+    def minimal_index(self) -> int | None:
+        return next(iter(np.flatnonzero(self._below.all(axis=1)).tolist()), None)
+
+    @property
+    def maximal_index(self) -> int | None:
+        return next(iter(np.flatnonzero(self._below.all(axis=0)).tolist()), None)
+
+    @property
     def comparisons(self) -> dict[tuple[int, int], Loewner]:
         """The Loewner verdict of each index pair (i, j), i < j, of an
         ordered set; empty before the set is ordered."""
-        iu, ju = _upper(len(self.members))
-        return dict(zip(zip(iu.tolist(), ju.tolist()), _VERDICTS[self._order].tolist()))
+        below = self._below.tolist()
+        iu, ju = _upper(len(below))
+        return {
+            (i, j): _LOEWNER_TABLE[below[i][j]][below[j][i]]
+            for i, j in zip(iu.tolist(), ju.tolist())
+        }
 
 
 def re_residual_norm(sigma: SystemRealization, h) -> float:
@@ -938,46 +950,17 @@ def duality_check(
     )
 
 
-def _pair_verdicts(
+def _pair_masks(
     solution_set: SolutionSet, first: np.ndarray, second: np.ndarray, tol: float
-) -> np.ndarray:
-    """The Loewner verdicts of the member pairs ``(first[k], second[k])``,
-    each at ``tol * max(1, ||H_first||, ||H_second||)``, from one batched
-    comparison; each norm is the last eigenvalue of the member's spectrum."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Loewner masks ``(le, ge)`` of the member pairs ``(first[k],
+    second[k])``, each at ``tol * max(1, ||H_first||, ||H_second||)``, from
+    one batched comparison; each norm is the last eigenvalue of the member's
+    spectrum."""
     stack = solution_set.members
     norms = np.maximum(solution_set.eigenvalues[:, -1], 1.0)
-    return _loewner_stack(
+    return _loewner_masks(
         stack[first], stack[second], tol * np.maximum(norms[first], norms[second])
-    )
-
-
-# the code of each verdict: its index in _VERDICTS
-_CODES = {verdict: code for code, verdict in enumerate(_VERDICTS.tolist())}
-
-
-def _with_order(solution_set: SolutionSet, codes: np.ndarray) -> SolutionSet:
-    """``solution_set`` with the verdict codes ``codes`` of its pairs (i, j),
-    i < j, in :func:`_upper` order, not flagged as its digit lattice, and
-    its extremal flags: a member is flagged minimal (maximal) when it
-    compares below (above) every other member."""
-    count = len(solution_set.members)
-    iu, ju = _upper(count)
-    # below[i, j]: H_i <= H_j; above[i, j]: H_i >= H_j
-    below = np.eye(count, dtype=bool)
-    above = np.eye(count, dtype=bool)
-    below[iu, ju] = above[ju, iu] = codes <= 1  # EQUAL or LESS_EQUAL
-    above[iu, ju] = below[ju, iu] = (codes == 0) | (codes == 2)  # or GREATER_EQUAL
-
-    def first(rows: np.ndarray) -> int | None:
-        hits = np.flatnonzero(rows.all(axis=1))
-        return int(hits[0]) if hits.size else None
-
-    return replace(
-        solution_set,
-        minimal_index=first(below),
-        maximal_index=first(above),
-        _order=codes.astype(np.int8),
-        _lattice=False,
     )
 
 
@@ -992,21 +975,19 @@ def _digit_order(solution_set: SolutionSet, digits: np.ndarray) -> SolutionSet |
     1-digits are not nested are incomparable. The covering pairs, whose
     selections differ in one digit (n 2**(n - 1) of the 2**n (2**n - 1) / 2
     pairs of a full set), are checked as :func:`order_solutions` compares
-    them; unless each is LESS_EQUAL the set is left to it."""
+    them; unless each reads below and not above (``le & ~ge``) the set is
+    left to it."""
     ones = digits.astype(int)
     # nested[i, j]: the 1-digits of member i are among those of member j
     nested = ones @ (1 - ones).T == 0
     size = ones.sum(axis=1)
     lower, upper = np.nonzero(nested & (size[None, :] == size[:, None] + 1))
-    if lower.size and (
-        _pair_verdicts(solution_set, lower, upper, ORDER_TOL)
-        != Loewner.LESS_EQUAL
-    ).any():
-        return None
-    iu, ju = _upper(len(digits))
-    # codes of LESS_EQUAL, GREATER_EQUAL and INCOMPARABLE in _VERDICTS
-    codes = np.where(nested[iu, ju], 1, np.where(nested[ju, iu], 2, 3))
-    return replace(_with_order(solution_set, codes), _lattice=True)
+    if lower.size:
+        le, ge = _pair_masks(solution_set, lower, upper, ORDER_TOL)
+        if not (le & ~ge).all():
+            return None
+    nested.flags.writeable = False
+    return replace(solution_set, _below=nested, _lattice=True)
 
 
 def order_solutions(solution_set: SolutionSet, tol: float = ORDER_TOL) -> SolutionSet:
@@ -1016,9 +997,10 @@ def order_solutions(solution_set: SolutionSet, tol: float = ORDER_TOL) -> Soluti
     ``tol * max(1, ||H_i||, ||H_j||)``. Each member's norm is its largest
     eigenvalue, the last column of the set's ``eigenvalues`` (the spectra of
     the ``eigh`` that validated the members), and all pairs go through one
-    batched comparison that decomposes each difference once. A
-    member is flagged minimal (maximal) when it compares below (above) every
-    other member; with incomparable pairs present no flag may be set.
+    batched comparison that decomposes each difference once; its masks fill
+    both triangles of the set's order matrix. A member is flagged minimal
+    (maximal) when it compares below (above) every other member; with
+    incomparable pairs present no flag may be set.
 
     :func:`solve_re` orders a pencil set by its selection digits instead
     (:func:`_digit_order`), checking only the covering pairs this way, and
@@ -1026,7 +1008,9 @@ def order_solutions(solution_set: SolutionSet, tol: float = ORDER_TOL) -> Soluti
     check; the tests check both routes against a pair-by-pair reference.
     """
     count = len(solution_set.members)
-    iu, ju = _upper(count)
-    verdicts = _pair_verdicts(solution_set, iu, ju, tol) if count > 1 else []
-    codes = np.array([_CODES[verdict] for verdict in verdicts], dtype=np.int8)
-    return _with_order(solution_set, codes)
+    below = np.eye(count, dtype=bool)
+    if count > 1:
+        iu, ju = _upper(count)
+        below[iu, ju], below[ju, iu] = _pair_masks(solution_set, iu, ju, tol)
+    below.flags.writeable = False
+    return replace(solution_set, _below=below, _lattice=False)

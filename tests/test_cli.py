@@ -42,7 +42,7 @@ from riccati_kyp.cli import (
 )
 from riccati_kyp import pencil as pencil_module
 from riccati_kyp import systems as systems_module
-from riccati_kyp.linops import _VERDICTS
+from riccati_kyp.linops import _LOEWNER_TABLE
 from conftest import (
     dare_extremes,
     decisions,
@@ -518,10 +518,12 @@ def test_writer_writes_an_empty_complex_stack_as_json_dumps_writes_its_pairs(sha
     assert cli_module._dumps({"members": z}) == want
 
 
-def _order_dict(size: int, codes: np.ndarray) -> dict:
-    """The comparisons block as a dict: one "i,j" key per pair i < j."""
-    iu, ju = np.triu_indices(size, 1)
-    return {f"{i},{j}": _VERDICTS[c].value for i, j, c in zip(iu, ju, codes)}
+def _order_dict(below: np.ndarray) -> dict:
+    """The comparisons block as a dict: one "i,j" key per pair i < j, with
+    the verdict of its masks ``(below[i, j], below[j, i])``."""
+    rows = below.tolist()
+    iu, ju = np.triu_indices(len(rows), 1)
+    return {f"{i},{j}": _LOEWNER_TABLE[rows[i][j]][rows[j][i]].value for i, j in zip(iu, ju)}
 
 
 @pytest.mark.parametrize("level", [1, 2])
@@ -529,13 +531,13 @@ def _order_dict(size: int, codes: np.ndarray) -> dict:
 def test_pair_order_is_written_as_json_dumps_writes_its_dict(size, level):
     # a set not ordered by its selection digits lists its comparisons, which
     # the writer's generic dict path writes ("10,2" sorts before "2,10")
-    codes = np.random.default_rng(size).integers(0, 4, size * (size - 1) // 2)
+    below = np.random.default_rng(size).integers(0, 2, (size, size)).astype(bool)
     ordered = SolutionSet(members=np.ones((size, 1, 1), dtype=complex),
-                          eigenvalues=np.ones((size, 1)), _order=codes.astype(np.int8))
+                          eigenvalues=np.ones((size, 1)), _below=below)
     block = cli_module._solution_set_payload(ordered)["comparisons"]
-    want = json.dumps(_order_dict(size, codes), indent=2, sort_keys=True)
+    want = json.dumps(_order_dict(below), indent=2, sort_keys=True)
     assert cli_module._dumps(block, level) == want.replace("\n", "\n" + "  " * level)
-    want = json.dumps({"comparisons": _order_dict(size, codes)}, indent=2, sort_keys=True)
+    want = json.dumps({"comparisons": _order_dict(below)}, indent=2, sort_keys=True)
     assert cli_module._dumps({"comparisons": block}) == want
 
 
@@ -1183,6 +1185,25 @@ class TestExitCodes:
         assert code == EXIT_CODES[ParseError] == 2
         assert error["category"] == "ParseError"
         assert str(tmp_path) in error["message"]
+
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unwritable_out_is_parse_error_on_stdout(self, where, tmp_path, capsys):
+        # the path is found unwritable when the report is written, after the
+        # command's work, so the error report goes to stdout; a command
+        # whose work failed (NotPD) ends the same way
+        raw = scalar_interval_doc()
+        raw["candidates"]["neg"] = [[[-1.0, 0.0]]]
+        path = tmp_path / "neg.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "report.json"
+        for candidate in ("Hre", "neg"):
+            argv = ["check", "--system", str(path), "--candidate", candidate]
+            code = main(argv + ["--no-timings", "--out", str(out)])
+            error = json.loads(capsys.readouterr().out)["error"]
+            assert code == error["exit_code"] == EXIT_CODES[ParseError] == 2
+            assert error["category"] == "ParseError"
+            assert error["message"].startswith(f"cannot write --out file {out}: ")
+        assert sorted(tmp_path.iterdir()) == [path]
 
     def test_indefinite_candidate_maps_to_not_pd(self, tmp_path, capsys):
         raw = scalar_interval_doc()

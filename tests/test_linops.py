@@ -166,6 +166,36 @@ class TestLoewner:
         with pytest.raises(DimensionMismatch):
             loewner_compare(np.eye(2), np.eye(3))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=4),
+        near=st.booleans(),
+        side=st.sampled_from(["low", "high"]),
+        ulps=st.sampled_from([-1, 0, 1]),
+    )
+    def test_tie_tolerances_follow_the_documented_precedence(self, seed, n, near, side, ulps):
+        # tol is -lambda_min or lambda_max of h2 - h1 exactly, or one ulp
+        # either side, so each mask sits on its edge; the verdict is EQUAL
+        # when the difference's norm max(-lambda_min, lambda_max) is within
+        # tol, then LESS_EQUAL, GREATER_EQUAL and INCOMPARABLE in turn
+        rng = np.random.default_rng(seed)
+        h1 = random_hermitian(rng, n)
+        h2 = h1 + (1e-12 if near else 1.0) * random_hermitian(rng, n)
+        w = np.linalg.eigvalsh((h2 - h1)[None])[0]
+        low, high = w[0], w[-1]
+        tie = -low if side == "low" else high
+        tol = float(np.nextafter(tie, np.inf * ulps) if ulps else tie)
+        if max(-low, high) <= tol:
+            want = Loewner.EQUAL
+        elif low >= -tol:
+            want = Loewner.LESS_EQUAL
+        elif high <= tol:
+            want = Loewner.GREATER_EQUAL
+        else:
+            want = Loewner.INCOMPARABLE
+        assert loewner_compare(h1, h2, tol) is want
+
 
 class TestMinimalContraction:
     def test_zero_cross_block(self):

@@ -45,7 +45,7 @@ from riccati_kyp import (
     system_matrix,
 )
 from riccati_kyp import solver as solver_module
-from riccati_kyp.linops import _eigh_kept, _loewner_stack, _pinv_kept, _spectral_norms
+from riccati_kyp.linops import _eigh_kept, _loewner_masks, _pinv_kept, _spectral_norms
 from riccati_kyp.pencil import (
     CIRCLE_GAP,
     _extended_pencil,
@@ -857,13 +857,9 @@ def _sampled_violations(sigma, candidate, side, config=SolverConfig()):
     if not samples:  # membership refused the candidate (ill-conditioned H)
         return []
     cmp_tol = 100.0 * config.membership_tol * max(1.0, spectral_norm(candidate))
-    wanted = (
-        (Loewner.LESS_EQUAL, Loewner.EQUAL)
-        if side == "minimal"
-        else (Loewner.GREATER_EQUAL, Loewner.EQUAL)
-    )
-    verdicts = _loewner_stack(candidate, np.array(samples), cmp_tol)
-    return [i for i, verdict in enumerate(verdicts) if verdict not in wanted]
+    # le: the candidate is below the sample; ge: above it
+    le, ge = _loewner_masks(candidate, np.array(samples), cmp_tol)
+    return np.flatnonzero(~(le if side == "minimal" else ge)).tolist()
 
 
 def _rel(got, want) -> float:
@@ -1282,20 +1278,20 @@ def test_pencil_order_is_the_subset_order_of_selections():
     assert {kind for kind, _, _ in kinds} == {"minimal", "uncontrollable", "unobservable"}
 
 
-def _recording_loewner_stack(monkeypatch, flip_first_call=False):
-    """Replace the solver's ``_loewner_stack`` by one that records how many
+def _recording_loewner_masks(monkeypatch, flip_first_call=False):
+    """Replace the solver's ``_loewner_masks`` by one that records how many
     pairs each call compares and, with ``flip_first_call``, reports the
-    first pair of its first call INCOMPARABLE."""
+    first pair of its first call INCOMPARABLE (neither mask set)."""
     sizes = []
 
     def recording(h1, h2, tol):
-        verdicts = _loewner_stack(h1, h2, tol)
+        le, ge = _loewner_masks(h1, h2, tol)
         if flip_first_call and not sizes:
-            verdicts[0] = Loewner.INCOMPARABLE
+            le[0] = ge[0] = False
         sizes.append(len(h2))
-        return verdicts
+        return le, ge
 
-    monkeypatch.setattr(solver_module, "_loewner_stack", recording)
+    monkeypatch.setattr(solver_module, "_loewner_masks", recording)
     return sizes
 
 
@@ -1303,7 +1299,7 @@ def test_pencil_set_compares_only_its_covering_pairs(monkeypatch):
     # n = 6: 6 * 2**5 = 192 selection pairs one digit apart, against the
     # 64 * 63 / 2 = 2016 pairs of the set
     sigma = random_realization(np.random.default_rng(5), 6, 2, 2, passive_norm=0.9)
-    sizes = _recording_loewner_stack(monkeypatch)
+    sizes = _recording_loewner_masks(monkeypatch)
     solution_set = solve_re(sigma)
     assert len(solution_set) == 64 and solution_set.complete
     assert sizes == [192]
@@ -1315,7 +1311,7 @@ def test_a_failing_covering_pair_falls_back_to_all_pairs(two_state_system, monke
     # the two-state set has 2 * 2 covering pairs of its 6; one reported
     # INCOMPARABLE sends the set to order_solutions, whose all-pairs
     # spectra give the true order
-    sizes = _recording_loewner_stack(monkeypatch, flip_first_call=True)
+    sizes = _recording_loewner_masks(monkeypatch, flip_first_call=True)
     solution_set = solve_re(two_state_system)
     assert sizes == [4, 6]
     assert not solution_set._lattice
@@ -1327,10 +1323,10 @@ def test_a_failing_covering_pair_falls_back_to_all_pairs(two_state_system, monke
 @pytest.mark.parametrize("n", [5, 6])
 def test_seeded_pencil_sets_match_the_pairwise_reference_on_both_routes(n, monkeypatch):
     # the digit lattice (covering pairs only) and order_solutions (every
-    # pair) give the reference's verdicts, flags and codes on full sets;
-    # only the first flags the set as ordered by its digits
+    # pair) give the reference's verdicts and flags, and one order matrix,
+    # on full sets; only the first flags the set as ordered by its digits
     sigma = random_realization(np.random.default_rng(5), n, 2, 2, passive_norm=0.9)
-    sizes = _recording_loewner_stack(monkeypatch)
+    sizes = _recording_loewner_masks(monkeypatch)
     by_digits = solve_re(sigma)
     assert len(by_digits) == 2**n and by_digits.complete
     assert sizes == [n * 2 ** (n - 1)]
@@ -1340,15 +1336,16 @@ def test_seeded_pencil_sets_match_the_pairwise_reference_on_both_routes(n, monke
     for ordered in (by_digits, by_pairs):
         assert ordered.comparisons == comparisons
         assert (ordered.minimal_index, ordered.maximal_index) == (minimal, maximal)
-    assert by_digits._order.dtype == by_pairs._order.dtype == np.int8
+    assert by_digits._below.dtype == by_pairs._below.dtype == bool
     assert by_digits._lattice and not by_pairs._lattice
-    assert np.array_equal(by_digits._order, by_pairs._order)
+    assert np.array_equal(by_digits._below, by_pairs._below)
 
 
 def test_an_unordered_set_has_no_comparisons(two_state_system):
     solved = solve_re(two_state_system)
     unordered = SolutionSet(members=solved.members, eigenvalues=solved.eigenvalues)
     assert unordered.comparisons == {}
+    assert unordered.minimal_index is None and unordered.maximal_index is None
 
 
 # entries drawn from a few values, so that traces agree to 9 digits (1 and
