@@ -4,185 +4,26 @@ The package decides membership in the Riccati-equality, Riccati-inequality
 and KYP solution sets, builds the associated passively-weighted system,
 computes extremal storage operators and their inversion duality, and
 certifies uniqueness for inner and co-inner transfer functions.
+
+Each public name is declared once, in its module's ``__all__``: the
+package re-exports the ``__all__`` of ``boundary``, ``errors``, ``linops``,
+``riccati``, ``solver`` and ``systems``, in that order, after
+``__version__``.
 """
 
-from .boundary import (
-    CircleProfile,
-    UniquenessCertificate,
-    UniquenessReason,
-    UniquenessVerdict,
-    circle_profile,
-    is_coinner,
-    is_inner,
-    uniqueness_certificate,
-)
-from .errors import (
-    C3Violation,
-    CertificateFailed,
-    DeltaNotPSD,
-    DimensionMismatch,
-    InconsistentRoutes,
-    NotHermitian,
-    NotInRI,
-    NotMinimal,
-    NotNonneg,
-    NotPD,
-    NotPSD,
-    NotSchurClass,
-    ParseError,
-    PoleOnCircle,
-    RangeViolation,
-    RiccatiKypError,
-    SingularResolvent,
-)
-from .linops import (
-    BlockNonneg,
-    Loewner,
-    SchurFactorization,
-    brute_force_infimum,
-    ensure_hermitian,
-    hermitian_part,
-    loewner_compare,
-    minimal_contraction,
-    psd_pseudo_inverse,
-    psd_rank,
-    psd_sqrt,
-    range_projector,
-    spectral_norm,
-    sqrt_pinv_commute_check,
-)
-from .riccati import (
-    AssociatedSystem,
-    MembershipDiagnostics,
-    MembershipVerdict,
-    RiccatiData,
-    StorageOperator,
-    as_storage,
-    associated_system,
-    equality_gap,
-    h_passivity_check,
-    inequality_surplus,
-    kyp_form,
-    kyp_lmi,
-    membership,
-    riccati_data,
-)
-from .solver import (
-    DualityReport,
-    SolutionSet,
-    SolverConfig,
-    duality_check,
-    maximal_solution,
-    minimal_solution,
-    order_solutions,
-    re_residual_norm,
-    sample_ri_members,
-    solve_re,
-)
-from .systems import (
-    MinimalityReport,
-    PassivityReport,
-    SystemRealization,
-    Trajectory,
-    TransferSample,
-    adjoint,
-    controllable_subspace,
-    dissipation_check,
-    is_minimal,
-    is_passive,
-    schur_class_margin,
-    simulate,
-    system_matrix,
-    transfer_eval,
-    unobservable_subspace,
-)
+from .boundary import *
+from .errors import *
+from .linops import *
+from .riccati import *
+from .solver import *
+from .systems import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "RiccatiKypError",
-    "DimensionMismatch",
-    "NotHermitian",
-    "NotPSD",
-    "NotPD",
-    "NotNonneg",
-    "RangeViolation",
-    "SingularResolvent",
-    "PoleOnCircle",
-    "DeltaNotPSD",
-    "C3Violation",
-    "InconsistentRoutes",
-    "NotInRI",
-    "NotMinimal",
-    "NotSchurClass",
-    "CertificateFailed",
-    "ParseError",
-    # operator utilities
-    "hermitian_part",
-    "ensure_hermitian",
-    "spectral_norm",
-    "psd_sqrt",
-    "psd_pseudo_inverse",
-    "psd_rank",
-    "range_projector",
-    "sqrt_pinv_commute_check",
-    "Loewner",
-    "loewner_compare",
-    "BlockNonneg",
-    "SchurFactorization",
-    "minimal_contraction",
-    "brute_force_infimum",
-    # systems
-    "SystemRealization",
-    "system_matrix",
-    "TransferSample",
-    "transfer_eval",
-    "controllable_subspace",
-    "unobservable_subspace",
-    "MinimalityReport",
-    "is_minimal",
-    "adjoint",
-    "PassivityReport",
-    "is_passive",
-    "schur_class_margin",
-    "Trajectory",
-    "simulate",
-    "dissipation_check",
-    # riccati / KYP
-    "StorageOperator",
-    "as_storage",
-    "RiccatiData",
-    "riccati_data",
-    "inequality_surplus",
-    "kyp_form",
-    "kyp_lmi",
-    "MembershipDiagnostics",
-    "MembershipVerdict",
-    "membership",
-    "AssociatedSystem",
-    "associated_system",
-    "h_passivity_check",
-    "equality_gap",
-    # solver
-    "SolverConfig",
-    "SolutionSet",
-    "DualityReport",
-    "re_residual_norm",
-    "solve_re",
-    "minimal_solution",
-    "maximal_solution",
-    "duality_check",
-    "order_solutions",
-    "sample_ri_members",
-    # boundary behavior
-    "CircleProfile",
-    "circle_profile",
-    "is_inner",
-    "is_coinner",
-    "UniquenessVerdict",
-    "UniquenessReason",
-    "UniquenessCertificate",
-    "uniqueness_certificate",
-]
+__all__ = ["__version__"]
+__all__ += boundary.__all__
+__all__ += errors.__all__
+__all__ += linops.__all__
+__all__ += riccati.__all__
+__all__ += solver.__all__
+__all__ += systems.__all__

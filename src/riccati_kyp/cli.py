@@ -32,7 +32,8 @@ Input files for `simulate` carry {"x0": [[re, im], ...], "inputs":
 
 Each re and im is a finite JSON number (not a boolean, string or null, nor
 an integer beyond float range, nor NaN or infinity), and the rows of a
-matrix are non-empty lists of one length.
+matrix are non-empty lists of one length. A candidate's name is any JSON
+string, the empty one included.
 A document's A, B, C and D together, a single matrix, and all candidates
 of a document at once when they are all n x n, are each decoded in one
 step: the rules are checked on the set of distinct Python types, then one
@@ -425,7 +426,7 @@ def _simulate_payload(sigma, doc, args) -> dict:
         "states": trajectory.states,
         "outputs": trajectory.outputs,
     }
-    if args.candidate:
+    if args.candidate is not None:
         h = _candidate_matrix(doc, args.candidate)
         margins = dissipation_check(trajectory, h)
         payload["dissipation"] = {
@@ -474,7 +475,7 @@ def run(command: str, doc: SystemDocument, args) -> dict:
         return value
 
     if command == "check":
-        if not args.candidate:
+        if args.candidate is None:
             raise err.ParseError("check requires --candidate <name>")
         h = _candidate_matrix(doc, args.candidate)
         tols = _membership_tols(args.tol)

@@ -21,11 +21,9 @@ import numpy as np
 from .errors import DimensionMismatch, NotNonneg, NotPD, NotPSD, RangeViolation
 
 __all__ = [
-    "EPS",
     "hermitian_part",
     "ensure_hermitian",
     "spectral_norm",
-    "default_rank_tol",
     "psd_sqrt",
     "psd_pseudo_inverse",
     "psd_rank",

@@ -1166,6 +1166,36 @@ class TestExitCodes:
         )
         assert code == EXIT_CODES[ParseError]
 
+    def test_empty_candidate_name_is_checked(self, tmp_path, capsys):
+        # "" is a JSON key like any other, so it names a candidate
+        path = _candidates_doc(tmp_path, {"": scalar_interval_doc()["candidates"]["Hre"]})
+        code = main(["check", "--system", path, "--candidate", "", "--no-timings"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["check"]["candidate"] == ""
+        assert report["check"]["in_re"] is True
+
+    @pytest.mark.parametrize("command", ["simulate", "report"])
+    def test_empty_candidate_name_gives_the_dissipation_section(self, command, tmp_path, capsys):
+        path = _candidates_doc(tmp_path, {"": scalar_interval_doc()["candidates"]["Hre"]})
+        inputs = tmp_path / "inputs.json"
+        inputs.write_text(json.dumps({"inputs": [[[1.0, 0.0]], [[0.0, 0.0]]]}))
+        argv = [command, "--system", path, "--inputs", str(inputs), "--candidate", ""]
+        assert main(argv + ["--grid", "256", "--no-timings"]) == 0
+        dissipation = json.loads(capsys.readouterr().out)["simulate"]["dissipation"]
+        assert dissipation["candidate"] == ""
+        assert dissipation["min_margin"] >= -1e-10
+
+    def test_unknown_empty_candidate_name_is_parse_error(self, scalar_doc_path, tmp_path, capsys):
+        inputs = tmp_path / "inputs.json"
+        inputs.write_text(json.dumps({"inputs": [[[1.0, 0.0]]]}))
+        argv = ["simulate", "--system", scalar_doc_path, "--inputs", str(inputs), "--candidate", ""]
+        code = main(argv + ["--no-timings"])
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert code == EXIT_CODES[ParseError] == 2
+        assert error["category"] == "ParseError"
+        assert error["message"].startswith("candidate '' not found")
+
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{ not json")

@@ -1,17 +1,26 @@
 """Source checks on the package, read with the standard library's ``ast``:
-no module imports a name it never uses. :func:`code_lines` counts the
-package's code lines; to print it, run from the repository root
+no module imports a name it never uses, and the package exports each of
+its modules' ``__all__`` once. :func:`code_lines` counts the package's
+code lines and :func:`module_code_lines` each module's; to print the
+total, run from the repository root
 
-    python -c "import sys; sys.path.insert(0, 'tests'); from test_source import code_lines; print(code_lines())"
+    PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); from test_source import code_lines; print(code_lines())"
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
+import riccati_kyp
+from riccati_kyp import errors, linops
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = sorted(SRC.rglob("*.py"))
+PACKAGE = SRC / "riccati_kyp"
+# the modules whose __all__ the package re-exports, in its order
+SURFACE = ("boundary", "errors", "linops", "riccati", "solver", "systems")
 
 
 def _docstring_lines(tree: ast.Module) -> set[int]:
@@ -29,24 +38,51 @@ def _docstring_lines(tree: ast.Module) -> set[int]:
     return lines
 
 
-def code_lines(root: Path = SRC) -> int:
-    """The number of lines of the ``.py`` files under ``root`` that are not
-    blank, not comments and not part of a docstring."""
-    total = 0
+def module_code_lines(root: Path = SRC) -> dict[str, int]:
+    """For each ``.py`` file under ``root``, by its path relative to
+    ``root``, the number of its lines that are not blank, not comments and
+    not part of a docstring."""
+    counts = {}
     for path in sorted(root.rglob("*.py")):
         source = path.read_text(encoding="utf-8")
         docstrings = _docstring_lines(ast.parse(source))
-        total += sum(
+        counts[path.relative_to(root).as_posix()] = sum(
             1
             for number, line in enumerate(source.splitlines(), 1)
             if line.strip() and not line.lstrip().startswith("#") and number not in docstrings
         )
-    return total
+    return counts
 
 
-def _unused_imports(source: str) -> list[str]:
+def code_lines(root: Path = SRC) -> int:
+    """The number of code lines of the ``.py`` files under ``root``, as
+    :func:`module_code_lines` counts them."""
+    return sum(module_code_lines(root).values())
+
+
+def _is_all(target: ast.expr) -> bool:
+    return isinstance(target, ast.Name) and target.id == "__all__"
+
+
+def _literal_all(path: Path) -> list[str] | None:
+    """The literal list that the module at ``path`` assigns to ``__all__``
+    at top level; None when there is no such module or assignment."""
+    if not path.is_file():
+        return None
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(map(_is_all, node.targets)):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def _unused_imports(source: str, folder: Path = PACKAGE) -> list[str]:
     """The names ``source`` imports at any level and never reads, apart
-    from ``__future__`` features and the names its ``__all__`` exports."""
+    from ``__future__`` features and the names its ``__all__`` exports.
+
+    ``source`` is read as a module in ``folder``. ``from .module import *``
+    imports the literal ``__all__`` of ``folder / "module.py"``, and
+    ``__all__ += module.__all__`` exports it; any other star import, whose
+    names cannot be read off the source, is reported as ``* from module``."""
     tree = ast.parse(source)
     imported = {}
     for node in ast.walk(tree):
@@ -54,20 +90,33 @@ def _unused_imports(source: str) -> list[str]:
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                # "import a.b" binds the name a
-                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+                if alias.name != "*":
+                    # "import a.b" binds the name a
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+                    continue
+                names = None
+                if node.level == 1 and node.module:
+                    names = _literal_all(folder / f"{node.module}.py")
+                module = "." * node.level + (node.module or "")
+                imported.update(dict.fromkeys(names or [f"* from {module}"], node.lineno))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-        ):
+        if isinstance(node, ast.Assign) and any(map(_is_all, node.targets)):
             used.update(ast.literal_eval(node.value))
+        elif (
+            isinstance(node, ast.AugAssign)
+            and _is_all(node.target)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "__all__"
+            and isinstance(node.value.value, ast.Name)
+        ):
+            used.update(_literal_all(folder / f"{node.value.value.id}.py") or [])
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_no_module_imports_a_name_it_never_uses(path):
-    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+    assert _unused_imports(path.read_text(encoding="utf-8"), path.parent) == []
 
 
 @pytest.mark.parametrize(
@@ -80,6 +129,15 @@ def test_no_module_imports_a_name_it_never_uses(path):
         ("from __future__ import annotations\n", []),
         ("def f():\n    import json\n    return 1\n", ["json (line 2)"]),
         ("from a import B\ndef f(x: B) -> None:\n    pass\n", []),
+        # a relative star import binds its sibling's __all__, name by name
+        ("from .linops import *\n", [f"{name} (line 1)" for name in linops.__all__]),
+        ("from .linops import *\n__all__ = []\n__all__ += linops.__all__\n", []),
+        (
+            "from .errors import *\nraise NotPD\n",
+            [f"{name} (line 1)" for name in errors.__all__ if name != "NotPD"],
+        ),
+        ("from numpy import *\n", ["* from numpy (line 1)"]),
+        ("from .missing import *\n", ["* from .missing (line 1)"]),
     ],
 )
 def test_an_unused_import_is_found(source, unused):
@@ -92,3 +150,20 @@ def test_code_lines_leave_out_blank_comment_and_docstring_lines(tmp_path):
         'def f():\n    """Doc."""\n    return X  # trailing comment\n'
     )
     assert code_lines(tmp_path) == 4
+    assert module_code_lines(tmp_path) == {"m.py": 4}
+
+
+def test_the_package_exports_each_modules_all_once():
+    modules = [importlib.import_module(f"riccati_kyp.{name}") for name in SURFACE]
+    names = ["__version__"] + [name for module in modules for name in module.__all__]
+    assert riccati_kyp.__all__ == names
+    assert len(set(names)) == len(names)
+    namespace = {}
+    exec("from riccati_kyp import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(names)
+    for module in modules:
+        for name in module.__all__:
+            assert namespace[name] is getattr(module, name)
+    # left out of linops' __all__, but still importable from it
+    assert {"EPS", "default_rank_tol"} <= set(vars(linops))
