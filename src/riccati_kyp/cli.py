@@ -40,6 +40,15 @@ step: the rules are checked on the set of distinct Python types, then one
 numpy float conversion gives the pairs. Only input that this refuses is
 walked matrix by matrix and entry by entry, to raise the ParseError or
 DimensionMismatch that names the first bad entry or candidate.
+
+A file is read as UTF-8 text and decoded with ``orjson``, which is imported
+by the first read, not by ``import riccati_kyp.cli``. Python's ``json``
+module stays the reference reader: a document that orjson refuses, or whose
+decoded value the rules above or the realization refuse, is decoded again
+with ``json`` and built again, and that outcome stands. So ``json`` decides
+every refused document, its error category and its message (a malformed
+entry is quoted as ``json`` reads it, an integer beyond 64 bits as an
+integer, where orjson reads a float).
 """
 
 from __future__ import annotations
@@ -244,24 +253,42 @@ def _parse_int(text: str) -> int:
         ) from None
 
 
-def _load_json(path: str, kind: str):
-    """The JSON value in the ``kind`` file at ``path``. ParseError when the
-    file is missing or cannot be read (a directory, say), is not JSON, or
-    holds JSON that Python refuses to read, such as an integer of more than
-    4300 digits."""
+def _load_json(path: str, kind: str, build):
+    """``build`` of the JSON value in the ``kind`` file at ``path``.
+    ParseError when the file is missing or cannot be read (a directory,
+    say), is not UTF-8 or not JSON, or holds JSON that Python refuses to
+    read, such as an integer of more than 4300 digits.
+
+    The text is decoded with ``orjson``, whose objects are those of
+    ``json`` except that it reads an integer beyond 64 bits as its
+    correctly rounded float, which the decoder converts to the same bits.
+    When orjson refuses the text (NaN, infinity, ``1e400``, a lone
+    surrogate, any syntax error) or ``build`` refuses its value, the text is
+    decoded with ``json`` and built again, and that outcome stands."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_int=_parse_int)
+            text = fh.read()
     except FileNotFoundError as exc:
         raise err.ParseError(f"{kind} file not found: {path}") from exc
     except OSError as exc:
         raise err.ParseError(f"cannot read {kind} file {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # not UTF-8
+        raise err.ParseError(f"{path}: unreadable JSON ({exc})") from exc
+    import orjson
+
+    try:
+        return build(orjson.loads(text))
+    except (err.RiccatiKypError, ValueError):  # a refusal, as main takes it
+        pass
+    try:
+        raw = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise err.ParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}"
         ) from exc
     except ValueError as exc:
         raise err.ParseError(f"{path}: unreadable JSON ({exc})") from exc
+    return build(raw)
 
 
 def parse_system(path: str) -> SystemDocument:
@@ -270,7 +297,7 @@ def parse_system(path: str) -> SystemDocument:
     Raises ParseError for malformed JSON or entries and DimensionMismatch for
     inconsistent shapes.
     """
-    return document_from_dict(_load_json(path, "system"), origin=path)
+    return _load_json(path, "system", functools.partial(document_from_dict, origin=path))
 
 
 def document_from_dict(raw: dict, origin: str = "<memory>") -> SystemDocument:
@@ -406,14 +433,30 @@ def _extremes_payload(sigma, config, re_set=None) -> dict:
     }
 
 
+def _decode_row(obj, where: str) -> np.ndarray:
+    """The complex vector of a non-empty list of [re, im] pairs. A
+    ParseError names ``where`` when it is no such list, and ``where[j]``
+    for its first bad entry j."""
+    group = _decode_group([[obj]])
+    if group is not None:
+        return group[0][0]
+    if not isinstance(obj, list) or not obj:
+        raise err.ParseError(f"{where}: expected a non-empty row")
+    return np.array(
+        [_decode_entry(e, f"{where}[{j}]") for j, e in enumerate(obj)], dtype=complex
+    )
+
+
 def _load_inputs(path: str, sigma) -> tuple[np.ndarray, np.ndarray]:
-    raw = _load_json(path, "input")
-    if not isinstance(raw, dict) or "inputs" not in raw:
-        raise err.ParseError(f"{path}: expected an object with an 'inputs' field")
-    inputs = _decode_matrix(raw["inputs"], "inputs")
-    if "x0" in raw:
-        return _decode_matrix([raw["x0"]], "x0")[0], inputs
-    return np.zeros(sigma.state_dim, dtype=complex), inputs
+    def build(raw):
+        if not isinstance(raw, dict) or "inputs" not in raw:
+            raise err.ParseError(f"{path}: expected an object with an 'inputs' field")
+        inputs = _decode_matrix(raw["inputs"], "inputs")
+        if "x0" in raw:
+            return _decode_row(raw["x0"], "x0"), inputs
+        return np.zeros(sigma.state_dim, dtype=complex), inputs
+
+    return _load_json(path, "input", build)
 
 
 def _simulate_payload(sigma, doc, args) -> dict:

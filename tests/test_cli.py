@@ -1,6 +1,7 @@
 """CLI tests: document parsing and round-trip, command dispatch, exit codes,
 and byte-level report reproducibility."""
 
+import contextlib
 import dataclasses
 import enum
 import inspect
@@ -12,8 +13,10 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
@@ -377,6 +380,144 @@ def test_decoder_refuses_as_the_walk_did(case):
         assert got == (ParseError, refusal)
     else:
         assert got == _outcome(_reference_document, raw)
+
+
+# -- orjson against Python's json reader -------------------------------------------
+
+
+def _refuse(text):
+    raise ValueError("the fast reader is off")
+
+
+def _python_json_only():
+    """Patch ``orjson.loads`` to refuse every text, so that Python's
+    ``json`` reader decodes each document alone."""
+    return mock.patch.object(orjson, "loads", _refuse)
+
+
+# each refused input as an edit of a document's text: its first entry,
+# which reads "0.5, 0.0]", or its name, or the bytes of the whole text
+_BIG = "18446744073709551616"  # 2**64, which orjson reads as a float
+_REFUSED_EDITS = {
+    "nan": lambda t: t.replace("0.5, 0.0]", "NaN, 0.0]", 1).encode(),
+    "infinity": lambda t: t.replace("0.5, 0.0]", "Infinity, 0.0]", 1).encode(),
+    "minus-infinity": lambda t: t.replace("0.5, 0.0]", "-Infinity, 0.0]", 1).encode(),
+    "1e400": lambda t: t.replace("0.5, 0.0]", "1e400, 0.0]", 1).encode(),
+    "400-digits": lambda t: t.replace("0.5, 0.0]", "1" * 400 + ", 0.0]", 1).encode(),
+    "big-int-entry": lambda t: t.replace("[0.5, 0.0]", f"[{_BIG}]", 1).encode(),
+    "5001-digits": lambda t: t.replace("0.5, 0.0]", "1" * 5001 + ", 0.0]", 1).encode(),
+    "lone-surrogate": lambda t: t.replace('"name": "', '"name": "\\ud800', 1).encode(),
+    "trailing-comma": lambda t: t.replace("0.5, 0.0]", "0.5, 0.0,]", 1).encode(),
+    "bom": lambda t: b"\xef\xbb\xbf" + t.encode(),
+    "invalid-utf8": lambda t: t.encode().replace(b'"name": "', b'"name": "\xff', 1),
+    "truncated": lambda t: t.encode()[: len(t) // 2],
+}
+
+
+def _run_both_readers(argv, capsys):
+    """The exit code and output of ``main(argv)`` with orjson, and with
+    Python's reader alone."""
+    outcomes = []
+    for reader in (contextlib.nullcontext(), _python_json_only()):
+        with reader:
+            code = main(argv + ["--no-timings"])
+        outcomes.append((code, capsys.readouterr().out))
+    return outcomes
+
+
+@pytest.mark.parametrize("edit", _REFUSED_EDITS, ids=list(_REFUSED_EDITS))
+def test_python_json_decides_a_refused_system_document(edit, tmp_path, capsys):
+    text = json.dumps(scalar_interval_doc())
+    assert "0.5, 0.0]" in text and text.index("0.5, 0.0]") > text.index('"D"')
+    path = tmp_path / "system.json"
+    path.write_bytes(_REFUSED_EDITS[edit](text))
+    argv = ["check", "--system", str(path), "--candidate", "Hre"]
+    fast, reference = _run_both_readers(argv, capsys)
+    assert fast == reference
+    code, out = fast
+    # a lone surrogate is a valid name for Python's reader
+    assert code == (0 if edit == "lone-surrogate" else 2)
+    if edit == "big-int-entry":
+        assert json.loads(out)["error"]["message"] == (
+            f"D[0][0]: entry must be a [re, im] pair, got [{_BIG}]"
+        )
+
+
+@pytest.mark.parametrize("edit", _REFUSED_EDITS, ids=list(_REFUSED_EDITS))
+def test_python_json_decides_a_refused_input_document(
+    edit, scalar_doc_path, tmp_path, capsys
+):
+    text = json.dumps({"name": "u", "x0": [[0.5, 0.0]], "inputs": [[[0.5, 0.0]]]})
+    path = tmp_path / "inputs.json"
+    path.write_bytes(_REFUSED_EDITS[edit](text))
+    argv = ["simulate", "--system", scalar_doc_path, "--inputs", str(path)]
+    fast, reference = _run_both_readers(argv, capsys)
+    assert fast == reference
+    code, out = fast
+    assert code == (0 if edit == "lone-surrogate" else 2)
+    if edit == "big-int-entry":
+        assert json.loads(out)["error"]["message"] == (
+            f"x0[0]: entry must be a [re, im] pair, got [{_BIG}]"
+        )
+
+
+def _number_texts():
+    """JSON numbers that both readers accept: floats written shortest and
+    with 25 digits, subnormals and -0.0, decimals of up to 25 digits whose
+    value rounds (or underflows), and integers within and beyond 64 bits
+    but inside float range."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return st.one_of(
+        finite.map(repr),
+        finite.map(lambda x: format(x, ".24e")),
+        st.floats(-2.3e-308, 2.3e-308).map(repr),
+        st.sampled_from(["-0.0", "5e-324", "-0", "2.4703282292062328e-324"]),
+        st.builds(
+            lambda mantissa, exponent: f"{mantissa}e{exponent}",
+            st.integers(-(10**25), 10**25),
+            st.integers(-360, 280),
+        ),
+        st.integers(-(2**80), 2**80).map(str),
+        st.integers(2**64, 10**300).map(str),
+        st.integers(2**64, 10**300).map(lambda k: f"-{k}"),
+    )
+
+
+@st.composite
+def _document_texts(draw):
+    """The text of a valid document: n from 1 to 6, m and p from 1 to 2,
+    0-4 candidates with drawn names."""
+    n, m, p = draw(st.integers(1, 6)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    numbers = _number_texts()
+
+    def matrix(rows, cols):
+        return "[" + ", ".join(
+            "[" + ", ".join(f"[{draw(numbers)}, {draw(numbers)}]" for _ in range(cols)) + "]"
+            for _ in range(rows)
+        ) + "]"
+
+    fields = [f'"{key}": {matrix(rows, cols)}' for key, rows, cols in
+              (("A", n, n), ("B", n, m), ("C", p, n), ("D", p, m))]
+    names = draw(st.lists(st.text(max_size=4), max_size=4, unique=True))
+    candidates = ", ".join(f"{json.dumps(name)}: {matrix(n, n)}" for name in names)
+    return "{" + ", ".join([*fields, f'"candidates": {{{candidates}}}']) + "}"
+
+
+@settings(max_examples=150, deadline=None, phases=NO_SHRINK)
+@given(_document_texts())
+def test_both_readers_give_the_same_document(tmp_path_factory, text):
+    orjson.loads(text)  # accepted, so parse_system keeps orjson's value
+    path = tmp_path_factory.getbasetemp() / "readers.json"
+    path.write_text(text, encoding="utf-8")
+    fast = parse_system(str(path))
+    with _python_json_only():
+        reference = parse_system(str(path))
+    arrays = lambda doc: [
+        (x.shape, x.dtype, x.tobytes())
+        for x in (doc.a, doc.b, doc.c, doc.d, *doc.candidates.values())
+    ]
+    assert list(fast.candidates) == list(reference.candidates)
+    assert arrays(fast) == arrays(reference)
 
 
 # -- the report writer against json.dumps -----------------------------------------
@@ -1427,7 +1568,7 @@ class TestExitCodes:
     def test_non_finite_simulate_input_is_parse_error(self, scalar_doc_path, tmp_path, capsys):
         for where, text in (
             ("inputs[1][0]", '{"inputs": [[[1.0, 0.0]], [[NaN, 0.0]]]}'),
-            ("x0[0][0]", '{"x0": [[Infinity, 0.0]], "inputs": [[[1.0, 0.0]]]}'),
+            ("x0[0]", '{"x0": [[Infinity, 0.0]], "inputs": [[[1.0, 0.0]]]}'),
         ):
             path = tmp_path / "inputs.json"
             path.write_text(text)
@@ -1436,6 +1577,25 @@ class TestExitCodes:
             payload = json.loads(capsys.readouterr().out)
             assert code == 2
             assert payload["error"]["message"] == f"{where}: entry is not finite"
+
+    @pytest.mark.parametrize(
+        "x0, message",
+        [
+            ("[[1.0, 0.0], [2.0]]", "x0[1]: entry must be a [re, im] pair, got [2.0]"),
+            ("[[1.0, 0.0], true]", "x0[1]: entry must be a [re, im] pair, got True"),
+            ("1.0", "x0: expected a non-empty row"),
+            ("[]", "x0: expected a non-empty row"),
+        ],
+    )
+    def test_a_refused_x0_names_its_json_path(
+        self, x0, message, scalar_doc_path, tmp_path, capsys
+    ):
+        path = tmp_path / "inputs.json"
+        path.write_text(f'{{"x0": {x0}, "inputs": [[[1.0, 0.0]]]}}')
+        argv = ["simulate", "--system", scalar_doc_path, "--inputs", str(path)]
+        code = main(argv + ["--no-timings"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["error"]["message"] == message
 
     def test_integer_beyond_json_digit_limit_is_parse_error(
         self, scalar_doc_path, tmp_path, capsys
@@ -1503,8 +1663,8 @@ class TestReproducibility:
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
-    """scipy.linalg is loaded by the first pencil solve, not by the import
-    that every command pays for."""
+    """scipy.linalg is loaded by the first pencil solve and orjson by the
+    first document read, not by the import that every command pays for."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -1512,7 +1672,12 @@ def test_importing_the_cli_leaves_scipy_unloaded():
         [
             sys.executable,
             "-c",
-            "import riccati_kyp.cli, sys; assert 'scipy.linalg' not in sys.modules",
+            "import riccati_kyp.cli, sys\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "assert 'orjson' not in sys.modules\n"
+            "riccati_kyp.cli.parse_system(sys.argv[1])\n"
+            "assert 'orjson' in sys.modules",
+            TWO_STATE_DOC,
         ],
         env=env,
         check=True,

@@ -1,14 +1,17 @@
 """Source checks on the package, read with the standard library's ``ast``:
-no module imports a name it never uses, and the package exports each of
-its modules' ``__all__`` once. :func:`code_lines` counts the package's
-code lines and :func:`module_code_lines` each module's; to print the
-total, run from the repository root
+no module imports a name it never uses, the package exports each of its
+modules' ``__all__`` once, and the third-party modules it imports are
+exactly its declared runtime dependencies. :func:`code_lines` counts the
+package's code lines and :func:`module_code_lines` each module's; to print
+the total, run from the repository root
 
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); from test_source import code_lines; print(code_lines())"
 """
 
 import ast
 import importlib
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -167,3 +170,46 @@ def test_the_package_exports_each_modules_all_once():
             assert namespace[name] is getattr(module, name)
     # left out of linops' __all__, but still importable from it
     assert {"EPS", "default_rank_tol"} <= set(vars(linops))
+
+
+def _third_party_imports(root: Path = SRC) -> set[str]:
+    """The top-level modules that the ``.py`` files under ``root`` import
+    at any level, apart from the standard library's and the package's own."""
+    names = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"riccati_kyp"}
+
+
+def _dependency_mismatch(imported: set[str], declared: list[str]) -> tuple[list, list]:
+    """The imported modules that no requirement in ``declared`` names, and
+    the requirements that name no imported module. A requirement names the
+    module of its distribution name, lower-cased with ``-`` as ``_``, which
+    holds for numpy, scipy and orjson."""
+    names = {
+        re.match(r"[A-Za-z0-9._-]+", spec).group().lower().replace("-", "_")
+        for spec in declared
+    }
+    return sorted(imported - names), sorted(names - imported)
+
+
+def _declared_dependencies() -> list[str]:
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(SRC.parent / "pyproject.toml", "rb") as fh:
+        return tomllib.load(fh)["project"]["dependencies"]
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    assert _dependency_mismatch(_third_party_imports(), _declared_dependencies()) == ([], [])
+
+
+def test_a_dependency_mismatch_is_found():
+    imported = _third_party_imports()
+    declared = _declared_dependencies()
+    without = [spec for spec in declared if not spec.startswith("orjson")]
+    assert _dependency_mismatch(imported, without) == (["orjson"], [])
+    assert _dependency_mismatch(imported - {"orjson"}, declared) == ([], ["orjson"])
