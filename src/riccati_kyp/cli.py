@@ -2,21 +2,22 @@
 
 Reads system documents from JSON, dispatches to the library, and emits
 machine-readable JSON reports. A report holds the library's result objects
-as they are, and one writer (:func:`_dumps`) owns the format: a result
-dataclass is written as the object of its fields, an Enum as its value, and
-a complex entry as its [re, im] pair (unambiguous and locale-free). A
-solution set ordered by its selection digits holds ``"order":
-"selection_subset"``: H_i <= H_j exactly when the 1-digits of member i's
-provenance selection are among member j's. Any other set holds its
-``"comparisons"``, ``{"i,j": verdict}`` for each pair i < j. Reports embed
-the effective configuration verbatim, and with --no-timings two runs with
-identical inputs and seed produce byte-identical output. The embedded
-``eq_tol`` and ``c3_tol``, ten times ``--tol``, govern only ``check`` and
-the check section of ``report``: ``solve-re``, ``extremes`` and the duality
-check take ``--tol`` as their membership tolerance but validate at
-``solver.EQUALITY_TOL`` = 1e-8 and at the membership kernel's default
-``c3_tol`` of 1e-8, whatever ``--tol`` is, so the two agree only at the
-default ``--tol``.
+as they are, and one ``orjson.dumps`` call (:func:`_report_bytes`) writes
+it as strict JSON (RFC 8259) in UTF-8, keys sorted and indented by two
+spaces: a result dataclass is written as the object of its fields, an Enum
+as its value, a complex entry as its [re, im] pair (unambiguous and
+locale-free), and a NaN or infinity as null. A solution set ordered by its
+selection digits holds ``"order": "selection_subset"``: H_i <= H_j exactly
+when the 1-digits of member i's provenance selection are among member j's.
+Any other set holds its ``"comparisons"``, ``{"i,j": verdict}`` for each
+pair i < j. Reports embed the effective configuration verbatim, and with
+--no-timings two runs with identical inputs and seed produce byte-identical
+output. The embedded ``eq_tol`` and ``c3_tol``, ten times ``--tol``, govern
+only ``check`` and the check section of ``report``: ``solve-re``,
+``extremes`` and the duality check take ``--tol`` as their membership
+tolerance but validate at ``solver.EQUALITY_TOL`` = 1e-8 and at the
+membership kernel's default ``c3_tol`` of 1e-8, whatever ``--tol`` is, so
+the two agree only at the default ``--tol``.
 
 Document schema (informal):
 
@@ -33,7 +34,8 @@ Input files for `simulate` carry {"x0": [[re, im], ...], "inputs":
 Each re and im is a finite JSON number (not a boolean, string or null, nor
 an integer beyond float range, nor NaN or infinity), and the rows of a
 matrix are non-empty lists of one length. A candidate's name is any JSON
-string, the empty one included.
+string, the empty one included, and so is the document's, except one that
+holds a lone surrogate (``"\\ud800"``), which a report cannot write.
 A document's A, B, C and D together, a single matrix, and all candidates
 of a document at once when they are all n x n, are each decoded in one
 step: the rules are checked on the set of distinct Python types, then one
@@ -61,7 +63,6 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field, is_dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -229,8 +230,8 @@ def _decode_matrix(obj, where: str) -> np.ndarray:
 
 def _pairs_array(z: np.ndarray) -> np.ndarray:
     """A complex array as a float array of [re, im] pairs on a last axis,
-    which a report holds as it is and :func:`_dumps` writes as nested
-    lists."""
+    which a report holds as it is and :func:`_report_bytes` writes as
+    nested lists."""
     z = np.asarray(z, dtype=complex)
     return np.stack((z.real, z.imag), -1)
 
@@ -332,6 +333,10 @@ def document_from_dict(raw: dict, origin: str = "<memory>") -> SystemDocument:
                         f"{square}"
                     )
                 candidates[cname] = mat
+    try:  # Python's json reads a lone surrogate, which no report can hold
+        "".join([name, *candidates]).encode("utf-8")
+    except UnicodeEncodeError:
+        raise err.ParseError(f"{origin}: a name holds a lone surrogate") from None
     doc = SystemDocument(name=name, a=a, b=b, c=c, d=d, candidates=candidates)
     doc.realization()  # validates dimensions
     return doc
@@ -587,107 +592,40 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # -- report writer --------------------------------------------------------------
 
-_INDENT = "  "
-_encode_string = json.encoder.encode_basestring_ascii
 
-
-def _float_text(x: float) -> str:
-    """A float as ``json.dumps`` writes it."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _json_default(obj):
-    """The ``default`` of ``json.dumps``: the report encodings of :func:`_dumps`."""
+def _default(obj):
+    """The report encodings that orjson hands to its ``default`` hook: a
+    complex array as its [re, im] pairs (:func:`_pairs_array`), any other
+    array that orjson does not write itself (one that is not C-contiguous,
+    say) as its nested lists, and a result dataclass as the object of its
+    fields."""
     if isinstance(obj, np.ndarray):
-        return (_pairs_array(obj) if np.iscomplexobj(obj) else obj).tolist()
+        return _pairs_array(obj) if np.iscomplexobj(obj) else obj.tolist()
     if is_dataclass(obj):
         return vars(obj)
-    if isinstance(obj, Enum):
-        return obj.value
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-@functools.lru_cache(maxsize=256)
-def _array_template(shape: tuple[int, ...], level: int) -> str:
-    """The text of a float array of ``shape`` opened at indent ``level``,
-    laid out as ``json.dumps(indent=2)`` lays out its nested lists, with one
-    ``%s`` per entry in C order."""
-    if not shape:
-        return "%s"
-    if not shape[0]:
-        return "[]"
-    pad = "\n" + _INDENT * (level + 1)
-    item = _array_template(shape[1:], level + 1)
-    return "[" + pad + ("," + pad).join([item] * shape[0]) + "\n" + _INDENT * level + "]"
+def _report_bytes(payload) -> bytes:
+    """``payload`` as strict JSON in UTF-8: keys sorted, indented by two
+    spaces, a newline at the end, an ``Enum`` as its value and a NaN or
+    infinity as null. TypeError for what orjson does not write, such as a
+    key that is not a string, an integer beyond 64 bits or a lone
+    surrogate."""
+    import orjson
 
-
-def _dumps(obj, level: int = 0) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` byte for byte, for
-    ``obj`` opened at indent ``level``, with the report encodings: a
-    complex128 array as its [re, im] pairs (:func:`_pairs_array`), a
-    dataclass instance as the object of its fields, an ``Enum`` as its
-    value, and other numpy arrays as their nested lists.
-
-    The stdlib encoder writes an indented document in pure Python, one
-    generator step per token. Here types are tested in the order
-    ``json.dumps`` tests them, each float64 array is written from a
-    separator template cached per (shape, indent) with one
-    ``float.__repr__`` per entry, string items are written in place, and
-    the three encodings are tested last, so the other nodes pay nothing for
-    them. What this does not cover (empty containers, keys that are not
-    strings, other types) is written by ``json.dumps`` itself, with the
-    encodings as its ``default`` (:func:`_json_default`), and indented to
-    its place."""
-    if isinstance(obj, str):
-        return _encode_string(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _float_text(obj)
-    if type(obj) is np.ndarray and obj.dtype == np.float64:
-        text = float.__repr__ if np.isfinite(obj).all() else _float_text
-        return _array_template(obj.shape, level) % tuple(map(text, obj.ravel().tolist()))
-    pad = "\n" + _INDENT * (level + 1)
-    end = "\n" + _INDENT * level
-    if isinstance(obj, (list, tuple)) and obj:
-        return "[" + pad + ("," + pad).join(
-            _encode_string(item) if type(item) is str else _dumps(item, level + 1)
-            for item in obj
-        ) + end + "]"
-    if isinstance(obj, dict) and obj and all(type(key) is str for key in obj):
-        return "{" + pad + ("," + pad).join(
-            _encode_string(key) + ": " + (
-                _encode_string(value) if type(value) is str else _dumps(value, level + 1)
-            )
-            for key, value in sorted(obj.items())
-        ) + end + "}"
-    if type(obj) is np.ndarray and obj.dtype == np.complex128:
-        return _dumps(_pairs_array(obj), level)
-    if is_dataclass(obj):
-        return _dumps(vars(obj), level)
-    if isinstance(obj, Enum):
-        return _dumps(obj.value, level)
-    # empty containers, other keys and types, other arrays
-    text = json.dumps(obj, indent=2, sort_keys=True, default=_json_default)
-    return text.replace("\n", "\n" + _INDENT * level)
+    layout = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
+    encodings = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_PASSTHROUGH_DATACLASS
+    return orjson.dumps(payload, default=_default, option=layout | encodings)
 
 
 def _error_report(exc: Exception) -> tuple[dict, int]:
     """The error report of ``exc`` and its exit code."""
     code = EXIT_CODES.get(type(exc), GENERIC_ERROR_EXIT)
-    error = {"category": type(exc).__name__, "exit_code": code, "message": str(exc)}
+    # a path from the command line holds a lone surrogate for each byte that
+    # is not UTF-8; the message spells it out as its \udcXX escape
+    message = str(exc).encode("utf-8", "backslashreplace").decode("utf-8")
+    error = {"category": type(exc).__name__, "exit_code": code, "message": message}
     return {"error": error}, code
 
 
@@ -696,13 +634,14 @@ def _emit(payload: dict, code: int, out_path: str | None) -> int:
     and return the exit code ``code``. A ``--out`` that cannot be written
     (a directory, say, or a path whose parent is missing) is a ParseError,
     whose report goes to stdout."""
-    text = _dumps(payload) + "\n"
+    data = _report_bytes(payload)
     if not out_path:
-        sys.stdout.write(text)
+        sys.stdout.flush()  # text already written to stdout goes first
+        sys.stdout.buffer.write(data)
         return code
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(out_path, "wb") as fh:
+            fh.write(data)
     except OSError as exc:
         failure = err.ParseError(f"cannot write --out file {out_path}: {exc.strerror}")
         return _emit(*_error_report(failure), None)
@@ -726,6 +665,10 @@ def main(argv: list[str] | None = None) -> int:
             raise err.ParseError(f"--grid must be at least 1, got {args.grid}")
         if args.seed < 0:  # the sampler's generator takes no negative seed
             raise err.ParseError(f"--seed must be non-negative, got {args.seed}")
+        # the report echoes both, and JSON as written holds no larger integer
+        for option, value in (("--grid", args.grid), ("--seed", args.seed)):
+            if value >= 2**64:
+                raise err.ParseError(f"{option} must be below 2**64, got {value}")
         doc = parse_system(args.system)
         report = run(args.command, doc, args)
     except (err.RiccatiKypError, ValueError) as exc:

@@ -76,6 +76,11 @@ class TestCircleProfile:
         assert profile.angles[-1] < 2.0 * np.pi
         assert np.all(np.isfinite(profile.values.real))
 
+    @pytest.mark.parametrize("grid_steps", [0, -3])
+    def test_a_grid_without_steps_is_refused(self, delay_system, grid_steps):
+        with pytest.raises(ValueError, match="^grid_steps must be positive$"):
+            circle_profile(delay_system, grid_steps=grid_steps)
+
     def test_pole_on_circle_rejected(self):
         sigma = SystemRealization(1.0, 1.0, 1.0, 0.0)  # pole at 1
         with pytest.raises(PoleOnCircle):
@@ -170,7 +175,10 @@ def test_circle_profile_decision_equals_per_point_reference(seed, n, m, p, kappa
 def _nonnormal_draw(seed: int, n: int, m: int, p: int, exponent: float) -> SystemRealization:
     """A = Q T Q* for a random unitary Q and an upper triangular T with
     eigenvalues of modulus below 0.999 and off-diagonal entries of size
-    10**exponent."""
+    10**exponent. Those are T's eigenvalues, not the stored A's: once
+    ``exponent`` is large, rounding Q T Q* moves them. At seed 0, n = 3 and
+    exponent 6, the eigenvalues of the stored A, the roots of its exact
+    characteristic polynomial, have moduli 1.475, 1.559 and 1.916."""
     rng = np.random.default_rng(seed)
 
     def gaussian(*shape):

@@ -435,12 +435,13 @@ def test_python_json_decides_a_refused_system_document(edit, tmp_path, capsys):
     fast, reference = _run_both_readers(argv, capsys)
     assert fast == reference
     code, out = fast
-    # a lone surrogate is a valid name for Python's reader
-    assert code == (0 if edit == "lone-surrogate" else 2)
+    assert code == 2
     if edit == "big-int-entry":
         assert json.loads(out)["error"]["message"] == (
             f"D[0][0]: entry must be a [re, im] pair, got [{_BIG}]"
         )
+    if edit == "lone-surrogate":  # read by Python's json, refused for the report
+        assert json.loads(out)["error"]["message"] == f"{path}: a name holds a lone surrogate"
 
 
 @pytest.mark.parametrize("edit", _REFUSED_EDITS, ids=list(_REFUSED_EDITS))
@@ -533,59 +534,100 @@ _arrays = hnp.arrays(
     hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=3),
     elements=_floats,
 )
+# a report holds no integer outside the 64-bit range that orjson writes
 _payloads = st.recursive(
-    st.one_of(_strings, st.integers(), st.booleans(), st.none(), _floats, _arrays),
+    st.one_of(_strings, st.integers(-(2**63), 2**64 - 1), st.booleans(), st.none(), _floats,
+              _arrays),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4), st.dictionaries(_strings, inner, max_size=4)
     ),
     max_leaves=12,
 )
+_LAYOUT = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS
 
 
-def _as_lists(obj):
-    """``obj`` with every array replaced by its nested lists."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
+def _nulled(obj):
+    """``obj`` with every NaN and infinity replaced by None."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     if isinstance(obj, list):
-        return [_as_lists(item) for item in obj]
+        return [_nulled(item) for item in obj]
     if isinstance(obj, dict):
-        return {key: _as_lists(value) for key, value in obj.items()}
+        return {key: _nulled(value) for key, value in obj.items()}
     return obj
+
+
+def _json_value(obj):
+    """The value that ``json.dumps`` writes for ``obj``, every numpy array
+    and scalar as its ``tolist()``, read back by ``json.loads``."""
+    return json.loads(json.dumps(obj, default=lambda a: a.tolist()))
+
+
+def _nested(obj, depth: int):
+    """``obj`` under ``depth`` single-key objects."""
+    for _ in range(depth):
+        obj = {"x": obj}
+    return obj
+
+
+def _assert_written(payload, want) -> None:
+    """The writer's bytes for ``payload`` are strict JSON whose value is
+    ``want`` with every NaN and infinity as null (compared as ``json.dumps``
+    text, so 1 is not 1.0 and -0.0 is not 0.0), and they are what orjson
+    writes again for that value: keys sorted, indented by two spaces, and
+    a newline at the end."""
+    data = cli_module._report_bytes(payload)
+    got = orjson.loads(data)
+    assert json.dumps(got, sort_keys=True) == json.dumps(_nulled(want), sort_keys=True)
+    assert data == orjson.dumps(got, option=_LAYOUT) + b"\n"
 
 
 @settings(max_examples=300, deadline=None)
 @given(_payloads)
 def test_writer_matches_json_dumps(payload):
-    want = json.dumps(_as_lists(payload), indent=2, sort_keys=True)
-    assert cli_module._dumps(payload) == want
+    _assert_written(payload, _json_value(payload))
 
 
 @pytest.mark.parametrize(
-    "payload",
+    "payload, refusal",
     [
-        {},
-        [],
-        {"a": {}, "b": [[], {}], "c": np.zeros((2, 0, 3)), "d": np.zeros((0, 2))},
-        # keys that are not strings, tuples, and float and bool subclasses
-        {"i": {10: "ten", 9: [True, None]}, "f": {2.5: (1, 2.0), -0.0: 1}, "n": {None: 0}},
-        {"x": [np.float64(0.1), np.float64(-np.inf), (np.zeros(2),)]},
-        # arrays that are not float64 are written as their lists
-        {"ints": np.arange(3), "flags": np.array([True, False])},
-        np.float64(1e16),
-        np.array(-0.0),
+        ({}, None),
+        ([], None),
+        ({"a": {}, "b": [[], {}], "c": np.zeros((2, 0, 3)), "d": np.zeros((0, 2))}, None),
+        # keys that are not strings are refused: no report has one
+        ({"i": {10: "ten", 9: [True, None]}, "f": {2.5: (1, 2.0), -0.0: 1}, "n": {None: 0}},
+         "Dict key must be str"),
+        ({"x": [np.float64(0.1), np.float64(-np.inf), (np.zeros(2),)]}, None),
+        # arrays that are not float64, or not C-contiguous, are written as
+        # their lists
+        ({"ints": np.arange(3), "flags": np.array([True, False]),
+          "strided": np.arange(12.0).reshape(3, 4)[:, ::2], "t": np.eye(3)[:2].T}, None),
+        (np.float64(1e16), None),
+        (np.array(-0.0), None),
     ],
     ids=["empty-dict", "empty-list", "empty-nested", "other-keys", "float-subclass",
          "other-dtypes", "scalar", "rank-0"],
 )
-def test_writer_matches_json_dumps_on_edge_cases(payload):
-    want = json.dumps(_as_lists(payload) if isinstance(payload, (dict, list, np.ndarray))
-                      else payload, indent=2, sort_keys=True, default=lambda a: a.tolist())
-    assert cli_module._dumps(payload) == want
+def test_writer_matches_json_dumps_on_edge_cases(payload, refusal):
+    if refusal is None:
+        _assert_written(payload, _json_value(payload))
+    else:
+        with pytest.raises(TypeError, match=refusal):
+            cli_module._report_bytes(payload)
 
 
 def test_writer_refuses_what_json_dumps_refuses():
     with pytest.raises(TypeError, match="not JSON serializable"):
-        cli_module._dumps({"a": [1, {2, 3}]})
+        cli_module._report_bytes({"a": [1, {2, 3}]})
+    # and what orjson cannot write, which main keeps out of every report
+    for payload, refusal in [
+        ({"a": {1: 2}}, "Dict key must be str"),
+        ({"a": [2**64]}, "Integer exceeds 64-bit range"),
+        ({"a": -(2**63) - 1}, "Integer exceeds 64-bit range"),
+        ({"a": "\ud800"}, "surrogates not allowed"),
+    ]:
+        with pytest.raises(TypeError, match=refusal):
+            cli_module._report_bytes(payload)
 
 
 @dataclasses.dataclass
@@ -608,29 +650,26 @@ class _Kind(enum.Enum):
     SECOND = 2
 
 
-def _indented(text: str, level: int) -> str:
-    return text.replace("\n", "\n" + "  " * level)
-
-
 @pytest.mark.parametrize("level", [0, 1, 2])
 def test_writer_writes_a_dataclass_as_json_dumps_writes_asdict(level):
+    # at nesting depth level, as the object of its fields in sorted order
     inner = _Inner(True, "aé", -0.0)
     outer = _Outer("x", [1, 2.5, None, inner], inner)
     for result in (inner, outer, _Inner(False, "", math.inf)):
-        want = json.dumps(dataclasses.asdict(result), indent=2, sort_keys=True)
-        assert cli_module._dumps(result, level) == _indented(want, level)
-    # inside a payload, and through json.dumps under a key that is not a string
-    want = json.dumps({"r": dataclasses.asdict(outer), "s": {1: dataclasses.asdict(inner)}},
-                      indent=2, sort_keys=True)
-    assert cli_module._dumps({"r": outer, "s": {1: inner}}, level) == _indented(want, level)
+        _assert_written(_nested(result, level), _nested(dataclasses.asdict(result), level))
+    want = {"r": dataclasses.asdict(outer), "s": [dataclasses.asdict(inner)]}
+    _assert_written(_nested({"r": outer, "s": [inner]}, level), _nested(want, level))
+    with pytest.raises(TypeError, match="Dict key must be str"):
+        cli_module._report_bytes(_nested({"r": outer, "s": {1: inner}}, level))
 
 
 @pytest.mark.parametrize("level", [0, 1])
 def test_writer_writes_an_enum_as_its_value(level):
-    payload = {"a": _Kind.FIRST, "b": [_Kind.SECOND, _Kind.FIRST], "c": {0: _Kind.SECOND}}
-    want = json.dumps({"a": "first", "b": [2, "first"], "c": {0: 2}}, indent=2, sort_keys=True)
-    assert cli_module._dumps(payload, level) == _indented(want, level)
-    assert cli_module._dumps(_Kind.SECOND, level) == "2"
+    payload = {"a": _Kind.FIRST, "b": [_Kind.SECOND, _Kind.FIRST]}
+    _assert_written(_nested(payload, level), _nested({"a": "first", "b": [2, "first"]}, level))
+    _assert_written(_nested(_Kind.SECOND, level), _nested(2, level))
+    with pytest.raises(TypeError, match="Dict key must be str"):
+        cli_module._report_bytes(_nested({"c": {0: _Kind.SECOND}}, level))
 
 
 _complex_arrays = hnp.arrays(
@@ -643,20 +682,21 @@ _complex_arrays = hnp.arrays(
 @settings(max_examples=150, deadline=None)
 @given(_complex_arrays, st.integers(min_value=0, max_value=2))
 def test_writer_writes_a_complex_array_as_json_dumps_writes_its_pairs(z, level):
-    # every entry as its [re, im] pair, in place and under a key that is not
-    # a string
+    # every entry as its [re, im] pair, alone, at nesting depth level, and
+    # not C-contiguous
     pairs = cli_module._encode_matrix(z)
-    want = json.dumps({"z": pairs, "k": {3: pairs}}, indent=2, sort_keys=True)
-    assert cli_module._dumps({"z": z, "k": {3: z}}, level) == _indented(want, level)
-    want = json.dumps(pairs, indent=2, sort_keys=True)
-    assert cli_module._dumps(z, level) == _indented(want, level)
+    _assert_written(z, pairs)
+    _assert_written(_nested({"z": z}, level), _nested({"z": pairs}, level))
+    flipped = z[::-1]
+    _assert_written({"z": flipped}, {"z": cli_module._encode_matrix(flipped)})
+    with pytest.raises(TypeError, match="Dict key must be str"):
+        cli_module._report_bytes({"k": {3: z}})
 
 
 @pytest.mark.parametrize("shape", [(0, 2, 2), (2, 0), (1, 0, 3), (3, 2, 0)])
 def test_writer_writes_an_empty_complex_stack_as_json_dumps_writes_its_pairs(shape):
     z = np.zeros(shape, dtype=complex)
-    want = json.dumps({"members": cli_module._encode_matrix(z)}, indent=2, sort_keys=True)
-    assert cli_module._dumps({"members": z}) == want
+    _assert_written({"members": z}, {"members": cli_module._encode_matrix(z)})
 
 
 def _order_dict(below: np.ndarray) -> dict:
@@ -670,16 +710,14 @@ def _order_dict(below: np.ndarray) -> dict:
 @pytest.mark.parametrize("level", [1, 2])
 @pytest.mark.parametrize("size", [0, 1, 2, 11, 32, 64])
 def test_pair_order_is_written_as_json_dumps_writes_its_dict(size, level):
-    # a set not ordered by its selection digits lists its comparisons, which
-    # the writer's generic dict path writes ("10,2" sorts before "2,10")
+    # a set not ordered by its selection digits lists its comparisons, keys
+    # sorted as strings ("1,10" before "1,2")
     below = np.random.default_rng(size).integers(0, 2, (size, size)).astype(bool)
     ordered = SolutionSet(members=np.ones((size, 1, 1), dtype=complex),
                           eigenvalues=np.ones((size, 1)), _below=below)
     block = cli_module._solution_set_payload(ordered)["comparisons"]
-    want = json.dumps(_order_dict(below), indent=2, sort_keys=True)
-    assert cli_module._dumps(block, level) == want.replace("\n", "\n" + "  " * level)
-    want = json.dumps({"comparisons": _order_dict(below)}, indent=2, sort_keys=True)
-    assert cli_module._dumps({"comparisons": block}) == want
+    _assert_written(_nested(block, level), _nested(_order_dict(below), level))
+    _assert_written({"comparisons": block}, {"comparisons": _order_dict(below)})
 
 
 def _seeded_pencil_doc(tmp_path, n: int) -> str:
@@ -693,13 +731,13 @@ def _seeded_pencil_doc(tmp_path, n: int) -> str:
 
 
 @pytest.mark.parametrize("n", [5, 6])
-def test_solve_re_writes_the_bytes_of_json_dumps(n, tmp_path):
+def test_solve_re_writes_strict_json(n, tmp_path):
     out = tmp_path / "report.json"
     assert main(["solve-re", "--system", _seeded_pencil_doc(tmp_path, n),
                  "--no-timings", "--out", str(out)]) == 0
-    text = out.read_text(encoding="utf-8")
-    report = json.loads(text)
-    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    data = out.read_bytes()
+    report = orjson.loads(data)
+    assert data == orjson.dumps(report, option=_LAYOUT) + b"\n"
     assert len(report["solve_re"]["members"]) == 2**n
     _assert_the_lattice_is_the_pairwise_order(report["solve_re"])
 
@@ -1474,10 +1512,13 @@ class TestExitCodes:
             ("report", "--grid", "-4", "--grid must be at least 1, got -4"),
             # numpy's generator refused seed + 7 < 0 with a ValueError (exit 1)
             ("report", "--seed", "-8", "--seed must be non-negative, got -8"),
+            # the report echoes both, and holds no integer beyond 64 bits
+            ("extremes", "--seed", str(2**64), f"--seed must be below 2**64, got {2**64}"),
+            ("check", "--grid", str(2**64), f"--grid must be below 2**64, got {2**64}"),
         ],
         ids=[
             "check-inf", "analyze-inf", "nan", "negative", "zero", "oversized", "grid-0",
-            "grid-negative", "seed-negative",
+            "grid-negative", "seed-negative", "seed-2**64", "grid-2**64",
         ],
     )
     def test_invalid_tol_or_grid_is_parse_error(self, command, option, value, message, capsys):
@@ -1495,6 +1536,30 @@ class TestExitCodes:
         missing = ["check", "--system", "no-such-file.json", f"{option}={value}"]
         assert main(missing) == 2
         assert json.loads(capsys.readouterr().out)["error"]["message"] == message
+
+    @pytest.mark.parametrize("command, option", [("extremes", "--seed"), ("check", "--grid")])
+    def test_a_seed_or_grid_of_64_bits_is_echoed(self, command, option, capsys):
+        argv = [command, "--system", TWO_STATE_DOC, "--candidate", "half", option,
+                str(2**64 - 1), "--no-timings"]
+        assert main(argv) == 0
+        assert orjson.loads(capsys.readouterr().out)["config"][option[2:]] == 2**64 - 1
+
+    def test_an_undecodable_path_is_spelled_out_in_its_error_report(self, capsys):
+        # a byte that is not UTF-8 reaches argv as a lone surrogate, which
+        # the message writes as its escape
+        assert main(["analyze", "--system", "no-such-\udcff.json"]) == 2
+        message = orjson.loads(capsys.readouterr().out)["error"]["message"]
+        assert message == "system file not found: no-such-\\udcff.json"
+
+    @pytest.mark.parametrize("where", ["name", "candidate"])
+    def test_a_name_with_a_lone_surrogate_is_refused(self, where):
+        raw = scalar_interval_doc()
+        if where == "name":
+            raw["name"] = "plant\ud800"
+        else:
+            raw["candidates"]["\udfff"] = raw["candidates"]["Hre"]
+        with pytest.raises(ParseError, match="^doc: a name holds a lone surrogate$"):
+            document_from_dict(raw, origin="doc")
 
     @pytest.mark.parametrize(
         "command, top, inputs, message",

@@ -14,15 +14,18 @@ to a relative 1e-12, with an absolute floor of 1e-14 so that roundoff-level
 quantities (residuals, eigenvalues at zero) do not tie the test to one BLAS
 or platform.
 
-Each report's text must also be what ``json.dumps(..., indent=2,
-sort_keys=True)`` writes for the value it holds, which pins the CLI's own
-writer to the stdlib's bytes on any platform.
+Each report, and each stored one, must be strict JSON (RFC 8259) that
+``orjson.loads`` reads, so a NaN or infinity appears as null. The report's
+bytes must also be what ``orjson.dumps(..., option=OPT_INDENT_2 |
+OPT_SORT_KEYS)`` writes for the value it holds, a fixed point that pins
+the layout of the CLI's writer on any platform.
 """
 
 import json
 import math
 from pathlib import Path
 
+import orjson
 import pytest
 
 from riccati_kyp.cli import main
@@ -47,12 +50,9 @@ def _assert_matches(got, want, where: str) -> None:
         for idx, (g, w) in enumerate(zip(got, want)):
             _assert_matches(g, w, f"{where}[{idx}]")
     elif isinstance(want, float):
-        if math.isnan(want):
-            assert math.isnan(got), f"{where}: {got!r} is not NaN"
-        else:
-            assert math.isclose(got, want, rel_tol=REL_TOL, abs_tol=ABS_TOL), (
-                f"{where}: {got!r} != {want!r}"
-            )
+        assert math.isclose(got, want, rel_tol=REL_TOL, abs_tol=ABS_TOL), (
+            f"{where}: {got!r} != {want!r}"
+        )
     else:
         assert got == want, f"{where}: {got!r} != {want!r}"
 
@@ -64,10 +64,9 @@ def test_report_matches_golden(case, tmp_path):
     if case["candidate"]:
         argv += ["--candidate", case["candidate"]]
     code = main(argv + ["--seed", str(SEED), "--no-timings", "--out", str(out)])
-    text = out.read_text(encoding="utf-8")
-    got = json.loads(text)
-    assert text == json.dumps(got, indent=2, sort_keys=True) + "\n"
-    with open(GOLDEN / case["report"], encoding="utf-8") as fh:
-        want = json.load(fh)
+    data = out.read_bytes()
+    got = orjson.loads(data)
+    assert data == orjson.dumps(got, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS) + b"\n"
+    want = orjson.loads((GOLDEN / case["report"]).read_bytes())
     assert code == want.get("error", {}).get("exit_code", 0)
     _assert_matches(got, want, "$")

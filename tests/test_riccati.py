@@ -13,6 +13,7 @@ from riccati_kyp import (
     BlockNonneg,
     C3Violation,
     DeltaNotPSD,
+    DimensionMismatch,
     InconsistentRoutes,
     MembershipDiagnostics,
     MembershipVerdict,
@@ -154,6 +155,17 @@ class TestKypForm:
     def test_state_only_equals_alpha_quadratic(self, scalar_interval_system):
         value = kyp_form(scalar_interval_system, 3.0 / 64.0, [1.0], [0.0])
         assert abs(value - 45.0 / 4096.0) <= 1e-14
+
+    def test_a_storage_of_another_dimension_is_refused(self, two_state_system):
+        message = "^storage dimension 3 does not match state dimension 2$"
+        with pytest.raises(DimensionMismatch, match=message):
+            kyp_form(two_state_system, np.eye(3), np.zeros(2), np.zeros(1))
+
+    @pytest.mark.parametrize("x, u", [(np.zeros(3), np.zeros(1)), (np.zeros(2), np.zeros(2))])
+    def test_a_state_or_input_of_another_length_is_refused(self, two_state_system, x, u):
+        message = re.escape(f"(x, u) have lengths {(len(x), len(u))}, expected (2, 1)")
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            kyp_form(two_state_system, np.eye(2), x, u)
 
     def test_matches_lmi_quadratic_form(self):
         rng = np.random.default_rng(32)

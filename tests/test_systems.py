@@ -326,6 +326,12 @@ class TestSchurMargin:
             value = schur_class_margin(sigma, grid_steps=16, radius=radius)
             assert abs(value - radius) <= 1e-12
 
+    @pytest.mark.parametrize("grid_steps", [0, -3])
+    def test_a_grid_without_steps_is_refused(self, grid_steps):
+        sigma = SystemRealization(0.0, 1.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="^grid_steps must be positive$"):
+            schur_class_margin(sigma, grid_steps=grid_steps, radius=0.9)
+
     def test_passive_systems_stay_contractive_on_grid(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
@@ -358,8 +364,9 @@ class TestSchurMargin:
 
     def test_radius_validation(self):
         sigma = SystemRealization(0.0, 1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            schur_class_margin(sigma, radius=1.0)
+        for radius in (1.0, 0.0, -0.5, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="^radius must lie strictly between 0 and 1$"):
+                schur_class_margin(sigma, radius=radius)
 
     def test_non_normal_resolvent_caught_by_singular_values(self):
         # eigenvalues 0.5, far from every grid point, but ||A|| = 1e13: only
