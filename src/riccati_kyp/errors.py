@@ -60,17 +60,17 @@ class RangeViolation(RiccatiKypError):
 class SingularResolvent(RiccatiKypError):
     """The resolvent is numerically singular at the requested point."""
 
-    def __init__(self, lam: complex, message: str | None = None):
+    def __init__(self, lam: complex):
         self.lam = complex(lam)
-        super().__init__(message or f"resolvent singular at lambda={self.lam}")
+        super().__init__(f"resolvent singular at lambda={self.lam}")
 
 
 class PoleOnCircle(RiccatiKypError):
     """A transfer-function pole lies on (or too close to) the unit circle."""
 
-    def __init__(self, angle: float, message: str | None = None):
+    def __init__(self, angle: float):
         self.angle = float(angle)
-        super().__init__(message or f"pole near the unit circle at angle={self.angle}")
+        super().__init__(f"pole near the unit circle at angle={self.angle}")
 
 
 class DeltaNotPSD(RiccatiKypError):

@@ -151,13 +151,11 @@ def _kept(w: np.ndarray, rank_tol: float, magnitude: bool = False) -> np.ndarray
     return size > np.maximum(cut, TINY)
 
 
-def _eigh_kept(
-    a: np.ndarray, rank_tol: float, magnitude: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _eigh_kept(a: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unvalidated ``(w, v, kept)`` of a Hermitian matrix, or of each on a
     stack, with ``kept`` from :func:`_kept`."""
     w, v = np.linalg.eigh(a)
-    return w, v, _kept(w, rank_tol, magnitude)
+    return w, v, _kept(w, rank_tol)
 
 
 def _pinv_kept(w: np.ndarray, v: np.ndarray, kept: np.ndarray) -> np.ndarray:

@@ -120,13 +120,6 @@ class StorageOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def min_eigenvalue(self) -> float:
-        return float(self.eigenvalues[0])
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"StorageOperator(dim={self.dim}, min_eig={self.min_eigenvalue:.3e})"
-
 
 def as_storage(h) -> StorageOperator:
     """Coerce a matrix (or scalar) into a StorageOperator."""
@@ -373,12 +366,12 @@ def _memberships(
     eq_tol: float = 1e-8,
     c3_tol: float = 1e-8,
 ) -> list[MembershipVerdict]:
-    """:func:`membership` of each of ``matrices``, of one shape, from one
-    ``eigh`` of their stack and one kernel call: the verdicts in order, or
-    the error that membership raises for the first matrix it refuses
-    (NotHermitian, NotPD, InconsistentRoutes, ...). Only the matrices before
-    that one go to the kernel, which raises the first split of their routes
-    in stack order."""
+    """:func:`membership` of each of ``matrices``, one or more of one shape,
+    from one ``eigh`` of their stack and one kernel call: the verdicts in
+    order, or the error that membership raises for the first matrix it
+    refuses (NotHermitian, NotPD, InconsistentRoutes, ...). Only the
+    matrices before that one go to the kernel, which raises the first split
+    of their routes in stack order."""
     stack, refused = [], None
     for h in matrices:
         try:
@@ -387,9 +380,7 @@ def _memberships(
             refused = exc  # raised once the matrices before it are checked
             break
     if not stack:
-        if refused is not None:
-            raise refused
-        return []
+        raise refused
     stack = np.array(stack)
     w = np.linalg.eigh(stack)[0]
     pd, low = _pd_mask(w)

@@ -18,7 +18,7 @@ from unittest import mock
 import numpy as np
 import orjson
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -366,8 +366,20 @@ def test_decoder_matches_the_walk_bit_for_bit(raw):
     assert got == _outcome(_reference_document, raw)
 
 
+def _broken(**edits) -> tuple[dict, None]:
+    """The scalar-interval document with ``edits`` made, as a case of
+    :func:`_malformed` whose refusal is the walk's."""
+    return {**scalar_interval_doc(), **edits}, None
+
+
 @settings(max_examples=200, deadline=None, phases=NO_SHRINK)
 @given(_malformed())
+# one refusal of each kind, so that each is reached whatever is drawn
+@example(_broken(A=[[]]))
+@example(_broken(A=[[[0.5, 0.0], [0.0, 0.0]], [[0.5, 0.0]]]))
+@example(_broken(A=([[0.5, 0.0]],)))
+@example(_broken(A=[[[True, 0.0]]]))
+@example(_broken(candidates={"H0": [[[0.5, 0.0]]], "H1": [[[None, 0.0]]]}))
 def test_decoder_refuses_as_the_walk_did(case):
     raw, refusal = case
     got = _outcome(document_from_dict, raw)
@@ -380,6 +392,33 @@ def test_decoder_refuses_as_the_walk_did(case):
         assert got == (ParseError, refusal)
     else:
         assert got == _outcome(_reference_document, raw)
+
+
+# JSON numbers, with both zeros, subnormals and integers far beyond 64 bits
+_JSON_NUMBERS = st.one_of(
+    st.integers(-(10**300), 10**300),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1060]),
+    st.floats(min_value=-2.0**-1022, max_value=2.0**-1022),
+)
+
+
+@st.composite
+def _json_matrices(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pair = st.lists(_JSON_NUMBERS, min_size=2, max_size=2)
+    return [draw(st.lists(pair, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_matrices())
+def test_the_walk_decodes_a_valid_matrix_as_the_group_does(obj):
+    # the walk decodes only what the group refuses, so the two rule sets
+    # are held together here
+    walked = cli_module._walk_matrix(obj, "H")
+    grouped = cli_module._decode_group([obj])[0]
+    assert (walked.shape, walked.dtype) == (grouped.shape, grouped.dtype)
+    assert walked.tobytes() == grouped.tobytes()
 
 
 # -- orjson against Python's json reader -------------------------------------------

@@ -12,6 +12,7 @@ from riccati_kyp import (
     Loewner,
     NotNonneg,
     NotPSD,
+    RangeViolation,
     StorageOperator,
     SystemRealization,
     brute_force_infimum,
@@ -29,7 +30,7 @@ from riccati_kyp import (
     sqrt_pinv_commute_check,
     system_matrix,
 )
-from riccati_kyp.linops import _psd_spectral
+from riccati_kyp.linops import _psd_spectral, _spectral_norms
 from conftest import random_block_nonneg, random_hermitian, random_psd
 
 
@@ -55,6 +56,48 @@ def test_non_finite_matrices_are_refused(entry_point, value):
     # passing the symmetry check
     with pytest.raises(ValueError, match="non-finite"):
         entry_point(np.array([[value]]))
+
+
+_SCALAR = SystemRealization(0.5, 0.5, 0.5, 0.0)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: ensure_hermitian(np.ones((2, 3))),
+         DimensionMismatch, "expected a square matrix, got shape (2, 3)"),
+        (lambda: BlockNonneg(np.eye(1), np.zeros((1, 1)), np.eye(2)),
+         DimensionMismatch, "off-diagonal block has shape (1, 1), expected (1, 2)"),
+        (lambda: minimal_contraction(
+            BlockNonneg([[1.0]], [[0.0, 1e-4]], np.diag([1.0, 1e-9])), rank_tol=1e-6),
+         RangeViolation, "off-diagonal block does not factor (residual 1.000e-04); "
+         "the operator is not PSD to working precision"),
+        (lambda: brute_force_infimum(BlockNonneg(np.eye(1), np.zeros((1, 1)), np.eye(1)),
+                                     np.ones(2)),
+         DimensionMismatch, "x has length 2, expected 1"),
+        (lambda: SystemRealization(np.ones((1, 2)), 0.5, 0.5, 0.0),
+         DimensionMismatch, "state operator must be square, got (1, 2)"),
+        (lambda: SystemRealization(0.5, 0.5, [[0.5, 0.5]], 0.0),
+         DimensionMismatch, "output operator has 2 columns, expected 1"),
+        (lambda: SystemRealization(0.5, 0.5, 0.5, [[0.0, 0.0]]),
+         DimensionMismatch, "feed-through has shape (1, 2), expected (1, 1)"),
+        (lambda: simulate(_SCALAR, [1.0], np.ones((3, 2))),
+         DimensionMismatch, "inputs have width 2, expected 1"),
+        (lambda: dissipation_check(simulate(_SCALAR, [1.0], np.ones((3, 1))), np.eye(2)),
+         DimensionMismatch, "weight dimension 2 does not match state dimension 1"),
+    ],
+    ids=["ensure_hermitian", "BlockNonneg", "minimal_contraction", "brute_force_infimum",
+         "state-operator", "output-operator", "feed-through", "simulate",
+         "dissipation_check"],
+)
+def test_malformed_arguments_are_refused(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_empty_matrices_on_a_stack_have_norm_zero():
+    assert _spectral_norms(np.zeros((3, 0, 2))).tolist() == [0.0, 0.0, 0.0]
 
 
 class TestPsdSqrt:

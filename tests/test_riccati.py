@@ -465,6 +465,20 @@ class TestEqualityGap:
             surplus_norm = spectral_norm(inequality_surplus(two_state_system, h))
             assert (gap <= 1e-8) == (surplus_norm <= 1e-8)
 
+    def test_routes_that_disagree_raise(self, scalar_interval_system, monkeypatch):
+        # a Schur complement moved off the surplus's congruence stands in
+        # for the rank-decision bug that the cross-check guards against
+        factor = riccati_module.minimal_contraction
+
+        def perturbed(block, **kwargs):
+            fact = factor(block, **kwargs)
+            fact.complement = fact.complement + 1e-3 * np.eye(len(fact.complement))
+            return fact
+
+        monkeypatch.setattr(riccati_module, "minimal_contraction", perturbed)
+        with pytest.raises(InconsistentRoutes, match="disagree under the congruence"):
+            equality_gap(scalar_interval_system, 0.3)
+
 
 class TestDissipationOfMembers:
     def test_margins_nonnegative_along_trajectories(self, scalar_interval_system):

@@ -49,6 +49,7 @@ from riccati_kyp.linops import _eigh_kept, _loewner_masks, _pinv_kept, _spectral
 from riccati_kyp.pencil import (
     CIRCLE_GAP,
     _extended_pencil,
+    _pairs,
     _solution,
     equality_candidates,
     extremal,
@@ -384,6 +385,38 @@ def test_singular_v1s_are_masked_and_the_rest_solved_in_one_batch():
     for got, one in zip(x, v[regular]):
         alone = hermitian_part(np.linalg.solve(one[:n].T, one[n : 2 * n].T).T)
         assert got.tobytes() == alone.tobytes()
+
+
+def test_two_inside_eigenvalues_for_one_pair_do_not_decide():
+    # n = 1: 0.5 and 0.4 lie inside the disc, and the third is infinite
+    alpha, beta = np.array([0.5, 0.4, 1.0]), np.array([1.0, 1.0, 0.0])
+    assert _pairs(alpha, beta, 1, np.abs(alpha), np.abs(beta)) is None
+
+
+def _failing(error):
+    def fail(*args, **kwargs):
+        raise error("did not converge")
+
+    return fail
+
+
+def test_a_failed_qz_gives_no_equality_candidates(monkeypatch):
+    monkeypatch.setattr(scipy.linalg, "eig", _failing(np.linalg.LinAlgError))
+    assert equality_candidates(SystemRealization(-0.125, 1.0, 0.1875, 0.5)) is None
+
+
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError, ValueError])
+def test_a_failed_ordered_qz_gives_no_extremal(error, monkeypatch):
+    # extremal is kept per realization, so each case builds its own
+    monkeypatch.setattr(scipy.linalg, "ordqz", _failing(error))
+    assert extremal(SystemRealization(-0.125, 1.0, 0.1875, 0.5)) is None
+
+
+def test_an_uncontrollable_mode_outside_the_disc_gives_no_extremal():
+    # B does not reach A's mode at 2, outside the disc, so the leading Schur
+    # vectors of the inside eigenvalues have a singular V1
+    sigma = SystemRealization(np.diag([2.0, 0.3]), [[0.0], [1.0]], [[0.5, 0.5]], [[0.0]])
+    assert extremal(sigma) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -999,6 +1032,25 @@ def test_lossy_systems_never_take_the_stein_route():
         n, m, p = int(rng.integers(1, 7)), int(rng.integers(1, 3)), int(rng.integers(1, 3))
         sigma = random_realization(rng, n, m, p, passive_norm=0.999)
         assert solver_module._lossless_solution(sigma) is None, seed
+
+
+def test_a_singular_stein_equation_gives_no_inner_solution(monkeypatch):
+    # A = 1 has a pole on the circle, so no solve is tried; A = diag(2, 1/2)
+    # has lambda conj(mu) = 1 off the circle, and the solve raises
+    solve, calls = scipy.linalg.solve_discrete_lyapunov, []
+
+    def spy(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(scipy.linalg, "solve_discrete_lyapunov", spy)
+    assert solver_module._inner_solution(SystemRealization(1.0, 1.0, 1.0, 0.0)) is None
+    assert calls == []
+    sigma = SystemRealization(np.diag([2.0, 0.5]), [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]])
+    assert solver_module._inner_solution(sigma) is None
+    assert len(calls) == 1
+    with pytest.raises(np.linalg.LinAlgError):
+        solve(*calls[0])
 
 
 class TestCertificate:
@@ -1623,6 +1675,57 @@ def test_sampler_raises_inconsistent_routes(two_state_system, monkeypatch):
     monkeypatch.setattr(solver_module, "_membership_stack", flagging)
     with pytest.raises(InconsistentRoutes, match="flagged"):
         sample_ri_members(two_state_system, 20, np.random.default_rng(9), [np.eye(2)])
+
+
+def test_a_round_that_keeps_no_point_ends_sampling(two_state_system, monkeypatch):
+    # the kernel keeps no point of the first round, and the anchor is all
+    # that is returned
+    kernel, rounds = solver_module._membership_stack, []
+
+    def rejecting(sigma, h, **kwargs):
+        table = kernel(sigma, h, **kwargs)
+        table.in_ri[:] = False
+        rounds.append(len(h))
+        return table
+
+    monkeypatch.setattr(solver_module, "_membership_stack", rejecting)
+    samples = sample_ri_members(two_state_system, 20, np.random.default_rng(9), [np.eye(2)])
+    assert rounds == [19]
+    assert [h.tolist() for h in samples] == [np.eye(2).tolist()]
+
+
+def test_anchors_outside_ri_are_skipped(scalar_interval_system):
+    # RI is [3/64, 3/4]: -1 is not positive definite, and 1 lies above RI
+    anchors = [-np.eye(1), np.eye(1)]
+    rng = np.random.default_rng(0)
+    assert sample_ri_members(scalar_interval_system, 3, rng, anchors) == []
+
+
+def test_anchors_that_fill_the_count_take_no_search(scalar_interval_system, monkeypatch):
+    search, calls = solver_module._interior_point, []
+
+    def spy(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(solver_module, "_interior_point", spy)
+    anchors = [-np.eye(1), [[0.1]], [[0.5]], [[0.6]]]
+    samples = sample_ri_members(scalar_interval_system, 2, np.random.default_rng(0), anchors)
+    assert [h.tolist() for h in samples] == [[[0.1]], [[0.5]]]
+    assert calls == []
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_point_does_not_clear_the_band(scalar_interval_system, value):
+    assert not solver_module._clears_band(scalar_interval_system, np.array([[value]]), 1e-9)
+    assert solver_module._clears_band(scalar_interval_system, np.array([[0.3]]), 1e-9)
+
+
+def test_re_residual_norm_reads_a_storage_operators_matrix(two_state_system):
+    h = as_storage(np.diag([1.0, 2.0]))
+    residual = re_residual_norm(two_state_system, h)
+    assert residual > 0.0
+    assert residual == re_residual_norm(two_state_system, h.matrix)
 
 
 # -- matching equality sets -----------------------------------------------------

@@ -1,9 +1,12 @@
 """Source checks on the package, read with the standard library's ``ast``:
 no module imports a name it never uses, the package exports each of its
 modules' ``__all__`` once, and the third-party modules it imports are
-exactly its declared runtime dependencies. :func:`code_lines` counts the
-package's code lines and :func:`module_code_lines` each module's; to print
-the total, run from the repository root
+exactly its declared runtime dependencies. The rules by which
+``tests/reach.py`` finds the statements that tier-1 must reach are pinned
+here too, and so is the one statement exempt from them.
+:func:`code_lines` counts the package's code lines and
+:func:`module_code_lines` each module's; to print the total, run from the
+repository root
 
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); from test_source import code_lines; print(code_lines())"
 """
@@ -12,10 +15,12 @@ import ast
 import importlib
 import re
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+import reach
 import riccati_kyp
 from riccati_kyp import errors, linops
 
@@ -213,3 +218,66 @@ def test_a_dependency_mismatch_is_found():
     without = [spec for spec in declared if not spec.startswith("orjson")]
     assert _dependency_mismatch(imported, without) == (["orjson"], [])
     assert _dependency_mismatch(imported - {"orjson"}, declared) == ([], ["orjson"])
+
+
+_REACH_SOURCE = textwrap.dedent(
+    '''\
+    """Module docstring."""
+    import os
+
+
+    def f(x):
+        """Docstring."""
+        y = os.path.join(
+            x,
+            x,
+        )
+        try:
+            return y
+        except OSError:
+            return None
+
+
+    class C:
+        """Docstring."""
+        if os.sep:  # pragma: no cover
+            z = 1
+        w = 2
+        v = 3  # pragma: no cover
+
+
+    def g():  # pragma: no cover
+        return 1
+    '''
+)
+
+
+def test_the_reach_gate_counts_statements_by_their_first_line():
+    # no docstring and no def or class line counts; a multi-line call counts
+    # once, on its first line; a pragma exempts its statement and all
+    # that its header holds
+    assert reach.statements(_REACH_SOURCE) == {
+        2: "import os",
+        7: "y = os.path.join(",
+        11: "try:",
+        12: "return y",
+        14: "return None",
+        21: "w = 2",
+    }
+
+
+def test_the_reach_gate_lists_each_unreached_statement(tmp_path):
+    (tmp_path / "m.py").write_text(_REACH_SOURCE)
+    path = str(tmp_path / "m.py")
+    assert reach.unreached({path: {2, 7, 11, 12, 21}}, tmp_path) == ["m.py:14: return None"]
+    assert reach.unreached({}, tmp_path)[0] == "m.py:2: import os"
+
+
+def test_one_statement_in_src_is_exempt_from_the_reach_gate():
+    marked = [
+        (path.name, line.strip())
+        for path in MODULES
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if reach.PRAGMA in line
+    ]
+    assert marked == [("cli.py", 'if __name__ == "__main__":  # pragma: no cover')]

@@ -6,7 +6,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from riccati_kyp import (
@@ -526,6 +526,7 @@ _GRAM_DRAWS = ("general", "rank_one", "double", "near_isometric")
     draw=st.sampled_from(_GRAM_DRAWS),
     exponent=st.sampled_from([-100, 0, 100]),
 )
+@example(seed=0, k=2, p=3, m=3, draw="general", exponent=0)
 def test_gram_eigs_match_eigvalsh_of_the_gram_matrix(seed, k, p, m, draw, exponent):
     """The closed-form spectra (min(m, p) <= 2) and the batched eigvalsh
     (min(m, p) = 3) equal eigvalsh of the Gram matrix formed by matmul, as
