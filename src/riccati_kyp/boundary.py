@@ -62,6 +62,9 @@ __all__ = [
     "uniqueness_certificate",
 ]
 
+INNER_TOL = 1e-8  # largest grid defect of an inner or co-inner transfer function
+
+
 @dataclass
 class CircleProfile:
     """Transfer-function samples on the unit circle with defect norms.
@@ -123,14 +126,16 @@ def circle_profile(sigma: SystemRealization, grid_steps: int = 4096) -> CirclePr
     )
 
 
-def is_inner(profile: CircleProfile, tol: float = 1e-8) -> bool:
-    """Grid certificate that theta* theta is the identity on the circle."""
-    return profile.max_defect_right <= tol
+def is_inner(profile: CircleProfile) -> bool:
+    """Grid certificate that theta* theta is the identity on the circle:
+    the right defect is at most ``INNER_TOL`` at every grid point."""
+    return profile.max_defect_right <= INNER_TOL
 
 
-def is_coinner(profile: CircleProfile, tol: float = 1e-8) -> bool:
-    """Grid certificate that theta theta* is the identity on the circle."""
-    return profile.max_defect_left <= tol
+def is_coinner(profile: CircleProfile) -> bool:
+    """Grid certificate that theta theta* is the identity on the circle:
+    the left defect is at most ``INNER_TOL`` at every grid point."""
+    return profile.max_defect_left <= INNER_TOL
 
 
 class UniquenessVerdict(Enum):
@@ -163,17 +168,16 @@ class UniquenessCertificate:
 def uniqueness_certificate(
     sigma: SystemRealization,
     profile: CircleProfile | None = None,
-    tol: float = 1e-8,
     grid_steps: int = 4096,
 ) -> UniquenessCertificate:
     """Certify that the inequality member set is a singleton, when the
     transfer function is inner or co-inner.
 
     The grid screens first: an inner transfer function (right defect
-    vanishes on the grid at ``tol``) or a co-inner one (left defect
-    vanishes). For a scalar transfer function both defects equal ``|1 -
-    |theta|^2|``, so unimodular boundary values are the inner case and need
-    no route of their own. The screen is confirmed on the system it names,
+    vanishes on the grid at ``INNER_TOL``, :func:`is_inner`) or a co-inner
+    one (left defect vanishes, :func:`is_coinner`). For a scalar transfer
+    function both defects equal ``|1 - |theta|^2|``, so unimodular boundary
+    values are the inner case and need no route of their own. The screen is confirmed on the system it names,
     ``sigma`` when inner and its adjoint when co-inner, by the Stein
     identities of :func:`~riccati_kyp.solver._inner_solution`: that
     system must be inner, and then its Stein solution (inverted for the
@@ -184,10 +188,10 @@ def uniqueness_certificate(
     of :class:`~riccati_kyp.riccati.StorageOperator`; for a minimal system
     that is what makes A stable.
     Anything else returns Unknown, as does a screen the identities refuse (a
-    defect within ``tol`` that is not zero). RI lies between H_min and H_max
-    in the Loewner order, so it is a single point exactly when H_min = H_max;
-    :func:`~riccati_kyp.solver.duality_check` makes that test, and this
-    certificate decides only inner and co-inner systems.
+    defect within ``INNER_TOL`` that is not zero). RI lies between H_min and
+    H_max in the Loewner order, so it is a single point exactly when H_min =
+    H_max; :func:`~riccati_kyp.solver.duality_check` makes that test, and
+    this certificate decides only inner and co-inner systems.
 
     Raises NotMinimal on a non-minimal system.
     """
@@ -199,9 +203,9 @@ def uniqueness_certificate(
     unknown = UniquenessCertificate(
         verdict=UniquenessVerdict.UNKNOWN, reason=UniquenessReason.NONE
     )
-    if is_inner(profile, tol):
+    if is_inner(profile):
         system, reason = sigma, UniquenessReason.INNER_FR0
-    elif is_coinner(profile, tol):
+    elif is_coinner(profile):
         system, reason = adjoint(sigma), UniquenessReason.COINNER_FL0
     else:
         return unknown

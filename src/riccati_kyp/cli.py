@@ -12,12 +12,11 @@ when the 1-digits of member i's provenance selection are among member j's.
 Any other set holds its ``"comparisons"``, ``{"i,j": verdict}`` for each
 pair i < j. Reports embed the effective configuration verbatim, and with
 --no-timings two runs with identical inputs and seed produce byte-identical
-output. The embedded ``eq_tol`` and ``c3_tol``, ten times ``--tol``, govern
-only ``check`` and the check section of ``report``: ``solve-re``,
-``extremes`` and the duality check take ``--tol`` as their membership
-tolerance but validate at ``solver.EQUALITY_TOL`` = 1e-8 and at the
-membership kernel's default ``c3_tol`` of 1e-8, whatever ``--tol`` is, so
-the two agree only at the default ``--tol``.
+output. ``--tol`` is the membership band of the KYP LMI, the one tolerance
+a run varies: every command decides membership at it, and equality, the
+range inclusion and the inner and co-inner screens at the constants
+``riccati.EQUALITY_TOL``, ``riccati.RANGE_TOL`` and ``boundary.INNER_TOL``,
+which the embedded ``eq_tol`` and ``c3_tol`` echo.
 
 Document schema (informal):
 
@@ -68,7 +67,7 @@ import numpy as np
 
 from . import errors as err
 from .boundary import circle_profile, is_coinner, is_inner, uniqueness_certificate
-from .riccati import _memberships, membership
+from .riccati import EQUALITY_TOL, RANGE_TOL, _memberships, membership
 from .solver import (
     SolverConfig,
     duality_check,
@@ -359,12 +358,6 @@ def write_system(doc: SystemDocument) -> dict:
 # -- report builders ----------------------------------------------------------
 
 
-def _membership_tols(tol) -> dict:
-    """The membership tolerances of a run: ``eq_tol`` and ``c3_tol`` are ten
-    times ``tol``."""
-    return {"tol": tol, "eq_tol": 10.0 * tol, "c3_tol": 10.0 * tol}
-
-
 def _checks_payload(sigma, candidates: dict, tol) -> dict:
     """The check section of ``report``: the :func:`membership` payload of
     every candidate, in name order, from one membership-kernel call
@@ -374,7 +367,7 @@ def _checks_payload(sigma, candidates: dict, tol) -> dict:
     candidate, which gives the same payload."""
     names = sorted(candidates)
     matrices = [candidates[name] for name in names]
-    verdicts = _memberships(sigma, matrices, **_membership_tols(tol))
+    verdicts = _memberships(sigma, matrices, tol)
     return {name: vars(verdict) for name, verdict in zip(names, verdicts)}
 
 
@@ -393,16 +386,15 @@ def _analyze_payload(sigma, tol, grid) -> dict:
         out["circle"] = {"error": "PoleOnCircle", "angle": exc.angle}
         out["uniqueness"] = {"skipped": "transfer function has a pole on the circle"}
         return out
-    inner_tol = 10.0 * tol
     out["circle"] = {
         "grid_steps": grid,
         "max_defect_right": profile.max_defect_right,
         "max_defect_left": profile.max_defect_left,
-        "inner": is_inner(profile, inner_tol),
-        "coinner": is_coinner(profile, inner_tol),
+        "inner": is_inner(profile),
+        "coinner": is_coinner(profile),
     }
     if minimality.minimal:
-        out["uniqueness"] = uniqueness_certificate(sigma, profile, tol=inner_tol)
+        out["uniqueness"] = uniqueness_certificate(sigma, profile)
     else:
         out["uniqueness"] = {"skipped": "system is not minimal"}
     return out
@@ -509,7 +501,8 @@ def run(command: str, doc: SystemDocument, args) -> dict:
     report: dict = {
         "name": doc.name,
         "command": command,
-        "config": {"grid": args.grid, "seed": args.seed, **_membership_tols(args.tol)},
+        "config": {"grid": args.grid, "seed": args.seed, "tol": args.tol,
+                   "eq_tol": EQUALITY_TOL, "c3_tol": RANGE_TOL},
     }
     if command in ("solve-re", "extremes", "report"):
         report["config"]["solver"] = config
@@ -526,8 +519,7 @@ def run(command: str, doc: SystemDocument, args) -> dict:
         if args.candidate is None:
             raise err.ParseError("check requires --candidate <name>")
         h = _candidate_matrix(doc, args.candidate)
-        tols = _membership_tols(args.tol)
-        verdict = timed("check", lambda: membership(sigma, h, **tols))
+        verdict = timed("check", lambda: membership(sigma, h, args.tol))
         report["check"] = {"candidate": args.candidate, **vars(verdict)}
     if whole or command == "analyze":
         report["analyze"] = timed(
@@ -575,7 +567,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=1e-9,
-        help="base membership tolerance; derived tolerances scale with it",
+        help="membership band of the KYP LMI, relative to max(1, ||L(H)||), and"
+        " passivity margin; the equality, range and inner thresholds are fixed"
+        " at 1e-8",
     )
     parser.add_argument(
         "--grid", type=int, default=4096, help="circle-profile grid steps"
@@ -633,11 +627,16 @@ def _emit(payload: dict, code: int, out_path: str | None) -> int:
     """Write ``payload`` to ``out_path``, or to stdout when there is none,
     and return the exit code ``code``. A ``--out`` that cannot be written
     (a directory, say, or a path whose parent is missing) is a ParseError,
-    whose report goes to stdout."""
+    whose report goes to stdout. To a stdout without a byte ``buffer`` (an
+    ``io.StringIO``, say) the report goes as text."""
     data = _report_bytes(payload)
     if not out_path:
         sys.stdout.flush()  # text already written to stdout goes first
-        sys.stdout.buffer.write(data)
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:
+            sys.stdout.write(data.decode("utf-8"))
+        else:
+            buffer.write(data)
         return code
     try:
         with open(out_path, "wb") as fh:
@@ -651,16 +650,10 @@ def _emit(payload: dict, code: int, out_path: str | None) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        # a tolerance of inf or nan, or one whose tenfold tolerances are
-        # inf, passes every membership test, and a grid without steps
-        # samples no point of the circle
+        # a tolerance of inf or nan passes every membership test, and a grid
+        # without steps samples no point of the circle
         if not (math.isfinite(args.tol) and args.tol > 0.0):
             raise err.ParseError(f"--tol must be finite and positive, got {args.tol!r}")
-        if not math.isfinite(10.0 * args.tol):  # eq_tol, c3_tol and inner_tol
-            raise err.ParseError(
-                f"--tol must be at most {sys.float_info.max / 10.0!r}, so that"
-                f" 10 * tol is finite, got {args.tol!r}"
-            )
         if args.grid < 1:
             raise err.ParseError(f"--grid must be at least 1, got {args.grid}")
         if args.seed < 0:  # the sampler's generator takes no negative seed

@@ -21,7 +21,7 @@ reads every norm, least eigenvalue and range test, and answers with a
 :class:`VerdictTable` of masks and diagnostic arrays. It forms a column
 only on the rows that read it: the range residual where the rank cut of
 delta drops an eigenvalue (0.0 elsewhere), and ``||beta||``, which scales
-the range threshold, where the residual exceeds ``c3_tol`` or the routes
+the range threshold, where the residual exceeds ``RANGE_TOL`` or the routes
 split. :func:`membership` is its one-candidate view, which reads the
 eigenvalues a StorageOperator holds instead of decomposing it again;
 :func:`_memberships` checks a list of matrices in one call, as a CLI
@@ -87,6 +87,8 @@ __all__ = [
 ]
 
 # Tolerances that no caller varies.
+EQUALITY_TOL = 1e-8  # membership: relative bound of the equality residual
+RANGE_TOL = 1e-8  # membership: relative bound of the range-inclusion residual
 RANK_TOL = 1e-12  # relative rank cut of delta(H)
 PSD_TOL = 1e-9  # relative PSD floor of delta(H) in inequality_surplus
 BOUNDARY_BAND = 100.0  # membership: route splits within this many tol are boundary
@@ -206,14 +208,14 @@ def _surplus(alpha, beta, w, v) -> np.ndarray:
     return hermitian_part(alpha - beta.conj().swapaxes(-1, -2) @ pinv_delta @ beta)
 
 
-def inequality_surplus(sigma: SystemRealization, h, c3_tol: float = 1e-8) -> np.ndarray:
+def inequality_surplus(sigma: SystemRealization, h) -> np.ndarray:
     """The surplus ``alpha - beta* pinv(delta) beta``.
 
     H satisfies the inequality conditions exactly when this matrix is PSD,
     provided the preconditions hold: delta(H) PSD within ``PSD_TOL`` (else
-    DeltaNotPSD) and the range-inclusion residual within ``c3_tol`` (else
-    C3Violation). A zero operator delta is legitimate and handled through the
-    pseudo-inverse.
+    DeltaNotPSD) and the range-inclusion residual within ``RANGE_TOL``
+    times ``max(1, ||beta||)`` (else C3Violation). A zero operator delta is
+    legitimate and handled through the pseudo-inverse.
     """
     alpha, beta, _, w, v, residual = _riccati_one(sigma, h)
     scale = max(1.0, float(np.abs(w).max(initial=0.0)))
@@ -222,7 +224,7 @@ def inequality_surplus(sigma: SystemRealization, h, c3_tol: float = 1e-8) -> np.
             f"input-side residual has eigenvalue {float(w[0, 0]):.3e} below "
             f"-{PSD_TOL * scale:.3e}"
         )
-    if residual[0] > c3_tol * max(1.0, spectral_norm(beta[0])):
+    if residual[0] > RANGE_TOL * max(1.0, spectral_norm(beta[0])):
         raise C3Violation(
             f"cross term leaves the range of the input-side residual "
             f"(residual {residual[0]:.3e})"
@@ -325,19 +327,16 @@ class VerdictTable:
     sigma_h_minimal: bool
 
 
-def membership(
-    sigma: SystemRealization,
-    h,
-    tol: float = 1e-9,
-    eq_tol: float = 1e-8,
-    c3_tol: float = 1e-8,
-) -> MembershipVerdict:
+def membership(sigma: SystemRealization, h, tol: float = 1e-9) -> MembershipVerdict:
     """Decide inequality/equality membership through two independent routes.
 
     Route one checks delta PSD, the range inclusion, and PSD-ness of the
     surplus; route two checks PSD-ness of the LMI matrix. The LMI route
-    decides and the surplus route cross-checks it. The routes agree in
-    exact arithmetic; a disagreement outside the boundary band (``tol`` times
+    decides and the surplus route cross-checks it. ``tol`` is the LMI band,
+    relative to ``max(1, ||L(H)||)``; equality and the range inclusion are
+    decided at the constants ``EQUALITY_TOL`` (relative to the same scale)
+    and ``RANGE_TOL`` (relative to ``max(1, ||beta||)``). The routes agree
+    in exact arithmetic; a disagreement outside the boundary band (``tol`` times
     ``BOUNDARY_BAND``) raises InconsistentRoutes since it signals a
     tolerance or rank-decision bug rather than a mathematical fact, and one
     within the band flags the verdict as a boundary case. ``in_ri_circ`` is
@@ -352,19 +351,13 @@ def membership(
     it holds, so it is not decomposed again.
     """
     if not isinstance(h, StorageOperator):
-        return _memberships(sigma, [h], tol, eq_tol, c3_tol)[0]
-    table = _membership_stack(
-        sigma, h.matrix[None], tol, eq_tol, c3_tol, h.eigenvalues[None]
-    )
+        return _memberships(sigma, [h], tol)[0]
+    table = _membership_stack(sigma, h.matrix[None], tol, h.eigenvalues[None])
     return _verdict(table, 0)
 
 
 def _memberships(
-    sigma: SystemRealization,
-    matrices: list,
-    tol: float = 1e-9,
-    eq_tol: float = 1e-8,
-    c3_tol: float = 1e-8,
+    sigma: SystemRealization, matrices: list, tol: float = 1e-9
 ) -> list[MembershipVerdict]:
     """:func:`membership` of each of ``matrices``, one or more of one shape,
     from one ``eigh`` of their stack and one kernel call: the verdicts in
@@ -387,7 +380,7 @@ def _memberships(
     if not pd.all():
         first = int(np.flatnonzero(~pd)[0])
         stack, w, refused = stack[:first], w[:first], _not_pd(low[first])
-    table = _membership_stack(sigma, stack, tol, eq_tol, c3_tol, w)
+    table = _membership_stack(sigma, stack, tol, w)
     if refused is not None:
         raise refused
     return [_verdict(table, i) for i in range(len(stack))]
@@ -413,8 +406,6 @@ def _membership_stack(
     sigma: SystemRealization,
     h: np.ndarray,
     tol: float = 1e-9,
-    eq_tol: float = 1e-8,
-    c3_tol: float = 1e-8,
     eigenvalues: np.ndarray | None = None,
 ) -> VerdictTable:
     """The membership kernel: the :class:`VerdictTable` of the (k, n, n)
@@ -434,10 +425,10 @@ def _membership_stack(
     one-candidate result. Two columns are formed only on the rows that read
     them: the range residual ``c3`` where the rank cut drops an eigenvalue
     of delta (it is 0.0 elsewhere, see :func:`_riccati_stack`), and
-    ``||beta||``, which sets the range threshold ``c3_tol * max(1,
-    ||beta||)``, where ``c3 > c3_tol`` or the routes split (elsewhere ``c3
-    <= c3_tol`` passes any such threshold, and the band margins are not
-    read). The realization's minimality is read once per call.
+    ``||beta||``, which sets the range threshold ``RANGE_TOL * max(1,
+    ||beta||)``, where ``c3 > RANGE_TOL`` or the routes split (elsewhere
+    ``c3 <= RANGE_TOL`` passes any such threshold, and the band margins are
+    not read). The realization's minimality is read once per call.
     ``in_ri`` is the LMI route's verdict and ``boundary`` marks the rows
     where the surplus route disagrees with it. A DimensionMismatch concerns
     the whole stack, and the InconsistentRoutes of the first candidate whose
@@ -458,14 +449,14 @@ def _membership_stack(
     scale = np.maximum(1.0, lmi_norm)
     threshold = tol * scale
     floor = -threshold
-    # c3_tol stands in for the range threshold on the rows that do not read it
-    c3_threshold = np.full(len(c3), c3_tol)
+    # RANGE_TOL stands in for the range threshold on the rows that do not read it
+    c3_threshold = np.full(len(c3), RANGE_TOL)
 
     def form_c3_threshold(rows: np.ndarray) -> None:
         if rows.any():
-            c3_threshold[rows] = c3_tol * np.maximum(1.0, _spectral_norms(beta[rows]))
+            c3_threshold[rows] = RANGE_TOL * np.maximum(1.0, _spectral_norms(beta[rows]))
 
-    above = c3 > c3_tol
+    above = c3 > RANGE_TOL
     form_c3_threshold(above)
 
     # route one needs delta PSD and the range inclusion to form the surplus
@@ -497,7 +488,7 @@ def _membership_stack(
                 f"surplus_min={surplus_min[i]:.3e}, "
                 f"lmi_min={lmi_min[i]:.3e}, c3={c3[i]:.3e})"
             )
-    in_re = in_ri & (equality_residual <= eq_tol * scale)
+    in_re = in_ri & (equality_residual <= EQUALITY_TOL * scale)
     # Sigma_H is similar to sigma through S = H^{1/2}, which maps the
     # controllable and unobservable subspaces of sigma onto those of Sigma_H
     sigma_h_minimal = bool(is_minimal(sigma))

@@ -130,6 +130,7 @@ from .linops import (
     spectral_norm,
 )
 from .riccati import (
+    EQUALITY_TOL,
     RANK_TOL,
     StorageOperator,
     _lmi,
@@ -168,7 +169,6 @@ __all__ = [
 # Solver parameters that no caller varies.
 MAX_DIM = 6  # largest state dimension solve_re accepts
 ORDER_TOL = 1e-9  # relative Loewner tolerance of a set's order
-EQUALITY_TOL = 1e-8  # equality tolerance of membership tests on solver output
 
 
 @dataclass
@@ -545,13 +545,7 @@ def _validated_set(
     :func:`order_solutions`."""
     stack = np.asarray(stack, dtype=complex)
     w = np.linalg.eigh(stack)[0]
-    table = _membership_stack(
-        sigma,
-        stack,
-        tol=cfg.membership_tol,
-        eq_tol=EQUALITY_TOL,
-        eigenvalues=w,
-    )
+    table = _membership_stack(sigma, stack, tol=cfg.membership_tol, eigenvalues=w)
     kept = np.flatnonzero(table.in_re)
     kept = kept[_sorted_order(stack[kept])]
     members, eigenvalues = stack[kept], w[kept]
@@ -803,7 +797,7 @@ def _certified(
             re_residual_norm(sigma, h),
             f"minimal solution candidate is not positive definite ({exc})",
         ) from exc
-    verdict = membership(sigma, storage, tol=cfg.membership_tol, eq_tol=EQUALITY_TOL)
+    verdict = membership(sigma, storage, tol=cfg.membership_tol)
     if not verdict.in_re or radius > 1.0 + EQUALITY_TOL:
         raise CertificateFailed("minimal", radius, verdict.diagnostics.equality_residual)
     return storage
@@ -990,17 +984,17 @@ def _digit_order(solution_set: SolutionSet, digits: np.ndarray) -> SolutionSet |
     return replace(solution_set, _below=nested, _lattice=True)
 
 
-def order_solutions(solution_set: SolutionSet, tol: float = ORDER_TOL) -> SolutionSet:
+def order_solutions(solution_set: SolutionSet) -> SolutionSet:
     """Fill pairwise Loewner comparisons and flag extremal members.
 
     Pair (i, j) is compared as :func:`loewner_compare` does at the tolerance
-    ``tol * max(1, ||H_i||, ||H_j||)``. Each member's norm is its largest
-    eigenvalue, the last column of the set's ``eigenvalues`` (the spectra of
-    the ``eigh`` that validated the members), and all pairs go through one
-    batched comparison that decomposes each difference once; its masks fill
-    both triangles of the set's order matrix. A member is flagged minimal
-    (maximal) when it compares below (above) every other member; with
-    incomparable pairs present no flag may be set.
+    ``ORDER_TOL * max(1, ||H_i||, ||H_j||)``. Each member's norm is its
+    largest eigenvalue, the last column of the set's ``eigenvalues`` (the
+    spectra of the ``eigh`` that validated the members), and all pairs go
+    through one batched comparison that decomposes each difference once; its
+    masks fill both triangles of the set's order matrix. A member is flagged
+    minimal (maximal) when it compares below (above) every other member;
+    with incomparable pairs present no flag may be set.
 
     :func:`solve_re` orders a pencil set by its selection digits instead
     (:func:`_digit_order`), checking only the covering pairs this way, and
@@ -1011,6 +1005,6 @@ def order_solutions(solution_set: SolutionSet, tol: float = ORDER_TOL) -> Soluti
     below = np.eye(count, dtype=bool)
     if count > 1:
         iu, ju = _upper(count)
-        below[iu, ju], below[ju, iu] = _pair_masks(solution_set, iu, ju, tol)
+        below[iu, ju], below[ju, iu] = _pair_masks(solution_set, iu, ju, ORDER_TOL)
     below.flags.writeable = False
     return replace(solution_set, _below=below, _lattice=False)

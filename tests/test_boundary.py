@@ -446,6 +446,19 @@ class TestUniquenessCertificate:
             assert cert.reason is UniquenessReason.NONE
             assert cert.delta_at_solution is None
 
+    def test_a_screen_the_identities_refuse_is_unknown(self):
+        # T(z) = (1 + z) / 2 is unimodular only at z = 1, the one point of a
+        # one-step grid, so the screen passes; its Stein solution X = 1/4
+        # leaves beta(X) = 1/4, and the identities refuse it
+        sigma = SystemRealization([[0.0]], [[1.0]], [[0.5]], [[0.5]])
+        profile = circle_profile(sigma, grid_steps=1)
+        assert profile.max_defect_right == 0.0 and is_inner(profile)
+        assert not is_inner(circle_profile(sigma, grid_steps=2))
+        cert = uniqueness_certificate(sigma, profile)
+        assert cert.verdict is UniquenessVerdict.UNKNOWN
+        assert cert.reason is UniquenessReason.NONE
+        assert cert.delta_at_solution is None
+
     @pytest.mark.parametrize("padded", [False, True], ids=["inner", "coinner"])
     def test_unstable_allpass_unknown(self, padded):
         # T(z) = (z - 2) / (1 - 2z) is unimodular on the circle and satisfies

@@ -44,6 +44,8 @@ from riccati_kyp.pencil import extremal
 from riccati_kyp import riccati as riccati_module
 from riccati_kyp.riccati import (
     BOUNDARY_BAND,
+    EQUALITY_TOL,
+    RANGE_TOL,
     RANK_TOL,
     _membership_stack,
 )
@@ -494,9 +496,7 @@ class TestDissipationOfMembers:
 # -- the stacked membership kernel ---------------------------------------------
 
 
-def _reference_membership(
-    sigma, h, tol=1e-9, eq_tol=1e-8, c3_tol=1e-8, surplus_shift=0.0
-):
+def _reference_membership(sigma, h, tol=1e-9, surplus_shift=0.0):
     """Membership of one candidate computed on its own, step by step, as it
     was before the stacked kernel: the reference the kernel must match.
     ``surplus_shift`` pushes the surplus down by that multiple of I, as a
@@ -527,7 +527,7 @@ def _reference_membership(
     scale = max(1.0, lmi_norm)
     threshold = tol * scale
     delta_min = float(w[0])
-    c3_threshold = c3_tol * max(1.0, norm2(beta))
+    c3_threshold = RANGE_TOL * max(1.0, norm2(beta))
     if delta_min >= -threshold and c3_res <= c3_threshold:
         kept = w > max(RANK_TOL * float(w.max(initial=0.0)), TINY)
         inv_w = np.where(kept, 1.0 / np.where(kept, w, 1.0), 0.0)
@@ -556,7 +556,7 @@ def _reference_membership(
             )
     in_ri = route_two if boundary else route_one
     in_re = bool(in_ri and not np.isnan(equality_residual)
-                 and equality_residual <= eq_tol * scale)
+                 and equality_residual <= EQUALITY_TOL * scale)
     minimal = bool(is_minimal(sigma))
     return MembershipVerdict(
         in_ri=bool(in_ri),
@@ -652,13 +652,13 @@ def _mixed_candidates(rng, sigma):
 )
 def test_membership_kernel_matches_one_candidate_at_a_time(seed, n, m, p, norm, tol):
     """Every row of one kernel call on a mixed stack equals, bit for bit,
-    what the step-by-step reference gives its candidate alone, at the CLI's
-    tolerance ratios: a candidate the reference refuses as not PD reads
+    what the step-by-step reference gives its candidate alone, at each
+    band ``tol``: a candidate the reference refuses as not PD reads
     False in every mask and NaN in every float, and membership gives each
     candidate the reference's verdict or error. When the routes of some
     candidates split, the call raises the first one's InconsistentRoutes,
     and the rest of the stack is compared without them."""
-    tols = {"tol": tol, "eq_tol": 10.0 * tol, "c3_tol": 10.0 * tol}
+    tols = {"tol": tol}
     rng = np.random.default_rng(seed)
     sigma = random_realization(rng, n, m, p, passive_norm=norm)
     assume(np.linalg.eigvalsh(np.eye(m) - sigma.d.conj().T @ sigma.d)[0] > 1e-6)
@@ -723,7 +723,7 @@ def test_kernel_raises_the_first_split_in_stack_order(two_state_system, monkeypa
         two_state_system, 8, np.random.default_rng(3), anchors=[members[0], members[3]]
     )
     stack = np.array(samples[2:])  # the sampled points, not the anchors
-    tols = {"tol": 1e-12, "c3_tol": 1e-8}
+    tols = {"tol": 1e-12}
     table = _membership_stack(two_state_system, stack, **tols)
     assert table.in_ri.all() and np.isfinite(table.surplus_min).all()
     assert not table.boundary.any()
@@ -747,14 +747,15 @@ def test_kernel_forms_the_range_columns_only_where_they_are_read(
 ):
     """The kernel takes the range residual c3 only on rows whose rank cut
     drops an eigenvalue of delta, and ||beta|| only on rows with c3 above
-    c3_tol or split routes; on those rows it matches the step-by-step
+    RANGE_TOL or split routes; on those rows it matches the step-by-step
     reference bit for bit. scalar_interval at H = 3/4 has delta = 0, so the
     cut drops its eigenvalue; A = 1e-8, B = C = 0.5, D = 0 at its H_max = 4
-    has delta = 0 and c3 = 2e-8 above c3_tol, a boundary split. A scaled
-    scalar system whose surplus is pushed down by 3 at tol 1e-12 splits
-    with ||beta|| = 2.97, so c3_tol ||beta|| is the margin that decides:
-    outside the band at c3_tol 1e-9, where the split raises, and inside it
-    at 1e-10, where it is a boundary case."""
+    has delta = 0 and c3 = 2e-8 above RANGE_TOL, a boundary split. A scaled
+    scalar system whose surplus is pushed down by 3 splits with ||beta|| =
+    2.97 and ||L(H)|| = 12.65, so RANGE_TOL ||beta|| = 2.97e-8 is the
+    margin that decides: outside the band 100 tol ||L(H)|| at tol 1e-12,
+    where the split raises, and inside it at tol 1e-10, where it is a
+    boundary case."""
     calls = []
     norms = riccati_module._spectral_norms
 
@@ -796,8 +797,8 @@ def test_kernel_forms_the_range_columns_only_where_they_are_read(
     scaled = SystemRealization([[0.9]], [[0.03]], [[3.0]], [[0.0]])
     surplus = riccati_module._surplus
     monkeypatch.setattr(riccati_module, "_surplus", lambda *args: surplus(*args) - 3.0)
-    for c3_tol, raises in ((1e-9, True), (1e-10, False)):
-        (got,) = check(scaled, [[[110.0]]], [1], shift=3.0, tol=1e-12, c3_tol=c3_tol)
+    for tol, raises in ((1e-12, True), (1e-10, False)):
+        (got,) = check(scaled, [[[110.0]]], [1], shift=3.0, tol=tol)
         assert (got[0] == "InconsistentRoutes") == raises
         assert raises or got[3][-1]  # the boundary flag
 

@@ -57,7 +57,6 @@ from riccati_kyp.pencil import (
 from riccati_kyp.cli import parse_system
 from riccati_kyp.riccati import RANK_TOL, _lmi, _residual_ops
 from riccati_kyp.solver import (
-    EQUALITY_TOL,
     _solution_sort_key,
     _sorted_order,
     _without_unit_channels,
@@ -122,7 +121,7 @@ class TestScalarSystems:
         # two eigenvalues on the circle, and neither extremal candidate is
         # positive definite, so the set is empty and labelled incomplete
         sigma = SystemRealization(1.0, 0.0, 0.0, 0.5)
-        assert membership(sigma, 2.0 * np.eye(1), eq_tol=EQUALITY_TOL).in_re
+        assert membership(sigma, 2.0 * np.eye(1)).in_re
         with pytest.warns(RuntimeWarning, match="non-minimal"):
             solution_set = solve_re(sigma)
         assert solution_set.route == "extremal"
@@ -157,7 +156,7 @@ class TestSolveRe:
         real = solver_module._membership_stack
 
         def spy(sigma, stack, **kwargs):
-            seen.append((kwargs.get("tol"), kwargs.get("eq_tol")))
+            seen.append(kwargs.get("tol"))
             return real(sigma, stack, **kwargs)
 
         monkeypatch.setattr(solver_module, "_membership_stack", spy)
@@ -166,7 +165,7 @@ class TestSolveRe:
         )
         assert solution_set.route == "pencil"
         assert seen
-        assert all(tols == (1e-7, EQUALITY_TOL) for tols in seen)
+        assert all(tol == 1e-7 for tol in seen)
         assert abs(solution_set.members[0][0, 0] - 3.0 / 64.0) <= 1e-12
 
     def test_unitary_block_matrix_yields_identity_member(self):
@@ -453,7 +452,7 @@ def test_pencil_set_holds_every_newton_solution(seed, n, m, p, norm):
     assert solution_set.route == "pencil"
     members = list(solution_set.members)
     for h in members:
-        assert membership(sigma, h, eq_tol=EQUALITY_TOL).in_re
+        assert membership(sigma, h).in_re
     assert solution_set.complete == (len(members) == 2**n)
     if solution_set.complete:
         assert _near(stack[0], [members[solution_set.minimal_index]], tol=1e-12)
@@ -501,7 +500,7 @@ def _equality_limits(sigma, starts):
 
 def _in_re(sigma, h) -> bool:
     try:
-        return membership(sigma, h, eq_tol=EQUALITY_TOL).in_re
+        return membership(sigma, h).in_re
     except NotPD:
         return False
 
@@ -545,7 +544,7 @@ def test_zero_pencil_eigenvalue_pairs_with_infinity(seed, n, m, p):
     solution_set = solve_re(sigma)
     assert solution_set.route == "pencil"
     for member in solution_set.members:
-        assert membership(sigma, member, eq_tol=EQUALITY_TOL).in_re
+        assert membership(sigma, member).in_re
     assert solution_set.complete == (len(solution_set) == 2 ** (n - 1))
     assert _rel(stack[0], dare_extremes(sigma)[0]) <= 1e-10
 
@@ -654,7 +653,7 @@ def test_non_minimal_systems_take_the_pencil(kind):
         members = list(solution_set.members)
         assert members, seed
         for h in members:
-            assert membership(sigma, h, eq_tol=EQUALITY_TOL).in_re
+            assert membership(sigma, h).in_re
         if kind == "uncontrollable":
             assert _near(dare_minimal(sigma), members, tol=1e-8), seed
 
@@ -718,7 +717,7 @@ def test_every_input_a_unit_channel_leaves_the_stein_equation():
     assert solution_set.route == "pencil"
     assert not solution_set.complete
     assert [m[0, 0] for m in solution_set.members] == [pytest.approx(1 / 3, rel=1e-15)]
-    assert membership(sigma, solution_set.members[0], eq_tol=EQUALITY_TOL).in_re
+    assert membership(sigma, solution_set.members[0]).in_re
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -817,7 +816,7 @@ class TestExtremalSolutions:
         )
         extremes = [minimal_solution(sigma).matrix, maximal_solution(sigma).matrix]
         for h in extremes:
-            assert membership(sigma, h, eq_tol=EQUALITY_TOL).in_re
+            assert membership(sigma, h).in_re
         if offset == 0.0:
             target = np.diag([16.0 / 9.0, 4.0 / 3.0])
             assert re_residual_norm(sigma, target) <= 1e-14
@@ -1250,11 +1249,12 @@ def _order_cases(two_state_system):
     "case", ["two-state", "n4-m2", "mixed", "random", "scales", "one", "none"]
 )
 @pytest.mark.parametrize("tol", [1e-9, 1e-3])
-def test_batched_order_matches_pairwise(case, tol, two_state_system):
+def test_batched_order_matches_pairwise(case, tol, two_state_system, monkeypatch):
     members = _order_cases(two_state_system)[case]
     if case == "n4-m2":
         assert len(members) == 16
-    ordered = order_solutions(solution_set_of(members), tol=tol)
+    monkeypatch.setattr(solver_module, "ORDER_TOL", tol)
+    ordered = order_solutions(solution_set_of(members))
     comparisons, minimal, maximal = _pairwise_order(members, tol=tol)
     assert ordered.comparisons == comparisons
     assert ordered.minimal_index == minimal

@@ -177,6 +177,37 @@ def test_the_package_exports_each_modules_all_once():
     assert {"EPS", "default_rank_tol"} <= set(vars(linops))
 
 
+def _tolerance_constants(root: Path = PACKAGE) -> set[str]:
+    """The module-level names ending in ``_TOL``, ``_BAND`` or ``_GAP`` that
+    the ``.py`` files under ``root`` assign."""
+    names = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign):
+                names.update(
+                    target.id
+                    for target in node.targets
+                    if isinstance(target, ast.Name)
+                    and re.search(r"_(TOL|BAND|GAP)$", target.id)
+                )
+    return names
+
+
+def _readme_section(title: str) -> str:
+    """The text of README's ``## title`` section, up to the next ``## ``."""
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_every_tolerance_constant_is_named_under_numerical_conventions():
+    # a threshold that no caller varies is a module constant, and README
+    # lists each one, so the list cannot drift from the code
+    names = _tolerance_constants()
+    assert {"EQUALITY_TOL", "RANGE_TOL", "INNER_TOL", "BOUNDARY_BAND", "CIRCLE_GAP"} <= names
+    section = _readme_section("Numerical conventions")
+    assert sorted(name for name in names if not re.search(rf"\b{name}\b", section)) == []
+
+
 def _third_party_imports(root: Path = SRC) -> set[str]:
     """The top-level modules that the ``.py`` files under ``root`` import
     at any level, apart from the standard library's and the package's own."""
