@@ -35,12 +35,15 @@ an integer beyond float range, nor NaN or infinity), and the rows of a
 matrix are non-empty lists of one length. A candidate's name is any JSON
 string, the empty one included, and so is the document's, except one that
 holds a lone surrogate (``"\\ud800"``), which a report cannot write.
-A document's A, B, C and D together, a single matrix, and all candidates
-of a document at once when they are all n x n, are each decoded in one
-step: the rules are checked on the set of distinct Python types, then one
-numpy float conversion gives the pairs. Only input that this refuses is
-walked matrix by matrix and entry by entry, to raise the ParseError or
-DimensionMismatch that names the first bad entry or candidate.
+A document's A, B, C and D together, all candidates of a document
+together, and each matrix or row of a ``simulate`` input are each decoded
+in one step (:func:`_decode`): the rules are checked on the set of
+distinct Python types, then one numpy float conversion gives the pairs.
+Only a group that this refuses is walked, matrix by matrix and entry by
+entry through the one entry walk (:func:`_walk_row`), to raise the
+ParseError that names the first bad entry. The candidates are taken one
+at a time, each checked to be n x n as it is taken, so the first bad
+candidate in document order raises its ParseError or DimensionMismatch.
 
 A file is read as UTF-8 text and decoded with ``orjson``, which is imported
 by the first read, not by ``import riccati_kyp.cli``. Python's ``json``
@@ -61,6 +64,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
@@ -76,6 +80,8 @@ from .solver import (
     solve_re,
 )
 from .systems import (
+    MARGIN_RADIUS,
+    MARGIN_STEPS,
     SystemRealization,
     dissipation_check,
     is_minimal,
@@ -147,8 +153,14 @@ def _decode_entry(obj, where: str) -> complex:
     return z
 
 
+def _walk_row(row: list, where: str) -> list[complex]:
+    """The entries of ``row`` decoded one by one, each named ``where[j]``,
+    raising at the first bad one; the only entry walk of the module."""
+    return [_decode_entry(e, f"{where}[{j}]") for j, e in enumerate(row)]
+
+
 def _walk_matrix(obj, where: str) -> np.ndarray:
-    """Decode one matrix entry by entry, raising at the first bad one.
+    """Decode one matrix row by row, raising at the first bad row or entry.
 
     Only input that `_decode_group` refuses comes here, so every error names
     the first offending row or entry in reading order."""
@@ -165,7 +177,7 @@ def _walk_matrix(obj, where: str) -> np.ndarray:
             raise err.ParseError(
                 f"{where}[{i}]: row length {len(row)} differs from {width}"
             )
-        rows.append([_decode_entry(e, f"{where}[{i}][{j}]") for j, e in enumerate(row)])
+        rows.append(_walk_row(row, f"{where}[{i}]"))
     return np.array(rows, dtype=complex)
 
 
@@ -222,9 +234,14 @@ def _decode_group(mats: list) -> list[np.ndarray] | None:
     return out
 
 
-def _decode_matrix(obj, where: str) -> np.ndarray:
-    group = _decode_group([obj])
-    return _walk_matrix(obj, where) if group is None else group[0]
+def _decode(mats: list, wheres: Iterable[str]) -> Iterable[np.ndarray]:
+    """The complex matrices of the list ``mats``, in order: those of one
+    `_decode_group` conversion, or, when the group is refused, an iterator
+    that walks each matrix (`_walk_matrix`, naming it by its item of the
+    iterable ``wheres``) as it is taken, so that the first bad one raises
+    before any later one is read."""
+    group = _decode_group(mats)
+    return map(_walk_matrix, mats, wheres) if group is None else group
 
 
 def _pairs_array(z: np.ndarray) -> np.ndarray:
@@ -307,31 +324,24 @@ def document_from_dict(raw: dict, origin: str = "<memory>") -> SystemDocument:
     for key in keys:
         if key not in raw:
             raise err.ParseError(f"{origin}: missing required matrix {key!r}")
-    group = _decode_group([raw[key] for key in keys])
-    if group is None:  # refused: decode one by one so the first bad one raises
-        group = [_decode_matrix(raw[key], key) for key in keys]
-    a, b, c, d = group
+    a, b, c, d = _decode([raw[key] for key in keys], keys)
     name = raw.get("name", "system")
     if not isinstance(name, str):
         raise err.ParseError(f"{origin}: name must be a string")
+    given = raw.get("candidates", {})
+    if not isinstance(given, dict):
+        raise err.ParseError(f"{origin}: candidates must be an object")
     candidates: dict[str, np.ndarray] = {}
-    if "candidates" in raw:
-        if not isinstance(raw["candidates"], dict):
-            raise err.ParseError(f"{origin}: candidates must be an object")
-        square = (a.shape[0], a.shape[0])
-        stack = _decode_group(list(raw["candidates"].values()))
-        if stack is not None and all(mat.shape == square for mat in stack):
-            candidates = dict(zip(raw["candidates"], stack))
-        else:
-            # refused: decode one by one so the first bad candidate raises
-            for cname, cobj in raw["candidates"].items():
-                mat = _decode_matrix(cobj, f"candidates[{cname!r}]")
-                if mat.shape != square:
-                    raise err.DimensionMismatch(
-                        f"candidate {cname!r} has shape {mat.shape}, expected "
-                        f"{square}"
-                    )
-                candidates[cname] = mat
+    square = (a.shape[0], a.shape[0])
+    wheres = (f"candidates[{cname!r}]" for cname in given)
+    # a refused group is walked one candidate per step, so the first bad
+    # candidate in document order raises, be it malformed or misshapen
+    for cname, mat in zip(given, _decode(list(given.values()), wheres)):
+        if mat.shape != square:
+            raise err.DimensionMismatch(
+                f"candidate {cname!r} has shape {mat.shape}, expected {square}"
+            )
+        candidates[cname] = mat
     try:  # Python's json reads a lone surrogate, which no report can hold
         "".join([name, *candidates]).encode("utf-8")
     except UnicodeEncodeError:
@@ -374,11 +384,13 @@ def _checks_payload(sigma, candidates: dict, tol) -> dict:
 def _analyze_payload(sigma, tol, grid) -> dict:
     minimality = is_minimal(sigma)
     passivity = is_passive(sigma, tol=tol)
-    margin = schur_class_margin(sigma, grid_steps=48, radius=0.999)
+    margin = schur_class_margin(sigma)
     out = {
         "minimality": minimality,
         "passivity": passivity,
-        "schur_margin": {"value": margin, "radius": 0.999, "grid_steps": 48},
+        "schur_margin": {
+            "value": margin, "radius": MARGIN_RADIUS, "grid_steps": MARGIN_STEPS
+        },
     }
     try:
         profile = circle_profile(sigma, grid_steps=grid)
@@ -439,16 +451,14 @@ def _decode_row(obj, where: str) -> np.ndarray:
         return group[0][0]
     if not isinstance(obj, list) or not obj:
         raise err.ParseError(f"{where}: expected a non-empty row")
-    return np.array(
-        [_decode_entry(e, f"{where}[{j}]") for j, e in enumerate(obj)], dtype=complex
-    )
+    return np.array(_walk_row(obj, where), dtype=complex)
 
 
 def _load_inputs(path: str, sigma) -> tuple[np.ndarray, np.ndarray]:
     def build(raw):
         if not isinstance(raw, dict) or "inputs" not in raw:
             raise err.ParseError(f"{path}: expected an object with an 'inputs' field")
-        inputs = _decode_matrix(raw["inputs"], "inputs")
+        (inputs,) = _decode([raw["inputs"]], ["inputs"])
         if "x0" in raw:
             return _decode_row(raw["x0"], "x0"), inputs
         return np.zeros(sigma.state_dim, dtype=complex), inputs

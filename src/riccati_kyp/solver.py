@@ -57,9 +57,9 @@ candidate whose routes split. The kernel forms the range residual and
 are one read-only stack, held with the spectra of the one ``eigh`` of the
 candidate stack, whose eigenvalues also decide the kernel's positivity test
 and whose last column is each member's norm; no member is a
-StorageOperator. A certified extremal pair reaches the sampler as
-StorageOperators, so the anchor checks of :func:`membership` read the
-eigenvalues they hold.
+StorageOperator. A certified extremal pair that is not one point reaches
+the sampler as StorageOperators, so the anchor checks of
+:func:`membership` read the eigenvalues they hold.
 A decided pencil set takes its order from the selection digits: its
 members form a lattice isomorphic to the subsets of the selected outside
 eigenvalues (Lancaster & Rodman), so two members compare as the sets of
@@ -82,9 +82,12 @@ the anchors' mean when it is one, and otherwise the ordered-QZ solution of
 a strictly passive neighbour of the system, or its midpoint with the mean
 (see :func:`_interior_point`). When the LMI has no such point (the transfer
 function reaches norm 1 on the circle, as for inner and co-inner systems),
-the samples are copies of the anchors' mean. The duality check takes the
-copies at once when its extremal pair is Loewner-equal, since RI, which
-lies between the pair, is then one point.
+the samples are copies of the anchors' mean. The duality check builds
+these samples itself, its extremal pair and copies of the pair's mean,
+without calling the sampler, when the pair is Loewner-equal
+(:func:`_one_point`, the test :func:`_extremal_set` makes too), since RI,
+which lies between the pair, is then one point; the certified pair is not
+checked again.
 
 The minimal storage operator, also taken without the constant isometric
 channels, comes from one of two exact O(n**3) routes:
@@ -169,6 +172,7 @@ __all__ = [
 # Solver parameters that no caller varies.
 MAX_DIM = 6  # largest state dimension solve_re accepts
 ORDER_TOL = 1e-9  # relative Loewner tolerance of a set's order
+INVERSION_TOL = 1e-6  # duality: relative distance of a matched inverted member
 
 
 @dataclass
@@ -366,27 +370,11 @@ def sample_ri_members(
     has length zero. It also happens when the band, which grows with
     ||L||, is wider than any margin (cond(H) near 1e10).
     :func:`duality_check`, which knows from the extremal pair when RI is one
-    point, takes these copies without searching for an interior point (see
-    :func:`_ri_samples`).
+    point, builds these samples itself and does not call here.
 
     Raises NotMinimal on a non-minimal realization, whose RI can be
     unbounded.
     """
-    return _ri_samples(sigma, count, rng, anchors, tol, one_point=False)
-
-
-def _ri_samples(
-    sigma: SystemRealization,
-    count: int,
-    rng: np.random.Generator,
-    anchors: list,
-    tol: float,
-    one_point: bool,
-) -> list[np.ndarray]:
-    """:func:`sample_ri_members`; with ``one_point``, from a caller that
-    knows RI to be one point, the checked anchors followed by copies of
-    their mean, which is what sampling gives when :func:`_interior_point`
-    finds no interior point, and no search is run."""
     if not is_minimal(sigma):
         raise NotMinimal("sampling the inequality set requires a minimal system")
     good_anchors = []
@@ -408,7 +396,7 @@ def _ri_samples(
     if len(samples) >= count:
         return samples[:count]
     center = sum(good_anchors) / len(good_anchors)
-    h0 = None if one_point else _interior_point(sigma, center, tol)
+    h0 = _interior_point(sigma, center, tol)
     if h0 is None:
         return samples + [center.copy() for _ in range(count - len(samples))]
 
@@ -566,6 +554,13 @@ def _validated_set(
     return order_solutions(solution_set) if ordered is None else ordered
 
 
+def _one_point(h_min: np.ndarray, h_max: np.ndarray) -> bool:
+    """Whether the extremal pair is Loewner-equal at ``EQUALITY_TOL * max(1,
+    ||H_max||)``; RI, which lies between the pair, is then one point."""
+    tol = EQUALITY_TOL * max(1.0, spectral_norm(h_max))
+    return loewner_compare(h_min, h_max, tol) == Loewner.EQUAL
+
+
 def _extremal_set(sigma: SystemRealization, cfg: SolverConfig) -> SolutionSet:
     """The extremal route of :func:`solve_re`: the ordered-QZ minimal
     solution of ``sigma`` (:func:`riccati_kyp.pencil.extremal`, after the
@@ -586,8 +581,7 @@ def _extremal_set(sigma: SystemRealization, cfg: SolverConfig) -> SolutionSet:
         inv_sqrt = None
     if inv_sqrt is not None:
         h_max = hermitian_part(inv_sqrt @ inv_sqrt)
-        tol = EQUALITY_TOL * max(1.0, spectral_norm(h_max))
-        if not candidates or loewner_compare(candidates[0], h_max, tol) != Loewner.EQUAL:
+        if not candidates or not _one_point(candidates[0], h_max):
             candidates.append(h_max)
             labels.append("extremal(maximal)")
     stack = np.array(candidates).reshape(len(candidates), *sigma.a.shape)
@@ -894,11 +888,13 @@ def duality_check(
 
     Every member H of RI has ``H_min <= H <= H_max`` (Arov, Kaashoek & Pik
     2006; Arlinskii 2008), so RI is one point exactly when the pair is
-    Loewner-equal, tested as :func:`_extremal_set` tests it, at
-    ``EQUALITY_TOL * max(1, ||H_max||)``. Then the samples are the checked
-    anchors and copies of their mean, with no search for an interior point
-    that does not exist (see :func:`_ri_samples`); any other pair goes to
-    :func:`sample_ri_members`.
+    Loewner-equal (:func:`_one_point`, which :func:`_extremal_set` calls
+    too). Then the samples are the pair and copies of its mean, which is
+    what :func:`sample_ri_members` gives when no interior point exists; the
+    certified pair is not checked again, and no interior point is searched
+    for. Any other pair goes to :func:`sample_ri_members`. An equality
+    member and an adjoint one match when they are within ``INVERSION_TOL``
+    of each other, relative to ``1 + ||H^-1||``.
     """
     cfg = config or SolverConfig()
     if not is_minimal(sigma):
@@ -907,16 +903,14 @@ def duality_check(
         extremes = minimal_solution(sigma, cfg), maximal_solution(sigma, cfg)
     adj = adjoint(sigma)
     h_min, h_max = extremes
-    anchors = [h_min, h_max]
-    tol = EQUALITY_TOL * max(1.0, spectral_norm(h_max.matrix))
-    rng = np.random.default_rng(cfg.seed + 7)
-    if loewner_compare(h_min.matrix, h_max.matrix, tol) == Loewner.EQUAL:
-        samples = _ri_samples(
-            sigma, cfg.duality_samples, rng, anchors, cfg.membership_tol, one_point=True
-        )
+    count = cfg.duality_samples
+    if _one_point(h_min.matrix, h_max.matrix):
+        pair = [h_min.matrix, h_max.matrix]
+        samples = (pair + [sum(pair) / len(pair)] * (count - len(pair)))[:count]
     else:
+        rng = np.random.default_rng(cfg.seed + 7)
         samples = sample_ri_members(
-            sigma, cfg.duality_samples, rng, anchors=anchors, tol=cfg.membership_tol
+            sigma, count, rng, anchors=[h_min, h_max], tol=cfg.membership_tol
         )
 
     # a one-point RI gives copies of one sample, so each distinct sample is
@@ -932,7 +926,7 @@ def duality_check(
     # an empty set is falsy
     own = solve_re(sigma, cfg) if equality_set is None else equality_set
     re_members, re_adjoint_members = own.members, solve_re(adj, cfg).members
-    equal = _sets_match(_hermitian_inverse(re_members), re_adjoint_members, tol=1e-6)
+    equal = _sets_match(_hermitian_inverse(re_members), re_adjoint_members, INVERSION_TOL)
 
     return DualityReport(
         sample_count=len(samples),

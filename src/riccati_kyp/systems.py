@@ -70,6 +70,8 @@ __all__ = [
 SINGULAR_TOL = 1e-12  # relative smallest singular value of a singular resolvent
 POLE_TOL = 1e-8  # distance |1/|pole| - 1| at which a pole is on the circle
 MINIMALITY_TOL = 1e-10  # relative singular-value cut of the Krylov ranks
+MARGIN_STEPS = 48  # schur_class_margin: points of its circle grid
+MARGIN_RADIUS = 0.999  # schur_class_margin: radius of its circle grid
 
 
 @dataclass(frozen=True)
@@ -489,7 +491,7 @@ def _circle_points(grid_steps: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def schur_class_margin(
-    sigma: SystemRealization, grid_steps: int = 48, radius: float = 0.999
+    sigma: SystemRealization, grid_steps: int = MARGIN_STEPS, radius: float = MARGIN_RADIUS
 ) -> float:
     """Largest transfer-function norm on the disc ``|lam| <= radius``, taken
     on ``grid_steps`` points of its boundary circle, or ``inf`` when the

@@ -382,6 +382,11 @@ def _broken(**edits) -> tuple[dict, None]:
 @example(_broken(A=([[0.5, 0.0]],)))
 @example(_broken(A=[[[True, 0.0]]]))
 @example(_broken(candidates={"H0": [[[0.5, 0.0]]], "H1": [[[None, 0.0]]]}))
+# a refused group of candidates is walked one candidate at a time: a 2 x 2
+# candidate before a malformed one is refused for its shape, and a
+# malformed one before a 2 x 2 one for its entry
+@example(_broken(candidates={"H0": [[[0.5, 0.0]] * 2] * 2, "H1": [[[None, 0.0]]]}))
+@example(_broken(candidates={"H0": [[[None, 0.0]]], "H1": [[[0.5, 0.0]] * 2] * 2}))
 def test_decoder_refuses_as_the_walk_did(case):
     raw, refusal = case
     got = _outcome(document_from_dict, raw)
@@ -1268,10 +1273,11 @@ class TestSharedWork:
     ):
         # a report solves the equality sets of the system and its adjoint
         # and certifies the minimal solution of each once; the uniqueness
-        # certificate runs neither, and the one public duality_check, handed
-        # the extremal pair and the equality set, is the one sampler run
-        # (_ri_samples, the work of sample_ri_members)
-        names = ("solve_re", "_certified", "_ri_samples", "duality_check")
+        # certificate runs neither, and the one public duality_check is
+        # handed the extremal pair and the equality set. A lossless system's
+        # pair is one point, so the check builds its samples without the
+        # sampler
+        names = ("solve_re", "_certified", "sample_ri_members", "duality_check")
         calls = dict.fromkeys(names, 0)
 
         def counted(name):
@@ -1296,7 +1302,9 @@ class TestSharedWork:
         report = json.loads(out.read_text())
         assert report["analyze"]["uniqueness"]["reason"] == reason
         assert report["solve_re"]["route"] == "lossless"
-        assert calls == {"solve_re": 2, "_certified": 2, "_ri_samples": 1, "duality_check": 1}
+        assert calls == {
+            "solve_re": 2, "_certified": 2, "sample_ri_members": 0, "duality_check": 1
+        }
 
     @pytest.mark.parametrize("swap", [False, True], ids=["c-short", "b-short"])
     def test_near_inner_delay_is_not_certified_unique(self, swap, tmp_path, monkeypatch, capsys):

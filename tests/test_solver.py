@@ -1799,31 +1799,30 @@ def _golden_system(name: str) -> SystemRealization:
 @pytest.mark.parametrize("name", ["coisometry", "blaschke3"])
 def test_a_one_point_ri_takes_no_phase_one(name, monkeypatch):
     # co-inner and inner: H_min = H_max, so RI is one point and the duality
-    # samples are the anchors and their mean's copies, as the sampler gives
-    # them when the interior-point search, run anyway, finds no point
+    # check builds its samples, the pair and its mean's copies, without the
+    # sampler; forced through the sampler, whose interior-point search finds
+    # no point, it gives the same report
     sigma = _golden_system(name)
     cfg = SolverConfig(seed=301)
     extremes = minimal_solution(sigma, cfg), maximal_solution(sigma, cfg)
+    sampler, search, runs = solver_module.sample_ri_members, solver_module._interior_point, []
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the interior-point search ran on a one-point RI")
+    def spy(real, label):
+        def counted(*args, **kwargs):
+            runs.append((label, real(*args, **kwargs)))
+            return runs[-1][1]
 
-    with monkeypatch.context() as patch:
-        patch.setattr(solver_module, "_interior_point", refuse)
-        report = duality_check(sigma, cfg, extremes=extremes)
+        return counted
 
-    search, ri_samples, runs = solver_module._interior_point, solver_module._ri_samples, []
+    monkeypatch.setattr(solver_module, "sample_ri_members", spy(sampler, "sampler"))
+    monkeypatch.setattr(solver_module, "_interior_point", spy(search, "search"))
+    report = duality_check(sigma, cfg, extremes=extremes)
+    assert runs == []
 
-    def counted(*args, **kwargs):
-        runs.append(search(*args, **kwargs))
-        return runs[-1]
-
-    monkeypatch.setattr(solver_module, "_interior_point", counted)
-    monkeypatch.setattr(
-        solver_module, "_ri_samples", lambda *args, one_point: ri_samples(*args, one_point=False)
-    )
+    monkeypatch.setattr(solver_module, "_one_point", lambda h_min, h_max: False)
     forced = duality_check(sigma, cfg, extremes=extremes)
-    assert runs == [None]
+    assert [label for label, _ in runs] == ["search", "sampler"]
+    assert runs[0][1] is None
     assert report.sample_count == forced.sample_count == cfg.duality_samples
     assert report.samples_ok == forced.samples_ok
     assert report.failure_count == forced.failure_count

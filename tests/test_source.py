@@ -1,7 +1,8 @@
 """Source checks on the package, read with the standard library's ``ast``:
 no module imports a name it never uses, the package exports each of its
-modules' ``__all__`` once, and the third-party modules it imports are
-exactly its declared runtime dependencies. The rules by which
+modules' ``__all__`` once, no call passes a numeric literal as a tolerance
+or a grid setting, and the third-party modules it imports are exactly its
+declared runtime dependencies. The rules by which
 ``tests/reach.py`` finds the statements that tier-1 must reach are pinned
 here too, and so is the one statement exempt from them.
 :func:`code_lines` counts the package's code lines and
@@ -206,6 +207,55 @@ def test_every_tolerance_constant_is_named_under_numerical_conventions():
     assert {"EQUALITY_TOL", "RANGE_TOL", "INNER_TOL", "BOUNDARY_BAND", "CIRCLE_GAP"} <= names
     section = _readme_section("Numerical conventions")
     assert sorted(name for name in names if not re.search(rf"\b{name}\b", section)) == []
+
+
+# the keywords that take a setting a module names: a tolerance, and the
+# circle grid of the Schur margin
+_SETTING_KEYWORD = re.compile(r"(\w+_)?tol|grid_steps|radius")
+
+
+def _literal_settings(source: str, name: str = "<source>") -> list[str]:
+    """``name:line keyword`` for each keyword argument of a call in
+    ``source`` that passes a numeric literal, signed or not, to a keyword
+    that ``_SETTING_KEYWORD`` matches, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        for keyword in node.keywords if isinstance(node, ast.Call) else ():
+            value = keyword.value
+            if isinstance(value, ast.UnaryOp) and isinstance(value.op, (ast.USub, ast.UAdd)):
+                value = value.operand
+            if (
+                keyword.arg is not None
+                and _SETTING_KEYWORD.fullmatch(keyword.arg)
+                and isinstance(value, ast.Constant)
+                and type(value.value) in (int, float)
+            ):
+                found.append((keyword.value.lineno, keyword.arg))
+    return [f"{name}:{line} {arg}" for line, arg in sorted(found)]
+
+
+def test_no_call_in_src_passes_a_literal_setting():
+    # a threshold or grid that decides or labels a report field is a named
+    # constant, which README lists, not a number written at a call
+    assert [
+        found
+        for path in MODULES
+        for found in _literal_settings(path.read_text(encoding="utf-8"), path.name)
+    ] == []
+
+
+def test_a_literal_setting_is_found():
+    source = textwrap.dedent(
+        """\
+        f(x, tol=1e-6)
+        g(grid_steps=48,
+          radius=-0.5, eq_tol=TOL, tolerance=1.0)
+        h(membership_tol=1, c3_tol=True, radius=R, steps=4)
+        """
+    )
+    assert _literal_settings(source, "m.py") == [
+        "m.py:1 tol", "m.py:2 grid_steps", "m.py:3 radius", "m.py:4 membership_tol",
+    ]
 
 
 def _third_party_imports(root: Path = SRC) -> set[str]:
