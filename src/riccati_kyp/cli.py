@@ -71,7 +71,7 @@ import numpy as np
 
 from . import errors as err
 from .boundary import circle_profile, is_coinner, is_inner, uniqueness_certificate
-from .riccati import EQUALITY_TOL, RANGE_TOL, _memberships, membership
+from .riccati import EQUALITY_TOL, MEMBERSHIP_TOL, RANGE_TOL, _memberships, membership
 from .solver import (
     SolverConfig,
     duality_check,
@@ -576,7 +576,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--tol",
         type=float,
-        default=1e-9,
+        default=MEMBERSHIP_TOL,
         help="membership band of the KYP LMI, relative to max(1, ||L(H)||), and"
         " passivity margin; the equality, range and inner thresholds are fixed"
         " at 1e-8",

@@ -113,7 +113,10 @@ class CertificateFailed(RiccatiKypError):
     """A computed extremal solution fails its deterministic certificate:
     equality membership, or a closed-loop spectral radius of at most one.
     Carries the ``side`` (``"minimal"`` or ``"maximal"``), the closed-loop
-    ``radius`` and the ``equality_residual`` of the rejected candidate."""
+    ``radius`` and the ``equality_residual`` of the rejected candidate. The
+    radius is NaN when the candidate has no closed loop: it is not positive
+    definite, its delta is not PSD or its beta leaves delta's range (so the
+    membership kernel forms no gain), or no exact route gave a candidate."""
 
     def __init__(
         self,

@@ -18,11 +18,12 @@ always computed through both routes and must agree.
 One kernel decides membership for a stack of candidates, with one batched
 LAPACK call per step and one spectrum per Hermitian matrix, from which it
 reads every norm, least eigenvalue and range test, and answers with a
-:class:`VerdictTable` of masks and diagnostic arrays. It forms a column
-only on the rows that read it: the range residual where the rank cut of
-delta drops an eigenvalue (0.0 elsewhere), and ``||beta||``, which scales
-the range threshold, where the residual exceeds ``RANGE_TOL`` or the routes
-split. :func:`membership` is its one-candidate view, which reads the
+:class:`VerdictTable` of masks and diagnostic arrays, and the closed-loop
+gain ``pinv(delta) beta`` of each row where it forms the surplus. It forms
+a column only on the rows that read it: the range residual where the rank
+cut of delta drops an eigenvalue (0.0 elsewhere), and ``||beta||``, which
+scales the range threshold, where the residual exceeds ``RANGE_TOL`` or the
+routes split. :func:`membership` is its one-candidate view, which reads the
 eigenvalues a StorageOperator holds instead of decomposing it again;
 :func:`_memberships` checks a list of matrices in one call, as a CLI
 ``report`` checks its candidates, while ``check`` calls
@@ -85,6 +86,10 @@ __all__ = [
     "h_passivity_check",
     "equality_gap",
 ]
+
+# The default of the membership band, the one tolerance that callers vary
+# (``--tol``), relative to max(1, ||L(H)||).
+MEMBERSHIP_TOL = 1e-9
 
 # Tolerances that no caller varies.
 EQUALITY_TOL = 1e-8  # membership: relative bound of the equality residual
@@ -201,11 +206,13 @@ def riccati_data(sigma: SystemRealization, h) -> RiccatiData:
     )
 
 
-def _surplus(alpha, beta, w, v) -> np.ndarray:
-    """``alpha - beta* pinv(delta) beta`` per matrix on a stack, from the
-    eigendecomposition ``(w, v)`` of delta."""
+def _surplus(alpha, beta, w, v) -> tuple[np.ndarray, np.ndarray]:
+    """``alpha - beta* pinv(delta) beta`` and the gain ``K = pinv(delta)
+    beta`` of the closed loop ``A + B K``, per matrix on a stack, from the
+    eigendecomposition ``(w, v)`` of delta and its cut at ``RANK_TOL``."""
     pinv_delta = _pinv_kept(w, v, _kept(w, RANK_TOL))
-    return hermitian_part(alpha - beta.conj().swapaxes(-1, -2) @ pinv_delta @ beta)
+    surplus = alpha - beta.conj().swapaxes(-1, -2) @ pinv_delta @ beta
+    return hermitian_part(surplus), pinv_delta @ beta
 
 
 def inequality_surplus(sigma: SystemRealization, h) -> np.ndarray:
@@ -229,7 +236,7 @@ def inequality_surplus(sigma: SystemRealization, h) -> np.ndarray:
             f"cross term leaves the range of the input-side residual "
             f"(residual {residual[0]:.3e})"
         )
-    return _surplus(alpha, beta, w, v)[0]
+    return _surplus(alpha, beta, w, v)[0][0]
 
 
 def kyp_form(sigma: SystemRealization, h, x: np.ndarray, u: np.ndarray) -> float:
@@ -308,8 +315,12 @@ class VerdictTable:
     ``pd``, ``in_ri``, ``in_re``, ``in_ri_circ`` and ``boundary`` are
     boolean masks; ``delta_min``, ``surplus_min``, ``equality_residual``,
     ``lmi_min`` and ``c3`` are float arrays, the diagnostics of
-    :class:`MembershipDiagnostics`. A candidate that is not positive
-    definite reads False in the masks and NaN in the floats.
+    :class:`MembershipDiagnostics`. ``gain`` is the (k, m, n) stack of the
+    closed-loop gains ``K = pinv(delta) beta``, cut at ``RANK_TOL`` as the
+    surplus is, whose loop ``A + B K`` certifies a minimal solution. A
+    candidate that is not positive definite reads False in the masks and
+    NaN in the floats, and a row whose surplus is not formed (delta not
+    PSD, or beta outside its range) reads NaN in ``gain`` too.
     ``sigma_h_minimal`` is the minimality of the realization, shared by
     every row.
     """
@@ -324,10 +335,13 @@ class VerdictTable:
     equality_residual: np.ndarray
     lmi_min: np.ndarray
     c3: np.ndarray
+    gain: np.ndarray
     sigma_h_minimal: bool
 
 
-def membership(sigma: SystemRealization, h, tol: float = 1e-9) -> MembershipVerdict:
+def membership(
+    sigma: SystemRealization, h, tol: float = MEMBERSHIP_TOL
+) -> MembershipVerdict:
     """Decide inequality/equality membership through two independent routes.
 
     Route one checks delta PSD, the range inclusion, and PSD-ness of the
@@ -357,7 +371,7 @@ def membership(sigma: SystemRealization, h, tol: float = 1e-9) -> MembershipVerd
 
 
 def _memberships(
-    sigma: SystemRealization, matrices: list, tol: float = 1e-9
+    sigma: SystemRealization, matrices: list, tol: float = MEMBERSHIP_TOL
 ) -> list[MembershipVerdict]:
     """:func:`membership` of each of ``matrices``, one or more of one shape,
     from one ``eigh`` of their stack and one kernel call: the verdicts in
@@ -405,7 +419,7 @@ def _verdict(table: VerdictTable, i: int) -> MembershipVerdict:
 def _membership_stack(
     sigma: SystemRealization,
     h: np.ndarray,
-    tol: float = 1e-9,
+    tol: float = MEMBERSHIP_TOL,
     eigenvalues: np.ndarray | None = None,
 ) -> VerdictTable:
     """The membership kernel: the :class:`VerdictTable` of the (k, n, n)
@@ -428,7 +442,10 @@ def _membership_stack(
     ``||beta||``, which sets the range threshold ``RANGE_TOL * max(1,
     ||beta||)``, where ``c3 > RANGE_TOL`` or the routes split (elsewhere
     ``c3 <= RANGE_TOL`` passes any such threshold, and the band margins are
-    not read). The realization's minimality is read once per call.
+    not read). The realization's minimality is read once per call. Each
+    row where the surplus is formed keeps the gain ``pinv(delta) beta`` of
+    that formation, so a certificate reads its closed loop off the one
+    decomposition of delta that decides its membership.
     ``in_ri`` is the LMI route's verdict and ``boundary`` marks the rows
     where the surplus route disagrees with it. A DimensionMismatch concerns
     the whole stack, and the InconsistentRoutes of the first candidate whose
@@ -463,10 +480,10 @@ def _membership_stack(
     formed = (delta_min >= floor) & (c3 <= c3_threshold)
     surplus_min = np.full(len(formed), np.nan)
     equality_residual = surplus_min.copy()
+    gain = np.full(beta.shape, np.nan, dtype=complex)
     if formed.any():
-        surplus_min[formed], equality_residual[formed] = _least_and_norm(
-            _surplus(alpha[formed], beta[formed], w[formed], v[formed])
-        )
+        surplus, gain[formed] = _surplus(alpha[formed], beta[formed], w[formed], v[formed])
+        surplus_min[formed], equality_residual[formed] = _least_and_norm(surplus)
     # the LMI route decides, and the surplus route cross-checks it
     in_ri = lmi_min >= floor
     route_one = surplus_min >= floor  # False where no surplus is formed (NaN)
@@ -493,10 +510,11 @@ def _membership_stack(
     # controllable and unobservable subspaces of sigma onto those of Sigma_H
     sigma_h_minimal = bool(is_minimal(sigma))
     columns = [in_ri, in_re, in_ri & sigma_h_minimal, boundary, delta_min,
-               surplus_min, equality_residual, lmi_min, c3]
+               surplus_min, equality_residual, lmi_min, c3, gain]
     if not pd.all():  # False or NaN at the candidates that are not PD
         for i, values in enumerate(columns):
-            columns[i] = np.full(len(pd), False if values.dtype == bool else np.nan)
+            fill = False if values.dtype == bool else np.nan
+            columns[i] = np.full((len(pd), *values.shape[1:]), fill, dtype=values.dtype)
             columns[i][pd] = values
     return VerdictTable(pd, *columns, sigma_h_minimal)
 
@@ -536,7 +554,7 @@ def h_passivity_check(sigma: SystemRealization, h, tol: float = 1e-9) -> bool:
 def equality_gap(
     sigma: SystemRealization,
     h,
-    tol: float = 1e-9,
+    tol: float = MEMBERSHIP_TOL,
 ) -> float:
     """Norm of the Schur complement measuring the distance from equality.
 
@@ -566,7 +584,7 @@ def equality_gap(
     gap = spectral_norm(fact.complement)
 
     alpha, beta, _, w, v, _ = _riccati_one(sigma, storage)
-    surplus = _surplus(alpha, beta, w, v)[0]
+    surplus = _surplus(alpha, beta, w, v)[0][0]
     congruent = storage.sqrt @ fact.complement @ storage.sqrt
     mismatch = spectral_norm(surplus - congruent)
     if mismatch > CROSS_CHECK_TOL * (1.0 + spectral_norm(surplus)):

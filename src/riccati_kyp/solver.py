@@ -96,10 +96,14 @@ an exact Schur-class test on its eigenvalues, and the Stein solution of a
 lossless system. It is certified deterministically (Lancaster & Rodman,
 *Algebraic Riccati Equations*, 1995): it must be an equality member, and
 its closed loop ``A + B pinv(delta) beta`` must have spectral radius at
-most ``1 + EQUALITY_TOL``; sampling plays no part in it. At the lossless
-member beta and delta vanish, so its loop is the open loop A, whose
-spectral radius is read off the Schur diagonal the realization keeps. The
-maximal one is the inverse of the adjoint system's minimal one.
+most ``1 + EQUALITY_TOL``; sampling plays no part in it. One
+membership-kernel call decides both, and the loop's gain is the one the
+kernel forms with its surplus, from the one decomposition of delta, cut at
+``riccati.RANK_TOL``. At the lossless member beta and delta vanish, and a
+relative cut of their roundoff would give a gain of roundoff, so its loop
+is the open loop A, whose spectral radius is read off the Schur diagonal
+the realization keeps. The maximal one is the inverse of the adjoint
+system's minimal one.
 :func:`duality_check` runs the inversion checks on samples anchored at the
 extremal pair and on both equality sets, an independent cross-check. It
 takes the pair, and the system's equality set, from a caller that already
@@ -126,7 +130,6 @@ from .linops import (
     Loewner,
     _least_and_norm,
     _loewner_masks,
-    _pinv_kept,
     _spectral_norms,
     hermitian_part,
     loewner_compare,
@@ -134,6 +137,7 @@ from .linops import (
 )
 from .riccati import (
     EQUALITY_TOL,
+    MEMBERSHIP_TOL,
     RANK_TOL,
     StorageOperator,
     _lmi,
@@ -181,7 +185,7 @@ class SolverConfig:
     tolerance, and the number of duality samples."""
 
     seed: int = 0
-    membership_tol: float = 1e-9
+    membership_tol: float = MEMBERSHIP_TOL
     duality_samples: int = 50
 
 
@@ -258,7 +262,7 @@ def re_residual_norm(sigma: SystemRealization, h) -> float:
     else:
         hm = hermitian_part(np.atleast_2d(np.asarray(h, dtype=complex)))
     alpha, beta, delta = _residual_ops(sigma, hm)
-    return spectral_norm(_surplus(alpha, beta, *np.linalg.eigh(delta)))
+    return spectral_norm(_surplus(alpha, beta, *np.linalg.eigh(delta))[0])
 
 
 # -- pair indices -------------------------------------------------------------
@@ -336,7 +340,7 @@ def sample_ri_members(
     count: int,
     rng: np.random.Generator,
     anchors: list,
-    tol: float = 1e-9,
+    tol: float = MEMBERSHIP_TOL,
 ) -> list[np.ndarray]:
     """Sample inequality members on random chords of the KYP LMI.
 
@@ -726,11 +730,13 @@ def minimal_solution(
 
     The candidate is certified deterministically (Lancaster & Rodman,
     *Algebraic Riccati Equations*, 1995): it must be an equality member, and
-    its closed loop ``A + B pinv(delta) beta`` must have spectral radius at
-    most ``1 + EQUALITY_TOL`` (see :func:`_certified`); the lossless
-    member's loop is the open loop A, whose eigenvalues are those of
-    :func:`~riccati_kyp.systems._eigenvalues`. CertificateFailed means one
-    of the two failed, or that neither route applies.
+    its closed loop ``A + B pinv(delta) beta``, with the gain of the
+    membership kernel's one decomposition of delta at ``riccati.RANK_TOL``,
+    must have spectral radius at most ``1 + EQUALITY_TOL`` (see
+    :func:`_certified`); the lossless member's loop is the open loop A,
+    whose eigenvalues are those of :func:`~riccati_kyp.systems._eigenvalues`.
+    CertificateFailed means one of the two failed, or that neither route
+    applies.
     """
     cfg = config or SolverConfig()
     sigma = _without_unit_channels(sigma)
@@ -750,20 +756,6 @@ def minimal_solution(
     return _certified(sigma, lossless[1], cfg, radius)
 
 
-def _closed_loop_radius(sigma: SystemRealization, h: np.ndarray, tol: float) -> float:
-    """Spectral radius of the closed loop ``A + B pinv(delta(H)) beta(H)``,
-    0.0 for a realization without states.
-
-    The pseudo-inverse keeps the eigenvalues of delta above the membership
-    band ``tol * max(1, ||L(H)||)``, so a delta that vanishes in exact
-    arithmetic gives the open loop A, not a gain made of roundoff."""
-    alpha, beta, delta = _residual_ops(sigma, h)
-    band = tol * max(1.0, float(_least_and_norm(_lmi(alpha, beta, delta))[1]))
-    w, v = np.linalg.eigh(delta)
-    gain = _pinv_kept(w, v, w > band) @ beta
-    return float(np.abs(np.linalg.eigvals(sigma.a + sigma.b @ gain)).max(initial=0.0))
-
-
 def _certified(
     sigma: SystemRealization,
     h: np.ndarray,
@@ -777,23 +769,30 @@ def _certified(
     the closed disc (on the two-state example: radius 0.866 at H_min, 1.155
     at the other three).
 
-    ``radius`` is the closed-loop radius when the caller knows it: the
-    lossless route passes that of the open loop A. Otherwise
-    :func:`_closed_loop_radius` computes it."""
-    if radius is None:
-        radius = _closed_loop_radius(sigma, h, cfg.membership_tol)
+    One membership-kernel call decides the candidate, and the closed loop
+    ``A + B K`` takes its gain ``K = pinv(delta) beta`` from that call, cut at
+    ``RANK_TOL`` (``riccati.VerdictTable.gain``). ``radius`` is the
+    closed-loop radius when the caller knows it: the lossless route passes
+    that of the open loop A. A candidate that is not positive definite, or
+    whose surplus the kernel does not form, has no gain, and fails with
+    radius NaN."""
     try:
         storage = as_storage(h)
     except NotPD as exc:
         raise CertificateFailed(
             "minimal",
-            radius,
+            np.nan,
             re_residual_norm(sigma, h),
             f"minimal solution candidate is not positive definite ({exc})",
         ) from exc
-    verdict = membership(sigma, storage, tol=cfg.membership_tol)
-    if not verdict.in_re or radius > 1.0 + EQUALITY_TOL:
-        raise CertificateFailed("minimal", radius, verdict.diagnostics.equality_residual)
+    table = _membership_stack(sigma, storage.matrix[None], cfg.membership_tol,
+                              storage.eigenvalues[None])
+    if radius is None:
+        loop = sigma.a + sigma.b @ table.gain[0]  # NaN where no gain is formed
+        finite = np.isfinite(loop).all()
+        radius = max(abs(np.linalg.eigvals(loop)), default=0.0) if finite else np.nan
+    if not table.in_re[0] or radius > 1.0 + EQUALITY_TOL:
+        raise CertificateFailed("minimal", radius, table.equality_residual[0])
     return storage
 
 

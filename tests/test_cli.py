@@ -1881,3 +1881,33 @@ def test_analyze_bytes_do_not_depend_on_blas_threads(doc, tmp_path):
         )
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_census_counts_each_call_and_each_repeat_within_a_job(capsys):
+    """``tests/census.py`` counts every call of a wrapped function, and as a
+    repeat each call whose function and arguments (arrays by dtype, shape
+    and bytes) an earlier call of the same job had; each job starts afresh,
+    and the library functions are restored afterwards."""
+    import census
+
+    counts = census.Census()
+    f = counts.wrapper("f", lambda *args, **kwargs: None)
+    f(np.eye(2))
+    f(np.eye(2))
+    f(np.eye(2), full=True)
+    f(np.eye(2, dtype=complex))
+    f(np.eye(2).reshape(1, 2, 2))
+    assert counts.table(0) == [("f", 5, 1)]
+    assert counts.table(1) == [("(outside the package)", 5, 1)]
+
+    eigh = np.linalg.eigh
+    job = ["report", "--system", TWO_STATE_DOC, "--seed", "301", "--no-timings"]
+    once, twice = census.census([job]), census.census([job, job])
+    assert np.linalg.eigh is eigh
+    assert sum(once.calls.values()) > 0 and sum(once.repeats.values()) > 0
+    assert twice.calls == once.calls + once.calls
+    assert twice.repeats == once.repeats + once.repeats
+    assert census.main([TWO_STATE_DOC]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith(f"1 jobs: {sum(once.calls.values())} calls, ")
+    assert "riccati._membership_stack" in printed

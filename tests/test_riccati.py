@@ -654,8 +654,9 @@ def test_membership_kernel_matches_one_candidate_at_a_time(seed, n, m, p, norm, 
     """Every row of one kernel call on a mixed stack equals, bit for bit,
     what the step-by-step reference gives its candidate alone, at each
     band ``tol``: a candidate the reference refuses as not PD reads
-    False in every mask and NaN in every float, and membership gives each
-    candidate the reference's verdict or error. When the routes of some
+    False in every mask and NaN in every float, a row keeps its gain where
+    it forms the surplus, and membership gives each candidate the
+    reference's verdict or error. When the routes of some
     candidates split, the call raises the first one's InconsistentRoutes,
     and the rest of the stack is compared without them."""
     tols = {"tol": tol}
@@ -682,6 +683,10 @@ def test_membership_kernel_matches_one_candidate_at_a_time(seed, n, m, p, norm, 
             assert not table.pd[row] and _row_outcome(table, row) == refused
         else:
             assert table.pd[row] and _row_outcome(table, row) == expected[i]
+    # a row keeps a finite closed-loop gain exactly where it forms the surplus
+    unformed = np.isnan(table.surplus_min)
+    assert (np.isnan(table.gain).all(axis=(1, 2)) == unformed).all()
+    assert np.isfinite(table.gain[~unformed]).all()
     for h, want in zip(candidates, expected):
         assert _outcome_of(lambda: membership(sigma, h, **tols)) == want
 
@@ -707,6 +712,8 @@ def test_kernel_on_a_stack_without_positive_definite_candidates(
                   table.lmi_min, table.c3)
         assert not np.any(masks) and np.isnan(floats).all()
         assert np.shape(masks) == np.shape(floats) == (5, 2)
+        assert np.isnan(table.gain).all()
+        assert table.gain.shape == (2, sigma.input_dim, sigma.state_dim)
 
 
 def test_kernel_raises_the_first_split_in_stack_order(two_state_system, monkeypatch):
@@ -729,11 +736,12 @@ def test_kernel_raises_the_first_split_in_stack_order(two_state_system, monkeypa
     assert not table.boundary.any()
     shift = np.array([0.0, 0.0, 3.0, 0.0, 5.0, 0.0])
     surplus = riccati_module._surplus
-    monkeypatch.setattr(
-        riccati_module,
-        "_surplus",
-        lambda *args: surplus(*args) - shift[:, None, None] * np.eye(2),
-    )
+
+    def shifted(*args):
+        value, gain = surplus(*args)
+        return value - shift[:, None, None] * np.eye(2), gain
+
+    monkeypatch.setattr(riccati_module, "_surplus", shifted)
     with pytest.raises(InconsistentRoutes) as raised:
         _membership_stack(two_state_system, stack, **tols)
     message = str(raised.value)
@@ -796,7 +804,12 @@ def test_kernel_forms_the_range_columns_only_where_they_are_read(
     # one SVD is that of ||beta|| on the split row
     scaled = SystemRealization([[0.9]], [[0.03]], [[3.0]], [[0.0]])
     surplus = riccati_module._surplus
-    monkeypatch.setattr(riccati_module, "_surplus", lambda *args: surplus(*args) - 3.0)
+
+    def shifted(*args):
+        value, gain = surplus(*args)
+        return value - 3.0, gain
+
+    monkeypatch.setattr(riccati_module, "_surplus", shifted)
     for tol, raises in ((1e-12, True), (1e-10, False)):
         (got,) = check(scaled, [[[110.0]]], [1], shift=3.0, tol=tol)
         assert (got[0] == "InconsistentRoutes") == raises

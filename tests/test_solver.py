@@ -44,6 +44,7 @@ from riccati_kyp import (
     spectral_norm,
     system_matrix,
 )
+from riccati_kyp import riccati as riccati_module
 from riccati_kyp import solver as solver_module
 from riccati_kyp.linops import _eigh_kept, _loewner_masks, _pinv_kept, _spectral_norms
 from riccati_kyp.pencil import (
@@ -55,7 +56,7 @@ from riccati_kyp.pencil import (
     extremal,
 )
 from riccati_kyp.cli import parse_system
-from riccati_kyp.riccati import RANK_TOL, _lmi, _residual_ops
+from riccati_kyp.riccati import MEMBERSHIP_TOL, RANK_TOL, _lmi, _residual_ops
 from riccati_kyp.solver import (
     _solution_sort_key,
     _sorted_order,
@@ -1052,12 +1053,45 @@ def test_a_singular_stein_equation_gives_no_inner_solution(monkeypatch):
         solve(*calls[0])
 
 
+GOLDEN_DOCS = Path(__file__).resolve().parent / "golden" / "docs"
+
+
+def _certificate_candidates() -> list[tuple[SystemRealization, np.ndarray]]:
+    """The ordered-QZ candidates that :func:`minimal_solution` certifies:
+    for each system of the zoo at seeds 301, 401 and 1201 and of each golden
+    document, and for its adjoint, the system without its constant
+    isometric channels and its candidate, where that system is minimal and
+    ordered QZ gives one."""
+    systems = [sigma for seed in (301, 401, 1201) for sigma in _bench_zoo(seed, 6)]
+    systems += [parse_system(str(path)).realization()
+                for path in sorted(GOLDEN_DOCS.glob("*.json"))]
+    found = []
+    for sigma in systems:
+        for side in (sigma, adjoint(sigma)):
+            reduced = _without_unit_channels(side)
+            candidate = extremal(reduced) if is_minimal(reduced) else None
+            if candidate is not None:
+                found.append((reduced, candidate[0]))
+    return found
+
+
+def _band_cut_radius(sigma: SystemRealization, h: np.ndarray) -> float:
+    """The reference closed-loop radius, from a decomposition of delta(H)
+    of its own: the eigenvalues of delta kept above the membership band
+    ``MEMBERSHIP_TOL * max(1, ||L(H)||)``, an absolute cut, and not the
+    kernel's cut at ``RANK_TOL`` relative to the largest one."""
+    alpha, beta, delta = _residual_ops(sigma, h)
+    lmi = np.linalg.eigvalsh(_lmi(alpha, beta, delta))
+    band = MEMBERSHIP_TOL * max(1.0, float(max(-lmi[0], lmi[-1])))
+    w, v = np.linalg.eigh(delta)
+    gain = _pinv_kept(w, v, w > band) @ beta
+    return float(np.abs(np.linalg.eigvals(sigma.a + sigma.b @ gain)).max(initial=0.0))
+
+
 class TestCertificate:
-    def test_only_the_stable_selection_certifies(self, two_state_system):
+    def test_only_the_stable_selection_certifies(self, two_state_system, monkeypatch):
         # closed-loop radius sqrt(3)/2 at H_min, 2/sqrt(3) at the other three
         h1, h2, h3, h4 = two_state_re_solutions()
-        radius = solver_module._closed_loop_radius(two_state_system, h1, 1e-9)
-        assert abs(radius - np.sqrt(3.0) / 2.0) <= 1e-12
         assert solver_module._certified(two_state_system, h1, SolverConfig())
         for h in (h2, h3, h4):
             with pytest.raises(CertificateFailed) as info:
@@ -1065,6 +1099,13 @@ class TestCertificate:
             assert info.value.side == "minimal"
             assert abs(info.value.radius - 2.0 / np.sqrt(3.0)) <= 1e-12
             assert info.value.equality_residual <= 1e-12
+        # with the radius bound pulled below sqrt(3)/2 (the equality test
+        # reads riccati's own constant), H_min fails and shows its radius
+        monkeypatch.setattr(solver_module, "EQUALITY_TOL", -0.2)
+        with pytest.raises(CertificateFailed) as info:
+            solver_module._certified(two_state_system, h1, SolverConfig())
+        assert abs(info.value.radius - np.sqrt(3.0) / 2.0) <= 1e-12
+        assert info.value.equality_residual <= 1e-12
 
     @pytest.mark.parametrize("side", ["minimal", "maximal"])
     def test_a_forced_unstable_selection_fails(self, side, two_state_system, monkeypatch):
@@ -1093,17 +1134,67 @@ class TestCertificate:
         assert info.value.equality_residual > 0.1
 
     def test_a_realization_without_states_fails_its_certificate(self):
-        # no states: the closed loop has no eigenvalue and radius 0.0, and
-        # the 0 x 0 candidate is refused as not positive definite, so the
-        # certificate path ends in its typed error, not a bare ValueError
+        # no states: the 0 x 0 candidate is refused as not positive
+        # definite, so the certificate path ends in its typed error, not a
+        # bare ValueError, and a refused candidate has no closed loop
         sigma = SystemRealization(
             np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[0.5]]
         )
-        assert solver_module._closed_loop_radius(sigma, np.zeros((0, 0)), 1e-9) == 0.0
         for solve in (minimal_solution, maximal_solution, duality_check):
             with pytest.raises(CertificateFailed, match="not positive") as info:
                 solve(sigma)
-            assert info.value.radius == 0.0
+            assert np.isnan(info.value.radius)
+
+    def test_the_kernel_gain_gives_the_band_cut_radius(self, monkeypatch):
+        # the certificate reads its loop off the kernel's cut of delta at
+        # RANK_TOL; on every positive definite ordered-QZ candidate its
+        # radius is the one of the membership band's cut, and the 7 others
+        # (of four golden documents, and of their adjoints) have no loop.
+        # The radius bound is pulled below zero, so that every candidate
+        # fails and shows its radius
+        monkeypatch.setattr(solver_module, "EQUALITY_TOL", -2.0)
+        candidates = _certificate_candidates()
+        assert len(candidates) == 176
+        compared = 0
+        for sigma, h in candidates:
+            with pytest.raises(CertificateFailed) as info:
+                solver_module._certified(sigma, h, SolverConfig())
+            if "not positive definite" in str(info.value):
+                assert np.isnan(info.value.radius)
+            else:
+                assert info.value.radius == _band_cut_radius(sigma, h)
+                compared += 1
+        assert compared == 169
+
+    def test_the_certificate_decomposes_delta_once(self, two_state_system, monkeypatch):
+        # the membership kernel forms delta(H_min) once and takes the one
+        # LMI spectrum and the one eigh of delta; the certificate reads its
+        # closed loop off that call, and no step outside it repeats them
+        n, m = two_state_system.state_dim, two_state_system.input_dim
+        formed, kernel_stacks, spectra, deltas = [], [], [], []
+
+        def spy(module, name, seen, record):
+            real = getattr(module, name)
+
+            def call(*args, **kwargs):
+                seen.append(record(*args))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, call)
+
+        def weight(_, h):
+            return h.copy()
+
+        spy(riccati_module, "_residual_ops", formed, weight)
+        spy(solver_module, "_residual_ops", formed, weight)
+        spy(riccati_module, "_riccati_stack", kernel_stacks, weight)
+        spy(np.linalg, "eigvalsh", spectra, np.shape)
+        spy(np.linalg, "eigh", deltas, np.shape)
+        h_min = minimal_solution(two_state_system).matrix
+        assert [h.tolist() for h in kernel_stacks] == [h_min[None].tolist()]
+        assert [h.tolist() for h in formed] == [h_min[None].tolist()]
+        assert [shape[-1] for shape in spectra].count(n + m) == 1
+        assert [shape[-1] for shape in deltas].count(m) == 1
 
     def test_extremes_sample_nothing(self, two_state_system, monkeypatch):
         def no_sampling(*args, **kwargs):
