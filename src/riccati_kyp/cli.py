@@ -30,11 +30,12 @@ Document schema (informal):
 Input files for `simulate` carry {"x0": [[re, im], ...], "inputs":
 [[[re, im], ...], ...]}.
 
-Each re and im is a finite JSON number (not a boolean, string or null, nor
-an integer beyond float range, nor NaN or infinity), and the rows of a
-matrix are non-empty lists of one length. A candidate's name is any JSON
-string, the empty one included, and so is the document's, except one that
-holds a lone surrogate (``"\\ud800"``), which a report cannot write.
+Each re and im is a JSON number (not a boolean, string or null), and the
+rows of a matrix are non-empty lists of one length. A candidate's name is
+any JSON string, the empty one included, and so is the document's.
+:func:`document_from_dict` holds Python values to the same rules, and also
+refuses a number that is not finite or beyond float range, and a name that
+holds a lone surrogate, which a report cannot write.
 A document's A, B, C and D together, all candidates of a document
 together, and each matrix or row of a ``simulate`` input are each decoded
 in one step (:func:`_decode`): the rules are checked on the set of
@@ -45,14 +46,14 @@ ParseError that names the first bad entry. The candidates are taken one
 at a time, each checked to be n x n as it is taken, so the first bad
 candidate in document order raises its ParseError or DimensionMismatch.
 
-A file is read as UTF-8 text and decoded with ``orjson``, which is imported
-by the first read, not by ``import riccati_kyp.cli``. Python's ``json``
-module stays the reference reader: a document that orjson refuses, or whose
-decoded value the rules above or the realization refuse, is decoded again
-with ``json`` and built again, and that outcome stands. So ``json`` decides
-every refused document, its error category and its message (a malformed
-entry is quoted as ``json`` reads it, an integer beyond 64 bits as an
-integer, where orjson reads a float).
+A file is read as bytes and decoded with ``orjson``, the one JSON reader,
+which is imported by the first read, not by ``import riccati_kyp.cli``.
+A file must be strict JSON (RFC 8259) in UTF-8: NaN, an infinity, a number
+beyond double range (``1e400``), a lone surrogate (``"\\ud800"``), a byte
+order mark, a byte that is not UTF-8 or a syntax error anywhere in it makes
+the whole file a ParseError that names the line, the column and orjson's
+reason. An integer beyond 64 bits within double range is read as its
+correctly rounded float. The rules above then decide the decoded value.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import math
 import sys
 import time
@@ -195,8 +195,8 @@ def _decode_group(mats: list) -> list[np.ndarray] | None:
     im] lists or tuples, and each number is an int or float but not a bool.
     One float conversion of the flat numbers of all matrices then gives the
     pairs, viewed as complex, with the bits of ``complex(float(re),
-    float(im))``. A number beyond float range, and a non-finite one (NaN,
-    or infinity such as JSON's ``1e400``), also gives None.
+    float(im))``. A number beyond float range, and a non-finite one, which
+    only a Python caller can pass (orjson refuses both), also give None.
     """
     if not mats or not _types_within(mats, list):
         return None
@@ -257,55 +257,26 @@ def _encode_matrix(a: np.ndarray) -> list:
     return _pairs_array(np.atleast_2d(a)).tolist()
 
 
-def _parse_int(text: str) -> int:
-    """``int(text)``; an integer with more digits than Python converts (4300
-    by default) raises ValueError naming that limit, without Python's remedy
-    of raising it, which a CLI user cannot apply."""
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(
-            f"an integer of {len(text.lstrip('-'))} digits exceeds the limit of "
-            f"{sys.get_int_max_str_digits()} digits"
-        ) from None
-
-
-def _load_json(path: str, kind: str, build):
-    """``build`` of the JSON value in the ``kind`` file at ``path``.
+def _read_json(path: str, kind: str):
+    """The JSON value of the ``kind`` file at ``path``, read by orjson.
     ParseError when the file is missing or cannot be read (a directory,
-    say), is not UTF-8 or not JSON, or holds JSON that Python refuses to
-    read, such as an integer of more than 4300 digits.
-
-    The text is decoded with ``orjson``, whose objects are those of
-    ``json`` except that it reads an integer beyond 64 bits as its
-    correctly rounded float, which the decoder converts to the same bits.
-    When orjson refuses the text (NaN, infinity, ``1e400``, a lone
-    surrogate, any syntax error) or ``build`` refuses its value, the text is
-    decoded with ``json`` and built again, and that outcome stands."""
+    say), or is not strict JSON in UTF-8; the message of the last names
+    orjson's line, column and reason."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError as exc:
         raise err.ParseError(f"{kind} file not found: {path}") from exc
     except OSError as exc:
         raise err.ParseError(f"cannot read {kind} file {path}: {exc.strerror}") from exc
-    except ValueError as exc:  # not UTF-8
-        raise err.ParseError(f"{path}: unreadable JSON ({exc})") from exc
     import orjson
 
     try:
-        return build(orjson.loads(text))
-    except (err.RiccatiKypError, ValueError):  # a refusal, as main takes it
-        pass
-    try:
-        raw = json.loads(text, parse_int=_parse_int)
-    except json.JSONDecodeError as exc:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError as exc:
         raise err.ParseError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}"
+            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno} ({exc.msg})"
         ) from exc
-    except ValueError as exc:
-        raise err.ParseError(f"{path}: unreadable JSON ({exc})") from exc
-    return build(raw)
 
 
 def parse_system(path: str) -> SystemDocument:
@@ -314,7 +285,7 @@ def parse_system(path: str) -> SystemDocument:
     Raises ParseError for malformed JSON or entries and DimensionMismatch for
     inconsistent shapes.
     """
-    return _load_json(path, "system", functools.partial(document_from_dict, origin=path))
+    return document_from_dict(_read_json(path, "system"), origin=path)
 
 
 def document_from_dict(raw: dict, origin: str = "<memory>") -> SystemDocument:
@@ -342,7 +313,7 @@ def document_from_dict(raw: dict, origin: str = "<memory>") -> SystemDocument:
                 f"candidate {cname!r} has shape {mat.shape}, expected {square}"
             )
         candidates[cname] = mat
-    try:  # Python's json reads a lone surrogate, which no report can hold
+    try:  # a name built in Python may hold a lone surrogate, which no report holds
         "".join([name, *candidates]).encode("utf-8")
     except UnicodeEncodeError:
         raise err.ParseError(f"{origin}: a name holds a lone surrogate") from None
@@ -455,15 +426,13 @@ def _decode_row(obj, where: str) -> np.ndarray:
 
 
 def _load_inputs(path: str, sigma) -> tuple[np.ndarray, np.ndarray]:
-    def build(raw):
-        if not isinstance(raw, dict) or "inputs" not in raw:
-            raise err.ParseError(f"{path}: expected an object with an 'inputs' field")
-        (inputs,) = _decode([raw["inputs"]], ["inputs"])
-        if "x0" in raw:
-            return _decode_row(raw["x0"], "x0"), inputs
-        return np.zeros(sigma.state_dim, dtype=complex), inputs
-
-    return _load_json(path, "input", build)
+    raw = _read_json(path, "input")
+    if not isinstance(raw, dict) or "inputs" not in raw:
+        raise err.ParseError(f"{path}: expected an object with an 'inputs' field")
+    (inputs,) = _decode([raw["inputs"]], ["inputs"])
+    if "x0" in raw:
+        return _decode_row(raw["x0"], "x0"), inputs
+    return np.zeros(sigma.state_dim, dtype=complex), inputs
 
 
 def _simulate_payload(sigma, doc, args) -> dict:

@@ -48,8 +48,10 @@ the eigenvalues for the Schur-class test. Its answer is a fact of the
 realization, decided once and kept by it
 (:func:`riccati_kyp.systems._memo`): the solver reads it first, and tests
 a system for losslessness by its Stein equation only when it is None, since
-a lossless system has a singular pencil. Both functions import
-``scipy.linalg`` inside, so that importing the package does not load it.
+a lossless system has a singular pencil. Both functions read the one
+extended pencil, with its norms, that the realization keeps
+(:func:`_extended_pencil`), and import ``scipy.linalg`` inside, so that
+importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -66,9 +68,13 @@ PENCIL_TOL = 1e-8  # relative size of a negligible (alpha, beta) part, of a
 # pair mismatch and of the gap below which two eigenvalues coincide
 
 
-def _extended_pencil(sigma: SystemRealization) -> tuple[np.ndarray, np.ndarray]:
-    """The matrices ``(M, N)`` of the extended pencil ``M - lambda N``, each
-    block written into its slice of a zeroed complex array."""
+@_memo
+def _extended_pencil(sigma: SystemRealization) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """``(M, N, max(1, ||M||), max(1, ||N||))`` for the matrices of the
+    extended pencil ``M - lambda N``, each block written into its slice of
+    a zeroed complex array, and their Frobenius scales. Built once per
+    realization (:func:`riccati_kyp.systems._memo`), with both arrays
+    read-only: :func:`extremal` and :func:`equality_candidates` read it."""
     a, b, c, d = sigma.a, sigma.b, sigma.c, sigma.d
     n, m = sigma.state_dim, sigma.input_dim
     ch, dh = c.conj().T, d.conj().T
@@ -85,14 +91,16 @@ def _extended_pencil(sigma: SystemRealization) -> tuple[np.ndarray, np.ndarray]:
     big_n[:n, :n] = np.eye(n)
     big_n[n : 2 * n, n : 2 * n] = a.conj().T
     big_n[2 * n :, n : 2 * n] = -b.conj().T
-    return big_m, big_n
+    big_m.flags.writeable = big_n.flags.writeable = False
+    scales = max(np.linalg.norm(big_m), 1.0), max(np.linalg.norm(big_n), 1.0)
+    return big_m, big_n, *scales
 
 
-def _relative_parts(alpha: np.ndarray, beta: np.ndarray, big_m, big_n):
+def _relative_parts(alpha: np.ndarray, beta: np.ndarray, m_scale, n_scale):
     """``|alpha| / max(1, ||M||)`` and ``|beta| / max(1, ||N||)``, or None
     when the pencil is singular: both parts of a pair at most PENCIL_TOL."""
-    rel_alpha = np.abs(alpha) / max(np.linalg.norm(big_m), 1.0)
-    rel_beta = np.abs(beta) / max(np.linalg.norm(big_n), 1.0)
+    rel_alpha = np.abs(alpha) / m_scale
+    rel_beta = np.abs(beta) / n_scale
     if (np.maximum(rel_alpha, rel_beta) <= PENCIL_TOL).any():
         return None
     return rel_alpha, rel_beta
@@ -169,14 +177,14 @@ def equality_candidates(
     import scipy.linalg
 
     n = sigma.state_dim
-    big_m, big_n = _extended_pencil(sigma)
+    big_m, big_n, *scales = _extended_pencil(sigma)
     try:
         (alpha, beta), vectors = scipy.linalg.eig(
             big_m, big_n, homogeneous_eigvals=True
         )
     except np.linalg.LinAlgError:  # the QZ iteration did not converge
         return None
-    rel = _relative_parts(alpha, beta, big_m, big_n)
+    rel = _relative_parts(alpha, beta, *scales)
     pairs = None if rel is None else _pairs(alpha, beta, n, *rel)
     if pairs is None:
         return None
@@ -204,14 +212,14 @@ def extremal(sigma: SystemRealization) -> tuple[np.ndarray, np.ndarray] | None:
     import scipy.linalg
 
     n = sigma.state_dim
-    big_m, big_n = _extended_pencil(sigma)
+    big_m, big_n, *scales = _extended_pencil(sigma)
     try:
         _, _, alpha, beta, _, z = scipy.linalg.ordqz(
             big_m, big_n, sort="iuc", output="complex"
         )
     except (np.linalg.LinAlgError, ValueError):  # QZ or its reordering failed
         return None
-    rel = _relative_parts(alpha, beta, big_m, big_n)
+    rel = _relative_parts(alpha, beta, *scales)
     if rel is None:
         return None
     x, regular = _solution(z[None, :, :n], n)

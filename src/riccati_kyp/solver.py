@@ -466,10 +466,11 @@ def solve_re(
     constant isometric channels (:func:`_without_unit_channels`).
 
     A non-minimal system warns. A minimal system on the extremal route first
-    passes the Schur-class test of :func:`_require_schur`. Members are
-    sorted by trace and then by entries, so output order is independent of
-    scheduling. Every route validates at ``config.membership_tol`` and
-    ``EQUALITY_TOL``.
+    passes the Schur-class test of :func:`_require_schur`, on the pencil
+    eigenvalues of ordered QZ, or on none when QZ gives no candidate.
+    Members are sorted by trace and then by entries, so output order is
+    independent of scheduling. Every route validates at
+    ``config.membership_tol`` and ``EQUALITY_TOL``.
     """
     cfg = config or SolverConfig()
     n = sigma.state_dim
@@ -567,15 +568,16 @@ def _one_point(h_min: np.ndarray, h_max: np.ndarray) -> bool:
 
 def _extremal_set(sigma: SystemRealization, cfg: SolverConfig) -> SolutionSet:
     """The extremal route of :func:`solve_re`: the ordered-QZ minimal
-    solution of ``sigma`` (:func:`riccati_kyp.pencil.extremal`, after the
-    Schur-class test when ``sigma`` is minimal) and the inverse of its
-    adjoint's when that is positive definite, the maximal one; the second is
-    left out when the two are Loewner-equal. The set is never complete."""
+    solution of ``sigma`` (:func:`riccati_kyp.pencil.extremal`) and the
+    inverse of its adjoint's when that is positive definite, the maximal
+    one; the second is left out when the two are Loewner-equal. A minimal
+    ``sigma`` first passes the Schur-class test, also when QZ gives no
+    candidate. The set is never complete."""
     candidates, labels = [], []
     found = extremal(sigma)
+    if is_minimal(sigma):
+        _require_schur(sigma, np.empty(0) if found is None else found[1])
     if found is not None:
-        if is_minimal(sigma):
-            _require_schur(sigma, found[1])
         candidates.append(found[0])
         labels.append("extremal(minimal)")
     found = extremal(adjoint(sigma))
@@ -736,7 +738,8 @@ def minimal_solution(
     :func:`_certified`); the lossless member's loop is the open loop A,
     whose eigenvalues are those of :func:`~riccati_kyp.systems._eigenvalues`.
     CertificateFailed means one of the two failed, or that neither route
-    applies.
+    applies to a system that passes the Schur-class test, which then runs
+    without pencil eigenvalues: its poles and its norm at angle 0.
     """
     cfg = config or SolverConfig()
     sigma = _without_unit_channels(sigma)
@@ -748,6 +751,7 @@ def minimal_solution(
         return _certified(sigma, found[0], cfg)
     lossless = _lossless_solution(sigma)
     if lossless is None:
+        _require_schur(sigma, np.empty(0))
         no_route = "no exact route: singular pencil or V1, not lossless"
         raise CertificateFailed("minimal", np.nan, np.nan, no_route)
     # beta and delta vanish at the Stein solution, so the member's loop is

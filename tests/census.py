@@ -1,28 +1,35 @@
 """Count the dense linear algebra that CLI jobs run, and the calls that
 repeat an earlier call of the same job with identical arguments.
 
-From the repository root, on one or more system documents:
+From the repository root, on one or more system documents, or on one
+pass of a benchmark workload:
 
     PYTHONPATH=src python tests/census.py tests/golden/docs/*.json
+    PYTHONPATH=src python tests/census.py --workload extremes_certify --seed 301
 
-Each document is one job, ``report --seed 301 --no-timings``, run in this
-process through ``riccati_kyp.cli.main``. For the duration of the run the
-functions of ``numpy.linalg`` and ``scipy.linalg`` named in ``WRAPPED`` are
-replaced by counting wrappers; a call that the libraries make inside
-another wrapped function counts too. A call repeats when an earlier call of
-the same job went to the same function with identical arguments (arrays
-compared by dtype, shape and bytes). The census prints the calls and the
-repeats in total, by function, and by the first ``riccati_kyp`` function on
-the call stack. It only prints, and exits 0 unless a job raises.
-:func:`census` takes any list of CLI argument lists, for a census of other
-jobs (a benchmark workload, say).
+Each document is one job, ``report --seed 301 --no-timings``, and each job
+of ``bench/workloads.build(workload, seed, dir)`` one job, its
+``job.argv(dir, seed, out)``; every job runs in this process through
+``riccati_kyp.cli.main``. The workload is generated in a temporary
+directory before the census starts, so the generation's own calls are not
+counted, and nothing under ``bench/`` is written. For the duration of the
+run the functions of ``numpy.linalg`` and ``scipy.linalg`` named in
+``WRAPPED`` are replaced by counting wrappers; a call that the libraries
+make inside another wrapped function counts too. A call repeats when an
+earlier call of the same job went to the same function with identical
+arguments (arrays compared by dtype, shape and bytes). The census prints
+the calls and the repeats in total, by function, and by the first
+``riccati_kyp`` function on the call stack. It only prints, and exits 0
+unless a job raises. :func:`census` takes any list of CLI argument lists.
 """
 
+import argparse
 import collections
 import hashlib
 import os
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import numpy.linalg
@@ -124,12 +131,32 @@ def census(argvs: list[list[str]]) -> Census:
     return counts
 
 
-def main(paths: list[str]) -> int:
-    counts = census(
-        [["report", "--system", path, "--seed", "301", "--no-timings"] for path in paths]
-    )
+def _workload_argvs(workload: str, seed: int, workdir: str) -> list[list[str]]:
+    """The argument lists of one pass of ``workload`` at ``seed``, its
+    documents written to ``workdir``, without the ``--out`` that each job
+    ends with and that :func:`census` sets."""
+    sys.dont_write_bytecode = True  # leave bench/ as it is
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    jobs = workloads.build(workload, seed, workdir)
+    return [job.argv(workdir, seed, "")[:-2] for job in jobs]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("paths", nargs="*", help="system documents, one report job each")
+    parser.add_argument("--workload", help="a benchmark workload, one pass of its jobs")
+    parser.add_argument("--seed", type=int, default=301, help="the workload's seed")
+    args = parser.parse_args(argv)
+    argvs = [["report", "--system", path, "--seed", "301", "--no-timings"]
+             for path in args.paths]
+    with tempfile.TemporaryDirectory() as workdir:
+        if args.workload:
+            argvs += _workload_argvs(args.workload, args.seed, workdir)
+        counts = census(argvs)
     total, repeated = sum(counts.calls.values()), sum(counts.repeats.values())
-    print(f"{len(paths)} jobs: {total} calls, {repeated} repeat an earlier call "
+    print(f"{len(argvs)} jobs: {total} calls, {repeated} repeat an earlier call "
           "of the same job with identical arguments")
     for axis, title in ((0, "function"), (1, f"first {PACKAGE} caller")):
         print(f"\n{'calls':>6} {'repeats':>7}  {title}")
@@ -139,4 +166,4 @@ def main(paths: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

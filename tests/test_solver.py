@@ -302,7 +302,7 @@ class TestPencilRoute:
         sigma = SystemRealization(
             [[0.0, 0.6 * s], [0.8 * s, 0.0]], [[0.0], [0.6]], [[0.0, 0.8]], [[0.0]]
         )
-        lam = scipy.linalg.eigvals(*_extended_pencil(sigma))
+        lam = scipy.linalg.eigvals(*_extended_pencil(sigma)[:2])
         gap = np.abs(np.abs(lam[np.isfinite(lam)]) - 1.0).min()
         solution_set = solve_re(sigma)
         if offset == 1e-10:
@@ -327,7 +327,7 @@ class TestPencilRoute:
         sigma = SystemRealization(
             0.3 * np.eye(2), 0.5 * np.eye(2), 0.5 * np.eye(2), np.zeros((2, 2))
         )
-        lam = scipy.linalg.eigvals(*_extended_pencil(sigma))
+        lam = scipy.linalg.eigvals(*_extended_pencil(sigma)[:2])
         inside = np.sort(lam[np.abs(lam) < 1.0].real)
         assert inside == pytest.approx([0.3223, 0.3223], abs=1e-4)
         assert equality_candidates(sigma) is None
@@ -574,7 +574,7 @@ def test_outside_subspace_of_a_zero_eigenvalue_pencil_is_not_h_max(scalar_interv
     # from the system's own pencil must keep the adjoint route whenever the
     # pencil has zero eigenvalues.
     sigma = scalar_interval_system
-    big_m, big_n = _extended_pencil(sigma)
+    big_m, big_n, *_ = _extended_pencil(sigma)
     (alpha, beta), _ = scipy.linalg.eig(big_m, big_n, homogeneous_eigvals=True)
     finite = np.abs(beta) > 1e-8 * np.abs(alpha)
     assert finite.sum() == 1 and abs(alpha[finite][0]) <= 1e-12
@@ -1717,6 +1717,36 @@ def test_no_exact_route_fails_the_certificate():
         minimal_solution(sigma)
 
 
+@pytest.mark.parametrize(
+    "a, b, c, d, norm, route",
+    [
+        # a decided pencil whose equality set is empty, and no ordered-QZ
+        # candidate
+        ([[0.5]], [[0.5, 0.0]], [[0.5]], [[0.0, 1.0]], math.sqrt(1.25), "pencil"),
+        # T(z) = diag(z, 1.5 z): a singular pencil, and no QZ candidate on
+        # either side
+        (np.zeros((2, 2)), np.eye(2), np.diag([1.0, 1.5]), np.zeros((2, 2)), 1.5, None),
+    ],
+    ids=["pencil", "singular-pencil"],
+)
+def test_no_qz_candidate_still_takes_the_schur_class_test(a, b, c, d, norm, route):
+    # ||T(1)|| > 1 + EQUALITY_TOL proves T is not in the Schur class, so
+    # both extremes raise NotSchurClass at angle 0, not CertificateFailed
+    sigma = SystemRealization(a, b, c, d)
+    assert is_minimal(sigma) and extremal(sigma) is None
+    for extreme in (minimal_solution, maximal_solution):
+        with pytest.raises(NotSchurClass) as raised:
+            extreme(sigma)
+        assert raised.value.angle == 0.0
+        assert raised.value.norm == pytest.approx(norm, rel=1e-12)
+    if route is None:  # the extremal route tests it too
+        with pytest.raises(NotSchurClass):
+            solve_re(sigma)
+    else:
+        solution_set = solve_re(sigma)
+        assert solution_set.route == route and len(solution_set) == 0
+
+
 def test_duality_check_requires_a_minimal_system():
     sigma = SystemRealization(0.5 * np.eye(2), [[1.0], [1.0]], [[1.0, 0.0]], [[0.0]])
     with pytest.raises(NotMinimal, match="duality statements assume a minimal system"):
@@ -2018,5 +2048,10 @@ def test_extended_pencil_equals_its_block_assembly(seed, n, m, p, real):
     sigma = random_realization(np.random.default_rng(seed), n, m, p)
     if real:  # real data: zero imaginary parts, and signed zeros in products
         sigma = SystemRealization(sigma.a.real, sigma.b.real, sigma.c.real, sigma.d.real)
-    for got, want in zip(_extended_pencil(sigma), _block_pencil(sigma)):
+    big_m, big_n, m_scale, n_scale = _extended_pencil(sigma)
+    for got, want in zip((big_m, big_n), _block_pencil(sigma)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    assert (m_scale, n_scale) == (max(np.linalg.norm(big_m), 1.0), max(np.linalg.norm(big_n), 1.0))
+    # built once per realization: extremal and equality_candidates read it
+    assert _extended_pencil(sigma)[0] is big_m

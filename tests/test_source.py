@@ -258,9 +258,9 @@ def test_a_literal_setting_is_found():
     ]
 
 
-def _third_party_imports(root: Path = SRC) -> set[str]:
+def _top_level_imports(root: Path = SRC) -> set[str]:
     """The top-level modules that the ``.py`` files under ``root`` import
-    at any level, apart from the standard library's and the package's own."""
+    at any level, by absolute name."""
     names = set()
     for path in sorted(root.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -268,7 +268,19 @@ def _third_party_imports(root: Path = SRC) -> set[str]:
                 names.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names.add(node.module.split(".")[0])
-    return names - set(sys.stdlib_module_names) - {"riccati_kyp"}
+    return names
+
+
+def _third_party_imports(root: Path = SRC) -> set[str]:
+    """:func:`_top_level_imports` apart from the standard library's and the
+    package's own."""
+    return _top_level_imports(root) - set(sys.stdlib_module_names) - {"riccati_kyp"}
+
+
+def test_no_module_of_the_package_imports_json():
+    # orjson reads every document and writes every report; a second JSON
+    # library would be a second reader, with rules of its own
+    assert "json" not in _top_level_imports()
 
 
 def _dependency_mismatch(imported: set[str], declared: list[str]) -> tuple[list, list]:
