@@ -37,9 +37,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NotMinimal, NotPD, PoleOnCircle
+from .errors import NotMinimal, PoleOnCircle
 from .linops import spectral_norm
-from .riccati import StorageOperator, riccati_data
+from .riccati import riccati_data
 from .solver import _inner_solution
 from .systems import (
     SystemRealization,
@@ -177,20 +177,19 @@ def uniqueness_certificate(
     vanishes on the grid at ``INNER_TOL``, :func:`is_inner`) or a co-inner
     one (left defect vanishes, :func:`is_coinner`). For a scalar transfer
     function both defects equal ``|1 - |theta|^2|``, so unimodular boundary
-    values are the inner case and need no route of their own. The screen is confirmed on the system it names,
-    ``sigma`` when inner and its adjoint when co-inner, by the Stein
-    identities of :func:`~riccati_kyp.solver._inner_solution`: that
-    system must be inner, and then its Stein solution (inverted for the
-    co-inner route) is the one inequality member of ``sigma`` (Arlinskii
-    2008). The identities alone also hold for an unstable all-pass system
-    (T(z) = (z - 2) / (1 - 2z), with Stein solution -3), which has no
-    inequality member, so the Stein solution must pass the positivity test
-    of :class:`~riccati_kyp.riccati.StorageOperator`; for a minimal system
-    that is what makes A stable.
-    Anything else returns Unknown, as does a screen the identities refuse (a
-    defect within ``INNER_TOL`` that is not zero). RI lies between H_min and
-    H_max in the Loewner order, so it is a single point exactly when H_min =
-    H_max; :func:`~riccati_kyp.solver.duality_check` makes that test, and
+    values are the inner case and need no route of their own. The screen
+    is confirmed on the system it names, ``sigma`` when inner and its
+    adjoint when co-inner, by :func:`~riccati_kyp.solver._inner_solution`,
+    which decides the Stein identities and the positivity of the Stein
+    solution together: that system must be inner, and then its Stein
+    solution (inverted for the co-inner route) is the one inequality member
+    of ``sigma`` (Arlinskii 2008). An unstable all-pass system (T(z) = (z -
+    2) / (1 - 2z), with Stein solution -3) satisfies the identities but has
+    no inequality member, and is not inner there. Anything else returns
+    Unknown, as does a screen the identities refuse (a defect within
+    ``INNER_TOL`` that is not zero). RI lies between H_min and H_max in the
+    Loewner order, so it is a single point exactly when H_min = H_max;
+    :func:`~riccati_kyp.solver.duality_check` makes that test, and
     this certificate decides only inner and co-inner systems.
 
     Raises NotMinimal on a non-minimal system.
@@ -212,12 +211,8 @@ def uniqueness_certificate(
     x = _inner_solution(system)
     if x is None:
         return unknown
-    try:  # X > 0 with (C, A) observable gives rho(A) < 1: the system is inner
-        storage = StorageOperator(x)
-    except NotPD:
-        return unknown
     return UniquenessCertificate(
         verdict=UniquenessVerdict.UNIQUE_SINGLETON,
         reason=reason,
-        delta_at_solution=spectral_norm(riccati_data(system, storage).delta_op),
+        delta_at_solution=spectral_norm(riccati_data(system, x).delta_op),
     )

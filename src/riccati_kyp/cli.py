@@ -261,7 +261,10 @@ def _read_json(path: str, kind: str):
     """The JSON value of the ``kind`` file at ``path``, read by orjson.
     ParseError when the file is missing or cannot be read (a directory,
     say), or is not strict JSON in UTF-8; the message of the last names
-    orjson's line, column and reason."""
+    orjson's line, column and reason. orjson places a byte that is not
+    UTF-8 at line 1, column 1, so that line and column are read off the
+    decoder's offset instead, with the column counted in characters as
+    orjson counts it."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -274,8 +277,14 @@ def _read_json(path: str, kind: str):
     try:
         return orjson.loads(data)
     except orjson.JSONDecodeError as exc:
+        line, column = exc.lineno, exc.colno
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as bad:
+            head = data[: bad.start].decode("utf-8")
+            line, column = head.count("\n") + 1, len(head) - head.rfind("\n")
         raise err.ParseError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno} ({exc.msg})"
+            f"{path}: invalid JSON at line {line}, column {column} ({exc.msg})"
         ) from exc
 
 

@@ -21,8 +21,12 @@ whose KYP LMI is the original one with zero rows and columns removed.
   :func:`minimal_solution` tests it: a lossless system (inner or co-inner)
   has a singular pencil, so only such a system can be one. Its Stein
   equation ``X = A* X A + C* C``, or its adjoint's, decides (see
-  :func:`_lossless_solution`): its inequality set is one point, and the
-  set holds that point when it passes membership.
+  :func:`_lossless_solution`): the system is lossless when the Stein
+  solution satisfies the identities and is positive definite, its
+  inequality set is then one point, and the set holds that point when it
+  passes membership. An unstable all-pass system satisfies the identities
+  with a Stein solution that is not positive definite; it is not lossless
+  and takes the extremal route, whose Schur-class test refuses it.
 * Any other system (a Popov function that vanishes on the circle, a
   singular pencil that is not lossless, a non-minimal system whose pencil
   does not decide) gets the extremal pair: the ordered-QZ minimal solution
@@ -90,11 +94,13 @@ which lies between the pair, is then one point; the certified pair is not
 checked again.
 
 The minimal storage operator, also taken without the constant isometric
-channels, comes from one of two exact O(n**3) routes:
-ordered QZ (:func:`riccati_kyp.pencil.extremal`) on a regular pencil, after
-an exact Schur-class test on its eigenvalues, and the Stein solution of a
-lossless system. It is certified deterministically (Lancaster & Rodman,
-*Algebraic Riccati Equations*, 1995): it must be an equality member, and
+channels, is sought only for a system that passes the exact Schur-class
+test of :func:`_require_schur`, which reads the pencil eigenvalues of
+ordered QZ (:func:`riccati_kyp.pencil.extremal`) itself, on every route.
+It comes from one of two exact O(n**3) routes: ordered QZ on a regular
+pencil, and the positive-definite Stein solution of a lossless system. It
+is certified deterministically (Lancaster & Rodman, *Algebraic Riccati
+Equations*, 1995): it must be an equality member, and
 its closed loop ``A + B pinv(delta) beta`` must have spectral radius at
 most ``1 + EQUALITY_TOL``; sampling plays no part in it. One
 membership-kernel call decides both, and the loop's gain is the one the
@@ -130,6 +136,7 @@ from .linops import (
     Loewner,
     _least_and_norm,
     _loewner_masks,
+    _pd_mask,
     _spectral_norms,
     hermitian_part,
     loewner_compare,
@@ -466,8 +473,7 @@ def solve_re(
     constant isometric channels (:func:`_without_unit_channels`).
 
     A non-minimal system warns. A minimal system on the extremal route first
-    passes the Schur-class test of :func:`_require_schur`, on the pencil
-    eigenvalues of ordered QZ, or on none when QZ gives no candidate.
+    passes the Schur-class test of :func:`_require_schur`.
     Members are sorted by trace and then by entries, so output order is
     independent of scheduling. Every route validates at
     ``config.membership_tol`` and ``EQUALITY_TOL``.
@@ -576,7 +582,7 @@ def _extremal_set(sigma: SystemRealization, cfg: SolverConfig) -> SolutionSet:
     candidates, labels = [], []
     found = extremal(sigma)
     if is_minimal(sigma):
-        _require_schur(sigma, np.empty(0) if found is None else found[1])
+        _require_schur(sigma)
     if found is not None:
         candidates.append(found[0])
         labels.append("extremal(minimal)")
@@ -634,11 +640,12 @@ def _lossless_solution(sigma: SystemRealization) -> tuple[str, np.ndarray] | Non
     per realization.
 
     The system is inner when :func:`_inner_solution` finds it so, with X its
-    Stein solution, and X is then the one inequality member (Arlinskii
-    2008). Otherwise it is co-inner when its adjoint is inner, with Stein
-    solution ``W = A W A* + B B*``, and then its one inequality member is
-    ``W^-1``, inverted here once. A lossless system has a singular pencil,
-    so :func:`~riccati_kyp.pencil.extremal` leaves it here. Each realization
+    positive-definite Stein solution, and X is then the one inequality
+    member (Arlinskii 2008). Otherwise it is co-inner when its adjoint is
+    inner, with positive-definite Stein solution ``W = A W A* + B B*``, and
+    then its one inequality member is ``W^-1``, inverted here once. A
+    lossless system has a singular pencil, so
+    :func:`~riccati_kyp.pencil.extremal` leaves it here. Each realization
     solves its own Stein equation once, and the co-inner test reads the one
     adjoint that :func:`~riccati_kyp.systems.adjoint` keeps, so a system and
     its adjoint solve two Stein equations between them.
@@ -660,10 +667,15 @@ def _inner_solution(sigma: SystemRealization) -> np.ndarray | None:
     when ``sigma`` is inner, else None; decided once per realization.
 
     ``sigma`` is inner when ``beta(X) = D* C + B* X A`` and ``delta(X) = I -
-    D* D - B* X B`` vanish; then alpha(X) vanishes too and the KYP LMI is
-    zero at X. Each identity holds when its residual is within
-    ``EQUALITY_TOL`` of zero relative to ``max(1, ||X||)``. The equation is
-    solved by ``scipy.linalg.solve_discrete_lyapunov``. A pole on the circle
+    D* D - B* X B`` vanish and X is positive definite; then alpha(X)
+    vanishes too and the KYP LMI is zero at X. Each identity holds when its
+    residual is within ``EQUALITY_TOL`` of zero relative to ``max(1,
+    ||X||)``, and X passes the package's one positivity test
+    (:func:`~riccati_kyp.linops._pd_mask` on its ``eigh`` spectrum). The
+    identities alone also hold for an unstable all-pass system (T(z) = (z -
+    2) / (1 - 2z), with X = -3), which has no inequality member; X > 0 with
+    (C, A) observable gives rho(A) < 1. The equation is solved by
+    ``scipy.linalg.solve_discrete_lyapunov``. A pole on the circle
     (:func:`~riccati_kyp.systems._pole_angle`) gives None before the solve:
     an eigenvalue lambda of A with lambda lambda* = 1 makes the equation
     singular."""
@@ -678,19 +690,22 @@ def _inner_solution(sigma: SystemRealization) -> np.ndarray | None:
         return None
     _, beta, delta = _residual_ops(sigma, x)
     bound = EQUALITY_TOL * max(1.0, spectral_norm(x))
-    if max(spectral_norm(beta), spectral_norm(delta)) > bound:
+    identities = max(spectral_norm(beta), spectral_norm(delta)) <= bound
+    if not (identities and _pd_mask(np.linalg.eigh(x)[0][None])[0][0]):
         return None
     x.flags.writeable = False
     return x
 
 
-def _require_schur(sigma: SystemRealization, lam: np.ndarray) -> None:
+def _require_schur(sigma: SystemRealization) -> None:
     """Raise NotSchurClass unless the transfer function T of the minimal
-    system ``sigma`` is in the Schur class, given the finite eigenvalues
-    ``lam`` of its pencil (Boyd, Balakrishnan & Kabamba, Math. Control
-    Signals Systems 1989). Each eigenvalue mu of A is a pole of T at 1/mu,
-    so a pole in the closed disc, or within ``systems.POLE_TOL`` of it
-    (:func:`~riccati_kyp.systems._pole_angle`), raises with norm inf. The
+    system ``sigma`` is in the Schur class, read off the finite eigenvalues
+    of its pencil that ordered QZ gives with its candidate
+    (:func:`~riccati_kyp.pencil.extremal`, kept by the realization), or
+    none when QZ gives no candidate (Boyd, Balakrishnan & Kabamba, Math.
+    Control Signals Systems 1989). Each eigenvalue mu of A is a pole of T
+    at 1/mu, so a pole in the closed disc, or within ``systems.POLE_TOL`` of
+    it (:func:`~riccati_kyp.systems._pole_angle`), raises with norm inf. The
     pencil's circle eigenvalues ``exp(1j t)`` are the points ``exp(-1j t)``
     where a singular value of T is 1, so the norm at the midpoint of each
     arc between them, or at angle 0 when there are none, decides against
@@ -699,6 +714,8 @@ def _require_schur(sigma: SystemRealization, lam: np.ndarray) -> None:
     pole = _pole_angle(sigma, disc=True)
     if pole is not None:
         raise NotSchurClass(pole, np.inf)
+    found = extremal(sigma)
+    lam = np.empty(0) if found is None else found[1]
     on_circle = lam[np.abs(np.abs(lam) - 1.0) <= CIRCLE_GAP]
     crossings = np.sort(-np.angle(on_circle) % (2.0 * np.pi))
     if crossings.size:
@@ -722,11 +739,12 @@ def minimal_solution(
     """The least storage operator among the inequality members, of ``sigma``
     without its constant isometric channels.
 
-    One of two exact O(n**3) routes gives the candidate:
+    The Schur-class test of :func:`_require_schur` runs first, on every
+    route, and raises NotSchurClass. One of two exact O(n**3) routes then
+    gives the candidate:
 
     * a regular pencil: ordered QZ (:func:`~riccati_kyp.pencil.extremal`,
-      selection ``00...0`` of a decided pencil), after the Schur-class test
-      of :func:`_require_schur`, which raises NotSchurClass;
+      selection ``00...0`` of a decided pencil);
     * a lossless system (inner or co-inner, singular pencil): the one
       inequality member, from a Stein equation (:func:`_lossless_solution`).
 
@@ -738,20 +756,18 @@ def minimal_solution(
     :func:`_certified`); the lossless member's loop is the open loop A,
     whose eigenvalues are those of :func:`~riccati_kyp.systems._eigenvalues`.
     CertificateFailed means one of the two failed, or that neither route
-    applies to a system that passes the Schur-class test, which then runs
-    without pencil eigenvalues: its poles and its norm at angle 0.
+    applies to a system that passes the Schur-class test.
     """
     cfg = config or SolverConfig()
     sigma = _without_unit_channels(sigma)
     if not is_minimal(sigma):
         raise NotMinimal("extremal solutions require a minimal system")
+    _require_schur(sigma)
     found = extremal(sigma)
     if found is not None:
-        _require_schur(sigma, found[1])
         return _certified(sigma, found[0], cfg)
     lossless = _lossless_solution(sigma)
     if lossless is None:
-        _require_schur(sigma, np.empty(0))
         no_route = "no exact route: singular pencil or V1, not lossless"
         raise CertificateFailed("minimal", np.nan, np.nan, no_route)
     # beta and delta vanish at the Stein solution, so the member's loop is

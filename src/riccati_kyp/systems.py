@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, SingularResolvent
-from .linops import _not_pd, _pd_mask, ensure_hermitian, spectral_norm
+from .linops import _kept, _not_pd, _pd_mask, ensure_hermitian, spectral_norm
 
 __all__ = [
     "SystemRealization",
@@ -386,12 +386,10 @@ def _observability_block(sigma: SystemRealization) -> np.ndarray:
 
 
 def _rank(s: np.ndarray) -> int:
-    """The number of the descending singular values ``s`` above
-    ``MINIMALITY_TOL`` times the largest; 0 when there is none or the
-    largest is 0."""
-    if s.size == 0 or float(s[0]) == 0.0:
-        return 0
-    return int(np.count_nonzero(s > MINIMALITY_TOL * float(s[0])))
+    """The number of the singular values ``s`` that
+    :func:`~riccati_kyp.linops._kept` keeps at ``MINIMALITY_TOL``; 0 when
+    there is none or the largest is 0."""
+    return int(np.count_nonzero(_kept(s, MINIMALITY_TOL)))
 
 
 def controllable_subspace(sigma: SystemRealization) -> np.ndarray:

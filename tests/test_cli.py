@@ -28,6 +28,7 @@ from riccati_kyp import (
     CertificateFailed,
     DimensionMismatch,
     NotPD,
+    NotSchurClass,
     ParseError,
     RiccatiKypError,
     SolutionSet,
@@ -450,7 +451,8 @@ _REFUSED_EDITS = {
 }
 # orjson's reason for each edit that is not strict JSON, but for the
 # truncated text, whose reason depends on where it is cut; the column of
-# an edit of the first entry is that of the entry's first character
+# an edit of the first entry is that of the entry's first character, and
+# that of the byte that is not UTF-8 is the name's first character
 _OVERFLOW = "number is infinity when parsed as double"
 _REASONS = {
     "nan": "unexpected character",
@@ -486,6 +488,8 @@ def _assert_refused(edit, text, path, where, argv, capsys):
     assert match[2] == _REASONS.get(edit, match[2])
     if edit in _ENTRY_EDITS:
         assert int(match[1]) == text.index("0.5, 0.0]") + 1
+    if edit == "invalid-utf8":
+        assert int(match[1]) == text.index('"name": "') + len('"name": "') + 1
 
 
 # The names of the next two tests predate orjson as the one reader; they
@@ -509,6 +513,33 @@ def test_python_json_decides_a_refused_input_document(
     path = tmp_path / "inputs.json"
     argv = ["simulate", "--system", scalar_doc_path, "--inputs", str(path)]
     _assert_refused(edit, text, path, "x0[0]", argv, capsys)
+
+
+@pytest.mark.parametrize(
+    "head, where",
+    [
+        ('{"name": "', "line 1, column 11"),
+        ('{"name": "\u00e9\u4e2d", "A":\n  [', "line 2, column 4"),
+        ('\n\n{"\U0001d49c": [1,\n\t "\u00fc', "line 4, column 5"),
+    ],
+    ids=["ascii", "wide-characters", "third-line"],
+)
+def test_a_byte_that_is_not_utf8_is_placed_as_orjson_places_a_syntax_error(
+    head, where, tmp_path
+):
+    # orjson names line 1, column 1 for every byte that is not UTF-8; the
+    # reader names the byte's own line and column, counted in characters as
+    # orjson counts them for a control character, which it refuses inside
+    # a string and out, in the byte's place
+    def refused(tail: bytes) -> str:
+        path = tmp_path / "doc.json"
+        path.write_bytes(head.encode() + tail)
+        with pytest.raises(ParseError) as info:
+            cli_module._read_json(str(path), "system")
+        message = str(info.value)
+        return re.fullmatch(r".*: invalid JSON at (line \d+, column \d+) \(.+\)", message)[1]
+
+    assert refused(b"\xff]}") == refused(b"\x01]}") == where
 
 
 def _number_texts():
@@ -1342,25 +1373,37 @@ class TestSharedWork:
         # T(z) = (z - 2) / (1 - 2z) is unimodular on the circle and passes
         # the Stein identities with X = -3, but its pole at z = 1/2 leaves it
         # with no inequality member: the certificate says unknown, not
-        # unique_singleton, and the passivity section says why
-        doc = {
-            "name": "unstable_allpass",
-            "A": [[[2.0, 0.0]]],
-            "B": [[[1.0, 0.0]]],
-            "C": [[[-3.0, 0.0]]],
-            "D": [[[-2.0, 0.0]]],
-        }
-        path = tmp_path / "unstable_allpass.json"
-        path.write_text(json.dumps(doc))
-        code = main(["analyze", "--system", str(path), "--no-timings"])
-        analyze = json.loads(capsys.readouterr().out)["analyze"]
-        assert code == 0
-        assert analyze["circle"]["inner"] and not analyze["passivity"]["passive"]
-        assert analyze["uniqueness"] == {
-            "verdict": "unknown",
-            "reason": "none",
-            "delta_at_solution": None,
-        }
+        # unique_singleton, and the passivity section says why; every
+        # command that solves names the pole (norm inf at angle 0). Padded
+        # with a zero input column it is co-inner only, with W = -1/3
+        for pad in ([], [[0.0, 0.0]]):
+            doc = {
+                "name": "unstable_allpass",
+                "A": [[[2.0, 0.0]]],
+                "B": [[[1.0, 0.0]] + pad],
+                "C": [[[-3.0, 0.0]]],
+                "D": [[[-2.0, 0.0]] + pad],
+            }
+            path = tmp_path / "unstable_allpass.json"
+            path.write_text(json.dumps(doc))
+            code = main(["analyze", "--system", str(path), "--no-timings"])
+            analyze = json.loads(capsys.readouterr().out)["analyze"]
+            assert code == 0
+            assert analyze["circle"]["inner"] != bool(pad) and analyze["circle"]["coinner"]
+            assert not analyze["passivity"]["passive"]
+            assert analyze["uniqueness"] == {
+                "verdict": "unknown",
+                "reason": "none",
+                "delta_at_solution": None,
+            }
+            for command in ("solve-re", "extremes", "report"):
+                code = main([command, "--system", str(path), "--no-timings"])
+                error = json.loads(capsys.readouterr().out)["error"]
+                assert code == EXIT_CODES[NotSchurClass] == 18
+                assert error["category"] == "NotSchurClass"
+                assert error["message"].startswith(
+                    "transfer-function norm inf > 1 at angle 0.000000"
+                )
 
 # zoo_n2_m1_p2 of the seeded random zoo (block matrix scaled to norm 0.9) at
 # seeds 13, 21, 207, 209 and 211: rejection sampling once took samples from

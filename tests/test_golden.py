@@ -5,7 +5,11 @@ non-passive), which pin the order of the checks, and ``extremes`` on a
 seed-21 zoo system whose maximal certificate once failed on samples that
 rejection sampling took from just outside the inequality set, and
 ``report`` on T(z) = diag(1, 0.5 z), whose constant isometric channel the
-solver drops (equality set {1/4}, H_min = 1/4, H_max = 1). All run with
+solver drops (equality set {1/4}, H_min = 1/4, H_max = 1), and ``analyze``
+and ``extremes`` on the unstable all-pass T(z) = (z - 2) / (1 - 2z), whose
+Stein solution -3 passes the identities but is not positive definite: its
+uniqueness is unknown, and extremes names its pole at z = 1/2 (norm inf at
+angle 0, NotSchurClass). All run with
 ``--seed 301 --no-timings`` and are compared with the reports stored under
 ``tests/golden``.
 

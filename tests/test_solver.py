@@ -864,7 +864,7 @@ def test_schur_test_matches_a_dense_reference(seed, n, m, p, norm):
     else:
         schur = False
     try:
-        solver_module._require_schur(sigma, found[1])
+        solver_module._require_schur(sigma)
     except NotSchurClass as exc:
         assert not schur
         assert 0.0 <= exc.angle < 2.0 * np.pi
@@ -1051,6 +1051,27 @@ def test_a_singular_stein_equation_gives_no_inner_solution(monkeypatch):
     assert len(calls) == 1
     with pytest.raises(np.linalg.LinAlgError):
         solve(*calls[0])
+
+
+@pytest.mark.parametrize("padded", [False, True], ids=["inner", "coinner"])
+def test_unstable_allpass_is_not_lossless(padded):
+    # T(z) = (z - 2) / (1 - 2z) passes the Stein identities with X = -3, and
+    # padded with a zero input column its adjoint passes them with W = -1/3,
+    # but neither is positive definite: the pole at z = 1/2 puts T outside
+    # the Schur class, and no route names a member
+    pad = [0.0] if padded else []
+    sigma = SystemRealization([[2.0]], [[1.0] + pad], [[-3.0]], [[-2.0] + pad])
+    stein = adjoint(sigma) if padded else sigma
+    x = scipy.linalg.solve_discrete_lyapunov(stein.a.conj().T, stein.c.conj().T @ stein.c)
+    assert x[0, 0] == pytest.approx(-1.0 / 3.0 if padded else -3.0, rel=1e-12)
+    _, beta, delta = _residual_ops(stein, x)
+    assert max(abs(beta).max(), abs(delta).max()) <= 1e-12
+    assert solver_module._inner_solution(stein) is None
+    assert solver_module._lossless_solution(sigma) is None
+    for solve in (minimal_solution, maximal_solution, solve_re):
+        with pytest.raises(NotSchurClass) as raised:
+            solve(sigma)
+        assert raised.value.angle == 0.0 and raised.value.norm == np.inf
 
 
 GOLDEN_DOCS = Path(__file__).resolve().parent / "golden" / "docs"
