@@ -21,7 +21,8 @@ Q*``, with the singular-value test run only at the points that bound
 leaves open. The Stein test reads the inner fact that the system it names
 keeps (:func:`riccati_kyp.solver._inner_solution`): the system itself for
 the inner route and the one adjoint it keeps for the co-inner one, so the
-solver's co-inner test reads the same solve. Both defects come from one
+solver's co-inner test reads the same solve, and ``riccati_data`` reads
+the StorageOperator of its solution with no second ``eigh``. Both defects come from one
 spectrum per point, the eigenvalues ``sigma_i^2`` of the smaller Gram
 matrix of theta, taken in closed form when min(m, p) <= 2
 (:func:`riccati_kyp.systems._gram_eigs`, to a few eps of ``max(1,

@@ -338,6 +338,22 @@ class SchurFactorization:
     rank_delta: int
 
 
+def _nonneg_floor(block: BlockNonneg, rank_tol: float | None) -> tuple[float, float]:
+    """The rank tolerance (``default_rank_tol`` when None) and the spectral
+    norm of the assembled block, from one ``eigvalsh``; NotNonneg when its
+    least eigenvalue is below the PSD floor ``-rank_tol * max(1, norm)``."""
+    t = block.assembled()
+    if rank_tol is None:
+        rank_tol = default_rank_tol(t)
+    low, norm = _least_and_norm(t)
+    if low < -rank_tol * max(float(norm), 1.0):
+        raise NotNonneg(
+            f"assembled block operator has eigenvalue {float(low):.3e} "
+            f"below the PSD floor"
+        )
+    return rank_tol, float(norm)
+
+
 def minimal_contraction(
     block: BlockNonneg, rank_tol: float | None = None
 ) -> SchurFactorization:
@@ -354,16 +370,7 @@ def minimal_contraction(
         If the off-diagonal block does not factor to working precision,
         which signals the operator was not PSD to that precision.
     """
-    t = block.assembled()
-    if rank_tol is None:
-        rank_tol = default_rank_tol(t)
-    wt = np.linalg.eigvalsh(t)
-    norm_t = float(np.abs(wt).max()) if wt.size else 0.0
-    if wt.size and float(wt[0]) < -rank_tol * max(norm_t, 1.0):
-        raise NotNonneg(
-            f"assembled block operator has eigenvalue {float(wt[0]):.3e} "
-            f"below the PSD floor"
-        )
+    rank_tol, norm_t = _nonneg_floor(block, rank_tol)
 
     # Spectral data of the diagonal blocks; negatives (certified tiny by the
     # check above) are treated as zero.
@@ -410,13 +417,7 @@ def brute_force_infimum(
     in four input dimensions; the stationary point supplies the precision
     while the grid guards it.
     """
-    t = block.assembled()
-    if rank_tol is None:
-        rank_tol = default_rank_tol(t)
-    wt = np.linalg.eigvalsh(t)
-    norm_t = float(np.abs(wt).max()) if wt.size else 0.0
-    if wt.size and float(wt[0]) < -rank_tol * max(norm_t, 1.0):
-        raise NotNonneg("block operator is not nonnegative")
+    rank_tol, _ = _nonneg_floor(block, rank_tol)
 
     x = np.asarray(x, dtype=complex).reshape(-1)
     if x.shape[0] != block.state_dim:

@@ -41,10 +41,12 @@ passed. Every fact of a realization is decided once and kept by it
 (:func:`riccati_kyp.systems.is_minimal`), which the kernel reads too, its
 adjoint (:func:`riccati_kyp.systems.adjoint`), its ordered-QZ candidate,
 and here its reduction without constant isometric channels
-(:func:`_without_unit_channels`), its Stein test (:func:`_inner_solution`)
-and its lossless member (:func:`_lossless_solution`), so a system and its
-adjoint solve one Stein equation each, and a co-inner member is inverted
-once.
+(:func:`_without_unit_channels`), the channel-free, minimal, Schur-class
+realization both extremes rest on (:func:`_extremal_system`), its Stein
+test (:func:`_inner_solution`) and its lossless member
+(:func:`_lossless_solution`), so a system and its adjoint solve one Stein
+equation each, a co-inner member is inverted once, and each lossless
+member is decomposed once, by its StorageOperator.
 
 Loops over candidates go through the stacked membership kernel of
 :mod:`riccati_kyp.riccati` with one call per batch, and read its verdict
@@ -81,35 +83,43 @@ Inequality members are sampled on random chords through one interior
 point h0 of the KYP LMI ``L(H) = [[alpha, -beta*], [-beta, delta]] >= 0``,
 which is affine in H, so the feasible chord along a direction is read off
 one small eigenvalue problem, and the samples are independent (see
-:func:`sample_ri_members`). The interior point has L(h0) positive definite:
-the anchors' mean when it is one, and otherwise the ordered-QZ solution of
-a strictly passive neighbour of the system, or its midpoint with the mean
-(see :func:`_interior_point`). When the LMI has no such point (the transfer
-function reaches norm 1 on the circle, as for inner and co-inner systems),
-the samples are copies of the anchors' mean. The duality check builds
+:func:`sample_ri_members`). The LMI is that of the system without its
+constant isometric channels, the system's own without the zero rows and
+columns that would leave it no interior, so RI is the same set. The
+interior point has L(h0) positive definite: the anchors' mean when it is
+one, and otherwise the ordered-QZ solution of a strictly passive neighbour
+of that realization, or its midpoint with the mean (see
+:func:`_interior_point`). When the LMI has no such point (the transfer
+function of the channel-free realization reaches norm 1 on the circle, as
+for inner and co-inner systems), the samples are copies of the anchors'
+mean. The duality check builds
 these samples itself, its extremal pair and copies of the pair's mean,
 without calling the sampler, when the pair is Loewner-equal
 (:func:`_one_point`, the test :func:`_extremal_set` makes too), since RI,
 which lies between the pair, is then one point; the certified pair is not
 checked again.
 
-The minimal storage operator, also taken without the constant isometric
-channels, is sought only for a system that passes the exact Schur-class
-test of :func:`_require_schur`, which reads the pencil eigenvalues of
-ordered QZ (:func:`riccati_kyp.pencil.extremal`) itself, on every route.
-It comes from one of two exact O(n**3) routes: ordered QZ on a regular
-pencil, and the positive-definite Stein solution of a lossless system. It
-is certified deterministically (Lancaster & Rodman, *Algebraic Riccati
-Equations*, 1995): it must be an equality member, and
-its closed loop ``A + B pinv(delta) beta`` must have spectral radius at
-most ``1 + EQUALITY_TOL``; sampling plays no part in it. One
+Both extremal storage operators rest on one fact of the system,
+:func:`_extremal_system`: the system without its constant isometric
+channels, once it is minimal and passes the exact Schur-class test of
+:func:`_require_schur`, which reads the pencil eigenvalues of ordered QZ
+(:func:`riccati_kyp.pencil.extremal`) itself, on every route. The adjoint's
+transfer function is ``T(conj(z))*``, so channels, minimality and the
+Schur class are decided once, on the system, and never on the adjoint.
+The minimal storage operator is the least inequality member of that
+realization, and the maximal one the inverse of the least member of its
+adjoint. Each comes from one of two exact O(n**3) routes: ordered QZ on a
+regular pencil, and the positive-definite Stein solution of a lossless
+system. Each candidate is certified deterministically (Lancaster &
+Rodman, *Algebraic Riccati Equations*, 1995): it must be an equality
+member, and its closed loop ``A + B pinv(delta) beta`` must have spectral
+radius at most ``1 + EQUALITY_TOL``; sampling plays no part in it. One
 membership-kernel call decides both, and the loop's gain is the one the
 kernel forms with its surplus, from the one decomposition of delta, cut at
 ``riccati.RANK_TOL``. At the lossless member beta and delta vanish, and a
 relative cut of their roundoff would give a gain of roundoff, so its loop
 is the open loop A, whose spectral radius is read off the Schur diagonal
-the realization keeps. The maximal one is the inverse of the adjoint
-system's minimal one.
+the realization keeps.
 :func:`duality_check` runs the inversion checks on samples anchored at the
 extremal pair and on both equality sets, an independent cross-check. It
 takes the pair, and the system's equality set, from a caller that already
@@ -136,7 +146,6 @@ from .linops import (
     Loewner,
     _least_and_norm,
     _loewner_masks,
-    _pd_mask,
     _spectral_norms,
     hermitian_part,
     loewner_compare,
@@ -307,7 +316,9 @@ def _interior_point(
     sigma: SystemRealization, center: np.ndarray, tol: float
 ) -> np.ndarray | None:
     """A point that clears its membership band (:func:`_clears_band`), or
-    None when none is found.
+    None when none is found. ``sigma`` is the channel-free realization of
+    :func:`sample_ri_members`: a constant isometric channel adds zero rows
+    and columns to the LMI, which no point clears.
 
     ``center``, a member of RI, is returned when it clears the band.
     Otherwise, for eps = 1, 1/4, 1/16, ... down to ``tol``, the least band,
@@ -361,24 +372,28 @@ def sample_ri_members(
     factor ``L(h0) = F F*``, formed once, and t is a uniform point of it.
     Every member of RI lies between H_min and H_max (Arov, Kaashoek & Pik
     2006; Arlinskii 2008), so points spread up to the boundary serve the
-    duality cross-check, and no Markov chain is run. h0 is the point of
+    duality cross-check, and no Markov chain is run. The anchors are checked
+    on ``sigma``; h0, the chords and the validation use ``sigma`` without
+    its constant isometric channels (:func:`_without_unit_channels`), whose
+    LMI is that of ``sigma`` without its zero rows and columns, so RI is the
+    same set and L(h0) can be positive definite. h0 is the point of
     :func:`_interior_point`: the anchors' mean when its LMI margin exceeds
     the membership band ``tol * max(1, ||L||)``, and otherwise a point
     inside RI taken from the ordered-QZ solution of a strictly passive
-    neighbour of ``sigma``. Each round draws all its directions in one
-    generator call and all its chord positions in another, reads every
-    chord off one batched ``eigvalsh``, and validates its points by one
-    membership-kernel call: a point is kept when it is in RI with a
-    nonnegative LMI margin. A direction whose chord is not finite in
-    floating point is skipped, and the rare point that roundoff puts past a
+    neighbour of the channel-free realization. Each round draws all its
+    directions in one generator call and all its chord positions in
+    another, reads every chord off one batched ``eigvalsh``, and validates
+    its points by one membership-kernel call: a point is kept when it is in
+    RI with a nonnegative LMI margin. A direction whose chord is not finite
+    in floating point is skipped, and the rare point that roundoff puts past a
     chord end (a failed validation) is dropped; both are drawn again by a
     further round, and a round that keeps no point ends sampling.
 
     When no point clears the band, the samples are copies of the anchors'
-    mean, a member by convexity. This happens when the LMI has an empty
-    interior, because the transfer function reaches norm 1 on the unit
-    circle; for an inner or co-inner system RI is one point and every chord
-    has length zero. It also happens when the band, which grows with
+    mean, a member by convexity. This happens when the channel-free LMI has
+    an empty interior, because its transfer function reaches norm 1 on the
+    unit circle; for an inner or co-inner system RI is one point and every
+    chord has length zero. It also happens when the band, which grows with
     ||L||, is wider than any margin (cond(H) near 1e10).
     :func:`duality_check`, which knows from the extremal pair when RI is one
     point, builds these samples itself and does not call here.
@@ -407,6 +422,8 @@ def sample_ri_members(
     if len(samples) >= count:
         return samples[:count]
     center = sum(good_anchors) / len(good_anchors)
+    # the same RI, with an LMI that has no zero rows and columns
+    sigma = _without_unit_channels(sigma)
     h0 = _interior_point(sigma, center, tol)
     if h0 is None:
         return samples + [center.copy() for _ in range(count - len(samples))]
@@ -513,7 +530,7 @@ def solve_re(
         return _validated_set(
             sigma,
             cfg,
-            h[None],
+            h.matrix[None],
             [f"lossless({kind})"],
             "lossless",
             exhaustive=True,
@@ -578,11 +595,11 @@ def _extremal_set(sigma: SystemRealization, cfg: SolverConfig) -> SolutionSet:
     inverse of its adjoint's when that is positive definite, the maximal
     one; the second is left out when the two are Loewner-equal. A minimal
     ``sigma`` first passes the Schur-class test, also when QZ gives no
-    candidate. The set is never complete."""
+    candidate (:func:`_extremal_system`). The set is never complete."""
     candidates, labels = [], []
     found = extremal(sigma)
     if is_minimal(sigma):
-        _require_schur(sigma)
+        _extremal_system(sigma)
     if found is not None:
         candidates.append(found[0])
         labels.append("extremal(minimal)")
@@ -634,21 +651,25 @@ def _hermitian_inverse(h: np.ndarray) -> np.ndarray:
 
 
 @_memo
-def _lossless_solution(sigma: SystemRealization) -> tuple[str, np.ndarray] | None:
+def _lossless_solution(sigma: SystemRealization) -> tuple[str, StorageOperator] | None:
     """``("inner", X)`` or ``("co-inner", W^-1)`` for a lossless system, else
-    None: the kind and the one inequality member, read-only, decided once
-    per realization.
+    None: the kind and the one inequality member, a StorageOperator,
+    decided once per realization.
 
     The system is inner when :func:`_inner_solution` finds it so, with X its
     positive-definite Stein solution, and X is then the one inequality
     member (Arlinskii 2008). Otherwise it is co-inner when its adjoint is
     inner, with positive-definite Stein solution ``W = A W A* + B B*``, and
-    then its one inequality member is ``W^-1``, inverted here once. A
-    lossless system has a singular pencil, so
+    then its one inequality member is ``W^-1``, inverted here once by
+    :func:`_hermitian_inverse`; an inverse that fails the positivity test
+    (``||W||`` beyond ``1 / linops.PD_TOL``, as for an inner X below it)
+    gives None. A lossless system has a singular pencil, so
     :func:`~riccati_kyp.pencil.extremal` leaves it here. Each realization
     solves its own Stein equation once, and the co-inner test reads the one
     adjoint that :func:`~riccati_kyp.systems.adjoint` keeps, so a system and
-    its adjoint solve two Stein equations between them.
+    its adjoint solve two Stein equations between them. Each member is
+    decomposed once, by its StorageOperator, which the certificate and
+    :func:`riccati_kyp.boundary.uniqueness_certificate` read.
     """
     x = _inner_solution(sigma)
     if x is not None:
@@ -656,22 +677,25 @@ def _lossless_solution(sigma: SystemRealization) -> tuple[str, np.ndarray] | Non
     w = _inner_solution(adjoint(sigma))
     if w is None:
         return None
-    member = _hermitian_inverse(w)
-    member.flags.writeable = False
-    return "co-inner", member
+    try:
+        return "co-inner", StorageOperator(_hermitian_inverse(w.matrix))
+    except NotPD:
+        return None
 
 
 @_memo
-def _inner_solution(sigma: SystemRealization) -> np.ndarray | None:
-    """The read-only solution X of the Stein equation ``X = A* X A + C* C``
-    when ``sigma`` is inner, else None; decided once per realization.
+def _inner_solution(sigma: SystemRealization) -> StorageOperator | None:
+    """The StorageOperator of the solution X of the Stein equation ``X = A*
+    X A + C* C`` when ``sigma`` is inner, else None; decided once per
+    realization.
 
     ``sigma`` is inner when ``beta(X) = D* C + B* X A`` and ``delta(X) = I -
     D* D - B* X B`` vanish and X is positive definite; then alpha(X)
     vanishes too and the KYP LMI is zero at X. Each identity holds when its
     residual is within ``EQUALITY_TOL`` of zero relative to ``max(1,
-    ||X||)``, and X passes the package's one positivity test
-    (:func:`~riccati_kyp.linops._pd_mask` on its ``eigh`` spectrum). The
+    ||X||)``, and X passes the package's one positivity test, that of the
+    StorageOperator constructor, whose one ``eigh`` every later reader of
+    X shares. The
     identities alone also hold for an unstable all-pass system (T(z) = (z -
     2) / (1 - 2z), with X = -3), which has no inequality member; X > 0 with
     (C, A) observable gives rho(A) < 1. The equation is solved by
@@ -690,16 +714,20 @@ def _inner_solution(sigma: SystemRealization) -> np.ndarray | None:
         return None
     _, beta, delta = _residual_ops(sigma, x)
     bound = EQUALITY_TOL * max(1.0, spectral_norm(x))
-    identities = max(spectral_norm(beta), spectral_norm(delta)) <= bound
-    if not (identities and _pd_mask(np.linalg.eigh(x)[0][None])[0][0]):
+    if not max(spectral_norm(beta), spectral_norm(delta)) <= bound:
         return None
-    x.flags.writeable = False
-    return x
+    try:
+        return StorageOperator(x)
+    except NotPD:
+        return None
 
 
 def _require_schur(sigma: SystemRealization) -> None:
     """Raise NotSchurClass unless the transfer function T of the minimal
-    system ``sigma`` is in the Schur class, read off the finite eigenvalues
+    channel-free system ``sigma`` is in the Schur class; called only by
+    :func:`_extremal_system`, which keeps the verdict, so each system is
+    tested once and its adjoint, whose transfer function ``T(conj(z))*``
+    has the same norms, never. It is read off the finite eigenvalues
     of its pencil that ordered QZ gives with its candidate
     (:func:`~riccati_kyp.pencil.extremal`, kept by the realization), or
     none when QZ gives no candidate (Boyd, Balakrishnan & Kabamba, Math.
@@ -733,15 +761,35 @@ def _require_schur(sigma: SystemRealization) -> None:
         raise NotSchurClass(angles[k], norms[k])
 
 
+@_memo
+def _extremal_system(sigma: SystemRealization) -> SystemRealization:
+    """``sigma`` without its constant isometric channels
+    (:func:`_without_unit_channels`), once that realization is minimal
+    (NotMinimal otherwise) and its transfer function passes the Schur-class
+    test of :func:`_require_schur` (NotSchurClass otherwise); decided once
+    per realization, and a realization with channels reads the fact of its
+    reduction. Both extremes rest on it: the minimal one is certified on
+    this realization and the maximal one on its adjoint, whose transfer
+    function ``T(conj(z))*`` has no channel when T has none, and the same
+    minimality and Schur class, so the adjoint is never tested on its own."""
+    reduced = _without_unit_channels(sigma)
+    if reduced is not sigma:
+        return _extremal_system(reduced)
+    if not is_minimal(sigma):
+        raise NotMinimal("extremal solutions require a minimal system")
+    _require_schur(sigma)
+    return sigma
+
+
 def minimal_solution(
     sigma: SystemRealization, config: SolverConfig | None = None
 ) -> StorageOperator:
     """The least storage operator among the inequality members, of ``sigma``
     without its constant isometric channels.
 
-    The Schur-class test of :func:`_require_schur` runs first, on every
-    route, and raises NotSchurClass. One of two exact O(n**3) routes then
-    gives the candidate:
+    The realization is that of :func:`_extremal_system`, which first decides
+    minimality and the Schur class and raises NotMinimal or NotSchurClass.
+    One of two exact O(n**3) routes then gives the candidate:
 
     * a regular pencil: ordered QZ (:func:`~riccati_kyp.pencil.extremal`,
       selection ``00...0`` of a decided pencil);
@@ -758,36 +806,39 @@ def minimal_solution(
     CertificateFailed means one of the two failed, or that neither route
     applies to a system that passes the Schur-class test.
     """
-    cfg = config or SolverConfig()
-    sigma = _without_unit_channels(sigma)
-    if not is_minimal(sigma):
-        raise NotMinimal("extremal solutions require a minimal system")
-    _require_schur(sigma)
+    return _least_member(_extremal_system(sigma), "minimal", config or SolverConfig())
+
+
+def _least_member(sigma: SystemRealization, side: str, cfg: SolverConfig) -> StorageOperator:
+    """The certified least inequality member of ``sigma``, the realization
+    of :func:`_extremal_system` (``side`` ``"minimal"``) or its adjoint
+    (``side`` ``"maximal"``, whose least member is the inverse of the
+    system's greatest), from the first of the two routes of
+    :func:`minimal_solution` that gives a candidate; a CertificateFailed
+    names ``side``."""
     found = extremal(sigma)
     if found is not None:
-        return _certified(sigma, found[0], cfg)
+        return _certified(sigma, found[0], cfg, side)
     lossless = _lossless_solution(sigma)
     if lossless is None:
         no_route = "no exact route: singular pencil or V1, not lossless"
-        raise CertificateFailed("minimal", np.nan, np.nan, no_route)
+        raise CertificateFailed(side, np.nan, np.nan, no_route)
     # beta and delta vanish at the Stein solution, so the member's loop is
     # the open loop A (A* on the adjoint, whose spectrum is the conjugate)
     radius = float(np.abs(_eigenvalues(sigma)).max(initial=0.0))
-    return _certified(sigma, lossless[1], cfg, radius)
+    return _certified(sigma, lossless[1], cfg, side, radius)
 
 
 def _certified(
-    sigma: SystemRealization,
-    h: np.ndarray,
-    cfg: SolverConfig,
-    radius: float | None = None,
+    sigma: SystemRealization, h, cfg: SolverConfig, side: str, radius: float | None = None
 ) -> StorageOperator:
-    """``h`` as the minimal solution, once it is an equality member at
-    ``cfg.membership_tol`` and ``EQUALITY_TOL`` and its closed-loop radius is
-    at most ``1 + EQUALITY_TOL``; CertificateFailed otherwise. Of the 2**n
-    selections of a decided pencil only the minimal one has a closed loop in
-    the closed disc (on the two-state example: radius 0.866 at H_min, 1.155
-    at the other three).
+    """``h``, a matrix or StorageOperator, as the least inequality member of
+    ``sigma``, once it is an equality member at ``cfg.membership_tol`` and
+    ``EQUALITY_TOL`` and its closed-loop radius is at most ``1 +
+    EQUALITY_TOL``; CertificateFailed, with ``side``, otherwise. Of the
+    2**n selections of a decided pencil only the minimal one has a closed
+    loop in the closed disc (on the two-state example: radius 0.866 at
+    H_min, 1.155 at the other three).
 
     One membership-kernel call decides the candidate, and the closed loop
     ``A + B K`` takes its gain ``K = pinv(delta) beta`` from that call, cut at
@@ -800,10 +851,10 @@ def _certified(
         storage = as_storage(h)
     except NotPD as exc:
         raise CertificateFailed(
-            "minimal",
+            side,
             np.nan,
             re_residual_norm(sigma, h),
-            f"minimal solution candidate is not positive definite ({exc})",
+            f"{side} solution candidate is not positive definite ({exc})",
         ) from exc
     table = _membership_stack(sigma, storage.matrix[None], cfg.membership_tol,
                               storage.eigenvalues[None])
@@ -812,7 +863,7 @@ def _certified(
         finite = np.isfinite(loop).all()
         radius = max(abs(np.linalg.eigvals(loop)), default=0.0) if finite else np.nan
     if not table.in_re[0] or radius > 1.0 + EQUALITY_TOL:
-        raise CertificateFailed("minimal", radius, table.equality_residual[0])
+        raise CertificateFailed(side, radius, table.equality_residual[0])
     return storage
 
 
@@ -821,22 +872,15 @@ def maximal_solution(
 ) -> StorageOperator:
     """The greatest storage operator among the inequality members.
 
-    By the adjoint-inversion duality this is the inverse of the adjoint
-    system's minimal solution, whose certificate covers it; a failed one is
-    raised with side ``"maximal"``. The adjoint's transfer function is
-    ``T_adj(exp(1j t)) = T(exp(-1j t))*``, so a NotSchurClass of the adjoint
-    at angle t is raised at angle ``-t mod 2 pi``, where ``sigma``'s own
-    transfer function has that norm.
+    By the adjoint-inversion duality this is the inverse of the least
+    inequality member of the adjoint of :func:`_extremal_system`, which
+    decides minimality and the Schur class for both; the adjoint only
+    supplies the candidate, certified as :func:`minimal_solution` certifies
+    its own, and a failed certificate is raised with side ``"maximal"`` and
+    the radius of the adjoint's closed loop.
     """
-    try:
-        minimal_adj = minimal_solution(adjoint(sigma), config)
-    except CertificateFailed as exc:
-        raise CertificateFailed(
-            "maximal", exc.radius, exc.equality_residual, f"adjoint system: {exc}"
-        ) from exc
-    except NotSchurClass as exc:
-        raise NotSchurClass(-exc.angle % (2.0 * np.pi), exc.norm) from exc
-    return as_storage(hermitian_part(minimal_adj.inv_sqrt @ minimal_adj.inv_sqrt))
+    least = _least_member(adjoint(_extremal_system(sigma)), "maximal", config or SolverConfig())
+    return as_storage(hermitian_part(least.inv_sqrt @ least.inv_sqrt))
 
 
 @dataclass

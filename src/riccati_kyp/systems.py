@@ -134,10 +134,12 @@ def _memo(decide=None, *, involution: bool = False):
     keyed by the decorated function: ``decide`` runs on the first call for
     ``sigma`` and never again for it, and every call returns the kept
     result. With ``involution`` the result is a realization that keeps
-    ``sigma`` as its own result, so that ``f(f(sigma)) is sigma``. The
-    decorated function reaches ``decide`` as its ``__wrapped__`` on each
-    decision, and only then; its ``known(sigma)`` is the kept result, or
-    None before the first call, and decides nothing. A wrapper made with
+    ``sigma`` as its own result, so that ``f(f(sigma)) is sigma``. A
+    ``decide`` that raises keeps nothing: the exception reaches the caller,
+    and the next call for ``sigma`` decides again. The decorated function
+    reaches ``decide`` as its ``__wrapped__`` on each decision, and only
+    then; its ``known(sigma)`` is the kept result, or None before the first
+    call or after a raise, and decides nothing. A wrapper made with
     ``functools.wraps`` carries ``known`` along."""
     if decide is None:
         return functools.partial(_memo, involution=involution)

@@ -905,7 +905,9 @@ def test_each_command_decides_minimality_and_decomposes_a_once(monkeypatch, tmp_
                  for sigma in schur}
         assert len(schur_calls) == len(pairs), command
         if path == TWO_STATE_DOC:
-            assert len(schur) == 2 and len(pairs) == 1, command
+            # only the system is tested for the Schur class, and its
+            # adjoint reads no eigenvalues of its own
+            assert len(schur) == 1 and len(pairs) == 1, command
         if path == doc:
             assert len(minimality) == 1, command
             assert len(schur) == (command == "analyze"), command
@@ -938,6 +940,25 @@ def test_report_decides_each_fact_once_per_realization(name, monkeypatch, tmp_pa
     # the second of the pair to take its Schur form reads it off the
     # first's, so A is decomposed once
     assert len(schur_calls) == 1
+
+
+@pytest.mark.parametrize("command", ["extremes", "report"])
+@pytest.mark.parametrize("name", ["two_state", "scalar_interval", "coisometry", "unit_channel"])
+def test_each_job_tests_the_schur_class_once(name, command, monkeypatch, tmp_path):
+    # minimality and the Schur class are facts of the system that its
+    # adjoint shares, so one test runs, on the system without its constant
+    # isometric channels, and the adjoint only supplies H_max's candidate
+    test, calls = solver_module._require_schur, []
+    monkeypatch.setattr(solver_module, "_require_schur",
+                        lambda sigma: calls.append(sigma) or test(sigma))
+    path = str(GOLDEN_DOCS / f"{name}.json")
+    out = str(tmp_path / "out.json")
+    assert main([command, "--system", path, "--seed", "301", "--no-timings", "--out", out]) == 0
+    reduced = solver_module._without_unit_channels(parse_system(path).realization())
+    assert len(calls) == 1
+    for got, want in zip((calls[0].a, calls[0].b, calls[0].c, calls[0].d),
+                         (reduced.a, reduced.b, reduced.c, reduced.d)):
+        assert np.array_equal(got, want)
 
 
 def _scipy_calls(monkeypatch, name: str) -> list:

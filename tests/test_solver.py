@@ -731,6 +731,9 @@ def test_deflated_lmi_is_the_original_without_zero_rows(seed):
     n, m = sigma.state_dim, sigma.input_dim
     assert deflated.input_dim == m - 1 and deflated.output_dim == sigma.output_dim - 1
     assert bool(is_minimal(deflated)) == bool(is_minimal(sigma))
+    # no channel is left, so the deflated system is its own reduction
+    assert _without_unit_channels(deflated) is deflated
+    assert _without_unit_channels.__wrapped__(deflated) is deflated
     d = sigma.d
     _, _, vh = np.linalg.svd(
         np.vstack([sigma.b, np.eye(m) - d.conj().T @ d, sigma.c.conj().T @ d])
@@ -1005,7 +1008,7 @@ def test_lossless_systems_take_the_stein_route(block):
         assert len(solution_set) == 1
         h_min = minimal_solution(sigma).matrix
         h_max = maximal_solution(sigma).matrix
-        assert _rel(h_min, member) <= 1e-12
+        assert _rel(h_min, member.matrix) <= 1e-12
         assert _rel(h_max, h_min) <= 1e-9 * np.linalg.cond(h_min), seed
 
 
@@ -1077,6 +1080,19 @@ def test_unstable_allpass_is_not_lossless(padded):
 GOLDEN_DOCS = Path(__file__).resolve().parent / "golden" / "docs"
 
 
+def test_a_co_inner_member_below_the_positivity_floor_is_not_lossless():
+    # the delay T(z) = z with its state scaled by 1e7: the inner X = 1e-14
+    # and the co-inner W^-1 = 1e-14 both fail the positivity test, so the
+    # system is not found lossless, and no exact route certifies a member
+    sigma = SystemRealization(0.0, 1e7, 1e-7, 0.0)
+    assert solver_module._inner_solution(sigma) is None
+    assert solver_module._inner_solution(adjoint(sigma)).matrix[0, 0] == pytest.approx(1e14)
+    assert solver_module._lossless_solution(sigma) is None
+    assert solve_re(sigma).route == "extremal"
+    with pytest.raises(CertificateFailed, match="no exact route"):
+        minimal_solution(sigma)
+
+
 def _certificate_candidates() -> list[tuple[SystemRealization, np.ndarray]]:
     """The ordered-QZ candidates that :func:`minimal_solution` certifies:
     for each system of the zoo at seeds 301, 401 and 1201 and of each golden
@@ -1113,10 +1129,10 @@ class TestCertificate:
     def test_only_the_stable_selection_certifies(self, two_state_system, monkeypatch):
         # closed-loop radius sqrt(3)/2 at H_min, 2/sqrt(3) at the other three
         h1, h2, h3, h4 = two_state_re_solutions()
-        assert solver_module._certified(two_state_system, h1, SolverConfig())
+        assert solver_module._certified(two_state_system, h1, SolverConfig(), "minimal")
         for h in (h2, h3, h4):
             with pytest.raises(CertificateFailed) as info:
-                solver_module._certified(two_state_system, h, SolverConfig())
+                solver_module._certified(two_state_system, h, SolverConfig(), "minimal")
             assert info.value.side == "minimal"
             assert abs(info.value.radius - 2.0 / np.sqrt(3.0)) <= 1e-12
             assert info.value.equality_residual <= 1e-12
@@ -1124,7 +1140,7 @@ class TestCertificate:
         # reads riccati's own constant), H_min fails and shows its radius
         monkeypatch.setattr(solver_module, "EQUALITY_TOL", -0.2)
         with pytest.raises(CertificateFailed) as info:
-            solver_module._certified(two_state_system, h1, SolverConfig())
+            solver_module._certified(two_state_system, h1, SolverConfig(), "minimal")
         assert abs(info.value.radius - np.sqrt(3.0) / 2.0) <= 1e-12
         assert info.value.equality_residual <= 1e-12
 
@@ -1179,7 +1195,7 @@ class TestCertificate:
         compared = 0
         for sigma, h in candidates:
             with pytest.raises(CertificateFailed) as info:
-                solver_module._certified(sigma, h, SolverConfig())
+                solver_module._certified(sigma, h, SolverConfig(), "minimal")
             if "not positive definite" in str(info.value):
                 assert np.isnan(info.value.radius)
             else:
@@ -1992,6 +2008,25 @@ def test_duality_checks_each_distinct_sample_once(name, monkeypatch):
     report = duality_check(sigma, SolverConfig(seed=301))
     assert report.sample_count == len(report.samples_ok) == 50
     assert 1 <= rows[0] <= 3
+
+
+def test_the_unit_channel_sampler_needs_no_neighbour(monkeypatch):
+    # the constant isometric channel of unit_channel.json adds zero rows and
+    # columns to the system's LMI, which then has no interior; the sampler
+    # works on the channel-free realization, whose LMI is the same without
+    # them, so the anchors' mean clears the band, no neighbour is solved by
+    # ordered QZ, and all 50 samples are distinct
+    sigma = _golden_system("unit_channel")
+    cfg = SolverConfig(seed=301)
+    extremes = minimal_solution(sigma, cfg), maximal_solution(sigma, cfg)
+    real, solved = solver_module.extremal, []
+    monkeypatch.setattr(solver_module, "extremal",
+                        lambda system: solved.append(system) or real(system))
+    samples = sample_ri_members(sigma, 50, np.random.default_rng(308), list(extremes))
+    assert solved == []
+    assert len({sample.tobytes() for sample in samples}) == 50
+    report = duality_check(sigma, cfg, extremes=extremes)
+    assert report.sample_count == 50 and all(report.samples_ok)
 
 
 @pytest.mark.parametrize("name", sorted(CHORD_ZOO))

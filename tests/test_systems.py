@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from riccati_kyp import (
     DimensionMismatch,
     NotPD,
+    NotSchurClass,
     SingularResolvent,
     SystemRealization,
     adjoint,
@@ -78,6 +79,24 @@ class TestImmutableRealization:
         assert is_minimal.known(sigma) is report
         with pytest.raises(dataclasses.FrozenInstanceError):
             report.minimal = False
+
+    def test_a_decider_that_raises_keeps_nothing(self, monkeypatch):
+        # T(z) = 0.9 + z / (1 - z / 2) reaches norm 2.9 at z = 1: the
+        # Schur-class test raises from the memoised decision behind both
+        # extremes, nothing is kept, and each extreme decides again and
+        # names the system's own angle and norm
+        from riccati_kyp import solver as solver_module
+
+        sigma = SystemRealization(0.5, 1.0, 1.0, 0.9)
+        decided = decisions(monkeypatch, solver_module._extremal_system)
+        raised = []
+        for extreme in (solver_module.minimal_solution, solver_module.maximal_solution):
+            with pytest.raises(NotSchurClass) as info:
+                extreme(sigma)
+            raised.append((info.value.angle, info.value.norm))
+            assert solver_module._extremal_system.known(sigma) is None
+        assert raised[0] == raised[1] and raised[0][1] > 1.0
+        assert decided == [sigma, sigma]
 
     def test_schur_form_is_read_only(self, two_state_system):
         norm_a, t, q = _schur_form(two_state_system)
