@@ -99,13 +99,17 @@ class NotMinimal(RiccatiKypError):
 class NotSchurClass(RiccatiKypError):
     """A minimal system's transfer function has a pole in the closed disc or
     a norm above one on the circle, so no inequality member exists; it has
-    ``norm`` (inf at a pole) at ``angle`` in [0, 2 pi), as in circle_profile."""
+    ``norm`` (inf at a pole) at ``angle`` in [0, 2 pi), as in circle_profile.
+    A pole also has its ``modulus`` (None otherwise), and the message names
+    the pole ``z = modulus exp(i angle)``."""
 
-    def __init__(self, angle: float, norm: float):
+    def __init__(self, angle: float, norm: float, modulus: float | None = None):
         self.angle, self.norm = float(angle), float(norm)
+        self.modulus = None if modulus is None else float(modulus)
+        where = f"norm {self.norm:.6f} > 1" if modulus is None else f"pole of modulus {modulus:.6f}"
         super().__init__(
-            f"transfer-function norm {self.norm:.6f} > 1 at angle "
-            f"{self.angle:.6f}; no inequality member can exist"
+            f"transfer-function {where} at angle {self.angle:.6f}; no inequality "
+            "member can exist"
         )
 
 

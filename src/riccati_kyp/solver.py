@@ -104,8 +104,11 @@ Both extremal storage operators rest on one fact of the system,
 channels, once it is minimal and passes the exact Schur-class test of
 :func:`_require_schur`, which reads the pencil eigenvalues of ordered QZ
 (:func:`riccati_kyp.pencil.extremal`) itself, on every route. The adjoint's
-transfer function is ``T(conj(z))*``, so channels, minimality and the
-Schur class are decided once, on the system, and never on the adjoint.
+transfer function is ``T(conj(z))*``, so minimality, channels, the Schur
+form and the Schur class are decided once per system and its adjoint
+(the ``dual`` rule of :func:`riccati_kyp.systems._memo`): whichever of the
+pair decides first, the other reads its fact off it, and the adjoint's
+checked realization is the adjoint of the system's.
 The minimal storage operator is the least inequality member of that
 realization, and the maximal one the inverse of the least member of its
 adjoint. Each comes from one of two exact O(n**3) routes: ordered QZ on a
@@ -617,12 +620,14 @@ def _extremal_set(sigma: SystemRealization, cfg: SolverConfig) -> SolutionSet:
     return _validated_set(sigma, cfg, stack, labels, "extremal", exhaustive=False)
 
 
-@_memo
+@_memo(dual=lambda reduced, _: adjoint(reduced))
 def _without_unit_channels(sigma: SystemRealization) -> SystemRealization:
     """``sigma`` without its constant isometric channels, or ``sigma`` when
-    it has none, decided once per realization. When every input is one, the
-    result has no inputs, and its equality is the Stein equation
-    ``alpha(H) = 0``.
+    it has none, decided once per realization and its adjoint: a channel u
+    of ``sigma`` is the channel ``D u`` of the adjoint and back, so the
+    adjoint's reduction is the adjoint of the reduction, and the second of
+    the pair reads it so. When every input is one, the result has no inputs,
+    and its equality is the Stein equation ``alpha(H) = 0``.
 
     A channel is an input direction u in the kernel of ``[B; I - D* D;
     C* D]`` (singular values cut at ``RANK_TOL * max(1, s_max)``), which T
@@ -725,23 +730,24 @@ def _inner_solution(sigma: SystemRealization) -> StorageOperator | None:
 def _require_schur(sigma: SystemRealization) -> None:
     """Raise NotSchurClass unless the transfer function T of the minimal
     channel-free system ``sigma`` is in the Schur class; called only by
-    :func:`_extremal_system`, which keeps the verdict, so each system is
-    tested once and its adjoint, whose transfer function ``T(conj(z))*``
-    has the same norms, never. It is read off the finite eigenvalues
+    :func:`_extremal_system`, which keeps the verdict for the system and
+    its adjoint, whose transfer function ``T(conj(z))*`` has the same
+    norms, so a pair is tested once. It is read off the finite eigenvalues
     of its pencil that ordered QZ gives with its candidate
     (:func:`~riccati_kyp.pencil.extremal`, kept by the realization), or
     none when QZ gives no candidate (Boyd, Balakrishnan & Kabamba, Math.
     Control Signals Systems 1989). Each eigenvalue mu of A is a pole of T
     at 1/mu, so a pole in the closed disc, or within ``systems.POLE_TOL`` of
-    it (:func:`~riccati_kyp.systems._pole_angle`), raises with norm inf. The
+    it (:func:`~riccati_kyp.systems._pole_angle`), raises with norm inf and
+    the modulus of the pole of largest ``|mu|``, which it names. The
     pencil's circle eigenvalues ``exp(1j t)`` are the points ``exp(-1j t)``
     where a singular value of T is 1, so the norm at the midpoint of each
     arc between them, or at angle 0 when there are none, decides against
     ``1 + EQUALITY_TOL``. A singular resolvent at a test point counts as a
-    pole there."""
+    pole there, of modulus 1."""
     pole = _pole_angle(sigma, disc=True)
     if pole is not None:
-        raise NotSchurClass(pole, np.inf)
+        raise NotSchurClass(pole, np.inf, 1.0 / np.abs(_eigenvalues(sigma)).max())
     found = extremal(sigma)
     lam = np.empty(0) if found is None else found[1]
     on_circle = lam[np.abs(np.abs(lam) - 1.0) <= CIRCLE_GAP]
@@ -753,7 +759,7 @@ def _require_schur(sigma: SystemRealization) -> None:
     else:
         angles = np.zeros(1)
     values = _transfer_grid(
-        sigma, np.exp(1j * angles), lambda _, i: NotSchurClass(angles[i], np.inf)
+        sigma, np.exp(1j * angles), lambda _, i: NotSchurClass(angles[i], np.inf, 1.0)
     )
     norms = np.sqrt(_gram_eigs(values).max(axis=1, initial=0.0))
     k = int(np.argmax(norms))
@@ -761,17 +767,19 @@ def _require_schur(sigma: SystemRealization) -> None:
         raise NotSchurClass(angles[k], norms[k])
 
 
-@_memo
+@_memo(dual=lambda checked, _: adjoint(checked))
 def _extremal_system(sigma: SystemRealization) -> SystemRealization:
     """``sigma`` without its constant isometric channels
     (:func:`_without_unit_channels`), once that realization is minimal
     (NotMinimal otherwise) and its transfer function passes the Schur-class
     test of :func:`_require_schur` (NotSchurClass otherwise); decided once
-    per realization, and a realization with channels reads the fact of its
-    reduction. Both extremes rest on it: the minimal one is certified on
-    this realization and the maximal one on its adjoint, whose transfer
-    function ``T(conj(z))*`` has no channel when T has none, and the same
-    minimality and Schur class, so the adjoint is never tested on its own."""
+    per realization and its adjoint, and a realization with channels reads
+    the fact of its reduction. Both extremes rest on it: the minimal one is
+    certified on this realization and the maximal one on its adjoint, whose
+    transfer function ``T(conj(z))*`` has no channel when T has none, and
+    the same minimality and Schur class, so the adjoint's checked
+    realization is the adjoint of the system's and is never tested on its
+    own, also when the adjoint's equality set reads it."""
     reduced = _without_unit_channels(sigma)
     if reduced is not sigma:
         return _extremal_system(reduced)

@@ -15,14 +15,18 @@ and per-step dissipation margins.
 A :class:`SystemRealization` is an immutable value with read-only copies of
 its matrices. What is decided about it is decided once: a decider wrapped in
 :func:`_memo` keeps its result on the realization, keyed by the decider, and
-every later call reads it back. This module's deciders are
-:func:`is_minimal`, which counts its two Krylov ranks from singular values
-alone, the complex Schur form of A with ``||A||`` (:func:`_schur_form`),
-which every transfer grid reads and whose diagonal gives the eigenvalues of
-A that decide every pole test (:func:`_pole_angle`; a realization whose
-adjoint has its form reads its own off it, so a pair decomposes once),
-and :func:`adjoint`, whose adjoint is the realization itself; the solver and
-the pencil keep theirs the same way.
+every later call reads it back. A fact that a system shares with its
+adjoint, whose transfer function is ``T(conj(z))*``, is decided once per
+pair: the decider names its ``dual``, and the second of the pair reads its
+fact off the first's. This module's deciders are :func:`is_minimal`, which
+counts its two Krylov ranks from singular values alone, and whose adjoint
+swaps them, the complex Schur form of A with ``||A||``
+(:func:`_schur_form`), which every transfer grid reads, whose diagonal
+gives the eigenvalues of A that decide every pole test
+(:func:`_pole_angle`), and which the adjoint reverses, and :func:`adjoint`,
+whose adjoint is the realization itself; the solver and the pencil keep
+theirs the same way, and the solver's unit channels and Schur class are
+decided once per pair too.
 
 Every transfer-function evaluation, at one point or on a grid of a circle,
 goes through one kernel, :func:`_transfer_grid`. It proves every
@@ -129,12 +133,17 @@ class SystemRealization:
         return self.c.shape[0]
 
 
-def _memo(decide=None, *, involution: bool = False):
+def _memo(decide=None, *, involution: bool = False, dual=None):
     """Decorator that keeps ``decide(sigma)`` on the realization ``sigma``,
     keyed by the decorated function: ``decide`` runs on the first call for
     ``sigma`` and never again for it, and every call returns the kept
     result. With ``involution`` the result is a realization that keeps
-    ``sigma`` as its own result, so that ``f(f(sigma)) is sigma``. A
+    ``sigma`` as its own result, so that ``f(f(sigma)) is sigma``. With
+    ``dual``, the rule for what a realization shares with its adjoint, the
+    first call for ``sigma`` looks for a result kept by the adjoint that
+    ``sigma`` keeps (:func:`adjoint`); when there is one, ``sigma`` keeps
+    ``dual(partner_result, sigma)``, which is read, not decided, so a
+    realization and its adjoint decide the fact once between them. A
     ``decide`` that raises keeps nothing: the exception reaches the caller,
     and the next call for ``sigma`` decides again. The decorated function
     reaches ``decide`` as its ``__wrapped__`` on each decision, and only
@@ -142,14 +151,17 @@ def _memo(decide=None, *, involution: bool = False):
     call or after a raise, and decides nothing. A wrapper made with
     ``functools.wraps`` carries ``known`` along."""
     if decide is None:
-        return functools.partial(_memo, involution=involution)
+        return functools.partial(_memo, involution=involution, dual=dual)
 
     @functools.wraps(decide)
     def kept(sigma):
         try:
             return sigma._facts[kept]
         except KeyError:
-            fact = sigma._facts[kept] = kept.__wrapped__(sigma)
+            other = None if dual is None else adjoint.known(sigma)
+            partner = None if other is None else kept.known(other)
+            fact = kept.__wrapped__(sigma) if partner is None else dual(partner, sigma)
+            sigma._facts[kept] = fact
             if involution:
                 fact._facts[kept] = sigma
             return fact
@@ -172,27 +184,29 @@ class TransferSample:
     norm: float
 
 
-@_memo
+def _reversed_form(form: tuple, sigma: SystemRealization) -> tuple:
+    """The Schur form of A read off the adjoint's ``A* = Q T Q*``: ``A = (Q
+    J) (J T* J) (Q J)*`` with J the reversal, and ``J T* J`` is upper
+    triangular; the dual of :func:`_schur_form`."""
+    norm_a, t, q = form
+    t, q = np.ascontiguousarray(t.conj().T[::-1, ::-1]), np.ascontiguousarray(q[:, ::-1])
+    t.flags.writeable = q.flags.writeable = False
+    return norm_a, t, q
+
+
+@_memo(dual=_reversed_form)
 def _schur_form(sigma: SystemRealization) -> tuple[float, np.ndarray, np.ndarray]:
     """``(||A||, T, Q)`` for the complex Schur form ``A = Q T Q*``, with T
     and Q read-only: what :func:`_transfer_grid` reads of the state
-    operator, and, on the diagonal of T, the eigenvalues of A. When the
-    adjoint that ``sigma`` keeps (:func:`adjoint`) has its form ``A* = Q T
-    Q*``, the form of A is read off it: ``A = (Q J) (J T* J) (Q J)*`` with
-    J the reversal, and ``J T* J`` is upper triangular, so a realization
-    and its adjoint decompose their state operator once between them."""
-    other = adjoint.known(sigma)
-    form = None if other is None else _schur_form.known(other)
-    if form is None:
-        import scipy.linalg
+    operator, and, on the diagonal of T, the eigenvalues of A. A realization
+    whose adjoint has its form reads its own off it (:func:`_reversed_form`),
+    so a realization and its adjoint decompose their state operator once
+    between them."""
+    import scipy.linalg
 
-        t, q = scipy.linalg.schur(sigma.a, output="complex")
-        norm_a = spectral_norm(sigma.a)
-    else:
-        norm_a, t, q = form
-        t, q = np.ascontiguousarray(t.conj().T[::-1, ::-1]), np.ascontiguousarray(q[:, ::-1])
+    t, q = scipy.linalg.schur(sigma.a, output="complex")
     t.flags.writeable = q.flags.writeable = False
-    return norm_a, t, q
+    return spectral_norm(sigma.a), t, q
 
 
 def _eigenvalues(sigma: SystemRealization) -> np.ndarray:
@@ -430,13 +444,23 @@ class MinimalityReport:
         return self.minimal
 
 
-@_memo
+def _swapped_dims(r: MinimalityReport, sigma: SystemRealization) -> MinimalityReport:
+    """The minimality of the adjoint of the realization with report ``r``:
+    the adjoint's Krylov block is the conjugate transpose of that
+    realization's observability block and back, so ``controllable_dim = n -
+    unobservable_dim`` and back; the dual of :func:`is_minimal`."""
+    n = r.state_dim
+    return MinimalityReport(r.minimal, n - r.unobservable_dim, n - r.controllable_dim, n)
+
+
+@_memo(dual=_swapped_dims)
 def is_minimal(sigma: SystemRealization) -> MinimalityReport:
     """True iff the controllable subspace is the whole state space and the
-    unobservable subspace is trivial, decided once per realization. The two
-    dimensions are the Krylov ranks of :func:`controllable_subspace` and
-    :func:`unobservable_subspace`, counted from singular values alone,
-    with no basis built."""
+    unobservable subspace is trivial, decided once per realization and its
+    adjoint, which reads it off the first of the pair to decide
+    (:func:`_swapped_dims`). The two dimensions are the Krylov ranks of
+    :func:`controllable_subspace` and :func:`unobservable_subspace`, counted
+    from singular values alone, with no basis built."""
     svdvals = functools.partial(np.linalg.svd, compute_uv=False)
     cdim = _rank(svdvals(_krylov_block(sigma.a, sigma.b)))
     udim = sigma.state_dim - _rank(svdvals(_observability_block(sigma)))

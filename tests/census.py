@@ -19,14 +19,20 @@ make inside another wrapped function counts too. A call repeats when an
 earlier call of the same job went to the same function with identical
 arguments (arrays compared by dtype, shape and bytes). The census prints
 the calls and the repeats in total, by function, and by the first
-``riccati_kyp`` function on the call stack. It only prints, and exits 0
-unless a job raises. :func:`census` takes any list of CLI argument lists.
+``riccati_kyp`` function on the call stack. It also prints how many times
+each decider of ``riccati_kyp.systems._memo`` (a function of the package
+with a ``known`` attribute) ran its ``__wrapped__`` over the jobs: a
+decision, where a kept fact, or one that a realization reads off its
+adjoint, is none. It only prints, and exits 0 unless a job raises.
+:func:`census` takes any list of CLI argument lists.
 """
 
 import argparse
 import collections
 import hashlib
+import importlib
 import os
+import pkgutil
 import sys
 import tempfile
 from pathlib import Path
@@ -83,6 +89,7 @@ class Census:
         self.calls = collections.Counter()
         self.repeats = collections.Counter()
         self.seen = set()  # (function, argument digest) of the current job
+        self.decisions = collections.Counter()  # by module.decider
 
     def wrapper(self, name: str, real):
         def counted(*args, **kwargs):
@@ -98,6 +105,13 @@ class Census:
 
         return counted
 
+    def decider(self, label: str, decide):
+        def counted(sigma):
+            self.decisions[label] += 1
+            return decide(sigma)
+
+        return counted
+
     def table(self, axis: int) -> list[tuple[str, int, int]]:
         """``(label, calls, repeats)`` by function (axis 0) or by caller
         (axis 1), most calls first."""
@@ -108,17 +122,33 @@ class Census:
         return sorted(((k, calls[k], repeats[k]) for k in calls), key=lambda r: (-r[1], r[0]))
 
 
+def _deciders() -> dict:
+    """The ``_memo`` deciders of the package, each once, by
+    ``module.function``: the functions with a ``known`` attribute."""
+    import riccati_kyp
+
+    found = {}
+    for info in pkgutil.iter_modules(riccati_kyp.__path__):
+        module = importlib.import_module(f"{PACKAGE}.{info.name}")
+        for value in vars(module).values():
+            if callable(value) and hasattr(value, "known"):
+                found[f"{value.__module__[len(PACKAGE) + 1:]}.{value.__name__}"] = value
+    return found
+
+
 def census(argvs: list[list[str]]) -> Census:
     """Run each CLI argument list as one job, with the wrappers in place;
     each job's report goes to a temporary file."""
     from riccati_kyp import cli
 
     counts = Census()
-    originals = [(module, name, getattr(module, name))
-                 for module, names in WRAPPED.items() for name in names]
-    for module, name, real in originals:
-        label = f"{module.__name__}.{name}"
-        setattr(module, name, counts.wrapper(label, real))
+    targets = [(module, name, f"{module.__name__}.{name}", counts.wrapper)
+               for module, names in WRAPPED.items() for name in names]
+    targets += [(kept, "__wrapped__", label, counts.decider)
+                for label, kept in _deciders().items()]
+    originals = [(target, name, getattr(target, name)) for target, name, _, _ in targets]
+    for target, name, label, wrap in targets:
+        setattr(target, name, wrap(label, getattr(target, name)))
     try:
         with tempfile.TemporaryDirectory() as workdir:
             out = os.path.join(workdir, "report.json")
@@ -162,6 +192,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"\n{'calls':>6} {'repeats':>7}  {title}")
         for label, calls, repeats in counts.table(axis):
             print(f"{calls:6d} {repeats:7d}  {label}")
+    print(f"\n{'decisions':>9}  _memo decider")
+    for label, count in sorted(counts.decisions.items(), key=lambda r: (-r[1], r[0])):
+        print(f"{count:9d}  {label}")
     return 0
 
 

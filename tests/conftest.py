@@ -45,7 +45,8 @@ def coisometry_system() -> SystemRealization:
 def decisions(monkeypatch, decider) -> list:
     """The realizations that the memo of ``decider`` (a function wrapped by
     ``riccati_kyp.systems._memo``) hands to the decider behind it from now
-    on: one entry per decision, none for a kept fact read back."""
+    on: one entry per decision, none for a kept fact read back or read off
+    the realization's adjoint (the ``dual`` rule)."""
     decide, calls = decider.__wrapped__, []
 
     def spy(sigma):

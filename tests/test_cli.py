@@ -872,13 +872,15 @@ def test_a_pole_on_the_circle_is_refused_without_a_singular_stein_solve(command,
     # the lossless route declines the unit pole before solving its singular
     # Stein equation, so no warning is raised on the way to the Schur-class
     # test, which names the pole of the analyze golden (angle 3.0673151949...)
+    # and its modulus, 1 within systems.POLE_TOL
     out = tmp_path / "report.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main([command, "--system", str(GOLDEN_DOCS / "unit_pole_n3.json"),
                      "--seed", "301", "--no-timings", "--out", str(out)])
     assert code == 18
-    message = "transfer-function norm inf > 1 at angle 3.067315; no inequality member can exist"
+    message = ("transfer-function pole of modulus 1.000000 at angle 3.067315; no inequality "
+               "member can exist")
     want = {"error": {"category": "NotSchurClass", "exit_code": 18, "message": message}}
     assert out.read_text(encoding="utf-8") == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
@@ -917,9 +919,10 @@ def test_each_command_decides_minimality_and_decomposes_a_once(monkeypatch, tmp_
 def test_report_decides_each_fact_once_per_realization(name, monkeypatch, tmp_path):
     # a report on an inner (blaschke3) or co-inner (coisometry) system reads
     # the system, its adjoint and their facts from every section; each
-    # realization builds its adjoint, decides its minimality, takes its
-    # Schur form, looks for unit channels, runs ordered QZ, solves its
-    # Stein equation and decides its lossless member once
+    # realization builds its adjoint, runs ordered QZ, solves its Stein
+    # equation and decides its lossless member once, and minimality, the
+    # Schur form and the unit channels are decided on one realization of
+    # the pair, whose partner reads them off it
     schur_calls = _scipy_calls(monkeypatch, "schur")
     spies = [
         decisions(monkeypatch, systems_module.adjoint),
@@ -937,25 +940,35 @@ def test_report_decides_each_fact_once_per_realization(name, monkeypatch, tmp_pa
     for calls in spies:
         assert calls and len(calls) == len({id(sigma) for sigma in calls})
     assert len(spies[0]) == 1  # the adjoint's adjoint is the system
+    for calls in spies[1:4]:  # minimality, Schur form, unit channels
+        assert len(calls) == 1
     # the second of the pair to take its Schur form reads it off the
     # first's, so A is decomposed once
     assert len(schur_calls) == 1
 
 
 @pytest.mark.parametrize("command", ["extremes", "report"])
-@pytest.mark.parametrize("name", ["two_state", "scalar_interval", "coisometry", "unit_channel"])
+@pytest.mark.parametrize("name", ["two_state", "scalar_interval", "coisometry", "unit_channel",
+                                  "tiny_pole", "double_inside"])
 def test_each_job_tests_the_schur_class_once(name, command, monkeypatch, tmp_path):
     # minimality and the Schur class are facts of the system that its
     # adjoint shares, so one test runs, on the system without its constant
-    # isometric channels, and the adjoint only supplies H_max's candidate
+    # isometric channels, and the adjoint only supplies H_max's candidate;
+    # on the extremal route (tiny_pole, double_inside) the adjoint's
+    # equality set reads the adjoint's checked realization off the system's
     test, calls = solver_module._require_schur, []
     monkeypatch.setattr(solver_module, "_require_schur",
                         lambda sigma: calls.append(sigma) or test(sigma))
+    checked = decisions(monkeypatch, solver_module._extremal_system)
     path = str(GOLDEN_DOCS / f"{name}.json")
     out = str(tmp_path / "out.json")
     assert main([command, "--system", path, "--seed", "301", "--no-timings", "--out", out]) == 0
     reduced = solver_module._without_unit_channels(parse_system(path).realization())
     assert len(calls) == 1
+    # one decision per pair: no realization decides when its adjoint has
+    pairs = {frozenset({id(sigma), id(systems_module.adjoint.known(sigma))})
+             for sigma in checked}
+    assert len(pairs) == len(checked)
     for got, want in zip((calls[0].a, calls[0].b, calls[0].c, calls[0].d),
                          (reduced.a, reduced.b, reduced.c, reduced.d)):
         assert np.array_equal(got, want)
@@ -1395,7 +1408,7 @@ class TestSharedWork:
         # the Stein identities with X = -3, but its pole at z = 1/2 leaves it
         # with no inequality member: the certificate says unknown, not
         # unique_singleton, and the passivity section says why; every
-        # command that solves names the pole (norm inf at angle 0). Padded
+        # command that solves names the pole (modulus 0.5, angle 0). Padded
         # with a zero input column it is co-inner only, with W = -1/3
         for pad in ([], [[0.0, 0.0]]):
             doc = {
@@ -1423,7 +1436,7 @@ class TestSharedWork:
                 assert code == EXIT_CODES[NotSchurClass] == 18
                 assert error["category"] == "NotSchurClass"
                 assert error["message"].startswith(
-                    "transfer-function norm inf > 1 at angle 0.000000"
+                    "transfer-function pole of modulus 0.500000 at angle 0.000000"
                 )
 
 # zoo_n2_m1_p2 of the seeded random zoo (block matrix scaled to norm 0.9) at
@@ -2006,7 +2019,9 @@ def test_census_counts_each_call_and_each_repeat_within_a_job(capsys):
     """``tests/census.py`` counts every call of a wrapped function, and as a
     repeat each call whose function and arguments (arrays by dtype, shape
     and bytes) an earlier call of the same job had; each job starts afresh,
-    and the library functions are restored afterwards."""
+    and the library functions are restored afterwards. It also counts the
+    decisions of each ``_memo`` decider: on the two-state report, one
+    minimality decision for the system and its adjoint."""
     import census
 
     counts = census.Census()
@@ -2019,14 +2034,18 @@ def test_census_counts_each_call_and_each_repeat_within_a_job(capsys):
     assert counts.table(0) == [("f", 5, 1)]
     assert counts.table(1) == [("(outside the package)", 5, 1)]
 
-    eigh = np.linalg.eigh
+    eigh, decide = np.linalg.eigh, systems_module.is_minimal.__wrapped__
     job = ["report", "--system", TWO_STATE_DOC, "--seed", "301", "--no-timings"]
     once, twice = census.census([job]), census.census([job, job])
-    assert np.linalg.eigh is eigh
+    assert np.linalg.eigh is eigh and systems_module.is_minimal.__wrapped__ is decide
     assert sum(once.calls.values()) > 0 and sum(once.repeats.values()) > 0
     assert twice.calls == once.calls + once.calls
     assert twice.repeats == once.repeats + once.repeats
+    assert once.decisions["systems.is_minimal"] == 1
+    assert once.decisions["solver._extremal_system"] == 1
+    assert twice.decisions == once.decisions + once.decisions
     assert census.main([TWO_STATE_DOC]) == 0
     printed = capsys.readouterr().out
     assert printed.startswith(f"1 jobs: {sum(once.calls.values())} calls, ")
     assert "riccati._membership_stack" in printed
+    assert "        1  systems.is_minimal" in printed

@@ -8,8 +8,11 @@ rejection sampling took from just outside the inequality set, and
 solver drops (equality set {1/4}, H_min = 1/4, H_max = 1), and ``analyze``
 and ``extremes`` on the unstable all-pass T(z) = (z - 2) / (1 - 2z), whose
 Stein solution -3 passes the identities but is not positive definite: its
-uniqueness is unknown, and extremes names its pole at z = 1/2 (norm inf at
-angle 0, NotSchurClass). All run with
+uniqueness is unknown, and extremes names its pole at z = 1/2 (modulus 0.5
+at angle 0, NotSchurClass), and ``report`` on two systems of the extremal
+route that exit 0: A = 1e-8, B = C = 0.5, D = 0 (``tiny_pole``, whose
+equality set holds only H_min = 1/4 of the pair 1/4 and 4), and A = 0.3 I,
+B = C = 0.5 I, D = 0 in two states (``double_inside``). All run with
 ``--seed 301 --no-timings`` and are compared with the reports stored under
 ``tests/golden``.
 

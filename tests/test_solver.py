@@ -1075,9 +1075,27 @@ def test_unstable_allpass_is_not_lossless(padded):
         with pytest.raises(NotSchurClass) as raised:
             solve(sigma)
         assert raised.value.angle == 0.0 and raised.value.norm == np.inf
+        assert raised.value.modulus == 0.5  # the pole z = 1/2 is named
 
 
 GOLDEN_DOCS = Path(__file__).resolve().parent / "golden" / "docs"
+
+
+@pytest.mark.parametrize("first", ["system", "adjoint"])
+def test_the_pair_shares_one_reduction_and_one_checked_realization(first):
+    # T(z) = diag(1, 0.5 z): a channel u of the system is the channel D u
+    # of its adjoint, so whichever of the pair is reduced first, the other's
+    # reduction is the adjoint of the first's, read and not decided, and
+    # the realization both extremes rest on is shared the same way
+    sigma = parse_system(str(GOLDEN_DOCS / "unit_channel.json")).realization()
+    pair = [sigma, adjoint(sigma)] if first == "system" else [adjoint(sigma), sigma]
+    for decider in (_without_unit_channels, solver_module._extremal_system):
+        fact = decider(pair[0])
+        assert decider(pair[1]) is adjoint(fact)
+    reduced = _without_unit_channels(sigma)
+    assert _without_unit_channels(adjoint(sigma)) is adjoint(reduced)
+    assert (reduced.input_dim, reduced.output_dim) == (1, 1)
+    assert solver_module._extremal_system(sigma) is reduced
 
 
 def test_a_co_inner_member_below_the_positivity_floor_is_not_lossless():
@@ -1186,12 +1204,13 @@ class TestCertificate:
         # the certificate reads its loop off the kernel's cut of delta at
         # RANK_TOL; on every positive definite ordered-QZ candidate its
         # radius is the one of the membership band's cut, and the 7 others
-        # (of four golden documents, and of their adjoints) have no loop.
+        # (of four golden documents, and of their adjoints) have no loop;
+        # tiny_pole and double_inside, and their adjoints, give 4 of the 173
         # The radius bound is pulled below zero, so that every candidate
         # fails and shows its radius
         monkeypatch.setattr(solver_module, "EQUALITY_TOL", -2.0)
         candidates = _certificate_candidates()
-        assert len(candidates) == 176
+        assert len(candidates) == 180
         compared = 0
         for sigma, h in candidates:
             with pytest.raises(CertificateFailed) as info:
@@ -1201,7 +1220,7 @@ class TestCertificate:
             else:
                 assert info.value.radius == _band_cut_radius(sigma, h)
                 compared += 1
-        assert compared == 169
+        assert compared == 173
 
     def test_the_certificate_decomposes_delta_once(self, two_state_system, monkeypatch):
         # the membership kernel forms delta(H_min) once and takes the one

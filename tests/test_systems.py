@@ -246,6 +246,54 @@ class TestMinimality:
             assert bool(is_minimal(sigma)) == bool(is_minimal(adjoint(sigma)))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=4),
+    m=st.integers(min_value=1, max_value=2),
+    p=st.integers(min_value=1, max_value=2),
+    appended=st.sampled_from(["none", "uncontrollable", "unobservable", "both"]),
+    first=st.integers(min_value=0, max_value=1),
+)
+def test_the_adjoint_reads_the_minimality_it_would_decide(seed, n, m, p, appended, first):
+    # the adjoint's Krylov block is the conjugate transpose of the system's
+    # observability block and back, so the second of the pair reads its
+    # report off the first's with the two dimensions swapped; that report
+    # is the one a decision of its own gives on a fresh copy, also with an
+    # appended state that the input does not reach, or the output does not
+    # see, or both
+    rng = np.random.default_rng(seed)
+    sigma = random_realization(rng, n, m, p)
+    a = np.zeros((n + 1, n + 1), dtype=complex)
+    a[:n, :n], a[n, n] = sigma.a, 0.5 * rng.standard_normal()
+    b = np.vstack([sigma.b, rng.standard_normal((1, m))])
+    c = np.hstack([sigma.c, rng.standard_normal((p, 1))])
+    # the new state is reached from the old ones only when it is controllable,
+    # and feeds them only when it is observable
+    if appended in ("uncontrollable", "both"):  # no input reaches the new state
+        b[n] = 0.0
+    else:
+        a[n, :n] = rng.standard_normal(n)
+    if appended in ("unobservable", "both"):  # no output sees the new state
+        c[:, n] = 0.0
+    else:
+        a[:n, n] = rng.standard_normal(n)
+    if appended != "none":
+        sigma = SystemRealization(a, b, c, sigma.d)
+    pair = [sigma, adjoint(sigma)]
+    decided = is_minimal(pair[first])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(is_minimal, "__wrapped__", lambda _: pytest.fail("the adjoint decided"))
+        read = is_minimal(pair[1 - first])
+    other = pair[1 - first]
+    fresh = is_minimal.__wrapped__(SystemRealization(other.a, other.b, other.c, other.d))
+    assert read == fresh and read.minimal == decided.minimal == (appended == "none")
+    assert (read.controllable_dim, read.unobservable_dim) == (
+        decided.state_dim - decided.unobservable_dim,
+        decided.state_dim - decided.controllable_dim,
+    )
+
+
 class TestAdjoint:
     def test_scalar_interval_values(self, scalar_interval_system):
         adj = adjoint(scalar_interval_system)
